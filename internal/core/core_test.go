@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -379,6 +380,40 @@ func TestFromReportsCarriesFields(t *testing.T) {
 		if o.TotalMs <= 0 || len(o.TaskMs) == 0 {
 			t.Fatalf("frame %d: timing missing", i)
 		}
+	}
+}
+
+// TestFromReportIntoReusesOneObservation: refilling one Observation frame
+// after frame yields what FromReports yields — no task entry of an earlier
+// scenario survives the refill — and allocates nothing once its map exists.
+func TestFromReportIntoReusesOneObservation(t *testing.T) {
+	reports := []pipeline.Report{
+		{
+			Scenario: flowgraph.WorstCase(), AnalysisPixels: 4096, ROI: frame.R(3, 4, 13, 24), LatencyMs: 31.5,
+			Execs: []pipeline.TaskExec{{Task: tasks.NameRDGFull, Ms: 20}, {Task: tasks.NameMKXExt, Ms: 7}, {Task: tasks.NameENH, Ms: 4.5}},
+		},
+		{
+			Scenario: flowgraph.Scenario{ROIKnown: true}, AnalysisPixels: 200, LatencyMs: 2.5,
+			Execs: []pipeline.TaskExec{{Task: tasks.NameMKXExt, Ms: 2.5}},
+		},
+	}
+	want := FromReports(reports, 128*128)
+	var obs Observation
+	for i := range reports {
+		FromReportInto(&obs, &reports[i], 128*128)
+		if !reflect.DeepEqual(obs, want[i]) {
+			t.Fatalf("report %d: refilled observation %+v, want %+v", i, obs, want[i])
+		}
+	}
+	if want[0].EstROIPixels != 200 || want[0].TaskMs[tasks.NameENH] != 4.5 || want[1].EstROIPixels != 0 {
+		t.Fatalf("FromReports dropped fields: %+v", want)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		FromReportInto(&obs, &reports[i%2], 128*128)
+		i++
+	}); allocs != 0 {
+		t.Fatalf("FromReportInto allocates %.1f times per frame, want 0", allocs)
 	}
 }
 

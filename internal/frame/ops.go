@@ -174,18 +174,7 @@ func GaussianBlur(src *Frame, sigma float64) *Frame {
 // horizontal-pass buffer comes from the shared pool, so a steady-state call
 // with a reused dst allocates nothing. It returns the destination used.
 func GaussianBlurInto(dst, src *Frame, sigma float64) *Frame {
-	w := gaussianKernel(sigma)
-	width, height := src.Width(), src.Height()
-	dst = ensureDst(dst, width, height, src.Bounds)
-	if width == 0 || height == 0 {
-		return dst
-	}
-	tmp := BorrowUninit(width, height)
-	tmp.Bounds = src.Bounds
-	blurHRows(tmp, src, w, src.Bounds.Y0, src.Bounds.Y1)
-	blurVRows(dst, tmp, w, src.Bounds.Y0, src.Bounds.Y1)
-	Release(tmp)
-	return dst
+	return GaussianBlurIntoOn(nil, dst, src, sigma, 1)
 }
 
 // blurHRows runs the horizontal 1-D pass over the absolute row range
@@ -299,7 +288,11 @@ func HessianAt(f *Frame, x, y int) Hessian {
 func (h Hessian) Eigenvalues() (l1, l2 float64) {
 	tr := h.XX + h.YY
 	det := h.XX*h.YY - h.XY*h.XY
-	disc := math.Sqrt(math.Max(0, tr*tr/4-det))
+	d := tr*tr/4 - det
+	if d <= 0 { // math.Max(0, d), NaN included, without the call per pixel
+		d = 0
+	}
+	disc := math.Sqrt(d)
 	a, b := tr/2+disc, tr/2-disc
 	if math.Abs(a) >= math.Abs(b) {
 		return a, b
@@ -437,6 +430,87 @@ func BilinearAt(f *Frame, x, y float64) float64 {
 	return v00*(1-fx)*(1-fy) + v10*fx*(1-fy) + v01*(1-fx)*fy + v11*fx*fy
 }
 
+// Tap is one destination index's share of a separable bilinear resample
+// along one axis: the two source indices it blends, relative to the source
+// view's origin, and their weights: F for I1, G = 1-F for I0. int32 indices
+// keep a 512-column table inside 12 KiB of L1; no frame has 2^31 rows or
+// columns.
+type Tap struct {
+	I0, I1 int32
+	F, G   float64
+}
+
+// XTap returns the horizontal tap for the real source coordinate x: the
+// floor, fraction and replicate-border clamp of BilinearAt.
+func (f *Frame) XTap(x float64) Tap { return tapAt(x, f.Bounds.X0, f.Bounds.X1) }
+
+// YTap is XTap for the vertical axis.
+func (f *Frame) YTap(y float64) Tap { return tapAt(y, f.Bounds.Y0, f.Bounds.Y1) }
+
+// tapAt clamps in coordinate space before making the indices relative to
+// lo, so a coordinate far outside [lo, hi) — or one whose floor saturates
+// int — lands on the border pixel the way AtClamped puts it there.
+func tapAt(c float64, lo, hi int) Tap {
+	i := int(math.Floor(c))
+	i0, i1 := i, i+1
+	if i0 < lo {
+		i0 = lo
+	}
+	if i0 >= hi {
+		i0 = hi - 1
+	}
+	if i1 < lo {
+		i1 = lo
+	}
+	if i1 >= hi {
+		i1 = hi - 1
+	}
+	f := c - float64(i)
+	return Tap{I0: int32(i0 - lo), I1: int32(i1 - lo), F: f, G: 1 - f}
+}
+
+// GrowTaps returns taps resized to n entries, reallocating only to grow.
+func GrowTaps(taps []Tap, n int) []Tap {
+	if cap(taps) < n {
+		return make([]Tap, n)
+	}
+	return taps[:n]
+}
+
+// ResampleRows fills rows [yLo, yHi) of dst, counted from dst's first row:
+// pixel x of row y becomes clamp16(BilinearAt(src, cx, cy)) for the
+// coordinates xs[x] and ys[y] were built from with src.XTap and src.YTap.
+// src must not be empty, dst must be at least len(xs) wide and must not
+// alias src. This is the one bilinear pixel loop behind Resize, Translate
+// and the enhancement stage's motion-compensated canvas; the sum keeps
+// BilinearAt's association, so the two agree bit for bit.
+func ResampleRows(dst, src *Frame, xs, ys []Tap, yLo, yHi int) {
+	for y := yLo; y < yHi; y++ {
+		ty := ys[y]
+		r0 := src.Pix[int(ty.I0)*src.Stride:]
+		r1 := src.Pix[int(ty.I1)*src.Stride:]
+		fy, gy := ty.F, ty.G
+		drow := dst.Pix[y*dst.Stride:][:len(xs)]
+		for x := range xs {
+			tx := &xs[x]
+			drow[x] = clamp16(float64(r0[tx.I0])*tx.G*gy + float64(r0[tx.I1])*tx.F*gy +
+				float64(r1[tx.I0])*tx.G*fy + float64(r1[tx.I1])*tx.F*fy)
+		}
+	}
+}
+
+// tapScratch backs the two tap tables one Resize or Translate call builds;
+// pooled so a steady-state call allocates nothing.
+type tapScratch struct{ buf []Tap }
+
+var tapPool = sync.Pool{New: func() any { return new(tapScratch) }}
+
+// tables returns a w-entry and an h-entry table carved from the scratch.
+func (t *tapScratch) tables(w, h int) (xs, ys []Tap) {
+	t.buf = GrowTaps(t.buf, w+h)
+	return t.buf[:w], t.buf[w:]
+}
+
 // Resize scales src to (w, h) with bilinear interpolation; this is the
 // zoom-stage primitive.
 func Resize(src *Frame, w, h int) *Frame {
@@ -446,28 +520,22 @@ func Resize(src *Frame, w, h int) *Frame {
 // ResizeInto is Resize with destination reuse (dst may be nil, must not
 // alias src); it returns the destination used.
 func ResizeInto(dst, src *Frame, w, h int) *Frame {
-	dst = ensureDst(dst, w, h, Rect{0, 0, w, h})
-	if src.Pixels() == 0 || w == 0 || h == 0 {
-		clear(dst.Pix)
-		return dst
-	}
-	resizeRows(dst, src, 0, h)
-	return dst
+	return ResizeIntoParallel(dst, src, w, h, 1)
 }
 
-// resizeRows fills destination rows [yLo, yHi) of the bilinear resample.
-func resizeRows(dst, src *Frame, yLo, yHi int) {
-	w, h := dst.Width(), dst.Height()
+// resizeTaps builds the pixel-centre-aligned tap tables mapping a (w, h)
+// destination onto src.
+func (t *tapScratch) resizeTaps(src *Frame, w, h int) (xs, ys []Tap) {
+	xs, ys = t.tables(w, h)
 	sx := float64(src.Width()) / float64(w)
 	sy := float64(src.Height()) / float64(h)
-	for y := yLo; y < yHi; y++ {
-		drow := dst.Pix[y*dst.Stride : y*dst.Stride+w]
-		srcY := float64(src.Bounds.Y0) + (float64(y)+0.5)*sy - 0.5
-		for x := 0; x < w; x++ {
-			srcX := float64(src.Bounds.X0) + (float64(x)+0.5)*sx - 0.5
-			drow[x] = clamp16(BilinearAt(src, srcX, srcY))
-		}
+	for x := range xs {
+		xs[x] = src.XTap(float64(src.Bounds.X0) + (float64(x)+0.5)*sx - 0.5)
 	}
+	for y := range ys {
+		ys[y] = src.YTap(float64(src.Bounds.Y0) + (float64(y)+0.5)*sy - 0.5)
+	}
+	return xs, ys
 }
 
 // Translate returns src shifted by the real-valued offset (dx, dy) using
@@ -479,21 +547,30 @@ func Translate(src *Frame, dx, dy float64) *Frame {
 // TranslateInto is Translate with destination reuse (dst may be nil, must
 // not alias src); it returns the destination used.
 func TranslateInto(dst, src *Frame, dx, dy float64) *Frame {
-	dst = ensureDst(dst, src.Width(), src.Height(), src.Bounds)
-	for y := src.Bounds.Y0; y < src.Bounds.Y1; y++ {
-		d0 := (y - src.Bounds.Y0) * dst.Stride
-		drow := dst.Pix[d0 : d0+src.Width()]
-		for x := src.Bounds.X0; x < src.Bounds.X1; x++ {
-			v := BilinearAt(src, float64(x)-dx, float64(y)-dy)
-			drow[x-src.Bounds.X0] = clamp16(v)
-		}
+	w, h := src.Width(), src.Height()
+	dst = ensureDst(dst, w, h, src.Bounds)
+	if w == 0 || h == 0 {
+		return dst
 	}
+	t := tapPool.Get().(*tapScratch)
+	xs, ys := t.tables(w, h)
+	for x := range xs {
+		xs[x] = src.XTap(float64(src.Bounds.X0+x) - dx)
+	}
+	for y := range ys {
+		ys[y] = src.YTap(float64(src.Bounds.Y0+y) - dy)
+	}
+	ResampleRows(dst, src, xs, ys, 0, h)
+	tapPool.Put(t)
 	return dst
 }
 
+// AccumulatorMaxFrames is how many 16-bit frames an Accumulator's 32-bit
+// sums integrate without overflow; the owner must Reset before adding more.
+const AccumulatorMaxFrames = 1 << 16
+
 // Accumulator integrates frames for temporal averaging (the enhancement
-// stage). It keeps 32-bit sums so up to 65536 16-bit frames can be
-// integrated without overflow.
+// stage). It keeps 32-bit sums, good for AccumulatorMaxFrames frames.
 type Accumulator struct {
 	sum    []uint32
 	w, h   int
@@ -519,6 +596,27 @@ func (a *Accumulator) Add(f *Frame) error {
 	}
 	a.frames++
 	return nil
+}
+
+// AddAverageInto is Add followed by AverageInto in one pass over the sums
+// (dst may be nil, must not alias f); it returns the destination used.
+func (a *Accumulator) AddAverageInto(dst, f *Frame) (*Frame, error) {
+	if f.Width() != a.w || f.Height() != a.h {
+		return nil, errors.New("frame: accumulator dimension mismatch")
+	}
+	dst = ensureDst(dst, a.w, a.h, Rect{0, 0, a.w, a.h})
+	a.frames++
+	n := uint32(a.frames)
+	for y := 0; y < a.h; y++ {
+		sum := a.sum[y*a.w : (y+1)*a.w]
+		avg := dst.Pix[y*a.w : (y+1)*a.w]
+		for i, v := range f.Row(f.Bounds.Y0 + y) {
+			s := sum[i] + uint32(v)
+			sum[i] = s
+			avg[i] = uint16(s / n)
+		}
+	}
+	return dst, nil
 }
 
 // Frames returns how many frames have been integrated.

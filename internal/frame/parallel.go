@@ -6,7 +6,7 @@ import (
 
 // The *Parallel variants stripe the exact same interior/border-split row
 // helpers the serial kernels use (convolveRows, blurHRows/blurVRows,
-// resizeRows), so their output is bit-identical to the serial versions: the
+// ResampleRows), so their output is bit-identical to the serial versions: the
 // rows of each pass are independent given the input (and, for the blur, the
 // intermediate buffer), so striping never changes results.
 
@@ -24,7 +24,8 @@ func GaussianBlurIntoParallel(dst, src *Frame, sigma float64, k int) *Frame {
 
 // GaussianBlurIntoOn is GaussianBlurIntoParallel with the stripes executed
 // on a shared worker pool (parallel.StripesOn); a nil pool falls back to
-// fresh goroutines. Bit-identical to the serial version either way.
+// fresh goroutines. k <= 1 is the serial version: both passes run inline,
+// without a closure. Bit-identical for every k.
 func GaussianBlurIntoOn(pool *parallel.Pool, dst, src *Frame, sigma float64, k int) *Frame {
 	w := gaussianKernel(sigma)
 	width, height := src.Width(), src.Height()
@@ -35,12 +36,17 @@ func GaussianBlurIntoOn(pool *parallel.Pool, dst, src *Frame, sigma float64, k i
 	tmp := BorrowUninit(width, height)
 	tmp.Bounds = src.Bounds
 	y0 := src.Bounds.Y0
-	parallel.StripesOn(pool, height, k, func(_, lo, hi int) {
-		blurHRows(tmp, src, w, y0+lo, y0+hi)
-	})
-	parallel.StripesOn(pool, height, k, func(_, lo, hi int) {
-		blurVRows(dst, tmp, w, y0+lo, y0+hi)
-	})
+	if k <= 1 {
+		blurHRows(tmp, src, w, y0, y0+height)
+		blurVRows(dst, tmp, w, y0, y0+height)
+	} else {
+		parallel.StripesOn(pool, height, k, func(_, lo, hi int) {
+			blurHRows(tmp, src, w, y0+lo, y0+hi)
+		})
+		parallel.StripesOn(pool, height, k, func(_, lo, hi int) {
+			blurVRows(dst, tmp, w, y0+lo, y0+hi)
+		})
+	}
 	Release(tmp)
 	return dst
 }
@@ -52,16 +58,31 @@ func ResizeParallel(src *Frame, w, h, k int) *Frame {
 }
 
 // ResizeIntoParallel is ResizeInto striped over k goroutines (dst may be
-// nil, must not alias src); it returns the destination used.
+// nil, must not alias src); it returns the destination used. A destination
+// the size of the source is a row copy: every tap would land on a pixel
+// centre with weight one.
 func ResizeIntoParallel(dst, src *Frame, w, h, k int) *Frame {
 	dst = ensureDst(dst, w, h, Rect{0, 0, w, h})
 	if src.Pixels() == 0 || w == 0 || h == 0 {
 		clear(dst.Pix)
 		return dst
 	}
-	parallel.ForStripes(h, k, func(_, lo, hi int) {
-		resizeRows(dst, src, lo, hi)
-	})
+	if w == src.Width() && h == src.Height() {
+		for y := 0; y < h; y++ {
+			copy(dst.Pix[y*dst.Stride:y*dst.Stride+w], src.Pix[y*src.Stride:])
+		}
+		return dst
+	}
+	t := tapPool.Get().(*tapScratch)
+	xs, ys := t.resizeTaps(src, w, h)
+	if k <= 1 {
+		ResampleRows(dst, src, xs, ys, 0, h)
+	} else {
+		parallel.ForStripes(h, k, func(_, lo, hi int) {
+			ResampleRows(dst, src, xs, ys, lo, hi)
+		})
+	}
+	tapPool.Put(t)
 	return dst
 }
 

@@ -1,0 +1,210 @@
+package frame
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The table-driven resampler is checked against the point sampler it
+// replaced in the pixel loops: pixel (x, y) of the destination must equal
+// clamp16(BilinearAt(src, cx[x], cy[y])) for whatever coordinates the caller
+// built its taps from.
+
+// resampleVia runs ResampleRows over taps built from cx, cy into a view of a
+// dirty parent (so the destination's stride exceeds its width) and reports
+// whether the parent's pixels around the view were left alone.
+func resampleVia(src *Frame, cx, cy []float64) (dst *Frame, contained bool) {
+	xs, ys := make([]Tap, len(cx)), make([]Tap, len(cy))
+	for i, c := range cx {
+		xs[i] = src.XTap(c)
+	}
+	for i, c := range cy {
+		ys[i] = src.YTap(c)
+	}
+	parent := New(len(cx)+3, len(cy)+2)
+	parent.Fill(0xABCD)
+	dst = parent.SubFrame(R(2, 1, 2+len(cx), 1+len(cy)))
+	// Two calls with a seam exercise the row-range arguments.
+	ResampleRows(dst, src, xs, ys, 0, len(cy)/2)
+	ResampleRows(dst, src, xs, ys, len(cy)/2, len(cy))
+	contained = true
+	for y := 0; y < parent.Height(); y++ {
+		for x := 0; x < parent.Width(); x++ {
+			if !dst.Bounds.Contains(x, y) && parent.At(x, y) != 0xABCD {
+				contained = false
+			}
+		}
+	}
+	return dst, contained
+}
+
+func requireResample(t *testing.T, ctx string, src *Frame, cx, cy []float64) {
+	t.Helper()
+	got, contained := resampleVia(src, cx, cy)
+	if !contained {
+		t.Fatalf("%s: wrote outside the destination view", ctx)
+	}
+	for y, sy := range cy {
+		row := got.Row(got.Bounds.Y0 + y)
+		for x, sx := range cx {
+			if want := clamp16(BilinearAt(src, sx, sy)); row[x] != want {
+				t.Fatalf("%s: src %v stride %d: pixel (%d,%d) sampled at (%v,%v) = %d, want %d",
+					ctx, src.Bounds, src.Stride, x, y, sx, sy, row[x], want)
+			}
+		}
+	}
+}
+
+// affine returns n coordinates a + b*i.
+func affine(n int, a, b float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = a + b*float64(i)
+	}
+	return out
+}
+
+func TestResampleRowsMatchesBilinearAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, g := range geometries {
+		for _, src := range frameVariants(rng, g[0], g[1]) {
+			b := src.Bounds
+			x0, y0 := float64(b.X0), float64(b.Y0)
+			w, h := float64(b.Width()), float64(b.Height())
+			cases := []struct {
+				name   string
+				cx, cy []float64
+			}{
+				{"identity", affine(g[0], x0, 1), affine(g[1], y0, 1)},
+				{"inside", affine(9, x0+0.25, (w-1)/9), affine(7, y0+0.6, (h-1)/7)},
+				{"upscale", affine(3*g[0], x0-0.33, 1.0/3), affine(2*g[1], y0-0.25, 0.5)},
+				{"downscale", affine(g[0]/2+1, x0+0.5, 2), affine(g[1]/3+1, y0+1, 3)},
+				{"straddle", affine(g[0]+8, x0-4.3, 1.1), affine(g[1]+8, y0-3.7, 1.2)},
+				{"mirrored", affine(g[0]+2, x0+w, -1.05), affine(g[1]+2, y0+h, -0.95)},
+				{"far", []float64{-1e18, -1e9, x0 - 1, x0, x0 + w - 1, x0 + w, 1e9, 1e18},
+					[]float64{1e18, y0 + h - 0.5, y0 - 0.5, -1e18}},
+				{"int-edges", []float64{math.MinInt64, -math.MaxUint32, math.MaxUint32, math.MaxInt64 - 1024},
+					[]float64{math.MaxInt32 + 0.5, math.MinInt32 - 0.5}},
+			}
+			for _, tc := range cases {
+				requireResample(t, tc.name, src, tc.cx, tc.cy)
+			}
+		}
+	}
+}
+
+// FuzzResample drives the resampler with arbitrary source windows and
+// affine coordinate ramps — the shape every caller builds — and checks it
+// against BilinearAt, so a tap that wraps instead of clamping, or a row
+// offset that ignores Stride or Bounds, shows as a wrong pixel or a panic.
+func FuzzResample(f *testing.F) {
+	f.Add(uint8(8), uint8(8), uint8(0), uint8(0), uint8(8), uint8(8), uint8(8), uint8(8), int64(1), 0.0, 1.0, 0.0, 1.0)
+	f.Add(uint8(16), uint8(9), uint8(3), uint8(2), uint8(7), uint8(5), uint8(20), uint8(3), int64(2), 2.5, 0.37, 1.5, 2.2)
+	f.Add(uint8(5), uint8(5), uint8(1), uint8(1), uint8(3), uint8(3), uint8(6), uint8(6), int64(3), -1e18, 4e17, 1e18, -4e17)
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(4), uint8(4), int64(4), -3.0, 2.0, 9.0, -3.0)
+	f.Add(uint8(33), uint8(2), uint8(30), uint8(1), uint8(3), uint8(1), uint8(9), uint8(2), int64(5), 29.5, 1e-9, 0.999999, 1e-12)
+
+	f.Fuzz(func(t *testing.T, pw, ph, rx, ry, rw, rh, dw, dh uint8, seed int64, ax, bx, ay, by float64) {
+		for _, v := range []*float64{&ax, &bx, &ay, &by} {
+			// Keeps a + b*i inside ±1e18: int(math.Floor(c)) is
+			// implementation-defined once c leaves the int64 range.
+			if math.IsNaN(*v) || math.Abs(*v) > 1e16 {
+				*v = math.Mod(*v, 1e16)
+				if math.IsNaN(*v) {
+					*v = 0.5
+				}
+			}
+		}
+		w, h := int(pw)%48+1, int(ph)%48+1
+		parent := randFrame(rand.New(rand.NewSource(seed)), w, h)
+		x0, y0 := int(rx)%w, int(ry)%h
+		x1, y1 := x0+int(rw)%(w-x0)+1, y0+int(rh)%(h-y0)+1
+		cx, cy := affine(int(dw)%40+1, ax, bx), affine(int(dh)%40+1, ay, by)
+		for _, src := range []*Frame{parent, parent.SubFrame(R(x0, y0, x1, y1))} {
+			requireResample(t, "fuzz", src, cx, cy)
+		}
+	})
+}
+
+// TestTranslateMatchesBilinearAt pins Translate's coordinate builder to the
+// expression its pixel loop used to evaluate (TestResizeMatchesNaive does
+// the same for Resize).
+func TestTranslateMatchesBilinearAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, g := range geometries {
+		for _, src := range frameVariants(rng, g[0], g[1]) {
+			for _, d := range [][2]float64{{0, 0}, {1.7, -0.4}, {-0.25, 3}, {1e18, -1e18}} {
+				want := New(g[0], g[1])
+				for y := 0; y < g[1]; y++ {
+					for x := 0; x < g[0]; x++ {
+						want.Pix[y*g[0]+x] = clamp16(BilinearAt(src,
+							float64(src.Bounds.X0+x)-d[0], float64(src.Bounds.Y0+y)-d[1]))
+					}
+				}
+				got := Translate(src, d[0], d[1])
+				if got.Bounds != src.Bounds {
+					t.Fatalf("translate: bounds %v, want %v", got.Bounds, src.Bounds)
+				}
+				requireEqual(t, "translate", got, want)
+			}
+		}
+	}
+}
+
+// TestResizeSameSizeIsCopy: an identity-scale resize is a row copy, and that
+// copy is what the bilinear expression evaluates to.
+func TestResizeSameSizeIsCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	for _, g := range geometries {
+		for _, src := range frameVariants(rng, g[0], g[1]) {
+			dirty := New(g[0], g[1])
+			dirty.Fill(0xABCD)
+			got := ResizeInto(dirty, src, g[0], g[1])
+			if got != dirty {
+				t.Fatal("matching destination not reused")
+			}
+			if want := (Rect{0, 0, g[0], g[1]}); got.Bounds != want {
+				t.Fatalf("bounds %v, want %v", got.Bounds, want)
+			}
+			requireEqual(t, "copy", got, src.Clone())
+			requireEqual(t, "bilinear", got, naiveResize(src, g[0], g[1]))
+		}
+	}
+}
+
+func TestAddAverageIntoMatchesAddThenAverage(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const w, h = 13, 7
+	fused, plain := NewAccumulator(w, h), NewAccumulator(w, h)
+	var fusedAvg, plainAvg *Frame
+	for i := 0; i < 100; i++ {
+		f := frameVariants(rng, w, h)[i%2]
+		if i%10 == 9 {
+			f.Fill(0xFFFF) // saturated frames push the sums hardest
+		}
+		var err error
+		if fusedAvg, err = fused.AddAverageInto(fusedAvg, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Add(f); err != nil {
+			t.Fatal(err)
+		}
+		plainAvg = plain.AverageInto(plainAvg)
+		if fused.Frames() != plain.Frames() {
+			t.Fatalf("frame %d: %d frames integrated, want %d", i, fused.Frames(), plain.Frames())
+		}
+		requireEqual(t, "average", fusedAvg, plainAvg)
+	}
+	for i, s := range plain.sum {
+		if fused.sum[i] != s {
+			t.Fatalf("sum[%d] = %d, want %d", i, fused.sum[i], s)
+		}
+	}
+	if _, err := fused.AddAverageInto(nil, New(w+1, h)); err == nil {
+		t.Fatal("dimension mismatch must be an error")
+	}
+	if fused.Frames() != 100 {
+		t.Fatal("a rejected frame must not count")
+	}
+}

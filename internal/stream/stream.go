@@ -483,6 +483,10 @@ type runner struct {
 	missWin  uint64
 	missWinN int
 
+	// obs is the one Observation the manager is fed from, refilled per frame
+	// (the predictor ranges over its TaskMs and keeps only the scalars).
+	obs core.Observation
+
 	// shadowObs is the reusable dense observation handed to the shadow
 	// board each frame (scratch space keeps the path allocation-free).
 	shadowObs core.FrameObs
@@ -696,7 +700,8 @@ func (r *runner) serveFrames(start int) (failedAt int, stalled bool, err error) 
 			res.Stats.BudgetMs = r.mgr.BudgetMs
 			r.ctl.setBudgetMs(r.si, r.mgr.BudgetMs)
 		}
-		r.mgr.Observe(core.FromReports([]pipeline.Report{rep}, sc.FramePixels)[0])
+		core.FromReportInto(&r.obs, &rep, sc.FramePixels)
+		r.mgr.Observe(r.obs)
 		if sc.Shadow != nil {
 			core.DenseFromReport(&rep, sc.FramePixels, &r.shadowObs)
 			sc.Shadow.ObserveFrame(&r.shadowObs)

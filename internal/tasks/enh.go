@@ -18,14 +18,14 @@ type Enhancer struct {
 
 	Params CostParams
 
-	acc   *frame.Accumulator
-	count int
+	acc *frame.Accumulator
 
-	// canvas and avg are reused across Runs, so an Enhancer is owned by one
-	// goroutine at a time and the frame returned by Run stays valid only
-	// until the next Run or Reset.
+	// canvas, avg and the tap tables are reused across Runs, so an Enhancer
+	// is owned by one goroutine at a time and the frame returned by Run
+	// stays valid only until the next Run or Reset.
 	canvas *frame.Frame
 	avg    *frame.Frame
+	xs, ys []frame.Tap
 }
 
 // NewEnhancer returns an enhancer with a canvas suited to the frame size.
@@ -36,10 +36,7 @@ func NewEnhancer(canvasW, canvasH int, p CostParams) *Enhancer {
 
 // Reset clears the temporal integration state (used when registration
 // breaks and the stack must restart).
-func (e *Enhancer) Reset() {
-	e.acc.Reset()
-	e.count = 0
-}
+func (e *Enhancer) Reset() { e.acc.Reset() }
 
 // Integrated returns how many frames the current stack holds.
 func (e *Enhancer) Integrated() int { return e.acc.Frames() }
@@ -53,7 +50,9 @@ func (e *Enhancer) Run(roi *frame.Frame, couple *Couple) (*frame.Frame, platform
 	if roi == nil || roi.Pixels() == 0 || couple == nil {
 		return nil, e.Params.cost(0)
 	}
-	if e.Window > 0 && e.acc.Frames() >= e.Window {
+	// The stack restarts when the window is full, and at the latest before
+	// the accumulator's 32-bit sums could wrap on an unbounded window.
+	if n := e.acc.Frames(); (e.Window > 0 && n >= e.Window) || n >= frame.AccumulatorMaxFrames {
 		e.Reset()
 	}
 	// Map the couple's midpoint to the canvas center with unit scale chosen
@@ -66,23 +65,23 @@ func (e *Enhancer) Run(roi *frame.Frame, couple *Couple) (*frame.Frame, platform
 	if e.canvas == nil {
 		e.canvas = frame.New(e.CanvasW, e.CanvasH)
 	}
-	canvas := e.canvas
-	for y := 0; y < e.CanvasH; y++ {
-		for x := 0; x < e.CanvasW; x++ {
-			// Canvas -> source mapping (pure translation + scale; rotation
-			// compensation is out of scope for the reproduction).
-			sx := mx + (float64(x)-float64(e.CanvasW)/2)/scale
-			sy := my + (float64(y)-float64(e.CanvasH)/2)/scale
-			canvas.Pix[y*canvas.Stride+x] = clampU16(frame.BilinearAt(roi, sx, sy))
-		}
+	// Canvas -> source mapping (pure translation + scale; rotation
+	// compensation is out of scope for the reproduction).
+	e.xs, e.ys = frame.GrowTaps(e.xs, e.CanvasW), frame.GrowTaps(e.ys, e.CanvasH)
+	for x := range e.xs {
+		e.xs[x] = roi.XTap(mx + (float64(x)-float64(e.CanvasW)/2)/scale)
 	}
-	if err := e.acc.Add(canvas); err != nil {
+	for y := range e.ys {
+		e.ys[y] = roi.YTap(my + (float64(y)-float64(e.CanvasH)/2)/scale)
+	}
+	frame.ResampleRows(e.canvas, roi, e.xs, e.ys, 0, e.CanvasH)
+	avg, err := e.acc.AddAverageInto(e.avg, e.canvas)
+	if err != nil {
 		return nil, e.Params.cost(0)
 	}
-	e.avg = e.acc.AverageInto(e.avg)
-	out := e.avg
+	e.avg = avg
 	cycles := e.Params.pixCost(e.CanvasW*e.CanvasH, e.Params.AccumPerPixel)
-	return out, e.Params.cost(cycles)
+	return avg, e.Params.cost(cycles)
 }
 
 // Zoomer implements ZOOM: present the output by zooming in on the ROI
@@ -105,14 +104,4 @@ func (z *Zoomer) Run(enhanced *frame.Frame) (*frame.Frame, platform.Cost) {
 	out := frame.Resize(enhanced, z.OutW, z.OutH)
 	cycles := z.Params.pixCost(z.OutW*z.OutH, z.Params.ZoomPerPixel)
 	return out, z.Params.cost(cycles)
-}
-
-func clampU16(v float64) uint16 {
-	if v <= 0 {
-		return 0
-	}
-	if v >= 65535 {
-		return 65535
-	}
-	return uint16(v + 0.5)
 }

@@ -61,72 +61,7 @@ func (r *RidgeDetector) scratch(n int) []float64 {
 // variant) and returns the response, mask and the cycle cost of the work
 // actually performed.
 func (r *RidgeDetector) Run(in *frame.Frame) (*RidgeResult, platform.Cost) {
-	pixels := in.Pixels()
-	if pixels == 0 {
-		return &RidgeResult{Response: frame.New(0, 0), Mask: frame.New(0, 0)},
-			r.Params.cost(0)
-	}
-	width, height := in.Width(), in.Height()
-	smoothed := frame.BorrowUninit(width, height)
-	smoothed = frame.GaussianBlurInto(smoothed, in, r.Sigma)
-	defer frame.Release(smoothed)
-
-	// Ridge response: for dark lines on a bright background the principal
-	// Hessian eigenvalue across the line is large and positive, while along
-	// the line it stays near zero. Response = l1 gated by anisotropy.
-	resp := frame.Borrow(width, height)
-	resp.Bounds = in.Bounds
-	maxResp := 0.0
-	vals := r.scratch(pixels)
-	i := 0
-	for y := in.Bounds.Y0; y < in.Bounds.Y1; y++ {
-		for x := in.Bounds.X0; x < in.Bounds.X1; x++ {
-			h := frame.HessianAt(smoothed, x, y)
-			l1, l2 := h.Eigenvalues()
-			v := 0.0
-			if l1 > 0 && absf(l1) >= r.Anisotropy*(absf(l2)+1) {
-				v = l1
-			}
-			vals[i] = v
-			if v > maxResp {
-				maxResp = v
-			}
-			i++
-		}
-	}
-	mask := frame.Borrow(width, height)
-	mask.Bounds = in.Bounds
-	result := &RidgeResult{Response: resp, Mask: mask}
-	if maxResp > 0 {
-		thr := r.RelThreshold * maxResp
-		scale := 65535.0 / maxResp
-		i = 0
-		for y := in.Bounds.Y0; y < in.Bounds.Y1; y++ {
-			r0 := (y - in.Bounds.Y0) * width
-			rrow := resp.Pix[r0 : r0+width]
-			mrow := mask.Pix[r0 : r0+width]
-			for xx := 0; xx < width; xx++ {
-				v := vals[i]
-				i++
-				if v <= 0 {
-					continue
-				}
-				rrow[xx] = uint16(v * scale)
-				if v >= thr {
-					mrow[xx] = 0xFFFF
-					result.RidgePixels++
-				}
-			}
-		}
-	}
-	result.Dominant = float64(result.RidgePixels) >= r.DominanceFrac*float64(pixels)
-
-	// Cost: blur + Hessian over all pixels, plus the data-dependent
-	// thinning/linking pass proportional to the ridge pixels found.
-	cycles := r.Params.pixCost(pixels, r.Params.BlurPerPixel) +
-		r.Params.pixCost(pixels, r.Params.HessianPerPixel) +
-		r.Params.pixCost(result.RidgePixels, r.Params.NMSPerRidgePixel)
-	return result, r.Params.cost(cycles)
+	return r.RunStripedOn(nil, in, 1)
 }
 
 // RunStriped executes the ridge filter with its pixel loops striped over k
@@ -141,92 +76,131 @@ func (r *RidgeDetector) RunStriped(in *frame.Frame, k int) (*RidgeResult, platfo
 // RunStripedOn is RunStriped with the stripes executed on a shared worker
 // pool (parallel.StripesOn) instead of fresh goroutines, so concurrent
 // streams batch their same-task stripes through one dispatch and share the
-// host's fixed concurrency. A nil pool behaves exactly like RunStriped.
+// host's fixed concurrency. A nil pool behaves exactly like RunStriped, and
+// k <= 1 runs both passes inline without a closure or per-stripe slice.
 func (r *RidgeDetector) RunStripedOn(pool *parallel.Pool, in *frame.Frame, k int) (*RidgeResult, platform.Cost) {
 	pixels := in.Pixels()
 	if pixels == 0 {
 		return &RidgeResult{Response: frame.New(0, 0), Mask: frame.New(0, 0)},
 			r.Params.cost(0)
 	}
-	if k < 1 {
-		k = 1
-	}
 	width, height := in.Width(), in.Height()
 	smoothed := frame.BorrowUninit(width, height)
 	smoothed = frame.GaussianBlurIntoOn(pool, smoothed, in, r.Sigma, k)
 	defer frame.Release(smoothed)
 
-	resp := frame.Borrow(width, height)
-	resp.Bounds = in.Bounds
 	vals := r.scratch(pixels)
-	stripeMax := make([]float64, k)
-	parallel.StripesOn(pool, height, k, func(stripe, lo, hi int) {
-		localMax := 0.0
-		for yy := lo; yy < hi; yy++ {
-			y := in.Bounds.Y0 + yy
-			for xx := 0; xx < width; xx++ {
-				x := in.Bounds.X0 + xx
-				h := frame.HessianAt(smoothed, x, y)
-				l1, l2 := h.Eigenvalues()
-				v := 0.0
-				if l1 > 0 && absf(l1) >= r.Anisotropy*(absf(l2)+1) {
-					v = l1
-				}
-				vals[yy*width+xx] = v
-				if v > localMax {
-					localMax = v
-				}
-			}
-		}
-		if stripe < len(stripeMax) {
-			stripeMax[stripe] = localMax
-		}
-	})
 	maxResp := 0.0
-	for _, m := range stripeMax {
-		if m > maxResp {
-			maxResp = m
+	if k <= 1 {
+		maxResp = r.responseRows(vals, smoothed, 0, height)
+	} else {
+		stripeMax := make([]float64, k)
+		parallel.StripesOn(pool, height, k, func(stripe, lo, hi int) {
+			stripeMax[stripe] = r.responseRows(vals, smoothed, lo, hi)
+		})
+		for _, m := range stripeMax {
+			if m > maxResp {
+				maxResp = m
+			}
 		}
 	}
 
-	mask := frame.Borrow(width, height)
-	mask.Bounds = in.Bounds
-	result := &RidgeResult{Response: resp, Mask: mask}
+	result := &RidgeResult{Response: frame.Borrow(width, height), Mask: frame.Borrow(width, height)}
+	result.Response.Bounds, result.Mask.Bounds = in.Bounds, in.Bounds
 	if maxResp > 0 {
-		thr := r.RelThreshold * maxResp
-		scale := 65535.0 / maxResp
-		stripeCount := make([]int, k)
-		parallel.StripesOn(pool, height, k, func(stripe, lo, hi int) {
-			n := 0
-			for yy := lo; yy < hi; yy++ {
-				rrow := resp.Pix[yy*width : yy*width+width]
-				mrow := mask.Pix[yy*width : yy*width+width]
-				for xx := 0; xx < width; xx++ {
-					v := vals[yy*width+xx]
-					if v <= 0 {
-						continue
-					}
-					rrow[xx] = uint16(v * scale)
-					if v >= thr {
-						mrow[xx] = 0xFFFF
-						n++
-					}
-				}
+		if k <= 1 {
+			result.RidgePixels = r.maskRows(result, vals, maxResp, 0, height)
+		} else {
+			stripeCount := make([]int, k)
+			parallel.StripesOn(pool, height, k, func(stripe, lo, hi int) {
+				stripeCount[stripe] = r.maskRows(result, vals, maxResp, lo, hi)
+			})
+			for _, n := range stripeCount {
+				result.RidgePixels += n
 			}
-			if stripe < len(stripeCount) {
-				stripeCount[stripe] = n
-			}
-		})
-		for _, n := range stripeCount {
-			result.RidgePixels += n
 		}
 	}
 	result.Dominant = float64(result.RidgePixels) >= r.DominanceFrac*float64(pixels)
 
+	// Cost: blur + Hessian over all pixels, plus the data-dependent
+	// thinning/linking pass proportional to the ridge pixels found.
 	cycles := r.Params.pixCost(pixels, r.Params.BlurPerPixel) +
 		r.Params.pixCost(pixels, r.Params.HessianPerPixel) +
 		r.Params.pixCost(result.RidgePixels, r.Params.NMSPerRidgePixel)
 	return result, r.Params.cost(cycles)
+}
+
+// response is the ridge measure of one pixel: for dark lines on a bright
+// background the principal Hessian eigenvalue across the line is large and
+// positive, while along the line it stays near zero, so the response is l1
+// gated by anisotropy.
+func (r *RidgeDetector) response(h frame.Hessian) float64 {
+	l1, l2 := h.Eigenvalues()
+	if l1 > 0 && absf(l1) >= r.Anisotropy*(absf(l2)+1) {
+		return l1
+	}
+	return 0
+}
+
+// responseRows writes the ridge response of rows [lo, hi) of smoothed
+// (counted from its first row) into vals and returns their maximum.
+// Interior pixels read three row slices with HessianAt's interior
+// expressions; the one-pixel border keeps HessianAt's replicate clamps.
+func (r *RidgeDetector) responseRows(vals []float64, smoothed *frame.Frame, lo, hi int) float64 {
+	b := smoothed.Bounds
+	width, height := b.Width(), b.Height()
+	maxResp := 0.0
+	for yy := lo; yy < hi; yy++ {
+		out := vals[yy*width : (yy+1)*width]
+		if yy == 0 || yy == height-1 || width < 3 {
+			for xx := range out {
+				out[xx] = r.response(frame.HessianAt(smoothed, b.X0+xx, b.Y0+yy))
+			}
+		} else {
+			up := smoothed.Pix[(yy-1)*smoothed.Stride:][:width]
+			mid := smoothed.Pix[yy*smoothed.Stride:][:width]
+			down := smoothed.Pix[(yy+1)*smoothed.Stride:][:width]
+			out[0] = r.response(frame.HessianAt(smoothed, b.X0, b.Y0+yy))
+			for xx := 1; xx < width-1; xx++ {
+				c := float64(mid[xx])
+				out[xx] = r.response(frame.Hessian{
+					XX: float64(mid[xx+1]) - 2*c + float64(mid[xx-1]),
+					YY: float64(down[xx]) - 2*c + float64(up[xx]),
+					XY: (float64(down[xx+1]) - float64(down[xx-1]) -
+						float64(up[xx+1]) + float64(up[xx-1])) / 4,
+				})
+			}
+			out[width-1] = r.response(frame.HessianAt(smoothed, b.X1-1, b.Y0+yy))
+		}
+		for _, v := range out {
+			if v > maxResp {
+				maxResp = v
+			}
+		}
+	}
+	return maxResp
+}
+
+// maskRows scales rows [lo, hi) of vals into res.Response, marks the pixels
+// at or above the relative threshold in res.Mask and returns how many it
+// marked. Both frames start zeroed and compact.
+func (r *RidgeDetector) maskRows(res *RidgeResult, vals []float64, maxResp float64, lo, hi int) int {
+	width := res.Mask.Width()
+	thr := r.RelThreshold * maxResp
+	scale := 65535.0 / maxResp
+	n := 0
+	for i := lo * width; i < hi*width; i++ {
+		v := vals[i]
+		if v <= 0 {
+			continue
+		}
+		res.Response.Pix[i] = uint16(v * scale)
+		if v >= thr {
+			res.Mask.Pix[i] = 0xFFFF
+			n++
+		}
+	}
+	return n
 }
 
 // StructureDetector implements the cheap pre-scan behind the paper's first

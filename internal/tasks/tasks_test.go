@@ -667,3 +667,155 @@ func TestIndexOfMatchesAllNames(t *testing.T) {
 		t.Fatal("unknown task must index to -1")
 	}
 }
+
+// ridgeReference is the ridge filter as one HessianAt call per pixel — the
+// form the row-sliced sweep in responseRows replaced.
+func ridgeReference(r *RidgeDetector, in *frame.Frame) (resp, mask *frame.Frame, ridgePixels int) {
+	smoothed := frame.GaussianBlur(in, r.Sigma)
+	w, h := in.Width(), in.Height()
+	vals := make([]float64, 0, w*h)
+	maxResp := 0.0
+	for y := in.Bounds.Y0; y < in.Bounds.Y1; y++ {
+		for x := in.Bounds.X0; x < in.Bounds.X1; x++ {
+			l1, l2 := frame.HessianAt(smoothed, x, y).Eigenvalues()
+			v := 0.0
+			if l1 > 0 && absf(l1) >= r.Anisotropy*(absf(l2)+1) {
+				v = l1
+			}
+			vals = append(vals, v)
+			maxResp = math.Max(maxResp, v)
+		}
+	}
+	resp, mask = frame.New(w, h), frame.New(w, h)
+	resp.Bounds, mask.Bounds = in.Bounds, in.Bounds
+	for i, v := range vals {
+		if maxResp <= 0 || v <= 0 {
+			continue
+		}
+		resp.Pix[i] = uint16(v * (65535.0 / maxResp))
+		if v >= r.RelThreshold*maxResp {
+			mask.Pix[i] = 0xFFFF
+			ridgePixels++
+		}
+	}
+	return resp, mask, ridgePixels
+}
+
+func TestRidgeDetectorMatchesPerPixelReference(t *testing.T) {
+	s := cleanSeq(t, 53)
+	full, _ := s.Frame(20)
+	rdg := NewRidgeDetector(params())
+	inputs := []*frame.Frame{full, full.SubFrame(frame.R(17, 9, 90, 71))}
+	// Views narrower or shorter than the 3x3 Hessian support have no
+	// interior; the sweep must fall back to the clamped taps everywhere.
+	for _, g := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {2, 7}, {3, 3}, {3, 8}, {8, 3}} {
+		inputs = append(inputs, full.SubFrame(frame.R(40, 30, 40+g[0], 30+g[1])))
+	}
+	for _, in := range inputs {
+		wantResp, wantMask, wantPixels := ridgeReference(rdg, in)
+		for _, k := range []int{1, 3} {
+			got, _ := rdg.RunStriped(in, k)
+			if got.RidgePixels != wantPixels {
+				t.Fatalf("%v k=%d: %d ridge pixels, want %d", in.Bounds, k, got.RidgePixels, wantPixels)
+			}
+			if !got.Response.Equal(wantResp) || !got.Mask.Equal(wantMask) {
+				t.Fatalf("%v k=%d: response or mask differs from the per-pixel reference", in.Bounds, k)
+			}
+		}
+	}
+	if _, _, n := ridgeReference(rdg, full); n == 0 {
+		t.Fatal("setup: the reference frame has no ridge pixels")
+	}
+}
+
+// enhancerReference is one Enhancer.Run canvas as a BilinearAt call per
+// pixel — the loop the tap tables replaced.
+func enhancerReference(e *Enhancer, roi *frame.Frame, c *Couple) *frame.Frame {
+	scale := 1.0
+	if c.Spacing > 0 {
+		scale = 0.4 * float64(e.CanvasW) / c.Spacing
+	}
+	mx, my := c.Mid()
+	canvas := frame.New(e.CanvasW, e.CanvasH)
+	for y := 0; y < e.CanvasH; y++ {
+		for x := 0; x < e.CanvasW; x++ {
+			sx := mx + (float64(x)-float64(e.CanvasW)/2)/scale
+			sy := my + (float64(y)-float64(e.CanvasH)/2)/scale
+			switch v := frame.BilinearAt(roi, sx, sy); {
+			case v <= 0:
+			case v >= 65535:
+				canvas.Pix[y*e.CanvasW+x] = 65535
+			default:
+				canvas.Pix[y*e.CanvasW+x] = uint16(v + 0.5)
+			}
+		}
+	}
+	return canvas
+}
+
+func TestEnhancerMatchesPerPixelReference(t *testing.T) {
+	s := cleanSeq(t, 31)
+	full, _ := s.Frame(20)
+	view := full.SubFrame(frame.R(21, 13, 100, 97))
+	couples := []*Couple{
+		{A: Marker{X: 40, Y: 60}, B: Marker{X: 76, Y: 62}, Spacing: 36},
+		{A: Marker{X: 40.3, Y: 60.7}, B: Marker{X: 47.1, Y: 55.2}, Spacing: 8.75}, // magnifies
+		{A: Marker{X: 2, Y: 3}, B: Marker{X: 126, Y: 120}, Spacing: 170},          // canvas overhangs the frame
+		{A: Marker{X: -500, Y: 900}, B: Marker{X: -400, Y: 950}, Spacing: 111},    // wholly outside
+		{A: Marker{X: 60, Y: 60}, B: Marker{X: 60, Y: 60}, Spacing: 0},            // unit scale
+		{A: Marker{X: 60, Y: 60}, B: Marker{X: 61, Y: 60}, Spacing: 1e-12},        // every tap on one pixel
+		{A: Marker{X: 60, Y: 60}, B: Marker{X: 61, Y: 60}, Spacing: 5e17},         // taps at ±6e17
+	}
+	for _, roi := range []*frame.Frame{full, view} {
+		for _, canvas := range [][2]int{{16, 16}, {33, 20}} {
+			for i, c := range couples {
+				enh := NewEnhancer(canvas[0], canvas[1], params())
+				got, _ := enh.Run(roi, c)
+				if got == nil {
+					t.Fatalf("couple %d: enhancement returned nil", i)
+				}
+				// One integrated frame: the average is the canvas itself.
+				if want := enhancerReference(enh, roi, c); !got.Equal(want) {
+					t.Fatalf("roi %v canvas %v couple %d: canvas differs from the per-pixel reference", roi.Bounds, canvas, i)
+				}
+			}
+		}
+	}
+}
+
+func TestEnhancerSteadyStateDoesNotAllocate(t *testing.T) {
+	enh := NewEnhancer(64, 64, params())
+	f := frame.New(96, 96)
+	f.Fill(1234)
+	c := &Couple{A: Marker{X: 30, Y: 48}, B: Marker{X: 66, Y: 48}, Spacing: 36}
+	enh.Run(f, c) // builds the canvas, the average and the tap tables
+	if avg := testing.AllocsPerRun(50, func() { enh.Run(f, c) }); avg != 0 {
+		t.Fatalf("Enhancer.Run: %.1f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// TestEnhancerRestartsBeforeSumsWrap: with the default unbounded window an
+// always-registered run would push the accumulator past the frame count its
+// 32-bit sums can hold; the enhancer must restart the stack there instead.
+func TestEnhancerRestartsBeforeSumsWrap(t *testing.T) {
+	enh := NewEnhancer(2, 2, params())
+	white := frame.New(2, 2)
+	white.Fill(0xFFFF)
+	for i := 0; i < frame.AccumulatorMaxFrames; i++ {
+		if err := enh.acc.Add(white); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := frame.New(8, 8)
+	f.Fill(0xFFFF)
+	c := &Couple{A: Marker{X: 3, Y: 4}, B: Marker{X: 5, Y: 4}, Spacing: 2}
+	for i := 1; i <= 3; i++ {
+		out, _ := enh.Run(f, c)
+		if enh.Integrated() != i {
+			t.Fatalf("run %d on a full accumulator: %d frames stacked, want a restarted stack of %d", i, enh.Integrated(), i)
+		}
+		if lo, hi := out.MinMax(); lo != 0xFFFF || hi != 0xFFFF {
+			t.Fatalf("run %d: average of saturated frames is [%d, %d], want 65535", i, lo, hi)
+		}
+	}
+}
