@@ -132,84 +132,36 @@ func NewScenarioTaskLists() *ScenarioTaskLists {
 	return l
 }
 
-// BaselineBackend adapts a Predictor to the Backend interface with an
-// allocation-free predict path: it drives the predictor's models and
-// scenario table directly over dense task indices, mirroring
-// Predictor.Observe / PredictNext exactly (same scenario constraint, same
-// ROI context) minus the per-call map the original allocates. Wrap a
-// *clone* of the deployed predictor (Predictor.Clone): the backend owns
-// its online state, so shadow evaluation never perturbs — and is never
-// perturbed by — the instance steering the scheduler.
-type BaselineBackend struct {
-	p      *Predictor
-	models [tasks.NumNames]Model // dense handles; nil when the task has no model
-	active *ScenarioTaskLists
+// scenarioTasks is the package's own read-only copy of the tables.
+var scenarioTasks = NewScenarioTaskLists()
 
-	last FrameObs
-	seen bool
+// TaskMask returns the scenario's active task set as a mask over
+// tasks.AllNames indices.
+func TaskMask(s flowgraph.Scenario) uint16 { return scenarioTasks.Masks[s.Index()] }
+
+// BaselineBackend adapts a Predictor to the Backend interface: the dense
+// observe and forecast cores the predictor's own map-based methods are built
+// on. Wrap a *clone* of the deployed predictor (Predictor.Clone): the
+// backend owns its online state, so shadow evaluation never perturbs — and
+// is never perturbed by — the instance steering the scheduler.
+type BaselineBackend struct {
+	p *Predictor
 }
 
 // NewBaselineBackend wraps a trained predictor.
-func NewBaselineBackend(p *Predictor) *BaselineBackend {
-	b := &BaselineBackend{p: p, active: NewScenarioTaskLists()}
-	for i, task := range tasks.AllNames() {
-		b.models[i] = p.Models[task]
-	}
-	return b
-}
+func NewBaselineBackend(p *Predictor) *BaselineBackend { return &BaselineBackend{p: p} }
 
 // Name implements Backend.
 func (b *BaselineBackend) Name() string { return BackendBaseline }
 
 // Observe implements Backend: every executed task's model learns from the
 // actual time at the region size the frame actually processed.
-func (b *BaselineBackend) Observe(obs *FrameObs) {
-	ctx := Context{ROIPixels: obs.AnalysisPixels}
-	for ti := 0; ti < tasks.NumNames; ti++ {
-		if obs.Mask&(1<<uint(ti)) == 0 || b.models[ti] == nil {
-			continue
-		}
-		b.models[ti].Observe(ctx, obs.TaskMs[ti])
-	}
-	b.last = *obs
-	b.seen = true
-}
+func (b *BaselineBackend) Observe(obs *FrameObs) { b.p.ObserveFrame(obs) }
 
 // Predict implements Backend: the state table's most likely successor,
 // constrained by the ROI physics (the next frame processes an ROI exactly
-// when this frame estimated one), then one model prediction per active
-// task — PredictNext without the map.
-func (b *BaselineBackend) Predict(dst *FramePrediction) {
-	*dst = FramePrediction{}
-	roiPixels := 0
-	if !b.seen {
-		dst.Scenario = flowgraph.WorstCase()
-	} else {
-		s := b.p.Scenarios.MostLikelyNext(b.last.Scenario)
-		s.ROIKnown = b.last.EstROIPixels > 0
-		dst.Scenario = s
-		if s.ROIKnown {
-			roiPixels = b.last.EstROIPixels
-		} else {
-			roiPixels = b.last.FramePixels
-		}
-	}
-	ctx := Context{ROIPixels: roiPixels}
-	si := dst.Scenario.Index()
-	for _, ti := range b.active.Lists[si] {
-		if b.models[ti] == nil {
-			continue
-		}
-		ms := b.models[ti].Predict(ctx)
-		dst.TaskMs[ti] = ms
-		dst.Mask |= 1 << uint(ti)
-		dst.TotalMs += ms
-	}
-}
+// when this frame estimated one), then one model prediction per active task.
+func (b *BaselineBackend) Predict(dst *FramePrediction) { b.p.PredictNextInto(dst) }
 
 // Reset implements Backend.
-func (b *BaselineBackend) Reset() {
-	b.p.ResetOnline()
-	b.seen = false
-	b.last = FrameObs{}
-}
+func (b *BaselineBackend) Reset() { b.p.ResetOnline() }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"triplec/internal/flowgraph"
@@ -51,6 +53,22 @@ func TestBaselineBackendMatchesPredictNext(t *testing.T) {
 		}
 		if len(want.TaskMs) == 0 {
 			t.Fatalf("frame %d: reference forecast is empty", i)
+		}
+		// The map form is itself built on the dense core; hold it to the
+		// models asked directly, summed in pipeline order.
+		direct, asked := 0.0, 0
+		for _, task := range want.Scenario.ActiveTasks() {
+			if m, ok := ref.Models[task]; ok {
+				ms := m.Predict(ref.NextContext())
+				if got, ok := want.TaskMs[task]; !ok || got != ms {
+					t.Fatalf("frame %d: PredictNext[%s] = %v (%v), model says %v", i, task, got, ok, ms)
+				}
+				direct += ms
+				asked++
+			}
+		}
+		if asked != len(want.TaskMs) || direct != want.TotalMs {
+			t.Fatalf("frame %d: PredictNext total %v over %d tasks, models say %v over %d", i, want.TotalMs, len(want.TaskMs), direct, asked)
 		}
 		for task, ms := range want.TaskMs {
 			ti := tasks.IndexOf(task)
@@ -137,5 +155,97 @@ func TestBaselineBackendAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("baseline backend allocates %.1f times per frame, want 0", allocs)
+	}
+}
+
+// TestAppendSuccessorsMatchesSort: the insertion-ordered AppendSuccessors
+// equals the stable sort it replaced on random tables — ties included — and
+// appends after whatever the buffer already holds.
+func TestAppendSuccessorsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var buf [9]flowgraph.Scenario
+	for iter := 0; iter < 500; iter++ {
+		var tab ScenarioTable
+		for n := rng.Intn(40); n > 0; n-- {
+			// Few distinct counts, so equal probabilities are common.
+			tab.Add(flowgraph.FromIndex(rng.Intn(8)), flowgraph.FromIndex(rng.Intn(8)))
+		}
+		from := flowgraph.FromIndex(rng.Intn(8))
+		minP := []float64{0, 0.04, 0.2, 0.5}[rng.Intn(4)]
+
+		type cand struct {
+			s flowgraph.Scenario
+			p float64
+		}
+		var cands []cand
+		for i := 0; i < 8; i++ {
+			to := flowgraph.FromIndex(i)
+			if p := tab.P(from, to); p >= minP && p > 0 {
+				cands = append(cands, cand{to, p})
+			}
+		}
+		sort.SliceStable(cands, func(i, j int) bool { return cands[i].p > cands[j].p })
+
+		buf[0] = flowgraph.BestCase()
+		got := tab.AppendSuccessors(buf[:1], from, minP)
+		if got[0] != flowgraph.BestCase() || len(got) != 1+len(cands) {
+			t.Fatalf("iter %d: got %v, want prefix + %v", iter, got, cands)
+		}
+		for i, c := range cands {
+			if got[1+i] != c.s {
+				t.Fatalf("iter %d: successor %d = %v, want %v", iter, i, got[1+i], c.s)
+			}
+		}
+		if plain := tab.Successors(from, minP); len(plain) != len(cands) || (len(plain) > 0 && plain[0] != cands[0].s) {
+			t.Fatalf("iter %d: Successors = %v, want %v", iter, plain, cands)
+		}
+	}
+}
+
+// TestPredictorFrameCycleAllocFree pins the deployed predictor's per-frame
+// cycle — observe the executed frame, forecast the next, predict a task set
+// — at zero heap allocations when no metrics sink is installed. Observe used
+// to heap-copy every observation.
+func TestPredictorFrameCycleAllocFree(t *testing.T) {
+	p, _, test := trainTwoClones(t)
+	p.Observe(test[0])
+	var pred FramePrediction
+	var ms [tasks.NumNames]float64
+	var succ [8]flowgraph.Scenario
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		i++
+		p.Observe(test[i%len(test)])
+		p.PredictNextInto(&pred)
+		last, _ := p.LastScenario()
+		mask := TaskMask(p.ConstrainScenario(flowgraph.WorstCase()))
+		for _, s := range p.Scenarios.AppendSuccessors(succ[:0], last, 0.04) {
+			mask |= TaskMask(p.ConstrainScenario(s))
+		}
+		p.PredictTasksInto(mask, p.NextContext(), &ms)
+	})
+	if allocs != 0 {
+		t.Fatalf("predictor frame cycle allocates %.1f times per frame, want 0", allocs)
+	}
+}
+
+// TestObserveKeepsNoAlias: the predictor keeps what it reads of an
+// observation by value; refilling the caller's Observation (the serving
+// loop reuses one) must not change the standing forecast.
+func TestObserveKeepsNoAlias(t *testing.T) {
+	p, _, test := trainTwoClones(t)
+	obs := test[3]
+	obs.TaskMs = map[tasks.Name]float64{}
+	for task, ms := range test[3].TaskMs {
+		obs.TaskMs[task] = ms
+	}
+	p.Observe(obs)
+	want := p.PredictNext()
+	wantCtx := p.NextContext()
+	clear(obs.TaskMs)
+	obs.Scenario, obs.EstROIPixels, obs.FramePixels = flowgraph.BestCase(), 7, 9
+	got := p.PredictNext()
+	if got.Scenario != want.Scenario || got.TotalMs != want.TotalMs || p.NextContext() != wantCtx {
+		t.Fatalf("forecast moved with the caller's observation: %+v -> %+v", want, got)
 	}
 }

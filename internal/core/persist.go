@@ -189,5 +189,6 @@ func Load(r io.Reader) (*Predictor, error) {
 			return nil, fmt.Errorf("core: unknown model kind %q for %s", mj.Kind, name)
 		}
 	}
+	p.indexModels()
 	return p, nil
 }

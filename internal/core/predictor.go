@@ -89,23 +89,30 @@ func (t *ScenarioTable) P(from, to flowgraph.Scenario) float64 {
 // manager plans pessimistically across this set so that a plausible switch
 // to an expensive scenario is already provisioned for.
 func (t *ScenarioTable) Successors(from flowgraph.Scenario, minP float64) []flowgraph.Scenario {
-	type cand struct {
-		s flowgraph.Scenario
-		p float64
-	}
-	var cands []cand
+	return t.AppendSuccessors(make([]flowgraph.Scenario, 0, 8), from, minP)
+}
+
+// AppendSuccessors appends Successors(from, minP) to dst — the
+// allocation-free form for a caller that keeps the buffer.
+func (t *ScenarioTable) AppendSuccessors(dst []flowgraph.Scenario, from flowgraph.Scenario, minP float64) []flowgraph.Scenario {
+	base := len(dst)
+	var ps [8]float64 // ps[k] is the probability of dst[base+k]
 	for i := 0; i < 8; i++ {
 		to := flowgraph.FromIndex(i)
-		if p := t.P(from, to); p >= minP && p > 0 {
-			cands = append(cands, cand{to, p})
+		p := t.P(from, to)
+		if p < minP || p <= 0 {
+			continue
 		}
+		// Stable insertion by descending probability: equal probabilities
+		// keep scenario-index order.
+		k := len(dst) - base
+		dst = append(dst, to)
+		for ; k > 0 && ps[k-1] < p; k-- {
+			dst[base+k], ps[k] = dst[base+k-1], ps[k-1]
+		}
+		dst[base+k], ps[k] = to, p
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].p > cands[j].p })
-	out := make([]flowgraph.Scenario, len(cands))
-	for i, c := range cands {
-		out[i] = c.s
-	}
-	return out
+	return dst
 }
 
 // MostLikelyNext returns the most probable successor scenario.
@@ -159,11 +166,32 @@ type Predictor struct {
 	cfg      TrainConfig
 	rdgChain *EWMAMarkovModel // kept for Table 2a access
 
-	lastObs *Observation
+	// dense holds Models by tasks.IndexOf (nil: no model), filled once by
+	// Train and Load so the per-frame paths never hash a task name.
+	dense [tasks.NumNames]Model
+
+	// What the forecasts read of the last observed frame, by value: the
+	// caller's Observation (and its TaskMs map) may be refilled per frame.
+	last struct {
+		scenario     flowgraph.Scenario
+		estROIPixels int
+		framePixels  int
+	}
+	seen bool
 
 	sink     MetricsSink
-	lastPred Prediction // most recent PredictNext result, for error accounting
+	lastPred FramePrediction // most recent next-frame forecast, for error accounting
 	havePred bool
+}
+
+// allNames caches the allocating tasks.AllNames() for the per-frame paths.
+var allNames = tasks.AllNames()
+
+// indexModels fills the dense model handles from Models.
+func (p *Predictor) indexModels() {
+	for ti, task := range allNames {
+		p.dense[ti] = p.Models[task]
+	}
 }
 
 // Train fits all models from one or more observation sequences (the paper
@@ -268,6 +296,7 @@ func Train(sequences [][]Observation, cfg TrainConfig) (*Predictor, error) {
 	if len(p.Models) == 0 {
 		return nil, errors.New("core: training produced no models")
 	}
+	p.indexModels()
 	return p, nil
 }
 
@@ -287,7 +316,7 @@ func (p *Predictor) ResetOnline() {
 	for _, m := range p.Models {
 		m.ResetOnline()
 	}
-	p.lastObs = nil
+	p.seen = false
 	p.havePred = false
 }
 
@@ -305,24 +334,32 @@ func (p *Predictor) SetMetricsSink(s MetricsSink) {
 // ("statistical information of the differences between the actually
 // consumed resources and the predicted values") made observable live.
 func (p *Predictor) Observe(obs Observation) {
+	var dense FrameObs
+	obs.Dense(&dense)
+	p.ObserveFrame(&dense)
+}
+
+// ObserveFrame is Observe for the dense observation form — the
+// allocation-free core. Samples reach the sink in task-index order.
+func (p *Predictor) ObserveFrame(obs *FrameObs) {
 	if p.sink != nil && p.havePred {
-		for task, actual := range obs.TaskMs {
-			if predicted, ok := p.lastPred.TaskMs[task]; ok {
-				p.sink.TaskSample(task, predicted, actual)
+		scored := obs.Mask & p.lastPred.Mask
+		for ti, task := range allNames {
+			if scored&(1<<uint(ti)) != 0 {
+				p.sink.TaskSample(task, p.lastPred.TaskMs[ti], obs.TaskMs[ti])
 			}
 		}
 		p.sink.ScenarioSample(p.lastPred.Scenario, obs.Scenario)
 		p.havePred = false
 	}
-	for task, ms := range obs.TaskMs {
-		m, ok := p.Models[task]
-		if !ok {
-			continue
+	ctx := Context{ROIPixels: obs.AnalysisPixels}
+	for ti, m := range p.dense {
+		if m != nil && obs.Mask&(1<<uint(ti)) != 0 {
+			m.Observe(ctx, obs.TaskMs[ti])
 		}
-		m.Observe(Context{ROIPixels: obs.AnalysisPixels}, ms)
 	}
-	o := obs
-	p.lastObs = &o
+	p.last.scenario, p.last.estROIPixels, p.last.framePixels = obs.Scenario, obs.EstROIPixels, obs.FramePixels
+	p.seen = true
 }
 
 // Prediction is the Triple-C forecast for the next frame.
@@ -336,44 +373,40 @@ type Prediction struct {
 // times from everything observed so far. Before any observation it assumes
 // the worst-case scenario at full granularity.
 func (p *Predictor) PredictNext() Prediction {
-	var scenario flowgraph.Scenario
-	roiPixels := 0
-	if p.lastObs == nil {
-		scenario = flowgraph.WorstCase()
-	} else {
-		scenario = p.ConstrainScenario(p.Scenarios.MostLikelyNext(p.lastObs.Scenario))
-		if scenario.ROIKnown {
-			roiPixels = p.lastObs.EstROIPixels
-		} else {
-			roiPixels = p.lastObs.FramePixels
+	var dense FramePrediction
+	p.PredictNextInto(&dense)
+	pred := Prediction{Scenario: dense.Scenario, TaskMs: map[tasks.Name]float64{}, TotalMs: dense.TotalMs}
+	for ti, task := range allNames {
+		if dense.Mask&(1<<uint(ti)) != 0 {
+			pred.TaskMs[task] = dense.TaskMs[ti]
 		}
-	}
-	pred := Prediction{Scenario: scenario, TaskMs: map[tasks.Name]float64{}}
-	ctx := Context{ROIPixels: roiPixels}
-	for _, task := range scenario.ActiveTasks() {
-		m, ok := p.Models[task]
-		if !ok {
-			continue
-		}
-		ms := m.Predict(ctx)
-		pred.TaskMs[task] = ms
-		pred.TotalMs += ms
-	}
-	if p.sink != nil {
-		// Remember the forecast by value (the map header is shared, not
-		// copied) so the next Observe can score it without allocating.
-		p.lastPred = pred
-		p.havePred = true
 	}
 	return pred
+}
+
+// PredictNextInto is the allocation-free PredictNext: it writes the forecast
+// into *dst, per-task times in dense task-index order (which is the
+// scenario's pipeline order, so TotalMs sums the same terms in the same
+// order).
+func (p *Predictor) PredictNextInto(dst *FramePrediction) {
+	*dst = FramePrediction{Scenario: flowgraph.WorstCase()}
+	if p.seen {
+		dst.Scenario = p.ConstrainScenario(p.Scenarios.MostLikelyNext(p.last.scenario))
+	}
+	dst.Mask, dst.TotalMs = p.PredictTasksInto(TaskMask(dst.Scenario), p.NextContext(), &dst.TaskMs)
+	if p.sink != nil {
+		// Remember the forecast so the next Observe can score it.
+		p.lastPred = *dst
+		p.havePred = true
+	}
 }
 
 // ConstrainScenario forces the physically determined part of a candidate
 // next-frame scenario: the granularity switch is not probabilistic — the
 // next frame processes an ROI exactly when the last frame estimated one.
 func (p *Predictor) ConstrainScenario(s flowgraph.Scenario) flowgraph.Scenario {
-	if p.lastObs != nil {
-		s.ROIKnown = p.lastObs.EstROIPixels > 0
+	if p.seen {
+		s.ROIKnown = p.last.estROIPixels > 0
 	}
 	return s
 }
@@ -381,34 +414,57 @@ func (p *Predictor) ConstrainScenario(s flowgraph.Scenario) flowgraph.Scenario {
 // LastScenario returns the most recently observed scenario, and false when
 // nothing has been observed yet.
 func (p *Predictor) LastScenario() (flowgraph.Scenario, bool) {
-	if p.lastObs == nil {
+	if !p.seen {
 		return flowgraph.Scenario{}, false
 	}
-	return p.lastObs.Scenario, true
+	return p.last.scenario, true
 }
 
 // NextContext returns the model context for the upcoming frame: the ROI
 // estimated by the last observed frame when available, else the full frame.
 func (p *Predictor) NextContext() Context {
-	if p.lastObs == nil {
+	if !p.seen {
 		return Context{}
 	}
-	if p.lastObs.EstROIPixels > 0 {
-		return Context{ROIPixels: p.lastObs.EstROIPixels}
+	if p.last.estROIPixels > 0 {
+		return Context{ROIPixels: p.last.estROIPixels}
 	}
-	return Context{ROIPixels: p.lastObs.FramePixels}
+	return Context{ROIPixels: p.last.framePixels}
 }
 
 // PredictTasksFor returns per-task predictions for one scenario's active
 // task set under the given context.
 func (p *Predictor) PredictTasksFor(s flowgraph.Scenario, ctx Context) map[tasks.Name]float64 {
+	var ms [tasks.NumNames]float64
+	mask, _ := p.PredictTasksInto(TaskMask(s), ctx, &ms)
 	out := map[tasks.Name]float64{}
-	for _, task := range s.ActiveTasks() {
-		if m, ok := p.Models[task]; ok {
-			out[task] = m.Predict(ctx)
+	for ti, task := range allNames {
+		if mask&(1<<uint(ti)) != 0 {
+			out[task] = ms[ti]
 		}
 	}
 	return out
+}
+
+// PredictTasksInto predicts every task of the set `mask` (bit i: task i of
+// tasks.AllNames) that has a model, under the current online state. It
+// writes the times into dst — entries outside the returned mask are zeroed —
+// and returns the mask of the tasks predicted and their sum, accumulated in
+// task-index order. Model.Predict is pure, so predicting a union of
+// scenarios' task sets once equals predicting each scenario and taking the
+// per-task maximum.
+func (p *Predictor) PredictTasksInto(mask uint16, ctx Context, dst *[tasks.NumNames]float64) (predicted uint16, totalMs float64) {
+	for ti := range dst {
+		dst[ti] = 0
+		if mask&(1<<uint(ti)) == 0 || p.dense[ti] == nil {
+			continue
+		}
+		ms := p.dense[ti].Predict(ctx)
+		dst[ti] = ms
+		predicted |= 1 << uint(ti)
+		totalMs += ms
+	}
+	return predicted, totalMs
 }
 
 // PredictForTasks predicts the summed execution time of a given task set

@@ -40,70 +40,138 @@ type Candidate struct {
 	CommMs float64
 }
 
-// evaluator scores candidates for one stream: the cost profile fixes the
-// per-scenario task demands, cutMs the per-scenario handoff cost.
-type evaluator struct {
+// stageTables is the part of the demand model that depends only on the
+// machine: which stage each task belongs to and how many stripes a stage
+// share of k cores gives it. Shares beyond the machine size read the last
+// column — StripedMs clamps the stripe count to the core count.
+type stageTables struct {
 	machine *platform.Machine
 	arch    platform.Arch
-	prof    *pipeline.CostProfile
+	shares  int // table columns: stage shares 1..shares (the machine size)
+	back    [tasks.NumNames]bool
+	stripes []int // [task*shares + k-1] = partition.MaxStripes(task, k)
+}
+
+func newStageTables(machine *platform.Machine) *stageTables {
+	t := &stageTables{machine: machine, arch: machine.Arch()}
+	t.shares = t.arch.NumCPUs
+	t.stripes = make([]int, tasks.NumNames*t.shares)
+	for ti, name := range tasks.AllNames() {
+		t.back[ti] = flowgraph.StageOf(name) == flowgraph.StageBack
+		for k := 1; k <= t.shares; k++ {
+			t.stripes[ti*t.shares+k-1] = partition.MaxStripes(name, k)
+		}
+	}
+	return t
+}
+
+// evaluator scores candidates for one stream: the cost profile fixes the
+// per-scenario task demands, cutMs the per-scenario handoff cost. A
+// candidate's criteria are functions of per-stage times, and a stage's time
+// depends only on that stage's own core count, so fill tabulates
+// front[s][k] / back[s][k] once and Evaluate reads them — the interval-
+// mapping structure of the bi-criteria paper.
+type evaluator struct {
+	t *stageTables
+	// weight is the profile's scenario frequencies, copied so the evaluator
+	// does not keep pointing into the caller's demand slice; active lists
+	// the scenarios with weight > 0, ascending — the only ones scored.
+	weight [pipeline.NumScenarios]float64
+	active []int
+	// serial is the one-core plan's score: the reference every score is
+	// normalized by and the first candidate of every share.
+	serial Candidate
 	// cutMs[s] is the modeled time to move scenario s's front→back cut
 	// through the memory system once per frame.
 	cutMs [pipeline.NumScenarios]float64
 	// memMs[s] is scenario s's roofline floor: total frame traffic over
 	// machine bandwidth, charged when front and back contend for the bus.
 	memMs [pipeline.NumScenarios]float64
+	// front/back[s*shares + k-1] are scenario s's front and back critical
+	// paths when the stage owns k cores; filled for weight > 0 only.
+	front, back []float64
+
+	// cutAllMs caches the handoff roofline term of every scenario at
+	// cutFrameKB: a pure function of (scenario, FrameKB) that would
+	// otherwise rebuild the scenario's edge list on every re-division.
+	cutFrameKB int
+	cutAllMs   [pipeline.NumScenarios]float64
 }
 
-func newEvaluator(machine *platform.Machine, prof *pipeline.CostProfile, frameKB int) *evaluator {
-	ev := &evaluator{machine: machine, arch: machine.Arch(), prof: prof}
-	for s := range prof.Weight {
-		if prof.Weight[s] <= 0 {
-			continue
-		}
-		traffic := 0.0
-		for ti := range prof.Cost[s] {
-			traffic += prof.Cost[s][ti].MemBytes
-		}
-		ev.memMs[s] = speedup.RooflineMs(traffic, ev.arch)
+// fill points the evaluator at a stream's profile and tabulates its stage
+// times. Each task is striped to min(stage cores, MaxStripes(task)) — the
+// engine's actual stripe rule — and zero-cost tasks are skipped so the model
+// does not charge SwitchCost for tasks the scenario never runs. Every table
+// entry accumulates its tasks in task-index order.
+func (ev *evaluator) fill(t *stageTables, prof *pipeline.CostProfile, frameKB int) {
+	ev.t, ev.weight, ev.active = t, prof.Weight, ev.active[:0]
+	if n := pipeline.NumScenarios * t.shares; len(ev.front) != n {
+		ev.front = make([]float64, n)
+		ev.back = make([]float64, n)
+		ev.active = make([]int, 0, pipeline.NumScenarios)
+	}
+	if frameKB != ev.cutFrameKB {
+		ev.cutFrameKB = frameKB
+		ev.cutAllMs = [pipeline.NumScenarios]float64{}
 		if frameKB > 0 {
-			if cutKB, err := flowgraph.FromIndex(s).CutKB(frameKB); err == nil {
-				ev.cutMs[s] = speedup.RooflineMs(float64(cutKB)*1024, ev.arch)
+			for s := range ev.cutAllMs {
+				if cutKB, err := flowgraph.FromIndex(s).CutKB(frameKB); err == nil {
+					ev.cutAllMs[s] = speedup.RooflineMs(float64(cutKB)*1024, t.arch)
+				}
 			}
 		}
 	}
-	return ev
+	for s := range prof.Weight {
+		ev.cutMs[s], ev.memMs[s] = 0, 0
+		if prof.Weight[s] <= 0 {
+			continue
+		}
+		ev.active = append(ev.active, s)
+		ev.cutMs[s] = ev.cutAllMs[s]
+		front := ev.front[s*t.shares : (s+1)*t.shares]
+		back := ev.back[s*t.shares : (s+1)*t.shares]
+		for k := range front {
+			front[k], back[k] = 0, 0
+		}
+		traffic := 0.0
+		for ti := range prof.Cost[s] {
+			c := prof.Cost[s][ti]
+			traffic += c.MemBytes
+			if c.Cycles <= 0 && c.MemBytes <= 0 {
+				continue
+			}
+			stage := front
+			if t.back[ti] {
+				stage = back
+			}
+			// Only the data-parallel tasks change stripe count with every
+			// share; the others repeat the previous column's time.
+			stripes, ms := 0, 0.0
+			for k, n := range t.stripes[ti*t.shares : (ti+1)*t.shares] {
+				if n != stripes {
+					stripes, ms = n, t.machine.StripedMs(c, n)
+				}
+				stage[k] += ms
+			}
+		}
+		ev.memMs[s] = speedup.RooflineMs(traffic, t.arch)
+	}
+	ev.serial = ev.Evaluate(sched.StreamPlan{Cores: 1})
 }
 
 // stageMs returns scenario s's front and back critical paths when the front
 // stage owns cf cores and the back stage cb (equal to the full share for a
-// non-pipelined mapping). Each task is striped to min(stage cores,
-// MaxStripes(task)) — the engine's actual stripe rule — and zero-cost tasks
-// are skipped so the model does not charge SwitchCost for tasks the scenario
-// never runs.
+// non-pipelined mapping).
 func (ev *evaluator) stageMs(s, cf, cb int) (front, back float64) {
-	names := tasks.AllNames()
-	for ti, name := range names {
-		c := ev.prof.Cost[s][ti]
-		if c.Cycles <= 0 && c.MemBytes <= 0 {
-			continue
-		}
-		if flowgraph.StageOf(name) == flowgraph.StageBack {
-			back += ev.machine.StripedMs(c, partition.MaxStripes(name, cb))
-		} else {
-			front += ev.machine.StripedMs(c, partition.MaxStripes(name, cf))
-		}
-	}
-	return front, back
+	base, shares := s*ev.t.shares-1, ev.t.shares
+	return ev.front[base+max(1, min(cf, shares))], ev.back[base+max(1, min(cb, shares))]
 }
 
 // Evaluate scores a plan against the profile.
 func (ev *evaluator) Evaluate(p sched.StreamPlan) Candidate {
 	cand := Candidate{Plan: p}
-	for s := range ev.prof.Weight {
-		w := ev.prof.Weight[s]
-		if w <= 0 {
-			continue
-		}
+	for _, s := range ev.active {
+		w := ev.weight[s]
 		var lat, period, comm float64
 		if p.Pipelined {
 			f, b := ev.stageMs(s, p.FrontCores, p.BackCores)
@@ -112,9 +180,6 @@ func (ev *evaluator) Evaluate(p sched.StreamPlan) Candidate {
 			period = math.Max(math.Max(f, b), ev.memMs[s]) + comm
 		} else {
 			k := p.Cores
-			if k < 1 {
-				k = 1
-			}
 			if !p.Striped {
 				k = 1
 			}
@@ -140,7 +205,7 @@ func (ev *evaluator) Candidates(c int, out []Candidate) []Candidate {
 	if c < 1 {
 		return out
 	}
-	out = append(out, ev.Evaluate(sched.StreamPlan{Cores: 1}))
+	out = append(out, ev.serial)
 	if c < 2 {
 		return out
 	}

@@ -39,6 +39,13 @@ func testMachine(t testing.TB) *platform.Machine {
 	return m
 }
 
+// newEvaluator tabulates one profile on a fresh evaluator.
+func newEvaluator(m *platform.Machine, prof *pipeline.CostProfile, frameKB int) *evaluator {
+	ev := &evaluator{}
+	ev.fill(newStageTables(m), prof, frameKB)
+	return ev
+}
+
 // TestParetoFrontProperties: no survivor dominates another survivor, every
 // eliminated candidate is dominated by (or exactly ties) a survivor, and the
 // front is non-empty for non-empty input.

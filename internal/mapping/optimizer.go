@@ -23,13 +23,33 @@ import (
 // Not safe for concurrent use; MultiManager serializes Map calls under its
 // lock.
 type Optimizer struct {
-	machine *platform.Machine
-	greedy  sched.GreedyMapper
+	tables *stageTables
+	greedy sched.GreedyMapper
 
 	// LastParetoPoints is the total Pareto-front size across streams at
 	// their chosen shares in the most recent Map — a diagnostic for how
 	// much genuine trade-off space the optimizer had.
 	LastParetoPoints int
+
+	// Scratch reused across Map calls and grown on demand, so a warmed
+	// optimizer re-divides without allocating.
+	streams     []streamScratch
+	cands       []Candidate
+	f           []float64 // DP rows, (n+1) x (totalCores+1)
+	choice      []int
+	greedyPlans []sched.StreamPlan
+}
+
+// streamScratch is one stream's evaluator plus what Map derives from it once
+// per call: the objective weights and the per-share pick tables.
+type streamScratch struct {
+	ev evaluator
+	w  Weights
+	// Indexed by share c ∈ [1, maxShare]: the picked plan, its weighted
+	// score, and the front size behind it.
+	plan   []sched.StreamPlan
+	score  []float64
+	points []int
 }
 
 // preferGreedyMargin: the optimizer deviates from the greedy division only
@@ -43,11 +63,34 @@ func NewOptimizer(arch platform.Arch) (*Optimizer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mapping: %w", err)
 	}
-	return &Optimizer{machine: m}, nil
+	return &Optimizer{tables: newStageTables(m)}, nil
 }
 
 // Name implements sched.Mapper.
 func (o *Optimizer) Name() string { return "optimizer" }
+
+// grow sizes the scratch for n streams on totalCores cores.
+func (o *Optimizer) grow(n, totalCores, maxShare int) {
+	for len(o.streams) < n {
+		o.streams = append(o.streams, streamScratch{})
+	}
+	for i := range o.streams[:n] {
+		st := &o.streams[i]
+		if cap(st.plan) < maxShare+1 {
+			st.plan = make([]sched.StreamPlan, maxShare+1)
+			st.score = make([]float64, maxShare+1)
+			st.points = make([]int, maxShare+1)
+		}
+		st.plan, st.score, st.points = st.plan[:maxShare+1], st.score[:maxShare+1], st.points[:maxShare+1]
+	}
+	if cells := (n + 1) * (totalCores + 1); cap(o.f) < cells {
+		o.f = make([]float64, cells)
+		o.choice = make([]int, cells)
+	}
+	if cap(o.greedyPlans) < n {
+		o.greedyPlans = make([]sched.StreamPlan, n)
+	}
+}
 
 // Map implements sched.Mapper.
 func (o *Optimizer) Map(totalCores int, demands []sched.StreamDemand, plans []sched.StreamPlan) error {
@@ -73,38 +116,32 @@ func (o *Optimizer) Map(totalCores int, demands []sched.StreamDemand, plans []sc
 		return o.greedy.Map(totalCores, demands, plans)
 	}
 
-	// Per-stream tables over possible shares c ∈ [1, maxShare]: the picked
-	// plan, its weighted score, and the front size behind it. Scores are
+	// Per-stream tables over possible shares c ∈ [1, maxShare]. Scores are
 	// made monotone non-increasing in c (a larger share may always fall
 	// back to the smaller share's plan), so the cross-stream DP can hand
 	// out all cores without forcing any stream to waste them.
 	maxShare := totalCores - (n - 1)
-	bestPlan := make([][]sched.StreamPlan, n)
-	bestScore := make([][]float64, n)
-	bestPoints := make([][]int, n)
-	var candBuf []Candidate
+	o.grow(n, totalCores, maxShare)
 	for i := range demands {
 		d := &demands[i]
-		ev := newEvaluator(o.machine, &d.Profile, d.FrameKB)
-		serial := ev.Evaluate(sched.StreamPlan{Cores: 1})
-		w := ComputePressures(serial.LatencyMs, d.BudgetMs, n, totalCores, ev.meanCutMs()).Softmax()
-		bestPlan[i] = make([]sched.StreamPlan, maxShare+1)
-		bestScore[i] = make([]float64, maxShare+1)
-		bestPoints[i] = make([]int, maxShare+1)
+		st := &o.streams[i]
+		ev := &st.ev
+		ev.fill(o.tables, &d.Profile, d.FrameKB)
+		st.w = ComputePressures(ev.serial.LatencyMs, d.BudgetMs, n, totalCores, ev.meanCutMs()).Softmax()
 		for c := 1; c <= maxShare; c++ {
-			candBuf = ev.Candidates(c, candBuf)
-			front := ParetoFront(candBuf)
-			pick := Pick(front, w, serial)
-			score := w.Score(pick, serial)
-			if c > 1 && bestScore[i][c-1] <= score {
-				bestPlan[i][c] = bestPlan[i][c-1]
-				bestScore[i][c] = bestScore[i][c-1]
-				bestPoints[i][c] = bestPoints[i][c-1]
+			o.cands = ev.Candidates(c, o.cands)
+			front := ParetoFront(o.cands)
+			pick := Pick(front, st.w, ev.serial)
+			score := st.w.Score(pick, ev.serial)
+			if c > 1 && st.score[c-1] <= score {
+				st.plan[c] = st.plan[c-1]
+				st.score[c] = st.score[c-1]
+				st.points[c] = st.points[c-1]
 				continue
 			}
-			bestPlan[i][c] = pick.Plan
-			bestScore[i][c] = score
-			bestPoints[i][c] = len(front)
+			st.plan[c] = pick.Plan
+			st.score[c] = score
+			st.points[c] = len(front)
 		}
 	}
 
@@ -112,39 +149,38 @@ func (o *Optimizer) Map(totalCores int, demands []sched.StreamDemand, plans []sc
 	// the first j streams onto exactly c cores (each stream ≥ 1). choice
 	// records stream j-1's share on the optimal path.
 	const inf = math.MaxFloat64
-	f := make([][]float64, n+1)
-	choice := make([][]int, n+1)
-	for j := range f {
-		f[j] = make([]float64, totalCores+1)
-		choice[j] = make([]int, totalCores+1)
-		for c := range f[j] {
-			f[j][c] = inf
-		}
+	row := totalCores + 1
+	f, choice := o.f[:(n+1)*row], o.choice[:(n+1)*row]
+	for i := range f {
+		f[i], choice[i] = inf, 0
 	}
-	f[0][0] = 0
+	f[0] = 0
 	for j := 1; j <= n; j++ {
+		score := o.streams[j-1].score
 		for c := j; c <= totalCores-(n-j); c++ {
 			for k := 1; k <= c-(j-1) && k <= maxShare; k++ {
-				if f[j-1][c-k] == inf {
+				prev := f[(j-1)*row+c-k]
+				if prev == inf {
 					continue
 				}
-				if s := f[j-1][c-k] + bestScore[j-1][k]; s < f[j][c] {
-					f[j][c] = s
-					choice[j][c] = k
+				if s := prev + score[k]; s < f[j*row+c] {
+					f[j*row+c] = s
+					choice[j*row+c] = k
 				}
 			}
 		}
 	}
-	if f[n][totalCores] == inf {
+	optScore := f[n*row+totalCores]
+	if optScore == inf {
 		return o.greedy.Map(totalCores, demands, plans)
 	}
 
 	points := 0
 	c := totalCores
 	for j := n; j >= 1; j-- {
-		k := choice[j][c]
-		plans[j-1] = bestPlan[j-1][k]
-		points += bestPoints[j-1][k]
+		k := choice[j*row+c]
+		plans[j-1] = o.streams[j-1].plan[k]
+		points += o.streams[j-1].points[k]
 		c -= k
 	}
 
@@ -152,17 +188,14 @@ func (o *Optimizer) Map(totalCores int, demands []sched.StreamDemand, plans []sc
 	// a material improvement: the optimizer's candidate set contains every
 	// greedy plan, so optScore ≤ greedyScore always holds; the margin only
 	// suppresses churn on near-ties.
-	greedyPlans := make([]sched.StreamPlan, n)
+	greedyPlans := o.greedyPlans[:n]
 	if err := o.greedy.Map(totalCores, demands, greedyPlans); err == nil {
 		greedyScore := 0.0
 		for i, gp := range greedyPlans {
-			d := &demands[i]
-			ev := newEvaluator(o.machine, &d.Profile, d.FrameKB)
-			serial := ev.Evaluate(sched.StreamPlan{Cores: 1})
-			w := ComputePressures(serial.LatencyMs, d.BudgetMs, n, totalCores, ev.meanCutMs()).Softmax()
-			greedyScore += w.Score(ev.Evaluate(gp), serial)
+			st := &o.streams[i]
+			greedyScore += st.w.Score(st.ev.Evaluate(gp), st.ev.serial)
 		}
-		if f[n][totalCores] >= greedyScore*(1-preferGreedyMargin) {
+		if optScore >= greedyScore*(1-preferGreedyMargin) {
 			copy(plans, greedyPlans)
 			o.LastParetoPoints = 0
 			return nil
@@ -176,8 +209,8 @@ func (o *Optimizer) Map(totalCores int, demands []sched.StreamDemand, plans []sc
 // communication-pressure numerator.
 func (ev *evaluator) meanCutMs() float64 {
 	total := 0.0
-	for s := range ev.prof.Weight {
-		total += ev.prof.Weight[s] * ev.cutMs[s]
+	for s, w := range ev.weight {
+		total += w * ev.cutMs[s]
 	}
 	return total
 }

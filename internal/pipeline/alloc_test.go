@@ -18,7 +18,7 @@ import (
 func TestProcessSteadyStateAllocBudget(t *testing.T) {
 	e := newEngine(t)
 	s := testSeq(t, 3)
-	const warm, measured = 12, 24
+	const warm, measured, maxMallocs = 12, 24, 26
 
 	// Pre-generate inputs so synthesis cost stays out of the measurement.
 	inputs := make([]*frame.Frame, warm+measured)
@@ -42,13 +42,20 @@ func TestProcessSteadyStateAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 
 	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / measured
+	mallocs := float64(after.Mallocs-before.Mallocs) / measured
 	framePixelBytes := float64(e.cfg.Width * e.cfg.Height * 2)
 	// Budget: three frame-equivalents per processed frame. The dominant
 	// remaining allocation is the zoom output, which escapes to the caller
 	// by contract; everything else is bookkeeping.
 	budget := 3 * framePixelBytes
-	t.Logf("steady state: %.0f bytes/frame (budget %.0f)", perFrame, budget)
+	t.Logf("steady state: %.0f bytes/frame (budget %.0f), %.1f allocations/frame", perFrame, budget, mallocs)
 	if perFrame > budget {
 		t.Errorf("steady-state pipeline allocates %.0f bytes/frame, budget %.0f", perFrame, budget)
+	}
+	// The count, beside the bytes: charge used to rebuild the cache-occupation
+	// analysis of every task of every frame (13 small allocations a frame for
+	// a constant of the configuration), which a bytes budget cannot see.
+	if mallocs > maxMallocs {
+		t.Errorf("steady-state pipeline makes %.1f allocations/frame, budget %d", mallocs, maxMallocs)
 	}
 }

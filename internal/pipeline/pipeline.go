@@ -133,6 +133,14 @@ type Engine struct {
 	cfg     Config
 	machine *platform.Machine
 	params  tasks.CostParams
+	// intra[task][rdgOn] is bandwidth.IntraTaskKB at the modeled geometry —
+	// a constant of the configuration, tabulated at construction: the
+	// external-memory bytes charge adds to the task's cost, or the accounting
+	// error text it reports instead.
+	intra [tasks.NumNames][2]struct {
+		memBytes float64
+		err      string
+	}
 
 	detect *tasks.StructureDetector
 	rdg    *tasks.RidgeDetector
@@ -226,6 +234,16 @@ func New(cfg Config) (*Engine, error) {
 		enh:  tasks.NewEnhancer(cfg.Width, cfg.Height, p),
 		zoom: tasks.NewZoomer(cfg.Width, cfg.Height, p),
 	}
+	for ti, name := range tasks.AllNames() {
+		for rdg, rdgOn := range [2]bool{false, true} {
+			kb, err := bandwidth.IntraTaskKB(name, rdgOn, cfg.ModelFrameKB, cfg.Arch.L2.SizeBytes/1024)
+			if err != nil {
+				e.intra[ti][rdg].err = fmt.Sprintf("%s: bandwidth accounting: %v", name, err)
+				continue
+			}
+			e.intra[ti][rdg].memBytes = float64(kb) * 1024
+		}
+	}
 	return e, nil
 }
 
@@ -268,12 +286,14 @@ func (e *Engine) Reset() {
 func (e *Engine) charge(fx *frameExec, name tasks.Name, cost platform.Cost) {
 	// Add the intra-task external-memory traffic from the cache analysis at
 	// the modeled geometry.
-	kb, err := bandwidth.IntraTaskKB(name, fx.rdgOn, e.cfg.ModelFrameKB, e.cfg.Arch.L2.SizeBytes/1024)
-	if err == nil {
-		cost.MemBytes += float64(kb) * 1024
+	rdg := 0
+	if fx.rdgOn {
+		rdg = 1
+	}
+	if intra := &e.intra[tasks.IndexOf(name)][rdg]; intra.err == "" {
+		cost.MemBytes += intra.memBytes
 	} else {
-		fx.rep.AccountingErrs = append(fx.rep.AccountingErrs,
-			fmt.Sprintf("%s: bandwidth accounting: %v", name, err))
+		fx.rep.AccountingErrs = append(fx.rep.AccountingErrs, intra.err)
 	}
 	k := fx.m.StripesFor(name)
 	ms := e.machine.StripedMs(cost, k)

@@ -104,21 +104,17 @@ type GreedyMapper struct {
 // Name implements Mapper.
 func (g *GreedyMapper) Name() string { return "greedy" }
 
-// Map implements Mapper.
+// Map implements Mapper. The budgets it splits into are mapper-owned
+// scratch, so a warmed mapper allocates nothing.
 func (g *GreedyMapper) Map(totalCores int, demands []StreamDemand, plans []StreamPlan) error {
 	if len(plans) != len(demands) {
 		return fmt.Errorf("sched: %d plans for %d demands", len(plans), len(demands))
 	}
-	budgets := make([]int, len(demands))
-	return g.mapInto(budgets, totalCores, demands, plans)
-}
-
-// mapInto is the allocation-free core of Map: budgets is caller-provided
-// scratch of len(demands).
-func (g *GreedyMapper) mapInto(budgets []int, totalCores int, demands []StreamDemand, plans []StreamPlan) error {
+	g.scratch.grow(len(demands))
+	budgets := g.scratch.budgets[:len(demands)]
 	g.scratch.demands = g.scratch.demands[:0]
-	for _, d := range demands {
-		g.scratch.demands = append(g.scratch.demands, d.TotalMs)
+	for i := range demands {
+		g.scratch.demands = append(g.scratch.demands, demands[i].TotalMs)
 	}
 	if err := splitInto(budgets, totalCores, g.scratch.demands, &g.scratch); err != nil {
 		return err
@@ -200,6 +196,7 @@ func ValidatePlans(totalCores int, plans []StreamPlan) error {
 // rebalance path stays allocation-free.
 type splitScratch struct {
 	demands []float64
+	budgets []int
 	order   []int
 	rems    []rem
 }
@@ -216,6 +213,7 @@ func (s *splitScratch) grow(n int) {
 	}
 	if cap(s.demands) < n {
 		s.demands = make([]float64, 0, n)
+		s.budgets = make([]int, n)
 	}
 }
 

@@ -47,10 +47,10 @@ func (m *Manager) SetCoreBudget(cores int) error {
 // CoreBudget returns the current core budget (0 = whole machine).
 func (m *Manager) CoreBudget() int { return m.coreBudget }
 
-// maxStripesFor applies the core budget on top of the task's intrinsic
-// stripe limit.
-func (m *Manager) maxStripesFor(task tasks.Name) int {
-	maxK := partition.MaxStripes(task, m.arch.NumCPUs)
+// maxStripesFor applies the core budget on top of the intrinsic stripe
+// limit of the task at index ti.
+func (m *Manager) maxStripesFor(ti int) int {
+	maxK := m.maxStripes[ti]
 	if m.coreBudget > 0 && maxK > m.coreBudget {
 		maxK = m.coreBudget
 	}

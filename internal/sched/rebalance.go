@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"triplec/internal/core"
 )
 
 // This file adds the dynamic cross-stream core re-allocation used by the
@@ -36,9 +38,10 @@ func (m *Manager) PredictedDemandMs() float64 {
 	if src := m.demandSource(); src != nil && src.DemandInto(&m.demandPred) {
 		d = m.demandPred.TotalMs
 	} else if last, ok := m.predictor.LastScenario(); ok {
-		d = m.predictor.PredictForTasks(last.ActiveTasks(), m.predictor.NextContext())
+		_, d = m.predictor.PredictTasksInto(core.TaskMask(last), m.predictor.NextContext(), &m.demandPred.TaskMs)
 	} else {
-		d = m.predictor.PredictNext().TotalMs
+		m.predictor.PredictNextInto(&m.demandPred)
+		d = m.demandPred.TotalMs
 	}
 	if tg := m.tailSource(); tg != nil && tg.DemandInto(&m.demandPred) && m.demandPred.TotalMs > d {
 		d = m.demandPred.TotalMs
@@ -225,7 +228,6 @@ type MultiManager struct {
 	idxBuf    []int
 	demandBuf []StreamDemand
 	planBuf   []StreamPlan
-	coreBuf   []int
 	beforeBuf []int
 }
 
@@ -249,7 +251,6 @@ func NewMultiManager(totalCores, n int) (*MultiManager, error) {
 		idxBuf:     make([]int, 0, n),
 		demandBuf:  make([]StreamDemand, 0, n),
 		planBuf:    make([]StreamPlan, n),
-		coreBuf:    make([]int, n),
 		beforeBuf:  make([]int, n),
 	}
 	for i := range mm.active {
@@ -351,13 +352,11 @@ func (mm *MultiManager) rebalanceLocked() {
 		return
 	}
 	plans := mm.planBuf[:len(idx)]
-	var err error
-	if mm.Mapper == nil {
-		err = mm.greedy.mapInto(mm.coreBuf[:len(idx)], mm.totalCores, dem, plans)
-	} else {
-		err = mm.Mapper.Map(mm.totalCores, dem, plans)
+	mapper := mm.Mapper
+	if mapper == nil {
+		mapper = &mm.greedy
 	}
-	if err != nil || ValidatePlans(mm.totalCores, plans) != nil {
+	if err := mapper.Map(mm.totalCores, dem, plans); err != nil || ValidatePlans(mm.totalCores, plans) != nil {
 		// A mapper that fails or violates its post-conditions leaves the
 		// previous division in force: a stale budget beats a broken one.
 		return
@@ -454,13 +453,23 @@ func (mm *MultiManager) Rebalances() int {
 	return mm.rebalances
 }
 
-// Demands returns a copy of the latest smoothed per-stream scalar demands.
-func (mm *MultiManager) Demands() []float64 {
+// DemandFor returns stream i's latest smoothed scalar demand (0 for an
+// out-of-range index).
+func (mm *MultiManager) DemandFor(i int) float64 {
 	mm.mu.Lock()
 	defer mm.mu.Unlock()
-	out := make([]float64, len(mm.demands))
-	for i := range mm.demands {
-		out[i] = mm.demands[i].TotalMs
+	if i < 0 || i >= len(mm.demands) {
+		return 0
 	}
-	return out
+	return mm.demands[i].TotalMs
+}
+
+// AppendDemands appends the latest smoothed per-stream scalar demands to dst.
+func (mm *MultiManager) AppendDemands(dst []float64) []float64 {
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	for i := range mm.demands {
+		dst = append(dst, mm.demands[i].TotalMs)
+	}
+	return dst
 }

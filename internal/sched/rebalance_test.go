@@ -186,7 +186,7 @@ func TestMultiManagerRebalance(t *testing.T) {
 	if mm.Rebalances() != 1 {
 		t.Fatalf("rebalances = %d, want 1", mm.Rebalances())
 	}
-	if d := mm.Demands(); d[0] != 60 || d[1] != 20 {
+	if d := mm.AppendDemands(nil); d[0] != 60 || d[1] != 20 {
 		t.Fatalf("demands = %v", d)
 	}
 }
@@ -281,7 +281,7 @@ func TestMultiManagerRetire(t *testing.T) {
 	}
 	// Reports against a retired stream are dropped.
 	mm.ReportDemand(1, 500)
-	if d := mm.Demands(); d[1] != 0 {
+	if d := mm.AppendDemands(nil); d[1] != 0 {
 		t.Fatalf("retired stream demand = %v, want 0", d[1])
 	}
 	// Retiring twice (or out of range) is a no-op.

@@ -57,18 +57,35 @@ type Manager struct {
 	// first Plan; the hooks run on the manager's goroutine.
 	Metrics *ManagerMetrics
 
-	switchMs    float64 // per-stripe fork/join overhead in ms
+	switchMs   float64             // per-stripe fork/join overhead in ms
+	maxStripes [tasks.NumNames]int // partition.MaxStripes on the whole machine
+	coreBudget int                 // cores this application may use; 0 = whole machine
+
+	// lastMapping is the previous plan's mapping and lastK its dense form
+	// (stripe count per task index, 1 when absent); the planner reads and
+	// compares lastK and hands lastMapping out again while nothing changes.
 	lastMapping partition.Mapping
-	coreBudget  int // cores this application may use; 0 = whole machine
+	lastK       [tasks.NumNames]int
 
 	// Live-swappable forecast sources (see steer.go): steerSrc replaces the
 	// predictor in Plan, tailSrc widens PredictedDemandMs with a tail
-	// forecast. The scratch predictions keep the steered paths alloc-free.
-	steerSrc   atomic.Pointer[steerBox]
-	tailSrc    atomic.Pointer[steerBox]
-	steerPred  core.FramePrediction
+	// forecast.
+	steerSrc atomic.Pointer[steerBox]
+	tailSrc  atomic.Pointer[steerBox]
+
+	// Per-call scratch, so planning allocates only when it repartitions.
+	pred       core.FramePrediction // next-frame forecast (own or steered)
 	demandPred core.FramePrediction
+	demand     [tasks.NumNames]float64
 }
+
+// serialK is the dense form of the serial mapping.
+var serialK = func() (k [tasks.NumNames]int) {
+	for ti := range k {
+		k[ti] = 1
+	}
+	return k
+}()
 
 // NewManager builds a manager around a trained predictor for the given
 // architecture.
@@ -80,13 +97,18 @@ func NewManager(p *core.Predictor, arch platform.Arch) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sched: %w", err)
 	}
-	return &Manager{
+	m := &Manager{
 		predictor: p,
 		arch:      arch,
 		machine:   machine,
 		Headroom:  1.0,
 		switchMs:  machine.CyclesToMs(arch.SwitchCost),
-	}, nil
+		lastK:     serialK,
+	}
+	for ti, task := range allTaskNames {
+		m.maxStripes[ti] = partition.MaxStripes(task, arch.NumCPUs)
+	}
+	return m, nil
 }
 
 // Predictor exposes the wrapped predictor.
@@ -141,15 +163,13 @@ func (m *Manager) plan() Decision {
 	// A promoted shadow backend steers the plan when installed and able to
 	// forecast; otherwise (including immediately after a rollback or before
 	// the source's first successful drive) fall through to the predictor.
-	if src := m.demandSource(); src != nil && src.DemandInto(&m.steerPred) {
-		return m.planSteered(&m.steerPred)
+	if src := m.demandSource(); src != nil && src.DemandInto(&m.pred) {
+		return m.planSteered(&m.pred)
 	}
-	pred := m.predictor.PredictNext()
-	serial := pred.TotalMs
+	m.predictor.PredictNextInto(&m.pred)
+	serial := m.pred.TotalMs
 	if m.BudgetMs <= 0 {
-		dec := Decision{Mapping: partition.Serial(), PredictedMs: serial, SerialMs: serial}
-		m.rememberMapping(dec.Mapping)
-		return dec
+		return m.serialDecision(serial)
 	}
 
 	// Pessimistic per-task demand over the plausible successor scenarios.
@@ -157,38 +177,53 @@ func (m *Manager) plan() Decision {
 	// granularity, and the (constrained) worst case is always provisioned:
 	// a mapping entry for a task that ends up not running costs nothing,
 	// while a missing entry for a task that does run causes an overrun.
-	ctx := m.predictor.NextContext()
-	var scenarios []flowgraph.Scenario
-	if last, ok := m.predictor.LastScenario(); ok {
-		for _, s := range m.predictor.Scenarios.Successors(last, MinScenarioP) {
-			scenarios = append(scenarios, m.predictor.ConstrainScenario(s))
+	// The models' forecasts do not depend on the scenario, so the maximum
+	// over the scenarios is one forecast per task of their union.
+	p := m.predictor
+	mask := core.TaskMask(p.ConstrainScenario(flowgraph.WorstCase()))
+	if last, ok := p.LastScenario(); ok {
+		var buf [8]flowgraph.Scenario
+		for _, s := range p.Scenarios.AppendSuccessors(buf[:0], last, MinScenarioP) {
+			mask |= core.TaskMask(p.ConstrainScenario(s))
 		}
 	}
-	scenarios = append(scenarios, m.predictor.ConstrainScenario(flowgraph.WorstCase()))
-	demand := map[tasks.Name]float64{}
-	for _, s := range scenarios {
-		for task, ms := range m.predictor.PredictTasksFor(s, ctx) {
-			if ms > demand[task] {
-				demand[task] = ms
-			}
-		}
-	}
-	return m.planWithDemand(demand, serial)
+	p.PredictTasksInto(mask, p.NextContext(), &m.demand)
+	return m.planWithDemand(serial)
 }
 
-// planWithDemand chooses a mapping for the given per-task demand under the
-// current budget: sticky hysteresis first, then greedy stripe doubling.
-// Shared by the predictor-driven and steered planning paths.
-func (m *Manager) planWithDemand(demand map[tasks.Name]float64, serial float64) Decision {
-	dec := Decision{Mapping: partition.Serial(), PredictedMs: serial, SerialMs: serial}
+// serialDecision is the profiling-mode plan: the serial mapping, remembered
+// as the previous one.
+func (m *Manager) serialDecision(serial float64) Decision {
+	if m.lastMapping == nil || m.lastK != serialK {
+		m.lastMapping, m.lastK = partition.Serial(), serialK
+	}
+	return Decision{Mapping: m.lastMapping, PredictedMs: serial, SerialMs: serial}
+}
+
+// planWithDemand chooses a mapping for the per-task demand in m.demand
+// (indexed by task; an entry that is not positive is a task without demand)
+// under the current budget: sticky hysteresis first, then greedy stripe
+// doubling. Shared by the predictor-driven and steered planning paths.
+// Sums and tie-breaks run in task-index order, so a decision is a function
+// of the observation series alone.
+func (m *Manager) planWithDemand(serial float64) Decision {
+	dec := Decision{PredictedMs: serial, SerialMs: serial}
 	budget := m.BudgetMs * m.Headroom
+	demand := &m.demand
+	for ti, ms := range demand {
+		if !(ms > 0) { // also a NaN forecast
+			demand[ti] = 0
+		}
+	}
 
 	// Hysteresis: when the previous mapping still meets the budget for the
 	// current demand, keep it verbatim.
 	if m.Sticky && m.lastMapping != nil {
 		total := 0.0
-		for task, ms := range demand {
-			total += m.estStripedMs(ms, m.lastMapping.StripesFor(task))
+		for ti, ms := range demand {
+			if ms > 0 { // a striped task without demand costs nothing, not a fork/join
+				total += m.estStripedMs(ms, m.lastK[ti])
+			}
 		}
 		if total <= budget {
 			dec.Mapping = m.lastMapping
@@ -199,78 +234,55 @@ func (m *Manager) planWithDemand(demand map[tasks.Name]float64, serial float64) 
 
 	// Greedy repartitioning: while over budget, double the stripe count of
 	// the task with the largest current estimated time that still has
-	// stripe capacity.
-	kOf := map[tasks.Name]int{}
-	est := map[tasks.Name]float64{}
-	for task, ms := range demand {
-		kOf[task] = 1
-		est[task] = ms
-	}
+	// stripe capacity. A task without demand estimates to zero and gains
+	// nothing from striping, so it is never picked.
+	kOf := serialK
+	est := *demand
 	total := func() float64 {
 		t := 0.0
-		for _, v := range est {
-			t += v
+		for _, ms := range est {
+			t += ms
 		}
 		return t
 	}
 	for total() > budget {
 		// Pick the best candidate to stripe further.
-		var best tasks.Name
+		best, bestK := -1, 0
 		bestGain := 0.0
-		for task, ms := range est {
-			maxK := m.maxStripesFor(task)
-			k := kOf[task]
-			if k >= maxK {
+		for ti, ms := range demand {
+			maxK := m.maxStripesFor(ti)
+			if kOf[ti] >= maxK {
 				continue
 			}
-			next := k * 2
+			next := kOf[ti] * 2
 			if next > maxK {
 				next = maxK
 			}
-			gain := ms - m.estStripedMs(demand[task], next)
-			if gain > bestGain {
+			if gain := est[ti] - m.estStripedMs(ms, next); gain > bestGain {
 				bestGain = gain
-				best = task
+				best, bestK = ti, next
 			}
 		}
-		if bestGain <= 0 {
+		if best < 0 {
 			break // no task can be split further profitably
 		}
-		k := kOf[best] * 2
-		if maxK := m.maxStripesFor(best); k > maxK {
-			k = maxK
-		}
-		kOf[best] = k
-		est[best] = m.estStripedMs(demand[best], k)
+		kOf[best] = bestK
+		est[best] = m.estStripedMs(demand[best], bestK)
 	}
 
-	mapping := partition.Mapping{}
-	for task, k := range kOf {
-		if k > 1 {
-			mapping[task] = k
-		}
-	}
-	dec.Mapping = mapping
 	dec.PredictedMs = total()
-	dec.Repartition = !sameMapping(mapping, m.lastMapping)
-	m.rememberMapping(mapping)
-	return dec
-}
-
-func (m *Manager) rememberMapping(mp partition.Mapping) {
-	m.lastMapping = mp
-}
-
-func sameMapping(a, b partition.Mapping) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for t, k := range a {
-		if b[t] != k {
-			return false
+	dec.Repartition = kOf != m.lastK
+	if dec.Repartition || m.lastMapping == nil {
+		mapping := partition.Mapping{}
+		for ti, k := range kOf {
+			if k > 1 {
+				mapping[allTaskNames[ti]] = k
+			}
 		}
+		m.lastMapping, m.lastK = mapping, kOf
 	}
-	return true
+	dec.Mapping = m.lastMapping
+	return dec
 }
 
 // Observe feeds the executed frame back to the predictor (the paper's

@@ -12,7 +12,7 @@ import (
 	"triplec/internal/tasks"
 )
 
-func synthSeq(t *testing.T, seed uint64) *synth.Sequence {
+func synthSeq(t testing.TB, seed uint64) *synth.Sequence {
 	t.Helper()
 	cfg := synth.DefaultConfig(seed)
 	cfg.Width, cfg.Height = 128, 128
@@ -28,7 +28,7 @@ func synthSeq(t *testing.T, seed uint64) *synth.Sequence {
 	return s
 }
 
-func newEngine(t *testing.T) *pipeline.Engine {
+func newEngine(t testing.TB) *pipeline.Engine {
 	t.Helper()
 	e, err := pipeline.New(pipeline.Config{
 		Width: 128, Height: 128, MarkerSpacing: 36, Arch: platform.Blackford(),
@@ -39,7 +39,7 @@ func newEngine(t *testing.T) *pipeline.Engine {
 	return e
 }
 
-func trainedPredictor(t *testing.T) *core.Predictor {
+func trainedPredictor(t testing.TB) *core.Predictor {
 	t.Helper()
 	var sets [][]core.Observation
 	for i := 0; i < 4; i++ {

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"triplec/internal/core"
-	"triplec/internal/partition"
 	"triplec/internal/tasks"
 )
 
@@ -21,7 +20,7 @@ import (
 type steerBox struct{ src core.DemandSource }
 
 // allTaskNames caches the allocating tasks.AllNames() for the per-frame
-// steered planning path.
+// planning paths.
 var allTaskNames = tasks.AllNames()
 
 // SetDemandSource steers the manager's planning by the given forecast
@@ -78,18 +77,13 @@ func (m *Manager) DemandSourceName() string {
 func (m *Manager) planSteered(p *core.FramePrediction) Decision {
 	serial := p.TotalMs
 	if m.BudgetMs <= 0 {
-		dec := Decision{Mapping: partition.Serial(), PredictedMs: serial, SerialMs: serial}
-		m.rememberMapping(dec.Mapping)
-		return dec
+		return m.serialDecision(serial)
 	}
-	demand := make(map[tasks.Name]float64, tasks.NumNames)
-	for ti := 0; ti < tasks.NumNames; ti++ {
-		if p.Mask&(uint16(1)<<uint(ti)) == 0 {
-			continue
-		}
-		if ms := p.TaskMs[ti]; ms > 0 {
-			demand[allTaskNames[ti]] = ms
+	for ti := range m.demand {
+		m.demand[ti] = 0
+		if p.Mask&(uint16(1)<<uint(ti)) != 0 {
+			m.demand[ti] = p.TaskMs[ti]
 		}
 	}
-	return m.planWithDemand(demand, serial)
+	return m.planWithDemand(serial)
 }

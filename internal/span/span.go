@@ -227,32 +227,6 @@ type Meta struct {
 	Promotion string
 }
 
-func label(table []string, i int, prefix string) string {
-	if i >= 0 && i < len(table) {
-		return table[i]
-	}
-	if i < 0 {
-		return ""
-	}
-	return prefix + itoa(i)
-}
-
-// itoa is a tiny strconv.Itoa for small non-negative ints (label fallback
-// only — never on the recording path).
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	n := len(buf)
-	for i > 0 {
-		n--
-		buf[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[n:])
-}
-
 // PackBudgets packs up to 8 per-stream core budgets (clamped to 0..255)
 // into one uint64, byte per stream, so a rebalance instant's before and
 // after allocations each fit one packed word of a fixed-size Event.

@@ -218,17 +218,18 @@ func TestPackBudgetsRoundTrip(t *testing.T) {
 }
 
 func TestLabelFallback(t *testing.T) {
-	table := []string{"a", "b"}
-	if got := label(table, 1, "x"); got != "b" {
-		t.Errorf("label(1) = %q", got)
-	}
-	if got := label(table, 5, "x"); got != "x5" {
-		t.Errorf("label(5) = %q, want fallback x5", got)
-	}
-	if got := label(table, -1, "x"); got != "" {
-		t.Errorf("label(-1) = %q, want empty", got)
-	}
-	if got := itoa(1047); got != "1047" {
-		t.Errorf("itoa(1047) = %q", got)
+	table := [][]byte{[]byte(`"a"`), []byte(`"b"`)}
+	for _, tc := range []struct {
+		i    int
+		want string
+	}{
+		{1, `"b"`},
+		{5, `"x5"`}, // past the table: generic fallback
+		{1047, `"x1047"`},
+		{-1, `""`},
+	} {
+		if got := string(appendLabel(nil, table, tc.i, "x")); got != tc.want {
+			t.Errorf("appendLabel(%d) = %s, want %s", tc.i, got, tc.want)
+		}
 	}
 }

@@ -56,6 +56,7 @@ type controller struct {
 	mu        sync.Mutex
 	budgetsMs []float64 // per-stream frame deadline (0 until initialized)
 	reports   int
+	demands   []float64 // scratch of load
 }
 
 func newController(mm *sched.MultiManager, modelCores, rebalanceEvery int, skipOver float64, budgetsMs []float64) *controller {
@@ -91,16 +92,21 @@ func (c *controller) budgetMs(i int) float64 {
 
 // load returns the aggregate predicted core need relative to the machine:
 // 1.0 means the streams' Triple-C predictions exactly fill the cores.
-func (c *controller) load(demands []float64, budgets []float64) float64 {
+func (c *controller) load() float64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.demands = c.mm.AppendDemands(c.demands[:0])
 	need := 0
-	for j := range demands {
-		need += sched.CoreNeed(demands[j], budgets[j], c.modelCores)
+	for j, d := range c.demands {
+		need += sched.CoreNeed(d, c.budgetsMs[j], c.modelCores)
 	}
 	return float64(need) / float64(c.modelCores)
 }
 
 // directive decides stream i's action for frame frameIdx from the current
-// core allocation and the aggregate load.
+// core allocation and the aggregate load. The common outcome — the stream's
+// own need fits its allocation — reads only that stream's demand and
+// deadline and allocates nothing.
 func (c *controller) directive(i, frameIdx int) Directive {
 	cores := c.mm.BudgetFor(i)
 	if cores < 1 {
@@ -114,21 +120,14 @@ func (c *controller) directive(i, frameIdx int) Directive {
 		}
 		return Directive{Mode: ModeSerial, Cores: 1}
 	}
-	demands := c.mm.Demands()
-	c.mu.Lock()
-	budgets := make([]float64, len(c.budgetsMs))
-	copy(budgets, c.budgetsMs)
-	c.mu.Unlock()
-
-	need := sched.CoreNeed(demands[i], budgets[i], c.modelCores)
-	if need <= cores {
+	if sched.CoreNeed(c.mm.DemandFor(i), c.budgetMs(i), c.modelCores) <= cores {
 		return Directive{Mode: ModeRun, Cores: cores}
 	}
 	// This stream is under-allocated. Shedding only engages when the
 	// *aggregate* predicted demand exceeds the machine — otherwise the
 	// stream simply plans within its (tight) allocation and the regulator
 	// absorbs the difference.
-	load := c.load(demands, budgets)
+	load := c.load()
 	if load <= 1 {
 		return Directive{Mode: ModeRun, Cores: cores}
 	}

@@ -105,3 +105,25 @@ func TestControllerQuarantineFreesCores(t *testing.T) {
 		t.Fatalf("survivor directive %v/%d cores, want run/8", d.Mode, d.Cores)
 	}
 }
+
+// TestDirectiveAllocFree: the per-frame admission decision allocates nothing
+// — on the common path, where the stream's own need fits its allocation and
+// only its own demand and deadline are read, and (once the controller's
+// scratch is warm) on the under-allocated path that sizes the aggregate load.
+func TestDirectiveAllocFree(t *testing.T) {
+	fits, _ := mkController(t, 8, 4, 2.0, []float64{20, 20}, []float64{10, 10})
+	if d := fits.directive(0, 0); d.Mode != ModeRun || d.Cores != 4 {
+		t.Fatalf("directive %v/%d cores, want run/4", d.Mode, d.Cores)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { fits.directive(0, 2) }); allocs != 0 {
+		t.Fatalf("ModeRun directive allocates %v per frame, want 0", allocs)
+	}
+
+	short, _ := mkController(t, 4, 4, 2.0, []float64{40, 40}, []float64{10, 10})
+	if d := short.directive(1, 0); d.Mode != ModeSerial {
+		t.Fatalf("under-allocated directive %v, want serial", d.Mode)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { short.directive(1, 2) }); allocs != 0 {
+		t.Fatalf("under-allocated directive allocates %v per frame, want 0", allocs)
+	}
+}
