@@ -24,7 +24,6 @@ import (
 	"triplec/internal/frame"
 	"triplec/internal/markov"
 	"triplec/internal/memmodel"
-	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/sched"
 	"triplec/internal/stats"
@@ -228,14 +227,12 @@ func BenchmarkFig7SemiAutoParallel(b *testing.B) {
 	}
 	mgr.BudgetMs = 40
 	src := experiments.Source(benchSetup.seq)
+	var obs core.FrameObs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dec := mgr.Plan()
-		rep, err := eng.Process(src(i%200), dec.Mapping)
-		if err != nil {
+		if _, _, err := mgr.Step(eng, src(i%200), false, s.FramePixels(), &obs); err != nil {
 			b.Fatal(err)
 		}
-		mgr.Observe(core.FromReports([]pipeline.Report{rep}, s.FramePixels())[0])
 	}
 }
 
@@ -682,28 +679,15 @@ func BenchmarkMultiStreamThroughput(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfgs := make([]stream.Config, nStreams)
 				for j := range cfgs {
-					p, err := s.TrainPredictor()
-					if err != nil {
-						b.Fatal(err)
-					}
-					mgr, err := sched.NewManager(p, s.Arch)
-					if err != nil {
-						b.Fatal(err)
-					}
-					mgr.Sticky = true
-					eng, err := s.Engine()
-					if err != nil {
-						b.Fatal(err)
-					}
-					seq, err := s.Sequence(uint64(1000 + 31*j))
+					st, err := s.ServedStream(uint64(1000+31*j), 0)
 					if err != nil {
 						b.Fatal(err)
 					}
 					cfgs[j] = stream.Config{
 						Name:        benchName("s", j),
-						Engine:      eng,
-						Manager:     mgr,
-						Source:      experiments.Source(seq),
+						Engine:      st.Engine,
+						Manager:     st.Manager,
+						Source:      st.Source,
 						FramePixels: s.FramePixels(),
 					}
 				}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 
-	"triplec/internal/core"
 	"triplec/internal/experiments"
 	"triplec/internal/fault"
 	"triplec/internal/metrics"
@@ -100,16 +99,13 @@ func runChaos(args []string) error {
 		})
 	}
 
-	study := experiments.DefaultStudy()
-	study.TrainSeqs = *train
-	study.TrainFrames = 60
+	study := experiments.ServingStudy(*train)
 
 	// Guarded promotion under chaos: every stream gets a shadow board
 	// racing the roster (plus the deliberately miscalibrated challenger for
 	// -challenger miscal), and the controller canaries the challenger while
 	// the faults fly. The containment checks below demand it got caught.
 	var ctl *promote.Controller
-	var shadowTrain [][]core.Observation
 	if *challenger != "" {
 		name := *challenger
 		if name == "miscal" {
@@ -119,35 +115,9 @@ func runChaos(args []string) error {
 		if ctl, err = promote.NewController(promote.Config{Challenger: name}); err != nil {
 			return fmt.Errorf("chaos: %w", err)
 		}
-		if shadowTrain, err = study.TrainingSets(); err != nil {
-			return err
-		}
 	}
 
 	fmt.Fprintf(out, "training Triple-C on %d sequences x %d frames...\n", study.TrainSeqs, study.TrainFrames)
-	// One stream's engine+manager pair around a stream-private predictor
-	// (predictors are stateful and single-goroutine, like managers); the
-	// supervisor calls the closure again after a stall, re-wiring the
-	// injector hook and breaker gate exactly like the first build.
-	build := func(p *core.Predictor, hook func(task tasks.Name, frameIdx int), gate *fault.Breaker) (*pipeline.Engine, *sched.Manager, error) {
-		eng, err := study.Engine()
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr, err := sched.NewManager(p, study.Arch)
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr.Sticky = true
-		if hook != nil {
-			eng.SetTaskHook(hook)
-		}
-		if gate != nil {
-			eng.SetGate(gate)
-		}
-		return eng, mgr, nil
-	}
-
 	cfgs := make([]stream.Config, *streams)
 	for i := range cfgs {
 		var hook func(tasks.Name, int)
@@ -170,47 +140,44 @@ func runChaos(args []string) error {
 				}
 			}
 		}
-		p, err := study.TrainPredictor()
+		// The injector hook and breaker gate go onto the stream's engine and,
+		// when the supervisor rebuilds the engine+manager pair after a stall
+		// (around the same stream-private predictor), onto the replacement.
+		wire := func(eng *pipeline.Engine) {
+			if hook != nil {
+				eng.SetTaskHook(hook)
+			}
+			if gate != nil {
+				eng.SetGate(gate)
+			}
+		}
+		st, err := study.ServedStream(*seed, i)
 		if err != nil {
 			return err
 		}
-		eng, mgr, err := build(p, hook, gate)
-		if err != nil {
-			return err
-		}
-		seq, err := study.Sequence(*seed + uint64(i)*1013)
-		if err != nil {
-			return err
-		}
-		src := experiments.Source(seq)
+		p := st.Manager.Predictor()
+		wire(st.Engine)
 		name := fmt.Sprintf("healthy%d", i-*faulted)
 		if i < *faulted {
-			src = inj.ForStream(i).WrapSource(src)
+			st.Source = inj.ForStream(i).WrapSource(st.Source)
 			name = fmt.Sprintf("faulted%d", i)
 		}
 		cfgs[i] = stream.Config{
 			Name:        name,
-			Engine:      eng,
-			Manager:     mgr,
-			Source:      src,
+			Engine:      st.Engine,
+			Manager:     st.Manager,
+			Source:      st.Source,
 			FramePixels: study.FramePixels(),
 			Rebuild: func() (*pipeline.Engine, *sched.Manager, error) {
-				return build(p, hook, gate)
+				eng, mgr, err := study.ManagedEngine(p)
+				if err == nil {
+					wire(eng)
+				}
+				return eng, mgr, err
 			},
 		}
 		if ctl != nil {
-			backends, err := shadow.TrainBackends(p, shadowTrain, core.TrainConfig{})
-			if err != nil {
-				return err
-			}
-			if *challenger == "miscal" {
-				inner, err := shadow.TrainBackends(p, shadowTrain, core.TrainConfig{})
-				if err != nil {
-					return err
-				}
-				backends = append(backends, shadow.NewMiscalibrated(inner[0], 0.25))
-			}
-			board, err := shadow.NewBoard(name, backends)
+			board, err := shadow.NewStreamBoard(name, p, st.Corpus, *challenger == "miscal")
 			if err != nil {
 				return err
 			}

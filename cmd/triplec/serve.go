@@ -101,9 +101,7 @@ func runServe(args []string) error {
 		return fmt.Errorf("serve: -slo needs the telemetry layer (-metrics-addr or -metrics-csv)")
 	}
 
-	study := experiments.DefaultStudy()
-	study.TrainSeqs = *train
-	study.TrainFrames = 60
+	study := experiments.ServingStudy(*train)
 
 	var mapper sched.Mapper
 	switch *mapperName {
@@ -120,47 +118,23 @@ func runServe(args []string) error {
 	}
 
 	fmt.Printf("training Triple-C on %d sequences x %d frames...\n", study.TrainSeqs, study.TrainFrames)
-	var shadowTrain [][]core.Observation
-	if *shadowOn {
-		var err error
-		if shadowTrain, err = study.TrainingSets(); err != nil {
-			return err
-		}
-	}
 	var boards []*shadow.Board
 	cfgs := make([]stream.Config, *streams)
 	for i := range cfgs {
-		p, err := study.TrainPredictor()
-		if err != nil {
-			return err
-		}
-		mgr, err := sched.NewManager(p, study.Arch)
-		if err != nil {
-			return err
-		}
-		mgr.Sticky = true
-		eng, err := study.Engine()
-		if err != nil {
-			return err
-		}
-		seq, err := study.Sequence(*seed + uint64(i)*1013)
+		st, err := study.ServedStream(*seed, i)
 		if err != nil {
 			return err
 		}
 		cfgs[i] = stream.Config{
 			Name:        fmt.Sprintf("stream%d", i),
-			Engine:      eng,
-			Manager:     mgr,
-			Source:      experiments.Source(seq),
+			Engine:      st.Engine,
+			Manager:     st.Manager,
+			Source:      st.Source,
 			FramePixels: study.FramePixels(),
 			BudgetMs:    *budgetMs,
 		}
 		if *shadowOn {
-			backends, err := shadow.TrainBackends(p, shadowTrain, core.TrainConfig{})
-			if err != nil {
-				return err
-			}
-			board, err := shadow.NewBoard(cfgs[i].Name, backends)
+			board, err := shadow.NewStreamBoard(cfgs[i].Name, st.Manager.Predictor(), st.Corpus, false)
 			if err != nil {
 				return err
 			}

@@ -24,35 +24,20 @@ import (
 )
 
 func main() {
-	study := experiments.DefaultStudy()
-	study.TrainSeqs = 4
-	study.TrainFrames = 60
+	study := experiments.ServingStudy(4)
 
 	fmt.Println("training the shared Triple-C models once...")
 	mkApp := func(name string, seed uint64) sched.App {
-		p, err := study.TrainPredictor()
+		st, err := study.ServedStream(seed, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
-		mgr, err := sched.NewManager(p, study.Arch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := mgr.SetCoreBudget(study.Arch.NumCPUs / 2); err != nil {
-			log.Fatal(err)
-		}
-		mgr.Sticky = true
-		eng, err := study.Engine()
-		if err != nil {
-			log.Fatal(err)
-		}
-		seq, err := study.Sequence(seed)
-		if err != nil {
+		if err := st.Manager.SetCoreBudget(study.Arch.NumCPUs / 2); err != nil {
 			log.Fatal(err)
 		}
 		return sched.App{
-			Name: name, Engine: eng, Manager: mgr,
-			Source: experiments.Source(seq), FramePixels: study.FramePixels(),
+			Name: name, Engine: st.Engine, Manager: st.Manager,
+			Source: st.Source, FramePixels: study.FramePixels(),
 		}
 	}
 

@@ -23,39 +23,23 @@ import (
 
 	"triplec/internal/experiments"
 	"triplec/internal/metrics"
-	"triplec/internal/sched"
 	"triplec/internal/stream"
 )
 
 func main() {
-	study := experiments.DefaultStudy()
-	study.TrainSeqs = 4
-	study.TrainFrames = 60
+	study := experiments.ServingStudy(4)
 
 	fmt.Println("training the shared Triple-C models once...")
 	mkStream := func(name string, seed uint64, budgetMs float64) stream.Config {
-		p, err := study.TrainPredictor()
-		if err != nil {
-			log.Fatal(err)
-		}
-		mgr, err := sched.NewManager(p, study.Arch)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mgr.Sticky = true
-		eng, err := study.Engine()
-		if err != nil {
-			log.Fatal(err)
-		}
-		seq, err := study.Sequence(seed)
+		st, err := study.ServedStream(seed, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return stream.Config{
 			Name:        name,
-			Engine:      eng,
-			Manager:     mgr,
-			Source:      experiments.Source(seq),
+			Engine:      st.Engine,
+			Manager:     st.Manager,
+			Source:      st.Source,
 			FramePixels: study.FramePixels(),
 			BudgetMs:    budgetMs,
 		}

@@ -15,9 +15,9 @@ import (
 	"triplec/internal/tasks"
 )
 
-// observe runs the pipeline over a synthetic sequence and returns the
-// observation stream (serial mapping — the profiling configuration).
-func observe(t *testing.T, seed uint64, frames int) []Observation {
+// profile runs the pipeline over a synthetic sequence with the serial
+// mapping (the profiling configuration) and returns its reports.
+func profile(t *testing.T, seed uint64, frames int) []pipeline.Report {
 	t.Helper()
 	scfg := synth.DefaultConfig(seed)
 	scfg.Width, scfg.Height = 128, 128
@@ -43,7 +43,13 @@ func observe(t *testing.T, seed uint64, frames int) []Observation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return FromReports(reports, 128*128)
+	return reports
+}
+
+// observe is profile as the observation stream.
+func observe(t *testing.T, seed uint64, frames int) []Observation {
+	t.Helper()
+	return FromReports(profile(t, seed, frames), 128*128)
 }
 
 // trainSets returns n observation sequences with distinct seeds.
@@ -383,10 +389,9 @@ func TestFromReportsCarriesFields(t *testing.T) {
 	}
 }
 
-// TestFromReportIntoReusesOneObservation: refilling one Observation frame
-// after frame yields what FromReports yields — no task entry of an earlier
-// scenario survives the refill — and allocates nothing once its map exists.
-func TestFromReportIntoReusesOneObservation(t *testing.T) {
+// TestFromReportsFields: every report field lands in its observation, and
+// one report's task entries never leak into the next observation's map.
+func TestFromReportsFields(t *testing.T) {
 	reports := []pipeline.Report{
 		{
 			Scenario: flowgraph.WorstCase(), AnalysisPixels: 4096, ROI: frame.R(3, 4, 13, 24), LatencyMs: 31.5,
@@ -397,23 +402,40 @@ func TestFromReportIntoReusesOneObservation(t *testing.T) {
 			Execs: []pipeline.TaskExec{{Task: tasks.NameMKXExt, Ms: 2.5}},
 		},
 	}
-	want := FromReports(reports, 128*128)
-	var obs Observation
-	for i := range reports {
-		FromReportInto(&obs, &reports[i], 128*128)
-		if !reflect.DeepEqual(obs, want[i]) {
-			t.Fatalf("report %d: refilled observation %+v, want %+v", i, obs, want[i])
+	want := []Observation{
+		{
+			Scenario: flowgraph.WorstCase(), AnalysisPixels: 4096, EstROIPixels: 200, FramePixels: 128 * 128, TotalMs: 31.5,
+			TaskMs: map[tasks.Name]float64{tasks.NameRDGFull: 20, tasks.NameMKXExt: 7, tasks.NameENH: 4.5},
+		},
+		{
+			Scenario: flowgraph.Scenario{ROIKnown: true}, AnalysisPixels: 200, FramePixels: 128 * 128, TotalMs: 2.5,
+			TaskMs: map[tasks.Name]float64{tasks.NameMKXExt: 2.5},
+		},
+	}
+	if got := FromReports(reports, 128*128); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromReports = %+v, want %+v", got, want)
+	}
+}
+
+// TestDenseFromReportMatchesObservationDense: the serving commit path fills
+// one dense record straight from the report and feeds it to the manager and
+// the shadow board; it must equal the map observation's dense form on every
+// field Predictor.ObserveFrame and the board read, bit for bit, on real
+// engine reports (every scenario the sequence visits).
+func TestDenseFromReportMatchesObservationDense(t *testing.T) {
+	reports := profile(t, 3131, 120)
+	scenarios := map[flowgraph.Scenario]bool{}
+	for i, o := range FromReports(reports, 128*128) {
+		var want, got FrameObs
+		o.Dense(&want)
+		DenseFromReport(&reports[i], 128*128, &got)
+		if got != want {
+			t.Fatalf("frame %d: DenseFromReport %+v, Observation.Dense %+v", i, got, want)
 		}
+		scenarios[got.Scenario] = true
 	}
-	if want[0].EstROIPixels != 200 || want[0].TaskMs[tasks.NameENH] != 4.5 || want[1].EstROIPixels != 0 {
-		t.Fatalf("FromReports dropped fields: %+v", want)
-	}
-	i := 0
-	if allocs := testing.AllocsPerRun(100, func() {
-		FromReportInto(&obs, &reports[i%2], 128*128)
-		i++
-	}); allocs != 0 {
-		t.Fatalf("FromReportInto allocates %.1f times per frame, want 0", allocs)
+	if len(scenarios) < 3 {
+		t.Fatalf("only %d scenarios visited; the comparison would not cover the task sets", len(scenarios))
 	}
 }
 

@@ -30,31 +30,21 @@ type Observation struct {
 func FromReports(reports []pipeline.Report, framePixels int) []Observation {
 	out := make([]Observation, len(reports))
 	for i := range reports {
-		FromReportInto(&out[i], &reports[i], framePixels)
+		r := &reports[i]
+		taskMs := make(map[tasks.Name]float64, len(r.Execs))
+		for _, e := range r.Execs {
+			taskMs[e.Task] = e.Ms
+		}
+		out[i] = Observation{
+			Scenario:       r.Scenario,
+			AnalysisPixels: r.AnalysisPixels,
+			EstROIPixels:   r.ROI.Area(),
+			FramePixels:    framePixels,
+			TaskMs:         taskMs,
+			TotalMs:        r.LatencyMs,
+		}
 	}
 	return out
-}
-
-// FromReportInto overwrites obs with the observation of one report, reusing
-// obs.TaskMs when it has one — the allocation-free form for a commit loop
-// that observes one frame at a time and keeps a single Observation.
-func FromReportInto(obs *Observation, r *pipeline.Report, framePixels int) {
-	taskMs := obs.TaskMs
-	if taskMs == nil {
-		taskMs = make(map[tasks.Name]float64, len(r.Execs))
-	}
-	clear(taskMs)
-	for _, e := range r.Execs {
-		taskMs[e.Task] = e.Ms
-	}
-	*obs = Observation{
-		Scenario:       r.Scenario,
-		AnalysisPixels: r.AnalysisPixels,
-		EstROIPixels:   r.ROI.Area(),
-		FramePixels:    framePixels,
-		TaskMs:         taskMs,
-		TotalMs:        r.LatencyMs,
-	}
 }
 
 // ScenarioTable is the paper's "state table" for the data-dependent switch

@@ -139,33 +139,47 @@ func (s Study) TestSets() ([][]core.Observation, error) {
 	return out, nil
 }
 
-// trainCache memoizes trained predictors per study configuration (Study is
-// a comparable value type) so a multi-experiment run does not re-profile
-// the same corpus for every table and figure. Each caller receives a fresh
-// predictor restored from the cached serialized form, so online state and
-// online training never leak between experiments.
-var trainCache sync.Map // Study -> []byte (serialized predictor)
+// trainCache memoizes training per study configuration (Study is a
+// comparable value type) so a multi-experiment run — or a fleet of served
+// streams — does not re-profile the same corpus for every table, figure and
+// stream. Each caller receives a fresh predictor restored from the cached
+// serialized form, so online state and online training never leak between
+// experiments; the profiled corpus is kept beside it, shared and read-only.
+var trainCache sync.Map // Study -> trainedStudy
 
-// TrainPredictor trains a Triple-C predictor on the study corpus (cached
-// per study configuration).
-func (s Study) TrainPredictor() (*core.Predictor, error) {
-	if blob, ok := trainCache.Load(s); ok {
-		return core.Load(bytes.NewReader(blob.([]byte)))
+type trainedStudy struct {
+	blob   []byte // serialized predictor
+	corpus [][]core.Observation
+}
+
+// train returns a fresh trained predictor and the corpus it was trained on.
+func (s Study) train() (*core.Predictor, [][]core.Observation, error) {
+	if v, ok := trainCache.Load(s); ok {
+		t := v.(trainedStudy)
+		p, err := core.Load(bytes.NewReader(t.blob))
+		return p, t.corpus, err
 	}
 	sets, err := s.TrainingSets()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p, err := core.Train(sets, core.TrainConfig{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.ResetOnline()
 	var buf bytes.Buffer
 	if err := p.Save(&buf); err == nil {
-		trainCache.Store(s, buf.Bytes())
+		trainCache.Store(s, trainedStudy{blob: buf.Bytes(), corpus: sets})
 	}
-	return p, nil
+	return p, sets, nil
+}
+
+// TrainPredictor trains a Triple-C predictor on the study corpus (cached
+// per study configuration).
+func (s Study) TrainPredictor() (*core.Predictor, error) {
+	p, _, err := s.train()
+	return p, err
 }
 
 // header prints a section banner.

@@ -8,17 +8,11 @@ import (
 
 // AccountantConfig configures a per-stream prediction-error accountant.
 type AccountantConfig struct {
-	// Namespace prefixes every metric name (default "triplec").
-	Namespace string
 	// Stream is the stream label value attached to every instrument.
 	Stream string
 	// Tasks lists the task names the accountant tracks, in the dense index
 	// order the caller will use with ObserveTask/ObservePrediction.
 	Tasks []string
-	// LatencyBucketsMs overrides the frame/task latency histogram buckets.
-	LatencyBucketsMs []float64
-	// ErrorBuckets overrides the signed relative-error histogram buckets.
-	ErrorBuckets []float64
 }
 
 // Accountant is the per-stream prediction-error accountant: one
@@ -63,18 +57,9 @@ func NewAccountant(r *Registry, cfg AccountantConfig) (*Accountant, error) {
 	if r == nil {
 		return nil, errors.New("metrics: nil registry")
 	}
-	ns := cfg.Namespace
-	if ns == "" {
-		ns = "triplec"
-	}
-	latBuckets := cfg.LatencyBucketsMs
-	if latBuckets == nil {
-		latBuckets = DefaultLatencyBucketsMs()
-	}
-	errBuckets := cfg.ErrorBuckets
-	if errBuckets == nil {
-		errBuckets = DefaultSignedErrorBuckets()
-	}
+	const ns = "triplec"
+	latBuckets := DefaultLatencyBucketsMs()
+	errBuckets := DefaultSignedErrorBuckets()
 	sl := L("stream", cfg.Stream)
 	a := &Accountant{}
 	var err error

@@ -10,7 +10,7 @@
 // rate. Any breach rolls every steered manager back to the baseline with a
 // single atomic swap (effective at the very next Plan, i.e. well inside one
 // rebalance interval), applies an exponentially growing cooldown, and after
-// MaxStrikes quarantines the backend for the rest of the run. Every move is
+// three strikes quarantines the backend for the rest of the run. Every move is
 // an explicit state-machine transition — Shadow → Canary → Promoted →
 // RolledBack/Quarantined — stamped into span events, flight-recorder dump
 // metadata, /healthz and the triplec_promote_* metric families.
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"sync"
 
 	"triplec/internal/core"
@@ -29,6 +28,7 @@ import (
 	"triplec/internal/sched"
 	"triplec/internal/shadow"
 	"triplec/internal/span"
+	"triplec/internal/stats"
 )
 
 // State is a promotion state-machine position. The values mirror the
@@ -60,10 +60,26 @@ func ParseState(s string) (State, error) {
 // guardWindow is the sliding-window length of every guardrail SLO, matching
 // the shadow board's rolling regret window and the serving layer's rolling
 // miss window.
-const guardWindow = 64
+const guardWindow = stats.BitWindowSize
 
 // maxCooldownFrames caps the exponential rollback cooldown.
 const maxCooldownFrames = 1 << 20
+
+// The guardrail bars no deployment tunes. The forecast-quality floors apply
+// in fixed mode; AdaptiveGuards derives them from the baseline instead.
+const (
+	minAccuracy = 0.40 // rolling within-25% forecast-accuracy floor of the steering backend
+	maxAbsBias  = 0.50 // bound on |mean signed relative error| over the window
+	minHitRate  = 0.40 // rolling scenario-hit-rate floor
+	maxStrikes  = 3    // rollbacks after which a backend is quarantined for the run
+
+	// adaptiveWindows is how many trailing 64-frame baseline windows the
+	// adaptive thresholds are computed over, and adaptiveMargin how far a
+	// baseline percentile p is widened before it becomes a threshold:
+	// p ± max(adaptiveMargin·p, 0.05).
+	adaptiveWindows = 8
+	adaptiveMargin  = 0.25
+)
 
 // Config tunes the controller. The zero value of any field takes the
 // documented default.
@@ -88,39 +104,17 @@ type Config struct {
 	// MaxMissRate is the rolling deadline-miss-rate guard over steered
 	// streams' served frames (default 0.25).
 	MaxMissRate float64
-	// MinAccuracy is the rolling within-25% forecast-accuracy floor for the
-	// steering backend (default 0.40).
-	MinAccuracy float64
-	// MaxAbsBias bounds |mean signed relative error| of the steering
-	// backend over the window (default 0.50).
-	MaxAbsBias float64
-	// MinHitRate is the rolling scenario-hit-rate floor for the steering
-	// backend (default 0.40).
-	MinHitRate float64
 	// CooldownFrames is the post-rollback cooldown before the same backend
 	// may re-enter a canary; it doubles per strike on that backend
 	// (default 128).
 	CooldownFrames int
-	// MaxStrikes quarantines a backend after this many rollbacks
-	// (default 3).
-	MaxStrikes int
-	// TailGuard feeds the quantile-P90 backend's forecast into every
-	// manager's PredictedDemandMs tail guard, whether or not that backend
-	// is promoted, so skip/serial decisions provision for predicted tails.
-	TailGuard bool
-	// AdaptiveGuards derives MaxMissRate/MinAccuracy/MaxAbsBias/MinHitRate
-	// from the deployed baseline's own trailing windows instead of the
-	// fixed constants above: the guard tracks scene difficulty, so a hard
-	// sequence is not mistaken for a challenger regression. While the
-	// baseline history is still warming up (fewer than two folded
-	// windows), canary entry waits.
+	// AdaptiveGuards derives the miss-rate, accuracy, bias and hit-rate
+	// bars from the deployed baseline's own trailing windows instead of
+	// MaxMissRate and the fixed floors: the guard tracks scene difficulty,
+	// so a hard sequence is not mistaken for a challenger regression.
+	// While the baseline history is still warming up (fewer than two
+	// folded windows), canary entry waits.
 	AdaptiveGuards bool
-	// AdaptiveWindows is K, how many trailing 64-frame baseline windows
-	// the derived thresholds are computed over (default 8, max 16).
-	AdaptiveWindows int
-	// AdaptiveMargin widens the baseline percentile before it becomes a
-	// threshold: derived = p ± max(AdaptiveMargin·p, 0.05) (default 0.25).
-	AdaptiveMargin float64
 }
 
 func (c Config) withDefaults() Config {
@@ -148,32 +142,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxMissRate <= 0 || math.IsNaN(c.MaxMissRate) {
 		c.MaxMissRate = 0.25
 	}
-	if c.MinAccuracy <= 0 || math.IsNaN(c.MinAccuracy) {
-		c.MinAccuracy = 0.40
-	}
-	if c.MaxAbsBias <= 0 || math.IsNaN(c.MaxAbsBias) {
-		c.MaxAbsBias = 0.50
-	}
-	if c.MinHitRate <= 0 || math.IsNaN(c.MinHitRate) {
-		c.MinHitRate = 0.40
-	}
 	if c.CooldownFrames <= 0 {
 		c.CooldownFrames = 128
-	}
-	if c.MaxStrikes <= 0 {
-		c.MaxStrikes = 3
-	}
-	if c.AdaptiveWindows <= 0 {
-		c.AdaptiveWindows = 8
-	}
-	if c.AdaptiveWindows < 2 {
-		c.AdaptiveWindows = 2
-	}
-	if c.AdaptiveWindows > maxAdaptiveWindows {
-		c.AdaptiveWindows = maxAdaptiveWindows
-	}
-	if c.AdaptiveMargin <= 0 || math.IsNaN(c.AdaptiveMargin) {
-		c.AdaptiveMargin = 0.25
 	}
 	return c
 }
@@ -196,36 +166,6 @@ func (t Transition) String() string {
 	return fmt.Sprintf("[%03d] frame=%-6d %-11s -> %-11s backend=%-16s %s",
 		t.Seq, t.Frame, t.From, t.To, t.Backend, t.Reason)
 }
-
-// bitWindow is a 64-sample boolean sliding window (newest bit lowest).
-type bitWindow struct {
-	bitsw uint64
-	n     int
-}
-
-func (w *bitWindow) push(b bool) {
-	bit := uint64(0)
-	if b {
-		bit = 1
-	}
-	w.bitsw = w.bitsw<<1 | bit
-	if w.n < guardWindow {
-		w.n++
-	}
-}
-
-func (w *bitWindow) rate() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	v := w.bitsw
-	if w.n < guardWindow {
-		v &= (uint64(1) << uint(w.n)) - 1
-	}
-	return float64(bits.OnesCount64(v)) / float64(w.n)
-}
-
-func (w *bitWindow) reset() { *w = bitWindow{} }
 
 // meanWindow is a 64-sample sliding mean with a running sum.
 type meanWindow struct {
@@ -254,27 +194,19 @@ func (w *meanWindow) mean() float64 {
 
 func (w *meanWindow) reset() { *w = meanWindow{} }
 
-// maxAdaptiveWindows caps Config.AdaptiveWindows so the percentile scratch
-// buffer fits on the stack.
-const maxAdaptiveWindows = 16
-
-// statRing keeps the last k folded baseline-window statistics and answers
-// percentile queries over them. Push and percentile are allocation-free
-// (the sort scratch is a stack array).
+// statRing keeps the last adaptiveWindows folded baseline-window statistics
+// and answers percentile queries over them. Push and percentile are
+// allocation-free (the sort scratch is a stack array).
 type statRing struct {
-	vals [maxAdaptiveWindows]float64
-	k    int
+	vals [adaptiveWindows]float64
 	idx  int
 	n    int
 }
 
 func (r *statRing) push(v float64) {
-	if r.k <= 0 || r.k > maxAdaptiveWindows {
-		r.k = maxAdaptiveWindows
-	}
 	r.vals[r.idx] = v
-	r.idx = (r.idx + 1) % r.k
-	if r.n < r.k {
+	r.idx = (r.idx + 1) % adaptiveWindows
+	if r.n < adaptiveWindows {
 		r.n++
 	}
 }
@@ -285,7 +217,7 @@ func (r *statRing) percentile(q float64) float64 {
 	if r.n == 0 {
 		return 0
 	}
-	var buf [maxAdaptiveWindows]float64
+	var buf [adaptiveWindows]float64
 	copy(buf[:r.n], r.vals[:r.n])
 	for i := 1; i < r.n; i++ {
 		v := buf[i]
@@ -347,18 +279,18 @@ type Controller struct {
 	quarantined []bool   // per slot: out for the rest of the run
 	cooldown    []uint64 // per slot: next cooldown length (doubles per strike)
 
-	missWin bitWindow  // served deadline misses on steered streams
-	accWin  bitWindow  // challenger within-25% forecasts
-	hitWin  bitWindow  // challenger scenario hits
-	biasWin meanWindow // challenger signed relative error
+	missWin stats.BitWindow // served deadline misses on steered streams
+	accWin  stats.BitWindow // challenger within-25% forecasts
+	hitWin  stats.BitWindow // challenger scenario hits
+	biasWin meanWindow      // challenger signed relative error
 
 	// Adaptive-guard baseline history (AdaptiveGuards only): unsteered
 	// served frames and the baseline slot's forecast scores feed trailing
 	// 64-frame windows, which fold into K-deep stat rings the derived
 	// thresholds are computed from.
-	baseMissWin bitWindow
-	baseAccWin  bitWindow
-	baseHitWin  bitWindow
+	baseMissWin stats.BitWindow
+	baseAccWin  stats.BitWindow
+	baseHitWin  stats.BitWindow
 	baseBiasWin meanWindow
 	baseServed  int // unsteered served frames since the last miss fold
 	baseScored  int // baseline scored frames since the last score fold
@@ -380,12 +312,7 @@ func NewController(cfg Config) (*Controller, error) {
 	if cfg.Challenger == core.BackendBaseline {
 		return nil, fmt.Errorf("promote: challenger %q is the deployed baseline — nothing to promote", cfg.Challenger)
 	}
-	c := &Controller{cfg: cfg, named: -1, challenger: -1, state: StateShadow}
-	c.missHist.k = cfg.AdaptiveWindows
-	c.accHist.k = cfg.AdaptiveWindows
-	c.biasHist.k = cfg.AdaptiveWindows
-	c.hitHist.k = cfg.AdaptiveWindows
-	return c, nil
+	return &Controller{cfg: cfg, named: -1, challenger: -1, state: StateShadow}, nil
 }
 
 // AttachStream registers one stream's shadow board and manager. Stream
@@ -426,18 +353,12 @@ func (c *Controller) AttachStream(name string, board *shadow.Board, mgr *sched.M
 	}
 	i := len(c.streams)
 	c.streams = append(c.streams, attached{name: name, board: board, mgr: mgr})
-	if c.cfg.TailGuard {
-		if q := board.SlotOf(shadow.BackendQuantile); q > 0 {
-			mgr.SetTailGuard(board.Steer(q))
-		}
-	}
 	board.SetObserver(func(fs *shadow.FrameScore) { c.observeScores(i, fs) })
 	return nil
 }
 
 // Rewire swaps in a rebuilt manager for stream i (supervisor restarts
-// replace the engine+manager pair) and re-applies steering and the tail
-// guard. Nil-safe.
+// replace the engine+manager pair) and re-applies steering. Nil-safe.
 func (c *Controller) Rewire(i int, mgr *sched.Manager) {
 	if c == nil || mgr == nil {
 		return
@@ -449,11 +370,6 @@ func (c *Controller) Rewire(i int, mgr *sched.Manager) {
 	}
 	st := &c.streams[i]
 	st.mgr = mgr
-	if c.cfg.TailGuard {
-		if q := st.board.SlotOf(shadow.BackendQuantile); q > 0 {
-			mgr.SetTailGuard(st.board.Steer(q))
-		}
-	}
 	if st.steered && c.challenger > 0 {
 		mgr.SetDemandSource(st.board.Steer(c.challenger))
 	}
@@ -551,18 +467,18 @@ func (c *Controller) observeScores(stream int, fs *shadow.FrameScore) {
 	if c.cfg.AdaptiveGuards && n > 0 {
 		sc0 := &fs.Scores[0]
 		if sc0.RelOK {
-			c.baseAccWin.push(sc0.Within25)
+			c.baseAccWin.Push(sc0.Within25)
 			c.baseBiasWin.push(sc0.SignedRel)
 		}
-		c.baseHitWin.push(sc0.ScenarioHit)
+		c.baseHitWin.Push(sc0.ScenarioHit)
 		c.baseScored++
 		if c.baseScored%guardWindow == 0 {
-			if c.baseAccWin.n > 0 {
-				c.accHist.push(c.baseAccWin.rate())
+			if acc, n := c.baseAccWin.Rate(); n > 0 {
+				c.accHist.push(acc)
 				c.biasHist.push(math.Abs(c.baseBiasWin.mean()))
 			}
-			if c.baseHitWin.n > 0 {
-				c.hitHist.push(c.baseHitWin.rate())
+			if hit, n := c.baseHitWin.Rate(); n > 0 {
+				c.hitHist.push(hit)
 			}
 		}
 	}
@@ -578,10 +494,10 @@ func (c *Controller) observeScores(stream int, fs *shadow.FrameScore) {
 			return
 		}
 		if sc.RelOK {
-			c.accWin.push(sc.Within25)
+			c.accWin.Push(sc.Within25)
 			c.biasWin.push(sc.SignedRel)
 		}
-		c.hitWin.push(sc.ScenarioHit)
+		c.hitWin.Push(sc.ScenarioHit)
 	}
 	c.stepLocked()
 }
@@ -599,16 +515,17 @@ func (c *Controller) ObserveServed(stream int, missed bool) {
 	if c.cfg.AdaptiveGuards && !steered {
 		// Baseline-served frame: its deadline verdict calibrates the
 		// adaptive miss-rate guard.
-		c.baseMissWin.push(missed)
+		c.baseMissWin.Push(missed)
 		c.baseServed++
-		if c.baseServed%guardWindow == 0 && c.baseMissWin.n == guardWindow {
-			c.missHist.push(c.baseMissWin.rate())
+		if c.baseServed%guardWindow == 0 { // never reset, so the window is full here
+			miss, _ := c.baseMissWin.Rate()
+			c.missHist.push(miss)
 		}
 	}
 	if !steered {
 		return
 	}
-	c.missWin.push(missed)
+	c.missWin.Push(missed)
 	c.checkGuardrailsLocked()
 }
 
@@ -734,15 +651,15 @@ func (c *Controller) applySteerLocked() {
 }
 
 func (c *Controller) resetWindowsLocked() {
-	c.missWin.reset()
-	c.accWin.reset()
-	c.hitWin.reset()
+	c.missWin.Reset()
+	c.accWin.Reset()
+	c.hitWin.Reset()
 	c.biasWin.reset()
 }
 
-// guardVals is the effective guardrail threshold set: the Config constants
-// in fixed mode, the baseline-derived values in adaptive mode once the
-// history is deep enough.
+// guardVals is the effective guardrail threshold set: Config.MaxMissRate and
+// the fixed floors in fixed mode, the baseline-derived values in adaptive
+// mode once the history is deep enough.
 type guardVals struct {
 	MaxMissRate float64
 	MinAccuracy float64
@@ -757,14 +674,14 @@ type guardVals struct {
 // breach bars sit one widened percentile beyond the baseline's own trailing
 // behaviour: p95 of per-window miss rate / |bias| on the high side, p5 of
 // accuracy / hit rate on the low side, each pushed out by
-// max(AdaptiveMargin·p, 0.05) so a challenger is only ever punished for
+// max(adaptiveMargin·p, 0.05) so a challenger is only ever punished for
 // being clearly worse than the baseline on comparable scenes.
 func (c *Controller) guardsLocked() guardVals {
 	g := guardVals{
 		MaxMissRate: c.cfg.MaxMissRate,
-		MinAccuracy: c.cfg.MinAccuracy,
-		MaxAbsBias:  c.cfg.MaxAbsBias,
-		MinHitRate:  c.cfg.MinHitRate,
+		MinAccuracy: minAccuracy,
+		MaxAbsBias:  maxAbsBias,
+		MinHitRate:  minHitRate,
 		Adaptive:    c.cfg.AdaptiveGuards,
 		Ready:       true,
 	}
@@ -783,7 +700,7 @@ func (c *Controller) guardsLocked() guardVals {
 		return g
 	}
 	widen := func(p float64) float64 {
-		w := c.cfg.AdaptiveMargin * p
+		w := adaptiveMargin * p
 		if w < 0.05 {
 			w = 0.05
 		}
@@ -827,17 +744,13 @@ func (c *Controller) checkGuardrailsLocked() bool {
 	if g.Adaptive {
 		tag = " (baseline-derived)"
 	}
-	if c.missWin.n >= c.cfg.MinSamples {
-		if r := c.missWin.rate(); r > g.MaxMissRate {
-			c.rollbackLocked(fmt.Sprintf("deadline-miss rate %.3f > %.3f%s over %d frames", r, g.MaxMissRate, tag, c.missWin.n))
-			return true
-		}
+	if r, n := c.missWin.Rate(); n >= c.cfg.MinSamples && r > g.MaxMissRate {
+		c.rollbackLocked(fmt.Sprintf("deadline-miss rate %.3f > %.3f%s over %d frames", r, g.MaxMissRate, tag, n))
+		return true
 	}
-	if c.accWin.n >= c.cfg.MinSamples {
-		if a := c.accWin.rate(); a < g.MinAccuracy {
-			c.rollbackLocked(fmt.Sprintf("within-25%% accuracy %.3f < %.3f%s over %d frames", a, g.MinAccuracy, tag, c.accWin.n))
-			return true
-		}
+	if a, n := c.accWin.Rate(); n >= c.cfg.MinSamples && a < g.MinAccuracy {
+		c.rollbackLocked(fmt.Sprintf("within-25%% accuracy %.3f < %.3f%s over %d frames", a, g.MinAccuracy, tag, n))
+		return true
 	}
 	if c.biasWin.n >= c.cfg.MinSamples {
 		if b := c.biasWin.mean(); math.Abs(b) > g.MaxAbsBias {
@@ -845,11 +758,9 @@ func (c *Controller) checkGuardrailsLocked() bool {
 			return true
 		}
 	}
-	if c.hitWin.n >= c.cfg.MinSamples {
-		if h := c.hitWin.rate(); h < g.MinHitRate {
-			c.rollbackLocked(fmt.Sprintf("scenario hit rate %.3f < %.3f%s over %d frames", h, g.MinHitRate, tag, c.hitWin.n))
-			return true
-		}
+	if h, n := c.hitWin.Rate(); n >= c.cfg.MinSamples && h < g.MinHitRate {
+		c.rollbackLocked(fmt.Sprintf("scenario hit rate %.3f < %.3f%s over %d frames", h, g.MinHitRate, tag, n))
+		return true
 	}
 	return false
 }
@@ -879,14 +790,14 @@ func (c *Controller) rollbackLocked(reason string) {
 	if c.inst != nil && c.inst.strikes[slot] != nil {
 		c.inst.strikes[slot].Inc()
 	}
-	if c.strikes[slot] >= c.cfg.MaxStrikes {
+	if c.strikes[slot] >= maxStrikes {
 		c.quarantined[slot] = true
 		c.transitionLocked(StateQuarantined, slot,
-			fmt.Sprintf("%s; strike %d/%d — backend quarantined for the run", reason, c.strikes[slot], c.cfg.MaxStrikes))
+			fmt.Sprintf("%s; strike %d/%d — backend quarantined for the run", reason, c.strikes[slot], maxStrikes))
 		return
 	}
 	c.transitionLocked(StateRolledBack, slot,
-		fmt.Sprintf("%s; strike %d/%d, cooldown %d frames", reason, c.strikes[slot], c.cfg.MaxStrikes, cd))
+		fmt.Sprintf("%s; strike %d/%d, cooldown %d frames", reason, c.strikes[slot], maxStrikes, cd))
 }
 
 func (c *Controller) slotNameLocked(slot int) string {
@@ -1005,17 +916,11 @@ func (c *Controller) Status() Status {
 		CanaryStreams: c.steeredCountLocked(),
 		Frame:         c.frame,
 		Transitions:   len(c.log),
-		Window: GuardWindow{
-			MissRate:    c.missWin.rate(),
-			MissSamples: c.missWin.n,
-			Accuracy:    c.accWin.rate(),
-			AccSamples:  c.accWin.n,
-			Bias:        c.biasWin.mean(),
-			BiasSamples: c.biasWin.n,
-			HitRate:     c.hitWin.rate(),
-			HitSamples:  c.hitWin.n,
-		},
+		Window:        GuardWindow{Bias: c.biasWin.mean(), BiasSamples: c.biasWin.n},
 	}
+	st.Window.MissRate, st.Window.MissSamples = c.missWin.Rate()
+	st.Window.Accuracy, st.Window.AccSamples = c.accWin.Rate()
+	st.Window.HitRate, st.Window.HitSamples = c.hitWin.Rate()
 	g := c.guardsLocked()
 	st.GuardMode = "fixed"
 	if g.Adaptive {

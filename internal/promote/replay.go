@@ -1,29 +1,24 @@
 package promote
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"triplec/internal/core"
 	"triplec/internal/experiments"
 	"triplec/internal/fault"
-	"triplec/internal/frame"
-	"triplec/internal/partition"
-	"triplec/internal/pipeline"
-	"triplec/internal/sched"
 	"triplec/internal/shadow"
-	"triplec/internal/tasks"
 )
 
 // Replay runs the full promotion state machine over a recorded synthetic
-// trace deterministically: every stream is served round-robin from a single
-// goroutine, the fault injector's spikes are overlaid onto the modeled
-// frame latency instead of sleeping on the wall clock, and the transition
-// log is written as transitions happen — so two runs with the same
-// ReplayConfig produce byte-identical logs. This is the `triplec promote`
-// subcommand's engine and the determinism/rollback-latency test bed.
+// trace deterministically, on the fleet driver the SLO drill shares
+// (experiments.Fleet: every stream served round-robin from a single
+// goroutine by the runtime manager's own frame step, the fault injector's
+// spikes overlaid onto the modeled frame latency instead of sleeping on the
+// wall clock). The transition log is written as transitions happen — so two
+// runs with the same ReplayConfig produce byte-identical logs. This is the
+// `triplec promote` subcommand's engine and the determinism/rollback-latency
+// test bed.
 
 // ReplayConfig parameterizes a deterministic promotion replay.
 type ReplayConfig struct {
@@ -38,9 +33,6 @@ type ReplayConfig struct {
 	// (shadow.BackendMiscal) to every roster and names it the challenger —
 	// the forced-rollback drill.
 	Miscalibrate bool
-	// MiscalFactor scales the miscalibrated challenger's forecasts
-	// (default 0.25: plans sized for a quarter of the true demand).
-	MiscalFactor float64
 	// Promote tunes the controller. Challenger is overridden to
 	// shadow.BackendMiscal when Miscalibrate is set.
 	Promote Config
@@ -48,25 +40,6 @@ type ReplayConfig struct {
 	// durations are added to the modeled frame latency (no wall-clock
 	// sleeps), panics fail the frame like the serving layer does.
 	Fault *fault.Config
-}
-
-func (c ReplayConfig) withDefaults() ReplayConfig {
-	if c.Streams <= 0 {
-		c.Streams = 2
-	}
-	if c.Frames <= 0 {
-		c.Frames = 240
-	}
-	if c.Seed == 0 {
-		c.Seed = 11
-	}
-	if c.Train <= 0 {
-		c.Train = 2
-	}
-	if c.MiscalFactor <= 0 {
-		c.MiscalFactor = 0.25
-	}
-	return c
 }
 
 // ReplayResult summarizes a replay.
@@ -101,35 +74,13 @@ func (r *ReplayResult) PostRollbackMissRate() float64 {
 	return float64(r.PostRollbackMisses) / float64(r.PostRollbackFrames)
 }
 
-// replayStream is one stream's serving state in the round-robin loop.
-type replayStream struct {
-	eng       *pipeline.Engine
-	mgr       *sched.Manager
-	board     *shadow.Board
-	src       func(int) *frame.Frame
-	obs       core.FrameObs
-	processed int
-}
-
 // Replay builds the fleet, runs the state machine over frames*streams
 // serving steps and returns the result plus the controller. Transition-log
 // lines stream to logW as they happen (pass io.Discard to skip).
 func Replay(cfg ReplayConfig, logW io.Writer) (*ReplayResult, *Controller, error) {
-	cfg = cfg.withDefaults()
 	if logW == nil {
 		logW = io.Discard
 	}
-
-	study := experiments.DefaultStudy()
-	study.TrainSeqs = cfg.Train
-	study.TrainFrames = 60
-	fp := study.FramePixels()
-
-	train, err := study.TrainingSets()
-	if err != nil {
-		return nil, nil, err
-	}
-
 	pcfg := cfg.Promote
 	if cfg.Miscalibrate {
 		pcfg.Challenger = shadow.BackendMiscal
@@ -138,73 +89,21 @@ func Replay(cfg ReplayConfig, logW io.Writer) (*ReplayResult, *Controller, error
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Fault plan: spikes accumulate into a per-stream latency overlay
-	// instead of sleeping, so the replay is wall-clock free and the
-	// "latency" a spiked frame is judged on is the modeled time plus the
-	// injected spike — exactly what the guardrails must catch.
-	spikeOverlay := make([]float64, cfg.Streams)
-	var baseInj *fault.Injector
-	if cfg.Fault != nil {
-		baseInj, err = fault.New(*cfg.Fault)
-		if err != nil {
-			return nil, nil, err
-		}
-		spikeMs := cfg.Fault.SpikeMs
-		if spikeMs == 0 {
-			spikeMs = 25 // the injector's own default
-		}
-		baseInj.SetSleep(func(time.Duration) {})
-		baseInj.SetOnFault(func(si int, _ tasks.Name, _ int, kind fault.Kind) {
-			if kind == fault.KindSpike && si >= 0 && si < len(spikeOverlay) {
-				spikeOverlay[si] += spikeMs
-			}
-		})
+	fleet, err := experiments.NewFleet(experiments.FleetConfig{
+		Streams: cfg.Streams, Frames: cfg.Frames, Seed: cfg.Seed, Train: cfg.Train,
+		BudgetMs: cfg.BudgetMs, Fault: cfg.Fault,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-
-	streams := make([]*replayStream, cfg.Streams)
-	for i := range streams {
-		p, err := study.TrainPredictor()
+	boards := make([]*shadow.Board, len(fleet.Streams))
+	for i, st := range fleet.Streams {
+		board, err := shadow.NewStreamBoard(fmt.Sprintf("stream%d", i), st.Manager.Predictor(), st.Corpus, cfg.Miscalibrate)
 		if err != nil {
 			return nil, nil, err
 		}
-		mgr, err := sched.NewManager(p, study.Arch)
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr.Sticky = true
-		mgr.BudgetMs = cfg.BudgetMs
-		eng, err := study.Engine()
-		if err != nil {
-			return nil, nil, err
-		}
-		seq, err := study.Sequence(cfg.Seed + uint64(i)*1013)
-		if err != nil {
-			return nil, nil, err
-		}
-		src := experiments.Source(seq)
-		if baseInj != nil {
-			inj := baseInj.ForStream(i)
-			eng.SetTaskHook(inj.BeforeTask)
-			src = inj.WrapSource(src)
-		}
-		backends, err := shadow.TrainBackends(p, train, core.TrainConfig{})
-		if err != nil {
-			return nil, nil, err
-		}
-		if cfg.Miscalibrate {
-			inner, err := shadow.TrainBackends(p, train, core.TrainConfig{})
-			if err != nil {
-				return nil, nil, err
-			}
-			backends = append(backends, shadow.NewMiscalibrated(inner[0], cfg.MiscalFactor))
-		}
-		board, err := shadow.NewBoard(fmt.Sprintf("stream%d", i), backends)
-		if err != nil {
-			return nil, nil, err
-		}
-		streams[i] = &replayStream{eng: eng, mgr: mgr, board: board, src: src}
-		if err := ctl.AttachStream(board.Stream(), board, mgr); err != nil {
+		boards[i] = board
+		if err := ctl.AttachStream(board.Stream(), board, st.Manager); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -216,8 +115,8 @@ func Replay(cfg ReplayConfig, logW io.Writer) (*ReplayResult, *Controller, error
 	})
 
 	res := &ReplayResult{
-		Streams:           cfg.Streams,
-		Frames:            cfg.Frames,
+		Streams:           fleet.Config.Streams,
+		Frames:            fleet.Config.Frames,
 		RollbackFrame:     -1,
 		RollbackLagFrames: -1,
 	}
@@ -226,81 +125,55 @@ func Replay(cfg ReplayConfig, logW io.Writer) (*ReplayResult, *Controller, error
 	pendingLag := false
 	lagSteps := 0
 
-	for fi := 0; fi < cfg.Frames; fi++ {
-		for si, st := range streams {
-			var dec sched.Decision
-			if st.processed == 0 {
-				dec = sched.Decision{Mapping: partition.Serial()}
-			} else {
-				dec = st.mgr.Plan()
-			}
-			spikeOverlay[si] = 0
-			f := st.src(fi)
-			if f == nil {
-				return nil, nil, fmt.Errorf("promote: stream %d frame %d: nil source frame", si, fi)
-			}
-			rep, perr := st.eng.Process(f, dec.Mapping)
-			if perr != nil {
-				var te *pipeline.TaskError
-				if errors.As(perr, &te) {
-					res.Failed++
-					if rolledBack {
-						res.PostRollbackFrames++
-					}
-					continue
-				}
-				return nil, nil, fmt.Errorf("promote: stream %d frame %d: %w", si, fi, perr)
-			}
-			if st.processed == 0 && st.mgr.BudgetMs <= 0 {
-				st.mgr.InitBudget(rep.LatencyMs)
-			}
-			st.processed++
-			res.Processed++
-			st.mgr.Observe(core.FromReports([]pipeline.Report{rep}, fp)[0])
-			core.DenseFromReport(&rep, fp, &st.obs)
-			st.board.ObserveFrame(&st.obs) // drives the controller via the board observer
-			lat := rep.LatencyMs + spikeOverlay[si]
-			missed := st.mgr.BudgetMs > 0 && lat > st.mgr.BudgetMs
-			if missed {
-				res.Misses++
-			}
-			ctl.ObserveServed(si, missed)
+	err = fleet.Run(func(fr *experiments.FleetFrame) {
+		if rolledBack {
+			res.PostRollbackFrames++
+		}
+		if fr.Failed {
+			res.Failed++
+			return
+		}
+		res.Processed++
+		boards[fr.Stream].ObserveFrame(&fr.Obs) // drives the controller via the board observer
+		ctl.ObserveServed(fr.Stream, fr.Missed)
+		if fr.Missed {
+			res.Misses++
 			if rolledBack {
-				res.PostRollbackFrames++
-				if missed {
-					res.PostRollbackMisses++
-				}
-			}
-
-			// Rollback-latency accounting: after the first rollback, count
-			// serving steps until every manager plans from the baseline again.
-			if ts := ctl.Transitions(); len(ts) > seenTransitions {
-				for _, t := range ts[seenTransitions:] {
-					if !rolledBack && (t.To == StateRolledBack || t.To == StateQuarantined) {
-						rolledBack = true
-						pendingLag = true
-						lagSteps = 0
-						res.RollbackFrame = int(t.Frame)
-					}
-				}
-				seenTransitions = len(ts)
-			}
-			if pendingLag {
-				allBaseline := true
-				for _, other := range streams {
-					if other.mgr.DemandSourceName() != core.BackendBaseline {
-						allBaseline = false
-						break
-					}
-				}
-				if allBaseline {
-					res.RollbackLagFrames = lagSteps
-					pendingLag = false
-				} else {
-					lagSteps++
-				}
+				res.PostRollbackMisses++
 			}
 		}
+
+		// Rollback-latency accounting: after the first rollback, count
+		// serving steps until every manager plans from the baseline again.
+		if ts := ctl.Transitions(); len(ts) > seenTransitions {
+			for _, t := range ts[seenTransitions:] {
+				if !rolledBack && (t.To == StateRolledBack || t.To == StateQuarantined) {
+					rolledBack = true
+					pendingLag = true
+					lagSteps = 0
+					res.RollbackFrame = int(t.Frame)
+				}
+			}
+			seenTransitions = len(ts)
+		}
+		if pendingLag {
+			allBaseline := true
+			for _, other := range fleet.Streams {
+				if other.Manager.DemandSourceName() != core.BackendBaseline {
+					allBaseline = false
+					break
+				}
+			}
+			if allBaseline {
+				res.RollbackLagFrames = lagSteps
+				pendingLag = false
+			} else {
+				lagSteps++
+			}
+		}
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("promote: %w", err)
 	}
 	if logErr != nil {
 		return nil, nil, logErr

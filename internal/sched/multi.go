@@ -100,36 +100,22 @@ func RunMultiApp(apps []App, n int) (MultiResult, error) {
 	}
 
 	out := MultiResult{PerApp: make([]Result, len(apps))}
+	var obs core.FrameObs
 	for i := 0; i < n; i++ {
 		peak := 0
 		for ai := range apps {
 			a := &apps[ai]
-			var dec Decision
-			if i == 0 {
-				dec = Decision{Mapping: partition.Serial()}
-			} else {
-				dec = a.Manager.Plan()
-			}
-			rep, err := a.Engine.Process(a.Source(i), dec.Mapping)
+			dec, rep, err := a.Manager.Step(a.Engine, a.Source(i), i == 0, a.FramePixels, &obs)
 			if err != nil {
 				return MultiResult{}, fmt.Errorf("sched: app %q frame %d: %w", a.Name, i, err)
 			}
-			if i == 0 && a.Manager.BudgetMs <= 0 {
-				a.Manager.InitBudget(rep.LatencyMs)
-			}
-			a.Manager.Observe(core.FromReports([]pipeline.Report{rep}, a.FramePixels)[0])
-			res := &out.PerApp[ai]
-			res.Reports = append(res.Reports, rep)
-			res.Decisions = append(res.Decisions, dec)
-			res.Processing = append(res.Processing, rep.LatencyMs)
+			out.PerApp[ai].add(dec, rep)
 			peak += CoresUsed(dec.Mapping)
 		}
 		out.PeakCores = append(out.PeakCores, peak)
 	}
 	for ai := range apps {
-		res := &out.PerApp[ai]
-		res.Regulator.BudgetMs = apps[ai].Manager.BudgetMs
-		res.Output = res.Regulator.Regulate(res.Processing)
+		out.PerApp[ai].regulate(apps[ai].Manager.BudgetMs)
 	}
 	return out, nil
 }

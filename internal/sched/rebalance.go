@@ -29,24 +29,17 @@ import (
 // offline-trained table still predicts a switch back to the full pipeline.
 // Before any observation it falls back to the worst-case forecast. A
 // steering source (promoted shadow backend, see steer.go) replaces the
-// predictor here too, and an installed tail guard raises the reported
-// demand to its total forecast whenever that is larger — so the skip/serial
-// controller and the core arbiter provision for the predicted P90 tail
-// instead of the mean.
+// predictor here too.
 func (m *Manager) PredictedDemandMs() float64 {
-	var d float64
 	if src := m.demandSource(); src != nil && src.DemandInto(&m.demandPred) {
-		d = m.demandPred.TotalMs
-	} else if last, ok := m.predictor.LastScenario(); ok {
-		_, d = m.predictor.PredictTasksInto(core.TaskMask(last), m.predictor.NextContext(), &m.demandPred.TaskMs)
-	} else {
-		m.predictor.PredictNextInto(&m.demandPred)
-		d = m.demandPred.TotalMs
+		return m.demandPred.TotalMs
 	}
-	if tg := m.tailSource(); tg != nil && tg.DemandInto(&m.demandPred) && m.demandPred.TotalMs > d {
-		d = m.demandPred.TotalMs
+	if last, ok := m.predictor.LastScenario(); ok {
+		_, d := m.predictor.PredictTasksInto(core.TaskMask(last), m.predictor.NextContext(), &m.demandPred.TaskMs)
+		return d
 	}
-	return d
+	m.predictor.PredictNextInto(&m.demandPred)
+	return m.demandPred.TotalMs
 }
 
 // SplitCores divides total cores across applications proportionally to

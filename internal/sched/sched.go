@@ -67,11 +67,9 @@ type Manager struct {
 	lastMapping partition.Mapping
 	lastK       [tasks.NumNames]int
 
-	// Live-swappable forecast sources (see steer.go): steerSrc replaces the
-	// predictor in Plan, tailSrc widens PredictedDemandMs with a tail
-	// forecast.
+	// steerSrc is the live-swappable forecast source (see steer.go) that
+	// replaces the predictor in Plan and PredictedDemandMs.
 	steerSrc atomic.Pointer[steerBox]
-	tailSrc  atomic.Pointer[steerBox]
 
 	// Per-call scratch, so planning allocates only when it repartitions.
 	pred       core.FramePrediction // next-frame forecast (own or steered)
@@ -288,15 +286,50 @@ func (m *Manager) planWithDemand(serial float64) Decision {
 // Observe feeds the executed frame back to the predictor (the paper's
 // profiling step: statistics of the differences between consumed and
 // predicted resources drive on-line model training) and, when a Budgeter is
-// installed, adapts the latency budget.
+// installed, adapts the latency budget from obs.TotalMs, the frame latency.
 func (m *Manager) Observe(obs core.Observation) {
-	m.predictor.Observe(obs)
+	var dense core.FrameObs
+	obs.Dense(&dense)
+	m.ObserveFrame(&dense, obs.TotalMs)
+}
+
+// ObserveFrame is Observe for the dense observation form — the
+// allocation-free core. latencyMs is the frame's processing latency, which
+// the dense form (whose TotalMs is the serial-equivalent sum) does not carry.
+func (m *Manager) ObserveFrame(obs *core.FrameObs, latencyMs float64) {
+	m.predictor.ObserveFrame(obs)
 	if m.Budgeter != nil && m.BudgetMs > 0 {
-		if b, err := m.Budgeter.Observe(m.BudgetMs, obs.TotalMs); err == nil {
+		if b, err := m.Budgeter.Observe(m.BudgetMs, latencyMs); err == nil {
 			m.BudgetMs = b
 			m.recordBudget()
 		}
 	}
+}
+
+// Step runs one frame of the paper's runtime-manager loop on eng: plan from
+// the prediction (the serial mapping when first — the initialization frame,
+// processed serially to measure the starting point), process f, take the
+// latency budget from that first frame when none is set, and feed the
+// measurement back. obs receives the frame's dense observation. A failed
+// frame returns the engine's error unwrapped and leaves the manager
+// unobserved.
+func (m *Manager) Step(eng *pipeline.Engine, f *frame.Frame, first bool, framePixels int, obs *core.FrameObs) (Decision, pipeline.Report, error) {
+	var dec Decision
+	if first {
+		dec = Decision{Mapping: partition.Serial()}
+	} else {
+		dec = m.Plan()
+	}
+	rep, err := eng.Process(f, dec.Mapping)
+	if err != nil {
+		return dec, rep, err
+	}
+	if first && m.BudgetMs <= 0 {
+		m.InitBudget(rep.LatencyMs)
+	}
+	core.DenseFromReport(&rep, framePixels, obs)
+	m.ObserveFrame(obs, rep.LatencyMs)
+	return dec, rep, nil
 }
 
 // Result aggregates a managed run for the Fig. 7 comparison.
@@ -319,33 +352,29 @@ func RunManaged(eng *pipeline.Engine, mgr *Manager, n int, source func(int) *fra
 		return Result{}, errors.New("sched: need at least one frame")
 	}
 	var res Result
+	var obs core.FrameObs
 	for i := 0; i < n; i++ {
-		var mapping partition.Mapping
-		var dec Decision
-		if i == 0 {
-			// Initialization: process the first frame serially to measure
-			// the starting point.
-			mapping = partition.Serial()
-			dec = Decision{Mapping: mapping}
-		} else {
-			dec = mgr.Plan()
-			mapping = dec.Mapping
-		}
-		rep, err := eng.Process(source(i), mapping)
+		dec, rep, err := mgr.Step(eng, source(i), i == 0, framePixels, &obs)
 		if err != nil {
 			return Result{}, fmt.Errorf("sched: frame %d: %w", i, err)
 		}
-		if i == 0 && mgr.BudgetMs <= 0 {
-			mgr.InitBudget(rep.LatencyMs)
-		}
-		mgr.Observe(core.FromReports([]pipeline.Report{rep}, framePixels)[0])
-		res.Reports = append(res.Reports, rep)
-		res.Decisions = append(res.Decisions, dec)
-		res.Processing = append(res.Processing, rep.LatencyMs)
+		res.add(dec, rep)
 	}
-	res.Regulator = qos.Regulator{BudgetMs: mgr.BudgetMs}
-	res.Output = res.Regulator.Regulate(res.Processing)
+	res.regulate(mgr.BudgetMs)
 	return res, nil
+}
+
+// add appends one managed frame to the result.
+func (r *Result) add(dec Decision, rep pipeline.Report) {
+	r.Reports = append(r.Reports, rep)
+	r.Decisions = append(r.Decisions, dec)
+	r.Processing = append(r.Processing, rep.LatencyMs)
+}
+
+// regulate derives the output latency series once the run's budget is final.
+func (r *Result) regulate(budgetMs float64) {
+	r.Regulator = qos.Regulator{BudgetMs: budgetMs}
+	r.Output = r.Regulator.Regulate(r.Processing)
 }
 
 // RunStraightforward executes n frames with the static serial mapping — the

@@ -7,14 +7,12 @@ import (
 
 // This file is the live-swappable demand seam the promotion controller
 // (internal/promote) steers: a promoted shadow backend's dense forecast
-// replaces the manager's own predictor in Plan, and a quantile backend's
-// P90 forecast can ride along as a tail guard that widens the deadline-miss
-// headroom in PredictedDemandMs. Both sources are installed and removed
-// with a single atomic pointer swap from the controller's goroutine while
-// the manager keeps planning on its own — rollback is one Store away and
-// takes effect at the very next Plan. The manager's predictor continues to
-// observe every frame regardless of steering, so the baseline is warm the
-// instant a rollback lands.
+// replaces the manager's own predictor in Plan and PredictedDemandMs. The
+// source is installed and removed with a single atomic pointer swap from
+// the controller's goroutine while the manager keeps planning on its own —
+// rollback is one Store away and takes effect at the very next Plan. The
+// manager's predictor continues to observe every frame regardless of
+// steering, so the baseline is warm the instant a rollback lands.
 
 // steerBox wraps the interface so it can live in an atomic.Pointer.
 type steerBox struct{ src core.DemandSource }
@@ -34,27 +32,8 @@ func (m *Manager) SetDemandSource(src core.DemandSource) {
 	m.steerSrc.Store(&steerBox{src: src})
 }
 
-// SetTailGuard installs a forecast source whose total-ms forecast widens
-// PredictedDemandMs whenever it exceeds the mean forecast — feed it the
-// quantile-P90 backend so the skip/serial controller and the arbiter react
-// to predicted tails instead of realized misses. Nil removes the guard.
-func (m *Manager) SetTailGuard(src core.DemandSource) {
-	if src == nil {
-		m.tailSrc.Store(nil)
-		return
-	}
-	m.tailSrc.Store(&steerBox{src: src})
-}
-
 func (m *Manager) demandSource() core.DemandSource {
 	if box := m.steerSrc.Load(); box != nil {
-		return box.src
-	}
-	return nil
-}
-
-func (m *Manager) tailSource() core.DemandSource {
-	if box := m.tailSrc.Load(); box != nil {
 		return box.src
 	}
 	return nil

@@ -1,6 +1,10 @@
 package shadow
 
-import "triplec/internal/core"
+import (
+	"fmt"
+
+	"triplec/internal/core"
+)
 
 // BackendMiscal names the deliberately miscalibrated challenger used by
 // forced-rollback drills (`triplec promote -challenger miscal`, the chaos
@@ -42,3 +46,26 @@ func (m *Miscalibrated) Predict(dst *core.FramePrediction) {
 
 // Reset implements core.Backend.
 func (m *Miscalibrated) Reset() { m.inner.Reset() }
+
+// miscalScale is the drill challenger's forecast scale: plans sized for a
+// quarter of the true demand.
+const miscalScale = 0.25
+
+// NewStreamBoard builds one served stream's bake-off board: the full roster
+// trained on the corpus the deployed predictor was trained on, plus — for
+// the forced-rollback drills — the miscalibrated challenger wrapped around a
+// second clone of the deployed predictor.
+func NewStreamBoard(stream string, deployed *core.Predictor, corpus [][]core.Observation, miscal bool) (*Board, error) {
+	backends, err := TrainBackends(deployed, corpus, core.TrainConfig{})
+	if err != nil {
+		return nil, err
+	}
+	if miscal {
+		clone, err := deployed.Clone()
+		if err != nil {
+			return nil, fmt.Errorf("shadow: clone deployed predictor: %w", err)
+		}
+		backends = append(backends, NewMiscalibrated(core.NewBaselineBackend(clone), miscalScale))
+	}
+	return NewBoard(stream, backends)
+}

@@ -4,16 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
-	"triplec/internal/core"
 	"triplec/internal/experiments"
 	"triplec/internal/fault"
 	"triplec/internal/flowgraph"
-	"triplec/internal/frame"
-	"triplec/internal/partition"
-	"triplec/internal/pipeline"
-	"triplec/internal/sched"
 	"triplec/internal/tasks"
 )
 
@@ -21,12 +15,13 @@ import (
 const ReportSchema = "triplec-slo-v1"
 
 // Replay drives the cause ledger and burn-rate engine over a seeded
-// synthetic fleet deterministically: single goroutine, round-robin
-// streams, fault spikes overlaid onto modeled latency (no wall-clock
-// sleeps or reads), fixed-order report slices — so two runs with the
-// same ReplayConfig produce byte-identical reports. This is the
-// `triplec slo` subcommand's engine and the page-fire/page-clear and
-// sum-invariant test bed.
+// synthetic fleet deterministically, on the fleet driver the promotion
+// drill shares (experiments.Fleet: single goroutine, round-robin streams
+// served by the runtime manager's own frame step, fault spikes overlaid
+// onto modeled latency with no wall-clock sleeps or reads) and with
+// fixed-order report slices — so two runs with the same ReplayConfig
+// produce byte-identical reports. This is the `triplec slo` subcommand's
+// engine and the page-fire/page-clear and sum-invariant test bed.
 
 // ReplayConfig parameterizes a deterministic SLO replay.
 type ReplayConfig struct {
@@ -50,18 +45,15 @@ type ReplayConfig struct {
 	SpikeMs   float64 // spike magnitude in ms (default 25)
 }
 
-func (c ReplayConfig) withDefaults() ReplayConfig {
-	if c.Streams <= 0 {
-		c.Streams = 2
-	}
-	if c.Frames <= 0 {
-		c.Frames = 240
-	}
-	if c.Seed == 0 {
-		c.Seed = 11
-	}
-	if c.Train <= 0 {
-		c.Train = 2
+// fleetConfig maps the replay onto the fleet driver: the spike drill is a
+// fault plan of spikes only, seeded like the sequences, gated to the
+// [SpikeFrom, SpikeTo) window.
+func (c ReplayConfig) fleetConfig() experiments.FleetConfig {
+	fc := experiments.FleetConfig{
+		Streams: c.Streams, Frames: c.Frames, Seed: c.Seed, Train: c.Train, BudgetMs: c.BudgetMs,
+	}.WithDefaults()
+	if !c.Spike {
+		return fc
 	}
 	if c.SpikeFrom <= 0 {
 		c.SpikeFrom = 60
@@ -75,8 +67,9 @@ func (c ReplayConfig) withDefaults() ReplayConfig {
 	if c.SpikeMs <= 0 {
 		c.SpikeMs = 25
 	}
-	c.SLO.Streams = c.Streams
-	return c
+	fc.Fault = &fault.Config{Seed: fc.Seed, Defaults: fault.Probs{Spike: c.SpikeProb}, SpikeMs: c.SpikeMs}
+	fc.SpikeFrom, fc.SpikeTo = c.SpikeFrom, c.SpikeTo
+	return fc
 }
 
 // ReplayResult is the `triplec slo` report document.
@@ -109,90 +102,27 @@ func (s *scenarioSink) ScenarioSample(predicted, actual flowgraph.Scenario) {
 	s.miss = predicted != actual
 }
 
-// replayStream is one stream's serving state in the round-robin loop.
-type replayStream struct {
-	eng          *pipeline.Engine
-	mgr          *sched.Manager
-	src          func(int) *frame.Frame
-	sink         scenarioSink
-	processed    int
-	pendingFault bool
-}
-
 // Replay builds the fleet, serves frames*streams round-robin steps
 // through the tracker and returns the report plus the tracker.
 func Replay(cfg ReplayConfig) (*ReplayResult, *Tracker, error) {
-	cfg = cfg.withDefaults()
-
-	study := experiments.DefaultStudy()
-	study.TrainSeqs = cfg.Train
-	study.TrainFrames = 60
-	fp := study.FramePixels()
-
+	fleet, err := experiments.NewFleet(cfg.fleetConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.SLO.Streams = len(fleet.Streams)
 	tracker := NewTracker(cfg.SLO)
 
-	// Spike plan: the injector's spikes accumulate into a per-stream
-	// latency overlay instead of sleeping, and the overlay only applies
-	// inside the configured frame window — the loop below raises and
-	// lowers spikeGate, so the drill is wall-clock free and repeatable.
-	spikeOverlay := make([]float64, cfg.Streams)
-	spikeGate := false
-	var baseInj *fault.Injector
-	if cfg.Spike {
-		var err error
-		baseInj, err = fault.New(fault.Config{
-			Seed:     cfg.Seed,
-			Defaults: fault.Probs{Spike: cfg.SpikeProb},
-			SpikeMs:  cfg.SpikeMs,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		baseInj.SetSleep(func(time.Duration) {})
-		spikeMs := cfg.SpikeMs
-		baseInj.SetOnFault(func(si int, _ tasks.Name, _ int, kind fault.Kind) {
-			if spikeGate && kind == fault.KindSpike && si >= 0 && si < len(spikeOverlay) {
-				spikeOverlay[si] += spikeMs
-			}
-		})
-	}
-
-	streams := make([]*replayStream, cfg.Streams)
-	for i := range streams {
-		p, err := study.TrainPredictor()
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr, err := sched.NewManager(p, study.Arch)
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr.Sticky = true
-		mgr.BudgetMs = cfg.BudgetMs
-		eng, err := study.Engine()
-		if err != nil {
-			return nil, nil, err
-		}
-		seq, err := study.Sequence(cfg.Seed + uint64(i)*1013)
-		if err != nil {
-			return nil, nil, err
-		}
-		src := experiments.Source(seq)
-		if baseInj != nil {
-			inj := baseInj.ForStream(i)
-			eng.SetTaskHook(inj.BeforeTask)
-			src = inj.WrapSource(src)
-		}
-		st := &replayStream{eng: eng, mgr: mgr, src: src}
-		mgr.Predictor().SetMetricsSink(&st.sink)
-		streams[i] = st
+	sinks := make([]scenarioSink, len(fleet.Streams))
+	pendingFault := make([]bool, len(fleet.Streams))
+	for i, st := range fleet.Streams {
+		st.Manager.Predictor().SetMetricsSink(&sinks[i])
 	}
 
 	res := &ReplayResult{
 		Schema:         ReportSchema,
-		Streams:        cfg.Streams,
-		Frames:         cfg.Frames,
-		Seed:           cfg.Seed,
+		Streams:        fleet.Config.Streams,
+		Frames:         fleet.Config.Frames,
+		Seed:           fleet.Config.Seed,
 		Spike:          cfg.Spike,
 		FirstPageFrame: -1,
 	}
@@ -204,67 +134,44 @@ func Replay(cfg ReplayConfig) (*ReplayResult, *Tracker, error) {
 
 	var in FrameInput
 	var check Breakdown
-	for fi := 0; fi < cfg.Frames; fi++ {
-		spikeGate = cfg.Spike && fi >= cfg.SpikeFrom && fi < cfg.SpikeTo
-		for si, st := range streams {
-			var dec sched.Decision
-			if st.processed == 0 {
-				dec = sched.Decision{Mapping: partition.Serial()}
-			} else {
-				dec = st.mgr.Plan()
-			}
-			spikeOverlay[si] = 0
-			st.sink.miss = false
-			f := st.src(fi)
-			if f == nil {
-				return nil, nil, fmt.Errorf("slo: stream %d frame %d: nil source frame", si, fi)
-			}
-			rep, perr := st.eng.Process(f, dec.Mapping)
-			if perr != nil {
-				var te *pipeline.TaskError
-				if errors.As(perr, &te) {
-					res.Failed++
-					st.pendingFault = true
-					continue
-				}
-				return nil, nil, fmt.Errorf("slo: stream %d frame %d: %w", si, fi, perr)
-			}
-			if st.processed == 0 && st.mgr.BudgetMs <= 0 {
-				st.mgr.InitBudget(rep.LatencyMs)
-			}
-			st.processed++
-			res.Processed++
-			st.mgr.Observe(core.FromReports([]pipeline.Report{rep}, fp)[0])
-
-			lat := rep.LatencyMs + spikeOverlay[si]
-			in = FrameInput{
-				Stream:       si,
-				Frame:        fi,
-				LatencyMs:    lat,
-				PredictedMs:  dec.PredictedMs,
-				BudgetMs:     st.mgr.BudgetMs,
-				ScenarioMiss: st.sink.miss,
-				FaultRecover: st.pendingFault,
-				FaultMs:      spikeOverlay[si],
-			}
-			st.pendingFault = false
-			if st.mgr.BudgetMs > 0 && lat > st.mgr.BudgetMs {
-				res.Misses++
-			}
-
-			// Exactness witness: re-run the decomposition and compare the
-			// cause sum against the measured latency.
-			Classify(&in, &check)
-			sum := 0.0
-			for c := 0; c < NumCauses; c++ {
-				sum += check.Ms[c]
-			}
-			if err := math.Abs(sum - lat); err > res.MaxSumErrMs {
-				res.MaxSumErrMs = err
-			}
-
-			tracker.ObserveFrame(&in)
+	err = fleet.Run(func(fr *experiments.FleetFrame) {
+		si := fr.Stream
+		if fr.Failed {
+			res.Failed++
+			pendingFault[si] = true
+			return
 		}
+		res.Processed++
+		in = FrameInput{
+			Stream:       si,
+			Frame:        fr.Frame,
+			LatencyMs:    fr.LatencyMs,
+			PredictedMs:  fr.Decision.PredictedMs,
+			BudgetMs:     fr.BudgetMs,
+			ScenarioMiss: sinks[si].miss,
+			FaultRecover: pendingFault[si],
+			FaultMs:      fr.SpikeMs,
+		}
+		sinks[si].miss, pendingFault[si] = false, false
+		if fr.Missed {
+			res.Misses++
+		}
+
+		// Exactness witness: re-run the decomposition and compare the
+		// cause sum against the measured latency.
+		Classify(&in, &check)
+		sum := 0.0
+		for c := 0; c < NumCauses; c++ {
+			sum += check.Ms[c]
+		}
+		if err := math.Abs(sum - fr.LatencyMs); err > res.MaxSumErrMs {
+			res.MaxSumErrMs = err
+		}
+
+		tracker.ObserveFrame(&in)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("slo: %w", err)
 	}
 
 	// Quantize the exactness witness the same way the status block is

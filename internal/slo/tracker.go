@@ -18,14 +18,17 @@ type Config struct {
 	// thresholds 8/2).
 	Deadline BurnConfig
 	Accuracy BurnConfig
-	// RelErrBad is the within-accuracy bound: a frame is accuracy-bad
-	// when |actual-predicted|/actual exceeds it. Default 0.25 (the
-	// same within-25% criterion the shadow scoreboard uses).
-	RelErrBad float64
-	// TransitionCap bounds the retained alert-transition log (ring,
-	// oldest overwritten). Default 256.
-	TransitionCap int
 }
+
+const (
+	// relErrBad is the within-accuracy bound: a frame is accuracy-bad when
+	// |actual-predicted|/actual exceeds it (the same within-25% criterion
+	// the shadow scoreboard uses).
+	relErrBad = 0.25
+	// transitionCap bounds the retained alert-transition log (ring, oldest
+	// overwritten).
+	transitionCap = 256
+)
 
 func (c Config) withDefaults() Config {
 	if c.Streams < 1 {
@@ -33,12 +36,6 @@ func (c Config) withDefaults() Config {
 	}
 	c.Deadline = c.Deadline.withDefaults(0.95)
 	c.Accuracy = c.Accuracy.withDefaults(0.90)
-	if c.RelErrBad <= 0 {
-		c.RelErrBad = 0.25
-	}
-	if c.TransitionCap <= 0 {
-		c.TransitionCap = 256
-	}
 	return c
 }
 
@@ -99,7 +96,7 @@ func NewTracker(cfg Config) *Tracker {
 	t := &Tracker{
 		cfg:         cfg,
 		streams:     make([]ledger, cfg.Streams),
-		transitions: make([]Transition, 0, cfg.TransitionCap),
+		transitions: make([]Transition, 0, transitionCap),
 	}
 	t.slos[SLODeadline] = newSLOState(cfg.Deadline)
 	t.slos[SLOAccuracy] = newSLOState(cfg.Accuracy)
@@ -140,7 +137,7 @@ func (t *Tracker) ObserveFrame(in *FrameInput) {
 		if rel < 0 {
 			rel = -rel
 		}
-		inaccurate = rel > t.cfg.RelErrBad
+		inaccurate = rel > relErrBad
 	}
 
 	t.mu.Lock()

@@ -73,11 +73,9 @@ func BenchmarkFrameEnabled(b *testing.B) {
 
 // BenchmarkFrameDisabled measures the disabled-path no-op cost: what a
 // deployment pays for leaving the instrumentation compiled in but switched
-// off.
+// off — the nil builder every untraced stream carries.
 func BenchmarkFrameDisabled(b *testing.B) {
-	rec := NewRecorder(8192)
-	rec.SetEnabled(false)
-	fb := NewFrameBuilder(rec, 0)
+	var fb *FrameBuilder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fb.BeginFrame(i)

@@ -23,7 +23,6 @@ package span
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -268,8 +267,7 @@ func UnpackBudgets(p uint64, n int32) []int {
 // recorder's memory footprint is fixed at construction. All methods are
 // nil-safe.
 type Recorder struct {
-	epoch   time.Time
-	enabled atomic.Bool
+	epoch time.Time
 
 	mu     sync.Mutex
 	ring   []Event
@@ -291,28 +289,16 @@ type Recorder struct {
 // frames of history.
 const DefaultRingEvents = 8192
 
-// NewRecorder builds an enabled recorder with a fixed ring of size events
-// (0 or negative = DefaultRingEvents).
+// NewRecorder builds a recorder with a fixed ring of size events (0 or
+// negative = DefaultRingEvents). Tracing is switched off by not having a
+// recorder: a nil *Recorder, and a nil or recorder-less FrameBuilder, are
+// no-ops on every path.
 func NewRecorder(size int) *Recorder {
 	if size <= 0 {
 		size = DefaultRingEvents
 	}
-	r := &Recorder{epoch: time.Now(), ring: make([]Event, size)}
-	r.enabled.Store(true)
-	return r
+	return &Recorder{epoch: time.Now(), ring: make([]Event, size)}
 }
-
-// SetEnabled switches recording on or off. Disabled recording is a no-op
-// on every path (builders stage nothing, Emit drops).
-func (r *Recorder) SetEnabled(on bool) {
-	if r == nil {
-		return
-	}
-	r.enabled.Store(on)
-}
-
-// Enabled reports whether the recorder accepts events.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled.Load() }
 
 // SetMeta installs the label tables used when rendering dumps.
 func (r *Recorder) SetMeta(m Meta) {
@@ -358,7 +344,7 @@ func (r *Recorder) Now() int64 {
 // Emit appends one instant event to the ring. A zero StartNs is stamped
 // with the current time. Safe from any goroutine; allocation-free.
 func (r *Recorder) Emit(ev Event) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	if ev.StartNs == 0 {
@@ -380,7 +366,7 @@ func (r *Recorder) push(ev Event) {
 // root goes last so a ring wraparound truncates a frame's oldest task
 // spans before ever orphaning them from their root.
 func (r *Recorder) commitFrame(staged []Event, root Event) {
-	if r == nil || !r.enabled.Load() {
+	if r == nil {
 		return
 	}
 	r.mu.Lock()
@@ -469,7 +455,7 @@ func NewFrameBuilder(rec *Recorder, stream int32) *FrameBuilder {
 }
 
 func (b *FrameBuilder) active() bool {
-	return b != nil && b.rec != nil && b.rec.enabled.Load()
+	return b != nil && b.rec != nil
 }
 
 // BeginFrame opens a new frame, discarding any uncommitted previous one.

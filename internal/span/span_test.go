@@ -132,30 +132,10 @@ func TestRecorderRingWraparound(t *testing.T) {
 	}
 }
 
-func TestRecorderDisabled(t *testing.T) {
-	rec := NewRecorder(16)
-	rec.SetEnabled(false)
-	b := NewFrameBuilder(rec, 0)
-	b.BeginFrame(0)
-	b.BeginTask(0)
-	b.EndTask(1, 1)
-	b.Commit(0, 0, 0, OutcomeProcessed, 1, 0, 0, 0)
-	rec.Emit(Event{Kind: KindSkip})
-	if got := rec.Events(); got != 0 {
-		t.Errorf("disabled recorder wrote %d events", got)
-	}
-	rec.SetEnabled(true)
-	rec.Emit(Event{Kind: KindSkip})
-	if got := rec.Events(); got != 1 {
-		t.Errorf("re-enabled recorder wrote %d events, want 1", got)
-	}
-}
-
 func TestNilSafety(t *testing.T) {
 	var rec *Recorder
 	var b *FrameBuilder
 	var fr *FlightRecorder
-	rec.SetEnabled(true)
 	rec.Emit(Event{})
 	rec.SetMeta(Meta{})
 	_ = rec.Meta()

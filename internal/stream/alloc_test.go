@@ -7,13 +7,11 @@ import (
 	"runtime"
 	"testing"
 
-	"triplec/internal/core"
 	"triplec/internal/experiments"
 	"triplec/internal/frame"
 	"triplec/internal/mapping"
 	"triplec/internal/metrics"
 	"triplec/internal/promote"
-	"triplec/internal/sched"
 	"triplec/internal/shadow"
 	"triplec/internal/slo"
 	"triplec/internal/span"
@@ -79,13 +77,13 @@ func TestControlPlaneMallocBudget(t *testing.T) {
 
 	// Stored frames served in ping-pong order: synthesis is the load
 	// generator's cost, not the server's.
-	seq, err := study.Sequence(11)
+	st, err := study.ServedStream(11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := make([]*frame.Frame, stored)
 	for i := range frames {
-		frames[i], _ = seq.Frame(i)
+		frames[i] = st.Source(i)
 	}
 	source := func(i int) *frame.Frame {
 		j := i % (2*stored - 2)
@@ -94,30 +92,8 @@ func TestControlPlaneMallocBudget(t *testing.T) {
 		}
 		return frames[j]
 	}
-
-	sets, err := study.TrainingSets()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := core.Train(sets, core.TrainConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.ResetOnline()
-	mgr, err := sched.NewManager(p, study.Arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.Sticky = true
-	eng, err := study.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	backends, err := shadow.TrainBackends(p, sets, core.TrainConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	board, err := shadow.NewBoard("thumb", backends)
+	eng, mgr := st.Engine, st.Manager
+	board, err := shadow.NewStreamBoard("thumb", mgr.Predictor(), st.Corpus, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,9 +134,9 @@ func (s *Server) Healths() []Health {
 			P95LatencyMs:    finiteOr0(lat.Quantile(0.95)),
 			CoreBudget:      finiteOr0(a.CoreBudget.Value()),
 		}
-		h.RollingScenarioHitRate, h.RollingScenarioSamples = t.rollingScenarioHitRate()
+		h.RollingScenarioHitRate, h.RollingScenarioSamples = t.scenarioWin.Rate()
 		h.RollingScenarioHitRate = finiteOr0(h.RollingScenarioHitRate)
-		h.RollingMissRate, h.RollingMissSamples = t.rollingMissRate()
+		h.RollingMissRate, h.RollingMissSamples = t.missWin.Rate()
 		h.RollingMissRate = finiteOr0(h.RollingMissRate)
 		if msg, ok := t.errMsg.Load().(string); ok {
 			h.Error = msg

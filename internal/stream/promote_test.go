@@ -10,6 +10,7 @@ import (
 	"triplec/internal/metrics"
 	"triplec/internal/promote"
 	"triplec/internal/shadow"
+	"triplec/internal/stats"
 )
 
 // TestRollingMissDivergence: a late burst of deadline misses moves the
@@ -32,9 +33,9 @@ func TestRollingMissDivergence(t *testing.T) {
 		tel.processed(40, true, false)
 	}
 
-	rolling, samples := tel.rollingMissRate()
-	if samples != missWindow {
-		t.Fatalf("rolling window holds %d samples, want %d", samples, missWindow)
+	rolling, samples := tel.missWin.Rate()
+	if samples != stats.BitWindowSize {
+		t.Fatalf("rolling window holds %d samples, want %d", samples, stats.BitWindowSize)
 	}
 	if rolling != 0.5 {
 		t.Fatalf("rolling miss rate %v, want 0.5 (32 misses in the last 64 frames)", rolling)
@@ -60,9 +61,57 @@ func TestRollingMissWindowPartial(t *testing.T) {
 	tel.processed(10, true, false)
 	tel.processed(10, false, false)
 	tel.processed(10, true, false)
-	rolling, samples := tel.rollingMissRate()
+	rolling, samples := tel.missWin.Rate()
 	if samples != 3 || rolling != 2.0/3.0 {
 		t.Fatalf("partial window = %v over %d samples, want 2/3 over 3", rolling, samples)
+	}
+}
+
+// TestRollingMissStatsMatchHealthz: the end-of-run Stats window and the
+// /healthz window are one window when telemetry is on, and a bare server's
+// private window reports the same numbers for the same (deterministic,
+// single-stream) run. The tight budget makes the window non-trivial.
+func TestRollingMissStatsMatchHealthz(t *testing.T) {
+	s := testStudy()
+	const frames, budgetMs = 90, 24
+	run := func(reg *metrics.Registry) (Stats, *Server) {
+		srv, err := NewServer(ServerConfig{Metrics: reg}, []Config{mkStream(t, s, "tight", 9, budgetMs)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := srv.Run(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Streams[0].Stats, srv
+	}
+	bare, _ := run(nil)
+	observed, srv := run(metrics.NewRegistry())
+
+	if bare.RollingMissSamples != stats.BitWindowSize {
+		t.Fatalf("bare run: window holds %d samples after %d frames, want %d", bare.RollingMissSamples, frames, stats.BitWindowSize)
+	}
+	if bare.RollingMissRate <= 0 || bare.RollingMissRate >= 1 {
+		t.Fatalf("bare run: rolling miss rate %v; the budget should split the window", bare.RollingMissRate)
+	}
+	if observed.RollingMissRate != bare.RollingMissRate || observed.RollingMissSamples != bare.RollingMissSamples {
+		t.Fatalf("telemetry run reports %v over %d, bare run %v over %d",
+			observed.RollingMissRate, observed.RollingMissSamples, bare.RollingMissRate, bare.RollingMissSamples)
+	}
+	rec := httptest.NewRecorder()
+	srv.HealthHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+	var rep struct {
+		Streams []struct {
+			RollingMissRate    float64 `json:"rolling_miss_rate"`
+			RollingMissSamples int     `json:"rolling_miss_samples"`
+		} `json:"streams"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
+		t.Fatalf("healthz is not JSON: %v", err)
+	}
+	if len(rep.Streams) != 1 || rep.Streams[0].RollingMissRate != observed.RollingMissRate ||
+		rep.Streams[0].RollingMissSamples != observed.RollingMissSamples {
+		t.Fatalf("healthz %+v, Stats %v over %d", rep.Streams, observed.RollingMissRate, observed.RollingMissSamples)
 	}
 }
 

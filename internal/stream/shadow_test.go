@@ -20,11 +20,7 @@ func mkShadowBoard(t *testing.T, study experiments.Study, p *core.Predictor, nam
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends, err := shadow.TrainBackends(p, train, core.TrainConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	board, err := shadow.NewBoard(name, backends)
+	board, err := shadow.NewStreamBoard(name, p, train, false)
 	if err != nil {
 		t.Fatal(err)
 	}

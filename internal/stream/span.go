@@ -41,53 +41,15 @@ func spanMeta(streams []Config) span.Meta {
 	return m
 }
 
-// spanSink fans the predictor's per-frame samples out to the telemetry
-// layer (when enabled) and into the open span frame: per-task predicted
-// times land on the staged task spans, and a scenario mismatch stages a
-// miss instant. The samples fire inside Manager.Observe on the serving
-// goroutine, after Process returned but before the frame commits — exactly
-// the window in which prediction data exists and the frame is still open.
-type spanSink struct {
-	tel *telemetry
-	r   *runner
-}
-
-func (s *spanSink) TaskSample(task tasks.Name, predictedMs, actualMs float64) {
-	if s.tel != nil {
-		s.tel.TaskSample(task, predictedMs, actualMs)
-	}
-	s.r.fb.SetPredicted(tasks.IndexOf(task), predictedMs)
-}
-
-func (s *spanSink) ScenarioSample(predicted, actual flowgraph.Scenario) {
-	if s.tel != nil {
-		s.tel.ScenarioSample(predicted, actual)
-	}
-	if predicted != actual {
-		s.r.fb.ScenarioMiss(predicted.Index(), actual.Index())
-		// Stage the miss for the cause ledger: consumed (and cleared) when
-		// this frame commits through observeSLO.
-		s.r.pendingScenMiss = true
-	}
-}
-
-// attachSpans binds a fresh frame builder to the runner's current engine
-// and installs the fan-out metrics sink on its predictor. Called at stream
-// start and again after every supervisor rebuild (after telemetry rewire,
-// so the fan-out sink wins). The sink is also what stages scenario misses
-// for the SLO cause ledger, so it installs whenever Flight OR SLO is
-// configured (every FrameBuilder method is nil-receiver safe, so a
-// flight-less sink is harmless).
+// attachSpans binds a fresh frame builder to the runner's current engine.
+// Called at stream start and again after every supervisor rebuild.
 func (r *runner) attachSpans() {
-	if r.cfg.Flight == nil && r.cfg.SLO == nil {
+	if r.cfg.Flight == nil {
 		return
 	}
-	if r.cfg.Flight != nil {
-		r.fr = r.cfg.Flight
-		r.fb = span.NewFrameBuilder(r.fr.Recorder(), int32(r.si))
-		r.eng.SetSpanBuilder(r.fb)
-	}
-	r.mgr.Predictor().SetMetricsSink(&spanSink{tel: r.tel, r: r})
+	r.fr = r.cfg.Flight
+	r.fb = span.NewFrameBuilder(r.fr.Recorder(), int32(r.si))
+	r.eng.SetSpanBuilder(r.fb)
 }
 
 // spanInstant emits one frame-lifecycle instant for this stream.

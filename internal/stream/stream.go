@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"time"
 
 	"triplec/internal/core"
@@ -39,6 +38,7 @@ import (
 	"triplec/internal/shadow"
 	"triplec/internal/slo"
 	"triplec/internal/span"
+	"triplec/internal/stats"
 	"triplec/internal/trace"
 )
 
@@ -226,8 +226,9 @@ type Stats struct {
 	ThroughputFPS   float64 // processed frames per wall-clock second
 	// RollingMissRate is the deadline-miss fraction over the last
 	// RollingMissSamples (≤ 64) processed frames when the run ended — the
-	// recency view /healthz serves live, kept here so offline runs can see
-	// end-of-run drift that the lifetime MissRate averages away.
+	// recency view /healthz serves live (with telemetry on, that very
+	// window), kept here so offline runs can see end-of-run drift that the
+	// lifetime MissRate averages away.
 	RollingMissRate    float64
 	RollingMissSamples int
 }
@@ -476,24 +477,18 @@ type runner struct {
 	latencySum   float64
 	sinceRestart int // frames resolved since the last (re)start
 
-	// Rolling deadline-miss window over processed frames: the low bit of
-	// each served frame shifts in (1 = miss), missWinN saturates at
-	// missWindow. Owned by the serving goroutine; snapshotted into
-	// Stats.RollingMissRate when the stream ends.
-	missWin  uint64
-	missWinN int
+	// missWin is the rolling deadline-miss window over processed frames
+	// behind Stats.RollingMissRate — used only without telemetry, whose own
+	// window (the one /healthz reads) serves otherwise.
+	missWin stats.BitWindow
 
-	// obs is the one Observation the manager is fed from, refilled per frame
-	// (the predictor ranges over its TaskMs and keeps only the scalars).
-	obs core.Observation
-
-	// shadowObs is the reusable dense observation handed to the shadow
-	// board each frame (scratch space keeps the path allocation-free).
-	shadowObs core.FrameObs
+	// obs is the one dense observation of the frame being committed, filled
+	// from its report and fed to both the manager and the shadow board.
+	obs core.FrameObs
 
 	// SLO cause-ledger state (used only when cfg.SLO is set). sloIn is the
 	// reusable classification input; the pending flags carry cross-frame
-	// cause evidence (a scenario miss noticed inside Manager.Observe, a
+	// cause evidence (a scenario miss noticed inside Manager.ObserveFrame, a
 	// fault-recovery frame) to the next ObserveFrame. lastRebalances
 	// detects arbiter re-divisions between this stream's frames.
 	sloIn           slo.FrameInput
@@ -547,7 +542,7 @@ func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, te
 	if sc.BudgetMs > 0 {
 		r.mgr.BudgetMs = sc.BudgetMs
 	}
-	r.attachSpans()
+	r.attachObservers()
 	if cfg.Supervise {
 		r.supervised()
 	} else {
@@ -558,14 +553,11 @@ func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, te
 	if r.res.Stats.Processed > 0 {
 		r.res.Stats.MeanLatencyMs = r.latencySum / float64(r.res.Stats.Processed)
 	}
-	if r.missWinN > 0 {
-		win := r.missWin
-		if r.missWinN < missWindow {
-			win &= (1 << r.missWinN) - 1
-		}
-		r.res.Stats.RollingMissRate = float64(bits.OnesCount64(win)) / float64(r.missWinN)
-		r.res.Stats.RollingMissSamples = r.missWinN
+	missWin := &r.missWin
+	if tel != nil {
+		missWin = &tel.missWin
 	}
+	r.res.Stats.RollingMissRate, r.res.Stats.RollingMissSamples = missWin.Rate()
 	r.res.Stats.BudgetMs = r.mgr.BudgetMs
 	r.res.Stats.FinalQuality = r.deg.Level()
 	r.res.Stats.Degradations = r.deg.Transitions()
@@ -700,11 +692,10 @@ func (r *runner) serveFrames(start int) (failedAt int, stalled bool, err error) 
 			res.Stats.BudgetMs = r.mgr.BudgetMs
 			r.ctl.setBudgetMs(r.si, r.mgr.BudgetMs)
 		}
-		core.FromReportInto(&r.obs, &rep, sc.FramePixels)
-		r.mgr.Observe(r.obs)
+		core.DenseFromReport(&rep, sc.FramePixels, &r.obs)
+		r.mgr.ObserveFrame(&r.obs, rep.LatencyMs)
 		if sc.Shadow != nil {
-			core.DenseFromReport(&rep, sc.FramePixels, &r.shadowObs)
-			sc.Shadow.ObserveFrame(&r.shadowObs)
+			sc.Shadow.ObserveFrame(&r.obs)
 		}
 
 		res.Stats.Processed++
@@ -722,7 +713,9 @@ func (r *runner) serveFrames(start int) (failedAt int, stalled bool, err error) 
 		if len(rep.AccountingErrs) > 0 {
 			res.Stats.AccountingErrs++
 		}
-		r.noteMiss(missed == 1)
+		if tel == nil {
+			r.missWin.Push(missed == 1)
+		}
 		if r.cfg.Promote != nil {
 			r.cfg.Promote.ObserveServed(r.si, missed == 1)
 		}
@@ -779,19 +772,6 @@ func (r *runner) recordLostFrame(i int, cores, serialFrame float64, taskFailure 
 	// charges its overage to recovery, not to scheduling.
 	r.pendingFault = true
 	_ = r.res.Trace.Append(0, 0, cores, 0, 0, serialFrame, failed, abandoned)
-}
-
-// noteMiss shifts one served frame's deadline outcome into the runner's
-// rolling miss window (see Stats.RollingMissRate).
-func (r *runner) noteMiss(missed bool) {
-	bit := uint64(0)
-	if missed {
-		bit = 1
-	}
-	r.missWin = r.missWin<<1 | bit
-	if r.missWinN < missWindow {
-		r.missWinN++
-	}
 }
 
 // observeOutcome feeds the degradation ladder and publishes rung changes.

@@ -8,7 +8,6 @@ import (
 	"triplec/internal/experiments"
 	"triplec/internal/frame"
 	"triplec/internal/pipeline"
-	"triplec/internal/sched"
 	"triplec/internal/synth"
 )
 
@@ -40,28 +39,15 @@ func cheapSource(t *testing.T, study experiments.Study, seed uint64) func(int) *
 
 func mkStream(t *testing.T, study experiments.Study, name string, seed uint64, budgetMs float64) Config {
 	t.Helper()
-	p, err := study.TrainPredictor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := sched.NewManager(p, study.Arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.Sticky = true
-	eng, err := study.Engine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := study.Sequence(seed)
+	st, err := study.ServedStream(seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return Config{
 		Name:        name,
-		Engine:      eng,
-		Manager:     mgr,
-		Source:      experiments.Source(seq),
+		Engine:      st.Engine,
+		Manager:     st.Manager,
+		Source:      st.Source,
 		FramePixels: study.FramePixels(),
 		BudgetMs:    budgetMs,
 	}

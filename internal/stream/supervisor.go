@@ -74,13 +74,13 @@ func (r *runner) supervised() {
 			// The rebuilt engine stripes through the shared host pool like
 			// the original (serveOne wired the first one).
 			r.eng.SetWorkers(r.pool)
-			// Fresh builder + fan-out sink for the rebuilt pair (the old
-			// builder stays with the poisoned engine, never committed).
-			r.attachSpans()
+			// Fresh builder + the runner as sink for the rebuilt pair (the
+			// old builder stays with the poisoned engine, never committed).
+			r.attachObservers()
 			if r.cfg.Promote != nil {
 				// The rebuilt manager starts un-steered; re-apply the
-				// controller's current demand source and tail guard so a
-				// stall during a canary cannot silently drop the steering.
+				// controller's current demand source so a stall during a
+				// canary cannot silently drop the steering.
 				r.cfg.Promote.Rewire(r.si, r.mgr)
 			}
 		}

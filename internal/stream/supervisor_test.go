@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"triplec/internal/frame"
+	"triplec/internal/metrics"
 	"triplec/internal/pipeline"
 	"triplec/internal/sched"
+	"triplec/internal/slo"
 	"triplec/internal/tasks"
 )
 
@@ -24,19 +26,11 @@ func withRebuild(t *testing.T, sc Config, hookFn func(tasks.Name, int)) Config {
 		t.Fatal(err)
 	}
 	sc.Rebuild = func() (*pipeline.Engine, *sched.Manager, error) {
-		eng, err := s.Engine()
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr, err := sched.NewManager(p, s.Arch)
-		if err != nil {
-			return nil, nil, err
-		}
-		mgr.Sticky = true
-		if hookFn != nil {
+		eng, mgr, err := s.ManagedEngine(p)
+		if err == nil && hookFn != nil {
 			eng.SetTaskHook(hookFn)
 		}
-		return eng, mgr, nil
+		return eng, mgr, err
 	}
 	return sc
 }
@@ -248,6 +242,74 @@ func TestSupervisorRebuildsAfterStall(t *testing.T) {
 	}
 	if st.Quarantined {
 		t.Fatal("quarantined despite a working Rebuild")
+	}
+}
+
+// TestRebuildKeepsPredictorSink: with Metrics and SLO on, the runner is the
+// predictor's one sink, and it must be re-installed on the rebuilt manager's
+// predictor — scenario forecasts scored after a stall still reach both the
+// accountant (hit/miss counters) and the cause ledger (scenario-miss charge).
+func TestRebuildKeepsPredictorSink(t *testing.T) {
+	s := testStudy()
+	sc := mkStream(t, s, "stuck", 61, 26)
+	sc.Engine.SetTaskHook(func(task tasks.Name, frameIdx int) {
+		if frameIdx == 3 && task == tasks.NameDetect {
+			time.Sleep(time.Duration(1500*raceScale) * time.Millisecond)
+		}
+	})
+	sc = withRebuild(t, sc, nil)
+	reg := metrics.NewRegistry()
+	tracker := slo.NewTracker(slo.Config{Streams: 1})
+	if err := tracker.EnableMetrics(reg, []string{"stuck"}); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{
+		Supervise: true, WatchdogMs: 20 * raceScale, StallMs: 60 * raceScale, BackoffMs: 0.1, HostWorkers: 4,
+		Metrics: reg, SLO: tracker,
+	}, []Config{sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acct := srv.tels[0].acct
+	scored := func() uint64 { return acct.ScenarioHits.Value() + acct.ScenarioMisses.Value() }
+	scenarioMissMs := func() float64 {
+		for _, c := range tracker.Status(true).Streams[0].Causes {
+			if c.Cause == slo.CauseScenarioMiss.String() {
+				return c.Ms
+			}
+		}
+		t.Fatal("ledger has no scenario-miss cause")
+		return 0
+	}
+	// Snapshot both consumers at the moment of the rebuild.
+	var scoredAtRebuild, missesAtRebuild uint64
+	var ledgerAtRebuild float64
+	rebuild := sc.Rebuild
+	srv.streams[0].Rebuild = func() (*pipeline.Engine, *sched.Manager, error) {
+		scoredAtRebuild, missesAtRebuild = scored(), acct.ScenarioMisses.Value()
+		ledgerAtRebuild = scenarioMissMs()
+		return rebuild()
+	}
+
+	const n = 120
+	out, err := srv.Run(n)
+	if err != nil {
+		t.Fatalf("stalled stream did not recover: %v", err)
+	}
+	st := out.Streams[0].Stats
+	if st.Restarts != 1 {
+		t.Fatalf("restarts = %d, want 1", st.Restarts)
+	}
+	// Every processed frame but the stream's first is planned, so scored.
+	if got, want := scored(), uint64(st.Processed-1); got != want {
+		t.Fatalf("accountant scored %d scenario forecasts (%d before the rebuild), want %d — the sink was lost",
+			got, scoredAtRebuild, want)
+	}
+	if acct.ScenarioMisses.Value() <= missesAtRebuild {
+		t.Fatalf("no scenario miss counted after the rebuild (%d before it); pick a livelier sequence", missesAtRebuild)
+	}
+	if got := scenarioMissMs(); got <= ledgerAtRebuild {
+		t.Fatalf("ledger scenario-miss charge %v ms did not grow after the rebuild (%v before it)", got, ledgerAtRebuild)
 	}
 }
 

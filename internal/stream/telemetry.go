@@ -2,7 +2,6 @@ package stream
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"triplec/internal/bandwidth"
@@ -11,13 +10,15 @@ import (
 	"triplec/internal/metrics"
 	"triplec/internal/pipeline"
 	"triplec/internal/sched"
+	"triplec/internal/stats"
 	"triplec/internal/tasks"
 )
 
 // telemetry is one stream's live-instrumentation glue: it owns the stream's
-// prediction-error accountant, implements core.MetricsSink for the
-// predictor's per-frame error samples, observes every pipeline report, and
-// tracks the stream goroutine's liveness for /healthz. All event methods
+// prediction-error accountant, accounts the predictor's per-frame error
+// samples (forwarded by the runner, the predictor's one sink — see
+// sink.go), observes every pipeline report, and tracks the stream
+// goroutine's liveness for /healthz. All event methods
 // are nil-safe so the serving loop carries no telemetry-enabled branches,
 // and the record path is pure atomics — no allocation, map lookups or fmt
 // per frame (the per-scenario resource forecasts are precomputed tables).
@@ -49,26 +50,15 @@ type telemetry struct {
 	state  atomic.Int32 // streamIdle | streamServing | streamDone | streamFailed
 	errMsg atomic.Value // string; last serve error
 
-	// Rolling scenario-forecast window for /healthz: the low bit of each
-	// sample shifts into scenarioWin (1 = hit), scenarioWinN saturates at
-	// 64. Written only by the serving goroutine inside ScenarioSample;
-	// readers snapshot both atomics (a torn pair can skew the rate by at
-	// most one frame, fine for a health probe).
-	scenarioWin  atomic.Uint64
-	scenarioWinN atomic.Uint64
-
-	// Rolling deadline-miss window over processed frames, same shape as the
-	// scenario window above (1 = miss). Written only inside processed().
-	missWin  atomic.Uint64
-	missWinN atomic.Uint64
+	// Rolling 64-frame windows for /healthz, written only by the serving
+	// goroutine: scenario forecasts (true = hit, inside scenarioSample) and
+	// processed frames' deadline outcomes (true = miss, inside processed) —
+	// the recency counterpart to the lifetime Accountant rates, so /healthz
+	// shows a shift (a promotion gone wrong, a scene change) while the
+	// cumulative rate still averages it away.
+	scenarioWin stats.BitWindow
+	missWin     stats.BitWindow
 }
-
-// scenarioWindow is the rolling hit-rate window size.
-const scenarioWindow = 64
-
-// missWindow is the rolling deadline-miss window size: the last 64 processed
-// frames, sized to one uint64 so the per-frame update is two atomic stores.
-const missWindow = 64
 
 const (
 	streamIdle = int32(iota)
@@ -165,7 +155,6 @@ func newTelemetry(reg *metrics.Registry, sc Config, i int) (*telemetry, error) {
 
 	// Thread the instruments through the hot paths.
 	sc.Engine.SetObserver(t.observeReport)
-	sc.Manager.Predictor().SetMetricsSink(t)
 	sc.Manager.Metrics = &sched.ManagerMetrics{
 		BudgetMs:     acct.BudgetMs,
 		PredictedMs:  t.planPredictedMs,
@@ -189,66 +178,33 @@ func (t *telemetry) observeReport(rep pipeline.Report) {
 	}
 }
 
-// TaskSample implements core.MetricsSink: one task's predicted-vs-actual
-// computation time.
-func (t *telemetry) TaskSample(task tasks.Name, predictedMs, actualMs float64) {
-	t.acct.ObservePrediction(tasks.IndexOf(task), predictedMs, actualMs)
+// Serving-loop events, nil-safe so the runner needs no telemetry branches.
+
+// taskSample accounts the predicted-vs-actual computation time of the task
+// at dense index ti.
+func (t *telemetry) taskSample(ti int, predictedMs, actualMs float64) {
+	if t == nil {
+		return
+	}
+	t.acct.ObservePrediction(ti, predictedMs, actualMs)
 }
 
-// ScenarioSample implements core.MetricsSink: the Markov state table's
-// next-scenario forecast against the scenario that executed, plus the
-// bandwidth and cache-occupation model error the misprediction implies
-// (zero on a hit — the error histograms stay centered when the table is
-// accurate).
-func (t *telemetry) ScenarioSample(predicted, actual flowgraph.Scenario) {
+// scenarioSample accounts the Markov state table's next-scenario forecast
+// against the scenario that executed, plus the bandwidth and
+// cache-occupation model error the misprediction implies (zero on a hit —
+// the error histograms stay centered when the table is accurate).
+func (t *telemetry) scenarioSample(predicted, actual flowgraph.Scenario) {
+	if t == nil {
+		return
+	}
 	t.acct.ObserveScenario(predicted == actual)
-	bit := uint64(0)
-	if predicted == actual {
-		bit = 1
-	}
-	t.scenarioWin.Store(t.scenarioWin.Load()<<1 | bit)
-	if n := t.scenarioWinN.Load(); n < scenarioWindow {
-		t.scenarioWinN.Store(n + 1)
-	}
+	t.scenarioWin.Push(predicted == actual)
 	pi, ai := predicted.Index(), actual.Index()
 	t.acct.ObserveResourceErr(
 		metrics.RelErr(t.bwMBs[pi], t.bwMBs[ai]),
 		metrics.RelErr(t.cacheKB[pi], t.cacheKB[ai]),
 	)
 }
-
-// rollingScenarioHitRate reports the hit fraction over the last
-// min(samples, 64) scenario forecasts, and how many samples back it.
-func (t *telemetry) rollingScenarioHitRate() (rate float64, samples int) {
-	n := t.scenarioWinN.Load()
-	if n == 0 {
-		return 0, 0
-	}
-	win := t.scenarioWin.Load()
-	if n < scenarioWindow {
-		win &= (1 << n) - 1
-	}
-	return float64(bits.OnesCount64(win)) / float64(n), int(n)
-}
-
-// rollingMissRate reports the deadline-miss fraction over the last
-// min(samples, 64) processed frames, and how many samples back it — the
-// recency counterpart to the lifetime Accountant.MissRate, so /healthz
-// shows a shift (a promotion gone wrong, a scene change) while the
-// cumulative rate still averages it away.
-func (t *telemetry) rollingMissRate() (rate float64, samples int) {
-	n := t.missWinN.Load()
-	if n == 0 {
-		return 0, 0
-	}
-	win := t.missWin.Load()
-	if n < missWindow {
-		win &= (1 << n) - 1
-	}
-	return float64(bits.OnesCount64(win)) / float64(n), int(n)
-}
-
-// Serving-loop events, nil-safe so serveOne needs no telemetry branches.
 
 func (t *telemetry) serving() {
 	if t == nil {
@@ -297,15 +253,10 @@ func (t *telemetry) processed(latencyMs float64, missed, acctErr bool) {
 	}
 	t.acct.Processed.Inc()
 	t.acct.LastLatencyMs.Set(latencyMs)
-	bit := uint64(0)
 	if missed {
-		bit = 1
 		t.acct.DeadlineMisses.Inc()
 	}
-	t.missWin.Store(t.missWin.Load()<<1 | bit)
-	if n := t.missWinN.Load(); n < missWindow {
-		t.missWinN.Store(n + 1)
-	}
+	t.missWin.Push(missed)
 	if acctErr {
 		t.acct.AccountingErrs.Inc()
 	}
@@ -372,6 +323,5 @@ func (t *telemetry) rewire(eng *pipeline.Engine, mgr *sched.Manager, old *sched.
 		return
 	}
 	eng.SetObserver(t.observeReport)
-	mgr.Predictor().SetMetricsSink(t)
 	mgr.Metrics = old.Metrics
 }
