@@ -648,8 +648,8 @@ func BenchmarkRealStripedRDG(b *testing.B) {
 	for _, k := range []int{1, 2, 4, 8} {
 		b.Run(benchName("k", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if res, _ := rdg.RunStriped(f, k); res.Response == nil {
-					b.Fatal("no response")
+				if res, _ := rdg.RunStriped(f, k); res.Mask == nil {
+					b.Fatal("no mask")
 				}
 			}
 		})

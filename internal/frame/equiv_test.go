@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -165,6 +166,23 @@ func randROI(rng *rand.Rand, w, h int) *Frame {
 	return parent.SubFrame(R(x0, y0, x0+w, y0+h))
 }
 
+// framedROI returns a w x h view at the origin (margin, margin) of a larger
+// parent whose every pixel outside the view is the complement of the view
+// pixel nearest to it: a kernel that pads from the parent's storage instead
+// of replicating the view's own edge reads a value certain to be wrong.
+func framedROI(rng *rand.Rand, w, h, margin int) *Frame {
+	parent := randFrame(rng, w+2*margin, h+2*margin)
+	view := parent.SubFrame(R(margin, margin, margin+w, margin+h))
+	for y := 0; y < parent.Height(); y++ {
+		for x := 0; x < parent.Width(); x++ {
+			if !view.Bounds.Contains(x, y) {
+				parent.Set(x, y, 0xFFFF-view.AtClamped(x, y))
+			}
+		}
+	}
+	return view
+}
+
 // geometries covers degenerate and awkward shapes: single pixels, single
 // rows/columns, shapes thinner than typical kernel radii, and sizes around
 // stripe boundaries.
@@ -174,7 +192,7 @@ var geometries = [][2]int{
 }
 
 func frameVariants(rng *rand.Rand, w, h int) []*Frame {
-	return []*Frame{randFrame(rng, w, h), randROI(rng, w, h)}
+	return []*Frame{randFrame(rng, w, h), randROI(rng, w, h), framedROI(rng, w, h, 2)}
 }
 
 func requireEqual(t *testing.T, ctx string, got, want *Frame) {
@@ -225,6 +243,23 @@ func TestGaussianBlurMatchesNaive(t *testing.T) {
 			for _, sigma := range sigmas {
 				got := GaussianBlur(src, sigma)
 				requireEqual(t, "blur", got, naiveGaussianBlur(src, sigma))
+			}
+		}
+	}
+	// Radii 0 (sigma <= 0, the kernel {1}) to 6, each on every width and
+	// height up to one past the kernel's support — views the padded row and
+	// the clamped row ring cover entirely — and on stripe counts up to more
+	// than there are rows.
+	for _, sigma := range []float64{-1, 0, 0.3, 0.6, 1.0, 1.2, 1.5, 2.0} {
+		r := len(GaussianKernel1D(sigma)) / 2
+		for w := 1; w <= 2*r+2; w++ {
+			for h := 1; h <= 2*r+2; h++ {
+				src := framedROI(rng, w, h, r+1)
+				want := naiveGaussianBlur(src, sigma)
+				for _, k := range []int{1, 2, 3, 4, 8, h + 3} {
+					requireEqual(t, fmt.Sprintf("blur sigma %v %dx%d k=%d", sigma, w, h, k),
+						GaussianBlurParallel(src, sigma, k), want)
+				}
 			}
 		}
 	}
@@ -389,6 +424,45 @@ func TestAverageIntoMatchesAverage(t *testing.T) {
 	requireEqual(t, "average", got, want)
 }
 
+// TestAddAverageIntoMatchesDivision pins the multiply-shift-correct average
+// to a plain s/n at the divisors and sums where a reciprocal goes wrong
+// first — around powers of two, one either side of every exact multiple, the
+// largest sum n frames can reach — and on 10^6 random pairs.
+func TestAddAverageIntoMatchesDivision(t *testing.T) {
+	zero := New(1000, 1)
+	check := func(n int, sums []uint32) {
+		t.Helper()
+		acc := NewAccumulator(len(sums), 1)
+		copy(acc.sum, sums)
+		acc.frames = n - 1
+		got, err := acc.AddAverageInto(nil, zero.SubFrame(R(0, 0, len(sums), 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range sums {
+			if want := uint16(s / uint32(n)); got.Pix[i] != want {
+				t.Fatalf("sum %d over %d frames averages to %d, want %d", s, n, got.Pix[i], want)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 255, 256, 257, 65535, AccumulatorMaxFrames} {
+		sums := []uint32{0, uint32(65535 * n)}
+		for _, q := range []int{1, 2, 3, 255, 256, 257, 32767, 32768, 65534, 65535} {
+			sums = append(sums, uint32(q*n-1), uint32(q*n), uint32(min(q*n+1, 65535*n)))
+		}
+		check(n, sums)
+	}
+	rng := rand.New(rand.NewSource(12))
+	sums := make([]uint32, 1000)
+	for round := 0; round < 1000; round++ {
+		n := 1 + rng.Intn(AccumulatorMaxFrames)
+		for i := range sums {
+			sums[i] = uint32(rng.Int63n(int64(65535*n) + 1))
+		}
+		check(n, sums)
+	}
+}
+
 func TestParallelVariantsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	k, err := NewKernel([]float64{1. / 9, 1. / 9, 1. / 9, 1. / 9, 1. / 9, 1. / 9, 1. / 9, 1. / 9, 1. / 9})
@@ -397,7 +471,7 @@ func TestParallelVariantsMatchSerial(t *testing.T) {
 	}
 	for _, g := range geometries {
 		for _, src := range frameVariants(rng, g[0], g[1]) {
-			for _, stripes := range []int{1, 2, 3, 8} {
+			for _, stripes := range []int{1, 2, 3, 8, g[1] + 5} {
 				requireEqual(t, "blur-parallel",
 					GaussianBlurParallel(src, 1.2, stripes), GaussianBlur(src, 1.2))
 				requireEqual(t, "convolve-parallel",

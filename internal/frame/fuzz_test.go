@@ -52,11 +52,11 @@ func FuzzReadPGM(f *testing.F) {
 	})
 }
 
-// FuzzStencilEquivalence drives the interior/border-split kernels with
-// arbitrary geometries, ROI windows and sigmas and checks them against the
-// naive clamp-every-tap references from equiv_test.go. Any divergence —
-// including a panic from bad interior slice arithmetic — is a bug in the
-// fast paths.
+// FuzzStencilEquivalence drives the optimised kernels with arbitrary
+// geometries, ROI windows (one of them framed by pixels no kernel may read),
+// sigmas and stripe counts and checks them against the naive
+// clamp-every-tap references from equiv_test.go. Any divergence — including
+// a panic from bad slice arithmetic — is a bug in the fast paths.
 func FuzzStencilEquivalence(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(0), uint8(0), uint8(8), uint8(8), int64(1), float64(1.2))
 	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), int64(2), float64(0.5))
@@ -81,7 +81,8 @@ func FuzzStencilEquivalence(f *testing.F) {
 		y0 := int(ry) % h
 		x1 := x0 + int(rw)%(w-x0) + 1
 		y1 := y0 + int(rh)%(h-y0) + 1
-		for _, src := range []*Frame{parent, parent.SubFrame(R(x0, y0, x1, y1))} {
+		framed := framedROI(rng, x1-x0, y1-y0, 1+int(rx)%13)
+		for _, src := range []*Frame{parent, parent.SubFrame(R(x0, y0, x1, y1)), framed} {
 			requireEqual(t, "blur", GaussianBlur(src, sigma), naiveGaussianBlur(src, sigma))
 			requireEqual(t, "median", Median3x3(src), naiveMedian3x3(src))
 			requireEqual(t, "sobel", Sobel(src), naiveSobel(src))
@@ -90,7 +91,9 @@ func FuzzStencilEquivalence(f *testing.F) {
 				t.Fatal(err)
 			}
 			requireEqual(t, "convolve", Convolve(src, k), naiveConvolve(src, k))
-			requireEqual(t, "stripes", GaussianBlurParallel(src, sigma, 3), GaussianBlur(src, sigma))
+			for _, k := range []int{3, 1 + int(ry)%9, src.Height() + 1} {
+				requireEqual(t, "stripes", GaussianBlurParallel(src, sigma, k), GaussianBlur(src, sigma))
+			}
 			tw, th := src.Width()/2+1, src.Height()/2+1
 			requireEqual(t, "resize", Resize(src, tw, th), naiveResize(src, tw, th))
 		}

@@ -3,6 +3,7 @@ package frame
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -12,7 +13,7 @@ import (
 // r falls back to AtClamped. Both paths accumulate in exactly the same
 // order, so the split output is bit-identical to the naive
 // clamp-every-tap formulation (the equivalence tests in equiv_test.go and
-// fuzz_test.go pin this).
+// fuzz_test.go pin this). The blur pads rows and clamps row indices instead.
 //
 // Every kernel also has a ...Into variant that reuses a caller-supplied
 // destination when its geometry matches, so steady-state per-frame
@@ -170,84 +171,85 @@ func GaussianBlur(src *Frame, sigma float64) *Frame {
 }
 
 // GaussianBlurInto is GaussianBlur writing into dst (reused when its
-// geometry matches; dst may be nil, must not alias src). The intermediate
-// horizontal-pass buffer comes from the shared pool, so a steady-state call
-// with a reused dst allocates nothing. It returns the destination used.
+// geometry matches; dst may be nil, must not alias src). The row scratch is
+// pooled, so a steady-state call with a reused dst allocates nothing. It
+// returns the destination used.
 func GaussianBlurInto(dst, src *Frame, sigma float64) *Frame {
 	return GaussianBlurIntoOn(nil, dst, src, sigma, 1)
 }
 
-// blurHRows runs the horizontal 1-D pass over the absolute row range
-// [yLo, yHi) of src into out.
-func blurHRows(out, src *Frame, w []float64, yLo, yHi int) {
-	b := src.Bounds
-	r := len(w) / 2
-	width := b.Width()
-	xLoI, xHiI := b.X0+r, b.X1-r
-	for y := yLo; y < yHi; y++ {
-		o0 := (y - b.Y0) * out.Stride
-		orow := out.Pix[o0 : o0+width]
-		s0 := (y - b.Y0) * src.Stride
-		srow := src.Pix[s0 : s0+width]
-		if xHiI > xLoI {
-			for x := b.X0; x < xLoI; x++ {
-				orow[x-b.X0] = blurHClamped(src, w, r, x, y)
+// blurRows blurs rows [lo, hi) of src, counted from its first row, into dst.
+// The horizontal pass of a source row lands, rounded to 16 bits like a stored
+// pixel, in a ring of the 2r+1 float64 rows the vertical pass reads: each
+// source pixel is converted once, neither pass walks a column, and a stripe
+// recomputes only the r rows above and below it. Borders replicate the
+// view's own edge (a row padded with r copies of its end pixels, a row index
+// clamped to the view), which is AtClamped on src.Bounds.
+func blurRows(dst, src *Frame, w []float64, lo, hi int) {
+	n := len(w)
+	r := n / 2
+	width, height := src.Width(), src.Height()
+	s := scratchPool.Get().(*scratch)
+	if need := (n+2)*width + 2*r; cap(s.rows) < need {
+		// A power of two: an ROI's width drifts from frame to frame, and an
+		// exact fit would reallocate at every new maximum.
+		s.rows = make([]float64, 1<<bits.Len(uint(need-1)))
+	}
+	padded := s.rows[:width+2*r]
+	acc := s.rows[len(padded):][:width]
+	ring := s.rows[len(padded)+width:][:n*width]
+	next := max(lo-r, 0) // first source row without its horizontal pass in the ring
+	for y := lo; y < hi; y++ {
+		for ; next <= y+r && next < height; next++ {
+			srow := src.Pix[next*src.Stride:][:width]
+			for i := 0; i < r; i++ {
+				padded[i], padded[r+width+i] = float64(srow[0]), float64(srow[width-1])
 			}
-			for x := xLoI; x < xHiI; x++ {
-				acc := 0.0
-				off := x - r - b.X0
-				for i, wv := range w {
-					acc += wv * float64(srow[off+i])
-				}
-				orow[x-b.X0] = clamp16(acc)
+			for x, v := range srow {
+				padded[r+x] = float64(v)
 			}
-			for x := xHiI; x < b.X1; x++ {
-				orow[x-b.X0] = blurHClamped(src, w, r, x, y)
-			}
-		} else {
-			for x := b.X0; x < b.X1; x++ {
-				orow[x-b.X0] = blurHClamped(src, w, r, x, y)
+			h := ring[next%n*width:][:width]
+			tapSum(h, w, func(i int) []float64 { return padded[i:] })
+			for x, v := range h {
+				h[x] = float64(clamp16(v))
 			}
 		}
+		tapSum(acc, w, func(i int) []float64 {
+			row := min(max(y-r+i, 0), height-1)
+			return ring[row%n*width:]
+		})
+		drow := dst.Pix[y*dst.Stride:][:width]
+		for x, v := range acc {
+			drow[x] = clamp16(v)
+		}
 	}
+	scratchPool.Put(s)
 }
 
-func blurHClamped(src *Frame, w []float64, r, x, y int) uint16 {
-	acc := 0.0
-	for i := -r; i <= r; i++ {
-		acc += w[i+r] * float64(src.AtClamped(x+i, y))
+// tapSum sets acc[x] to w[0]*tap(0)[x] + w[1]*tap(1)[x] + ... for the odd
+// number of taps in w. Each pixel adds its products left to right, the order
+// of a tap loop over that pixel (whose 0.0 + w[0]*v is w[0]*v), so the sum is
+// bit-identical to one; sweeping tap-major leaves no add waiting on the
+// previous one.
+func tapSum(acc, w []float64, tap func(i int) []float64) {
+	n := len(acc)
+	a, w0 := tap(0)[:n], w[0]
+	for x := range acc {
+		acc[x] = w0 * a[x]
 	}
-	return clamp16(acc)
-}
-
-// blurVRows runs the vertical 1-D pass over the absolute row range
-// [yLo, yHi) of src into out.
-func blurVRows(out, src *Frame, w []float64, yLo, yHi int) {
-	b := src.Bounds
-	r := len(w) / 2
-	width := b.Width()
-	for y := yLo; y < yHi; y++ {
-		o0 := (y - b.Y0) * out.Stride
-		orow := out.Pix[o0 : o0+width]
-		if y-b.Y0 >= r && b.Y1-y > r {
-			base := (y - r - b.Y0) * src.Stride
-			for xx := 0; xx < width; xx++ {
-				acc := 0.0
-				off := base + xx
-				for _, wv := range w {
-					acc += wv * float64(src.Pix[off])
-					off += src.Stride
-				}
-				orow[xx] = clamp16(acc)
-			}
-		} else {
-			for x := b.X0; x < b.X1; x++ {
-				acc := 0.0
-				for i := -r; i <= r; i++ {
-					acc += w[i+r] * float64(src.AtClamped(x, y+i))
-				}
-				orow[x-b.X0] = clamp16(acc)
-			}
+	i := 1
+	for ; i+3 < len(w); i += 4 {
+		a, b, c, d := tap(i)[:n], tap(i + 1)[:n], tap(i + 2)[:n], tap(i + 3)[:n]
+		wa, wb, wc, wd := w[i], w[i+1], w[i+2], w[i+3]
+		for x := range acc {
+			acc[x] = acc[x] + wa*a[x] + wb*b[x] + wc*c[x] + wd*d[x]
+		}
+	}
+	for ; i < len(w); i += 2 {
+		a, b := tap(i)[:n], tap(i + 1)[:n]
+		wa, wb := w[i], w[i+1]
+		for x := range acc {
+			acc[x] = acc[x] + wa*a[x] + wb*b[x]
 		}
 	}
 }
@@ -499,16 +501,21 @@ func ResampleRows(dst, src *Frame, xs, ys []Tap, yLo, yHi int) {
 	}
 }
 
-// tapScratch backs the two tap tables one Resize or Translate call builds;
-// pooled so a steady-state call allocates nothing.
-type tapScratch struct{ buf []Tap }
+// scratch backs the two tap tables one Resize or Translate call builds and
+// the float64 rows one blurRows call works in; pooled so a steady-state call
+// allocates nothing. One pool for both, so that the resizes every frame runs
+// keep the blur's rows from ageing out of it between frames that blur.
+type scratch struct {
+	taps []Tap
+	rows []float64
+}
 
-var tapPool = sync.Pool{New: func() any { return new(tapScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // tables returns a w-entry and an h-entry table carved from the scratch.
-func (t *tapScratch) tables(w, h int) (xs, ys []Tap) {
-	t.buf = GrowTaps(t.buf, w+h)
-	return t.buf[:w], t.buf[w:]
+func (t *scratch) tables(w, h int) (xs, ys []Tap) {
+	t.taps = GrowTaps(t.taps, w+h)
+	return t.taps[:w], t.taps[w:]
 }
 
 // Resize scales src to (w, h) with bilinear interpolation; this is the
@@ -525,7 +532,7 @@ func ResizeInto(dst, src *Frame, w, h int) *Frame {
 
 // resizeTaps builds the pixel-centre-aligned tap tables mapping a (w, h)
 // destination onto src.
-func (t *tapScratch) resizeTaps(src *Frame, w, h int) (xs, ys []Tap) {
+func (t *scratch) resizeTaps(src *Frame, w, h int) (xs, ys []Tap) {
 	xs, ys = t.tables(w, h)
 	sx := float64(src.Width()) / float64(w)
 	sy := float64(src.Height()) / float64(h)
@@ -552,7 +559,7 @@ func TranslateInto(dst, src *Frame, dx, dy float64) *Frame {
 	if w == 0 || h == 0 {
 		return dst
 	}
-	t := tapPool.Get().(*tapScratch)
+	t := scratchPool.Get().(*scratch)
 	xs, ys := t.tables(w, h)
 	for x := range xs {
 		xs[x] = src.XTap(float64(src.Bounds.X0+x) - dx)
@@ -561,7 +568,7 @@ func TranslateInto(dst, src *Frame, dx, dy float64) *Frame {
 		ys[y] = src.YTap(float64(src.Bounds.Y0+y) - dy)
 	}
 	ResampleRows(dst, src, xs, ys, 0, h)
-	tapPool.Put(t)
+	scratchPool.Put(t)
 	return dst
 }
 
@@ -606,14 +613,23 @@ func (a *Accumulator) AddAverageInto(dst, f *Frame) (*Frame, error) {
 	}
 	dst = ensureDst(dst, a.w, a.h, Rect{0, 0, a.w, a.h})
 	a.frames++
-	n := uint32(a.frames)
+	// s/n without the divide: with m = floor(2^32/n)+1 the estimate s*m>>32
+	// is never below s/n and exceeds it by less than s/2^32 < 1, so it is
+	// the quotient or one more, which one multiply-compare settles. s*m
+	// stays below 2^64 for every sum of at most AccumulatorMaxFrames pixels.
+	n := uint64(a.frames)
+	m := 1<<32/n + 1
 	for y := 0; y < a.h; y++ {
 		sum := a.sum[y*a.w : (y+1)*a.w]
 		avg := dst.Pix[y*a.w : (y+1)*a.w]
 		for i, v := range f.Row(f.Bounds.Y0 + y) {
 			s := sum[i] + uint32(v)
 			sum[i] = s
-			avg[i] = uint16(s / n)
+			q := uint64(s) * m >> 32
+			if q*n > uint64(s) {
+				q--
+			}
+			avg[i] = uint16(q)
 		}
 	}
 	return dst, nil

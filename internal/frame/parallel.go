@@ -4,11 +4,10 @@ import (
 	"triplec/internal/parallel"
 )
 
-// The *Parallel variants stripe the exact same interior/border-split row
-// helpers the serial kernels use (convolveRows, blurHRows/blurVRows,
-// ResampleRows), so their output is bit-identical to the serial versions: the
-// rows of each pass are independent given the input (and, for the blur, the
-// intermediate buffer), so striping never changes results.
+// The *Parallel variants stripe the exact same row helpers the serial
+// kernels use (convolveRows, blurRows, ResampleRows), so their output is
+// bit-identical to the serial versions: output rows are independent given
+// the input, so striping never changes results.
 
 // GaussianBlurParallel is GaussianBlur with each separable pass striped over
 // k goroutines; bit-identical to the serial version.
@@ -33,21 +32,13 @@ func GaussianBlurIntoOn(pool *parallel.Pool, dst, src *Frame, sigma float64, k i
 	if width == 0 || height == 0 {
 		return dst
 	}
-	tmp := BorrowUninit(width, height)
-	tmp.Bounds = src.Bounds
-	y0 := src.Bounds.Y0
 	if k <= 1 {
-		blurHRows(tmp, src, w, y0, y0+height)
-		blurVRows(dst, tmp, w, y0, y0+height)
+		blurRows(dst, src, w, 0, height)
 	} else {
 		parallel.StripesOn(pool, height, k, func(_, lo, hi int) {
-			blurHRows(tmp, src, w, y0+lo, y0+hi)
-		})
-		parallel.StripesOn(pool, height, k, func(_, lo, hi int) {
-			blurVRows(dst, tmp, w, y0+lo, y0+hi)
+			blurRows(dst, src, w, lo, hi)
 		})
 	}
-	Release(tmp)
 	return dst
 }
 
@@ -73,7 +64,7 @@ func ResizeIntoParallel(dst, src *Frame, w, h, k int) *Frame {
 		}
 		return dst
 	}
-	t := tapPool.Get().(*tapScratch)
+	t := scratchPool.Get().(*scratch)
 	xs, ys := t.resizeTaps(src, w, h)
 	if k <= 1 {
 		ResampleRows(dst, src, xs, ys, 0, h)
@@ -82,7 +73,7 @@ func ResizeIntoParallel(dst, src *Frame, w, h, k int) *Frame {
 			ResampleRows(dst, src, xs, ys, lo, hi)
 		})
 	}
-	tapPool.Put(t)
+	scratchPool.Put(t)
 	return dst
 }
 

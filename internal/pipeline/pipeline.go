@@ -387,10 +387,9 @@ func (fx *frameExec) front() {
 	e.charge(fx, tasks.NameMKXExt, mCost)
 	fx.rep.Candidates = len(cands)
 	if ridge != nil {
-		// The ridge frames only feed MKX within this frame; recycle them.
-		frame.Release(ridge.Response)
+		// The ridge mask only feeds MKX within this frame; recycle it.
 		frame.Release(ridge.Mask)
-		ridge.Response, ridge.Mask = nil, nil
+		ridge.Mask = nil
 	}
 
 	e.enter(fx, tasks.NameCPLSSel)

@@ -16,9 +16,9 @@ import (
 // A RidgeDetector reuses internal scratch buffers across calls and is
 // therefore owned by one goroutine at a time, like the pipeline Engine that
 // embeds it (RunStriped's internal stripes are fine: they share one call).
-// The returned RidgeResult frames are freshly taken from the shared frame
-// pool on every call, so results stay valid across calls; callers that own
-// a result may hand its frames back via frame.Release.
+// The returned RidgeResult mask is freshly taken from the shared frame pool
+// on every call, so results stay valid across calls; callers that own a
+// result may hand its mask back via frame.Release.
 type RidgeDetector struct {
 	// Sigma is the Gaussian pre-smoothing scale in pixels.
 	Sigma float64
@@ -58,8 +58,8 @@ func (r *RidgeDetector) scratch(n int) []float64 {
 }
 
 // Run applies the ridge filter to in (which may be a SubFrame for the ROI
-// variant) and returns the response, mask and the cycle cost of the work
-// actually performed.
+// variant) and returns the ridge mask and the cycle cost of the work actually
+// performed.
 func (r *RidgeDetector) Run(in *frame.Frame) (*RidgeResult, platform.Cost) {
 	return r.RunStripedOn(nil, in, 1)
 }
@@ -81,8 +81,7 @@ func (r *RidgeDetector) RunStriped(in *frame.Frame, k int) (*RidgeResult, platfo
 func (r *RidgeDetector) RunStripedOn(pool *parallel.Pool, in *frame.Frame, k int) (*RidgeResult, platform.Cost) {
 	pixels := in.Pixels()
 	if pixels == 0 {
-		return &RidgeResult{Response: frame.New(0, 0), Mask: frame.New(0, 0)},
-			r.Params.cost(0)
+		return &RidgeResult{Mask: frame.New(0, 0)}, r.Params.cost(0)
 	}
 	width, height := in.Width(), in.Height()
 	smoothed := frame.BorrowUninit(width, height)
@@ -105,15 +104,15 @@ func (r *RidgeDetector) RunStripedOn(pool *parallel.Pool, in *frame.Frame, k int
 		}
 	}
 
-	result := &RidgeResult{Response: frame.Borrow(width, height), Mask: frame.Borrow(width, height)}
-	result.Response.Bounds, result.Mask.Bounds = in.Bounds, in.Bounds
+	result := &RidgeResult{Mask: frame.Borrow(width, height)}
+	result.Mask.Bounds = in.Bounds
 	if maxResp > 0 {
 		if k <= 1 {
-			result.RidgePixels = r.maskRows(result, vals, maxResp, 0, height)
+			result.RidgePixels = r.maskRows(result.Mask, vals, maxResp, 0, height)
 		} else {
 			stripeCount := make([]int, k)
 			parallel.StripesOn(pool, height, k, func(stripe, lo, hi int) {
-				stripeCount[stripe] = r.maskRows(result, vals, maxResp, lo, hi)
+				stripeCount[stripe] = r.maskRows(result.Mask, vals, maxResp, lo, hi)
 			})
 			for _, n := range stripeCount {
 				result.RidgePixels += n
@@ -133,7 +132,7 @@ func (r *RidgeDetector) RunStripedOn(pool *parallel.Pool, in *frame.Frame, k int
 // response is the ridge measure of one pixel: for dark lines on a bright
 // background the principal Hessian eigenvalue across the line is large and
 // positive, while along the line it stays near zero, so the response is l1
-// gated by anisotropy.
+// gated by anisotropy. responseRows calls it on the one-pixel border only.
 func (r *RidgeDetector) response(h frame.Hessian) float64 {
 	l1, l2 := h.Eigenvalues()
 	if l1 > 0 && absf(l1) >= r.Anisotropy*(absf(l2)+1) {
@@ -143,60 +142,79 @@ func (r *RidgeDetector) response(h frame.Hessian) float64 {
 }
 
 // responseRows writes the ridge response of rows [lo, hi) of smoothed
-// (counted from its first row) into vals and returns their maximum.
-// Interior pixels read three row slices with HessianAt's interior
-// expressions; the one-pixel border keeps HessianAt's replicate clamps.
+// (counted from its first row) into vals and returns their maximum. The
+// one-pixel border goes through HessianAt's replicate clamps and response.
+//
+// Interior pixels evaluate the same expressions in place and take no branch
+// on the pixel: in blurred noise the sign of the trace is a coin toss, and a
+// mispredicted early return costs what the square root does. They keep
+// l1 = tr/2+disc where the sign bits of both tr and l1-gate are clear and 0
+// elsewhere, which is response bit for bit for any Anisotropy but NaN:
+//   - tr < 0: the eigenvalue of larger magnitude is tr/2-disc, negative by
+//     at least the integer |tr|, far above rounding, so response returns 0
+//     whatever the anisotropy. At tr == 0 the two tie and Eigenvalues picks
+//     the positive one, hence the sign of tr and not tr <= 0.
+//   - tr >= 0: tr/2+disc >= |tr/2-disc| survives rounding, which is
+//     monotone, so it is Eigenvalues' l1; l1-gate has its sign bit clear
+//     exactly when l1 >= gate, distinct floats never differing by a rounded
+//     zero; and keeping an l1 of 0 returns the 0 that l1 > 0 guards.
 func (r *RidgeDetector) responseRows(vals []float64, smoothed *frame.Frame, lo, hi int) float64 {
 	b := smoothed.Bounds
 	width, height := b.Width(), b.Height()
+	border := func(xx, yy int) float64 {
+		return r.response(frame.HessianAt(smoothed, b.X0+xx, b.Y0+yy))
+	}
 	maxResp := 0.0
 	for yy := lo; yy < hi; yy++ {
 		out := vals[yy*width : (yy+1)*width]
 		if yy == 0 || yy == height-1 || width < 3 {
 			for xx := range out {
-				out[xx] = r.response(frame.HessianAt(smoothed, b.X0+xx, b.Y0+yy))
+				out[xx] = border(xx, yy)
+				maxResp = max(maxResp, out[xx])
 			}
-		} else {
-			up := smoothed.Pix[(yy-1)*smoothed.Stride:][:width]
-			mid := smoothed.Pix[yy*smoothed.Stride:][:width]
-			down := smoothed.Pix[(yy+1)*smoothed.Stride:][:width]
-			out[0] = r.response(frame.HessianAt(smoothed, b.X0, b.Y0+yy))
-			for xx := 1; xx < width-1; xx++ {
-				c := float64(mid[xx])
-				out[xx] = r.response(frame.Hessian{
-					XX: float64(mid[xx+1]) - 2*c + float64(mid[xx-1]),
-					YY: float64(down[xx]) - 2*c + float64(up[xx]),
-					XY: (float64(down[xx+1]) - float64(down[xx-1]) -
-						float64(up[xx+1]) + float64(up[xx-1])) / 4,
-				})
-			}
-			out[width-1] = r.response(frame.HessianAt(smoothed, b.X1-1, b.Y0+yy))
+			continue
 		}
-		for _, v := range out {
+		up := smoothed.Pix[(yy-1)*smoothed.Stride:][:width]
+		mid := smoothed.Pix[yy*smoothed.Stride:][:width]
+		down := smoothed.Pix[(yy+1)*smoothed.Stride:][:width]
+		out[0], out[width-1] = border(0, yy), border(width-1, yy)
+		maxResp = max(maxResp, out[0], out[width-1])
+		for xx := 1; xx < width-1; xx++ {
+			c := float64(mid[xx])
+			hxx := float64(mid[xx+1]) - 2*c + float64(mid[xx-1])
+			hyy := float64(down[xx]) - 2*c + float64(up[xx])
+			hxy := (float64(down[xx+1]) - float64(down[xx-1]) -
+				float64(up[xx+1]) + float64(up[xx-1])) / 4
+			tr := hxx + hyy
+			d := tr*tr/4 - (hxx*hyy - hxy*hxy)
+			if d <= 0 {
+				d = 0
+			}
+			disc := math.Sqrt(d)
+			l1 := tr/2 + disc
+			gate := r.Anisotropy * (absf(tr/2-disc) + 1)
+			keep := ^(math.Float64bits(tr) | math.Float64bits(l1-gate)) >> 63
+			v := math.Float64frombits(math.Float64bits(l1) & -keep)
 			if v > maxResp {
 				maxResp = v
 			}
+			out[xx] = v
 		}
 	}
 	return maxResp
 }
 
-// maskRows scales rows [lo, hi) of vals into res.Response, marks the pixels
-// at or above the relative threshold in res.Mask and returns how many it
-// marked. Both frames start zeroed and compact.
-func (r *RidgeDetector) maskRows(res *RidgeResult, vals []float64, maxResp float64, lo, hi int) int {
-	width := res.Mask.Width()
+// maskRows marks the pixels of rows [lo, hi) of vals at or above the
+// relative threshold in mask, which starts zeroed and compact, and returns
+// how many it marked. The threshold is tested first: a few percent of the
+// pixels pass it, a branch that predicts, where a third are positive.
+func (r *RidgeDetector) maskRows(mask *frame.Frame, vals []float64, maxResp float64, lo, hi int) int {
+	width := mask.Width()
 	thr := r.RelThreshold * maxResp
-	scale := 65535.0 / maxResp
 	n := 0
 	for i := lo * width; i < hi*width; i++ {
-		v := vals[i]
-		if v <= 0 {
-			continue
-		}
-		res.Response.Pix[i] = uint16(v * scale)
-		if v >= thr {
-			res.Mask.Pix[i] = 0xFFFF
+		if v := vals[i]; v >= thr && v > 0 {
+			mask.Pix[i] = 0xFFFF
 			n++
 		}
 	}
@@ -230,18 +248,35 @@ func (d *StructureDetector) Run(in *frame.Frame) (bool, platform.Cost) {
 		return false, d.Params.cost(0)
 	}
 	small := frame.ResizeInto(frame.BorrowUninit(w, h), in, w, h)
-	energy := 0.0
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			gx, gy := frame.Gradient(small, x, y)
-			energy += absf(gx) + absf(gy)
-		}
-	}
+	energy := gradientEnergy(small)
 	frame.Release(small)
 	energy /= float64(w * h)
 	norm := energy * math.Sqrt(float64(in.Pixels()))
 	cycles := d.Params.pixCost(w*h, d.Params.DetectPerPixel)
 	return norm >= d.EnergyThreshold, d.Params.cost(cycles)
+}
+
+// gradientEnergy sums |gx|+|gy| of frame.Gradient over f, a compact frame
+// at the origin at least two pixels wide, in row-major order. Rows and
+// columns clamped to the frame are Gradient's replicate border.
+func gradientEnergy(f *frame.Frame) float64 {
+	w, h := f.Width(), f.Height()
+	energy := 0.0
+	for y := 0; y < h; y++ {
+		up := f.Pix[max(y-1, 0)*w:][:w]
+		mid := f.Pix[y*w:][:w]
+		down := f.Pix[min(y+1, h-1)*w:][:w]
+		at := func(xl, x, xr int) float64 {
+			return absf((float64(mid[xr])-float64(mid[xl]))/2) +
+				absf((float64(down[x])-float64(up[x]))/2)
+		}
+		energy += at(0, 0, 1)
+		for x := 1; x < w-1; x++ {
+			energy += at(x-1, x, x+1)
+		}
+		energy += at(w-2, w-1, w-1)
+	}
+	return energy
 }
 
 func absf(v float64) float64 {

@@ -2,6 +2,7 @@ package tasks
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"triplec/internal/frame"
@@ -136,6 +137,54 @@ func TestStructureDetectorTinyFrame(t *testing.T) {
 	on, _ := det.Run(frame.New(4, 4))
 	if on {
 		t.Fatal("tiny frame must not fire")
+	}
+}
+
+// TestStructureDetectorMatchesPerPixelGradient pins the row-sliced energy
+// sweep to the loop it replaced — one frame.Gradient call per pixel, summed
+// in the same row-major order — bit for bit, so switch 1 fires on exactly
+// the frames it fired on: clean and noisy sequence frames, and downsampled
+// images two and three pixels wide or high, which are border all over.
+func TestStructureDetectorMatchesPerPixelGradient(t *testing.T) {
+	reference := func(f *frame.Frame) float64 {
+		energy := 0.0
+		for y := 0; y < f.Height(); y++ {
+			for x := 0; x < f.Width(); x++ {
+				gx, gy := frame.Gradient(f, x, y)
+				energy += absf(gx) + absf(gy)
+			}
+		}
+		return energy
+	}
+	noisyCfg := synth.DefaultConfig(9)
+	noisyCfg.Width, noisyCfg.Height = 128, 128
+	noisy, err := synth.New(noisyCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleanFrames := cleanSeq(t, 7)
+	var inputs []*frame.Frame
+	for _, fi := range []int{0, 20, 45} {
+		clean, _ := cleanFrames.Frame(fi)
+		grainy, _ := noisy.Frame(fi)
+		inputs = append(inputs, clean, grainy, grainy.SubFrame(frame.R(13, 40, 13+57, 40+30)))
+	}
+	full := inputs[1]
+	for _, g := range [][2]int{{8, 8}, {8, 12}, {12, 8}, {12, 12}, {9, 64}, {64, 15}} {
+		inputs = append(inputs, full.SubFrame(frame.R(30, 20, 30+g[0], 20+g[1])))
+	}
+	det := NewStructureDetector(params())
+	for _, in := range inputs {
+		w, h := in.Width()/4, in.Height()/4
+		small := frame.Resize(in, w, h)
+		want := reference(small)
+		if got := gradientEnergy(small); got != want {
+			t.Fatalf("%v: gradient energy %v, want %v", in.Bounds, got, want)
+		}
+		wantOn := want/float64(w*h)*math.Sqrt(float64(in.Pixels())) >= det.EnergyThreshold
+		if on, _ := det.Run(in); on != wantOn {
+			t.Fatalf("%v: detector fired = %v, want %v", in.Bounds, on, wantOn)
+		}
 	}
 }
 
@@ -622,6 +671,7 @@ func TestRunStripedMatchesRun(t *testing.T) {
 	for _, fi := range []int{0, 20} {
 		f, _ := s.Frame(fi)
 		want, wantCost := rdg.Run(f)
+		wantVals := append([]float64(nil), rdg.vals[:f.Pixels()]...)
 		for _, k := range []int{1, 2, 4, 8} {
 			got, gotCost := rdg.RunStriped(f, k)
 			if got.RidgePixels != want.RidgePixels {
@@ -630,8 +680,8 @@ func TestRunStripedMatchesRun(t *testing.T) {
 			if got.Dominant != want.Dominant {
 				t.Fatalf("frame %d k=%d: dominance differs", fi, k)
 			}
-			if !got.Mask.Equal(want.Mask) || !got.Response.Equal(want.Response) {
-				t.Fatalf("frame %d k=%d: pixel outputs differ", fi, k)
+			if !got.Mask.Equal(want.Mask) || !slices.Equal(rdg.vals[:f.Pixels()], wantVals) {
+				t.Fatalf("frame %d k=%d: mask or responses differ", fi, k)
 			}
 			if gotCost != wantCost {
 				t.Fatalf("frame %d k=%d: cost differs (%v vs %v)", fi, k, gotCost, wantCost)
@@ -668,12 +718,28 @@ func TestIndexOfMatchesAllNames(t *testing.T) {
 	}
 }
 
-// ridgeReference is the ridge filter as one HessianAt call per pixel — the
-// form the row-sliced sweep in responseRows replaced.
-func ridgeReference(r *RidgeDetector, in *frame.Frame) (resp, mask *frame.Frame, ridgePixels int) {
-	smoothed := frame.GaussianBlur(in, r.Sigma)
-	w, h := in.Width(), in.Height()
-	vals := make([]float64, 0, w*h)
+// ridgeReference is the ridge filter one pixel at a time, sharing no loop
+// with the detector: its own two-pass AtClamped blur (the detector's tap
+// order, rounded to 16 bits between the passes), then one HessianAt and one
+// Eigenvalues call per pixel.
+func ridgeReference(r *RidgeDetector, in *frame.Frame) (vals []float64, mask *frame.Frame, ridgePixels int) {
+	wts := frame.GaussianKernel1D(r.Sigma)
+	rad := len(wts) / 2
+	blurPass := func(src *frame.Frame, dx, dy int) *frame.Frame {
+		out := frame.New(in.Width(), in.Height())
+		out.Bounds = in.Bounds
+		for y := in.Bounds.Y0; y < in.Bounds.Y1; y++ {
+			for x := in.Bounds.X0; x < in.Bounds.X1; x++ {
+				acc := 0.0
+				for i := -rad; i <= rad; i++ {
+					acc += wts[i+rad] * float64(src.AtClamped(x+i*dx, y+i*dy))
+				}
+				out.Set(x, y, uint16(math.Min(math.Max(acc, 0), 65535)+0.5))
+			}
+		}
+		return out
+	}
+	smoothed := blurPass(blurPass(in, 1, 0), 0, 1)
 	maxResp := 0.0
 	for y := in.Bounds.Y0; y < in.Bounds.Y1; y++ {
 		for x := in.Bounds.X0; x < in.Bounds.X1; x++ {
@@ -686,45 +752,46 @@ func ridgeReference(r *RidgeDetector, in *frame.Frame) (resp, mask *frame.Frame,
 			maxResp = math.Max(maxResp, v)
 		}
 	}
-	resp, mask = frame.New(w, h), frame.New(w, h)
-	resp.Bounds, mask.Bounds = in.Bounds, in.Bounds
+	mask = frame.New(in.Width(), in.Height())
+	mask.Bounds = in.Bounds
 	for i, v := range vals {
-		if maxResp <= 0 || v <= 0 {
-			continue
-		}
-		resp.Pix[i] = uint16(v * (65535.0 / maxResp))
-		if v >= r.RelThreshold*maxResp {
+		if v > 0 && v >= r.RelThreshold*maxResp {
 			mask.Pix[i] = 0xFFFF
 			ridgePixels++
 		}
 	}
-	return resp, mask, ridgePixels
+	return vals, mask, ridgePixels
 }
 
 func TestRidgeDetectorMatchesPerPixelReference(t *testing.T) {
 	s := cleanSeq(t, 53)
 	full, _ := s.Frame(20)
-	rdg := NewRidgeDetector(params())
 	inputs := []*frame.Frame{full, full.SubFrame(frame.R(17, 9, 90, 71))}
 	// Views narrower or shorter than the 3x3 Hessian support have no
 	// interior; the sweep must fall back to the clamped taps everywhere.
 	for _, g := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {2, 7}, {3, 3}, {3, 8}, {8, 3}} {
 		inputs = append(inputs, full.SubFrame(frame.R(40, 30, 40+g[0], 30+g[1])))
 	}
-	for _, in := range inputs {
-		wantResp, wantMask, wantPixels := ridgeReference(rdg, in)
-		for _, k := range []int{1, 3} {
-			got, _ := rdg.RunStriped(in, k)
-			if got.RidgePixels != wantPixels {
-				t.Fatalf("%v k=%d: %d ridge pixels, want %d", in.Bounds, k, got.RidgePixels, wantPixels)
+	// Below an anisotropy of 1 a pixel whose eigenvalues tie in magnitude
+	// responds, which is where the sweep's trace test could cut too early.
+	for _, anisotropy := range []float64{0.5, 1, 1.8} {
+		rdg := NewRidgeDetector(params())
+		rdg.Anisotropy = anisotropy
+		for _, in := range inputs {
+			wantVals, wantMask, wantPixels := ridgeReference(rdg, in)
+			if in == full && wantPixels == 0 {
+				t.Fatal("setup: the reference frame has no ridge pixels")
 			}
-			if !got.Response.Equal(wantResp) || !got.Mask.Equal(wantMask) {
-				t.Fatalf("%v k=%d: response or mask differs from the per-pixel reference", in.Bounds, k)
+			for _, k := range []int{1, 2, 3, 4, 8} {
+				got, _ := rdg.RunStriped(in, k)
+				if got.RidgePixels != wantPixels {
+					t.Fatalf("anisotropy %v %v k=%d: %d ridge pixels, want %d", anisotropy, in.Bounds, k, got.RidgePixels, wantPixels)
+				}
+				if !slices.Equal(rdg.vals[:in.Pixels()], wantVals) || !got.Mask.Equal(wantMask) {
+					t.Fatalf("anisotropy %v %v k=%d: responses or mask differ from the per-pixel reference", anisotropy, in.Bounds, k)
+				}
 			}
 		}
-	}
-	if _, _, n := ridgeReference(rdg, full); n == 0 {
-		t.Fatal("setup: the reference frame has no ridge pixels")
 	}
 }
 

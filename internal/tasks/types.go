@@ -106,7 +106,6 @@ type Registration struct {
 
 // RidgeResult is the output of the ridge-detection task.
 type RidgeResult struct {
-	Response    *frame.Frame // ridge-strength map (normalized)
 	Mask        *frame.Frame // thresholded binary ridge mask
 	RidgePixels int          // number of mask pixels set — the data-dependent load
 	Dominant    bool         // dominant elongated structures present
