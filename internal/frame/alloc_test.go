@@ -7,10 +7,11 @@ import (
 
 // Allocation pins for the pooled per-frame kernel paths. The Into variants
 // with a reused destination must not allocate at all; GaussianBlurInto
-// borrows its intermediate buffer, and ResizeInto and TranslateInto their tap
-// tables, from a pool, which allocates only on a pool miss (e.g. when the GC
-// drained the pool mid-run, or under -race, where sync.Pool drops a quarter
-// of what it is handed), so their pin is a fraction rather than exactly zero.
+// borrows its row scratch, ResizeInto and TranslateInto their tap tables and
+// ResampleRows its ring of row products from a pool, which allocates only on
+// a pool miss (e.g. when the GC drained the pool mid-run, or under -race,
+// where sync.Pool drops a quarter of what it is handed), so their pin is a
+// fraction rather than exactly zero.
 
 func TestKernelIntoPathsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
@@ -22,6 +23,13 @@ func TestKernelIntoPathsDoNotAllocate(t *testing.T) {
 	}
 	dst := New(128, 96)
 	small := New(64, 48)
+	xs, ys := make([]Tap, 128), make([]Tap, 96)
+	for i := range xs {
+		xs[i] = src.XTap(float64(i) * 0.7)
+	}
+	for i := range ys {
+		ys[i] = src.YTap(float64(i) * 0.7)
+	}
 
 	cases := []struct {
 		name  string
@@ -38,6 +46,7 @@ func TestKernelIntoPathsDoNotAllocate(t *testing.T) {
 		{"GaussianBlurInto", 0.5, func() { GaussianBlurInto(dst, src, 1.2) }},
 		{"ResizeInto", 0.5, func() { ResizeInto(small, src, 64, 48) }},
 		{"TranslateInto", 0.5, func() { TranslateInto(dst, src, 0.7, 1.3) }},
+		{"ResampleRows", 0.5, func() { ResampleRows(dst, src, xs, ys, 0, 96) }},
 		{"BorrowRelease", 0.5, func() { Release(BorrowUninit(128, 96)) }},
 	}
 	for _, tc := range cases {

@@ -26,24 +26,27 @@ func LabelComponents(mask, src *Frame, minSize int) []Component {
 	if w == 0 || h == 0 {
 		return nil
 	}
-	labels := make([]int32, w*h)
+	// seen marks the pixels already given to a component: a pooled frame,
+	// zeroed on borrow, so that a call allocates only what it returns.
+	seen := Borrow(w, h)
+	defer Release(seen)
 	var comps []Component
 	// Iterative flood fill with an explicit stack to avoid recursion depth
 	// limits on large blobs.
 	stack := make([][2]int, 0, 64)
-	next := int32(1)
+	label := 0
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if labels[y*w+x] != 0 || mask.At(b.X0+x, b.Y0+y) == 0 {
+		mrow, srow := mask.Pix[y*mask.Stride:][:w], seen.Pix[y*w:][:w]
+		for x, m := range mrow {
+			if m == 0 || srow[x] != 0 {
 				continue
 			}
-			id := next
-			next++
-			c := Component{Label: int(id), BBox: Rect{b.X0 + x, b.Y0 + y, b.X0 + x + 1, b.Y0 + y + 1}}
+			label++
+			c := Component{Label: label, BBox: Rect{b.X0 + x, b.Y0 + y, b.X0 + x + 1, b.Y0 + y + 1}}
 			var sumX, sumY, sumV float64
 			stack = stack[:0]
 			stack = append(stack, [2]int{x, y})
-			labels[y*w+x] = id
+			srow[x] = 1
 			for len(stack) > 0 {
 				p := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -59,10 +62,10 @@ func LabelComponents(mask, src *Frame, minSize int) []Component {
 					if nx < 0 || nx >= w || ny < 0 || ny >= h {
 						continue
 					}
-					if labels[ny*w+nx] != 0 || mask.At(b.X0+nx, b.Y0+ny) == 0 {
+					if seen.Pix[ny*w+nx] != 0 || mask.Pix[ny*mask.Stride+nx] == 0 {
 						continue
 					}
-					labels[ny*w+nx] = id
+					seen.Pix[ny*w+nx] = 1
 					stack = append(stack, [2]int{nx, ny})
 				}
 			}

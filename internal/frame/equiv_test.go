@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -551,4 +552,114 @@ func TestBorrowReleaseRoundTrip(t *testing.T) {
 	}
 	Release(g)
 	Release(u)
+}
+
+// naiveLabelComponents is LabelComponents as it was before the seen map was
+// pooled and the scan row-sliced: a fresh label image and an At per pixel.
+func naiveLabelComponents(mask, src *Frame, minSize int) []Component {
+	if src == nil {
+		src = mask
+	}
+	b := mask.Bounds
+	w, h := b.Width(), b.Height()
+	if w == 0 || h == 0 {
+		return nil
+	}
+	labels := make([]int32, w*h)
+	var comps []Component
+	stack := make([][2]int, 0, 64)
+	next := int32(1)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if labels[y*w+x] != 0 || mask.At(b.X0+x, b.Y0+y) == 0 {
+				continue
+			}
+			id := next
+			next++
+			c := Component{Label: int(id), BBox: Rect{b.X0 + x, b.Y0 + y, b.X0 + x + 1, b.Y0 + y + 1}}
+			var sumX, sumY, sumV float64
+			stack = stack[:0]
+			stack = append(stack, [2]int{x, y})
+			labels[y*w+x] = id
+			for len(stack) > 0 {
+				p := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				px, py := p[0], p[1]
+				gx, gy := b.X0+px, b.Y0+py
+				c.Size++
+				sumX += float64(gx)
+				sumY += float64(gy)
+				sumV += float64(src.AtClamped(gx, gy))
+				c.BBox = c.BBox.Union(Rect{gx, gy, gx + 1, gy + 1})
+				for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
+					nx, ny := px+d[0], py+d[1]
+					if nx < 0 || nx >= w || ny < 0 || ny >= h {
+						continue
+					}
+					if labels[ny*w+nx] != 0 || mask.At(b.X0+nx, b.Y0+ny) == 0 {
+						continue
+					}
+					labels[ny*w+nx] = id
+					stack = append(stack, [2]int{nx, ny})
+				}
+			}
+			if c.Size < minSize {
+				continue
+			}
+			c.CX = sumX / float64(c.Size)
+			c.CY = sumY / float64(c.Size)
+			c.MeanVal = sumV / float64(c.Size)
+			if a := c.BBox.Area(); a > 0 {
+				c.Compact = float64(c.Size) / float64(a)
+			}
+			bw, bh := c.BBox.Width(), c.BBox.Height()
+			if bw > 0 && bh > 0 {
+				if bw > bh {
+					c.Elongate = float64(bw) / float64(bh)
+				} else {
+					c.Elongate = float64(bh) / float64(bw)
+				}
+			}
+			comps = append(comps, c)
+		}
+	}
+	return comps
+}
+
+// TestLabelComponentsMatchesNaive: same components in the same order with
+// the same sums, on compact masks, SubFrame masks of every density, sources
+// that share the mask's bounds or do not, and with the pooled seen map handed
+// back dirty from a call of another size.
+func TestLabelComponentsMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	sizes := append([][2]int{{64, 48}, {48, 64}}, geometries...)
+	for round := 0; round < 3; round++ {
+		for _, g := range sizes {
+			for vi, mask := range frameVariants(rng, g[0], g[1]) {
+				// Thin the random pixels to blobs: 7, 4 and 1 in 8 stay set.
+				density := []int{7, 4, 1}[round]
+				for y := mask.Bounds.Y0; y < mask.Bounds.Y1; y++ {
+					row := mask.Row(y)
+					for x := range row {
+						if rng.Intn(8) >= density {
+							row[x] = 0
+						}
+					}
+				}
+				dirty := Borrow(g[0], g[1])
+				dirty.Fill(0xFFFF)
+				Release(dirty)
+				other := randFrame(rng, g[0], g[1])
+				other.Bounds = mask.Bounds
+				for si, src := range []*Frame{nil, other, randFrame(rng, g[0]+1, g[1])} {
+					minSize := 1 + rng.Intn(3)
+					got, want := LabelComponents(mask, src, minSize), naiveLabelComponents(mask, src, minSize)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%dx%d variant %d source %d density %d/8: components differ\n got %+v\nwant %+v",
+							g[0], g[1], vi, si, density, got, want)
+					}
+				}
+			}
+		}
+	}
 }

@@ -190,14 +190,10 @@ func blurRows(dst, src *Frame, w []float64, lo, hi int) {
 	r := n / 2
 	width, height := src.Width(), src.Height()
 	s := scratchPool.Get().(*scratch)
-	if need := (n+2)*width + 2*r; cap(s.rows) < need {
-		// A power of two: an ROI's width drifts from frame to frame, and an
-		// exact fit would reallocate at every new maximum.
-		s.rows = make([]float64, 1<<bits.Len(uint(need-1)))
-	}
-	padded := s.rows[:width+2*r]
-	acc := s.rows[len(padded):][:width]
-	ring := s.rows[len(padded)+width:][:n*width]
+	rows := s.floats((n+2)*width + 2*r)
+	padded := rows[:width+2*r]
+	acc := rows[len(padded):][:width]
+	ring := rows[len(padded)+width:][:n*width]
 	next := max(lo-r, 0) // first source row without its horizontal pass in the ring
 	for y := lo; y < hi; y++ {
 		for ; next <= y+r && next < height; next++ {
@@ -484,33 +480,111 @@ func GrowTaps(taps []Tap, n int) []Tap {
 // coordinates xs[x] and ys[y] were built from with src.XTap and src.YTap.
 // src must not be empty, dst must be at least len(xs) wide and must not
 // alias src. This is the one bilinear pixel loop behind Resize, Translate
-// and the enhancement stage's motion-compensated canvas; the sum keeps
-// BilinearAt's association, so the two agree bit for bit.
+// and the enhancement stage's motion-compensated canvas.
 func ResampleRows(dst, src *Frame, xs, ys []Tap, yLo, yHi int) {
+	s := scratchPool.Get().(*scratch)
+	bilinearRows(dst, nil, s.floats(4*len(xs)), src, xs, ys, yLo, yHi)
+	scratchPool.Put(s)
+}
+
+// SampleRows is ResampleRows without the rounding to a pixel: out[y*len(xs)+x]
+// becomes BilinearAt(src, cx, cy) for every tap of xs and ys — zero, like
+// BilinearAt, when src is empty. ring is 4*len(xs) floats of the caller's
+// scratch. The registration stage compares patches of two frames this way.
+func SampleRows(out, ring []float64, src *Frame, xs, ys []Tap) {
+	if src.Bounds.Empty() {
+		clear(out[:len(xs)*len(ys)])
+		return
+	}
+	bilinearRows(nil, out, ring, src, xs, ys, 0, len(ys))
+}
+
+// bilinearRows is the row kernel under both, storing into out when dst is
+// nil. Two passes: the horizontal one is made once per source row, into a
+// ring of two rows of products, and the vertical one blends four contiguous
+// float64 rows. The sum keeps BilinearAt's association, so the two agree bit
+// for bit.
+func bilinearRows(dst *Frame, out, ring []float64, src *Frame, xs, ys []Tap, yLo, yHi int) {
+	n := len(xs)
+	h := hring{src: src, xs: xs, buf: ring[:4*n], have: [2]int32{-1, -1}}
 	for y := yLo; y < yHi; y++ {
 		ty := ys[y]
-		r0 := src.Pix[int(ty.I0)*src.Stride:]
-		r1 := src.Pix[int(ty.I1)*src.Stride:]
 		fy, gy := ty.F, ty.G
-		drow := dst.Pix[y*dst.Stride:][:len(xs)]
-		for x := range xs {
-			tx := &xs[x]
-			drow[x] = clamp16(float64(r0[tx.I0])*tx.G*gy + float64(r0[tx.I1])*tx.F*gy +
-				float64(r1[tx.I0])*tx.G*fy + float64(r1[tx.I1])*tx.F*fy)
+		a, b := h.slot(ty.I0, ty.I1), h.slot(ty.I1, ty.I0)
+		hg0, hf0, hg1, hf1 := a[:n], a[n:][:n], b[:n], b[n:][:n]
+		if dst == nil {
+			orow := out[y*n:][:n]
+			for x := range orow {
+				orow[x] = hg0[x]*gy + hf0[x]*gy + hg1[x]*fy + hf1[x]*fy
+			}
+			continue
+		}
+		drow := dst.Pix[y*dst.Stride:][:n]
+		for x := range drow {
+			drow[x] = clamp16(hg0[x]*gy + hf0[x]*gy + hg1[x]*fy + hf1[x]*fy)
 		}
 	}
 }
 
+// hring holds the horizontal pass of the two source rows a destination row
+// blends: slot s keeps hg[x] = row[xs[x].I0]*G and hf[x] = row[xs[x].I1]*F of
+// source row have[s]. A row is filled when first asked for and reused for
+// as long as it is one of the two in use — every repeat under magnification,
+// and whenever one destination row's lower source row is the next one's upper.
+type hring struct {
+	src  *Frame
+	xs   []Tap
+	buf  []float64 // two slots of len(xs) hg then len(xs) hf
+	have [2]int32  // source row in each slot, -1 when empty
+}
+
+// slot returns the slot holding source row i, filling on a miss the one that
+// does not hold row keep: the other row of the pair is in use, or about to be.
+// At a clamped border the two are one row and share a slot.
+func (h *hring) slot(i, keep int32) []float64 {
+	n := len(h.xs)
+	s := 0
+	switch {
+	case h.have[0] == i:
+	case h.have[1] == i:
+		s = 1
+	default:
+		if h.have[0] == keep {
+			s = 1
+		}
+		h.have[s] = i
+		row := h.src.Pix[int(i)*h.src.Stride:]
+		xs := h.xs
+		hg, hf := h.buf[s*2*n:][:len(xs)], h.buf[s*2*n+n:][:len(xs)]
+		for x := range xs {
+			tx := &xs[x]
+			hg[x], hf[x] = float64(row[tx.I0])*tx.G, float64(row[tx.I1])*tx.F
+		}
+	}
+	return h.buf[s*2*n:][:2*n]
+}
+
 // scratch backs the two tap tables one Resize or Translate call builds and
-// the float64 rows one blurRows call works in; pooled so a steady-state call
-// allocates nothing. One pool for both, so that the resizes every frame runs
-// keep the blur's rows from ageing out of it between frames that blur.
+// the float64 rows one blurRows or ResampleRows call works in; pooled so a
+// steady-state call allocates nothing. One pool for all, so that the resizes
+// every frame runs keep the blur's rows from ageing out of it between frames
+// that blur.
 type scratch struct {
 	taps []Tap
 	rows []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// floats returns n float64s of the scratch, contents unspecified. It grows to
+// a power of two: an ROI's width drifts from frame to frame, and an exact fit
+// would reallocate at every new maximum.
+func (t *scratch) floats(n int) []float64 {
+	if cap(t.rows) < n {
+		t.rows = make([]float64, 1<<bits.Len(uint(n-1)))
+	}
+	return t.rows[:n]
+}
 
 // tables returns a w-entry and an h-entry table carved from the scratch.
 func (t *scratch) tables(w, h int) (xs, ys []Tap) {
@@ -567,7 +641,7 @@ func TranslateInto(dst, src *Frame, dx, dy float64) *Frame {
 	for y := range ys {
 		ys[y] = src.YTap(float64(src.Bounds.Y0+y) - dy)
 	}
-	ResampleRows(dst, src, xs, ys, 0, h)
+	bilinearRows(dst, nil, t.floats(4*w), src, xs, ys, 0, h)
 	scratchPool.Put(t)
 	return dst
 }

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,23 +12,32 @@ import (
 // clamp16(BilinearAt(src, cx[x], cy[y])) for whatever coordinates the caller
 // built its taps from.
 
-// resampleVia runs ResampleRows over taps built from cx, cy into a view of a
-// dirty parent (so the destination's stride exceeds its width) and reports
-// whether the parent's pixels around the view were left alone.
-func resampleVia(src *Frame, cx, cy []float64) (dst *Frame, contained bool) {
-	xs, ys := make([]Tap, len(cx)), make([]Tap, len(cy))
+// tapsOf builds the tap tables of the coordinates cx and cy on src.
+func tapsOf(src *Frame, cx, cy []float64) (xs, ys []Tap) {
+	xs, ys = make([]Tap, len(cx)), make([]Tap, len(cy))
 	for i, c := range cx {
 		xs[i] = src.XTap(c)
 	}
 	for i, c := range cy {
 		ys[i] = src.YTap(c)
 	}
+	return xs, ys
+}
+
+// resampleVia runs ResampleRows over taps built from cx, cy into a view of a
+// dirty parent (so the destination's stride exceeds its width), one call per
+// stripe between the ascending cuts, and reports whether the parent's pixels
+// around the view were left alone.
+func resampleVia(src *Frame, cx, cy []float64, cuts ...int) (dst *Frame, contained bool) {
+	xs, ys := tapsOf(src, cx, cy)
 	parent := New(len(cx)+3, len(cy)+2)
 	parent.Fill(0xABCD)
 	dst = parent.SubFrame(R(2, 1, 2+len(cx), 1+len(cy)))
-	// Two calls with a seam exercise the row-range arguments.
-	ResampleRows(dst, src, xs, ys, 0, len(cy)/2)
-	ResampleRows(dst, src, xs, ys, len(cy)/2, len(cy))
+	lo := 0
+	for _, hi := range append(cuts, len(cy)) {
+		ResampleRows(dst, src, xs, ys, lo, hi)
+		lo = hi
+	}
 	contained = true
 	for y := 0; y < parent.Height(); y++ {
 		for x := 0; x < parent.Width(); x++ {
@@ -39,18 +49,35 @@ func resampleVia(src *Frame, cx, cy []float64) (dst *Frame, contained bool) {
 	return dst, contained
 }
 
+// requireResample checks both sinks of the row kernel against the point
+// sampler: ResampleRows (two stripes with a seam, exercising the row-range
+// arguments) pixel for pixel, SampleRows bit for bit.
 func requireResample(t *testing.T, ctx string, src *Frame, cx, cy []float64) {
 	t.Helper()
-	got, contained := resampleVia(src, cx, cy)
+	got, contained := resampleVia(src, cx, cy, len(cy)/2)
 	if !contained {
 		t.Fatalf("%s: wrote outside the destination view", ctx)
+	}
+	xs, ys := tapsOf(src, cx, cy)
+	raw := make([]float64, len(cx)*len(cy)+1)
+	raw[len(raw)-1] = -1
+	ring := make([]float64, 4*len(cx)+1)
+	ring[len(ring)-1] = -1
+	SampleRows(raw, ring, src, xs, ys)
+	if raw[len(raw)-1] != -1 || ring[len(ring)-1] != -1 {
+		t.Fatalf("%s: SampleRows wrote past its rows", ctx)
 	}
 	for y, sy := range cy {
 		row := got.Row(got.Bounds.Y0 + y)
 		for x, sx := range cx {
-			if want := clamp16(BilinearAt(src, sx, sy)); row[x] != want {
+			want := BilinearAt(src, sx, sy)
+			if row[x] != clamp16(want) {
 				t.Fatalf("%s: src %v stride %d: pixel (%d,%d) sampled at (%v,%v) = %d, want %d",
-					ctx, src.Bounds, src.Stride, x, y, sx, sy, row[x], want)
+					ctx, src.Bounds, src.Stride, x, y, sx, sy, row[x], clamp16(want))
+			}
+			if v := raw[y*len(cx)+x]; math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("%s: src %v stride %d: sample (%d,%d) at (%v,%v) = %v, want %v",
+					ctx, src.Bounds, src.Stride, x, y, sx, sy, v, want)
 			}
 		}
 	}
@@ -82,6 +109,17 @@ func TestResampleRowsMatchesBilinearAt(t *testing.T) {
 				{"downscale", affine(g[0]/2+1, x0+0.5, 2), affine(g[1]/3+1, y0+1, 3)},
 				{"straddle", affine(g[0]+8, x0-4.3, 1.1), affine(g[1]+8, y0-3.7, 1.2)},
 				{"mirrored", affine(g[0]+2, x0+w, -1.05), affine(g[1]+2, y0+h, -0.95)},
+				{"mirrored-rows", affine(g[0], x0+0.3, 1), affine(2*g[1], y0+h-0.5, -0.5)},
+				// One source-row pair for eight destination rows, then the next.
+				{"repeat8", affine(8*g[0], x0-0.5, 0.125), affine(8*g[1], y0-0.5, 0.125)},
+				{"skip", affine(g[0]/3+2, x0-0.2, 1/0.3), affine(g[1]/3+2, y0+0.1, 1/0.3)},
+				{"constant", affine(5, x0+w/2+0.25, 0), affine(6, y0+h/2+0.75, 0)},
+				// Rows revisited out of order: a miss must never evict the
+				// row the same destination row still needs.
+				{"zigzag", affine(g[0], x0, 1), []float64{y0 + 1.5, y0 + 0.5, y0 + 2.5, y0 + 0.5, y0 + 1.5, y0 - 0.5, y0 + 2.5, y0 + 1.5}},
+				// I0 == I1 on all four borders, beside their unclamped neighbours.
+				{"borders", []float64{x0 - 2, x0 - 0.5, x0, x0 + w - 1.5, x0 + w - 1, x0 + w - 0.5, x0 + w + 3},
+					[]float64{y0 + h + 3, y0 + h - 0.5, y0 + h - 1, y0 + h - 1.5, y0, y0 - 0.5, y0 - 2}},
 				{"far", []float64{-1e18, -1e9, x0 - 1, x0, x0 + w - 1, x0 + w, 1e9, 1e18},
 					[]float64{1e18, y0 + h - 0.5, y0 - 0.5, -1e18}},
 				{"int-edges", []float64{math.MinInt64, -math.MaxUint32, math.MaxUint32, math.MaxInt64 - 1024},
@@ -89,6 +127,33 @@ func TestResampleRowsMatchesBilinearAt(t *testing.T) {
 			}
 			for _, tc := range cases {
 				requireResample(t, tc.name, src, tc.cx, tc.cy)
+			}
+		}
+	}
+}
+
+// TestResampleRowsStripesEqualWhole: every split of the destination rows into
+// two and into three stripes gives the picture one call gives — a stripe
+// fills its own ring, whatever the rows before it left behind.
+func TestResampleRowsStripesEqualWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	src := randROI(rng, 9, 7)
+	x0, y0 := float64(src.Bounds.X0), float64(src.Bounds.Y0)
+	for _, step := range []float64{0.125, 0.7, 1, 2.9, -0.6} {
+		const rows = 11
+		start := y0 - 0.75
+		if step < 0 {
+			start = y0 + 7.25
+		}
+		cx, cy := affine(13, x0-0.4, 0.7), affine(rows, start, step)
+		whole, _ := resampleVia(src, cx, cy)
+		for a := 0; a <= rows; a++ {
+			for b := a; b <= rows; b++ {
+				got, contained := resampleVia(src, cx, cy, a, b)
+				if !contained {
+					t.Fatalf("step %v cuts %d,%d: wrote outside the destination view", step, a, b)
+				}
+				requireEqual(t, fmt.Sprintf("step %v cuts %d,%d", step, a, b), got, whole)
 			}
 		}
 	}
@@ -104,6 +169,13 @@ func FuzzResample(f *testing.F) {
 	f.Add(uint8(5), uint8(5), uint8(1), uint8(1), uint8(3), uint8(3), uint8(6), uint8(6), int64(3), -1e18, 4e17, 1e18, -4e17)
 	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(4), uint8(4), int64(4), -3.0, 2.0, 9.0, -3.0)
 	f.Add(uint8(33), uint8(2), uint8(30), uint8(1), uint8(3), uint8(1), uint8(9), uint8(2), int64(5), 29.5, 1e-9, 0.999999, 1e-12)
+	// The ring's cases: rows repeated 8x, rows skipped (0.3x), constant
+	// tables, both axes mirrored, a clamped border at every edge.
+	f.Add(uint8(12), uint8(12), uint8(0), uint8(0), uint8(12), uint8(12), uint8(39), uint8(39), int64(6), -0.5, 0.125, -0.5, 0.125)
+	f.Add(uint8(40), uint8(40), uint8(2), uint8(3), uint8(30), uint8(31), uint8(11), uint8(11), int64(7), 1.8, 3.3333, 3.1, 3.3333)
+	f.Add(uint8(9), uint8(9), uint8(1), uint8(1), uint8(6), uint8(6), uint8(7), uint8(7), int64(8), 3.25, 0.0, 4.75, 0.0)
+	f.Add(uint8(20), uint8(16), uint8(4), uint8(2), uint8(10), uint8(9), uint8(24), uint8(22), int64(9), 15.5, -0.55, 12.5, -0.6)
+	f.Add(uint8(6), uint8(5), uint8(1), uint8(1), uint8(4), uint8(3), uint8(14), uint8(12), int64(10), -1.5, 0.5, -1.5, 0.5)
 
 	f.Fuzz(func(t *testing.T, pw, ph, rx, ry, rw, rh, dw, dh uint8, seed int64, ax, bx, ay, by float64) {
 		for _, v := range []*float64{&ax, &bx, &ay, &by} {

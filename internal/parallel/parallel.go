@@ -314,24 +314,45 @@ func (p *Pool) Do(job func()) error {
 	if job == nil {
 		return errors.New("parallel: nil job")
 	}
-	done := make(chan struct{})
-	var pe *PanicError
-	if err := p.Submit(func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r != nil {
-				pe = asPanicError(r)
-			}
-		}()
-		job()
-	}); err != nil {
+	return p.NewCall(job).Do()
+}
+
+// Call is Do for a job that runs many times, one run at a time: the channel
+// and the closures of the hand-off are made once, so a steady-state Do
+// allocates nothing.
+type Call struct {
+	pool *Pool
+	job  func()
+	run  func()        // c.exec, bound once
+	done chan struct{} // buffered: exec signals without waiting for Do
+	err  error         // the run's *PanicError, if it panicked
+}
+
+// NewCall returns the reusable hand-off of job to p's workers.
+func (p *Pool) NewCall(job func()) *Call {
+	c := &Call{pool: p, job: job, done: make(chan struct{}, 1)}
+	c.run = c.exec
+	return c
+}
+
+func (c *Call) exec() {
+	defer func() {
+		if r := recover(); r != nil {
+			c.err = asPanicError(r)
+		}
+		c.done <- struct{}{}
+	}()
+	c.job()
+}
+
+// Do is Pool.Do of the call's job.
+func (c *Call) Do() error {
+	c.err = nil
+	if err := c.pool.Submit(c.run); err != nil {
 		return err
 	}
-	<-done
-	if pe != nil {
-		return pe
-	}
-	return nil
+	<-c.done
+	return c.err
 }
 
 // StripesOn runs the same striped loop as ForStripes but executes the

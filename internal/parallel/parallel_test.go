@@ -291,6 +291,41 @@ func TestPoolDoSurvivesPanic(t *testing.T) {
 	}
 }
 
+// A Call is Do made once: it hands a panic back as a *PanicError, runs again
+// after one, refuses a closed pool, and in steady state allocates nothing.
+func TestCallReuse(t *testing.T) {
+	p := NewPool(1)
+	runs, boom := 0, false
+	c := p.NewCall(func() {
+		runs++
+		if boom {
+			panic("boom")
+		}
+	})
+	if err := c.Do(); err != nil || runs != 1 {
+		t.Fatalf("first Do: err %v after %d runs", err, runs)
+	}
+	boom = true
+	var pe *PanicError
+	if err := c.Do(); !errors.As(err, &pe) || pe.Value != "boom" || len(pe.Stack) == 0 {
+		t.Fatalf("panicking Do returned %v, want a *PanicError carrying boom and a stack", err)
+	}
+	boom = false
+	if err := c.Do(); err != nil || runs != 3 {
+		t.Fatalf("Do after a panic: err %v after %d runs, want nil after 3", err, runs)
+	}
+	if p.Panics() != 0 {
+		t.Fatalf("Call panic leaked to the pool counter: %d", p.Panics())
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = c.Do() }); avg != 0 {
+		t.Fatalf("Call.Do: %.1f allocs/op in steady state, want 0", avg)
+	}
+	p.Close()
+	if err := c.Do(); err == nil {
+		t.Fatal("Do after close accepted")
+	}
+}
+
 // Concurrent Do callers must all get their results back even when some jobs
 // panic (the original bug: one panic stranded every waiting caller).
 func TestPoolDoConcurrentPanics(t *testing.T) {

@@ -1,0 +1,8 @@
+//go:build race
+
+package pipeline
+
+// racePoolMallocs is the allowance the per-frame allocation budget makes for
+// the race detector: under it sync.Pool drops a quarter of what it is handed,
+// so the pooled frames and kernel scratch are partly reallocated every frame.
+const racePoolMallocs = 6

@@ -61,14 +61,16 @@ func TestServeSteadyStateAllocBudget(t *testing.T) {
 // exemplars, the Pareto optimizer re-dividing after every frame — where the
 // kernels nearly vanish and the control plane is the frame. The bytes budget
 // above cannot see it: before the planner, optimizer and dump writer went
-// dense this path made ~205 small allocations per frame; it now makes ~50.
+// dense this path made ~205 small allocations per frame, ~15 after, and ~8
+// since the runner's hand-off to the pool is made once (13 under the race
+// detector, where sync.Pool drops a quarter of what it is handed).
 // The run must also have written flight dumps (their cost is inside the
 // count), and they must read back.
 func TestControlPlaneMallocBudget(t *testing.T) {
 	const (
 		size, stored   = 32, 400
 		warm, measured = 300, 2400
-		maxMallocs     = 60
+		maxMallocs     = 15
 	)
 	study := experiments.DefaultStudy()
 	study.FrameW, study.FrameH = size, size

@@ -482,6 +482,15 @@ type runner struct {
 	// window (the one /healthz reads) serves otherwise.
 	missWin stats.BitWindow
 
+	// process is the unwatched frame's hand-off to the pool, made once: it
+	// processes procFrame under procMap on the current engine into procRep
+	// and procErr.
+	process   *parallel.Call
+	procFrame *frame.Frame
+	procMap   partition.Mapping
+	procRep   pipeline.Report
+	procErr   error
+
 	// obs is the one dense observation of the frame being committed, filled
 	// from its report and fed to both the manager and the shadow board.
 	obs core.FrameObs
@@ -514,6 +523,7 @@ func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, te
 	// same-task stripes of independent streams through a single dispatch is
 	// what keeps N streams from oversubscribing the host (package doc).
 	r.eng.SetWorkers(pool)
+	r.process = pool.NewCall(func() { r.procRep, r.procErr = r.eng.Process(r.procFrame, r.procMap) })
 	tel.serving()
 	defer func() {
 		if r.res.Stats.Quarantined {
@@ -580,8 +590,10 @@ const (
 // contract); only a stall breaks off, leaving the engine unusable.
 func (r *runner) runProcess(f *frame.Frame, m partition.Mapping) (rep pipeline.Report, perr error, doErr error, outcome procOutcome) {
 	if r.cfg.WatchdogMs <= 0 {
-		doErr = r.pool.Do(func() { rep, perr = r.eng.Process(f, m) })
-		return rep, perr, doErr, procCompleted
+		r.procFrame, r.procMap = f, m
+		doErr = r.process.Do()
+		r.procFrame = nil // or the stream's last frame stays alive
+		return r.procRep, r.procErr, doErr, procCompleted
 	}
 	// Bind the engine now: after a stall the supervisor swaps r.eng for a
 	// rebuilt one, and this goroutine (possibly still queued in the pool)

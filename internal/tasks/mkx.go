@@ -93,10 +93,10 @@ func (m *MarkerExtractor) Run(in *frame.Frame, ridge *RidgeResult) ([]Marker, pl
 	mask := frame.Borrow(w, h)
 	defer frame.Release(mask)
 	for y := 0; y < h; y++ {
-		srow := small.Row(y)
-		for x := 0; x < w; x++ {
-			if float64(srow[x]) < thr {
-				mask.Set(x, y, 1)
+		mrow := mask.Row(y)
+		for x, v := range small.Row(y) {
+			if float64(v) < thr {
+				mrow[x] = 1
 			}
 		}
 	}
@@ -144,14 +144,15 @@ func (m *MarkerExtractor) Run(in *frame.Frame, ridge *RidgeResult) ([]Marker, pl
 func (m *MarkerExtractor) ridgeOverlap(c frame.Component, mask, ridgeMask *frame.Frame, srcBounds frame.Rect) float64 {
 	dark, onRidge := 0, 0
 	for y := c.BBox.Y0; y < c.BBox.Y1; y++ {
-		for x := c.BBox.X0; x < c.BBox.X1; x++ {
-			if mask.At(x, y) == 0 {
+		// Source row 2y of the ridge mask; outside it nothing is on a ridge.
+		rrow := ridgeMask.Row(srcBounds.Y0 + y*2)
+		rx0 := srcBounds.X0 - ridgeMask.Bounds.X0
+		for x, m := range mask.Row(y)[c.BBox.X0:c.BBox.X1] {
+			if m == 0 {
 				continue
 			}
 			dark++
-			gx := srcBounds.X0 + x*2
-			gy := srcBounds.Y0 + y*2
-			if ridgeMask.At(gx, gy) != 0 {
+			if i := rx0 + (c.BBox.X0+x)*2; uint(i) < uint(len(rrow)) && rrow[i] != 0 {
 				onRidge++
 			}
 		}

@@ -22,6 +22,12 @@ type Registrator struct {
 	MaxResidual float64
 
 	Params CostParams
+
+	// taps (four tables) and patches (two patches and the sampler's ring)
+	// are reused across Runs, so a Registrator is owned by one goroutine at a
+	// time.
+	taps    []frame.Tap
+	patches []float64
 }
 
 // NewRegistrator returns a registrator with clinically plausible motion
@@ -53,24 +59,33 @@ func (r *Registrator) Run(prevFrame, curFrame *frame.Frame, prevCouple, curCoupl
 	if shift <= r.MaxShift {
 		// Motion criterion: temporal difference between the previous patch
 		// translated by (DX, DY) and the current patch around each marker.
+		// Both patches of a pair are sampled through tap tables of the
+		// coordinates marker + offset, one table per axis and frame, and
+		// differenced in row-major order.
+		side := max(2*r.PatchRadius+1, 0)
+		n := side * side
+		r.taps = frame.GrowTaps(r.taps, 4*side)
+		if cap(r.patches) < 2*n+4*side {
+			r.patches = make([]float64, 2*n+4*side)
+		}
+		pxs, pys, cxs, cys := r.taps[:side], r.taps[side:2*side], r.taps[2*side:3*side], r.taps[3*side:4*side]
+		a, b, ring := r.patches[:n], r.patches[n:2*n], r.patches[2*n:2*n+4*side]
 		res := 0.0
-		n := 0
-		for _, pair := range [2][2][2]float64{
-			{{prevCouple.A.X, prevCouple.A.Y}, {curCouple.A.X, curCouple.A.Y}},
-			{{prevCouple.B.X, prevCouple.B.Y}, {curCouple.B.X, curCouple.B.Y}},
-		} {
+		for _, pair := range [2][2]Marker{{prevCouple.A, curCouple.A}, {prevCouple.B, curCouple.B}} {
 			pPrev, pCur := pair[0], pair[1]
-			for dy := -r.PatchRadius; dy <= r.PatchRadius; dy++ {
-				for dx := -r.PatchRadius; dx <= r.PatchRadius; dx++ {
-					a := frame.BilinearAt(prevFrame, pPrev[0]+float64(dx), pPrev[1]+float64(dy))
-					b := frame.BilinearAt(curFrame, pCur[0]+float64(dx), pCur[1]+float64(dy))
-					res += math.Abs(a - b)
-					n++
-				}
+			for i := 0; i < side; i++ {
+				d := float64(i - r.PatchRadius)
+				pxs[i], pys[i] = prevFrame.XTap(pPrev.X+d), prevFrame.YTap(pPrev.Y+d)
+				cxs[i], cys[i] = curFrame.XTap(pCur.X+d), curFrame.YTap(pCur.Y+d)
+			}
+			frame.SampleRows(a, ring, prevFrame, pxs, pys)
+			frame.SampleRows(b, ring, curFrame, cxs, cys)
+			for i, v := range a {
+				res += math.Abs(v - b[i])
 			}
 		}
 		if n > 0 {
-			reg.Error = res / float64(n)
+			reg.Error = res / float64(2*n)
 			reg.OK = reg.Error <= r.MaxResidual
 		}
 	}

@@ -1,7 +1,9 @@
 package tasks
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -883,6 +885,182 @@ func TestEnhancerRestartsBeforeSumsWrap(t *testing.T) {
 		}
 		if lo, hi := out.MinMax(); lo != 0xFFFF || hi != 0xFFFF {
 			t.Fatalf("run %d: average of saturated frames is [%d, %d], want 65535", i, lo, hi)
+		}
+	}
+}
+
+// registratorReference is Registrator.Run as the BilinearAt call per patch
+// pixel the tap tables replaced.
+func registratorReference(r *Registrator, prevFrame, curFrame *frame.Frame, prevCouple, curCouple *Couple) Registration {
+	if prevFrame == nil || curFrame == nil || prevCouple == nil || curCouple == nil {
+		return Registration{}
+	}
+	px, py := prevCouple.Mid()
+	cx, cy := curCouple.Mid()
+	reg := Registration{DX: cx - px, DY: cy - py}
+	if math.Hypot(reg.DX, reg.DY) > r.MaxShift {
+		return reg
+	}
+	res, n := 0.0, 0
+	for _, pair := range [2][2]Marker{{prevCouple.A, curCouple.A}, {prevCouple.B, curCouple.B}} {
+		for dy := -r.PatchRadius; dy <= r.PatchRadius; dy++ {
+			for dx := -r.PatchRadius; dx <= r.PatchRadius; dx++ {
+				a := frame.BilinearAt(prevFrame, pair[0].X+float64(dx), pair[0].Y+float64(dy))
+				b := frame.BilinearAt(curFrame, pair[1].X+float64(dx), pair[1].Y+float64(dy))
+				res += math.Abs(a - b)
+				n++
+			}
+		}
+	}
+	if n > 0 {
+		reg.Error = res / float64(n)
+		reg.OK = reg.Error <= r.MaxResidual
+	}
+	return reg
+}
+
+func requireRegistration(t *testing.T, ctx string, r *Registrator, prev, cur *frame.Frame, pc, cc *Couple) {
+	t.Helper()
+	got, cost := r.Run(prev, cur, pc, cc)
+	want := registratorReference(r, prev, cur, pc, cc)
+	if math.Float64bits(got.Error) != math.Float64bits(want.Error) || got.OK != want.OK ||
+		math.Float64bits(got.DX) != math.Float64bits(want.DX) || math.Float64bits(got.DY) != math.Float64bits(want.DY) {
+		t.Fatalf("%s: registration %+v, want %+v", ctx, got, want)
+	}
+	wantCycles := 2 * 65 * 65 * r.Params.RegPerPixel
+	if prev == nil || cur == nil {
+		wantCycles = 0
+	}
+	if cost != r.Params.cost(wantCycles) {
+		t.Fatalf("%s: cost %+v, want %+v", ctx, cost, r.Params.cost(wantCycles))
+	}
+}
+
+// TestRegistratorMatchesPerPixelReference: the motion criterion through tap
+// tables is the per-pixel BilinearAt double loop, bit for bit — on patches
+// larger than the frame, hanging off every edge and corner, wholly outside,
+// and on views whose parent holds other pixels just past the view's edge.
+func TestRegistratorMatchesPerPixelReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	noise := func(w, h int) *frame.Frame {
+		f := frame.New(w, h)
+		for i := range f.Pix {
+			f.Pix[i] = uint16(rng.Intn(65536))
+		}
+		return f
+	}
+	reg := NewRegistrator(params())
+	for _, size := range [][2]int{{32, 32}, {128, 128}, {97, 41}, {1, 50}} {
+		w, h := size[0], size[1]
+		prevFull, curFull := noise(w, h), noise(w, h)
+		view := frame.R(w/5, h/4, w-w/6, h-h/7)
+		frames := [][2]*frame.Frame{
+			{prevFull, curFull},
+			{prevFull.SubFrame(view), curFull.SubFrame(view)},
+			{prevFull, curFull.SubFrame(view)},
+		}
+		// Marker positions: every edge and corner, the middle, fractional
+		// and integral, and far outside.
+		xs := []float64{-40, -3.5, 0, 0.25, float64(w) / 2, float64(w) - 1, float64(w) + 2.75, float64(w) + 60}
+		ys := []float64{-40, -0.5, 0, float64(h)/2 + 0.125, float64(h) - 1, float64(h) + 7.5, float64(h) + 60}
+		for fi, fr := range frames {
+			for _, x := range xs {
+				for _, y := range ys {
+					pc := &Couple{A: Marker{X: x, Y: y}, B: Marker{X: x + 9.3, Y: y - 4.1}, Spacing: 10}
+					cc := &Couple{A: Marker{X: x + 1.7, Y: y + 0.6}, B: Marker{X: x + 11.2, Y: y - 3.3}, Spacing: 10}
+					requireRegistration(t, fmt.Sprintf("%dx%d frames %d at (%v,%v)", w, h, fi, x, y), reg, fr[0], fr[1], pc, cc)
+				}
+			}
+			for i := 0; i < 200; i++ {
+				p := func() Marker {
+					return Marker{X: (rng.Float64()*1.6 - 0.3) * float64(w), Y: (rng.Float64()*1.6 - 0.3) * float64(h)}
+				}
+				pc := &Couple{A: p(), B: p()}
+				cc := &Couple{A: p(), B: p()}
+				if i%2 == 0 { // a shift inside MaxShift, so the patches are compared
+					cc = &Couple{A: Marker{X: pc.A.X + rng.Float64()*10, Y: pc.A.Y - rng.Float64()*10},
+						B: Marker{X: pc.B.X + rng.Float64()*10, Y: pc.B.Y + rng.Float64()*10}}
+				}
+				requireRegistration(t, fmt.Sprintf("%dx%d frames %d random %d", w, h, fi, i), reg, fr[0], fr[1], pc, cc)
+			}
+		}
+	}
+
+	// Either side of MaxShift, a patch of one pixel and none at all, and the
+	// inputs that skip the criterion.
+	prev, cur := noise(64, 64), noise(64, 64)
+	pc := &Couple{A: Marker{X: 20, Y: 30}, B: Marker{X: 40, Y: 30}}
+	for _, shift := range []float64{math.Nextafter(reg.MaxShift, 0), reg.MaxShift, math.Nextafter(reg.MaxShift, 100)} {
+		cc := &Couple{A: Marker{X: 20 + shift, Y: 30}, B: Marker{X: 40 + shift, Y: 30}}
+		requireRegistration(t, fmt.Sprintf("shift %v", shift), reg, prev, cur, pc, cc)
+	}
+	for _, radius := range []int{0, -1, 3, 16} {
+		r := NewRegistrator(params())
+		r.PatchRadius = radius
+		requireRegistration(t, fmt.Sprintf("radius %d", radius), r, prev, cur, pc, pc)
+		requireRegistration(t, fmt.Sprintf("radius %d after a larger one", radius), reg, prev, cur, pc, pc)
+	}
+	empty := prev.SubFrame(frame.R(5, 5, 5, 9))
+	requireRegistration(t, "empty previous frame", reg, empty, cur, pc, pc)
+	requireRegistration(t, "nil frames", reg, nil, cur, pc, pc)
+	requireRegistration(t, "nil current frame", reg, prev, nil, pc, pc)
+	requireRegistration(t, "nil previous couple", reg, prev, cur, nil, pc)
+	requireRegistration(t, "nil current couple", reg, prev, cur, pc, nil)
+}
+
+func TestRegistratorSteadyStateDoesNotAllocate(t *testing.T) {
+	reg := NewRegistrator(params())
+	f := frame.New(96, 96)
+	f.Fill(1234)
+	pc := &Couple{A: Marker{X: 30, Y: 48}, B: Marker{X: 66, Y: 48}, Spacing: 36}
+	cc := &Couple{A: Marker{X: 31.5, Y: 47}, B: Marker{X: 67.5, Y: 47}, Spacing: 36}
+	reg.Run(f, f, pc, cc) // builds the tap tables and the patch rows
+	if avg := testing.AllocsPerRun(50, func() { reg.Run(f, f, pc, cc) }); avg != 0 {
+		t.Fatalf("Registrator.Run: %.1f allocs/op in steady state, want 0", avg)
+	}
+}
+
+// TestRidgeOverlapMatchesPerPixelAt: the row-sliced count is the At per
+// pixel it replaced, also where the ridge mask does not cover the source grid
+// (At reads 0 there).
+func TestRidgeOverlapMatchesPerPixelAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	random := func(w, h int) *frame.Frame {
+		f := frame.New(w, h)
+		for i := range f.Pix {
+			f.Pix[i] = uint16(rng.Intn(2))
+		}
+		return f
+	}
+	mkx := NewMarkerExtractor(params())
+	src := frame.R(7, 5, 47, 37) // a 20x16 half-resolution grid
+	mask := random(20, 16)
+	full := random(60, 50)
+	for ri, ridge := range []*frame.Frame{
+		full.SubFrame(src), full, full.SubFrame(frame.R(20, 12, 40, 30)), full.SubFrame(frame.R(50, 40, 60, 50)),
+	} {
+		for i := 0; i < 50; i++ {
+			x0, y0 := rng.Intn(20), rng.Intn(16)
+			c := frame.Component{BBox: frame.R(x0, y0, x0+1+rng.Intn(20-x0), y0+1+rng.Intn(16-y0))}
+			dark, onRidge := 0, 0
+			for y := c.BBox.Y0; y < c.BBox.Y1; y++ {
+				for x := c.BBox.X0; x < c.BBox.X1; x++ {
+					if mask.At(x, y) == 0 {
+						continue
+					}
+					dark++
+					if ridge.At(src.X0+x*2, src.Y0+y*2) != 0 {
+						onRidge++
+					}
+				}
+			}
+			want := 0.0
+			if dark > 0 {
+				want = float64(onRidge) / float64(dark)
+			}
+			if got := mkx.ridgeOverlap(c, mask, ridge, src); got != want {
+				t.Fatalf("ridge mask %d (%v) box %v: overlap %v, want %v", ri, ridge.Bounds, c.BBox, got, want)
+			}
 		}
 	}
 }
