@@ -11,6 +11,7 @@ package triplec
 // one exists (accuracy, MB/s, ms).
 
 import (
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -653,6 +654,49 @@ func BenchmarkRealStripedRDG(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkKernel measures the two kernels behind the paper's first
+// switch on real synthetic frames: DETECT (StructureDetector.Run, the
+// per-frame structure pre-scan) and the RDG sweep (RidgeDetector.Run, blur
+// plus Hessian response plus mask) on the whole frame and on its central
+// quarter, the ROI variant, at 128x128 and 512x512:
+// BenchmarkKernel/<task>/<size>-<procs>.
+func BenchmarkKernel(b *testing.B) {
+	for _, size := range []int{128, 512} {
+		cfg := synth.DefaultConfig(55)
+		cfg.Width, cfg.Height = size, size
+		seq, err := synth.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, _ := seq.Frame(20)
+		roi := f.SubFrame(frame.R(size/4, size/4, 3*size/4, 3*size/4))
+		p := tasks.DefaultCostParams(size * size)
+		det, rdg := tasks.NewStructureDetector(p), tasks.NewRidgeDetector(p)
+		ridge := func(in *frame.Frame) func() {
+			return func() {
+				res, _ := rdg.Run(in)
+				frame.Release(res.Mask)
+			}
+		}
+		cases := []struct {
+			name string
+			run  func()
+		}{
+			{"DETECT", func() { det.Run(f) }},
+			{"RDG_FULL", ridge(f)},
+			{"RDG_ROI", ridge(roi)},
+		}
+		for _, tc := range cases {
+			b.Run(fmt.Sprintf("%s/%dx%d", tc.name, size, size), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					tc.run()
+				}
+			})
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // Allocation pins for the pooled per-frame kernel paths. The Into variants
 // with a reused destination must not allocate at all; GaussianBlurInto
-// borrows its row scratch, ResizeInto and TranslateInto their tap tables and
+// and GaussianBlurSweep borrow their row scratch, ResizeInto and TranslateInto their tap tables and
 // ResampleRows its ring of row products from a pool, which allocates only on
 // a pool miss (e.g. when the GC drained the pool mid-run, or under -race,
 // where sync.Pool drops a quarter of what it is handed), so their pin is a
@@ -47,6 +47,7 @@ func TestKernelIntoPathsDoNotAllocate(t *testing.T) {
 		{"ResizeInto", 0.5, func() { ResizeInto(small, src, 64, 48) }},
 		{"TranslateInto", 0.5, func() { TranslateInto(dst, src, 0.7, 1.3) }},
 		{"ResampleRows", 0.5, func() { ResampleRows(dst, src, xs, ys, 0, 96) }},
+		{"GaussianBlurSweep", 0.5, func() { GaussianBlurSweep(src, 1.2, 0, 96, func(int, []float64, []float64, []float64) {}) }},
 		{"BorrowRelease", 0.5, func() { Release(BorrowUninit(128, 96)) }},
 	}
 	for _, tc := range cases {

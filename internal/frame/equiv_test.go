@@ -266,6 +266,55 @@ func TestGaussianBlurMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestGaussianBlurSweepMatchesBlur: the rows the sweep hands over are the
+// rows GaussianBlur stores, converted to float64, with the row above the
+// first and below the last replicated, for every stripe of every view — the
+// stripes of one split covering each row exactly once.
+func TestGaussianBlurSweepMatchesBlur(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, sigma := range []float64{0, 0.6, 1.2, 2.0} {
+		for _, g := range geometries {
+			for _, src := range frameVariants(rng, g[0], g[1]) {
+				blur := GaussianBlur(src, sigma)
+				h := g[1]
+				rowOf := func(y int) []uint16 {
+					return blur.Row(blur.Bounds.Y0 + min(max(y, 0), h-1))
+				}
+				for _, k := range []int{1, 2, 3, 4, h + 2} {
+					seen := make([]int, h)
+					for stripe := 0; stripe < k; stripe++ {
+						lo, hi := stripe*h/k, (stripe+1)*h/k
+						next := lo
+						GaussianBlurSweep(src, sigma, lo, hi, func(y int, up, mid, down []float64) {
+							if y != next {
+								t.Fatalf("sigma %v %v k=%d: row %d handed over, want %d", sigma, src.Bounds, k, y, next)
+							}
+							next++
+							seen[y]++
+							for i, row := range [][]float64{up, mid, down} {
+								want := rowOf(y - 1 + i)
+								if len(row) != len(want) {
+									t.Fatalf("sigma %v %v k=%d row %d: %d floats, want %d", sigma, src.Bounds, k, y, len(row), len(want))
+								}
+								for x, v := range row {
+									if v != float64(want[x]) {
+										t.Fatalf("sigma %v %v k=%d row %d%+d x %d: %v, want %d", sigma, src.Bounds, k, y, i-1, x, v, want[x])
+									}
+								}
+							}
+						})
+					}
+					for y, n := range seen {
+						if n != 1 {
+							t.Fatalf("sigma %v %v k=%d: row %d handed over %d times", sigma, src.Bounds, k, y, n)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMedian3x3MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, g := range geometries {

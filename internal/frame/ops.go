@@ -175,28 +175,55 @@ func GaussianBlur(src *Frame, sigma float64) *Frame {
 // pooled, so a steady-state call with a reused dst allocates nothing. It
 // returns the destination used.
 func GaussianBlurInto(dst, src *Frame, sigma float64) *Frame {
-	return GaussianBlurIntoOn(nil, dst, src, sigma, 1)
+	return GaussianBlurIntoParallel(dst, src, sigma, 1)
 }
 
 // blurRows blurs rows [lo, hi) of src, counted from its first row, into dst.
-// The horizontal pass of a source row lands, rounded to 16 bits like a stored
-// pixel, in a ring of the 2r+1 float64 rows the vertical pass reads: each
-// source pixel is converted once, neither pass walks a column, and a stripe
-// recomputes only the r rows above and below it. Borders replicate the
-// view's own edge (a row padded with r copies of its end pixels, a row index
-// clamped to the view), which is AtClamped on src.Bounds.
 func blurRows(dst, src *Frame, w []float64, lo, hi int) {
-	n := len(w)
-	r := n / 2
+	blurSweep(src, w, lo, hi, func(y int, _, mid, _ []float64) {
+		drow := dst.Pix[y*dst.Stride:][:len(mid)]
+		for x, v := range mid {
+			drow[x] = uint16(v)
+		}
+	})
+}
+
+// GaussianBlurSweep is GaussianBlur handed to a row consumer instead of
+// stored: for every row y in [lo, hi) of src, counted from its first row, it
+// calls fn with that row of the blurred image and the rows above and below
+// it, replicate-clamped to the view, as float64 rows holding exactly the
+// 16-bit pixels GaussianBlur stores. The rows are valid only during the
+// call, so a 3x3 stencil over the blur needs no blurred frame and converts
+// no pixel twice. A stripe [lo, hi) blurs one row beyond each of its ends;
+// every split of the rows sees the same values.
+func GaussianBlurSweep(src *Frame, sigma float64, lo, hi int, fn func(y int, up, mid, down []float64)) {
+	blurSweep(src, gaussianKernel(sigma), lo, hi, fn)
+}
+
+// blurSweep is the separable blur with taps w, a row at a time, working in
+// the pooled scratch. The horizontal pass of a source row lands, rounded to
+// 16 bits like a stored pixel, in a ring of the 2r+1 float64 rows the
+// vertical pass reads, and the vertical pass, rounded the same way, in a
+// ring of the three rows fn is handed: each source pixel is converted once,
+// neither pass walks a column, and a stripe recomputes only the r+1 rows
+// above and below it. Borders replicate the view's own edge (a row padded
+// with r copies of its end pixels, a row index clamped to the view), which
+// is AtClamped on src.Bounds.
+func blurSweep(src *Frame, w []float64, lo, hi int, fn func(y int, up, mid, down []float64)) {
+	n, r := len(w), len(w)/2
 	width, height := src.Width(), src.Height()
+	if width == 0 || lo >= hi {
+		return
+	}
 	s := scratchPool.Get().(*scratch)
-	rows := s.floats((n+2)*width + 2*r)
+	rows := s.floats((n+4)*width + 2*r)
 	padded := rows[:width+2*r]
-	acc := rows[len(padded):][:width]
-	ring := rows[len(padded)+width:][:n*width]
-	next := max(lo-r, 0) // first source row without its horizontal pass in the ring
-	for y := lo; y < hi; y++ {
-		for ; next <= y+r && next < height; next++ {
+	ring := rows[len(padded):][:n*width]
+	out := rows[len(padded)+n*width:][:3*width]
+	slot := func(y int) []float64 { return out[y%3*width:][:width] }
+	next := max(lo-1-r, 0) // first source row without its horizontal pass in the ring
+	for yb := max(lo-1, 0); yb <= min(hi, height-1); yb++ {
+		for ; next <= yb+r && next < height; next++ {
 			srow := src.Pix[next*src.Stride:][:width]
 			for i := 0; i < r; i++ {
 				padded[i], padded[r+width+i] = float64(srow[0]), float64(srow[width-1])
@@ -210,14 +237,21 @@ func blurRows(dst, src *Frame, w []float64, lo, hi int) {
 				h[x] = float64(clamp16(v))
 			}
 		}
-		tapSum(acc, w, func(i int) []float64 {
-			row := min(max(y-r+i, 0), height-1)
+		o := slot(yb)
+		tapSum(o, w, func(i int) []float64 {
+			row := min(max(yb-r+i, 0), height-1)
 			return ring[row%n*width:]
 		})
-		drow := dst.Pix[y*dst.Stride:][:width]
-		for x, v := range acc {
-			drow[x] = clamp16(v)
+		for x, v := range o {
+			o[x] = float64(clamp16(v))
 		}
+		if y := yb - 1; y >= lo {
+			fn(y, slot(max(y-1, 0)), slot(y), o)
+		}
+	}
+	if hi == height { // the bottom row is its own lower neighbour
+		y := height - 1
+		fn(y, slot(max(y-1, 0)), slot(y), slot(y))
 	}
 	scratchPool.Put(s)
 }
@@ -504,8 +538,25 @@ func SampleRows(out, ring []float64, src *Frame, xs, ys []Tap) {
 // ring of two rows of products, and the vertical one blends four contiguous
 // float64 rows. The sum keeps BilinearAt's association, so the two agree bit
 // for bit.
+//
+// Resampling into dst where every tap of both tables weighs its two pixels
+// ½ and ½ (an exact 2:1 or 4:1 downsample) is integer: the blend is then
+// (a+b+c+d)/4 exactly, whose clamp16 is (a+b+c+d+2)>>2.
 func bilinearRows(dst *Frame, out, ring []float64, src *Frame, xs, ys []Tap, yLo, yHi int) {
 	n := len(xs)
+	if dst != nil && halfTaps(xs) && halfTaps(ys[yLo:yHi]) {
+		for y := yLo; y < yHi; y++ {
+			ty := ys[y]
+			r0, r1 := src.Pix[int(ty.I0)*src.Stride:], src.Pix[int(ty.I1)*src.Stride:]
+			drow := dst.Pix[y*dst.Stride:][:n]
+			for x := range drow {
+				tx := &xs[x]
+				s := uint32(r0[tx.I0]) + uint32(r0[tx.I1]) + uint32(r1[tx.I0]) + uint32(r1[tx.I1])
+				drow[x] = uint16((s + 2) >> 2)
+			}
+		}
+		return
+	}
 	h := hring{src: src, xs: xs, buf: ring[:4*n], have: [2]int32{-1, -1}}
 	for y := yLo; y < yHi; y++ {
 		ty := ys[y]
@@ -524,6 +575,16 @@ func bilinearRows(dst *Frame, out, ring []float64, src *Frame, xs, ys []Tap, yLo
 			drow[x] = clamp16(hg0[x]*gy + hf0[x]*gy + hg1[x]*fy + hf1[x]*fy)
 		}
 	}
+}
+
+// halfTaps reports whether every tap of taps has F == G == 0.5.
+func halfTaps(taps []Tap) bool {
+	for _, t := range taps {
+		if t.F != 0.5 || t.G != 0.5 {
+			return false
+		}
+	}
+	return true
 }
 
 // hring holds the horizontal pass of the two source rows a destination row
@@ -565,7 +626,7 @@ func (h *hring) slot(i, keep int32) []float64 {
 }
 
 // scratch backs the two tap tables one Resize or Translate call builds and
-// the float64 rows one blurRows or ResampleRows call works in; pooled so a
+// the float64 rows one blurSweep or ResampleRows call works in; pooled so a
 // steady-state call allocates nothing. One pool for all, so that the resizes
 // every frame runs keep the blur's rows from ageing out of it between frames
 // that blur.

@@ -17,15 +17,8 @@ func GaussianBlurParallel(src *Frame, sigma float64, k int) *Frame {
 
 // GaussianBlurIntoParallel is GaussianBlurInto striped over k goroutines
 // (dst may be nil, must not alias src); it returns the destination used.
+// k <= 1 is the serial version: both passes run inline, without a closure.
 func GaussianBlurIntoParallel(dst, src *Frame, sigma float64, k int) *Frame {
-	return GaussianBlurIntoOn(nil, dst, src, sigma, k)
-}
-
-// GaussianBlurIntoOn is GaussianBlurIntoParallel with the stripes executed
-// on a shared worker pool (parallel.StripesOn); a nil pool falls back to
-// fresh goroutines. k <= 1 is the serial version: both passes run inline,
-// without a closure. Bit-identical for every k.
-func GaussianBlurIntoOn(pool *parallel.Pool, dst, src *Frame, sigma float64, k int) *Frame {
 	w := gaussianKernel(sigma)
 	width, height := src.Width(), src.Height()
 	dst = ensureDst(dst, width, height, src.Bounds)
@@ -35,7 +28,7 @@ func GaussianBlurIntoOn(pool *parallel.Pool, dst, src *Frame, sigma float64, k i
 	if k <= 1 {
 		blurRows(dst, src, w, 0, height)
 	} else {
-		parallel.StripesOn(pool, height, k, func(_, lo, hi int) {
+		parallel.ForStripes(height, k, func(_, lo, hi int) {
 			blurRows(dst, src, w, lo, hi)
 		})
 	}

@@ -107,6 +107,10 @@ func TestResampleRowsMatchesBilinearAt(t *testing.T) {
 				{"inside", affine(9, x0+0.25, (w-1)/9), affine(7, y0+0.6, (h-1)/7)},
 				{"upscale", affine(3*g[0], x0-0.33, 1.0/3), affine(2*g[1], y0-0.25, 0.5)},
 				{"downscale", affine(g[0]/2+1, x0+0.5, 2), affine(g[1]/3+1, y0+1, 3)},
+				// Every tap ½ and ½ on both axes — the integer path of an
+				// exact 2:1 or 4:1 downsample — clamped borders included.
+				{"half", affine(g[0]/2+2, x0-1.5, 2), affine(g[1]/4+2, y0-2.5, 4)},
+				{"half-x", affine(g[0]/2+1, x0+0.5, 2), affine(g[1], y0+0.25, 1)},
 				{"straddle", affine(g[0]+8, x0-4.3, 1.1), affine(g[1]+8, y0-3.7, 1.2)},
 				{"mirrored", affine(g[0]+2, x0+w, -1.05), affine(g[1]+2, y0+h, -0.95)},
 				{"mirrored-rows", affine(g[0], x0+0.3, 1), affine(2*g[1], y0+h-0.5, -0.5)},
@@ -176,6 +180,12 @@ func FuzzResample(f *testing.F) {
 	f.Add(uint8(9), uint8(9), uint8(1), uint8(1), uint8(6), uint8(6), uint8(7), uint8(7), int64(8), 3.25, 0.0, 4.75, 0.0)
 	f.Add(uint8(20), uint8(16), uint8(4), uint8(2), uint8(10), uint8(9), uint8(24), uint8(22), int64(9), 15.5, -0.55, 12.5, -0.6)
 	f.Add(uint8(6), uint8(5), uint8(1), uint8(1), uint8(4), uint8(3), uint8(14), uint8(12), int64(10), -1.5, 0.5, -1.5, 0.5)
+	// All-½ tap tables: 2:1 and 4:1 downsamples, half-pixel ramps with an
+	// integer step that overhang the view, and constant half-pixel tables.
+	f.Add(uint8(16), uint8(16), uint8(0), uint8(0), uint8(16), uint8(16), uint8(8), uint8(8), int64(11), 0.5, 2.0, 0.5, 2.0)
+	f.Add(uint8(32), uint8(20), uint8(3), uint8(2), uint8(25), uint8(17), uint8(7), uint8(5), int64(12), 4.5, 4.0, 3.5, 4.0)
+	f.Add(uint8(7), uint8(9), uint8(1), uint8(2), uint8(5), uint8(6), uint8(12), uint8(11), int64(13), -3.5, 1.0, 8.5, -1.0)
+	f.Add(uint8(4), uint8(4), uint8(0), uint8(0), uint8(4), uint8(4), uint8(5), uint8(3), int64(14), 1.5, 0.0, 2.5, 0.0)
 
 	f.Fuzz(func(t *testing.T, pw, ph, rx, ry, rw, rh, dw, dh uint8, seed int64, ax, bx, ay, by float64) {
 		for _, v := range []*float64{&ax, &bx, &ay, &by} {

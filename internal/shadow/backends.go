@@ -167,10 +167,10 @@ func (d *denseChain2) addTransition(prev2, prev1, next float64) {
 // Eq. 3 growth line for RDG ROI, or a constant) with the short-term
 // residual predicted by a second-order chain over the last TWO residuals.
 type order2Model struct {
-	filter   *ewma.Filter      // EWMA trend (nil when growth or constant)
+	filter   *ewma.Filter       // EWMA trend (nil when growth or constant)
 	growth   *ewma.LinearGrowth // Eq. 3 trend (nil unless RDG ROI)
-	chain    *denseChain2      // nil for constant tasks
-	constant float64           // constant prediction / pre-prime fallback
+	chain    *denseChain2       // nil for constant tasks
+	constant float64            // constant prediction / pre-prime fallback
 
 	r1, r2 float64 // last and second-to-last residuals
 	seen   int

@@ -19,11 +19,11 @@ func scenarioLabel(si int) string { return flowgraph.FromIndex(si).String() }
 // coordinate of the scoreboard, with the total-ms column as a tenth
 // pseudo-task.
 type cell struct {
-	count                  uint64
-	within                 uint64
+	count                   uint64
+	within                  uint64
 	sumAbsRel, sumSignedRel float64
-	maxAbsRel              float64
-	sumAbsMs               float64
+	maxAbsRel               float64
+	sumAbsMs                float64
 }
 
 // accurateRelErr is the tolerance under which a forecast counts as
@@ -453,11 +453,11 @@ func resetBackend(st *backendState) {
 type CellStats struct {
 	Count uint64 `json:"count"`
 	// Within25 counts samples whose |relative error| ≤ 0.25.
-	Within25     uint64  `json:"within25"`
-	MeanAbsRel   float64 `json:"meanAbsRel"`
+	Within25      uint64  `json:"within25"`
+	MeanAbsRel    float64 `json:"meanAbsRel"`
 	MeanSignedRel float64 `json:"meanSignedRel"`
-	MaxAbsRel    float64 `json:"maxAbsRel"`
-	MeanAbsMs    float64 `json:"meanAbsMs"`
+	MaxAbsRel     float64 `json:"maxAbsRel"`
+	MeanAbsMs     float64 `json:"meanAbsMs"`
 }
 
 func (c *cell) stats() CellStats {

@@ -14,10 +14,10 @@ import (
 // third-party backend the board's fault boundary must contain.
 type panickyBackend struct{ name string }
 
-func (p *panickyBackend) Name() string                     { return p.name }
-func (p *panickyBackend) Observe(*core.FrameObs)           {}
-func (p *panickyBackend) Predict(*core.FramePrediction)    { panic("shadow test: predict exploded") }
-func (p *panickyBackend) Reset()                           {}
+func (p *panickyBackend) Name() string                  { return p.name }
+func (p *panickyBackend) Observe(*core.FrameObs)        {}
+func (p *panickyBackend) Predict(*core.FramePrediction) { panic("shadow test: predict exploded") }
+func (p *panickyBackend) Reset()                        {}
 
 // resetPanickyBackend predicts fine but explodes in Reset.
 type resetPanickyBackend struct {

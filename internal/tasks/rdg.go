@@ -84,18 +84,14 @@ func (r *RidgeDetector) RunStripedOn(pool *parallel.Pool, in *frame.Frame, k int
 		return &RidgeResult{Mask: frame.New(0, 0)}, r.Params.cost(0)
 	}
 	width, height := in.Width(), in.Height()
-	smoothed := frame.BorrowUninit(width, height)
-	smoothed = frame.GaussianBlurIntoOn(pool, smoothed, in, r.Sigma, k)
-	defer frame.Release(smoothed)
-
 	vals := r.scratch(pixels)
 	maxResp := 0.0
 	if k <= 1 {
-		maxResp = r.responseRows(vals, smoothed, 0, height)
+		maxResp = r.responseRows(vals, in, 0, height)
 	} else {
 		stripeMax := make([]float64, k)
 		parallel.StripesOn(pool, height, k, func(stripe, lo, hi int) {
-			stripeMax[stripe] = r.responseRows(vals, smoothed, lo, hi)
+			stripeMax[stripe] = r.responseRows(vals, in, lo, hi)
 		})
 		for _, m := range stripeMax {
 			if m > maxResp {
@@ -132,24 +128,29 @@ func (r *RidgeDetector) RunStripedOn(pool *parallel.Pool, in *frame.Frame, k int
 // response is the ridge measure of one pixel: for dark lines on a bright
 // background the principal Hessian eigenvalue across the line is large and
 // positive, while along the line it stays near zero, so the response is l1
-// gated by anisotropy. responseRows calls it on the one-pixel border only.
+// gated by anisotropy. responseRows calls it on the first and last column.
 func (r *RidgeDetector) response(h frame.Hessian) float64 {
 	l1, l2 := h.Eigenvalues()
-	if l1 > 0 && absf(l1) >= r.Anisotropy*(absf(l2)+1) {
+	if l1 > 0 && math.Abs(l1) >= r.Anisotropy*(math.Abs(l2)+1) {
 		return l1
 	}
 	return 0
 }
 
-// responseRows writes the ridge response of rows [lo, hi) of smoothed
-// (counted from its first row) into vals and returns their maximum. The
-// one-pixel border goes through HessianAt's replicate clamps and response.
+// responseRows writes the ridge response of rows [lo, hi) of in (counted
+// from its first row) into vals and returns their maximum. The Hessian is
+// HessianAt's over the Gaussian blur of in, read from the blurred rows
+// frame.GaussianBlurSweep hands over: no blurred frame is stored, and rows
+// above and below the view are its replicate clamps. The first and last
+// column clamp their column indices the same way and go through response.
 //
 // Interior pixels evaluate the same expressions in place and take no branch
-// on the pixel: in blurred noise the sign of the trace is a coin toss, and a
-// mispredicted early return costs what the square root does. They keep
-// l1 = tr/2+disc where the sign bits of both tr and l1-gate are clear and 0
-// elsewhere, which is response bit for bit for any Anisotropy but NaN:
+// on the pixel: in blurred noise the signs of the trace and of tr/2-disc are
+// coin tosses, and a mispredicted branch costs what the square root does.
+// math.Abs differs from a branching abs only on -0, which the + 1 erases.
+// They keep l1 = tr/2+disc where the sign bits of both tr and l1-gate are
+// clear and 0 elsewhere, which is response bit for bit for any Anisotropy
+// but NaN:
 //   - tr < 0: the eigenvalue of larger magnitude is tr/2-disc, negative by
 //     at least the integer |tr|, far above rounding, so response returns 0
 //     whatever the anisotropy. At tr == 0 the two tie and Eigenvalues picks
@@ -158,33 +159,26 @@ func (r *RidgeDetector) response(h frame.Hessian) float64 {
 //     monotone, so it is Eigenvalues' l1; l1-gate has its sign bit clear
 //     exactly when l1 >= gate, distinct floats never differing by a rounded
 //     zero; and keeping an l1 of 0 returns the 0 that l1 > 0 guards.
-func (r *RidgeDetector) responseRows(vals []float64, smoothed *frame.Frame, lo, hi int) float64 {
-	b := smoothed.Bounds
-	width, height := b.Width(), b.Height()
-	border := func(xx, yy int) float64 {
-		return r.response(frame.HessianAt(smoothed, b.X0+xx, b.Y0+yy))
-	}
+func (r *RidgeDetector) responseRows(vals []float64, in *frame.Frame, lo, hi int) float64 {
+	width := in.Width()
 	maxResp := 0.0
-	for yy := lo; yy < hi; yy++ {
-		out := vals[yy*width : (yy+1)*width]
-		if yy == 0 || yy == height-1 || width < 3 {
-			for xx := range out {
-				out[xx] = border(xx, yy)
-				maxResp = max(maxResp, out[xx])
-			}
-			continue
+	frame.GaussianBlurSweep(in, r.Sigma, lo, hi, func(y int, up, mid, down []float64) {
+		out := vals[y*width:][:width]
+		edge := func(x int) float64 {
+			xl, xr, c := max(x-1, 0), min(x+1, width-1), mid[x]
+			return r.response(frame.Hessian{
+				XX: mid[xr] - 2*c + mid[xl],
+				YY: down[x] - 2*c + up[x],
+				XY: (down[xr] - down[xl] - up[xr] + up[xl]) / 4,
+			})
 		}
-		up := smoothed.Pix[(yy-1)*smoothed.Stride:][:width]
-		mid := smoothed.Pix[yy*smoothed.Stride:][:width]
-		down := smoothed.Pix[(yy+1)*smoothed.Stride:][:width]
-		out[0], out[width-1] = border(0, yy), border(width-1, yy)
-		maxResp = max(maxResp, out[0], out[width-1])
-		for xx := 1; xx < width-1; xx++ {
-			c := float64(mid[xx])
-			hxx := float64(mid[xx+1]) - 2*c + float64(mid[xx-1])
-			hyy := float64(down[xx]) - 2*c + float64(up[xx])
-			hxy := (float64(down[xx+1]) - float64(down[xx-1]) -
-				float64(up[xx+1]) + float64(up[xx-1])) / 4
+		out[0], out[width-1] = edge(0), edge(width-1)
+		m := max(maxResp, out[0], out[width-1])
+		for x := 1; x < width-1; x++ {
+			c := mid[x]
+			hxx := mid[x+1] - 2*c + mid[x-1]
+			hyy := down[x] - 2*c + up[x]
+			hxy := (down[x+1] - down[x-1] - up[x+1] + up[x-1]) / 4
 			tr := hxx + hyy
 			d := tr*tr/4 - (hxx*hyy - hxy*hxy)
 			if d <= 0 {
@@ -192,15 +186,16 @@ func (r *RidgeDetector) responseRows(vals []float64, smoothed *frame.Frame, lo, 
 			}
 			disc := math.Sqrt(d)
 			l1 := tr/2 + disc
-			gate := r.Anisotropy * (absf(tr/2-disc) + 1)
+			gate := r.Anisotropy * (math.Abs(tr/2-disc) + 1)
 			keep := ^(math.Float64bits(tr) | math.Float64bits(l1-gate)) >> 63
 			v := math.Float64frombits(math.Float64bits(l1) & -keep)
-			if v > maxResp {
-				maxResp = v
+			if v > m {
+				m = v
 			}
-			out[xx] = v
+			out[x] = v
 		}
-	}
+		maxResp = m
+	})
 	return maxResp
 }
 
@@ -258,30 +253,29 @@ func (d *StructureDetector) Run(in *frame.Frame) (bool, platform.Cost) {
 
 // gradientEnergy sums |gx|+|gy| of frame.Gradient over f, a compact frame
 // at the origin at least two pixels wide, in row-major order. Rows and
-// columns clamped to the frame are Gradient's replicate border.
+// columns clamped to the frame are Gradient's replicate border. Each term is
+// half an integer difference, and the float sum of them never rounds (it
+// stays far below 2^52), so summing the differences in a uint64 with a
+// branch-free abs and halving once is that sum bit for bit.
 func gradientEnergy(f *frame.Frame) float64 {
 	w, h := f.Width(), f.Height()
-	energy := 0.0
+	var sum uint64
 	for y := 0; y < h; y++ {
 		up := f.Pix[max(y-1, 0)*w:][:w]
 		mid := f.Pix[y*w:][:w]
 		down := f.Pix[min(y+1, h-1)*w:][:w]
-		at := func(xl, x, xr int) float64 {
-			return absf((float64(mid[xr])-float64(mid[xl]))/2) +
-				absf((float64(down[x])-float64(up[x]))/2)
-		}
-		energy += at(0, 0, 1)
+		sum += absDiff(mid[1], mid[0]) + absDiff(down[0], up[0])
 		for x := 1; x < w-1; x++ {
-			energy += at(x-1, x, x+1)
+			sum += absDiff(mid[x+1], mid[x-1]) + absDiff(down[x], up[x])
 		}
-		energy += at(w-2, w-1, w-1)
+		sum += absDiff(mid[w-1], mid[w-2]) + absDiff(down[w-1], up[w-1])
 	}
-	return energy
+	return float64(sum) / 2
 }
 
-func absf(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
+// absDiff is |a-b| without a branch on the sign.
+func absDiff(a, b uint16) uint64 {
+	d := int64(a) - int64(b)
+	m := d >> 63
+	return uint64(d ^ m - m)
 }

@@ -153,7 +153,7 @@ func TestStructureDetectorMatchesPerPixelGradient(t *testing.T) {
 		for y := 0; y < f.Height(); y++ {
 			for x := 0; x < f.Width(); x++ {
 				gx, gy := frame.Gradient(f, x, y)
-				energy += absf(gx) + absf(gy)
+				energy += math.Abs(gx) + math.Abs(gy)
 			}
 		}
 		return energy
@@ -186,6 +186,166 @@ func TestStructureDetectorMatchesPerPixelGradient(t *testing.T) {
 		wantOn := want/float64(w*h)*math.Sqrt(float64(in.Pixels())) >= det.EnergyThreshold
 		if on, _ := det.Run(in); on != wantOn {
 			t.Fatalf("%v: detector fired = %v, want %v", in.Bounds, on, wantOn)
+		}
+	}
+}
+
+// branchyAbs is the abs both detectors used before they went branch-free.
+func branchyAbs(v float64) float64 {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// floatGradientEnergy is gradientEnergy as it was: |Δ|/2 terms summed in a
+// float64, one branching abs per term.
+func floatGradientEnergy(f *frame.Frame) float64 {
+	w, h := f.Width(), f.Height()
+	energy := 0.0
+	for y := 0; y < h; y++ {
+		up := f.Pix[max(y-1, 0)*w:][:w]
+		mid := f.Pix[y*w:][:w]
+		down := f.Pix[min(y+1, h-1)*w:][:w]
+		for x := 0; x < w; x++ {
+			xl, xr := max(x-1, 0), min(x+1, w-1)
+			energy += branchyAbs((float64(mid[xr])-float64(mid[xl]))/2) +
+				branchyAbs((float64(down[x])-float64(up[x]))/2)
+		}
+	}
+	return energy
+}
+
+// extremeFrame is w x h pixels drawn from 0, 65535 and uniform noise, the
+// inputs whose differences and blurs reach the ends of the 16-bit range.
+func extremeFrame(rng *rand.Rand, w, h int) *frame.Frame {
+	f := frame.New(w, h)
+	for i := range f.Pix {
+		switch rng.Intn(3) {
+		case 0:
+		case 1:
+			f.Pix[i] = 65535
+		default:
+			f.Pix[i] = uint16(rng.Intn(65536))
+		}
+	}
+	return f
+}
+
+// TestGradientEnergyMatchesFloatSum: the integer sum halved once is the float
+// sum of halves, bit for bit, up to frames of all-65535 steps.
+func TestGradientEnergyMatchesFloatSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	checker := frame.New(256, 256)
+	for i := range checker.Pix {
+		if (i/256+i%256)%2 == 0 {
+			checker.Pix[i] = 65535
+		}
+	}
+	inputs := []*frame.Frame{checker, frame.New(2, 2)}
+	for _, g := range [][2]int{{2, 2}, {2, 9}, {9, 2}, {3, 3}, {17, 5}, {128, 128}, {255, 129}} {
+		inputs = append(inputs, extremeFrame(rng, g[0], g[1]))
+		noise := frame.New(g[0], g[1])
+		for i := range noise.Pix {
+			noise.Pix[i] = uint16(rng.Intn(65536))
+		}
+		inputs = append(inputs, noise)
+	}
+	for _, f := range inputs {
+		want := floatGradientEnergy(f)
+		if got := gradientEnergy(f); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%dx%d: gradient energy %v, want %v", f.Width(), f.Height(), got, want)
+		}
+	}
+}
+
+// storedResponseRows is responseRows as it was: it reads a stored 16-bit
+// blurred frame, one uint16 conversion per tap, takes a branching abs for the
+// anisotropy gate and sends the one-pixel border through HessianAt.
+func storedResponseRows(r *RidgeDetector, vals []float64, smoothed *frame.Frame, lo, hi int) float64 {
+	b := smoothed.Bounds
+	width, height := b.Width(), b.Height()
+	border := func(xx, yy int) float64 {
+		l1, l2 := frame.HessianAt(smoothed, b.X0+xx, b.Y0+yy).Eigenvalues()
+		if l1 > 0 && branchyAbs(l1) >= r.Anisotropy*(branchyAbs(l2)+1) {
+			return l1
+		}
+		return 0
+	}
+	maxResp := 0.0
+	for yy := lo; yy < hi; yy++ {
+		out := vals[yy*width : (yy+1)*width]
+		if yy == 0 || yy == height-1 || width < 3 {
+			for xx := range out {
+				out[xx] = border(xx, yy)
+				maxResp = max(maxResp, out[xx])
+			}
+			continue
+		}
+		up := smoothed.Pix[(yy-1)*smoothed.Stride:][:width]
+		mid := smoothed.Pix[yy*smoothed.Stride:][:width]
+		down := smoothed.Pix[(yy+1)*smoothed.Stride:][:width]
+		out[0], out[width-1] = border(0, yy), border(width-1, yy)
+		maxResp = max(maxResp, out[0], out[width-1])
+		for xx := 1; xx < width-1; xx++ {
+			c := float64(mid[xx])
+			hxx := float64(mid[xx+1]) - 2*c + float64(mid[xx-1])
+			hyy := float64(down[xx]) - 2*c + float64(up[xx])
+			hxy := (float64(down[xx+1]) - float64(down[xx-1]) -
+				float64(up[xx+1]) + float64(up[xx-1])) / 4
+			tr := hxx + hyy
+			d := tr*tr/4 - (hxx*hyy - hxy*hxy)
+			if d <= 0 {
+				d = 0
+			}
+			disc := math.Sqrt(d)
+			l1 := tr/2 + disc
+			gate := r.Anisotropy * (branchyAbs(tr/2-disc) + 1)
+			keep := ^(math.Float64bits(tr) | math.Float64bits(l1-gate)) >> 63
+			v := math.Float64frombits(math.Float64bits(l1) & -keep)
+			maxResp = max(maxResp, v)
+			out[xx] = v
+		}
+	}
+	return maxResp
+}
+
+// TestRidgeResponseMatchesStoredBlur pins the blur-to-Hessian ring to the
+// sweep over a stored blurred frame it replaced: every response bit, the
+// maximum and the mask, for stripe counts 1 to 4, odd and even ROI widths,
+// views one and two pixels thin, and frames saturated at 0 and 65535.
+func TestRidgeResponseMatchesStoredBlur(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	s := cleanSeq(t, 53)
+	full, _ := s.Frame(20)
+	wild := extremeFrame(rng, 96, 80)
+	inputs := []*frame.Frame{full, wild, wild.SubFrame(frame.R(3, 5, 3+61, 5+37))}
+	for _, w := range []int{1, 2, 3, 5, 33, 57, 64, 127} {
+		inputs = append(inputs, full.SubFrame(frame.R(128-w, 11, 128, 11+47)))
+	}
+	for _, g := range [][2]int{{9, 1}, {7, 2}, {31, 3}} {
+		inputs = append(inputs, wild.SubFrame(frame.R(1, 2, 1+g[0], 2+g[1])))
+	}
+	rdg := NewRidgeDetector(params())
+	for _, in := range inputs {
+		smoothed := frame.GaussianBlur(in, rdg.Sigma)
+		want := make([]float64, in.Pixels())
+		wantMax := storedResponseRows(rdg, want, smoothed, 0, in.Height())
+		for k := 1; k <= 4; k++ {
+			got, _ := rdg.RunStriped(in, k)
+			for i, v := range rdg.vals[:in.Pixels()] {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("%v k=%d: response %d = %v, want %v", in.Bounds, k, i, v, want[i])
+				}
+			}
+			wantPixels := 0
+			if wantMax > 0 {
+				wantPixels = rdg.maskRows(frame.New(in.Width(), in.Height()), want, wantMax, 0, in.Height())
+			}
+			if got.RidgePixels != wantPixels {
+				t.Fatalf("%v k=%d: %d ridge pixels, want %d", in.Bounds, k, got.RidgePixels, wantPixels)
+			}
+			frame.Release(got.Mask)
 		}
 	}
 }
@@ -747,7 +907,7 @@ func ridgeReference(r *RidgeDetector, in *frame.Frame) (vals []float64, mask *fr
 		for x := in.Bounds.X0; x < in.Bounds.X1; x++ {
 			l1, l2 := frame.HessianAt(smoothed, x, y).Eigenvalues()
 			v := 0.0
-			if l1 > 0 && absf(l1) >= r.Anisotropy*(absf(l2)+1) {
+			if l1 > 0 && math.Abs(l1) >= r.Anisotropy*(math.Abs(l2)+1) {
 				v = l1
 			}
 			vals = append(vals, v)
@@ -1061,6 +1221,31 @@ func TestRidgeOverlapMatchesPerPixelAt(t *testing.T) {
 			if got := mkx.ridgeOverlap(c, mask, ridge, src); got != want {
 				t.Fatalf("ridge mask %d (%v) box %v: overlap %v, want %v", ri, ridge.Bounds, c.BBox, got, want)
 			}
+		}
+	}
+}
+
+// TestDetectorsSteadyStateAllocs pins switch 1 and the ridge filter: DETECT
+// borrows its downsampled image and tap tables from pools, and RDG takes its
+// blurred-row ring from the frame package's pooled scratch, so neither
+// allocates beyond the RidgeResult it hands back.
+func TestDetectorsSteadyStateAllocs(t *testing.T) {
+	f, _ := cleanSeq(t, 5).Frame(20)
+	det := NewStructureDetector(params())
+	det.Run(f)
+	if avg := testing.AllocsPerRun(50, func() { det.Run(f) }); avg > racePoolMallocs {
+		t.Errorf("StructureDetector.Run: %.2f allocs/op in steady state, want <= %d", avg, racePoolMallocs)
+	}
+	rdg := NewRidgeDetector(params())
+	roi := f.SubFrame(frame.R(17, 9, 90, 71))
+	for _, in := range []*frame.Frame{f, roi} {
+		run := func() {
+			res, _ := rdg.Run(in)
+			frame.Release(res.Mask)
+		}
+		run()
+		if avg := testing.AllocsPerRun(50, run); avg > 1+racePoolMallocs {
+			t.Errorf("RidgeDetector.Run %v: %.2f allocs/op in steady state, want <= %d (the result)", in.Bounds, avg, 1+racePoolMallocs)
 		}
 	}
 }
