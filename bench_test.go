@@ -657,11 +657,14 @@ func BenchmarkRealStripedRDG(b *testing.B) {
 	}
 }
 
-// BenchmarkKernel measures the two kernels behind the paper's first
-// switch on real synthetic frames: DETECT (StructureDetector.Run, the
-// per-frame structure pre-scan) and the RDG sweep (RidgeDetector.Run, blur
-// plus Hessian response plus mask) on the whole frame and on its central
-// quarter, the ROI variant, at 128x128 and 512x512:
+// BenchmarkKernel measures the per-frame task kernels on real synthetic
+// frames: the two behind the paper's first switch — DETECT
+// (StructureDetector.Run, the per-frame structure pre-scan) and the RDG sweep
+// (RidgeDetector.Run, blur plus Hessian response plus mask) on the whole
+// frame and on its central quarter, the ROI variant — then MKX EXT
+// (MarkerExtractor.Run without a ridge mask) and ENH (Enhancer.Run on eight
+// consecutive frames in turn, each with its true marker couple, into one
+// steadily growing stack), at 128x128 and 512x512:
 // BenchmarkKernel/<task>/<size>-<procs>.
 func BenchmarkKernel(b *testing.B) {
 	for _, size := range []int{128, 512} {
@@ -675,12 +678,23 @@ func BenchmarkKernel(b *testing.B) {
 		roi := f.SubFrame(frame.R(size/4, size/4, 3*size/4, 3*size/4))
 		p := tasks.DefaultCostParams(size * size)
 		det, rdg := tasks.NewStructureDetector(p), tasks.NewRidgeDetector(p)
+		mkx, enh := tasks.NewMarkerExtractor(p), tasks.NewEnhancer(size, size, p)
 		ridge := func(in *frame.Frame) func() {
 			return func() {
 				res, _ := rdg.Run(in)
 				frame.Release(res.Mask)
 			}
 		}
+		var frames [8]*frame.Frame
+		var couples [8]tasks.Couple
+		for i := range frames {
+			var tr synth.Truth
+			frames[i], tr = seq.Frame(20 + i)
+			a := tasks.Marker{X: tr.MarkerA[0], Y: tr.MarkerA[1]}
+			c := tasks.Marker{X: tr.MarkerB[0], Y: tr.MarkerB[1]}
+			couples[i] = tasks.Couple{A: a, B: c, Spacing: a.Dist(c)}
+		}
+		next := 0
 		cases := []struct {
 			name string
 			run  func()
@@ -688,6 +702,11 @@ func BenchmarkKernel(b *testing.B) {
 			{"DETECT", func() { det.Run(f) }},
 			{"RDG_FULL", ridge(f)},
 			{"RDG_ROI", ridge(roi)},
+			{"MKX_EXT", func() { mkx.Run(f, nil) }},
+			{"ENH", func() {
+				enh.Run(frames[next], &couples[next])
+				next = (next + 1) % len(frames)
+			}},
 		}
 		for _, tc := range cases {
 			b.Run(fmt.Sprintf("%s/%dx%d", tc.name, size, size), func(b *testing.B) {

@@ -8,10 +8,11 @@ import (
 // Allocation pins for the pooled per-frame kernel paths. The Into variants
 // with a reused destination must not allocate at all; GaussianBlurInto
 // and GaussianBlurSweep borrow their row scratch, ResizeInto and TranslateInto their tap tables and
-// ResampleRows its ring of row products from a pool, which allocates only on
+// ResampleRows and AddResampledInto their ring of row products from a pool, which allocates only on
 // a pool miss (e.g. when the GC drained the pool mid-run, or under -race,
-// where sync.Pool drops a quarter of what it is handed), so their pin is a
-// fraction rather than exactly zero.
+// where sync.Pool drops a quarter of what it is handed), so their pin is
+// pooled, a fraction plus the race allowance, rather than exactly zero.
+const pooled = 0.5 + racePoolMallocs
 
 func TestKernelIntoPathsDoNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
@@ -42,13 +43,13 @@ func TestKernelIntoPathsDoNotAllocate(t *testing.T) {
 		{"ThresholdInto", 0, func() { ThresholdInto(dst, src, 30000) }},
 		{"InvertInto", 0, func() { InvertInto(dst, src) }},
 		{"AbsDiffInto", 0, func() { _, _ = AbsDiffInto(dst, src, src2) }},
-		// Pool-backed paths: tolerate rare GC-induced pool misses.
-		{"GaussianBlurInto", 0.5, func() { GaussianBlurInto(dst, src, 1.2) }},
-		{"ResizeInto", 0.5, func() { ResizeInto(small, src, 64, 48) }},
-		{"TranslateInto", 0.5, func() { TranslateInto(dst, src, 0.7, 1.3) }},
-		{"ResampleRows", 0.5, func() { ResampleRows(dst, src, xs, ys, 0, 96) }},
-		{"GaussianBlurSweep", 0.5, func() { GaussianBlurSweep(src, 1.2, 0, 96, func(int, []float64, []float64, []float64) {}) }},
-		{"BorrowRelease", 0.5, func() { Release(BorrowUninit(128, 96)) }},
+		// Pool-backed paths: tolerate rare pool misses.
+		{"GaussianBlurInto", pooled, func() { GaussianBlurInto(dst, src, 1.2) }},
+		{"ResizeInto", pooled, func() { ResizeInto(small, src, 64, 48) }},
+		{"TranslateInto", pooled, func() { TranslateInto(dst, src, 0.7, 1.3) }},
+		{"ResampleRows", pooled, func() { ResampleRows(dst, src, xs, ys, 0, 96) }},
+		{"GaussianBlurSweep", pooled, func() { GaussianBlurSweep(src, 1.2, 0, 96, func(int, []float64, []float64, []float64) {}) }},
+		{"BorrowRelease", pooled, func() { Release(BorrowUninit(128, 96)) }},
 	}
 	for _, tc := range cases {
 		tc.run() // warm pools and kernel caches outside the measured runs
@@ -59,32 +60,21 @@ func TestKernelIntoPathsDoNotAllocate(t *testing.T) {
 }
 
 // TestAccumulatorAverageIntoDoesNotAllocate pins the enhancement stage's
-// steady state: integrating a frame and refreshing the running average into
-// a reused destination is allocation-free.
+// steady state: integrating a resampled frame and refreshing the running
+// average into a reused destination allocates nothing but, on a pool miss,
+// the ring of row products.
 func TestAccumulatorAverageIntoDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	f := randFrame(rng, 64, 64)
+	src := randFrame(rng, 96, 80)
+	xs, ys := tapsOf(src, affine(64, -3.3, 1.6), affine(64, 2.2, 0.9))
 	acc := NewAccumulator(64, 64)
-	if err := acc.Add(f); err != nil {
-		t.Fatal(err)
-	}
-	dst := New(64, 64)
+	dst := acc.AddResampledInto(nil, src, xs, ys)
 	run := func() {
-		if err := acc.Add(f); err != nil {
-			t.Fatal(err)
-		}
-		acc.AverageInto(dst)
-	}
-	run()
-	if avg := testing.AllocsPerRun(50, run); avg > 0 {
-		t.Errorf("Add+AverageInto: %.2f allocs/op, want 0", avg)
-	}
-	fused := func() {
-		if _, err := acc.AddAverageInto(dst, f); err != nil {
-			t.Fatal(err)
+		if acc.AddResampledInto(dst, src, xs, ys) != dst {
+			t.Fatal("AddResampledInto did not reuse the destination")
 		}
 	}
-	if avg := testing.AllocsPerRun(50, fused); avg > 0 {
-		t.Errorf("AddAverageInto: %.2f allocs/op, want 0", avg)
+	if avg := testing.AllocsPerRun(50, run); avg > pooled {
+		t.Errorf("AddResampledInto: %.2f allocs/op, want <= %.1f", avg, pooled)
 	}
 }

@@ -474,42 +474,30 @@ func TestAverageIntoMatchesAverage(t *testing.T) {
 	requireEqual(t, "average", got, want)
 }
 
-// TestAddAverageIntoMatchesDivision pins the multiply-shift-correct average
-// to a plain s/n at the divisors and sums where a reciprocal goes wrong
-// first — around powers of two, one either side of every exact multiple, the
-// largest sum n frames can reach — and on 10^6 random pairs.
-func TestAddAverageIntoMatchesDivision(t *testing.T) {
-	zero := New(1000, 1)
-	check := func(n int, sums []uint32) {
-		t.Helper()
-		acc := NewAccumulator(len(sums), 1)
-		copy(acc.sum, sums)
-		acc.frames = n - 1
-		got, err := acc.AddAverageInto(nil, zero.SubFrame(R(0, 0, len(sums), 1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, s := range sums {
-			if want := uint16(s / uint32(n)); got.Pix[i] != want {
-				t.Fatalf("sum %d over %d frames averages to %d, want %d", s, n, got.Pix[i], want)
-			}
+// TestMulHighDivisionExact pins the multiply-high average to a plain s/n for
+// every frame count n an accumulator reaches, at the sums where a reciprocal
+// goes wrong first — either side of exact multiples, around powers of two,
+// the largest sum n frames can reach — and on 10^6 random pairs.
+func TestMulHighDivisionExact(t *testing.T) {
+	check := func(n int, s uint32) {
+		m := reciprocal(n)
+		if got, want := quotient(s, m), uint16(s/uint32(n)); got != want {
+			t.Fatalf("sum %d over %d frames averages to %d, want %d", s, n, got, want)
 		}
 	}
-	for _, n := range []int{1, 2, 3, 255, 256, 257, 65535, AccumulatorMaxFrames} {
-		sums := []uint32{0, uint32(65535 * n)}
-		for _, q := range []int{1, 2, 3, 255, 256, 257, 32767, 32768, 65534, 65535} {
-			sums = append(sums, uint32(q*n-1), uint32(q*n), uint32(min(q*n+1, 65535*n)))
+	for n := 1; n <= AccumulatorMaxFrames; n++ {
+		check(n, 0)
+		check(n, uint32(n-1))
+		check(n, uint32(65535*n))
+		for _, q := range []int{1, 2, 3, 255, 256, 257, 32767, 32768, 65534} {
+			check(n, uint32(q*n))
+			check(n, uint32(q*n+n-1))
 		}
-		check(n, sums)
 	}
 	rng := rand.New(rand.NewSource(12))
-	sums := make([]uint32, 1000)
-	for round := 0; round < 1000; round++ {
+	for i := 0; i < 1_000_000; i++ {
 		n := 1 + rng.Intn(AccumulatorMaxFrames)
-		for i := range sums {
-			sums[i] = uint32(rng.Int63n(int64(65535*n) + 1))
-		}
-		check(n, sums)
+		check(n, uint32(rng.Int63n(int64(65535*n)+1)))
 	}
 }
 

@@ -289,31 +289,6 @@ type Hessian struct {
 	XX, YY, XY float64
 }
 
-// HessianAt computes central-difference second derivatives at (x, y) with
-// replicate borders. Interior pixels (at least one pixel from every edge)
-// take a direct-indexing fast path.
-func HessianAt(f *Frame, x, y int) Hessian {
-	b := f.Bounds
-	if x > b.X0 && x < b.X1-1 && y > b.Y0 && y < b.Y1-1 {
-		i := (y-b.Y0)*f.Stride + (x - b.X0)
-		s := f.Stride
-		c := float64(f.Pix[i])
-		return Hessian{
-			XX: float64(f.Pix[i+1]) - 2*c + float64(f.Pix[i-1]),
-			YY: float64(f.Pix[i+s]) - 2*c + float64(f.Pix[i-s]),
-			XY: (float64(f.Pix[i+s+1]) - float64(f.Pix[i+s-1]) -
-				float64(f.Pix[i-s+1]) + float64(f.Pix[i-s-1])) / 4,
-		}
-	}
-	c := float64(f.AtClamped(x, y))
-	return Hessian{
-		XX: float64(f.AtClamped(x+1, y)) - 2*c + float64(f.AtClamped(x-1, y)),
-		YY: float64(f.AtClamped(x, y+1)) - 2*c + float64(f.AtClamped(x, y-1)),
-		XY: (float64(f.AtClamped(x+1, y+1)) - float64(f.AtClamped(x-1, y+1)) -
-			float64(f.AtClamped(x+1, y-1)) + float64(f.AtClamped(x-1, y-1))) / 4,
-	}
-}
-
 // Eigenvalues returns the eigenvalues of the 2x2 symmetric Hessian, ordered
 // |l1| >= |l2|. For a dark line on a bright background the principal
 // eigenvalue l1 is large and positive.
@@ -330,21 +305,6 @@ func (h Hessian) Eigenvalues() (l1, l2 float64) {
 		return a, b
 	}
 	return b, a
-}
-
-// Gradient returns central-difference first derivatives at (x, y), with a
-// direct-indexing fast path for interior pixels.
-func Gradient(f *Frame, x, y int) (gx, gy float64) {
-	b := f.Bounds
-	if x > b.X0 && x < b.X1-1 && y > b.Y0 && y < b.Y1-1 {
-		i := (y-b.Y0)*f.Stride + (x - b.X0)
-		gx = (float64(f.Pix[i+1]) - float64(f.Pix[i-1])) / 2
-		gy = (float64(f.Pix[i+f.Stride]) - float64(f.Pix[i-f.Stride])) / 2
-		return gx, gy
-	}
-	gx = (float64(f.AtClamped(x+1, y)) - float64(f.AtClamped(x-1, y))) / 2
-	gy = (float64(f.AtClamped(x, y+1)) - float64(f.AtClamped(x, y-1))) / 2
-	return gx, gy
 }
 
 // Threshold returns a frame where pixels >= t map to 65535 and others to 0.
@@ -513,11 +473,11 @@ func GrowTaps(taps []Tap, n int) []Tap {
 // pixel x of row y becomes clamp16(BilinearAt(src, cx, cy)) for the
 // coordinates xs[x] and ys[y] were built from with src.XTap and src.YTap.
 // src must not be empty, dst must be at least len(xs) wide and must not
-// alias src. This is the one bilinear pixel loop behind Resize, Translate
-// and the enhancement stage's motion-compensated canvas.
+// alias src. This is the one bilinear pixel loop behind Resize and
+// Translate; Accumulator.AddResampledInto integrates the same pixels.
 func ResampleRows(dst, src *Frame, xs, ys []Tap, yLo, yHi int) {
 	s := scratchPool.Get().(*scratch)
-	bilinearRows(dst, nil, s.floats(4*len(xs)), src, xs, ys, yLo, yHi)
+	bilinearRows(dst, nil, nil, s.floats(4*len(xs)), src, xs, ys, yLo, yHi)
 	scratchPool.Put(s)
 }
 
@@ -530,21 +490,23 @@ func SampleRows(out, ring []float64, src *Frame, xs, ys []Tap) {
 		clear(out[:len(xs)*len(ys)])
 		return
 	}
-	bilinearRows(nil, out, ring, src, xs, ys, 0, len(ys))
+	bilinearRows(nil, out, nil, ring, src, xs, ys, 0, len(ys))
 }
 
-// bilinearRows is the row kernel under both, storing into out when dst is
-// nil. Two passes: the horizontal one is made once per source row, into a
-// ring of two rows of products, and the vertical one blends four contiguous
-// float64 rows. The sum keeps BilinearAt's association, so the two agree bit
-// for bit.
+// bilinearRows is the row kernel under all three: it stores the samples into
+// out when dst is nil, and otherwise rounds them to pixels, which land in dst
+// or, when acc is set, are added into acc's sums while dst gets the running
+// average of acc's frames. Two passes: the horizontal one is made once per
+// source row, into a ring of two rows of products, and the vertical one
+// blends four contiguous float64 rows. The sum keeps BilinearAt's
+// association, so the two agree bit for bit.
 //
-// Resampling into dst where every tap of both tables weighs its two pixels
-// ½ and ½ (an exact 2:1 or 4:1 downsample) is integer: the blend is then
-// (a+b+c+d)/4 exactly, whose clamp16 is (a+b+c+d+2)>>2.
-func bilinearRows(dst *Frame, out, ring []float64, src *Frame, xs, ys []Tap, yLo, yHi int) {
+// Resampling into dst alone where every tap of both tables weighs its two
+// pixels ½ and ½ (an exact 2:1 or 4:1 downsample) is integer: the blend is
+// then (a+b+c+d)/4 exactly, whose clamp16 is (a+b+c+d+2)>>2.
+func bilinearRows(dst *Frame, out []float64, acc *Accumulator, ring []float64, src *Frame, xs, ys []Tap, yLo, yHi int) {
 	n := len(xs)
-	if dst != nil && halfTaps(xs) && halfTaps(ys[yLo:yHi]) {
+	if dst != nil && acc == nil && halfTaps(xs) && halfTaps(ys[yLo:yHi]) {
 		for y := yLo; y < yHi; y++ {
 			ty := ys[y]
 			r0, r1 := src.Pix[int(ty.I0)*src.Stride:], src.Pix[int(ty.I1)*src.Stride:]
@@ -557,22 +519,34 @@ func bilinearRows(dst *Frame, out, ring []float64, src *Frame, xs, ys []Tap, yLo
 		}
 		return
 	}
+	var m uint64
+	if acc != nil {
+		m = reciprocal(acc.frames)
+	}
 	h := hring{src: src, xs: xs, buf: ring[:4*n], have: [2]int32{-1, -1}}
 	for y := yLo; y < yHi; y++ {
 		ty := ys[y]
 		fy, gy := ty.F, ty.G
 		a, b := h.slot(ty.I0, ty.I1), h.slot(ty.I1, ty.I0)
 		hg0, hf0, hg1, hf1 := a[:n], a[n:][:n], b[:n], b[n:][:n]
-		if dst == nil {
+		switch {
+		case dst == nil:
 			orow := out[y*n:][:n]
 			for x := range orow {
 				orow[x] = hg0[x]*gy + hf0[x]*gy + hg1[x]*fy + hf1[x]*fy
 			}
-			continue
-		}
-		drow := dst.Pix[y*dst.Stride:][:n]
-		for x := range drow {
-			drow[x] = clamp16(hg0[x]*gy + hf0[x]*gy + hg1[x]*fy + hf1[x]*fy)
+		case acc != nil:
+			sum, avg := acc.sum[y*n:][:n], dst.Pix[y*dst.Stride:][:n]
+			for x := range sum {
+				s := sum[x] + uint32(clamp16(hg0[x]*gy+hf0[x]*gy+hg1[x]*fy+hf1[x]*fy))
+				sum[x] = s
+				avg[x] = quotient(s, m)
+			}
+		default:
+			drow := dst.Pix[y*dst.Stride:][:n]
+			for x := range drow {
+				drow[x] = clamp16(hg0[x]*gy + hf0[x]*gy + hg1[x]*fy + hf1[x]*fy)
+			}
 		}
 	}
 }
@@ -702,7 +676,7 @@ func TranslateInto(dst, src *Frame, dx, dy float64) *Frame {
 	for y := range ys {
 		ys[y] = src.YTap(float64(src.Bounds.Y0+y) - dy)
 	}
-	bilinearRows(dst, nil, t.floats(4*w), src, xs, ys, 0, h)
+	bilinearRows(dst, nil, nil, t.floats(4*w), src, xs, ys, 0, h)
 	scratchPool.Put(t)
 	return dst
 }
@@ -724,79 +698,42 @@ func NewAccumulator(w, h int) *Accumulator {
 	return &Accumulator{sum: make([]uint32, w*h), w: w, h: h}
 }
 
-// Add integrates one frame; its dimensions must match the accumulator's.
-func (a *Accumulator) Add(f *Frame) error {
-	if f.Width() != a.w || f.Height() != a.h {
-		return errors.New("frame: accumulator dimension mismatch")
-	}
-	i := 0
-	for y := f.Bounds.Y0; y < f.Bounds.Y1; y++ {
-		for _, v := range f.Row(y) {
-			a.sum[i] += uint32(v)
-			i++
-		}
-	}
-	a.frames++
-	return nil
-}
-
-// AddAverageInto is Add followed by AverageInto in one pass over the sums
-// (dst may be nil, must not alias f); it returns the destination used.
-func (a *Accumulator) AddAverageInto(dst, f *Frame) (*Frame, error) {
-	if f.Width() != a.w || f.Height() != a.h {
-		return nil, errors.New("frame: accumulator dimension mismatch")
+// AddResampledInto integrates the frame ResampleRows would make from src
+// over the tap tables xs and ys, one per accumulator column and row, and
+// writes the running average into dst (may be nil, must not alias src); it
+// returns the destination used. src must not be empty. No resampled frame is
+// stored: each row is blended, rounded, added to the sums and averaged in
+// one pass.
+func (a *Accumulator) AddResampledInto(dst, src *Frame, xs, ys []Tap) *Frame {
+	if len(xs) != a.w || len(ys) != a.h {
+		panic("frame: tap tables do not match the accumulator")
 	}
 	dst = ensureDst(dst, a.w, a.h, Rect{0, 0, a.w, a.h})
 	a.frames++
-	// s/n without the divide: with m = floor(2^32/n)+1 the estimate s*m>>32
-	// is never below s/n and exceeds it by less than s/2^32 < 1, so it is
-	// the quotient or one more, which one multiply-compare settles. s*m
-	// stays below 2^64 for every sum of at most AccumulatorMaxFrames pixels.
-	n := uint64(a.frames)
-	m := 1<<32/n + 1
-	for y := 0; y < a.h; y++ {
-		sum := a.sum[y*a.w : (y+1)*a.w]
-		avg := dst.Pix[y*a.w : (y+1)*a.w]
-		for i, v := range f.Row(f.Bounds.Y0 + y) {
-			s := sum[i] + uint32(v)
-			sum[i] = s
-			q := uint64(s) * m >> 32
-			if q*n > uint64(s) {
-				q--
-			}
-			avg[i] = uint16(q)
-		}
-	}
-	return dst, nil
+	s := scratchPool.Get().(*scratch)
+	bilinearRows(dst, nil, a, s.floats(4*a.w), src, xs, ys, 0, a.h)
+	scratchPool.Put(s)
+	return dst
 }
+
+// reciprocal returns the multiplier with which quotient divides by n
+// frames, 1 <= n <= AccumulatorMaxFrames: m = ⌊(2^48-1)/n⌋+1, so m·n = 2^48+e
+// for some 0 <= e < n.
+func reciprocal(n int) uint64 { return (1<<48-1)/uint64(n) + 1 }
+
+// quotient is s/n for the reciprocal m of n and any sum s of at most n
+// pixels, without a divide or a branch: the bits of s·m above bit 48.
+// s·m/2^48 = s/n + s·e/(n·2^48), and s·e < 65535·n² < 2^48, so the excess is
+// below 1/n and the floor is exact; s·m <= 65535·(2^48+e) stays below 2^64.
+// n = 1 needs no case of its own: m = 2^48.
+func quotient(s uint32, m uint64) uint16 { return uint16(uint64(s) * m >> 48) }
 
 // Frames returns how many frames have been integrated.
 func (a *Accumulator) Frames() int { return a.frames }
 
-// Average returns the running mean frame; nil before any Add.
-func (a *Accumulator) Average() *Frame {
-	return a.AverageInto(nil)
-}
-
-// AverageInto is Average with destination reuse (dst may be nil); it
-// returns the destination used, or nil before any Add.
-func (a *Accumulator) AverageInto(dst *Frame) *Frame {
-	if a.frames == 0 {
-		return nil
-	}
-	dst = ensureDst(dst, a.w, a.h, Rect{0, 0, a.w, a.h})
-	n := uint32(a.frames)
-	for i, s := range a.sum {
-		dst.Pix[i] = uint16(s / n)
-	}
-	return dst
-}
-
 // Reset clears the accumulator.
 func (a *Accumulator) Reset() {
-	for i := range a.sum {
-		a.sum[i] = 0
-	}
+	clear(a.sum)
 	a.frames = 0
 }
 

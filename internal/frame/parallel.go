@@ -60,7 +60,7 @@ func ResizeIntoParallel(dst, src *Frame, w, h, k int) *Frame {
 	t := scratchPool.Get().(*scratch)
 	xs, ys := t.resizeTaps(src, w, h)
 	if k <= 1 {
-		bilinearRows(dst, nil, t.floats(4*w), src, xs, ys, 0, h)
+		bilinearRows(dst, nil, nil, t.floats(4*w), src, xs, ys, 0, h)
 	} else {
 		parallel.ForStripes(h, k, func(_, lo, hi int) {
 			ResampleRows(dst, src, xs, ys, lo, hi)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -255,38 +256,119 @@ func TestResizeSameSizeIsCopy(t *testing.T) {
 	}
 }
 
-func TestAddAverageIntoMatchesAddThenAverage(t *testing.T) {
+// integrateBoth adds the resample of src at the coordinates cx, cy to fused
+// through AddResampledInto, into the reused destination avg (nil at first),
+// and to plain through the oracle — ResampleRows into a frame, then
+// AddAverageInto — and fails unless the averages, the sums and the frame
+// counts agree. It returns fused's average.
+func integrateBoth(t *testing.T, ctx string, fused, plain *Accumulator, avg, src *Frame, cx, cy []float64) *Frame {
+	t.Helper()
+	xs, ys := tapsOf(src, cx, cy)
+	canvas := New(len(cx), len(cy))
+	ResampleRows(canvas, src, xs, ys, 0, len(cy))
+	want, err := plain.AddAverageInto(nil, canvas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := fused.AddResampledInto(avg, src, xs, ys)
+	if avg != nil && got != avg {
+		t.Fatalf("%s: destination not reused", ctx)
+	}
+	if fused.Frames() != plain.Frames() {
+		t.Fatalf("%s: %d frames integrated, want %d", ctx, fused.Frames(), plain.Frames())
+	}
+	requireEqual(t, ctx, got, want)
+	if !slices.Equal(fused.sum, plain.sum) {
+		t.Fatalf("%s: sums differ from the oracle's", ctx)
+	}
+	return got
+}
+
+// TestAddResampledIntoMatchesOracle: the fused sink integrates what
+// ResampleRows would have stored, frame after frame, on canvases magnifying,
+// shrinking, overhanging and wholly outside their sources, with saturated
+// frames pushing the sums and a Reset partway.
+func TestAddResampledIntoMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	const w, h = 13, 7
-	fused, plain := NewAccumulator(w, h), NewAccumulator(w, h)
-	var fusedAvg, plainAvg *Frame
-	for i := 0; i < 100; i++ {
-		f := frameVariants(rng, w, h)[i%2]
-		if i%10 == 9 {
-			f.Fill(0xFFFF) // saturated frames push the sums hardest
+	for _, c := range [][2]int{{13, 7}, {1, 1}, {40, 3}, {5, 33}} {
+		fused, plain := NewAccumulator(c[0], c[1]), NewAccumulator(c[0], c[1])
+		var avg *Frame
+		for i := 0; i < 120; i++ {
+			g := geometries[i%len(geometries)]
+			src := frameVariants(rng, g[0], g[1])[i%3]
+			if i%10 == 9 {
+				src.Fill(0xFFFF) // saturated frames push the sums hardest
+			}
+			x0, y0 := float64(src.Bounds.X0), float64(src.Bounds.Y0)
+			drift := 0.37 * float64(i%17)
+			var cx, cy []float64
+			switch i % 5 {
+			case 0: // magnifies
+				cx, cy = affine(c[0], x0-0.3+drift/8, 0.21), affine(c[1], y0+0.45, 0.33)
+			case 1: // shrinks
+				cx, cy = affine(c[0], x0+0.1, 2.7), affine(c[1], y0-0.6+drift, 1.9)
+			case 2: // overhangs every edge
+				cx, cy = affine(c[0], x0-4.5-drift, 1.3), affine(c[1], y0-3.25, 1.6)
+			case 3: // wholly outside
+				cx, cy = affine(c[0], -900+drift, 0.8), affine(c[1], 1e6, 1.1)
+			default: // ½ and ½ taps
+				cx, cy = affine(c[0], x0-0.5, 1), affine(c[1], y0+0.5, 2)
+			}
+			if i == 70 {
+				fused.Reset()
+				plain.Reset()
+			}
+			avg = integrateBoth(t, fmt.Sprintf("canvas %v frame %d", c, i), fused, plain, avg, src, cx, cy)
 		}
-		var err error
-		if fusedAvg, err = fused.AddAverageInto(fusedAvg, f); err != nil {
-			t.Fatal(err)
-		}
-		if err := plain.Add(f); err != nil {
-			t.Fatal(err)
-		}
-		plainAvg = plain.AverageInto(plainAvg)
-		if fused.Frames() != plain.Frames() {
-			t.Fatalf("frame %d: %d frames integrated, want %d", i, fused.Frames(), plain.Frames())
-		}
-		requireEqual(t, "average", fusedAvg, plainAvg)
 	}
-	for i, s := range plain.sum {
-		if fused.sum[i] != s {
-			t.Fatalf("sum[%d] = %d, want %d", i, fused.sum[i], s)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("tap tables of another size must panic")
 		}
-	}
-	if _, err := fused.AddAverageInto(nil, New(w+1, h)); err == nil {
-		t.Fatal("dimension mismatch must be an error")
-	}
-	if fused.Frames() != 100 {
-		t.Fatal("a rejected frame must not count")
-	}
+	}()
+	src := New(4, 4)
+	xs, ys := tapsOf(src, affine(3, 0, 1), affine(4, 0, 1))
+	NewAccumulator(4, 4).AddResampledInto(nil, src, xs, ys)
+}
+
+// FuzzEnhance drives the fused sink through 1 to 300 integrated frames of
+// arbitrary source windows, canvases and drifting coordinate ramps —
+// magnifying, shrinking and overhanging — against the oracle.
+func FuzzEnhance(f *testing.F) {
+	f.Add(uint8(16), uint8(16), uint8(0), uint8(0), uint8(16), uint8(16), uint8(12), uint8(9), uint16(40), int64(1), -2.0, 0.4, 1.5, 1.3, 0.05)
+	f.Add(uint8(40), uint8(30), uint8(5), uint8(3), uint8(20), uint8(17), uint8(33), uint8(20), uint16(299), int64(2), 3.5, 0.6, -6.0, 1.05, -0.3)
+	f.Add(uint8(9), uint8(9), uint8(1), uint8(1), uint8(6), uint8(6), uint8(7), uint8(7), uint16(3), int64(3), -1e6, 1.0, 4e5, -2.5, 1e3)
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), uint16(0), int64(4), 0.0, 0.0, 0.0, 0.0, 0.0)
+	f.Add(uint8(24), uint8(24), uint8(2), uint8(2), uint8(18), uint8(18), uint8(39), uint8(39), uint16(150), int64(5), 1.25, 0.5, 1.75, 0.5, 0.125)
+
+	f.Fuzz(func(t *testing.T, pw, ph, rx, ry, rw, rh, cw, ch uint8, frames uint16, seed int64, ax, bx, ay, by, drift float64) {
+		for _, v := range []*float64{&ax, &bx, &ay, &by, &drift} {
+			// Keeps every coordinate inside ±1e18, as FuzzResample does.
+			if math.IsNaN(*v) || math.Abs(*v) > 1e15 {
+				*v = math.Mod(*v, 1e15)
+				if math.IsNaN(*v) {
+					*v = 0.5
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		w, h := int(pw)%48+1, int(ph)%48+1
+		x0, y0 := int(rx)%w, int(ry)%h
+		view := R(x0, y0, x0+int(rw)%(w-x0)+1, y0+int(rh)%(h-y0)+1)
+		cw, ch = cw%40+1, ch%40+1
+		fused, plain := NewAccumulator(int(cw), int(ch)), NewAccumulator(int(cw), int(ch))
+		var avg *Frame
+		for k := 0; k <= int(frames)%300; k++ {
+			src := randFrame(rng, w, h)
+			if k%7 == 6 {
+				src.Fill(0xFFFF)
+			}
+			if k%2 == 1 {
+				src = src.SubFrame(view)
+			}
+			d := drift * float64(k)
+			avg = integrateBoth(t, fmt.Sprintf("frame %d", k), fused, plain, avg, src,
+				affine(int(cw), ax+d, bx), affine(int(ch), ay-d, by))
+		}
+	})
 }

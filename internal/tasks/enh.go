@@ -20,10 +20,9 @@ type Enhancer struct {
 
 	acc *frame.Accumulator
 
-	// canvas, avg and the tap tables are reused across Runs, so an Enhancer
-	// is owned by one goroutine at a time and the frame returned by Run
-	// stays valid only until the next Run or Reset.
-	canvas *frame.Frame
+	// avg and the tap tables are reused across Runs, so an Enhancer is owned
+	// by one goroutine at a time and the frame returned by Run stays valid
+	// only until the next Run or Reset.
 	avg    *frame.Frame
 	xs, ys []frame.Tap
 }
@@ -62,11 +61,9 @@ func (e *Enhancer) Run(roi *frame.Frame, couple *Couple) (*frame.Frame, platform
 		scale = 0.4 * float64(e.CanvasW) / couple.Spacing
 	}
 	mx, my := couple.Mid()
-	if e.canvas == nil {
-		e.canvas = frame.New(e.CanvasW, e.CanvasH)
-	}
 	// Canvas -> source mapping (pure translation + scale; rotation
-	// compensation is out of scope for the reproduction).
+	// compensation is out of scope for the reproduction). The resampled
+	// canvas goes straight into the sums; it is never stored.
 	e.xs, e.ys = frame.GrowTaps(e.xs, e.CanvasW), frame.GrowTaps(e.ys, e.CanvasH)
 	for x := range e.xs {
 		e.xs[x] = roi.XTap(mx + (float64(x)-float64(e.CanvasW)/2)/scale)
@@ -74,14 +71,9 @@ func (e *Enhancer) Run(roi *frame.Frame, couple *Couple) (*frame.Frame, platform
 	for y := range e.ys {
 		e.ys[y] = roi.YTap(my + (float64(y)-float64(e.CanvasH)/2)/scale)
 	}
-	frame.ResampleRows(e.canvas, roi, e.xs, e.ys, 0, e.CanvasH)
-	avg, err := e.acc.AddAverageInto(e.avg, e.canvas)
-	if err != nil {
-		return nil, e.Params.cost(0)
-	}
-	e.avg = avg
+	e.avg = e.acc.AddResampledInto(e.avg, roi, e.xs, e.ys)
 	cycles := e.Params.pixCost(e.CanvasW*e.CanvasH, e.Params.AccumPerPixel)
-	return avg, e.Params.cost(cycles)
+	return e.avg, e.Params.cost(cycles)
 }
 
 // Zoomer implements ZOOM: present the output by zooming in on the ROI

@@ -88,16 +88,23 @@ func (m *MarkerExtractor) Run(in *frame.Frame, ridge *RidgeResult) ([]Marker, pl
 		thr = 0
 	}
 
-	// Dark mask over the half-resolution grid (Borrow zeroes the buffer;
-	// only the dark pixels are written below).
-	mask := frame.Borrow(w, h)
+	// Dark mask over the half-resolution grid, 1 where float64(v) < thr,
+	// every pixel written. For an integer v that is v < ⌈thr⌉, a sign bit
+	// in uint32: the difference of two values below 2^17 reaches bit 31 only
+	// when it wraps. A NaN threshold marks nothing, like float64(v) < NaN.
+	lim := uint32(0)
+	if c := math.Ceil(thr); c > 65536 {
+		lim = 65536
+	} else if c > 0 {
+		lim = uint32(c)
+	}
+	mask := frame.BorrowUninit(w, h)
 	defer frame.Release(mask)
 	for y := 0; y < h; y++ {
-		mrow := mask.Row(y)
-		for x, v := range small.Row(y) {
-			if float64(v) < thr {
-				mrow[x] = 1
-			}
+		srow := small.Row(y)
+		mrow := mask.Row(y)[:len(srow)]
+		for x, v := range srow {
+			mrow[x] = uint16((uint32(v) - lim) >> 31)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"triplec/internal/frame"
@@ -142,8 +143,28 @@ func TestStructureDetectorTinyFrame(t *testing.T) {
 	}
 }
 
+// gradientAt is the central-difference gradient at (x, y) with replicate
+// borders, one AtClamped per tap.
+func gradientAt(f *frame.Frame, x, y int) (gx, gy float64) {
+	gx = (float64(f.AtClamped(x+1, y)) - float64(f.AtClamped(x-1, y))) / 2
+	gy = (float64(f.AtClamped(x, y+1)) - float64(f.AtClamped(x, y-1))) / 2
+	return gx, gy
+}
+
+// hessianAt is the central-difference Hessian at (x, y) with replicate
+// borders, one AtClamped per tap.
+func hessianAt(f *frame.Frame, x, y int) frame.Hessian {
+	c := float64(f.AtClamped(x, y))
+	return frame.Hessian{
+		XX: float64(f.AtClamped(x+1, y)) - 2*c + float64(f.AtClamped(x-1, y)),
+		YY: float64(f.AtClamped(x, y+1)) - 2*c + float64(f.AtClamped(x, y-1)),
+		XY: (float64(f.AtClamped(x+1, y+1)) - float64(f.AtClamped(x-1, y+1)) -
+			float64(f.AtClamped(x+1, y-1)) + float64(f.AtClamped(x-1, y-1))) / 4,
+	}
+}
+
 // TestStructureDetectorMatchesPerPixelGradient pins the row-sliced energy
-// sweep to the loop it replaced — one frame.Gradient call per pixel, summed
+// sweep to the loop it replaced — one gradient stencil per pixel, summed
 // in the same row-major order — bit for bit, so switch 1 fires on exactly
 // the frames it fired on: clean and noisy sequence frames, and downsampled
 // images two and three pixels wide or high, which are border all over.
@@ -152,7 +173,7 @@ func TestStructureDetectorMatchesPerPixelGradient(t *testing.T) {
 		energy := 0.0
 		for y := 0; y < f.Height(); y++ {
 			for x := 0; x < f.Width(); x++ {
-				gx, gy := frame.Gradient(f, x, y)
+				gx, gy := gradientAt(f, x, y)
 				energy += math.Abs(gx) + math.Abs(gy)
 			}
 		}
@@ -261,12 +282,12 @@ func TestGradientEnergyMatchesFloatSum(t *testing.T) {
 
 // storedResponseRows is responseRows as it was: it reads a stored 16-bit
 // blurred frame, one uint16 conversion per tap, takes a branching abs for the
-// anisotropy gate and sends the one-pixel border through HessianAt.
+// anisotropy gate and sends the one-pixel border through hessianAt.
 func storedResponseRows(r *RidgeDetector, vals []float64, smoothed *frame.Frame, lo, hi int) float64 {
 	b := smoothed.Bounds
 	width, height := b.Width(), b.Height()
 	border := func(xx, yy int) float64 {
-		l1, l2 := frame.HessianAt(smoothed, b.X0+xx, b.Y0+yy).Eigenvalues()
+		l1, l2 := hessianAt(smoothed, b.X0+xx, b.Y0+yy).Eigenvalues()
 		if l1 > 0 && branchyAbs(l1) >= r.Anisotropy*(branchyAbs(l2)+1) {
 			return l1
 		}
@@ -424,6 +445,141 @@ func TestMarkerExtractorRidgeSuppression(t *testing.T) {
 		if c.X > 58 && c.X < 70 {
 			t.Fatalf("ridge-suppressed extraction still found candidate on the line: %+v", c)
 		}
+	}
+}
+
+// floatMaskCandidates is MarkerExtractor.Run's candidate list as it was
+// computed before the dark mask went integer: a float64 compare per pixel
+// into a zeroed mask.
+func floatMaskCandidates(m *MarkerExtractor, in *frame.Frame, ridge *RidgeResult) []Marker {
+	w, h := in.Width()/2, in.Height()/2
+	if w < 4 || h < 4 {
+		return nil
+	}
+	small := frame.Resize(in, w, h)
+	mean := small.MeanValue()
+	varSum := 0.0
+	for y := 0; y < h; y++ {
+		for _, v := range small.Row(y) {
+			d := float64(v) - mean
+			varSum += d * d
+		}
+	}
+	std := math.Sqrt(varSum / float64(w*h))
+	thr := mean - m.DarkSigmas*std
+	if m.UseOtsu {
+		if otsu, err := frame.OtsuThreshold(small); err == nil {
+			thr = float64(otsu)
+			if thr > mean {
+				thr = mean - m.DarkSigmas*std
+			}
+		}
+	}
+	if thr < 0 {
+		thr = 0
+	}
+	mask := frame.New(w, h)
+	for y := 0; y < h; y++ {
+		mrow := mask.Row(y)
+		for x, v := range small.Row(y) {
+			if float64(v) < thr {
+				mrow[x] = 1
+			}
+		}
+	}
+	var cands []Marker
+	for _, c := range frame.LabelComponents(mask, small, m.MinBlob) {
+		if c.Size > m.MaxBlob || c.Compact < m.MinCompact {
+			continue
+		}
+		if ridge != nil && ridge.Mask != nil && m.ridgeOverlap(c, mask, ridge.Mask, in.Bounds) > 0.5 {
+			continue
+		}
+		darkness := (mean - c.MeanVal) / (std + 1)
+		if darkness <= 0 {
+			continue
+		}
+		cands = append(cands, Marker{
+			X:     float64(in.Bounds.X0) + c.CX*2 + 0.5,
+			Y:     float64(in.Bounds.Y0) + c.CY*2 + 0.5,
+			Score: darkness * c.Compact,
+			Size:  c.Size * 4,
+		})
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
+	if len(cands) > m.MaxCandidates {
+		cands = cands[:m.MaxCandidates]
+	}
+	return cands
+}
+
+// blockFrame is a 64x64 frame whose half-resolution pixels are a
+// checkerboard of 2x2 cells of 100 and 300, with one 4x4 patch each of 199,
+// 200 and 201 in place of as many 100s as 300s: the mean is exactly 200, a
+// threshold some pixels equal.
+func blockFrame() *frame.Frame {
+	f := frame.New(64, 64)
+	for y := 0; y < 64; y++ {
+		for x := 0; x < 64; x++ {
+			bx, by := x/2, y/2
+			v := uint16(100)
+			switch {
+			case bx >= 4 && bx < 8 && by >= 4 && by < 8:
+				v = 199
+			case bx >= 12 && bx < 16 && by >= 4 && by < 8:
+				v = 200
+			case bx >= 20 && bx < 24 && by >= 4 && by < 8:
+				v = 201
+			case (bx/2+by/2)%2 == 1:
+				v = 300
+			}
+			f.Set(x, y, v)
+		}
+	}
+	return f
+}
+
+// TestMarkerExtractorMatchesFloatMask: the integer dark mask yields the
+// candidates the float compare did, on sequence frames of several seeds with
+// and without Otsu (whose threshold is always an integer) and a ridge mask,
+// on views, and on frames whose threshold is exactly an integer some pixels
+// equal (the mean, at DarkSigmas 0), or is clamped to 0.
+func TestMarkerExtractorMatchesFloatMask(t *testing.T) {
+	var inputs []*frame.Frame
+	for _, seed := range []uint64{11, 13, 29, 47} {
+		s := cleanSeq(t, seed)
+		for _, fi := range []int{0, 20, 33, 57} {
+			f, _ := s.Frame(fi)
+			inputs = append(inputs, f, f.SubFrame(frame.R(9, 14, 9+77, 14+61)))
+		}
+	}
+	flat := frame.New(64, 64)
+	flat.Fill(30000)
+	inputs = append(inputs, blockFrame(), flat)
+	rdg := NewRidgeDetector(params())
+	blocks := 0
+	for _, sigmas := range []float64{2.2, 1, 0, 100} {
+		for _, otsu := range []bool{false, true} {
+			mkx := NewMarkerExtractor(params())
+			mkx.DarkSigmas, mkx.UseOtsu = sigmas, otsu
+			for i, in := range inputs {
+				ridge, _ := rdg.Run(in)
+				for _, r := range []*RidgeResult{nil, ridge} {
+					got, _ := mkx.Run(in, r)
+					want := floatMaskCandidates(mkx, in, r)
+					if !slices.Equal(got, want) {
+						t.Fatalf("input %d %v sigmas %v otsu %v: candidates\n got %+v\nwant %+v", i, in.Bounds, sigmas, otsu, got, want)
+					}
+					if i == len(inputs)-2 && len(got) > 0 {
+						blocks++
+					}
+				}
+				frame.Release(ridge.Mask)
+			}
+		}
+	}
+	if blocks == 0 {
+		t.Fatal("setup: the block frame produced no candidates at any threshold")
 	}
 }
 
@@ -882,7 +1038,7 @@ func TestIndexOfMatchesAllNames(t *testing.T) {
 
 // ridgeReference is the ridge filter one pixel at a time, sharing no loop
 // with the detector: its own two-pass AtClamped blur (the detector's tap
-// order, rounded to 16 bits between the passes), then one HessianAt and one
+// order, rounded to 16 bits between the passes), then one hessianAt and one
 // Eigenvalues call per pixel.
 func ridgeReference(r *RidgeDetector, in *frame.Frame) (vals []float64, mask *frame.Frame, ridgePixels int) {
 	wts := frame.GaussianKernel1D(r.Sigma)
@@ -905,7 +1061,7 @@ func ridgeReference(r *RidgeDetector, in *frame.Frame) (vals []float64, mask *fr
 	maxResp := 0.0
 	for y := in.Bounds.Y0; y < in.Bounds.Y1; y++ {
 		for x := in.Bounds.X0; x < in.Bounds.X1; x++ {
-			l1, l2 := frame.HessianAt(smoothed, x, y).Eigenvalues()
+			l1, l2 := hessianAt(smoothed, x, y).Eigenvalues()
 			v := 0.0
 			if l1 > 0 && math.Abs(l1) >= r.Anisotropy*(math.Abs(l2)+1) {
 				v = l1
@@ -1012,6 +1168,62 @@ func TestEnhancerMatchesPerPixelReference(t *testing.T) {
 	}
 }
 
+// TestEnhancerStackMatchesReference runs one Enhancer for 360 frames, against
+// the per-pixel canvas summed in a plain []uint32 and divided, frame by frame:
+// the couples drift through real, magnifying, overhanging and wholly outside
+// placements over a full frame and a view, the 250-frame window restarts the
+// stack, and a Reset empties it partway.
+func TestEnhancerStackMatchesReference(t *testing.T) {
+	s := cleanSeq(t, 31)
+	const window = 250
+	enh := NewEnhancer(33, 20, params())
+	enh.Window = window
+	sums, n := make([]uint32, 33*20), 0
+	want := frame.New(33, 20)
+	for i := 0; i < 360; i++ {
+		f, tr := s.Frame(20 + i%40)
+		roi := f
+		if i%3 == 2 {
+			roi = f.SubFrame(frame.R(21, 13, 100, 97))
+		}
+		d := 0.31 * float64(i)
+		var c *Couple
+		switch i % 4 {
+		case 0: // the sequence's own markers
+			a, b := Marker{X: tr.MarkerA[0], Y: tr.MarkerA[1]}, Marker{X: tr.MarkerB[0], Y: tr.MarkerB[1]}
+			c = &Couple{A: a, B: b, Spacing: a.Dist(b)}
+		case 1: // magnifies
+			c = &Couple{A: Marker{X: 40 + d/10, Y: 60}, B: Marker{X: 47 + d/10, Y: 55}, Spacing: 4 + float64(i%9)}
+		case 2: // overhangs the frame
+			c = &Couple{A: Marker{X: 2 - d/20, Y: 3}, B: Marker{X: 126, Y: 120 + d/20}, Spacing: 120 + d}
+		default: // wholly outside
+			c = &Couple{A: Marker{X: -500 - d, Y: 900}, B: Marker{X: -400 - d, Y: 950}, Spacing: 111}
+		}
+		if i == 120 {
+			enh.Reset()
+			clear(sums)
+			n = 0
+		}
+		if n == window {
+			clear(sums)
+			n = 0
+		}
+		got, _ := enh.Run(roi, c)
+		canvas := enhancerReference(enh, roi, c)
+		n++
+		for p, v := range canvas.Pix {
+			sums[p] += uint32(v)
+			want.Pix[p] = uint16(sums[p] / uint32(n))
+		}
+		if enh.Integrated() != n {
+			t.Fatalf("frame %d: %d frames stacked, want %d", i, enh.Integrated(), n)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("frame %d (couple kind %d, %d stacked): average differs from the reference", i, i%4, n)
+		}
+	}
+}
+
 func TestEnhancerSteadyStateDoesNotAllocate(t *testing.T) {
 	enh := NewEnhancer(64, 64, params())
 	f := frame.New(96, 96)
@@ -1028,16 +1240,15 @@ func TestEnhancerSteadyStateDoesNotAllocate(t *testing.T) {
 // 32-bit sums can hold; the enhancer must restart the stack there instead.
 func TestEnhancerRestartsBeforeSumsWrap(t *testing.T) {
 	enh := NewEnhancer(2, 2, params())
-	white := frame.New(2, 2)
-	white.Fill(0xFFFF)
-	for i := 0; i < frame.AccumulatorMaxFrames; i++ {
-		if err := enh.acc.Add(white); err != nil {
-			t.Fatal(err)
-		}
-	}
 	f := frame.New(8, 8)
 	f.Fill(0xFFFF)
 	c := &Couple{A: Marker{X: 3, Y: 4}, B: Marker{X: 5, Y: 4}, Spacing: 2}
+	for i := 0; i < frame.AccumulatorMaxFrames; i++ {
+		enh.Run(f, c)
+	}
+	if n := enh.Integrated(); n != frame.AccumulatorMaxFrames {
+		t.Fatalf("setup: %d frames stacked, want %d", n, frame.AccumulatorMaxFrames)
+	}
 	for i := 1; i <= 3; i++ {
 		out, _ := enh.Run(f, c)
 		if enh.Integrated() != i {
