@@ -163,19 +163,6 @@ func Analyze(s flowgraph.Scenario, frameKB, cacheKB int, rate float64) (Analysis
 	return out, nil
 }
 
-// AnalyzeAll returns the Analysis of all eight scenarios.
-func AnalyzeAll(frameKB, cacheKB int, rate float64) ([]Analysis, error) {
-	var out []Analysis
-	for _, s := range flowgraph.AllScenarios() {
-		a, err := Analyze(s, frameKB, cacheKB, rate)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
 // Feasibility compares a scenario's total bandwidth demand against a
 // platform's external-memory bandwidth — "the choice for a particular
 // hardware platform sets an upper limit on the available resources"

@@ -93,7 +93,7 @@ func TestIntraTaskROIVariantCheaper(t *testing.T) {
 func TestIntraTaskSmallFramesNoOverflow(t *testing.T) {
 	// 128x128 frames: every footprint fits; traffic equals compulsory
 	// input + write-allocate output only.
-	frameKB := memmodel.FrameKB(128, 128) // 32 KB
+	frameKB := 128 * 128 * 2 / 1024 // 32 KB
 	got, err := IntraTaskKB(tasks.NameRDGFull, true, frameKB, paperL2)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestAnalyzeAllOrdersWorstFirstWhenSorted(t *testing.T) {
 		if a.Scenario == flowgraph.WorstCase() {
 			worst = a
 		}
-		if a.Scenario == flowgraph.BestCase() {
+		if a.Scenario == (flowgraph.Scenario{ROIKnown: true}) {
 			best = a
 		}
 	}

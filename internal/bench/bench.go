@@ -10,7 +10,7 @@
 // Blackford machine. The modeled cores are divided from a short serial
 // profiling prefix (the Triple-C methodology: measure first, then commit
 // resources) by the mapper under test: the greedy baseline splits
-// proportionally (sched.SplitCores) and pipelines a stream whenever its
+// proportionally (sched.GreedyMapper) and pipelines a stream whenever its
 // share allows two partitions, with an even front/back split; the optimizer
 // scores serial / striped / every pipelined front-back partition per share
 // against the scenario-conditioned cost profile, keeps the Pareto front
@@ -729,18 +729,6 @@ func (t Trajectory) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(t)
-}
-
-// Load parses a trajectory document, rejecting unknown fields so schema
-// drift fails loudly.
-func Load(r io.Reader) (Trajectory, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var t Trajectory
-	if err := dec.Decode(&t); err != nil {
-		return Trajectory{}, fmt.Errorf("bench: %w", err)
-	}
-	return t, nil
 }
 
 func round4(v float64) float64 {

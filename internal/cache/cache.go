@@ -64,15 +64,6 @@ type Stats struct {
 // external memory storage".
 func (s Stats) TotalTrafficBytes() int64 { return s.BytesFromMemory + s.BytesToMemory }
 
-// HitRate returns Hits / (Hits + Misses), or 0 before any access.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 type line struct {
 	tag        uint64
 	valid      bool
@@ -119,14 +110,8 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears counters but keeps cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush writes back all dirty lines and invalidates the cache.
 func (c *Cache) Flush() {
@@ -142,9 +127,6 @@ func (c *Cache) Flush() {
 		}
 	}
 }
-
-// Read touches one byte-address for reading.
-func (c *Cache) Read(addr uint64) { c.access(addr, false) }
 
 // Write touches one byte-address for writing (write-allocate).
 func (c *Cache) Write(addr uint64) { c.access(addr, true) }
@@ -255,19 +237,6 @@ func (c *Cache) fill(lineAddr uint64, write, prefetched bool) {
 		lru--
 	}
 	*v = line{tag: tag, valid: true, dirty: write, prefetched: prefetched, lru: lru}
-}
-
-// Occupancy returns the number of valid lines currently resident.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].valid {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // String describes the cache geometry.

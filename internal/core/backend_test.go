@@ -186,9 +186,9 @@ func TestAppendSuccessorsMatchesSort(t *testing.T) {
 		}
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].p > cands[j].p })
 
-		buf[0] = flowgraph.BestCase()
+		buf[0] = flowgraph.Scenario{ROIKnown: true}
 		got := tab.AppendSuccessors(buf[:1], from, minP)
-		if got[0] != flowgraph.BestCase() || len(got) != 1+len(cands) {
+		if got[0] != (flowgraph.Scenario{ROIKnown: true}) || len(got) != 1+len(cands) {
 			t.Fatalf("iter %d: got %v, want prefix + %v", iter, got, cands)
 		}
 		for i, c := range cands {
@@ -243,7 +243,7 @@ func TestObserveKeepsNoAlias(t *testing.T) {
 	want := p.PredictNext()
 	wantCtx := p.NextContext()
 	clear(obs.TaskMs)
-	obs.Scenario, obs.EstROIPixels, obs.FramePixels = flowgraph.BestCase(), 7, 9
+	obs.Scenario, obs.EstROIPixels, obs.FramePixels = flowgraph.Scenario{ROIKnown: true}, 7, 9
 	got := p.PredictNext()
 	if got.Scenario != want.Scenario || got.TotalMs != want.TotalMs || p.NextContext() != wantCtx {
 		t.Fatalf("forecast moved with the caller's observation: %+v -> %+v", want, got)

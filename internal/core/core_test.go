@@ -581,7 +581,7 @@ func TestPredictTasksFor(t *testing.T) {
 	if len(full) < 7 {
 		t.Fatalf("worst case predicted only %d tasks", len(full))
 	}
-	best := p.PredictTasksFor(flowgraph.BestCase(), Context{ROIPixels: 4000})
+	best := p.PredictTasksFor(flowgraph.Scenario{ROIKnown: true}, Context{ROIPixels: 4000})
 	if len(best) >= len(full) {
 		t.Fatal("best case must predict fewer tasks")
 	}

@@ -265,9 +265,6 @@ func NewLinearMarkovModel(growth ewma.LinearGrowth, chain *markov.Chain, name st
 	return &LinearMarkovModel{growth: growth, chain: chain, name: name}, nil
 }
 
-// Growth exposes the fitted Eq. 3 coefficients.
-func (m *LinearMarkovModel) Growth() ewma.LinearGrowth { return m.growth }
-
 // Predict evaluates the growth function at the context's ROI size plus the
 // expected residual transition.
 func (m *LinearMarkovModel) Predict(ctx Context) float64 {

@@ -74,16 +74,10 @@ func (t *ScenarioTable) P(from, to flowgraph.Scenario) float64 {
 	return row[to.Index()] / total
 }
 
-// Successors returns the scenarios reachable from `from` with transition
-// probability at least minP, in descending probability order. The runtime
-// manager plans pessimistically across this set so that a plausible switch
-// to an expensive scenario is already provisioned for.
-func (t *ScenarioTable) Successors(from flowgraph.Scenario, minP float64) []flowgraph.Scenario {
-	return t.AppendSuccessors(make([]flowgraph.Scenario, 0, 8), from, minP)
-}
-
-// AppendSuccessors appends Successors(from, minP) to dst — the
-// allocation-free form for a caller that keeps the buffer.
+// AppendSuccessors appends to dst the scenarios reachable from `from` with
+// transition probability at least minP, in descending probability order.
+// The runtime manager plans pessimistically across this set so that a
+// plausible switch to an expensive scenario is already provisioned for.
 func (t *ScenarioTable) AppendSuccessors(dst []flowgraph.Scenario, from flowgraph.Scenario, minP float64) []flowgraph.Scenario {
 	base := len(dst)
 	var ps [8]float64 // ps[k] is the probability of dst[base+k]

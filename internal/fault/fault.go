@@ -35,34 +35,30 @@ type Probs struct {
 
 func (p Probs) total() float64 { return p.Panic + p.Hang + p.Spike }
 
-func (p Probs) validate(ctx string) error {
+func (p Probs) validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
 	}{{"panic", p.Panic}, {"hang", p.Hang}, {"spike", p.Spike}} {
 		if math.IsNaN(f.v) || f.v < 0 || f.v > 1 {
-			return fmt.Errorf("fault: %s %s probability %v outside [0, 1]", ctx, f.name, f.v)
+			return fmt.Errorf("fault: default %s probability %v outside [0, 1]", f.name, f.v)
 		}
 	}
 	if p.total() > 1 {
-		return fmt.Errorf("fault: %s probabilities sum to %v > 1", ctx, p.total())
+		return fmt.Errorf("fault: default probabilities sum to %v > 1", p.total())
 	}
 	return nil
 }
 
-// Config is a fault plan: the per-task fault mix, the frame-corruption rate
-// and the fault magnitudes, all driven by one seed. The zero value injects
+// Config is a fault plan: the task fault mix, the frame-corruption rate and
+// the fault magnitudes, all driven by one seed. The zero value injects
 // nothing.
 type Config struct {
 	// Seed drives every injection decision. Two runs with the same plan and
 	// the same per-stream call sequence inject identical faults.
 	Seed uint64
-	// Defaults is the fault mix applied to every eligible task invocation.
+	// Defaults is the fault mix applied to every task invocation.
 	Defaults Probs
-	// PerTask overrides the default mix for specific tasks.
-	PerTask map[tasks.Name]Probs
-	// Tasks restricts injection to the listed tasks (nil = all tasks).
-	Tasks []tasks.Name
 	// CorruptProb is the per-frame probability that the source frame is
 	// replaced by a copy with a corrupted pixel band.
 	CorruptProb float64
@@ -87,13 +83,8 @@ func (c Config) withDefaults() Config {
 
 // Validate checks the plan's probabilities and magnitudes.
 func (c Config) Validate() error {
-	if err := c.Defaults.validate("default"); err != nil {
+	if err := c.Defaults.validate(); err != nil {
 		return err
-	}
-	for task, p := range c.PerTask {
-		if err := p.validate(string(task)); err != nil {
-			return err
-		}
 	}
 	if math.IsNaN(c.CorruptProb) || c.CorruptProb < 0 || c.CorruptProb > 1 {
 		return fmt.Errorf("fault: corrupt probability %v outside [0, 1]", c.CorruptProb)
@@ -148,14 +139,6 @@ type Counts struct {
 	Panics, Hangs, Spikes, Corrupted uint64
 }
 
-// Add returns the element-wise sum of two count sets.
-func (c Counts) Add(d Counts) Counts {
-	return Counts{
-		Panics: c.Panics + d.Panics, Hangs: c.Hangs + d.Hangs,
-		Spikes: c.Spikes + d.Spikes, Corrupted: c.Corrupted + d.Corrupted,
-	}
-}
-
 func (c Counts) String() string {
 	return fmt.Sprintf("panics=%d hangs=%d spikes=%d corrupted=%d",
 		c.Panics, c.Hangs, c.Spikes, c.Corrupted)
@@ -172,8 +155,7 @@ func (c Counts) String() string {
 // proceeds.
 type Injector struct {
 	cfg    Config
-	only   map[tasks.Name]bool // nil = all tasks eligible
-	stream int                 // which stream this injector drives (ForStream)
+	stream int // which stream this injector drives (ForStream)
 
 	mu  sync.Mutex
 	rng *stats.RNG
@@ -202,14 +184,7 @@ func New(cfg Config) (*Injector, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	in := &Injector{cfg: cfg, rng: stats.NewRNG(cfg.Seed), counts: &counters{}, sleep: time.Sleep}
-	if cfg.Tasks != nil {
-		in.only = make(map[tasks.Name]bool, len(cfg.Tasks))
-		for _, t := range cfg.Tasks {
-			in.only[t] = true
-		}
-	}
-	return in, nil
+	return &Injector{cfg: cfg, rng: stats.NewRNG(cfg.Seed), counts: &counters{}, sleep: time.Sleep}, nil
 }
 
 // ForStream derives an independent injector for stream i: same plan, a
@@ -243,22 +218,11 @@ func (in *Injector) fired(task tasks.Name, frame int, kind Kind) {
 	}
 }
 
-// probsFor resolves the fault mix for one task.
-func (in *Injector) probsFor(task tasks.Name) Probs {
-	if in.only != nil && !in.only[task] {
-		return Probs{}
-	}
-	if p, ok := in.cfg.PerTask[task]; ok {
-		return p
-	}
-	return in.cfg.Defaults
-}
-
 // BeforeTask is the pipeline task hook: invoked before every task execution,
 // it may panic (with an InjectedPanic), block for HangMs (a stuck task) or
 // sleep SpikeMs (a latency spike), each with its configured probability.
 func (in *Injector) BeforeTask(task tasks.Name, frameIdx int) {
-	p := in.probsFor(task)
+	p := in.cfg.Defaults
 	if p.total() == 0 {
 		return
 	}

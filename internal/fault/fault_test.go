@@ -23,7 +23,6 @@ func TestConfigValidation(t *testing.T) {
 		{Defaults: Probs{Panic: -0.1}},
 		{Defaults: Probs{Hang: 1.5}},
 		{Defaults: Probs{Panic: 0.6, Hang: 0.6}}, // sums over 1
-		{PerTask: map[tasks.Name]Probs{tasks.NameENH: {Spike: 2}}},
 		{CorruptProb: -1},
 		{HangMs: -5},
 		{SpikeMs: -5},
@@ -95,49 +94,6 @@ func TestInjectorPerStreamIndependence(t *testing.T) {
 	if runTasks(s1, 300) == 0 {
 		t.Fatal("stream 1 never faulted")
 	}
-}
-
-func TestInjectorPerTaskOverride(t *testing.T) {
-	in := mustInjector(t, Config{
-		Seed:     3,
-		Defaults: Probs{Panic: 1},
-		PerTask:  map[tasks.Name]Probs{tasks.NameENH: {}}, // ENH exempt
-	})
-	sawENH := false
-	for f := 0; f < 20; f++ {
-		func() {
-			defer func() { recover() }()
-			in.BeforeTask(tasks.NameENH, f)
-			sawENH = true
-		}()
-	}
-	if !sawENH {
-		t.Fatal("per-task override did not exempt ENH")
-	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("default panic probability 1 did not fire")
-		}
-	}()
-	in.BeforeTask(tasks.NameMKXExt, 0)
-}
-
-func TestInjectorTaskFilter(t *testing.T) {
-	in := mustInjector(t, Config{
-		Seed:     5,
-		Defaults: Probs{Panic: 1},
-		Tasks:    []tasks.Name{tasks.NameZOOM},
-	})
-	// Unlisted tasks never fault.
-	for f := 0; f < 50; f++ {
-		in.BeforeTask(tasks.NameREG, f)
-	}
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("listed task did not fault")
-		}
-	}()
-	in.BeforeTask(tasks.NameZOOM, 0)
 }
 
 func TestWrapSourceCorruptsCopies(t *testing.T) {

@@ -1,0 +1,40 @@
+package fault
+
+import (
+	"sort"
+
+	"triplec/internal/tasks"
+)
+
+// Breaker probes only tests read.
+
+// State returns the task's current circuit state.
+func (b *Breaker) State(task tasks.Name) BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if c, ok := b.tasks[task]; ok {
+		return c.state
+	}
+	return BreakerClosed
+}
+
+// Trips returns how many times any circuit opened.
+func (b *Breaker) Trips() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.trips
+}
+
+// OpenTasks lists the tasks whose circuit is not closed, sorted by name.
+func (b *Breaker) OpenTasks() []tasks.Name {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []tasks.Name
+	for task, c := range b.tasks {
+		if c.state != BreakerClosed {
+			out = append(out, task)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}

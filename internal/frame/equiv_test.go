@@ -229,7 +229,7 @@ func TestConvolveMatchesNaive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := Convolve(src, k)
+				got := ConvolveInto(nil, src, k)
 				requireEqual(t, "convolve", got, naiveConvolve(src, k))
 			}
 		}
@@ -242,7 +242,7 @@ func TestGaussianBlurMatchesNaive(t *testing.T) {
 	for _, g := range geometries {
 		for _, src := range frameVariants(rng, g[0], g[1]) {
 			for _, sigma := range sigmas {
-				got := GaussianBlur(src, sigma)
+				got := GaussianBlurInto(nil, src, sigma)
 				requireEqual(t, "blur", got, naiveGaussianBlur(src, sigma))
 			}
 		}
@@ -259,7 +259,7 @@ func TestGaussianBlurMatchesNaive(t *testing.T) {
 				want := naiveGaussianBlur(src, sigma)
 				for _, k := range []int{1, 2, 3, 4, 8, h + 3} {
 					requireEqual(t, fmt.Sprintf("blur sigma %v %dx%d k=%d", sigma, w, h, k),
-						GaussianBlurParallel(src, sigma, k), want)
+						GaussianBlurIntoParallel(nil, src, sigma, k), want)
 				}
 			}
 		}
@@ -275,7 +275,7 @@ func TestGaussianBlurSweepMatchesBlur(t *testing.T) {
 	for _, sigma := range []float64{0, 0.6, 1.2, 2.0} {
 		for _, g := range geometries {
 			for _, src := range frameVariants(rng, g[0], g[1]) {
-				blur := GaussianBlur(src, sigma)
+				blur := GaussianBlurInto(nil, src, sigma)
 				h := g[1]
 				rowOf := func(y int) []uint16 {
 					return blur.Row(blur.Bounds.Y0 + min(max(y, 0), h-1))
@@ -319,7 +319,7 @@ func TestMedian3x3MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, g := range geometries {
 		for _, src := range frameVariants(rng, g[0], g[1]) {
-			requireEqual(t, "median", Median3x3(src), naiveMedian3x3(src))
+			requireEqual(t, "median", Median3x3Into(nil, src), naiveMedian3x3(src))
 		}
 	}
 }
@@ -328,7 +328,7 @@ func TestSobelMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, g := range geometries {
 		for _, src := range frameVariants(rng, g[0], g[1]) {
-			requireEqual(t, "sobel", Sobel(src), naiveSobel(src))
+			requireEqual(t, "sobel", SobelInto(nil, src), naiveSobel(src))
 		}
 	}
 }
@@ -503,19 +503,13 @@ func TestMulHighDivisionExact(t *testing.T) {
 
 func TestParallelVariantsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	k, err := NewKernel([]float64{1. / 9, 1. / 9, 1. / 9, 1. / 9, 1. / 9, 1. / 9, 1. / 9, 1. / 9, 1. / 9})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, g := range geometries {
 		for _, src := range frameVariants(rng, g[0], g[1]) {
 			for _, stripes := range []int{1, 2, 3, 8, g[1] + 5} {
 				requireEqual(t, "blur-parallel",
-					GaussianBlurParallel(src, 1.2, stripes), GaussianBlur(src, 1.2))
-				requireEqual(t, "convolve-parallel",
-					ConvolveParallel(src, k, stripes), Convolve(src, k))
+					GaussianBlurIntoParallel(nil, src, 1.2, stripes), GaussianBlurInto(nil, src, 1.2))
 				requireEqual(t, "resize-parallel",
-					ResizeParallel(src, 10, 10, stripes), Resize(src, 10, 10))
+					ResizeIntoParallel(nil, src, 10, 10, stripes), Resize(src, 10, 10))
 			}
 		}
 	}

@@ -8,10 +8,7 @@
 // processing does not copy pixel data.
 package frame
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // BytesPerPixel is the pixel storage width used throughout the paper's
 // bandwidth arithmetic (1024x1024 px * 2 B/px * 30 Hz ~= 60 MB/s).
@@ -147,14 +144,6 @@ func New(w, h int) *Frame {
 		Stride: w,
 		Bounds: Rect{0, 0, w, h},
 	}
-}
-
-// FromPix wraps an existing pixel slice (length must be w*h) without copying.
-func FromPix(pix []uint16, w, h int) (*Frame, error) {
-	if len(pix) != w*h {
-		return nil, errors.New("frame: pixel slice length does not match dimensions")
-	}
-	return &Frame{Pix: pix, Stride: w, Bounds: Rect{0, 0, w, h}}, nil
 }
 
 // Width returns the frame width in pixels.

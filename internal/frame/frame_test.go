@@ -262,7 +262,7 @@ func TestConvolveIdentity(t *testing.T) {
 	f := New(6, 6)
 	f.Set(3, 3, 1000)
 	id, _ := NewKernel([]float64{0, 0, 0, 0, 1, 0, 0, 0, 0})
-	g := Convolve(f, id)
+	g := ConvolveInto(nil, f, id)
 	if !f.Equal(g) {
 		t.Fatal("identity kernel must preserve the frame")
 	}
@@ -276,7 +276,7 @@ func TestConvolveBoxSmooths(t *testing.T) {
 		1.0 / 9, 1.0 / 9, 1.0 / 9,
 		1.0 / 9, 1.0 / 9, 1.0 / 9,
 	})
-	g := Convolve(f, box)
+	g := ConvolveInto(nil, f, box)
 	if g.At(2, 2) != 100 {
 		t.Fatalf("box blur center = %d, want 100", g.At(2, 2))
 	}
@@ -289,7 +289,7 @@ func TestConvolveClamps(t *testing.T) {
 	f := New(3, 3)
 	f.Fill(60000)
 	gain, _ := NewKernel([]float64{0, 0, 0, 0, 2, 0, 0, 0, 0})
-	g := Convolve(f, gain)
+	g := ConvolveInto(nil, f, gain)
 	if g.At(1, 1) != 65535 {
 		t.Fatalf("convolution must clamp: %d", g.At(1, 1))
 	}
@@ -317,7 +317,7 @@ func TestGaussianKernel1DNormalized(t *testing.T) {
 func TestGaussianBlurPreservesFlat(t *testing.T) {
 	f := New(16, 16)
 	f.Fill(5000)
-	g := GaussianBlur(f, 1.5)
+	g := GaussianBlurInto(nil, f, 1.5)
 	for y := 0; y < 16; y++ {
 		for x := 0; x < 16; x++ {
 			if d := int(g.At(x, y)) - 5000; d < -1 || d > 1 {
@@ -330,7 +330,7 @@ func TestGaussianBlurPreservesFlat(t *testing.T) {
 func TestGaussianBlurSpreadsImpulse(t *testing.T) {
 	f := New(11, 11)
 	f.Set(5, 5, 10000)
-	g := GaussianBlur(f, 1)
+	g := GaussianBlurInto(nil, f, 1)
 	if g.At(5, 5) >= 10000 {
 		t.Fatal("peak must decrease")
 	}

@@ -83,16 +83,16 @@ func FuzzStencilEquivalence(f *testing.F) {
 		y1 := y0 + int(rh)%(h-y0) + 1
 		framed := framedROI(rng, x1-x0, y1-y0, 1+int(rx)%13)
 		for _, src := range []*Frame{parent, parent.SubFrame(R(x0, y0, x1, y1)), framed} {
-			requireEqual(t, "blur", GaussianBlur(src, sigma), naiveGaussianBlur(src, sigma))
-			requireEqual(t, "median", Median3x3(src), naiveMedian3x3(src))
-			requireEqual(t, "sobel", Sobel(src), naiveSobel(src))
+			requireEqual(t, "blur", GaussianBlurInto(nil, src, sigma), naiveGaussianBlur(src, sigma))
+			requireEqual(t, "median", Median3x3Into(nil, src), naiveMedian3x3(src))
+			requireEqual(t, "sobel", SobelInto(nil, src), naiveSobel(src))
 			k, err := NewKernel([]float64{0.1, -0.2, 0.3, 0.4, 0.5, -0.6, 0.7, 0.8, -0.9})
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireEqual(t, "convolve", Convolve(src, k), naiveConvolve(src, k))
+			requireEqual(t, "convolve", ConvolveInto(nil, src, k), naiveConvolve(src, k))
 			for _, k := range []int{3, 1 + int(ry)%9, src.Height() + 1} {
-				requireEqual(t, "stripes", GaussianBlurParallel(src, sigma, k), GaussianBlur(src, sigma))
+				requireEqual(t, "stripes", GaussianBlurIntoParallel(nil, src, sigma, k), GaussianBlurInto(nil, src, sigma))
 			}
 			tw, th := src.Width()/2+1, src.Height()/2+1
 			requireEqual(t, "resize", Resize(src, tw, th), naiveResize(src, tw, th))

@@ -50,12 +50,6 @@ func ensureDst(dst *Frame, w, h int, bounds Rect) *Frame {
 	return out
 }
 
-// Convolve applies k to src with replicate borders and returns a new frame
-// of the same bounds. Results are clamped to [0, 65535].
-func Convolve(src *Frame, k Kernel) *Frame {
-	return ConvolveInto(nil, src, k)
-}
-
 // ConvolveInto is Convolve writing into dst (reused when its geometry
 // matches, freshly allocated otherwise; dst may be nil). dst must not alias
 // src. It returns the destination actually used.
@@ -162,12 +156,6 @@ func gaussianKernel(sigma float64) []float64 {
 	}
 	gaussMu.Unlock()
 	return w
-}
-
-// GaussianBlur applies a separable Gaussian of the given sigma (two 1-D
-// passes), the standard pre-smoothing step of the ridge filter.
-func GaussianBlur(src *Frame, sigma float64) *Frame {
-	return GaussianBlurInto(nil, src, sigma)
 }
 
 // GaussianBlurInto is GaussianBlur writing into dst (reused when its
@@ -307,98 +295,6 @@ func (h Hessian) Eigenvalues() (l1, l2 float64) {
 	return b, a
 }
 
-// Threshold returns a frame where pixels >= t map to 65535 and others to 0.
-func Threshold(src *Frame, t uint16) *Frame {
-	return ThresholdInto(nil, src, t)
-}
-
-// ThresholdInto is Threshold with destination reuse (dst may be nil, must
-// not alias src); it returns the destination used.
-func ThresholdInto(dst, src *Frame, t uint16) *Frame {
-	dst = ensureDst(dst, src.Width(), src.Height(), src.Bounds)
-	for y := src.Bounds.Y0; y < src.Bounds.Y1; y++ {
-		srow := src.Row(y)
-		d0 := (y - src.Bounds.Y0) * dst.Stride
-		drow := dst.Pix[d0 : d0+src.Width()]
-		for i, v := range srow {
-			if v >= t {
-				drow[i] = 0xFFFF
-			} else {
-				drow[i] = 0
-			}
-		}
-	}
-	return dst
-}
-
-// Invert returns 65535 - pixel for every pixel (dark features become bright).
-func Invert(src *Frame) *Frame {
-	return InvertInto(nil, src)
-}
-
-// InvertInto is Invert with destination reuse (dst may be nil, must not
-// alias src); it returns the destination used.
-func InvertInto(dst, src *Frame) *Frame {
-	dst = ensureDst(dst, src.Width(), src.Height(), src.Bounds)
-	for y := src.Bounds.Y0; y < src.Bounds.Y1; y++ {
-		srow := src.Row(y)
-		d0 := (y - src.Bounds.Y0) * dst.Stride
-		drow := dst.Pix[d0 : d0+src.Width()]
-		for i, v := range srow {
-			drow[i] = 0xFFFF - v
-		}
-	}
-	return dst
-}
-
-// AbsDiff returns |a - b| per pixel; the frames must have equal bounds.
-// This is the temporal difference used by the registration stage.
-func AbsDiff(a, b *Frame) (*Frame, error) {
-	return AbsDiffInto(nil, a, b)
-}
-
-// AbsDiffInto is AbsDiff with destination reuse (dst may be nil, must not
-// alias a or b); it returns the destination used.
-func AbsDiffInto(dst, a, b *Frame) (*Frame, error) {
-	if a.Bounds != b.Bounds {
-		return nil, errors.New("frame: AbsDiff bounds mismatch")
-	}
-	dst = ensureDst(dst, a.Width(), a.Height(), a.Bounds)
-	for y := a.Bounds.Y0; y < a.Bounds.Y1; y++ {
-		ar, br := a.Row(y), b.Row(y)
-		d0 := (y - a.Bounds.Y0) * dst.Stride
-		drow := dst.Pix[d0 : d0+a.Width()]
-		for i := range ar {
-			if ar[i] >= br[i] {
-				drow[i] = ar[i] - br[i]
-			} else {
-				drow[i] = br[i] - ar[i]
-			}
-		}
-	}
-	return dst, nil
-}
-
-// Normalize linearly rescales the frame's pixel range to [0, 65535].
-// A constant frame maps to all-zero.
-func Normalize(src *Frame) *Frame {
-	lo, hi := src.MinMax()
-	dst := New(src.Width(), src.Height())
-	dst.Bounds = src.Bounds
-	if hi == lo {
-		return dst
-	}
-	scale := 65535.0 / float64(hi-lo)
-	for y := src.Bounds.Y0; y < src.Bounds.Y1; y++ {
-		srow := src.Row(y)
-		drow := dst.Pix[(y-src.Bounds.Y0)*dst.Stride : (y-src.Bounds.Y0)*dst.Stride+src.Width()]
-		for i, v := range srow {
-			drow[i] = clamp16(float64(v-lo) * scale)
-		}
-	}
-	return dst
-}
-
 // BilinearAt samples f at the real-valued location (x, y) with bilinear
 // interpolation and replicate borders. The four taps take a direct-indexing
 // fast path when the 2x2 support lies inside the frame.
@@ -473,8 +369,8 @@ func GrowTaps(taps []Tap, n int) []Tap {
 // pixel x of row y becomes clamp16(BilinearAt(src, cx, cy)) for the
 // coordinates xs[x] and ys[y] were built from with src.XTap and src.YTap.
 // src must not be empty, dst must be at least len(xs) wide and must not
-// alias src. This is the one bilinear pixel loop behind Resize and
-// Translate; Accumulator.AddResampledInto integrates the same pixels.
+// alias src. This is the one bilinear pixel loop behind Resize;
+// Accumulator.AddResampledInto integrates the same pixels.
 func ResampleRows(dst, src *Frame, xs, ys []Tap, yLo, yHi int) {
 	s := scratchPool.Get().(*scratch)
 	bilinearRows(dst, nil, nil, s.floats(4*len(xs)), src, xs, ys, yLo, yHi)
@@ -599,7 +495,7 @@ func (h *hring) slot(i, keep int32) []float64 {
 	return h.buf[s*2*n:][:2*n]
 }
 
-// scratch backs the two tap tables one Resize or Translate call builds and
+// scratch backs the two tap tables one Resize call builds and
 // the float64 rows one blurSweep or ResampleRows call works in; pooled so a
 // steady-state call allocates nothing. One pool for all, so that the resizes
 // every frame runs keep the blur's rows from ageing out of it between frames
@@ -652,33 +548,6 @@ func (t *scratch) resizeTaps(src *Frame, w, h int) (xs, ys []Tap) {
 		ys[y] = src.YTap(float64(src.Bounds.Y0) + (float64(y)+0.5)*sy - 0.5)
 	}
 	return xs, ys
-}
-
-// Translate returns src shifted by the real-valued offset (dx, dy) using
-// bilinear resampling; the registration stage aligns frames this way.
-func Translate(src *Frame, dx, dy float64) *Frame {
-	return TranslateInto(nil, src, dx, dy)
-}
-
-// TranslateInto is Translate with destination reuse (dst may be nil, must
-// not alias src); it returns the destination used.
-func TranslateInto(dst, src *Frame, dx, dy float64) *Frame {
-	w, h := src.Width(), src.Height()
-	dst = ensureDst(dst, w, h, src.Bounds)
-	if w == 0 || h == 0 {
-		return dst
-	}
-	t := scratchPool.Get().(*scratch)
-	xs, ys := t.tables(w, h)
-	for x := range xs {
-		xs[x] = src.XTap(float64(src.Bounds.X0+x) - dx)
-	}
-	for y := range ys {
-		ys[y] = src.YTap(float64(src.Bounds.Y0+y) - dy)
-	}
-	bilinearRows(dst, nil, nil, t.floats(4*w), src, xs, ys, 0, h)
-	scratchPool.Put(t)
-	return dst
 }
 
 // AccumulatorMaxFrames is how many 16-bit frames an Accumulator's 32-bit

@@ -9,12 +9,6 @@ import (
 // downstream users of the image substrate: rank filtering, histogram-based
 // thresholding, area downsampling and integral images.
 
-// Median3x3 applies a 3x3 median filter with replicate borders — the
-// classic X-ray salt-and-pepper (quantum mottle) suppressor.
-func Median3x3(src *Frame) *Frame {
-	return Median3x3Into(nil, src)
-}
-
 // Median3x3Into is Median3x3 with destination reuse (dst may be nil, must
 // not alias src); it returns the destination used. Interior pixels gather
 // their window from three direct row slices; only the one-pixel border pays
@@ -160,68 +154,6 @@ func Downsample2x(src *Frame) *Frame {
 		}
 	}
 	return dst
-}
-
-// Integral is a summed-area table: Sum(x0,y0,x1,y1) of any rectangle in
-// O(1) after O(n) construction.
-type Integral struct {
-	w, h int
-	sums []uint64 // (w+1) x (h+1), row-major, first row/col zero
-}
-
-// NewIntegral builds the summed-area table of src.
-func NewIntegral(src *Frame) *Integral {
-	w, h := src.Width(), src.Height()
-	ig := &Integral{w: w, h: h, sums: make([]uint64, (w+1)*(h+1))}
-	stride := w + 1
-	for y := 0; y < h; y++ {
-		row := src.Row(src.Bounds.Y0 + y)
-		var rowSum uint64
-		for x := 0; x < w; x++ {
-			rowSum += uint64(row[x])
-			ig.sums[(y+1)*stride+(x+1)] = ig.sums[y*stride+(x+1)] + rowSum
-		}
-	}
-	return ig
-}
-
-// Sum returns the pixel sum over the half-open rectangle [x0,x1) x [y0,y1)
-// in frame-local coordinates (0-based), clamped to the table's extent.
-func (ig *Integral) Sum(x0, y0, x1, y1 int) uint64 {
-	clamp := func(v, lo, hi int) int {
-		if v < lo {
-			return lo
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	}
-	x0 = clamp(x0, 0, ig.w)
-	x1 = clamp(x1, 0, ig.w)
-	y0 = clamp(y0, 0, ig.h)
-	y1 = clamp(y1, 0, ig.h)
-	if x1 <= x0 || y1 <= y0 {
-		return 0
-	}
-	stride := ig.w + 1
-	return ig.sums[y1*stride+x1] - ig.sums[y0*stride+x1] -
-		ig.sums[y1*stride+x0] + ig.sums[y0*stride+x0]
-}
-
-// Mean returns the average pixel value over the rectangle (0 when empty).
-func (ig *Integral) Mean(x0, y0, x1, y1 int) float64 {
-	area := (x1 - x0) * (y1 - y0)
-	if area <= 0 {
-		return 0
-	}
-	return float64(ig.Sum(x0, y0, x1, y1)) / float64(area)
-}
-
-// Sobel computes the gradient-magnitude map with the 3x3 Sobel operator,
-// normalized into the 16-bit range.
-func Sobel(src *Frame) *Frame {
-	return SobelInto(nil, src)
 }
 
 // SobelInto is Sobel with destination reuse (dst may be nil, must not alias

@@ -9,7 +9,7 @@ func TestMedian3x3RemovesImpulse(t *testing.T) {
 	f := New(7, 7)
 	f.Fill(1000)
 	f.Set(3, 3, 65535) // salt impulse
-	g := Median3x3(f)
+	g := Median3x3Into(nil, f)
 	if g.At(3, 3) != 1000 {
 		t.Fatalf("median did not remove impulse: %d", g.At(3, 3))
 	}
@@ -18,7 +18,7 @@ func TestMedian3x3RemovesImpulse(t *testing.T) {
 func TestMedian3x3PreservesFlat(t *testing.T) {
 	f := New(8, 8)
 	f.Fill(4242)
-	if !Median3x3(f).Equal(f) {
+	if !Median3x3Into(nil, f).Equal(f) {
 		t.Fatal("median changed a flat field")
 	}
 }
@@ -30,7 +30,7 @@ func TestMedian3x3PreservesEdgeLocation(t *testing.T) {
 			f.Set(x, y, 10000)
 		}
 	}
-	g := Median3x3(f)
+	g := Median3x3Into(nil, f)
 	if g.At(2, 4) != 0 || g.At(5, 4) != 10000 {
 		t.Fatalf("median moved the edge: %d, %d", g.At(2, 4), g.At(5, 4))
 	}
@@ -169,7 +169,7 @@ func TestIntegralMean(t *testing.T) {
 func TestSobelFlatIsZero(t *testing.T) {
 	f := New(8, 8)
 	f.Fill(30000)
-	g := Sobel(f)
+	g := SobelInto(nil, f)
 	for y := 0; y < 8; y++ {
 		for x := 0; x < 8; x++ {
 			if g.At(x, y) != 0 {
@@ -186,7 +186,7 @@ func TestSobelEdgeResponds(t *testing.T) {
 			f.Set(x, y, 40000)
 		}
 	}
-	g := Sobel(f)
+	g := SobelInto(nil, f)
 	if g.At(4, 4) == 0 && g.At(3, 4) == 0 {
 		t.Fatal("Sobel missed a vertical edge")
 	}
@@ -232,7 +232,7 @@ func TestPropertyMedianFromNeighborhood(t *testing.T) {
 			v = v*13 + 101
 			fr.Pix[i] = v % 512
 		}
-		g := Median3x3(fr)
+		g := Median3x3Into(nil, fr)
 		for y := 0; y < 6; y++ {
 			for x := 0; x < 6; x++ {
 				found := false

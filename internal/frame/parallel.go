@@ -9,12 +9,6 @@ import (
 // bit-identical to the serial versions: output rows are independent given
 // the input, so striping never changes results.
 
-// GaussianBlurParallel is GaussianBlur with each separable pass striped over
-// k goroutines; bit-identical to the serial version.
-func GaussianBlurParallel(src *Frame, sigma float64, k int) *Frame {
-	return GaussianBlurIntoParallel(nil, src, sigma, k)
-}
-
 // GaussianBlurIntoParallel is GaussianBlurInto striped over k goroutines
 // (dst may be nil, must not alias src); it returns the destination used.
 // k <= 1 is the serial version: both passes run inline, without a closure.
@@ -33,12 +27,6 @@ func GaussianBlurIntoParallel(dst, src *Frame, sigma float64, k int) *Frame {
 		})
 	}
 	return dst
-}
-
-// ResizeParallel is Resize with the output rows striped over k goroutines;
-// bit-identical to the serial version.
-func ResizeParallel(src *Frame, w, h, k int) *Frame {
-	return ResizeIntoParallel(nil, src, w, h, k)
 }
 
 // ResizeIntoParallel is ResizeInto striped over k goroutines (dst may be
@@ -67,22 +55,5 @@ func ResizeIntoParallel(dst, src *Frame, w, h, k int) *Frame {
 		})
 	}
 	scratchPool.Put(t)
-	return dst
-}
-
-// ConvolveParallel is Convolve with output rows striped over k goroutines;
-// bit-identical to the serial version.
-func ConvolveParallel(src *Frame, kern Kernel, k int) *Frame {
-	return ConvolveIntoParallel(nil, src, kern, k)
-}
-
-// ConvolveIntoParallel is ConvolveInto striped over k goroutines (dst may
-// be nil, must not alias src); it returns the destination used.
-func ConvolveIntoParallel(dst, src *Frame, kern Kernel, k int) *Frame {
-	dst = ensureDst(dst, src.Width(), src.Height(), src.Bounds)
-	y0 := src.Bounds.Y0
-	parallel.ForStripes(src.Height(), k, func(_, lo, hi int) {
-		convolveRows(dst, src, kern, y0+lo, y0+hi)
-	})
 	return dst
 }

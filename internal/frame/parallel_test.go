@@ -14,9 +14,9 @@ func noisyFrame(w, h int, seed uint16) *Frame {
 
 func TestGaussianBlurParallelMatchesSerial(t *testing.T) {
 	f := noisyFrame(64, 48, 7)
-	want := GaussianBlur(f, 1.4)
+	want := GaussianBlurInto(nil, f, 1.4)
 	for _, k := range []int{1, 2, 3, 8, 100} {
-		got := GaussianBlurParallel(f, 1.4, k)
+		got := GaussianBlurIntoParallel(nil, f, 1.4, k)
 		if !got.Equal(want) {
 			t.Fatalf("k=%d: parallel blur differs from serial", k)
 		}
@@ -26,8 +26,8 @@ func TestGaussianBlurParallelMatchesSerial(t *testing.T) {
 func TestGaussianBlurParallelSubFrame(t *testing.T) {
 	base := noisyFrame(64, 64, 11)
 	sub := base.SubFrame(R(8, 8, 56, 40))
-	want := GaussianBlur(sub, 1.2)
-	got := GaussianBlurParallel(sub, 1.2, 4)
+	want := GaussianBlurInto(nil, sub, 1.2)
+	got := GaussianBlurIntoParallel(nil, sub, 1.2, 4)
 	if !got.Equal(want) {
 		t.Fatal("parallel blur differs on subframe")
 	}
@@ -37,12 +37,12 @@ func TestResizeParallelMatchesSerial(t *testing.T) {
 	f := noisyFrame(50, 30, 13)
 	want := Resize(f, 77, 19)
 	for _, k := range []int{1, 4, 16} {
-		got := ResizeParallel(f, 77, 19, k)
+		got := ResizeIntoParallel(nil, f, 77, 19, k)
 		if !got.Equal(want) {
 			t.Fatalf("k=%d: parallel resize differs", k)
 		}
 	}
-	if z := ResizeParallel(f, 0, 10, 4); z.Pixels() != 0 {
+	if z := ResizeIntoParallel(nil, f, 0, 10, 4); z.Pixels() != 0 {
 		t.Fatal("zero-size resize must be empty")
 	}
 }
@@ -53,7 +53,7 @@ func TestConvolveParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Convolve(f, kern)
+	want := ConvolveInto(nil, f, kern)
 	got := ConvolveParallel(f, kern, 6)
 	if !got.Equal(want) {
 		t.Fatal("parallel convolve differs")

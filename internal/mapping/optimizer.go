@@ -103,8 +103,8 @@ func (o *Optimizer) Map(totalCores int, demands []sched.StreamDemand, plans []sc
 	}
 	// The optimizer needs the scenario-conditioned profile; until every
 	// stream has reported one — and in the oversubscribed regime, where the
-	// only decision is which streams to shed (SplitCores' demand ranking) —
-	// the greedy division is the answer.
+	// only decision is which streams to shed (the greedy division's demand
+	// ranking) — the greedy division is the answer.
 	structured := totalCores >= n
 	for i := range demands {
 		if demands[i].Profile.Frames == 0 {

@@ -118,10 +118,6 @@ func (c *Chain2) AddTransition(a, b, next float64) {
 	row[c.q.State(next)]++
 }
 
-// States returns the base state count; the effective state space is its
-// square.
-func (c *Chain2) States() int { return c.q.States() }
-
 // Quantizer exposes the chain's quantizer so callers can lift the trained
 // chain into a dense, allocation-free representation (the shadow-evaluation
 // backends do this: the map-backed counts here are fine for training but a

@@ -41,14 +41,6 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 {
 	if c == nil {
@@ -68,20 +60,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adds d to the gauge (CAS loop; no locks, no allocation).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // Value returns the current value.
@@ -182,22 +160,6 @@ func (h *Histogram) AttachExemplar(v float64, frame, dump int64) {
 	h.exMu.Unlock()
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
 // HistogramSnapshot is a point-in-time copy of a histogram's state. Counts
 // are per-bucket (not cumulative); the last entry is the +Inf bucket.
 type HistogramSnapshot struct {
@@ -281,26 +243,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		return 0
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// LinearBuckets returns n upper bounds start, start+width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + width*float64(i)
-	}
-	return out
-}
-
-// ExponentialBuckets returns n upper bounds start, start*factor, ...
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
 }
 
 // DefaultLatencyBucketsMs spans the modeled per-frame latencies (the

@@ -134,9 +134,3 @@ func Worst(numCPUs int) Mapping {
 	}
 	return m
 }
-
-// TwoStripeRDG returns the 2-stripe data-partitioning of the ridge tasks
-// used in the paper's Fig. 6 comparison.
-func TwoStripeRDG() Mapping {
-	return Mapping{tasks.NameRDGFull: 2, tasks.NameRDGROI: 2}
-}

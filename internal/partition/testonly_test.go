@@ -1,0 +1,9 @@
+package partition
+
+import "triplec/internal/tasks"
+
+// TwoStripeRDG returns the 2-stripe data-partitioning of the ridge tasks
+// used in the paper's Fig. 6 comparison.
+func TwoStripeRDG() Mapping {
+	return Mapping{tasks.NameRDGFull: 2, tasks.NameRDGROI: 2}
+}

@@ -73,64 +73,35 @@ func (q Quality) Sheds(name tasks.Name) bool {
 // ForceSerial reports whether the level demands the serial mapping.
 func (q Quality) ForceSerial() bool { return q >= QualitySerial }
 
-// DegraderConfig tunes the ladder's transition hysteresis. All counts are
-// frames; the zero value means defaults.
-type DegraderConfig struct {
-	// StepDownAfter is the consecutive bad frames (deadline miss, task
-	// failure, abandonment) that trigger a step down (default 3).
-	StepDownAfter int
-	// StepUpAfter is the consecutive good frames required to step back up
-	// one rung — the cool-down (default 24; much larger than StepDownAfter
-	// so the ladder reacts fast and recovers cautiously).
-	StepUpAfter int
-	// MinDwell is the minimum number of frames between two transitions, in
+// The ladder's transition hysteresis, in frames.
+const (
+	// stepDownAfter is the consecutive bad frames (deadline miss, task
+	// failure, abandonment) that trigger a step down.
+	stepDownAfter = 3
+	// stepUpAfter is the consecutive good frames required to step back up
+	// one rung — the cool-down, much larger than stepDownAfter so the
+	// ladder reacts fast and recovers cautiously.
+	stepUpAfter = 24
+	// minDwell is the minimum number of frames between two transitions, in
 	// either direction, damping oscillation when the load sits exactly at a
-	// rung boundary (default 8).
-	MinDwell int
-}
-
-func (c DegraderConfig) withDefaults() DegraderConfig {
-	if c.StepDownAfter == 0 {
-		c.StepDownAfter = 3
-	}
-	if c.StepUpAfter == 0 {
-		c.StepUpAfter = 24
-	}
-	if c.MinDwell == 0 {
-		c.MinDwell = 8
-	}
-	return c
-}
-
-// Validate rejects negative hysteresis counts.
-func (c DegraderConfig) Validate() error {
-	if c.StepDownAfter < 0 || c.StepUpAfter < 0 || c.MinDwell < 0 {
-		return fmt.Errorf("pipeline: degrader counts must be non-negative, got down=%d up=%d dwell=%d",
-			c.StepDownAfter, c.StepUpAfter, c.MinDwell)
-	}
-	return nil
-}
+	// rung boundary.
+	minDwell = 8
+)
 
 // Degrader is the per-stream ladder state machine. It is driven from the
 // stream's serving goroutine (one Observe per offered frame) and is not
 // safe for concurrent use. All methods are nil-safe so the serving loop
 // carries no degradation-enabled branches.
 type Degrader struct {
-	cfg         DegraderConfig
 	level       Quality
 	bad, good   int // consecutive outcome counters
 	sinceSwitch int // frames since the last transition
 	transitions int
 }
 
-// NewDegrader builds a ladder controller (zero-value config = defaults).
-func NewDegrader(cfg DegraderConfig) (*Degrader, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	d := &Degrader{cfg: cfg.withDefaults()}
-	d.sinceSwitch = d.cfg.MinDwell // the first transition needs no dwell
-	return d, nil
+// NewDegrader builds a ladder controller at QualityFull.
+func NewDegrader() *Degrader {
+	return &Degrader{sinceSwitch: minDwell} // the first transition needs no dwell
 }
 
 // Level returns the current rung (QualityFull on a nil degrader).
@@ -163,15 +134,15 @@ func (d *Degrader) Observe(ok bool) bool {
 		d.bad++
 		d.good = 0
 	}
-	if d.sinceSwitch < d.cfg.MinDwell {
+	if d.sinceSwitch < minDwell {
 		return false
 	}
-	if d.bad >= d.cfg.StepDownAfter && d.level < QualityMax {
+	if d.bad >= stepDownAfter && d.level < QualityMax {
 		d.level++
 		d.step()
 		return true
 	}
-	if d.good >= d.cfg.StepUpAfter && d.level > QualityFull {
+	if d.good >= stepUpAfter && d.level > QualityFull {
 		d.level--
 		d.step()
 		return true

@@ -4,15 +4,6 @@ import "testing"
 
 import "triplec/internal/tasks"
 
-func mustDegrader(t *testing.T, cfg DegraderConfig) *Degrader {
-	t.Helper()
-	d, err := NewDegrader(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
 func TestQualitySheds(t *testing.T) {
 	cases := []struct {
 		q    Quality
@@ -56,20 +47,8 @@ func TestQualityString(t *testing.T) {
 	}
 }
 
-func TestDegraderConfigValidation(t *testing.T) {
-	for _, cfg := range []DegraderConfig{
-		{StepDownAfter: -1},
-		{StepUpAfter: -1},
-		{MinDwell: -1},
-	} {
-		if _, err := NewDegrader(cfg); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
-	}
-}
-
 func TestDegraderStepsDownAndRecovers(t *testing.T) {
-	d := mustDegrader(t, DegraderConfig{StepDownAfter: 3, StepUpAfter: 5, MinDwell: 2})
+	d := NewDegrader()
 	// Two bad frames: not enough.
 	d.Observe(false)
 	d.Observe(false)
@@ -78,19 +57,19 @@ func TestDegraderStepsDownAndRecovers(t *testing.T) {
 	}
 	// Third consecutive bad frame trips a step down.
 	if !d.Observe(false) {
-		t.Fatal("no transition at StepDownAfter")
+		t.Fatal("no transition at stepDownAfter")
 	}
 	if d.Level() != QualityRDGROI {
 		t.Fatalf("level %v, want rdg-roi", d.Level())
 	}
-	// Recovery: 5 consecutive good frames step back up.
-	for i := 0; i < 4; i++ {
+	// Recovery: stepUpAfter consecutive good frames step back up.
+	for i := 0; i < stepUpAfter-1; i++ {
 		if d.Observe(true) {
 			t.Fatalf("stepped up early at good frame %d", i+1)
 		}
 	}
 	if !d.Observe(true) {
-		t.Fatal("no step up after StepUpAfter good frames")
+		t.Fatal("no step up after stepUpAfter good frames")
 	}
 	if d.Level() != QualityFull {
 		t.Fatalf("level %v after recovery, want full", d.Level())
@@ -99,7 +78,7 @@ func TestDegraderStepsDownAndRecovers(t *testing.T) {
 		t.Fatalf("transitions %d, want 2", d.Transitions())
 	}
 	// Cannot step above full.
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*stepUpAfter; i++ {
 		d.Observe(true)
 	}
 	if d.Level() != QualityFull {
@@ -108,7 +87,7 @@ func TestDegraderStepsDownAndRecovers(t *testing.T) {
 }
 
 func TestDegraderBottomsOut(t *testing.T) {
-	d := mustDegrader(t, DegraderConfig{StepDownAfter: 1, StepUpAfter: 100, MinDwell: 1})
+	d := NewDegrader()
 	for i := 0; i < 50; i++ {
 		d.Observe(false)
 	}
@@ -121,19 +100,25 @@ func TestDegraderBottomsOut(t *testing.T) {
 }
 
 func TestDegraderMinDwellDampsOscillation(t *testing.T) {
-	d := mustDegrader(t, DegraderConfig{StepDownAfter: 1, StepUpAfter: 1, MinDwell: 6})
-	d.Observe(false) // first transition needs no dwell
+	d := NewDegrader()
+	for i := 0; i < stepDownAfter; i++ {
+		d.Observe(false) // the first transition needs no dwell
+	}
 	if d.Level() != QualityRDGROI {
 		t.Fatalf("level %v, want rdg-roi", d.Level())
 	}
-	// Alternating outcomes within the dwell window: no further transitions.
-	for i := 0; i < 5; i++ {
-		if d.Observe(i%2 == 0) {
+	// More bad frames than stepDownAfter, but inside the dwell window: no
+	// further transition until minDwell frames have passed.
+	for i := 1; i < minDwell; i++ {
+		if d.Observe(false) {
 			t.Fatalf("transition inside dwell window at frame %d", i)
 		}
 	}
-	if d.Transitions() != 1 {
-		t.Fatalf("transitions %d, want 1", d.Transitions())
+	if !d.Observe(false) {
+		t.Fatal("no transition once the dwell elapsed")
+	}
+	if d.Transitions() != 2 {
+		t.Fatalf("transitions %d, want 2", d.Transitions())
 	}
 }
 

@@ -208,7 +208,7 @@ func TestStripingReducesRDGLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := stripedE.Process(f, partition.TwoStripeRDG())
+		rp, err := stripedE.Process(f, partition.Mapping{tasks.NameRDGFull: 2, tasks.NameRDGROI: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +371,7 @@ func TestRealStripingIdenticalReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := partition.TwoStripeRDG()
+	m := partition.Mapping{tasks.NameRDGFull: 2, tasks.NameRDGROI: 2}
 	for i := 0; i < 15; i++ {
 		f, _ := seq.Frame(i)
 		ra, err := ea.Process(f, m)

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"triplec/internal/flowgraph"
 	"triplec/internal/platform"
 	"triplec/internal/tasks"
 )
@@ -75,69 +74,6 @@ func Profile(reports []Report) CostProfile {
 		p.Add(r)
 	}
 	return p
-}
-
-// SerialMs returns the profile's scenario-weighted mean serial frame time on
-// the machine: the latency of running every active task on one core.
-func (p *CostProfile) SerialMs(m *platform.Machine) float64 {
-	total := 0.0
-	for s := range p.Weight {
-		w := p.Weight[s]
-		if w <= 0 {
-			continue
-		}
-		sum := 0.0
-		for ti := range p.Cost[s] {
-			c := p.Cost[s][ti]
-			if c.Cycles <= 0 && c.MemBytes <= 0 {
-				continue
-			}
-			sum += m.StripedMs(c, 1)
-		}
-		total += w * sum
-	}
-	return total
-}
-
-// StageMs returns the profile's scenario-weighted mean serial stage times
-// at the pipeline cut (see flowgraph.StageOf).
-func (p *CostProfile) StageMs(m *platform.Machine) (frontMs, backMs float64) {
-	names := tasks.AllNames()
-	for s := range p.Weight {
-		w := p.Weight[s]
-		if w <= 0 {
-			continue
-		}
-		for ti, name := range names {
-			c := p.Cost[s][ti]
-			if c.Cycles <= 0 && c.MemBytes <= 0 {
-				continue
-			}
-			ms := m.StripedMs(c, 1)
-			if flowgraph.StageOf(name) == flowgraph.StageBack {
-				backMs += w * ms
-			} else {
-				frontMs += w * ms
-			}
-		}
-	}
-	return frontMs, backMs
-}
-
-// MemBytes returns the profile's scenario-weighted mean per-frame
-// external-memory traffic — the numerator of the roofline floor.
-func (p *CostProfile) MemBytes() float64 {
-	total := 0.0
-	for s := range p.Weight {
-		w := p.Weight[s]
-		if w <= 0 {
-			continue
-		}
-		for ti := range p.Cost[s] {
-			total += w * p.Cost[s][ti].MemBytes
-		}
-	}
-	return total
 }
 
 // Fold blends a newer profile into p with EWMA factor a ∈ (0, 1] (1 replaces

@@ -89,11 +89,6 @@ type Cost struct {
 	MemBytes float64 // traffic between cache hierarchy and external memory
 }
 
-// Add returns the sum of two costs.
-func (c Cost) Add(d Cost) Cost {
-	return Cost{Cycles: c.Cycles + d.Cycles, MemBytes: c.MemBytes + d.MemBytes}
-}
-
 // Scale returns the cost multiplied by f (used when striping a task over
 // multiple cores: each stripe carries a fraction of the work).
 func (c Cost) Scale(f float64) Cost {

@@ -31,22 +31,6 @@ func (r Regulator) OutputLatency(processingMs float64) float64 {
 	return r.BudgetMs
 }
 
-// DelayMs returns the artificial delay inserted for the frame.
-func (r Regulator) DelayMs(processingMs float64) float64 {
-	if processingMs >= r.BudgetMs {
-		return 0
-	}
-	return r.BudgetMs - processingMs
-}
-
-// Overrun returns by how much the frame missed the budget (0 if met).
-func (r Regulator) Overrun(processingMs float64) float64 {
-	if processingMs <= r.BudgetMs {
-		return 0
-	}
-	return processingMs - r.BudgetMs
-}
-
 // Regulate maps a processing-latency series to the observed output-latency
 // series.
 func (r Regulator) Regulate(processing []float64) []float64 {

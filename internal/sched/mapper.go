@@ -13,7 +13,7 @@ import (
 // This file defines the arbiter's mapping seam: a Mapper turns per-stream
 // demand signals into per-stream execution plans (cores + stage-to-core
 // structure). The greedy baseline reproduces the historical behavior —
-// SplitCores proportional division, pipeline iff the share allows two
+// largest-remainder proportional division, pipeline iff the share allows two
 // partitions, split the share evenly between the stages. The bi-criteria
 // optimizer in internal/mapping implements the same interface and searches
 // the mapping space instead.
@@ -21,7 +21,7 @@ import (
 // StreamDemand is one stream's demand signal for cross-stream arbitration.
 type StreamDemand struct {
 	// TotalMs is the smoothed predicted serial demand per frame (ms) — the
-	// scalar SplitCores divides the machine proportionally to.
+	// scalar the greedy division splits the machine proportionally to.
 	TotalMs float64
 	// BudgetMs is the stream's frame deadline (ms); 0 when unknown. The
 	// optimizer uses it for deadline-tightness pressure.
@@ -93,9 +93,9 @@ type Mapper interface {
 	Map(totalCores int, demands []StreamDemand, plans []StreamPlan) error
 }
 
-// GreedyMapper is the historical baseline: SplitCores proportional division
-// on the scalar demands, pipeline iff the share allows two partitions, and
-// an even front/back split (partition.Worst(share/2) per stage — exactly the
+// GreedyMapper is the historical baseline: largest-remainder proportional
+// division on the scalar demands, pipeline iff the share allows two
+// partitions, and an even front/back split (partition.Worst(share/2) per stage — exactly the
 // PR-6 bench methodology).
 type GreedyMapper struct {
 	scratch splitScratch

@@ -42,33 +42,21 @@ func (m *Manager) PredictedDemandMs() float64 {
 	return m.demandPred.TotalMs
 }
 
-// SplitCores divides total cores across applications proportionally to
-// their predicted per-frame demand (ms of serial work). The fractional
-// shares are settled by largest remainder, and the returned budgets sum to
-// exactly total for every input — SplitCores never over-commits the
-// machine. When there are at least as many cores as applications, every
-// application is floored at one core. When there are *more applications
-// than cores* (the oversubscribed serving regime), the total
-// highest-demand applications receive one core each (ties broken by lower
-// index for determinism) and the rest receive a zero budget — the shed
-// signal: a zero-budget stream must time-slice (the serving controller
-// alternates it between skipped and serial frames) instead of pretending
-// it owns a core that does not exist. Zero, negative and non-finite
-// demands are treated as zero.
-func SplitCores(total int, demands []float64) ([]int, error) {
-	budgets := make([]int, len(demands))
-	var s splitScratch
-	if err := splitInto(budgets, total, demands, &s); err != nil {
-		return nil, err
-	}
-	return budgets, nil
-}
-
-// splitInto is the allocation-free core of SplitCores: budgets is
-// caller-provided output of len(demands), s holds reusable sort buffers.
-// The small sorts are stable insertion sorts — the stream count is a
-// handful, and avoiding sort.Slice keeps the steady-state rebalance path
-// heap-free.
+// splitInto divides total cores across applications proportionally to
+// their predicted per-frame demand (ms of serial work) into budgets, of
+// len(demands). The fractional shares are settled by largest remainder, and
+// the budgets sum to exactly total for every input — the split never
+// over-commits the machine. When there are at least as many cores as
+// applications, every application gets at least one core. When there are
+// *more applications than cores* (the oversubscribed serving regime), the
+// total highest-demand applications receive one core each (ties broken by
+// lower index for determinism) and the rest receive a zero budget — the
+// shed signal: a zero-budget stream must time-slice (the serving controller
+// alternates it between skipped and serial frames) instead of pretending it
+// owns a core that does not exist. Zero, negative and non-finite demands are
+// treated as zero. s holds reusable sort buffers; the small sorts are stable
+// insertion sorts — the stream count is a handful, and avoiding sort.Slice
+// keeps the steady-state rebalance path heap-free.
 func splitInto(budgets []int, total int, demands []float64, s *splitScratch) error {
 	n := len(demands)
 	if n == 0 {
@@ -175,10 +163,9 @@ func CoreNeed(demandMs, budgetMs float64, maxCores int) int {
 // running streams. Streams report their per-frame predicted demand from
 // their own goroutines; Rebalance re-divides the cores through the
 // configured Mapper. The MultiManager never touches the streams' Managers
-// directly — each stream reads its budget with BudgetFor (and its execution
-// structure with PlanFor) and applies it to its own Manager, so the Manager
-// itself stays single-goroutine (see the Engine concurrency contract in
-// internal/pipeline).
+// directly — each stream reads its budget with BudgetFor and applies it to
+// its own Manager, so the Manager itself stays single-goroutine (see the
+// Engine concurrency contract in internal/pipeline).
 //
 // Reported demands are smoothed with an EWMA before the split: per-frame
 // Triple-C predictions swing with the data-dependent scenario (a stream
@@ -190,7 +177,7 @@ func CoreNeed(demandMs, budgetMs float64, maxCores int) int {
 // All methods are safe for concurrent use.
 type MultiManager struct {
 	// Alpha is the demand-smoothing factor in (0, 1]; 1 disables smoothing.
-	// Mutate only before the first ReportDemand.
+	// Mutate only before the first ReportStream.
 	Alpha float64
 	// Mapper decides the per-stream plans at each re-division; nil selects
 	// the greedy proportional baseline. It is invoked under the manager's
@@ -262,17 +249,6 @@ func NewMultiManager(totalCores, n int) (*MultiManager, error) {
 	return mm, nil
 }
 
-// TotalCores returns the machine size being arbitrated.
-func (mm *MultiManager) TotalCores() int { return mm.totalCores }
-
-// ReportDemand folds stream i's latest predicted serial demand (ms) into
-// its smoothed demand level. The scenario-conditioned cost profile, if any,
-// is left untouched — use ReportStream to update both.
-func (mm *MultiManager) ReportDemand(i int, predictedMs float64) {
-	d := StreamDemand{TotalMs: predictedMs}
-	mm.ReportStream(i, &d)
-}
-
 // ReportStream folds stream i's latest demand signal — scalar demand plus
 // the scenario-conditioned cost profile — into its smoothed state. The first
 // report is taken verbatim; later reports are EWMA-blended with Alpha. A
@@ -322,7 +298,7 @@ func (mm *MultiManager) Rebalance() []int {
 
 // Redivide is Rebalance without the defensive copy: the steady-state
 // control-loop entry point for callers that read budgets back per stream
-// with BudgetFor/PlanFor. With the default greedy mapper it performs no
+// with BudgetFor. With the default greedy mapper it performs no
 // heap allocation.
 func (mm *MultiManager) Redivide() {
 	mm.mu.Lock()
@@ -400,19 +376,6 @@ func (mm *MultiManager) Retire(i int) {
 	mm.plans[i] = StreamPlan{}
 }
 
-// ActiveStreams returns how many streams are still being arbitrated.
-func (mm *MultiManager) ActiveStreams() int {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	n := 0
-	for _, a := range mm.active {
-		if a {
-			n++
-		}
-	}
-	return n
-}
-
 // BudgetFor returns stream i's current core budget. A zero budget is the
 // shed signal: either the stream was retired, or the machine is
 // oversubscribed (more live streams than cores) and this stream lost the
@@ -425,18 +388,6 @@ func (mm *MultiManager) BudgetFor(i int) int {
 		return 1
 	}
 	return mm.budgets[i]
-}
-
-// PlanFor returns stream i's current execution plan — the mapping decision
-// behind BudgetFor's scalar. Out-of-range indices return a one-core serial
-// plan, mirroring BudgetFor.
-func (mm *MultiManager) PlanFor(i int) StreamPlan {
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	if i < 0 || i >= len(mm.plans) {
-		return StreamPlan{Cores: 1}
-	}
-	return mm.plans[i]
 }
 
 // Rebalances returns how many re-divisions have been applied.

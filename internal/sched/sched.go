@@ -10,7 +10,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"triplec/internal/core"
@@ -419,24 +418,4 @@ func Summarize(straight []float64, managed Result) (CompareFig7, error) {
 		OverrunRate:        managed.Regulator.OverrunRate(managed.Processing),
 		BudgetMs:           managed.Regulator.BudgetMs,
 	}, nil
-}
-
-// Speedup returns how much lower the managed worst case is than the
-// straightforward worst case.
-func (c CompareFig7) Speedup(straight []float64, managed Result) float64 {
-	if len(straight) == 0 || len(managed.Output) == 0 {
-		return 0
-	}
-	worstS := straight[0]
-	for _, v := range straight {
-		worstS = math.Max(worstS, v)
-	}
-	worstM := managed.Output[0]
-	for _, v := range managed.Output {
-		worstM = math.Max(worstM, v)
-	}
-	if worstM == 0 {
-		return 0
-	}
-	return worstS / worstM
 }

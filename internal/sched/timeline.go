@@ -88,17 +88,6 @@ func (t Timeline) Validate() error {
 	return nil
 }
 
-// BusyMs returns the total busy time of one core.
-func (t Timeline) BusyMs(core int) float64 {
-	busy := 0.0
-	for _, iv := range t.Intervals {
-		if iv.Core == core {
-			busy += iv.EndMs - iv.StartMs
-		}
-	}
-	return busy
-}
-
 // Utilization returns the machine-wide utilization: total busy core-ms over
 // numCores * makespan. Low utilization is the headroom the paper wants to
 // hand to additional functions.

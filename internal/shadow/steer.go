@@ -40,17 +40,6 @@ func (b *Board) CopyPrediction(slot int, dst *core.FramePrediction) bool {
 	return true
 }
 
-// Quarantined reports whether the named slot has been dropped from the
-// roster by the 3-strike panic rule.
-func (b *Board) Quarantined(slot int) bool {
-	if slot < 0 || slot >= len(b.backends) {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.backends[slot].quarantined
-}
-
 // Steer is a core.DemandSource view of one roster slot's standing
 // forecast: installing it on a sched.Manager makes that backend steer the
 // plan. It holds the board's lock only for the duration of one copy.

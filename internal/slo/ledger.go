@@ -77,13 +77,6 @@ func (c Cause) String() string {
 	return "unknown"
 }
 
-// CauseNames returns the cause labels in enum order.
-func CauseNames() []string {
-	out := make([]string, NumCauses)
-	copy(out, causeNames[:])
-	return out
-}
-
 // FrameInput is everything the serving loop knows about one served frame
 // at commit time. The caller owns it (stack or reused scratch); the
 // tracker copies what it needs and never retains the pointer.

@@ -114,14 +114,6 @@ func (t *Tracker) SetOnTransition(f func(Transition)) {
 	t.mu.Unlock()
 }
 
-// Streams returns the configured stream count.
-func (t *Tracker) Streams() int {
-	if t == nil {
-		return 0
-	}
-	return t.cfg.Streams
-}
-
 // ObserveFrame classifies one served frame into the cause ledger and
 // feeds both SLOs. Nil-safe, allocation-free, safe for concurrent use.
 func (t *Tracker) ObserveFrame(in *FrameInput) {
@@ -418,16 +410,6 @@ func (t *Tracker) Status(perStream bool) *Status {
 	return st
 }
 
-// Transitions returns the retained alert transitions in order.
-func (t *Tracker) Transitions() []Transition {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.transitionsLocked()
-}
-
 func (t *Tracker) transitionsLocked() []Transition {
 	out := make([]Transition, 0, len(t.transitions))
 	for i := 0; i < len(t.transitions); i++ {
@@ -438,14 +420,4 @@ func (t *Tracker) transitionsLocked() []Transition {
 		out = append(out, tr)
 	}
 	return out
-}
-
-// AlertStateOf returns the current alert state for one SLO.
-func (t *Tracker) AlertStateOf(k SLOKind) AlertState {
-	if t == nil || int(k) >= NumSLOs {
-		return AlertOK
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.slos[k].state
 }

@@ -247,21 +247,6 @@ func PackBudgets(budgets []int) (p uint64, n int32) {
 	return p, n
 }
 
-// UnpackBudgets reverses PackBudgets.
-func UnpackBudgets(p uint64, n int32) []int {
-	if n < 0 {
-		n = 0
-	}
-	if n > 8 {
-		n = 8
-	}
-	out := make([]int, n)
-	for i := int32(0); i < n; i++ {
-		out[i] = int((p >> (8 * uint(i))) & 0xff)
-	}
-	return out
-}
-
 // Recorder is the always-on, fixed-size span ring. Writers from any
 // goroutine append under one short mutex hold; the ring never grows, so a
 // recorder's memory footprint is fixed at construction. All methods are
@@ -391,17 +376,6 @@ func (r *Recorder) FramesCommitted() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.frames
-}
-
-// Events returns how many events have ever been written (including those
-// already overwritten by the ring).
-func (r *Recorder) Events() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.head
 }
 
 // Snapshot copies the ring's current contents, oldest first. It allocates
@@ -561,9 +535,6 @@ func (b *FrameBuilder) SetPredicted(task int, predictedMs float64) {
 		}
 	}
 }
-
-// Open reports whether a frame is currently staged.
-func (b *FrameBuilder) Open() bool { return b != nil && b.open }
 
 // Commit closes the staged frame and appends the whole group (task spans,
 // instants, then the frame root) to the ring atomically. frameIdx is the

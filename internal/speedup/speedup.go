@@ -45,15 +45,6 @@ type Timeline struct {
 	MakespanMs float64   // pipelined makespan under the recurrence
 }
 
-// Speedup returns the measured pipeline speedup: serial makespan over
-// pipelined makespan. At most 2 for a two-stage pipeline.
-func (t Timeline) Speedup() float64 {
-	if t.MakespanMs <= 0 {
-		return 1
-	}
-	return t.SerialMs / t.MakespanMs
-}
-
 // MeasureTimeline plays the window-2 schedule out over the reports' per-
 // task measured times.
 func MeasureTimeline(reports []pipeline.Report) Timeline {

@@ -85,16 +85,3 @@ func (r *RNG) Poisson(lambda float64) int {
 		k++
 	}
 }
-
-// Perm returns a random permutation of [0, n) using Fisher-Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

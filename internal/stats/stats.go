@@ -77,15 +77,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // finiteOnly returns the finite samples of xs, reusing xs when every sample
 // already is (the common case pays no copy).
 func finiteOnly(xs []float64) []float64 {
@@ -235,69 +226,6 @@ func LinearFit(xs, ys []float64) (a, b, r2 float64, err error) {
 		r2 = sxy * sxy / (sxx * syy)
 	}
 	return a, b, r2, nil
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// series — used to report how tightly predictions track actuals beyond the
-// MAPE headline.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: constant series has no correlation")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Histogram bins xs into nbins equal-width bins spanning [min, max] and
-// returns the counts and the bin edges (nbins+1 values). Values exactly at
-// max land in the last bin. NaN and Inf samples are skipped — a single
-// non-finite sample would otherwise poison the [min, max] span and with it
-// every bin edge.
-func Histogram(xs []float64, nbins int) (counts []int, edges []float64, err error) {
-	if len(xs) == 0 {
-		return nil, nil, ErrEmpty
-	}
-	if nbins < 1 {
-		return nil, nil, errors.New("stats: nbins must be >= 1")
-	}
-	xs = finiteOnly(xs)
-	if len(xs) == 0 {
-		return nil, nil, errors.New("stats: no finite samples")
-	}
-	lo, hi := Min(xs), Max(xs)
-	if hi == lo {
-		hi = lo + 1 // all mass in one bin; widen to avoid zero width
-	}
-	counts = make([]int, nbins)
-	edges = make([]float64, nbins+1)
-	width := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	for _, x := range xs {
-		idx := int((x - lo) / width)
-		if idx >= nbins {
-			idx = nbins - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		counts[idx]++
-	}
-	return counts, edges, nil
 }
 
 // Jitter summarizes the latency variability of a series the way the paper's

@@ -33,9 +33,6 @@ func (w *BitWindow) Push(b bool) {
 	}
 }
 
-// Len returns how many samples the window holds (at most BitWindowSize).
-func (w *BitWindow) Len() int { return int(w.n.Load()) }
-
 // Rate returns the fraction of true samples in the window and how many
 // samples back it; 0, 0 while the window is empty.
 func (w *BitWindow) Rate() (rate float64, samples int) {

@@ -110,7 +110,7 @@ func (c *controller) load() float64 {
 func (c *controller) directive(i, frameIdx int) Directive {
 	cores := c.mm.BudgetFor(i)
 	if cores < 1 {
-		// Zero budget is the arbiter's shed signal (SplitCores in the
+		// Zero budget is the arbiter's shed signal (the greedy division in the
 		// oversubscribed regime: more live streams than cores). Time-slice
 		// deterministically — skip alternate frames, run the others serially
 		// on one borrowed core — instead of planning against a core this

@@ -17,7 +17,7 @@ func mkController(t *testing.T, modelCores, rebalanceEvery int, skipOver float64
 	}
 	for i, d := range demands {
 		if d > 0 {
-			mm.ReportDemand(i, d)
+			mm.ReportStream(i, &sched.StreamDemand{TotalMs: d})
 		}
 	}
 	return newController(mm, modelCores, rebalanceEvery, skipOver, budgets), mm

@@ -78,7 +78,7 @@ type ServerConfig struct {
 	// shared pool size). 0 defaults to GOMAXPROCS.
 	HostWorkers int
 	// Mapper selects the core-division policy the arbiter applies at every
-	// re-division: nil is the greedy proportional baseline (SplitCores);
+	// re-division: nil is the greedy proportional baseline (GreedyMapper);
 	// internal/mapping.NewOptimizer supplies the bi-criteria Pareto
 	// optimizer, which conditions the division on each stream's reported
 	// cost profile. The serving loop processes frame-at-a-time, so only the
@@ -126,10 +126,8 @@ type ServerConfig struct {
 	// Degrade enables the per-stream degradation ladder: sustained bad
 	// frames (miss, failure, abandonment) step the pipeline down
 	// pipeline.Quality rungs, recovered streams step back up after the
-	// cool-down (see pipeline.DegraderConfig).
+	// cool-down (see pipeline.Degrader).
 	Degrade bool
-	// Degrader tunes the ladder's hysteresis (zero value = defaults).
-	Degrader pipeline.DegraderConfig
 	// Metrics, when set, enables the live telemetry layer: NewServer
 	// registers one per-stream instrument set (metrics.Accountant plus the
 	// plan-level gauges) and the global arbiter instruments on this
@@ -308,9 +306,6 @@ func NewServer(cfg ServerConfig, streams []Config) (*Server, error) {
 	}
 	if cfg.BackoffMs < 0 || math.IsNaN(cfg.BackoffMs) || cfg.MaxBackoffMs < 0 || math.IsNaN(cfg.MaxBackoffMs) {
 		return nil, fmt.Errorf("stream: BackoffMs %v / MaxBackoffMs %v must be non-negative", cfg.BackoffMs, cfg.MaxBackoffMs)
-	}
-	if err := cfg.Degrader.Validate(); err != nil {
-		return nil, fmt.Errorf("stream: %w", err)
 	}
 	if cfg.RebalanceEvery < 0 {
 		return nil, fmt.Errorf("stream: RebalanceEvery %d is negative; use 0 for the default of 4 demand reports per re-division", cfg.RebalanceEvery)
@@ -542,12 +537,7 @@ func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, te
 	r.res.Trace = tr
 
 	if cfg.Degrade {
-		deg, err := pipeline.NewDegrader(cfg.Degrader)
-		if err != nil {
-			r.res.Err = err
-			return r.res
-		}
-		r.deg = deg
+		r.deg = pipeline.NewDegrader()
 	}
 	if sc.BudgetMs > 0 {
 		r.mgr.BudgetMs = sc.BudgetMs

@@ -7,7 +7,7 @@ import (
 
 	"triplec/internal/experiments"
 	"triplec/internal/frame"
-	"triplec/internal/pipeline"
+
 	"triplec/internal/synth"
 )
 
@@ -93,7 +93,6 @@ func TestNewServerValidation(t *testing.T) {
 		{Supervise: true, RestartBudget: -1},
 		{Supervise: true, BackoffMs: -1},
 		{Supervise: true, MaxBackoffMs: math.NaN()},
-		{Degrade: true, Degrader: pipeline.DegraderConfig{MinDwell: -1}},
 	} {
 		if _, err := NewServer(bad, []Config{cfg}); err == nil {
 			t.Fatalf("invalid server config accepted: %+v", bad)

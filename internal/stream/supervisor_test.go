@@ -393,10 +393,7 @@ func TestDegradationLadder(t *testing.T) {
 			panic("burst fault")
 		}
 	})
-	srv, err := NewServer(ServerConfig{
-		Degrade:  true,
-		Degrader: pipeline.DegraderConfig{StepDownAfter: 2, StepUpAfter: 4, MinDwell: 1},
-	}, []Config{sc})
+	srv, err := NewServer(ServerConfig{Degrade: true}, []Config{sc})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,6 @@ func NewEnhancer(canvasW, canvasH int, p CostParams) *Enhancer {
 // breaks and the stack must restart).
 func (e *Enhancer) Reset() { e.acc.Reset() }
 
-// Integrated returns how many frames the current stack holds.
-func (e *Enhancer) Integrated() int { return e.acc.Frames() }
-
 // Run resamples the registered ROI onto the canvas, adds it to the temporal
 // stack and returns the running average — the enhanced view. The couple
 // anchors the resampling so the markers always land on the same canvas

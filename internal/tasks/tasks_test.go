@@ -12,6 +12,9 @@ import (
 	"triplec/internal/synth"
 )
 
+// Integrated returns how many frames the enhancer's current stack holds.
+func (e *Enhancer) Integrated() int { return e.acc.Frames() }
+
 // cleanSeq returns a low-noise 128x128 sequence whose ground truth the task
 // chain should recover reliably.
 func cleanSeq(t *testing.T, seed uint64) *synth.Sequence {
@@ -349,7 +352,7 @@ func TestRidgeResponseMatchesStoredBlur(t *testing.T) {
 	}
 	rdg := NewRidgeDetector(params())
 	for _, in := range inputs {
-		smoothed := frame.GaussianBlur(in, rdg.Sigma)
+		smoothed := frame.GaussianBlurInto(nil, in, rdg.Sigma)
 		want := make([]float64, in.Pixels())
 		wantMax := storedResponseRows(rdg, want, smoothed, 0, in.Height())
 		for k := 1; k <= 4; k++ {
