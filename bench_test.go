@@ -228,7 +228,7 @@ func BenchmarkFig7SemiAutoParallel(b *testing.B) {
 	}
 	mgr.BudgetMs = 40
 	src := experiments.Source(benchSetup.seq)
-	var obs core.FrameObs
+	var obs core.Observation
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := mgr.Step(eng, src(i%200), false, s.FramePixels(), &obs); err != nil {

@@ -126,10 +126,7 @@ func runChaos(args []string) error {
 		}
 		var gate *fault.Breaker
 		if *breaker && i < *faulted {
-			gate, err = fault.NewBreaker(fault.BreakerConfig{})
-			if err != nil {
-				return err
-			}
+			gate = fault.NewBreaker()
 			if flight != nil {
 				rec, si := flight.Recorder(), i
 				gate.OnTrip = func(task tasks.Name) {

@@ -17,7 +17,7 @@ import (
 // sequences through a scoreboard, and the cross-fold aggregate is printed
 // as text (and optionally written as JSON). The run is fully
 // deterministic: two invocations with the same flags produce byte-identical
-// reports, which CI exploits to pin reproducibility.
+// reports, and TestShadowShortReportDigest pins the -short report's bytes.
 func runShadow(args []string) error {
 	fs := flag.NewFlagSet("shadow", flag.ContinueOnError)
 	short := fs.Bool("short", false, "small corpus for smoke tests (4 sequences x 30 frames)")

@@ -125,9 +125,9 @@ func TestEndToEndThreeCsConsistency(t *testing.T) {
 		t.Fatalf("ENH footprint = %d", res.MemoryKB[tasks.NameENH])
 	}
 	// Computation predictions positive for the modeled active tasks.
-	for task, ms := range res.TaskMs {
-		if ms <= 0 {
-			t.Fatalf("%s predicted %v ms", task, ms)
+	for ti, ms := range res.Ms {
+		if res.Mask&(1<<uint(ti)) != 0 && ms <= 0 {
+			t.Fatalf("task %d predicted %v ms", ti, ms)
 		}
 	}
 }

@@ -2,14 +2,13 @@ package core
 
 import (
 	"triplec/internal/flowgraph"
-	"triplec/internal/pipeline"
 	"triplec/internal/tasks"
 )
 
 // This file defines the pluggable prediction-backend seam used by the live
 // shadow bake-off (internal/shadow): a Backend observes each executed
-// frame and forecasts the next one, exactly like the deployed Predictor,
-// but through dense allocation-free types so any number of backends can be
+// frame and forecasts the next one, exactly like the deployed Predictor and
+// on the same records, without allocating, so any number of backends can be
 // raced on the serving frame path without heap traffic. The deployed
 // EWMA+Markov predictor implements the interface via BaselineBackend; the
 // alternatives (order-2 Markov, online ridge regression, tail quantiles)
@@ -19,31 +18,9 @@ import (
 // rankings, /healthz and flight-recorder dump metadata.
 const BackendBaseline = "ewma+markov"
 
-// FrameObs is the dense, allocation-free per-frame observation fed to
-// shadow backends — the map-free mirror of Observation. TaskMs is indexed
-// by tasks.IndexOf; Mask bit i is set when task i executed this frame.
-// TotalMs is the serial-equivalent total (the sum of the per-task times),
-// which is mapping-independent — scoring against the parallel frame
-// latency would conflate prediction error with scheduling luck.
-type FrameObs struct {
-	Scenario       flowgraph.Scenario
-	AnalysisPixels int
-	EstROIPixels   int
-	FramePixels    int
-	TaskMs         [tasks.NumNames]float64
-	Mask           uint16
-	TotalMs        float64
-}
-
-// FramePrediction is one backend's dense next-frame forecast: the scenario
-// it expects and per-task times for that scenario's active set (Mask bit i
-// set when TaskMs[i] is a real prediction).
-type FramePrediction struct {
-	Scenario flowgraph.Scenario
-	TaskMs   [tasks.NumNames]float64
-	Mask     uint16
-	TotalMs  float64
-}
+// FrameObs is the observation's former name, kept because the benchmark
+// module's replay (benchmark/replay.go) still names it.
+type FrameObs = Observation
 
 // Backend is a pluggable next-frame resource predictor raced in shadow
 // mode. Implementations follow the Predictor's single-goroutine contract
@@ -55,57 +32,12 @@ type Backend interface {
 	// reports. It must be stable and unique within a raced set.
 	Name() string
 	// Observe feeds the frame just executed.
-	Observe(obs *FrameObs)
+	Observe(obs *Observation)
 	// Predict writes the forecast for the next frame into *dst.
-	Predict(dst *FramePrediction)
+	Predict(dst *Prediction)
 	// Reset clears per-sequence online state while keeping trained
 	// parameters (the Model.ResetOnline contract).
 	Reset()
-}
-
-// Dense converts the map-backed observation into its dense form.
-func (o *Observation) Dense(dst *FrameObs) {
-	*dst = FrameObs{
-		Scenario:       o.Scenario,
-		AnalysisPixels: o.AnalysisPixels,
-		EstROIPixels:   o.EstROIPixels,
-		FramePixels:    o.FramePixels,
-	}
-	for task, ms := range o.TaskMs {
-		ti := tasks.IndexOf(task)
-		if ti < 0 {
-			continue
-		}
-		dst.TaskMs[ti] = ms
-		dst.Mask |= 1 << uint(ti)
-	}
-	// Sum in dense index order, not map order: float addition is not
-	// associative at the ulp level and the reports must be byte-stable.
-	for ti := 0; ti < tasks.NumNames; ti++ {
-		if dst.Mask&(1<<uint(ti)) != 0 {
-			dst.TotalMs += dst.TaskMs[ti]
-		}
-	}
-}
-
-// DenseFromReport fills dst from a pipeline report without allocating —
-// the serving loop's entry into the shadow scoreboard.
-func DenseFromReport(rep *pipeline.Report, framePixels int, dst *FrameObs) {
-	*dst = FrameObs{
-		Scenario:       rep.Scenario,
-		AnalysisPixels: rep.AnalysisPixels,
-		EstROIPixels:   rep.ROI.Area(),
-		FramePixels:    framePixels,
-	}
-	for _, e := range rep.Execs {
-		ti := tasks.IndexOf(e.Task)
-		if ti < 0 {
-			continue
-		}
-		dst.TaskMs[ti] = e.Ms
-		dst.Mask |= 1 << uint(ti)
-		dst.TotalMs += e.Ms
-	}
 }
 
 // ScenarioTaskLists precomputes each scenario's active task set as dense
@@ -139,11 +71,10 @@ var scenarioTasks = NewScenarioTaskLists()
 // tasks.AllNames indices.
 func TaskMask(s flowgraph.Scenario) uint16 { return scenarioTasks.Masks[s.Index()] }
 
-// BaselineBackend adapts a Predictor to the Backend interface: the dense
-// observe and forecast cores the predictor's own map-based methods are built
-// on. Wrap a *clone* of the deployed predictor (Predictor.Clone): the
-// backend owns its online state, so shadow evaluation never perturbs — and
-// is never perturbed by — the instance steering the scheduler.
+// BaselineBackend adapts a Predictor to the Backend interface. Wrap a
+// *clone* of the deployed predictor (Predictor.Clone): the backend owns its
+// online state, so shadow evaluation never perturbs — and is never
+// perturbed by — the instance steering the scheduler.
 type BaselineBackend struct {
 	p *Predictor
 }
@@ -156,12 +87,12 @@ func (b *BaselineBackend) Name() string { return BackendBaseline }
 
 // Observe implements Backend: every executed task's model learns from the
 // actual time at the region size the frame actually processed.
-func (b *BaselineBackend) Observe(obs *FrameObs) { b.p.ObserveFrame(obs) }
+func (b *BaselineBackend) Observe(obs *Observation) { b.p.Observe(*obs) }
 
 // Predict implements Backend: the state table's most likely successor,
 // constrained by the ROI physics (the next frame processes an ROI exactly
 // when this frame estimated one), then one model prediction per active task.
-func (b *BaselineBackend) Predict(dst *FramePrediction) { b.p.PredictNextInto(dst) }
+func (b *BaselineBackend) Predict(dst *Prediction) { *dst = b.p.PredictNext() }
 
 // Reset implements Backend.
 func (b *BaselineBackend) Reset() { b.p.ResetOnline() }

@@ -1,12 +1,13 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"triplec/internal/flowgraph"
+	"triplec/internal/frame"
+	"triplec/internal/pipeline"
 	"triplec/internal/tasks"
 )
 
@@ -34,103 +35,89 @@ func trainTwoClones(t *testing.T) (*Predictor, *Predictor, []Observation) {
 }
 
 // TestBaselineBackendMatchesPredictNext drives a cloned predictor through
-// the map-based Observe/PredictNext loop and its twin through the dense
-// BaselineBackend, asserting the forecasts are identical at every frame —
-// the backend is PredictNext minus the allocations, not an approximation.
+// its own Observe/PredictNext loop and its twin through BaselineBackend,
+// asserting the forecasts are identical at every frame, and holds each
+// forecast to the models asked directly, summed in pipeline order.
 func TestBaselineBackendMatchesPredictNext(t *testing.T) {
 	ref, cloned, test := trainTwoClones(t)
 	backend := NewBaselineBackend(cloned)
 
-	var dense FrameObs
-	var densePred FramePrediction
+	var got Prediction
 	for i := range test {
 		// Forecast parity before observing frame i (covers the pre-first-
 		// observation worst-case path at i == 0).
 		want := ref.PredictNext()
-		backend.Predict(&densePred)
-		if densePred.Scenario != want.Scenario {
-			t.Fatalf("frame %d: scenario %v, want %v", i, densePred.Scenario, want.Scenario)
+		backend.Predict(&got)
+		if got != want {
+			t.Fatalf("frame %d: backend forecast %+v, want %+v", i, got, want)
 		}
-		if len(want.TaskMs) == 0 {
+		if want.Mask == 0 {
 			t.Fatalf("frame %d: reference forecast is empty", i)
 		}
-		// The map form is itself built on the dense core; hold it to the
-		// models asked directly, summed in pipeline order.
-		direct, asked := 0.0, 0
+		direct, asked := 0.0, uint16(0)
 		for _, task := range want.Scenario.ActiveTasks() {
 			if m, ok := ref.Models[task]; ok {
+				ti := tasks.IndexOf(task)
 				ms := m.Predict(ref.NextContext())
-				if got, ok := want.TaskMs[task]; !ok || got != ms {
-					t.Fatalf("frame %d: PredictNext[%s] = %v (%v), model says %v", i, task, got, ok, ms)
+				if want.Mask&(1<<uint(ti)) == 0 || want.Ms[ti] != ms {
+					t.Fatalf("frame %d: PredictNext[%s] = %v (mask %b), model says %v", i, task, want.Ms[ti], want.Mask, ms)
 				}
 				direct += ms
-				asked++
+				asked |= 1 << uint(ti)
 			}
 		}
-		if asked != len(want.TaskMs) || direct != want.TotalMs {
-			t.Fatalf("frame %d: PredictNext total %v over %d tasks, models say %v over %d", i, want.TotalMs, len(want.TaskMs), direct, asked)
-		}
-		for task, ms := range want.TaskMs {
-			ti := tasks.IndexOf(task)
-			if densePred.Mask&(1<<uint(ti)) == 0 {
-				t.Fatalf("frame %d: task %s missing from dense forecast", i, task)
-			}
-			if densePred.TaskMs[ti] != ms {
-				t.Fatalf("frame %d: task %s = %v, want %v", i, task, densePred.TaskMs[ti], ms)
-			}
-		}
-		if math.Abs(densePred.TotalMs-want.TotalMs) > 1e-9 {
-			t.Fatalf("frame %d: total %v, want %v", i, densePred.TotalMs, want.TotalMs)
+		if asked != want.Mask || direct != want.TotalMs {
+			t.Fatalf("frame %d: PredictNext total %v over mask %b, models say %v over %b", i, want.TotalMs, want.Mask, direct, asked)
 		}
 
 		ref.Observe(test[i])
-		test[i].Dense(&dense)
-		backend.Observe(&dense)
+		backend.Observe(&test[i])
 	}
 
 	// Reset clears online state on both paths alike.
 	backend.Reset()
 	ref.ResetOnline()
 	wc := ref.PredictNext()
-	backend.Predict(&densePred)
-	if densePred.Scenario != wc.Scenario || densePred.Scenario != flowgraph.WorstCase() {
-		t.Fatalf("post-reset scenario %v, want worst case %v", densePred.Scenario, flowgraph.WorstCase())
+	backend.Predict(&got)
+	if got.Scenario != wc.Scenario || got.Scenario != flowgraph.WorstCase() {
+		t.Fatalf("post-reset scenario %v, want worst case %v", got.Scenario, flowgraph.WorstCase())
 	}
 }
 
-// TestDenseObservation checks the map → dense conversion: mask bits, task
-// values, and a TotalMs that is the fixed-index-order sum of the task times
-// (byte-stable across calls, unlike a map-order sum).
+// TestDenseObservation checks the report → observation conversion: mask
+// bits, task values, and a TotalMs that is the fixed-index-order sum of the
+// task times whatever order the report lists them in (byte-stable across
+// calls and across execution orders).
 func TestDenseObservation(t *testing.T) {
-	obs := Observation{
+	rep := pipeline.Report{
 		Scenario:       flowgraph.WorstCase(),
 		AnalysisPixels: 1000,
-		EstROIPixels:   40,
-		FramePixels:    1000,
-		TaskMs: map[tasks.Name]float64{
-			tasks.NameRDGFull: 1.25,
-			tasks.NameCPLSSel: 0.5,
-			tasks.NameZOOM:    0.125,
+		ROI:            frame.R(0, 0, 5, 8),
+		Execs: []pipeline.TaskExec{
+			{Task: tasks.NameZOOM, Ms: 0.125},
+			{Task: tasks.NameCPLSSel, Ms: 0.5},
+			{Task: tasks.NameRDGFull, Ms: 1.25},
 		},
+	}
+	byIndex := map[int]float64{
+		tasks.IndexOf(tasks.NameRDGFull): 1.25,
+		tasks.IndexOf(tasks.NameCPLSSel): 0.5,
+		tasks.IndexOf(tasks.NameZOOM):    0.125,
 	}
 	var want float64
 	for ti := 0; ti < tasks.NumNames; ti++ {
-		want += map[int]float64{
-			tasks.IndexOf(tasks.NameRDGFull): 1.25,
-			tasks.IndexOf(tasks.NameCPLSSel): 0.5,
-			tasks.IndexOf(tasks.NameZOOM):    0.125,
-		}[ti]
+		want += byIndex[ti]
 	}
-	var d FrameObs
-	for rep := 0; rep < 32; rep++ {
-		obs.Dense(&d)
-		if d.Scenario != obs.Scenario || d.AnalysisPixels != 1000 || d.EstROIPixels != 40 {
+	var d Observation
+	for r := 0; r < 32; r++ {
+		DenseFromReport(&rep, 1000, &d)
+		if d.Scenario != rep.Scenario || d.AnalysisPixels != 1000 || d.EstROIPixels != 40 || d.FramePixels != 1000 {
 			t.Fatalf("context lost: %+v", d)
 		}
-		for _, task := range []tasks.Name{tasks.NameRDGFull, tasks.NameCPLSSel, tasks.NameZOOM} {
-			ti := tasks.IndexOf(task)
-			if d.Mask&(1<<uint(ti)) == 0 || d.TaskMs[ti] != obs.TaskMs[task] {
-				t.Fatalf("task %s lost: mask=%b ms=%v", task, d.Mask, d.TaskMs[ti])
+		for ti := 0; ti < tasks.NumNames; ti++ {
+			ms, ran := byIndex[ti]
+			if (d.Mask&(1<<uint(ti)) != 0) != ran || d.Ms[ti] != ms {
+				t.Fatalf("task %d: mask=%b ms=%v, want ran=%v ms=%v", ti, d.Mask, d.Ms[ti], ran, ms)
 			}
 		}
 		if d.TotalMs != want {
@@ -145,12 +132,10 @@ func TestDenseObservation(t *testing.T) {
 func TestBaselineBackendAllocFree(t *testing.T) {
 	_, cloned, test := trainTwoClones(t)
 	backend := NewBaselineBackend(cloned)
-	var dense FrameObs
-	var pred FramePrediction
-	test[0].Dense(&dense)
-	backend.Observe(&dense) // prime past the worst-case branch
+	var pred Prediction
+	backend.Observe(&test[0]) // prime past the worst-case branch
 	allocs := testing.AllocsPerRun(200, func() {
-		backend.Observe(&dense)
+		backend.Observe(&test[0])
 		backend.Predict(&pred)
 	})
 	if allocs != 0 {
@@ -209,14 +194,13 @@ func TestAppendSuccessorsMatchesSort(t *testing.T) {
 func TestPredictorFrameCycleAllocFree(t *testing.T) {
 	p, _, test := trainTwoClones(t)
 	p.Observe(test[0])
-	var pred FramePrediction
 	var ms [tasks.NumNames]float64
 	var succ [8]flowgraph.Scenario
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		i++
 		p.Observe(test[i%len(test)])
-		p.PredictNextInto(&pred)
+		_ = p.PredictNext()
 		last, _ := p.LastScenario()
 		mask := TaskMask(p.ConstrainScenario(flowgraph.WorstCase()))
 		for _, s := range p.Scenarios.AppendSuccessors(succ[:0], last, 0.04) {
@@ -235,17 +219,12 @@ func TestPredictorFrameCycleAllocFree(t *testing.T) {
 func TestObserveKeepsNoAlias(t *testing.T) {
 	p, _, test := trainTwoClones(t)
 	obs := test[3]
-	obs.TaskMs = map[tasks.Name]float64{}
-	for task, ms := range test[3].TaskMs {
-		obs.TaskMs[task] = ms
-	}
 	p.Observe(obs)
 	want := p.PredictNext()
 	wantCtx := p.NextContext()
-	clear(obs.TaskMs)
+	obs.Ms, obs.Mask = [tasks.NumNames]float64{}, 0
 	obs.Scenario, obs.EstROIPixels, obs.FramePixels = flowgraph.Scenario{ROIKnown: true}, 7, 9
-	got := p.PredictNext()
-	if got.Scenario != want.Scenario || got.TotalMs != want.TotalMs || p.NextContext() != wantCtx {
+	if got := p.PredictNext(); got != want || p.NextContext() != wantCtx {
 		t.Fatalf("forecast moved with the caller's observation: %+v -> %+v", want, got)
 	}
 }

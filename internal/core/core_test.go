@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -383,54 +384,75 @@ func TestFromReportsCarriesFields(t *testing.T) {
 		if o.AnalysisPixels <= 0 {
 			t.Fatalf("frame %d: AnalysisPixels missing", i)
 		}
-		if o.TotalMs <= 0 || len(o.TaskMs) == 0 {
+		if o.TotalMs <= 0 || o.LatencyMs <= 0 || o.Mask == 0 {
 			t.Fatalf("frame %d: timing missing", i)
 		}
 	}
 }
 
-// TestFromReportsFields: every report field lands in its observation, and
-// one report's task entries never leak into the next observation's map.
+// TestFromReportsFields: every report field lands in its observation, one
+// report's task entries never leak into the next observation, and the two
+// totals stay apart. The first report is striped and states a latency below
+// its task sum, as a mapping that overlaps tasks would: TotalMs must be
+// Σ Execs[].Ms and LatencyMs the report's own latency.
 func TestFromReportsFields(t *testing.T) {
 	reports := []pipeline.Report{
 		{
-			Scenario: flowgraph.WorstCase(), AnalysisPixels: 4096, ROI: frame.R(3, 4, 13, 24), LatencyMs: 31.5,
-			Execs: []pipeline.TaskExec{{Task: tasks.NameRDGFull, Ms: 20}, {Task: tasks.NameMKXExt, Ms: 7}, {Task: tasks.NameENH, Ms: 4.5}},
+			Scenario: flowgraph.WorstCase(), AnalysisPixels: 4096, ROI: frame.R(3, 4, 13, 24), LatencyMs: 21.5,
+			Execs: []pipeline.TaskExec{
+				{Task: tasks.NameRDGFull, Ms: 20, Stripes: 2},
+				{Task: tasks.NameMKXExt, Ms: 7, Stripes: 1},
+				{Task: tasks.NameENH, Ms: 4.5, Stripes: 4},
+			},
 		},
 		{
 			Scenario: flowgraph.Scenario{ROIKnown: true}, AnalysisPixels: 200, LatencyMs: 2.5,
-			Execs: []pipeline.TaskExec{{Task: tasks.NameMKXExt, Ms: 2.5}},
+			Execs: []pipeline.TaskExec{{Task: tasks.NameMKXExt, Ms: 2.5, Stripes: 1}},
 		},
 	}
 	want := []Observation{
-		{
-			Scenario: flowgraph.WorstCase(), AnalysisPixels: 4096, EstROIPixels: 200, FramePixels: 128 * 128, TotalMs: 31.5,
-			TaskMs: map[tasks.Name]float64{tasks.NameRDGFull: 20, tasks.NameMKXExt: 7, tasks.NameENH: 4.5},
-		},
-		{
-			Scenario: flowgraph.Scenario{ROIKnown: true}, AnalysisPixels: 200, FramePixels: 128 * 128, TotalMs: 2.5,
-			TaskMs: map[tasks.Name]float64{tasks.NameMKXExt: 2.5},
-		},
+		{Scenario: flowgraph.WorstCase(), AnalysisPixels: 4096, EstROIPixels: 200, FramePixels: 128 * 128, TotalMs: 31.5, LatencyMs: 21.5},
+		{Scenario: flowgraph.Scenario{ROIKnown: true}, AnalysisPixels: 200, FramePixels: 128 * 128, TotalMs: 2.5, LatencyMs: 2.5},
 	}
-	if got := FromReports(reports, 128*128); !reflect.DeepEqual(got, want) {
+	for i := range reports {
+		for _, e := range reports[i].Execs {
+			ti := tasks.IndexOf(e.Task)
+			want[i].Ms[ti] = e.Ms
+			want[i].Mask |= 1 << uint(ti)
+		}
+	}
+	got := FromReports(reports, 128*128)
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("FromReports = %+v, want %+v", got, want)
+	}
+	striped := &got[0]
+	sum := 0.0
+	for _, e := range reports[0].Execs {
+		sum += e.Ms
+	}
+	if striped.TotalMs != sum || striped.LatencyMs != reports[0].LatencyMs || striped.TotalMs == striped.LatencyMs {
+		t.Fatalf("striped frame: TotalMs %v (Σ Execs %v), LatencyMs %v (report %v); the totals must differ",
+			striped.TotalMs, sum, striped.LatencyMs, reports[0].LatencyMs)
 	}
 }
 
 // TestDenseFromReportMatchesObservationDense: the serving commit path fills
-// one dense record straight from the report and feeds it to the manager and
-// the shadow board; it must equal the map observation's dense form on every
-// field Predictor.ObserveFrame and the board read, bit for bit, on real
-// engine reports (every scenario the sequence visits).
+// one observation straight from the report, and the training corpus comes
+// from FromReports over the same reports; the two must agree bit for bit on
+// real engine reports (every scenario the sequence visits). On the engine's
+// own reports the stated latency is the task sum in execution order, which
+// is task-index order, so TotalMs equals it exactly.
 func TestDenseFromReportMatchesObservationDense(t *testing.T) {
 	reports := profile(t, 3131, 120)
 	scenarios := map[flowgraph.Scenario]bool{}
-	for i, o := range FromReports(reports, 128*128) {
-		var want, got FrameObs
-		o.Dense(&want)
+	for i, want := range FromReports(reports, 128*128) {
+		var got Observation
 		DenseFromReport(&reports[i], 128*128, &got)
-		if got != want {
-			t.Fatalf("frame %d: DenseFromReport %+v, Observation.Dense %+v", i, got, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: DenseFromReport %+v, FromReports %+v", i, got, want)
+		}
+		if got.TotalMs != reports[i].LatencyMs || got.LatencyMs != reports[i].LatencyMs {
+			t.Fatalf("frame %d: TotalMs %v, LatencyMs %v, report latency %v", i, got.TotalMs, got.LatencyMs, reports[i].LatencyMs)
 		}
 		scenarios[got.Scenario] = true
 	}
@@ -484,7 +506,7 @@ func TestEvaluatePerTask(t *testing.T) {
 
 func TestCrossValidate(t *testing.T) {
 	seqs := trainSets(t, 4, 50)
-	cv, err := CrossValidate(seqs, 4, TrainConfig{}, 3)
+	cv, err := CrossValidate(seqs, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,10 +526,10 @@ func TestCrossValidate(t *testing.T) {
 
 func TestCrossValidateValidation(t *testing.T) {
 	seqs := trainSets(t, 2, 30)
-	if _, err := CrossValidate(seqs, 1, TrainConfig{}, 1); err == nil {
+	if _, err := CrossValidate(seqs, 1, 1); err == nil {
 		t.Fatal("k=1 accepted")
 	}
-	if _, err := CrossValidate(seqs, 5, TrainConfig{}, 1); err == nil {
+	if _, err := CrossValidate(seqs, 5, 1); err == nil {
 		t.Fatal("more folds than sequences accepted")
 	}
 }
@@ -555,7 +577,6 @@ func TestPredictorContextAccessors(t *testing.T) {
 		Scenario:     flowgraph.WorstCase(),
 		EstROIPixels: 4000,
 		FramePixels:  128 * 128,
-		TaskMs:       map[tasks.Name]float64{},
 	}
 	p.Observe(obs)
 	if s, ok := p.LastScenario(); !ok || s != flowgraph.WorstCase() {
@@ -577,17 +598,18 @@ func TestPredictTasksFor(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ResetOnline()
-	full := p.PredictTasksFor(flowgraph.WorstCase(), Context{ROIPixels: 128 * 128})
-	if len(full) < 7 {
-		t.Fatalf("worst case predicted only %d tasks", len(full))
+	var full, best [tasks.NumNames]float64
+	fullMask, _ := p.PredictTasksInto(TaskMask(flowgraph.WorstCase()), Context{ROIPixels: 128 * 128}, &full)
+	if n := bits.OnesCount16(fullMask); n < 7 {
+		t.Fatalf("worst case predicted only %d tasks", n)
 	}
-	best := p.PredictTasksFor(flowgraph.Scenario{ROIKnown: true}, Context{ROIPixels: 4000})
-	if len(best) >= len(full) {
+	bestMask, _ := p.PredictTasksInto(TaskMask(flowgraph.Scenario{ROIKnown: true}), Context{ROIPixels: 4000}, &best)
+	if bits.OnesCount16(bestMask) >= bits.OnesCount16(fullMask) {
 		t.Fatal("best case must predict fewer tasks")
 	}
-	for task, ms := range full {
-		if ms < 0 {
-			t.Fatalf("%s predicted %v", task, ms)
+	for ti, ms := range full {
+		if ms < 0 || (fullMask&(1<<uint(ti)) == 0 && ms != 0) {
+			t.Fatalf("task %d predicted %v (mask %b)", ti, ms, fullMask)
 		}
 	}
 }

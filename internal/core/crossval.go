@@ -24,8 +24,21 @@ type CVSummary struct {
 	WorstAcc float64 // the weakest fold
 }
 
+// SplitFold is the k-fold split of every cross-validation here: the
+// sequences with index ≡ fold (mod k) are the test set, the rest train.
+func SplitFold(sequences [][]Observation, k, fold int) (train, test [][]Observation) {
+	for i, seq := range sequences {
+		if i%k == fold {
+			test = append(test, seq)
+		} else {
+			train = append(train, seq)
+		}
+	}
+	return train, test
+}
+
 // CrossValidate requires at least k sequences (one per fold), k >= 2.
-func CrossValidate(sequences [][]Observation, k int, cfg TrainConfig, warmup int) (CVSummary, error) {
+func CrossValidate(sequences [][]Observation, k, warmup int) (CVSummary, error) {
 	if k < 2 {
 		return CVSummary{}, errors.New("core: need at least 2 folds")
 	}
@@ -35,15 +48,8 @@ func CrossValidate(sequences [][]Observation, k int, cfg TrainConfig, warmup int
 	var out CVSummary
 	var accs []float64
 	for fold := 0; fold < k; fold++ {
-		var train, test [][]Observation
-		for i, seq := range sequences {
-			if i%k == fold {
-				test = append(test, seq)
-			} else {
-				train = append(train, seq)
-			}
-		}
-		p, err := Train(train, cfg)
+		train, test := SplitFold(sequences, k, fold)
+		p, err := Train(train, TrainConfig{})
 		if err != nil {
 			return CVSummary{}, fmt.Errorf("core: fold %d: %w", fold, err)
 		}

@@ -13,7 +13,7 @@ type DemandSource interface {
 	// reports whether a usable forecast exists. Returning false tells the
 	// manager to fall back to its own predictor (the rollback path and the
 	// cold-start path are the same branch).
-	DemandInto(dst *FramePrediction) bool
+	DemandInto(dst *Prediction) bool
 	// SourceName identifies the backend behind the forecast for /healthz
 	// and dump metadata.
 	SourceName() string

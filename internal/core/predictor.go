@@ -15,34 +15,72 @@ import (
 	"triplec/internal/tasks"
 )
 
-// Observation is the per-frame training/online input of the predictor,
-// extracted from a pipeline report.
+// Observation is the per-frame record of one executed frame: the
+// predictor's training and evaluation input and the online feedback of the
+// runtime manager and the shadow backends alike. Ms is indexed by
+// tasks.IndexOf; Mask bit i is set when task i executed this frame.
 type Observation struct {
 	Scenario       flowgraph.Scenario
 	AnalysisPixels int // region the analysis tasks processed this frame
 	EstROIPixels   int // ROI estimated this frame (0 if none) — next frame's region
 	FramePixels    int // full-frame pixel count
-	TaskMs         map[tasks.Name]float64
-	TotalMs        float64
+	Ms             [tasks.NumNames]float64
+	Mask           uint16
+	// TotalMs is the task times summed in task-index order: the quantity a
+	// forecast's TotalMs predicts, and what the shadow scoreboard scores.
+	TotalMs float64
+	// LatencyMs is the frame latency the report states — what the latency
+	// budget and the Section 7 accuracy are judged on. The engine reports
+	// the task times summed in execution order, so on its reports the two
+	// totals agree up to rounding.
+	LatencyMs float64
+
+	// Deprecated: TaskMs is always nil; read Ms[tasks.IndexOf(task)]. It
+	// remains only because the benchmark module's replay (benchmark/replay.go)
+	// indexes it by task name and must keep compiling until it changes.
+	TaskMs map[tasks.Name]float64
 }
 
-// FromReports converts pipeline reports (serial mapping) into observations.
+// Prediction is a next-frame forecast: the scenario expected and per-task
+// times for that scenario's active set (Mask bit i set when Ms[i] is a real
+// prediction), summed into TotalMs in task-index order.
+type Prediction struct {
+	Scenario flowgraph.Scenario
+	Ms       [tasks.NumNames]float64
+	Mask     uint16
+	TotalMs  float64
+}
+
+// DenseFromReport fills dst from a pipeline report without allocating. It
+// is the one place a report becomes an observation: on the serving commit
+// path and, through FromReports, for the training corpus.
+func DenseFromReport(rep *pipeline.Report, framePixels int, dst *Observation) {
+	*dst = Observation{
+		Scenario:       rep.Scenario,
+		AnalysisPixels: rep.AnalysisPixels,
+		EstROIPixels:   rep.ROI.Area(),
+		FramePixels:    framePixels,
+		LatencyMs:      rep.LatencyMs,
+	}
+	for _, e := range rep.Execs {
+		if ti := tasks.IndexOf(e.Task); ti >= 0 {
+			dst.Ms[ti] = e.Ms
+			dst.Mask |= 1 << uint(ti)
+		}
+	}
+	// Sum in task-index order whatever order the tasks ran in: float
+	// addition is not associative at the ulp level and the reports must be
+	// byte-stable. Entries of tasks that did not run are zero.
+	for _, ms := range dst.Ms {
+		dst.TotalMs += ms
+	}
+}
+
+// FromReports converts pipeline reports into observations.
 func FromReports(reports []pipeline.Report, framePixels int) []Observation {
 	out := make([]Observation, len(reports))
 	for i := range reports {
-		r := &reports[i]
-		taskMs := make(map[tasks.Name]float64, len(r.Execs))
-		for _, e := range r.Execs {
-			taskMs[e.Task] = e.Ms
-		}
-		out[i] = Observation{
-			Scenario:       r.Scenario,
-			AnalysisPixels: r.AnalysisPixels,
-			EstROIPixels:   r.ROI.Area(),
-			FramePixels:    framePixels,
-			TaskMs:         taskMs,
-			TotalMs:        r.LatencyMs,
-		}
+		DenseFromReport(&reports[i], framePixels, &out[i])
 	}
 	return out
 }
@@ -111,34 +149,25 @@ func (t *ScenarioTable) MostLikelyNext(from flowgraph.Scenario) flowgraph.Scenar
 	return best
 }
 
-// TrainConfig tunes predictor training.
-type TrainConfig struct {
-	// Alpha is the EWMA smoothing factor (Eq. 1); default 0.15.
-	Alpha float64
-	// MaxStates caps the Markov state count (Table 2a uses 10); default 10.
-	MaxStates int
-	// OnlineTraining lets the deployed models keep counting transitions
-	// (the paper's profiling feedback loop).
-	OnlineTraining bool
-}
+// TrainConfig is the predictor's training configuration. It has no fields:
+// training uses the paper's constants Alpha and MaxStates.
+type TrainConfig struct{}
 
-func (c TrainConfig) withDefaults() TrainConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 0.15
-	}
-	if c.MaxStates == 0 {
-		c.MaxStates = 10
-	}
-	return c
-}
+// The paper's training constants: the Eq. 1 EWMA smoothing factor and the
+// Markov state cap of Table 2a.
+const (
+	Alpha     = 0.15
+	MaxStates = 10
+)
 
 // MetricsSink receives the predictor's per-frame prediction-vs-actual
 // samples: for every executed frame, one TaskSample per task that was both
-// predicted and executed, then one ScenarioSample comparing the state
-// table's forecast with the scenario that actually ran. Implementations
-// must be cheap and allocation-free — the samples fire on the frame path.
+// predicted and executed (task is its tasks.IndexOf index), then one
+// ScenarioSample comparing the state table's forecast with the scenario that
+// actually ran. Implementations must be cheap and allocation-free — the
+// samples fire on the frame path.
 type MetricsSink interface {
-	TaskSample(task tasks.Name, predictedMs, actualMs float64)
+	TaskSample(task int, predictedMs, actualMs float64)
 	ScenarioSample(predicted, actual flowgraph.Scenario)
 }
 
@@ -147,7 +176,6 @@ type Predictor struct {
 	Models    map[tasks.Name]Model
 	Scenarios *ScenarioTable
 
-	cfg      TrainConfig
 	rdgChain *EWMAMarkovModel // kept for Table 2a access
 
 	// dense holds Models by tasks.IndexOf (nil: no model), filled once by
@@ -155,7 +183,7 @@ type Predictor struct {
 	dense [tasks.NumNames]Model
 
 	// What the forecasts read of the last observed frame, by value: the
-	// caller's Observation (and its TaskMs map) may be refilled per frame.
+	// caller's Observation may be refilled per frame.
 	last struct {
 		scenario     flowgraph.Scenario
 		estROIPixels int
@@ -164,7 +192,7 @@ type Predictor struct {
 	seen bool
 
 	sink     MetricsSink
-	lastPred FramePrediction // most recent next-frame forecast, for error accounting
+	lastPred Prediction // most recent next-frame forecast, for error accounting
 	havePred bool
 }
 
@@ -178,61 +206,76 @@ func (p *Predictor) indexModels() {
 	}
 }
 
-// Train fits all models from one or more observation sequences (the paper
-// trains on 37 sequences totalling 1,921 frames).
-func Train(sequences [][]Observation, cfg TrainConfig) (*Predictor, error) {
-	cfg = cfg.withDefaults()
-	if len(sequences) == 0 {
-		return nil, errors.New("core: no training sequences")
-	}
+// Corpus is a training set grouped the way every trainer reads it, by
+// tasks.IndexOf: per-sequence time series of the data-dependent tasks
+// (RDG FULL, CPLS SEL, GW EXT), pooled samples of the constant tasks, and
+// the (analysis pixels, ms) pairs of RDG ROI for the Eq. 3 growth fit.
+type Corpus struct {
+	Series     [tasks.NumNames][][]float64
+	Samples    [tasks.NumNames][]float64
+	ROIX, ROIY []float64
+}
 
-	// Gather per-sequence series for the data-dependent tasks and pooled
-	// samples for the constant tasks.
-	perTaskSeries := map[tasks.Name][][]float64{}
-	constSamples := map[tasks.Name][]float64{}
-	var roiX, roiY []float64 // (analysis pixels, ms) pairs for Eq. 3
-	table := &ScenarioTable{}
-
+// GroupCorpus groups training sequences into a Corpus.
+func GroupCorpus(sequences [][]Observation) *Corpus {
+	c := &Corpus{}
 	for _, seq := range sequences {
-		cur := map[tasks.Name][]float64{}
-		for i, obs := range seq {
-			if i > 0 {
-				table.Add(seq[i-1].Scenario, obs.Scenario)
-			}
-			for task, ms := range obs.TaskMs {
-				switch task {
+		var cur [tasks.NumNames][]float64
+		for i := range seq {
+			obs := &seq[i]
+			for ti, ms := range obs.Ms {
+				if obs.Mask&(1<<uint(ti)) == 0 {
+					continue
+				}
+				switch allNames[ti] {
 				case tasks.NameRDGFull, tasks.NameCPLSSel, tasks.NameGWExt:
-					cur[task] = append(cur[task], ms)
+					cur[ti] = append(cur[ti], ms)
 				case tasks.NameRDGROI:
-					roiX = append(roiX, float64(obs.AnalysisPixels))
-					roiY = append(roiY, ms)
+					c.ROIX = append(c.ROIX, float64(obs.AnalysisPixels))
+					c.ROIY = append(c.ROIY, ms)
 				default:
-					constSamples[task] = append(constSamples[task], ms)
+					c.Samples[ti] = append(c.Samples[ti], ms)
 				}
 			}
 		}
-		for task, s := range cur {
-			perTaskSeries[task] = append(perTaskSeries[task], s)
+		for ti, s := range cur {
+			if len(s) > 0 {
+				c.Series[ti] = append(c.Series[ti], s)
+			}
 		}
 	}
+	return c
+}
 
+// Train fits all models from one or more observation sequences (the paper
+// trains on 37 sequences totalling 1,921 frames).
+func Train(sequences [][]Observation, _ TrainConfig) (*Predictor, error) {
+	if len(sequences) == 0 {
+		return nil, errors.New("core: no training sequences")
+	}
+	c := GroupCorpus(sequences)
+	table := &ScenarioTable{}
+	for _, seq := range sequences {
+		for i := 1; i < len(seq); i++ {
+			table.Add(seq[i-1].Scenario, seq[i].Scenario)
+		}
+	}
 	p := &Predictor{
 		Models:    map[tasks.Name]Model{},
 		Scenarios: table,
-		cfg:       cfg,
 	}
 
 	// EWMA + Markov models. The ridge chain is trained on the union of the
 	// RDG FULL residuals and the detrended RDG ROI residuals — the paper
 	// generates "a single Markov chain for the ridge-detection task".
-	rdgSeries := perTaskSeries[tasks.NameRDGFull]
+	rdgSeries := c.Series[tasks.IndexOf(tasks.NameRDGFull)]
 	var rdgGrowth ewma.LinearGrowth
-	haveROI := len(roiX) >= 2
+	haveROI := len(c.ROIX) >= 2
 	if haveROI {
-		g, err := ewma.FitLinearGrowth(roiX, roiY)
+		g, err := ewma.FitLinearGrowth(c.ROIX, c.ROIY)
 		if err == nil {
 			rdgGrowth = g
-			detrended, err := g.Detrend(roiX, roiY)
+			detrended, err := g.Detrend(c.ROIX, c.ROIY)
 			if err == nil {
 				rdgSeries = append(rdgSeries, detrendedToSeries(detrended)...)
 			}
@@ -241,11 +284,10 @@ func Train(sequences [][]Observation, cfg TrainConfig) (*Predictor, error) {
 		}
 	}
 	if len(rdgSeries) > 0 {
-		m, err := NewEWMAMarkovModel(rdgSeries, cfg.Alpha, cfg.MaxStates, "RDG")
+		m, err := NewEWMAMarkovModel(rdgSeries, Alpha, MaxStates, "RDG")
 		if err != nil {
 			return nil, fmt.Errorf("core: RDG model: %w", err)
 		}
-		m.OnlineTraining = cfg.OnlineTraining
 		p.Models[tasks.NameRDGFull] = m
 		p.rdgChain = m
 		if haveROI {
@@ -253,7 +295,6 @@ func Train(sequences [][]Observation, cfg TrainConfig) (*Predictor, error) {
 			if err != nil {
 				return nil, err
 			}
-			lm.OnlineTraining = cfg.OnlineTraining
 			p.Models[tasks.NameRDGROI] = lm
 		}
 	}
@@ -261,21 +302,23 @@ func Train(sequences [][]Observation, cfg TrainConfig) (*Predictor, error) {
 		tasks.NameCPLSSel: "CPLS",
 		tasks.NameGWExt:   "GW",
 	} {
-		if series := perTaskSeries[task]; len(series) > 0 {
-			m, err := NewEWMAMarkovModel(series, cfg.Alpha, cfg.MaxStates, label)
+		if series := c.Series[tasks.IndexOf(task)]; len(series) > 0 {
+			m, err := NewEWMAMarkovModel(series, Alpha, MaxStates, label)
 			if err != nil {
 				return nil, fmt.Errorf("core: %s model: %w", task, err)
 			}
-			m.OnlineTraining = cfg.OnlineTraining
 			p.Models[task] = m
 		}
 	}
-	for task, samples := range constSamples {
+	for ti, samples := range c.Samples {
+		if len(samples) == 0 {
+			continue
+		}
 		m, err := NewConstantModel(samples)
 		if err != nil {
-			return nil, fmt.Errorf("core: %s model: %w", task, err)
+			return nil, fmt.Errorf("core: %s model: %w", allNames[ti], err)
 		}
-		p.Models[task] = m
+		p.Models[allNames[ti]] = m
 	}
 	if len(p.Models) == 0 {
 		return nil, errors.New("core: training produced no models")
@@ -317,20 +360,13 @@ func (p *Predictor) SetMetricsSink(s MetricsSink) {
 // the most recent PredictNext forecast — the paper's profiling step
 // ("statistical information of the differences between the actually
 // consumed resources and the predicted values") made observable live.
+// Samples reach the sink in task-index order; nothing allocates.
 func (p *Predictor) Observe(obs Observation) {
-	var dense FrameObs
-	obs.Dense(&dense)
-	p.ObserveFrame(&dense)
-}
-
-// ObserveFrame is Observe for the dense observation form — the
-// allocation-free core. Samples reach the sink in task-index order.
-func (p *Predictor) ObserveFrame(obs *FrameObs) {
 	if p.sink != nil && p.havePred {
 		scored := obs.Mask & p.lastPred.Mask
-		for ti, task := range allNames {
+		for ti := range obs.Ms {
 			if scored&(1<<uint(ti)) != 0 {
-				p.sink.TaskSample(task, p.lastPred.TaskMs[ti], obs.TaskMs[ti])
+				p.sink.TaskSample(ti, p.lastPred.Ms[ti], obs.Ms[ti])
 			}
 		}
 		p.sink.ScenarioSample(p.lastPred.Scenario, obs.Scenario)
@@ -339,50 +375,30 @@ func (p *Predictor) ObserveFrame(obs *FrameObs) {
 	ctx := Context{ROIPixels: obs.AnalysisPixels}
 	for ti, m := range p.dense {
 		if m != nil && obs.Mask&(1<<uint(ti)) != 0 {
-			m.Observe(ctx, obs.TaskMs[ti])
+			m.Observe(ctx, obs.Ms[ti])
 		}
 	}
 	p.last.scenario, p.last.estROIPixels, p.last.framePixels = obs.Scenario, obs.EstROIPixels, obs.FramePixels
 	p.seen = true
 }
 
-// Prediction is the Triple-C forecast for the next frame.
-type Prediction struct {
-	Scenario flowgraph.Scenario
-	TaskMs   map[tasks.Name]float64
-	TotalMs  float64
-}
-
 // PredictNext forecasts the next frame's scenario and per-task computation
 // times from everything observed so far. Before any observation it assumes
-// the worst-case scenario at full granularity.
+// the worst-case scenario at full granularity. Per-task times are in
+// task-index order, which is the scenario's pipeline order, so TotalMs sums
+// the same terms in the same order.
 func (p *Predictor) PredictNext() Prediction {
-	var dense FramePrediction
-	p.PredictNextInto(&dense)
-	pred := Prediction{Scenario: dense.Scenario, TaskMs: map[tasks.Name]float64{}, TotalMs: dense.TotalMs}
-	for ti, task := range allNames {
-		if dense.Mask&(1<<uint(ti)) != 0 {
-			pred.TaskMs[task] = dense.TaskMs[ti]
-		}
-	}
-	return pred
-}
-
-// PredictNextInto is the allocation-free PredictNext: it writes the forecast
-// into *dst, per-task times in dense task-index order (which is the
-// scenario's pipeline order, so TotalMs sums the same terms in the same
-// order).
-func (p *Predictor) PredictNextInto(dst *FramePrediction) {
-	*dst = FramePrediction{Scenario: flowgraph.WorstCase()}
+	pred := Prediction{Scenario: flowgraph.WorstCase()}
 	if p.seen {
-		dst.Scenario = p.ConstrainScenario(p.Scenarios.MostLikelyNext(p.last.scenario))
+		pred.Scenario = p.ConstrainScenario(p.Scenarios.MostLikelyNext(p.last.scenario))
 	}
-	dst.Mask, dst.TotalMs = p.PredictTasksInto(TaskMask(dst.Scenario), p.NextContext(), &dst.TaskMs)
+	pred.Mask, pred.TotalMs = p.PredictTasksInto(TaskMask(pred.Scenario), p.NextContext(), &pred.Ms)
 	if p.sink != nil {
 		// Remember the forecast so the next Observe can score it.
-		p.lastPred = *dst
+		p.lastPred = pred
 		p.havePred = true
 	}
+	return pred
 }
 
 // ConstrainScenario forces the physically determined part of a candidate
@@ -416,20 +432,6 @@ func (p *Predictor) NextContext() Context {
 	return Context{ROIPixels: p.last.framePixels}
 }
 
-// PredictTasksFor returns per-task predictions for one scenario's active
-// task set under the given context.
-func (p *Predictor) PredictTasksFor(s flowgraph.Scenario, ctx Context) map[tasks.Name]float64 {
-	var ms [tasks.NumNames]float64
-	mask, _ := p.PredictTasksInto(TaskMask(s), ctx, &ms)
-	out := map[tasks.Name]float64{}
-	for ti, task := range allNames {
-		if mask&(1<<uint(ti)) != 0 {
-			out[task] = ms[ti]
-		}
-	}
-	return out
-}
-
 // PredictTasksInto predicts every task of the set `mask` (bit i: task i of
 // tasks.AllNames) that has a model, under the current online state. It
 // writes the times into dst — entries outside the returned mask are zeroed —
@@ -451,19 +453,6 @@ func (p *Predictor) PredictTasksInto(mask uint16, ctx Context, dst *[tasks.NumNa
 	return predicted, totalMs
 }
 
-// PredictForTasks predicts the summed execution time of a given task set
-// under the current online state — the quantity Fig. 7's "prediction model"
-// curve plots for the tasks that actually execute.
-func (p *Predictor) PredictForTasks(taskSet []tasks.Name, ctx Context) float64 {
-	total := 0.0
-	for _, task := range taskSet {
-		if m, ok := p.Models[task]; ok {
-			total += m.Predict(ctx)
-		}
-	}
-	return total
-}
-
 // Accuracy summarizes prediction quality the way the paper's Section 7
 // reports it. Mean and WorstExcursion score the resource models against the
 // tasks that actually executed (the Fig. 7 prediction curve); the paper's
@@ -480,34 +469,34 @@ type Accuracy struct {
 
 // Evaluate replays test sequences through the trained predictor (online
 // state reset per sequence) and scores next-frame predictions against the
-// actual totals. The first warmup frames of each sequence are excluded.
+// latencies the frames achieved. The first warmup frames of each sequence
+// are excluded.
 func (p *Predictor) Evaluate(sequences [][]Observation, warmup int) (Accuracy, error) {
 	if warmup < 1 {
 		warmup = 1
 	}
 	var condPred, uncondPred, actual []float64
+	var ms [tasks.NumNames]float64
 	hits, total := 0, 0
 	for _, seq := range sequences {
 		p.ResetOnline()
-		for i, obs := range seq {
+		for i := range seq {
+			obs := &seq[i]
 			if i >= warmup {
 				pr := p.PredictNext()
 				// Conditional: the models applied to the tasks that actually
-				// ran, at the region size they actually processed.
-				taskSet := make([]tasks.Name, 0, len(obs.TaskMs))
-				for task := range obs.TaskMs {
-					taskSet = append(taskSet, task)
-				}
-				cond := p.PredictForTasks(taskSet, Context{ROIPixels: obs.AnalysisPixels})
+				// ran, at the region size they actually processed — the
+				// Fig. 7 prediction curve.
+				_, cond := p.PredictTasksInto(obs.Mask, Context{ROIPixels: obs.AnalysisPixels}, &ms)
 				condPred = append(condPred, cond)
 				uncondPred = append(uncondPred, pr.TotalMs)
-				actual = append(actual, obs.TotalMs)
+				actual = append(actual, obs.LatencyMs)
 				if pr.Scenario == obs.Scenario {
 					hits++
 				}
 				total++
 			}
-			p.Observe(obs)
+			p.Observe(*obs)
 		}
 	}
 	if len(actual) == 0 {
@@ -548,43 +537,43 @@ func (p *Predictor) EvaluatePerTask(sequences [][]Observation, warmup int) ([]Ta
 	if warmup < 1 {
 		warmup = 1
 	}
-	preds := map[tasks.Name][]float64{}
-	acts := map[tasks.Name][]float64{}
+	var preds, acts [tasks.NumNames][]float64
+	sampled := false
 	for _, seq := range sequences {
 		p.ResetOnline()
-		for i, obs := range seq {
+		for i := range seq {
+			obs := &seq[i]
 			if i >= warmup {
 				ctx := Context{ROIPixels: obs.AnalysisPixels}
-				for task, actual := range obs.TaskMs {
-					m, ok := p.Models[task]
-					if !ok {
+				for ti, m := range p.dense {
+					if m == nil || obs.Mask&(1<<uint(ti)) == 0 {
 						continue
 					}
-					preds[task] = append(preds[task], m.Predict(ctx))
-					acts[task] = append(acts[task], actual)
+					preds[ti] = append(preds[ti], m.Predict(ctx))
+					acts[ti] = append(acts[ti], obs.Ms[ti])
+					sampled = true
 				}
 			}
-			p.Observe(obs)
+			p.Observe(*obs)
 		}
 	}
-	if len(acts) == 0 {
+	if !sampled {
 		return nil, errors.New("core: no frames to evaluate")
 	}
 	var out []TaskAccuracy
-	for _, task := range tasks.AllNames() {
-		a := acts[task]
+	for ti, a := range acts {
 		if len(a) == 0 {
 			continue
 		}
-		mape, err := stats.MeanAbsPercentError(preds[task], a)
+		mape, err := stats.MeanAbsPercentError(preds[ti], a)
 		if err != nil {
 			continue
 		}
-		worst, err := stats.MaxAbsPercentError(preds[task], a)
+		worst, err := stats.MaxAbsPercentError(preds[ti], a)
 		if err != nil {
 			continue
 		}
-		out = append(out, TaskAccuracy{Task: task, Mean: 1 - mape, Worst: worst, Samples: len(a)})
+		out = append(out, TaskAccuracy{Task: allNames[ti], Mean: 1 - mape, Worst: worst, Samples: len(a)})
 	}
 	return out, nil
 }

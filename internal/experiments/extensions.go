@@ -23,7 +23,7 @@ func CrossVal(w io.Writer, study Study) error {
 	if k > 5 {
 		k = 5
 	}
-	cv, err := core.CrossValidate(sets, k, core.TrainConfig{}, 3)
+	cv, err := core.CrossValidate(sets, k, 3)
 	if err != nil {
 		return err
 	}

@@ -130,7 +130,7 @@ type FleetFrame struct {
 	// fields are zero for it.
 	Failed   bool
 	Decision sched.Decision
-	Obs      core.FrameObs // the dense observation the manager was fed
+	Obs      core.Observation // the observation the manager was fed
 	// LatencyMs is what the frame is judged on — the modeled latency plus
 	// SpikeMs, the injected spike time — against BudgetMs, the stream's
 	// budget once the frame was observed.

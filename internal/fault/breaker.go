@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"fmt"
-	"math"
 	"sync"
 
 	"triplec/internal/tasks"
@@ -15,8 +13,8 @@ type BreakerState int
 const (
 	// BreakerClosed: the task runs normally; outcomes feed the window.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen: the task is suppressed; after OpenFrames refusals the
-	// circuit moves to half-open.
+	// BreakerOpen: the task is suppressed; after breakerOpenFrames refusals
+	// the circuit moves to half-open.
 	BreakerOpen
 	// BreakerHalfOpen: exactly one probe execution is admitted; its outcome
 	// closes the circuit again or re-opens it.
@@ -35,58 +33,31 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes the per-task circuit breaker. Timing is counted in
-// frames (Allow calls), not wall clock, so breaker behaviour is
-// deterministic under test and independent of host speed.
-type BreakerConfig struct {
-	// Window is the rolling per-task outcome window (default 16).
-	Window int
-	// MinSamples is how many outcomes the window needs before the failure
-	// rate can trip the circuit (default 4).
-	MinSamples int
-	// TripRate is the failure fraction within the window that opens the
-	// circuit (default 0.5).
-	TripRate float64
-	// OpenFrames is how many Allow refusals an open circuit serves before
-	// admitting a half-open probe (default 16).
-	OpenFrames int
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Window == 0 {
-		c.Window = 16
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 4
-	}
-	if c.TripRate == 0 {
-		c.TripRate = 0.5
-	}
-	if c.OpenFrames == 0 {
-		c.OpenFrames = 16
-	}
-	return c
-}
-
-func (c BreakerConfig) validate() error {
-	if c.Window < 0 || c.MinSamples < 0 || c.OpenFrames < 0 {
-		return fmt.Errorf("fault: breaker window/minSamples/openFrames must be non-negative, got %d/%d/%d",
-			c.Window, c.MinSamples, c.OpenFrames)
-	}
-	if math.IsNaN(c.TripRate) || c.TripRate < 0 || c.TripRate > 1 {
-		return fmt.Errorf("fault: breaker trip rate %v outside [0, 1]", c.TripRate)
-	}
-	return nil
-}
+// The breaker's policy. Timing is counted in frames (Allow calls), not wall
+// clock, so breaker behaviour is deterministic under test and independent of
+// host speed.
+const (
+	// breakerWindow is the rolling per-task outcome window.
+	breakerWindow = 16
+	// breakerMinSamples is how many outcomes the window needs before the
+	// failure rate can trip the circuit.
+	breakerMinSamples = 4
+	// breakerTripRate is the failure fraction within the window that opens
+	// the circuit.
+	breakerTripRate = 0.5
+	// breakerOpenFrames is how many Allow refusals an open circuit serves
+	// before admitting a half-open probe.
+	breakerOpenFrames = 16
+)
 
 // circuit is one task's breaker state.
 type circuit struct {
 	state    BreakerState
-	window   []bool // ring of recent outcomes (true = ok)
-	next     int    // ring write position
-	filled   int    // samples in the ring
-	cooldown int    // remaining Allow refusals while open
-	probing  bool   // half-open probe currently admitted
+	window   [breakerWindow]bool // ring of recent outcomes (true = ok)
+	next     int                 // ring write position
+	filled   int                 // samples in the ring
+	cooldown int                 // remaining Allow refusals while open
+	probing  bool                // half-open probe currently admitted
 }
 
 func (c *circuit) record(ok bool) {
@@ -120,8 +91,6 @@ func (c *circuit) reset() {
 // the pipeline's TaskGate hook and is safe for concurrent use (a stalled
 // frame's late goroutine may record against a restarted stream's breaker).
 type Breaker struct {
-	cfg BreakerConfig
-
 	// OnTrip, when set before first use, observes every circuit opening —
 	// the span layer's breaker-trip instant. It runs under the breaker's
 	// lock and must not call back in or block.
@@ -132,18 +101,15 @@ type Breaker struct {
 	trips uint64
 }
 
-// NewBreaker builds a breaker (zero-value config = defaults).
-func NewBreaker(cfg BreakerConfig) (*Breaker, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return &Breaker{cfg: cfg.withDefaults(), tasks: map[tasks.Name]*circuit{}}, nil
+// NewBreaker builds a breaker with every circuit closed.
+func NewBreaker() *Breaker {
+	return &Breaker{tasks: map[tasks.Name]*circuit{}}
 }
 
 func (b *Breaker) circuitFor(task tasks.Name) *circuit {
 	c, ok := b.tasks[task]
 	if !ok {
-		c = &circuit{window: make([]bool, b.cfg.Window)}
+		c = &circuit{}
 		b.tasks[task] = c
 	}
 	return c
@@ -178,9 +144,9 @@ func (b *Breaker) Allow(task tasks.Name) bool {
 }
 
 // Record feeds one execution outcome back. In the closed state a window
-// failure rate at or above TripRate (with MinSamples seen) opens the
-// circuit; in the half-open state a successful probe closes it and a failed
-// probe re-opens it for another full cool-down.
+// failure rate at or above breakerTripRate (with breakerMinSamples seen)
+// opens the circuit; in the half-open state a successful probe closes it and
+// a failed probe re-opens it for another full cool-down.
 func (b *Breaker) Record(task tasks.Name, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -188,9 +154,9 @@ func (b *Breaker) Record(task tasks.Name, ok bool) {
 	switch c.state {
 	case BreakerClosed:
 		c.record(ok)
-		if rate, n := c.failRate(); n >= b.cfg.MinSamples && rate >= b.cfg.TripRate {
+		if rate, n := c.failRate(); n >= breakerMinSamples && rate >= breakerTripRate {
 			c.state = BreakerOpen
-			c.cooldown = b.cfg.OpenFrames
+			c.cooldown = breakerOpenFrames
 			c.reset()
 			b.trips++
 			if b.OnTrip != nil {
@@ -203,7 +169,7 @@ func (b *Breaker) Record(task tasks.Name, ok bool) {
 			c.reset()
 		} else {
 			c.state = BreakerOpen
-			c.cooldown = b.cfg.OpenFrames
+			c.cooldown = breakerOpenFrames
 			c.probing = false
 			b.trips++
 			if b.OnTrip != nil {

@@ -6,37 +6,45 @@ import (
 	"triplec/internal/tasks"
 )
 
-func mustBreaker(t *testing.T, cfg BreakerConfig) *Breaker {
+// trip records breakerMinSamples failures, the fewest that open a circuit.
+func trip(t *testing.T, b *Breaker, task tasks.Name) {
 	t.Helper()
-	b, err := NewBreaker(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < breakerMinSamples; i++ {
+		if got := b.State(task); got != BreakerClosed {
+			t.Fatalf("tripped early after %d failures: %v", i, got)
+		}
+		b.Record(task, false)
 	}
-	return b
+	if got := b.State(task); got != BreakerOpen {
+		t.Fatalf("state %v after %d failures, want open", got, breakerMinSamples)
+	}
 }
 
-func TestBreakerConfigValidation(t *testing.T) {
-	bad := []BreakerConfig{
-		{Window: -1},
-		{MinSamples: -2},
-		{OpenFrames: -3},
-		{TripRate: 1.5},
-		{TripRate: -0.2},
-	}
-	for i, cfg := range bad {
-		if _, err := NewBreaker(cfg); err == nil {
-			t.Errorf("config %d accepted", i)
+// coolDown serves the open circuit's refusals and asserts the half-open
+// probe is admitted right after them.
+func coolDown(t *testing.T, b *Breaker, task tasks.Name) {
+	t.Helper()
+	for i := 1; i < breakerOpenFrames; i++ {
+		if b.Allow(task) {
+			t.Fatalf("open circuit admitted execution at cool-down call %d", i)
 		}
+	}
+	if !b.Allow(task) {
+		t.Fatal("cool-down elapsed but no half-open probe admitted")
+	}
+	if got := b.State(task); got != BreakerHalfOpen {
+		t.Fatalf("state %v, want half-open", got)
 	}
 }
 
 func TestBreakerTripsOnFailureRate(t *testing.T) {
-	b := mustBreaker(t, BreakerConfig{Window: 8, MinSamples: 4, TripRate: 0.5, OpenFrames: 3})
+	b := NewBreaker()
 	task := tasks.NameRDGFull
-	// Three failures among four samples: trips at the fourth record.
+	// One success and three failures: 3/4 >= breakerTripRate trips at the
+	// fourth record, the first with breakerMinSamples outcomes.
 	b.Record(task, true)
 	for i := 0; i < 3; i++ {
-		if got := b.State(task); got != BreakerClosed && i < 2 {
+		if got := b.State(task); got != BreakerClosed {
 			t.Fatalf("tripped early at %d: %v", i, got)
 		}
 		b.Record(task, false)
@@ -47,16 +55,7 @@ func TestBreakerTripsOnFailureRate(t *testing.T) {
 	if b.Trips() != 1 {
 		t.Fatalf("trips %d, want 1", b.Trips())
 	}
-	// Open: refuses for OpenFrames-1 calls, then admits the half-open probe.
-	if b.Allow(task) || b.Allow(task) {
-		t.Fatal("open circuit admitted execution during cool-down")
-	}
-	if !b.Allow(task) {
-		t.Fatal("cool-down elapsed but no half-open probe admitted")
-	}
-	if got := b.State(task); got != BreakerHalfOpen {
-		t.Fatalf("state %v, want half-open", got)
-	}
+	coolDown(t, b, task)
 	// Only one probe in flight.
 	if b.Allow(task) {
 		t.Fatal("second concurrent probe admitted")
@@ -71,18 +70,24 @@ func TestBreakerTripsOnFailureRate(t *testing.T) {
 	}
 }
 
+// TestBreakerBelowTripRateStaysClosed: a failure rate under breakerTripRate
+// never opens the circuit, however long it runs.
+func TestBreakerBelowTripRateStaysClosed(t *testing.T) {
+	b := NewBreaker()
+	task := tasks.NameCPLSSel
+	for i := 0; i < 4*breakerWindow; i++ {
+		b.Record(task, i%3 == 0 || i%3 == 1) // one failure in three
+		if got := b.State(task); got != BreakerClosed {
+			t.Fatalf("tripped at %d with a 1/3 failure rate: %v", i, got)
+		}
+	}
+}
+
 func TestBreakerFailedProbeReopens(t *testing.T) {
-	b := mustBreaker(t, BreakerConfig{Window: 4, MinSamples: 2, TripRate: 0.5, OpenFrames: 2})
+	b := NewBreaker()
 	task := tasks.NameZOOM
-	b.Record(task, false)
-	b.Record(task, false)
-	if b.State(task) != BreakerOpen {
-		t.Fatal("did not trip")
-	}
-	b.Allow(task) // cool-down 1
-	if !b.Allow(task) {
-		t.Fatal("no probe after cool-down")
-	}
+	trip(t, b, task)
+	coolDown(t, b, task)
 	b.Record(task, false) // probe fails
 	if b.State(task) != BreakerOpen {
 		t.Fatal("failed probe did not reopen")
@@ -93,12 +98,8 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 }
 
 func TestBreakerIsolatesTasks(t *testing.T) {
-	b := mustBreaker(t, BreakerConfig{Window: 4, MinSamples: 2, TripRate: 0.5, OpenFrames: 4})
-	b.Record(tasks.NameGWExt, false)
-	b.Record(tasks.NameGWExt, false)
-	if b.State(tasks.NameGWExt) != BreakerOpen {
-		t.Fatal("GW_EXT did not trip")
-	}
+	b := NewBreaker()
+	trip(t, b, tasks.NameGWExt)
 	if !b.Allow(tasks.NameZOOM) || b.State(tasks.NameZOOM) != BreakerClosed {
 		t.Fatal("healthy task affected by another task's circuit")
 	}
@@ -111,16 +112,10 @@ func TestBreakerIsolatesTasks(t *testing.T) {
 func TestBreakerRecoversAfterIntermittentFault(t *testing.T) {
 	// A fault that clears: circuit opens, probe succeeds, stays closed under
 	// sustained success.
-	b := mustBreaker(t, BreakerConfig{Window: 4, MinSamples: 2, TripRate: 1, OpenFrames: 1})
+	b := NewBreaker()
 	task := tasks.NameRDGROI
-	b.Record(task, false)
-	b.Record(task, false)
-	if b.State(task) != BreakerOpen {
-		t.Fatal("did not trip at 100% failure")
-	}
-	if !b.Allow(task) { // cooldown 1 -> immediate half-open probe
-		t.Fatal("no probe admitted")
-	}
+	trip(t, b, task)
+	coolDown(t, b, task)
 	b.Record(task, true)
 	for i := 0; i < 50; i++ {
 		if !b.Allow(task) {

@@ -205,23 +205,23 @@ func TestAdaptiveGuardsMiscalRollback(t *testing.T) {
 // calibrated challenger for exercising the steady canary path.
 type exactBackend struct {
 	name string
-	pred core.FramePrediction
+	pred core.Prediction
 }
 
 func (e *exactBackend) Name() string { return e.name }
 
-func (e *exactBackend) Observe(obs *core.FrameObs) {
-	e.pred = core.FramePrediction{
+func (e *exactBackend) Observe(obs *core.Observation) {
+	e.pred = core.Prediction{
 		Scenario: obs.Scenario,
 		Mask:     obs.Mask,
-		TaskMs:   obs.TaskMs,
+		Ms:       obs.Ms,
 		TotalMs:  obs.TotalMs,
 	}
 }
 
-func (e *exactBackend) Predict(dst *core.FramePrediction) { *dst = e.pred }
+func (e *exactBackend) Predict(dst *core.Prediction) { *dst = e.pred }
 
-func (e *exactBackend) Reset() { e.pred = core.FramePrediction{} }
+func (e *exactBackend) Reset() { e.pred = core.Prediction{} }
 
 // TestCanaryObservationPathAllocFree pins the controller's steady-state
 // per-frame work — board scoring feeding observeScores, plus the served
@@ -257,13 +257,13 @@ func TestCanaryObservationPathAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	obs := core.FrameObs{
+	obs := core.Observation{
 		Scenario:    flowgraph.WorstCase(),
 		TotalMs:     10,
 		FramePixels: 100,
 		Mask:        1,
 	}
-	obs.TaskMs[0] = 10
+	obs.Ms[0] = 10
 	// Warm up: prime the forecasts and take the shadow -> canary transition
 	// (which appends to the log) outside the measured window.
 	for i := 0; i < 8; i++ {

@@ -100,7 +100,7 @@ func RunMultiApp(apps []App, n int) (MultiResult, error) {
 	}
 
 	out := MultiResult{PerApp: make([]Result, len(apps))}
-	var obs core.FrameObs
+	var obs core.Observation
 	for i := 0; i < n; i++ {
 		peak := 0
 		for ai := range apps {

@@ -104,13 +104,19 @@ func (o *oraclePlanner) plan() Decision {
 // predictedDemandMs is the unsteered PredictedDemandMs.
 func (o *oraclePlanner) predictedDemandMs() float64 {
 	if last, ok := o.p.LastScenario(); ok {
-		return o.p.PredictForTasks(last.ActiveTasks(), o.p.NextContext())
+		total := 0.0
+		for _, task := range last.ActiveTasks() {
+			if m, ok := o.p.Models[task]; ok {
+				total += m.Predict(o.p.NextContext())
+			}
+		}
+		return total
 	}
 	_, total := oraclePredictNext(o.p)
 	return total
 }
 
-func (o *oraclePlanner) planSteered(p *core.FramePrediction) Decision {
+func (o *oraclePlanner) planSteered(p *core.Prediction) Decision {
 	serial := p.TotalMs
 	if o.m.BudgetMs <= 0 {
 		dec := Decision{Mapping: partition.Serial(), PredictedMs: serial, SerialMs: serial}
@@ -122,7 +128,7 @@ func (o *oraclePlanner) planSteered(p *core.FramePrediction) Decision {
 		if p.Mask&(uint16(1)<<uint(ti)) == 0 {
 			continue
 		}
-		if ms := p.TaskMs[ti]; ms > 0 {
+		if ms := p.Ms[ti]; ms > 0 {
 			demand[allTaskNames[ti]] = ms
 		}
 	}
@@ -254,12 +260,12 @@ func planTestData(t testing.TB) (*core.Predictor, []core.Observation) {
 			src := base[i%len(base)]
 			scale := 1 + 0.6*math.Sin(float64(i)/17) + 0.2*rng.Float64()
 			obs := src
-			obs.TaskMs = make(map[tasks.Name]float64, len(src.TaskMs))
 			obs.TotalMs = 0
-			for task, ms := range src.TaskMs {
-				obs.TaskMs[task] = ms * scale
-				obs.TotalMs += ms * scale
+			for ti := range obs.Ms {
+				obs.Ms[ti] *= scale
+				obs.TotalMs += obs.Ms[ti]
 			}
+			obs.LatencyMs = obs.TotalMs
 			fx.series = append(fx.series, obs)
 		}
 	})
@@ -285,7 +291,7 @@ func cloneManager(t testing.TB, trained *core.Predictor) *Manager {
 func meanSerialMs(series []core.Observation) float64 {
 	sum := 0.0
 	for _, o := range series {
-		for _, ms := range o.TaskMs {
+		for _, ms := range o.Ms {
 			sum += ms
 		}
 	}
@@ -374,11 +380,11 @@ func TestPlanMatchesMapOracle(t *testing.T) {
 // seriesSource is a steering source that forecasts the previous frame's task
 // times: a deterministic stand-in for a promoted shadow backend.
 type seriesSource struct {
-	pred core.FramePrediction
+	pred core.Prediction
 	ok   bool
 }
 
-func (s *seriesSource) DemandInto(dst *core.FramePrediction) bool {
+func (s *seriesSource) DemandInto(dst *core.Prediction) bool {
 	*dst = s.pred
 	return s.ok
 }
@@ -386,9 +392,7 @@ func (s *seriesSource) DemandInto(dst *core.FramePrediction) bool {
 func (s *seriesSource) SourceName() string { return "series" }
 
 func (s *seriesSource) observe(obs *core.Observation) {
-	var dense core.FrameObs
-	obs.Dense(&dense)
-	s.pred = core.FramePrediction{Scenario: dense.Scenario, TaskMs: dense.TaskMs, Mask: dense.Mask, TotalMs: dense.TotalMs}
+	s.pred = core.Prediction{Scenario: obs.Scenario, Ms: obs.Ms, Mask: obs.Mask, TotalMs: obs.TotalMs}
 	s.ok = true
 }
 
@@ -407,9 +411,9 @@ func TestPlanSteeredMatchesMapOracle(t *testing.T) {
 	for i := range series {
 		if src.ok {
 			// Poison what the mask or the sign excludes.
-			src.pred.TaskMs[tasks.IndexOf(tasks.NameDetect)] = -3
+			src.pred.Ms[tasks.IndexOf(tasks.NameDetect)] = -3
 			if src.pred.Mask&(1<<uint(tasks.IndexOf(tasks.NameRDGROI))) == 0 {
-				src.pred.TaskMs[tasks.IndexOf(tasks.NameRDGROI)] = 99
+				src.pred.Ms[tasks.IndexOf(tasks.NameRDGROI)] = 99
 			}
 			want := oracle.planSteered(&src.pred)
 			checkDecision(t, "frame "+strconv.Itoa(i), m.Plan(), want)

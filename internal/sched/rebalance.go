@@ -35,10 +35,10 @@ func (m *Manager) PredictedDemandMs() float64 {
 		return m.demandPred.TotalMs
 	}
 	if last, ok := m.predictor.LastScenario(); ok {
-		_, d := m.predictor.PredictTasksInto(core.TaskMask(last), m.predictor.NextContext(), &m.demandPred.TaskMs)
+		_, d := m.predictor.PredictTasksInto(core.TaskMask(last), m.predictor.NextContext(), &m.demandPred.Ms)
 		return d
 	}
-	m.predictor.PredictNextInto(&m.demandPred)
+	m.demandPred = m.predictor.PredictNext()
 	return m.demandPred.TotalMs
 }
 

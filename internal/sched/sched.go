@@ -71,8 +71,8 @@ type Manager struct {
 	steerSrc atomic.Pointer[steerBox]
 
 	// Per-call scratch, so planning allocates only when it repartitions.
-	pred       core.FramePrediction // next-frame forecast (own or steered)
-	demandPred core.FramePrediction
+	pred       core.Prediction // next-frame forecast (own or steered)
+	demandPred core.Prediction
 	demand     [tasks.NumNames]float64
 }
 
@@ -163,7 +163,7 @@ func (m *Manager) plan() Decision {
 	if src := m.demandSource(); src != nil && src.DemandInto(&m.pred) {
 		return m.planSteered(&m.pred)
 	}
-	m.predictor.PredictNextInto(&m.pred)
+	m.pred = m.predictor.PredictNext()
 	serial := m.pred.TotalMs
 	if m.BudgetMs <= 0 {
 		return m.serialDecision(serial)
@@ -285,20 +285,11 @@ func (m *Manager) planWithDemand(serial float64) Decision {
 // Observe feeds the executed frame back to the predictor (the paper's
 // profiling step: statistics of the differences between consumed and
 // predicted resources drive on-line model training) and, when a Budgeter is
-// installed, adapts the latency budget from obs.TotalMs, the frame latency.
+// installed, adapts the latency budget from obs.LatencyMs.
 func (m *Manager) Observe(obs core.Observation) {
-	var dense core.FrameObs
-	obs.Dense(&dense)
-	m.ObserveFrame(&dense, obs.TotalMs)
-}
-
-// ObserveFrame is Observe for the dense observation form — the
-// allocation-free core. latencyMs is the frame's processing latency, which
-// the dense form (whose TotalMs is the serial-equivalent sum) does not carry.
-func (m *Manager) ObserveFrame(obs *core.FrameObs, latencyMs float64) {
-	m.predictor.ObserveFrame(obs)
+	m.predictor.Observe(obs)
 	if m.Budgeter != nil && m.BudgetMs > 0 {
-		if b, err := m.Budgeter.Observe(m.BudgetMs, latencyMs); err == nil {
+		if b, err := m.Budgeter.Observe(m.BudgetMs, obs.LatencyMs); err == nil {
 			m.BudgetMs = b
 			m.recordBudget()
 		}
@@ -312,7 +303,7 @@ func (m *Manager) ObserveFrame(obs *core.FrameObs, latencyMs float64) {
 // measurement back. obs receives the frame's dense observation. A failed
 // frame returns the engine's error unwrapped and leaves the manager
 // unobserved.
-func (m *Manager) Step(eng *pipeline.Engine, f *frame.Frame, first bool, framePixels int, obs *core.FrameObs) (Decision, pipeline.Report, error) {
+func (m *Manager) Step(eng *pipeline.Engine, f *frame.Frame, first bool, framePixels int, obs *core.Observation) (Decision, pipeline.Report, error) {
 	var dec Decision
 	if first {
 		dec = Decision{Mapping: partition.Serial()}
@@ -327,7 +318,7 @@ func (m *Manager) Step(eng *pipeline.Engine, f *frame.Frame, first bool, framePi
 		m.InitBudget(rep.LatencyMs)
 	}
 	core.DenseFromReport(&rep, framePixels, obs)
-	m.ObserveFrame(obs, rep.LatencyMs)
+	m.Observe(*obs)
 	return dec, rep, nil
 }
 
@@ -351,7 +342,7 @@ func RunManaged(eng *pipeline.Engine, mgr *Manager, n int, source func(int) *fra
 		return Result{}, errors.New("sched: need at least one frame")
 	}
 	var res Result
-	var obs core.FrameObs
+	var obs core.Observation
 	for i := 0; i < n; i++ {
 		dec, rep, err := mgr.Step(eng, source(i), i == 0, framePixels, &obs)
 		if err != nil {

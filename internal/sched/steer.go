@@ -53,7 +53,7 @@ func (m *Manager) DemandSourceName() string {
 // manager's own predictor: the per-task demand is the forecast's masked
 // task vector and the serial estimate its total. The budget check, sticky
 // hysteresis and greedy striping are shared with the unsteered path.
-func (m *Manager) planSteered(p *core.FramePrediction) Decision {
+func (m *Manager) planSteered(p *core.Prediction) Decision {
 	serial := p.TotalMs
 	if m.BudgetMs <= 0 {
 		return m.serialDecision(serial)
@@ -61,7 +61,7 @@ func (m *Manager) planSteered(p *core.FramePrediction) Decision {
 	for ti := range m.demand {
 		m.demand[ti] = 0
 		if p.Mask&(uint16(1)<<uint(ti)) != 0 {
-			m.demand[ti] = p.TaskMs[ti]
+			m.demand[ti] = p.Ms[ti]
 		}
 	}
 	return m.planWithDemand(serial)

@@ -27,7 +27,7 @@ func TestStepFirstFrame(t *testing.T) {
 		}
 		mgr.BudgetMs = fixed
 		eng := newEngine(t)
-		var obs core.FrameObs
+		var obs core.Observation
 		dec, rep, err := mgr.Step(eng, src(0), true, 128*128, &obs)
 		if err != nil {
 			t.Fatal(err)
@@ -42,9 +42,9 @@ func TestStepFirstFrame(t *testing.T) {
 		if mgr.BudgetMs != want {
 			t.Fatalf("budget %v: after the first frame the budget is %v, want %v", fixed, mgr.BudgetMs, want)
 		}
-		var fromReport core.FrameObs
+		var fromReport core.Observation
 		core.DenseFromReport(&rep, 128*128, &fromReport)
-		if obs != fromReport || obs.Mask == 0 {
+		if !reflect.DeepEqual(obs, fromReport) || obs.Mask == 0 {
 			t.Fatalf("budget %v: step observation %+v, report's %+v", fixed, obs, fromReport)
 		}
 		if _, ok := p.LastScenario(); !ok {
@@ -63,11 +63,12 @@ func TestStepFirstFrame(t *testing.T) {
 	}
 }
 
-// TestObserveMatchesObserveFrame: Manager.Observe is Dense + ObserveFrame.
-// Two managers on clones of one predictor, adaptive budget on, are fed the
-// same 300-frame series — one the map observations, the other their dense
-// form plus the latency — and must forecast and budget identically at every
-// step.
+// TestObserveMatchesObserveFrame: Manager.Observe is the predictor's
+// Observe plus the budget controller fed the frame's LatencyMs. A manager
+// and, beside it, a bare clone of its predictor and a standalone
+// BudgetController are fed the same 300-frame series — with every latency
+// set below its task sum, as a mapping that overlaps tasks would report —
+// and must forecast and budget identically at every step.
 func TestObserveMatchesObserveFrame(t *testing.T) {
 	seq := synthSeq(t, 1357)
 	reports, err := newEngine(t).RunSequence(300, func(i int) *frame.Frame { f, _ := seq.Frame(i); return f }, nil)
@@ -76,32 +77,37 @@ func TestObserveMatchesObserveFrame(t *testing.T) {
 	}
 	series := core.FromReports(reports, 128*128)
 	base := trainedPredictor(t)
-	var mgrs [2]*Manager
-	for i := range mgrs {
-		p, err := base.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mgrs[i], err = NewManager(p, platform.Blackford()); err != nil {
-			t.Fatal(err)
-		}
-		mgrs[i].Budgeter = NewBudgetController()
-		mgrs[i].BudgetMs = 30
+	p, err := base.Clone()
+	if err != nil {
+		t.Fatal(err)
 	}
+	mgr, err := NewManager(p, platform.Blackford())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Budgeter = NewBudgetController()
+	mgr.BudgetMs = 30
+	ref, err := base.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	refBudgeter, refBudget := NewBudgetController(), 30.0
 	budgetMoved := false
 	for i := range series {
-		mgrs[0].Observe(series[i])
-		var dense core.FrameObs
-		series[i].Dense(&dense)
-		mgrs[1].ObserveFrame(&dense, series[i].TotalMs)
-		a, b := mgrs[0].Predictor().PredictNext(), mgrs[1].Predictor().PredictNext()
-		if !reflect.DeepEqual(a, b) {
+		obs := series[i]
+		obs.LatencyMs = 0.8 * obs.TotalMs
+		mgr.Observe(obs)
+		ref.Observe(obs)
+		if b, err := refBudgeter.Observe(refBudget, obs.LatencyMs); err == nil {
+			refBudget = b
+		}
+		if a, b := mgr.Predictor().PredictNext(), ref.PredictNext(); a != b {
 			t.Fatalf("frame %d: forecasts diverge: %+v vs %+v", i, a, b)
 		}
-		if mgrs[0].BudgetMs != mgrs[1].BudgetMs {
-			t.Fatalf("frame %d: budgets diverge: %v vs %v", i, mgrs[0].BudgetMs, mgrs[1].BudgetMs)
+		if mgr.BudgetMs != refBudget {
+			t.Fatalf("frame %d: budget %v, want %v from the frame latencies", i, mgr.BudgetMs, refBudget)
 		}
-		budgetMoved = budgetMoved || mgrs[0].BudgetMs != 30
+		budgetMoved = budgetMoved || mgr.BudgetMs != 30
 	}
 	if !budgetMoved {
 		t.Fatal("the budgeter never moved the budget; the latency argument went untested")

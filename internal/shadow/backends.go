@@ -238,65 +238,38 @@ type Order2Backend struct {
 	active *core.ScenarioTaskLists
 
 	lastIdx [2]int // scenario indices of the last two frames
-	last    core.FrameObs
+	last    core.Observation
 	seen    int
 }
 
-// TrainOrder2Backend fits the backend from training sequences using the
-// same corpus grouping as core.Train: per-sequence residual series for the
+// TrainOrder2Backend fits the backend from training sequences through the
+// corpus grouping core.Train reads: per-sequence residual series for the
 // data-dependent tasks, a growth fit for RDG ROI, pooled means elsewhere.
-func TrainOrder2Backend(sequences [][]core.Observation, cfg core.TrainConfig) (*Order2Backend, error) {
+func TrainOrder2Backend(sequences [][]core.Observation) (*Order2Backend, error) {
 	if len(sequences) == 0 {
 		return nil, errors.New("shadow: no training sequences")
 	}
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = 0.15
-	}
-	maxStates := cfg.MaxStates
-	if maxStates == 0 {
-		maxStates = 10
-	}
-
-	perTaskSeries := map[tasks.Name][][]float64{}
-	constSamples := map[tasks.Name][]float64{}
-	var roiX, roiY []float64
 	b := &Order2Backend{active: core.NewScenarioTaskLists()}
-
 	for _, seq := range sequences {
-		cur := map[tasks.Name][]float64{}
-		for i, obs := range seq {
+		for i := 1; i < len(seq); i++ {
 			if i >= 2 {
-				b.table.add(seq[i-2].Scenario.Index(), seq[i-1].Scenario.Index(), obs.Scenario.Index())
-			} else if i == 1 {
-				b.table.first.add(seq[0].Scenario.Index(), obs.Scenario.Index())
+				b.table.add(seq[i-2].Scenario.Index(), seq[i-1].Scenario.Index(), seq[i].Scenario.Index())
+			} else {
+				b.table.first.add(seq[0].Scenario.Index(), seq[1].Scenario.Index())
 			}
-			for task, ms := range obs.TaskMs {
-				switch task {
-				case tasks.NameRDGFull, tasks.NameCPLSSel, tasks.NameGWExt:
-					cur[task] = append(cur[task], ms)
-				case tasks.NameRDGROI:
-					roiX = append(roiX, float64(obs.AnalysisPixels))
-					roiY = append(roiY, ms)
-				default:
-					constSamples[task] = append(constSamples[task], ms)
-				}
-			}
-		}
-		for task, s := range cur {
-			perTaskSeries[task] = append(perTaskSeries[task], s)
 		}
 	}
+	c := core.GroupCorpus(sequences)
 
 	// EWMA-trended tasks: residual series → order-2 chain, dense-lifted.
-	for task, series := range perTaskSeries {
+	for ti, series := range c.Series {
 		var residualSets [][]float64
 		var all []float64
 		for _, s := range series {
 			if len(s) == 0 {
 				continue
 			}
-			_, hpf, err := ewma.Decompose(s, alpha)
+			_, hpf, err := ewma.Decompose(s, core.Alpha)
 			if err != nil {
 				return nil, err
 			}
@@ -307,33 +280,32 @@ func TrainOrder2Backend(sequences [][]core.Observation, cfg core.TrainConfig) (*
 			continue
 		}
 		m := &order2Model{constant: stats.Mean(all)}
-		if f, err := ewma.NewFilter(alpha); err == nil {
+		if f, err := ewma.NewFilter(core.Alpha); err == nil {
 			m.filter = f
 		}
-		if c2, err := markov.TrainOrder2(residualSets, maxStates); err == nil {
+		if c2, err := markov.TrainOrder2(residualSets, core.MaxStates); err == nil {
 			m.chain = liftChain2(c2)
 		}
-		b.models[tasks.IndexOf(task)] = m
+		b.models[ti] = m
 	}
 	// RDG ROI: growth trend plus an order-2 chain over the detrended
 	// residuals (the paper shares the RDG chain; here the ROI task gets its
 	// own second-order view of the same residual stream).
-	if len(roiX) >= 2 {
-		if g, err := ewma.FitLinearGrowth(roiX, roiY); err == nil {
-			m := &order2Model{growth: &g, constant: stats.Mean(roiY)}
-			if detrended, err := g.Detrend(roiX, roiY); err == nil && len(detrended) >= 3 {
-				if c2, err := markov.TrainOrder2([][]float64{detrended}, maxStates); err == nil {
+	if len(c.ROIX) >= 2 {
+		if g, err := ewma.FitLinearGrowth(c.ROIX, c.ROIY); err == nil {
+			m := &order2Model{growth: &g, constant: stats.Mean(c.ROIY)}
+			if detrended, err := g.Detrend(c.ROIX, c.ROIY); err == nil && len(detrended) >= 3 {
+				if c2, err := markov.TrainOrder2([][]float64{detrended}, core.MaxStates); err == nil {
 					m.chain = liftChain2(c2)
 				}
 			}
 			b.models[tasks.IndexOf(tasks.NameRDGROI)] = m
 		}
 	}
-	for task, samples := range constSamples {
-		if len(samples) == 0 {
-			continue
+	for ti, samples := range c.Samples {
+		if len(samples) > 0 {
+			b.models[ti] = &order2Model{constant: stats.Mean(samples)}
 		}
-		b.models[tasks.IndexOf(task)] = &order2Model{constant: stats.Mean(samples)}
 	}
 	return b, nil
 }
@@ -342,7 +314,7 @@ func TrainOrder2Backend(sequences [][]core.Observation, cfg core.TrainConfig) (*
 func (b *Order2Backend) Name() string { return BackendOrder2 }
 
 // Observe implements core.Backend.
-func (b *Order2Backend) Observe(obs *core.FrameObs) {
+func (b *Order2Backend) Observe(obs *core.Observation) {
 	si := obs.Scenario.Index()
 	if b.seen >= 2 {
 		b.table.add(b.lastIdx[0], b.lastIdx[1], si)
@@ -353,7 +325,7 @@ func (b *Order2Backend) Observe(obs *core.FrameObs) {
 		if obs.Mask&(1<<uint(ti)) == 0 || b.models[ti] == nil {
 			continue
 		}
-		b.models[ti].observe(obs.AnalysisPixels, obs.TaskMs[ti])
+		b.models[ti].observe(obs.AnalysisPixels, obs.Ms[ti])
 	}
 	b.lastIdx[0], b.lastIdx[1] = b.lastIdx[1], si
 	b.last = *obs
@@ -361,8 +333,8 @@ func (b *Order2Backend) Observe(obs *core.FrameObs) {
 }
 
 // Predict implements core.Backend.
-func (b *Order2Backend) Predict(dst *core.FramePrediction) {
-	*dst = core.FramePrediction{}
+func (b *Order2Backend) Predict(dst *core.Prediction) {
+	*dst = core.Prediction{}
 	roiPixels := 0
 	switch {
 	case b.seen == 0:
@@ -388,7 +360,7 @@ func (b *Order2Backend) Predict(dst *core.FramePrediction) {
 			continue
 		}
 		ms := b.models[ti].predict(roiPixels)
-		dst.TaskMs[ti] = ms
+		dst.Ms[ti] = ms
 		dst.Mask |= 1 << uint(ti)
 		dst.TotalMs += ms
 	}
@@ -405,7 +377,7 @@ func (b *Order2Backend) Reset() {
 	}
 	b.seen = 0
 	b.lastIdx = [2]int{}
-	b.last = core.FrameObs{}
+	b.last = core.Observation{}
 }
 
 // ridgeDim is the feature dimension of the online ridge backend: bias,
@@ -497,7 +469,7 @@ type RidgeBackend struct {
 	active *core.ScenarioTaskLists
 	lambda float64
 
-	feat core.FrameObs // last frame, for next-frame features
+	feat core.Observation // last frame, for next-frame features
 	seen bool
 	x    [ridgeDim]float64 // scratch feature vector
 }
@@ -528,7 +500,7 @@ func (b *RidgeBackend) features(roiPixels, framePixels, si int) {
 func (b *RidgeBackend) Name() string { return BackendRidge }
 
 // Observe implements core.Backend.
-func (b *RidgeBackend) Observe(obs *core.FrameObs) {
+func (b *RidgeBackend) Observe(obs *core.Observation) {
 	si := obs.Scenario.Index()
 	if b.seen {
 		b.table.add(b.feat.Scenario.Index(), si)
@@ -538,15 +510,15 @@ func (b *RidgeBackend) Observe(obs *core.FrameObs) {
 		if obs.Mask&(1<<uint(ti)) == 0 {
 			continue
 		}
-		b.reg[ti].update(&b.x, obs.TaskMs[ti], b.lambda)
+		b.reg[ti].update(&b.x, obs.Ms[ti], b.lambda)
 	}
 	b.feat = *obs
 	b.seen = true
 }
 
 // Predict implements core.Backend.
-func (b *RidgeBackend) Predict(dst *core.FramePrediction) {
-	*dst = core.FramePrediction{}
+func (b *RidgeBackend) Predict(dst *core.Prediction) {
+	*dst = core.Prediction{}
 	roiPixels := 0
 	if !b.seen {
 		dst.Scenario = flowgraph.WorstCase()
@@ -563,7 +535,7 @@ func (b *RidgeBackend) Predict(dst *core.FramePrediction) {
 	b.features(roiPixels, b.feat.FramePixels, si)
 	for _, ti := range b.active.Lists[si] {
 		ms := b.reg[ti].predict(&b.x)
-		dst.TaskMs[ti] = ms
+		dst.Ms[ti] = ms
 		dst.Mask |= 1 << uint(ti)
 		dst.TotalMs += ms
 	}
@@ -573,7 +545,7 @@ func (b *RidgeBackend) Predict(dst *core.FramePrediction) {
 // and persist; only the frame history clears.
 func (b *RidgeBackend) Reset() {
 	b.seen = false
-	b.feat = core.FrameObs{}
+	b.feat = core.Observation{}
 }
 
 // p2Quantile is the P² (Jain & Chlamtac) streaming quantile estimator:
@@ -686,7 +658,7 @@ type QuantileBackend struct {
 	table  scenarioTable1
 	active *core.ScenarioTaskLists
 
-	last core.FrameObs
+	last core.Observation
 	seen bool
 }
 
@@ -707,7 +679,7 @@ func NewQuantileBackend(p float64) *QuantileBackend {
 func (b *QuantileBackend) Name() string { return BackendQuantile }
 
 // Observe implements core.Backend.
-func (b *QuantileBackend) Observe(obs *core.FrameObs) {
+func (b *QuantileBackend) Observe(obs *core.Observation) {
 	si := obs.Scenario.Index()
 	if b.seen {
 		b.table.add(b.last.Scenario.Index(), si)
@@ -716,16 +688,16 @@ func (b *QuantileBackend) Observe(obs *core.FrameObs) {
 		if obs.Mask&(1<<uint(ti)) == 0 {
 			continue
 		}
-		b.cells[ti][si].add(obs.TaskMs[ti])
-		b.global[ti].add(obs.TaskMs[ti])
+		b.cells[ti][si].add(obs.Ms[ti])
+		b.global[ti].add(obs.Ms[ti])
 	}
 	b.last = *obs
 	b.seen = true
 }
 
 // Predict implements core.Backend.
-func (b *QuantileBackend) Predict(dst *core.FramePrediction) {
-	*dst = core.FramePrediction{}
+func (b *QuantileBackend) Predict(dst *core.Prediction) {
+	*dst = core.Prediction{}
 	if !b.seen {
 		dst.Scenario = flowgraph.WorstCase()
 	} else {
@@ -738,7 +710,7 @@ func (b *QuantileBackend) Predict(dst *core.FramePrediction) {
 		if b.cells[ti][si].primed() {
 			ms = b.cells[ti][si].value()
 		}
-		dst.TaskMs[ti] = ms
+		dst.Ms[ti] = ms
 		dst.Mask |= 1 << uint(ti)
 		dst.TotalMs += ms
 	}
@@ -748,7 +720,7 @@ func (b *QuantileBackend) Predict(dst *core.FramePrediction) {
 // state and persist; only the frame history clears.
 func (b *QuantileBackend) Reset() {
 	b.seen = false
-	b.last = core.FrameObs{}
+	b.last = core.Observation{}
 }
 
 // TrainBackends builds the full bake-off roster from one training corpus:
@@ -757,25 +729,23 @@ func (b *QuantileBackend) Reset() {
 // backends warm-started by replaying the corpus (Reset between
 // sequences, like every other per-sequence trainer here). The baseline is
 // always index 0 — the regret reference.
-func TrainBackends(deployed *core.Predictor, train [][]core.Observation, cfg core.TrainConfig) ([]core.Backend, error) {
+func TrainBackends(deployed *core.Predictor, train [][]core.Observation, _ core.TrainConfig) ([]core.Backend, error) {
 	clone, err := deployed.Clone()
 	if err != nil {
 		return nil, fmt.Errorf("shadow: clone deployed predictor: %w", err)
 	}
-	order2, err := TrainOrder2Backend(train, cfg)
+	order2, err := TrainOrder2Backend(train)
 	if err != nil {
 		return nil, fmt.Errorf("shadow: train order-2 backend: %w", err)
 	}
 	ridge := NewRidgeBackend()
 	quant := NewQuantileBackend(0.9)
-	var obs core.FrameObs
 	for _, seq := range train {
 		ridge.Reset()
 		quant.Reset()
 		for i := range seq {
-			seq[i].Dense(&obs)
-			ridge.Observe(&obs)
-			quant.Observe(&obs)
+			ridge.Observe(&seq[i])
+			quant.Observe(&seq[i])
 		}
 	}
 	ridge.Reset()

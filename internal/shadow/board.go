@@ -76,7 +76,7 @@ type backendInstruments struct {
 type backendState struct {
 	backend core.Backend
 	name    string
-	pred    core.FramePrediction
+	pred    core.Prediction
 	// predValid marks the standing forecast usable: false until the first
 	// successful drive after construction/reset, and false again after a
 	// recovered panic left it stale.
@@ -247,7 +247,7 @@ func (b *Board) EnableMetrics(r *metrics.Registry) error {
 
 // ObserveFrame feeds one executed frame: score every backend's standing
 // forecast against it, then observe and re-predict. Allocation-free.
-func (b *Board) ObserveFrame(obs *core.FrameObs) {
+func (b *Board) ObserveFrame(obs *core.Observation) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.havePred {
@@ -284,7 +284,7 @@ func (b *Board) ObserveFrame(obs *core.FrameObs) {
 // drive runs one backend's observe/re-predict step, converting a panic in
 // either into a false return so one broken backend cannot take down the
 // serving loop or the rest of the roster.
-func drive(st *backendState, obs *core.FrameObs) (ok bool) {
+func drive(st *backendState, obs *core.Observation) (ok bool) {
 	defer func() {
 		if recover() != nil {
 			ok = false
@@ -295,7 +295,7 @@ func drive(st *backendState, obs *core.FrameObs) (ok bool) {
 	return true
 }
 
-func (b *Board) score(obs *core.FrameObs) {
+func (b *Board) score(obs *core.Observation) {
 	si := obs.Scenario.Index()
 	fs := &b.scoreBuf
 	*fs = FrameScore{}
@@ -364,8 +364,8 @@ func (b *Board) score(obs *core.FrameObs) {
 			if obs.Mask&bit == 0 || p.Mask&bit == 0 {
 				continue
 			}
-			if trel, ok := metrics.SignedRelErr(p.TaskMs[ti], obs.TaskMs[ti]); ok {
-				st.cells[si][ti].add(trel, math.Abs(p.TaskMs[ti]-obs.TaskMs[ti]))
+			if trel, ok := metrics.SignedRelErr(p.Ms[ti], obs.Ms[ti]); ok {
+				st.cells[si][ti].add(trel, math.Abs(p.Ms[ti]-obs.Ms[ti]))
 			} else {
 				st.degenerate++
 				if st.inst != nil {
@@ -442,7 +442,7 @@ func resetBackend(st *backendState) {
 			}
 		}
 	}()
-	st.pred = core.FramePrediction{}
+	st.pred = core.Prediction{}
 	st.predValid = false
 	st.backend.Reset()
 }

@@ -31,14 +31,14 @@ func NewMiscalibrated(inner core.Backend, scale float64) *Miscalibrated {
 func (m *Miscalibrated) Name() string { return BackendMiscal }
 
 // Observe implements core.Backend.
-func (m *Miscalibrated) Observe(obs *core.FrameObs) { m.inner.Observe(obs) }
+func (m *Miscalibrated) Observe(obs *core.Observation) { m.inner.Observe(obs) }
 
 // Predict implements core.Backend.
-func (m *Miscalibrated) Predict(dst *core.FramePrediction) {
+func (m *Miscalibrated) Predict(dst *core.Prediction) {
 	m.inner.Predict(dst)
-	for ti := range dst.TaskMs {
+	for ti := range dst.Ms {
 		if dst.Mask&(uint16(1)<<uint(ti)) != 0 {
-			dst.TaskMs[ti] *= m.scale
+			dst.Ms[ti] *= m.scale
 		}
 	}
 	dst.TotalMs *= m.scale

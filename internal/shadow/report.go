@@ -74,14 +74,7 @@ func CrossValidate(sequences [][]core.Observation, cfg Config) (*Report, error) 
 	rep := &Report{Schema: Schema, Config: cfg}
 	var agg aggregator
 	for f := 0; f < k; f++ {
-		var train, test [][]core.Observation
-		for i, s := range sequences {
-			if i%k == f {
-				test = append(test, s)
-			} else {
-				train = append(train, s)
-			}
-		}
+		train, test := core.SplitFold(sequences, k, f)
 		deployed, err := core.Train(train, core.TrainConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("shadow: fold %d: %w", f, err)
@@ -96,12 +89,10 @@ func CrossValidate(sequences [][]core.Observation, cfg Config) (*Report, error) 
 			return nil, err
 		}
 		board.SetWarmup(cfg.Warmup)
-		var obs core.FrameObs
 		for _, seq := range test {
 			board.ResetSequence()
 			for i := range seq {
-				seq[i].Dense(&obs)
-				board.ObserveFrame(&obs)
+				board.ObserveFrame(&seq[i])
 			}
 		}
 		snap := board.Snapshot()

@@ -25,16 +25,16 @@ type stubBackend struct {
 
 func (s *stubBackend) Name() string { return s.name }
 
-func (s *stubBackend) Observe(*core.FrameObs) {}
+func (s *stubBackend) Observe(*core.Observation) {}
 
-func (s *stubBackend) Predict(dst *core.FramePrediction) {
-	*dst = core.FramePrediction{Scenario: s.scenario, TotalMs: s.totalMs}
+func (s *stubBackend) Predict(dst *core.Prediction) {
+	*dst = core.Prediction{Scenario: s.scenario, TotalMs: s.totalMs}
 }
 
 func (s *stubBackend) Reset() {}
 
-func frameWith(s flowgraph.Scenario, totalMs float64) core.FrameObs {
-	return core.FrameObs{Scenario: s, TotalMs: totalMs, FramePixels: 100}
+func frameWith(s flowgraph.Scenario, totalMs float64) core.Observation {
+	return core.Observation{Scenario: s, TotalMs: totalMs, FramePixels: 100}
 }
 
 // TestBoardScoring checks hit/miss accounting, error cells and regret with
@@ -182,11 +182,10 @@ func TestObserveFrameAllocFree(t *testing.T) {
 	if err := board.EnableMetrics(metrics.NewRegistry()); err != nil {
 		t.Fatal(err)
 	}
-	var dense core.FrameObs
-	corpus[0][0].Dense(&dense)
-	board.ObserveFrame(&dense) // prime forecasts
+	obs := &corpus[0][0]
+	board.ObserveFrame(obs) // prime forecasts
 	allocs := testing.AllocsPerRun(200, func() {
-		board.ObserveFrame(&dense)
+		board.ObserveFrame(obs)
 	})
 	if allocs != 0 {
 		t.Fatalf("shadow frame path allocates %.1f times per frame, want 0", allocs)
@@ -272,12 +271,10 @@ func TestShadowExposition(t *testing.T) {
 	if _, err := metrics.NewRuntimeMetrics(reg); err != nil {
 		t.Fatal(err)
 	}
-	var dense core.FrameObs
 	for _, seq := range corpus {
 		board.ResetSequence()
 		for i := range seq {
-			seq[i].Dense(&dense)
-			board.ObserveFrame(&dense)
+			board.ObserveFrame(&seq[i])
 		}
 	}
 
@@ -377,10 +374,8 @@ func TestPredictorzHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dense core.FrameObs
 	for i := range corpus[0] {
-		corpus[0][i].Dense(&dense)
-		board.ObserveFrame(&dense)
+		board.ObserveFrame(&corpus[0][i])
 	}
 
 	rec := httptest.NewRecorder()
@@ -438,16 +433,14 @@ func TestTrainBackendsRoster(t *testing.T) {
 		t.Fatalf("roster[0] = %q, want %q", backends[0].Name(), core.BackendBaseline)
 	}
 	seen := map[string]bool{}
-	var dense core.FrameObs
-	var pred core.FramePrediction
-	corpus[0][0].Dense(&dense)
+	var pred core.Prediction
 	for _, be := range backends {
 		if seen[be.Name()] {
 			t.Fatalf("duplicate backend name %q", be.Name())
 		}
 		seen[be.Name()] = true
 		be.Reset()
-		be.Observe(&dense)
+		be.Observe(&corpus[0][0])
 		be.Predict(&pred)
 		if pred.Mask == 0 || pred.TotalMs <= 0 ||
 			math.IsNaN(pred.TotalMs) || math.IsInf(pred.TotalMs, 0) {

@@ -26,7 +26,7 @@ func (b *Board) SlotOf(name string) int {
 // reports whether one is usable: the board has driven at least one frame,
 // the backend's last drive succeeded, and it is not quarantined.
 // Allocation-free; safe for concurrent use.
-func (b *Board) CopyPrediction(slot int, dst *core.FramePrediction) bool {
+func (b *Board) CopyPrediction(slot int, dst *core.Prediction) bool {
 	if slot < 0 || slot >= len(b.backends) {
 		return false
 	}
@@ -60,7 +60,7 @@ func (b *Board) Steer(slot int) *Steer {
 }
 
 // DemandInto implements core.DemandSource.
-func (s *Steer) DemandInto(dst *core.FramePrediction) bool {
+func (s *Steer) DemandInto(dst *core.Prediction) bool {
 	return s.b.CopyPrediction(s.slot, dst)
 }
 

@@ -8,7 +8,6 @@ import (
 	"triplec/internal/experiments"
 	"triplec/internal/fault"
 	"triplec/internal/flowgraph"
-	"triplec/internal/tasks"
 )
 
 // ReportSchema identifies the `triplec slo` report document format.
@@ -97,7 +96,7 @@ type ReplayResult struct {
 // being served (fired synchronously inside Manager.Observe).
 type scenarioSink struct{ miss bool }
 
-func (s *scenarioSink) TaskSample(tasks.Name, float64, float64) {}
+func (s *scenarioSink) TaskSample(int, float64, float64) {}
 func (s *scenarioSink) ScenarioSample(predicted, actual flowgraph.Scenario) {
 	s.miss = predicted != actual
 }

@@ -34,8 +34,6 @@ func chaosServerConfig(reg *metrics.Registry) ServerConfig {
 		// Low enough that the permanently faulted streams exhaust it within
 		// the run and demonstrate quarantine, high enough to show restarts.
 		RestartBudget: 4,
-		BackoffMs:     0.5,
-		MaxBackoffMs:  5,
 		Degrade:       true,
 		Metrics:       reg,
 	}

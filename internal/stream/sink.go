@@ -1,12 +1,9 @@
 package stream
 
-import (
-	"triplec/internal/flowgraph"
-	"triplec/internal/tasks"
-)
+import "triplec/internal/flowgraph"
 
 // The runner is its predictor's one metrics sink. The samples fire inside
-// Manager.ObserveFrame on the serving goroutine, after Process returned but
+// Manager.Observe on the serving goroutine, after Process returned but
 // before the frame commits — exactly the window in which prediction data
 // exists and the frame is still open — and go to every consumer from here:
 // the telemetry accountant, the open span frame, and the SLO cause ledger's
@@ -26,8 +23,7 @@ func (r *runner) attachObservers() {
 
 // TaskSample implements core.MetricsSink: one task's predicted-vs-actual
 // computation time lands in the accountant and on the staged task span.
-func (r *runner) TaskSample(task tasks.Name, predictedMs, actualMs float64) {
-	ti := tasks.IndexOf(task)
+func (r *runner) TaskSample(ti int, predictedMs, actualMs float64) {
 	r.tel.taskSample(ti, predictedMs, actualMs)
 	r.fb.SetPredicted(ti, predictedMs)
 }

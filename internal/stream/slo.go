@@ -8,7 +8,7 @@ import (
 // loop. Every processed frame is classified once, at commit time, from
 // evidence the loop already has on hand: the admission directive (core
 // arbitration), the predictor sink (scenario misses, staged by the runner
-// during Manager.ObserveFrame), the degradation ladder, the supervisor (fault
+// during Manager.Observe), the degradation ladder, the supervisor (fault
 // recovery via recordLostFrame), and the arbiter's rebalance counter. The
 // path reuses one FrameInput scratch per stream and allocates nothing.
 

@@ -119,10 +119,6 @@ type ServerConfig struct {
 	MaxRestarts int
 	// RestartBudget is the stream-lifetime restart limit (default 10).
 	RestartBudget int
-	// BackoffMs is the initial restart backoff (default 1); doubled per
-	// consecutive restart and capped at MaxBackoffMs (default 100).
-	BackoffMs    float64
-	MaxBackoffMs float64
 	// Degrade enables the per-stream degradation ladder: sustained bad
 	// frames (miss, failure, abandonment) step the pipeline down
 	// pipeline.Quality rungs, recovered streams step back up after the
@@ -190,12 +186,6 @@ func (c ServerConfig) withDefaults(streams []Config) ServerConfig {
 		}
 		if c.RestartBudget == 0 {
 			c.RestartBudget = 10
-		}
-		if c.BackoffMs == 0 {
-			c.BackoffMs = 1
-		}
-		if c.MaxBackoffMs == 0 {
-			c.MaxBackoffMs = 100
 		}
 	}
 	return c
@@ -303,9 +293,6 @@ func NewServer(cfg ServerConfig, streams []Config) (*Server, error) {
 	}
 	if cfg.MaxRestarts < 0 || cfg.RestartBudget < 0 {
 		return nil, fmt.Errorf("stream: MaxRestarts %d / RestartBudget %d must be non-negative; use 0 for the defaults", cfg.MaxRestarts, cfg.RestartBudget)
-	}
-	if cfg.BackoffMs < 0 || math.IsNaN(cfg.BackoffMs) || cfg.MaxBackoffMs < 0 || math.IsNaN(cfg.MaxBackoffMs) {
-		return nil, fmt.Errorf("stream: BackoffMs %v / MaxBackoffMs %v must be non-negative", cfg.BackoffMs, cfg.MaxBackoffMs)
 	}
 	if cfg.RebalanceEvery < 0 {
 		return nil, fmt.Errorf("stream: RebalanceEvery %d is negative; use 0 for the default of 4 demand reports per re-division", cfg.RebalanceEvery)
@@ -488,11 +475,11 @@ type runner struct {
 
 	// obs is the one dense observation of the frame being committed, filled
 	// from its report and fed to both the manager and the shadow board.
-	obs core.FrameObs
+	obs core.Observation
 
 	// SLO cause-ledger state (used only when cfg.SLO is set). sloIn is the
 	// reusable classification input; the pending flags carry cross-frame
-	// cause evidence (a scenario miss noticed inside Manager.ObserveFrame, a
+	// cause evidence (a scenario miss noticed inside Manager.Observe, a
 	// fault-recovery frame) to the next ObserveFrame. lastRebalances
 	// detects arbiter re-divisions between this stream's frames.
 	sloIn           slo.FrameInput
@@ -695,7 +682,7 @@ func (r *runner) serveFrames(start int) (failedAt int, stalled bool, err error) 
 			r.ctl.setBudgetMs(r.si, r.mgr.BudgetMs)
 		}
 		core.DenseFromReport(&rep, sc.FramePixels, &r.obs)
-		r.mgr.ObserveFrame(&r.obs, rep.LatencyMs)
+		r.mgr.Observe(r.obs)
 		if sc.Shadow != nil {
 			sc.Shadow.ObserveFrame(&r.obs)
 		}

@@ -91,8 +91,6 @@ func TestNewServerValidation(t *testing.T) {
 		{WatchdogMs: 50, StallMs: 20}, // stall bound below the watchdog
 		{Supervise: true, MaxRestarts: -1},
 		{Supervise: true, RestartBudget: -1},
-		{Supervise: true, BackoffMs: -1},
-		{Supervise: true, MaxBackoffMs: math.NaN()},
 	} {
 		if _, err := NewServer(bad, []Config{cfg}); err == nil {
 			t.Fatalf("invalid server config accepted: %+v", bad)

@@ -16,13 +16,20 @@ import (
 // immediately (MultiManager.Retire) instead of shedding load against a
 // corpse's stale demand.
 
+// The restart backoff: backoffMs after the first crash, doubled per
+// consecutive crash without progress and capped at maxBackoffMs.
+const (
+	backoffMs    = 1.0
+	maxBackoffMs = 100.0
+)
+
 // supervised drives serveFrames under the restart policy. It returns when
 // the stream completes, or after quarantining it (res.Err set).
 func (r *runner) supervised() {
 	start := 0
 	consecutive := 0 // crashes since the last frame of progress
 	restarts := 0
-	backoff := r.cfg.BackoffMs
+	backoff := backoffMs
 	var recoverySumMs float64
 	for {
 		r.sinceRestart = 0
@@ -35,7 +42,7 @@ func (r *runner) supervised() {
 			// The loop made progress before dying: the failure streak is
 			// broken, so the backoff resets too.
 			consecutive = 0
-			backoff = r.cfg.BackoffMs
+			backoff = backoffMs
 		}
 		consecutive++
 		restarts++
@@ -56,8 +63,8 @@ func (r *runner) supervised() {
 		}
 		time.Sleep(time.Duration(backoff * float64(time.Millisecond)))
 		backoff *= 2
-		if backoff > r.cfg.MaxBackoffMs {
-			backoff = r.cfg.MaxBackoffMs
+		if backoff > maxBackoffMs {
+			backoff = maxBackoffMs
 		}
 		if stalled {
 			// The old engine may still be executing on a leaked goroutine;

@@ -133,7 +133,7 @@ func TestSupervisorRestartsAfterCrash(t *testing.T) {
 		}
 		return src(i)
 	}
-	srv, err := NewServer(ServerConfig{Supervise: true, BackoffMs: 0.1}, []Config{sc})
+	srv, err := NewServer(ServerConfig{Supervise: true}, []Config{sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSupervisorQuarantinesAfterRepeatedCrashes(t *testing.T) {
 		return src(i)
 	}
 	good := mkStream(t, s, "healthy", 59, 0)
-	srv, err := NewServer(ServerConfig{Supervise: true, MaxRestarts: 2, BackoffMs: 0.1}, []Config{bad, good})
+	srv, err := NewServer(ServerConfig{Supervise: true, MaxRestarts: 2}, []Config{bad, good})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestSupervisorRebuildsAfterStall(t *testing.T) {
 	})
 	sc = withRebuild(t, sc, nil)
 	srv, err := NewServer(ServerConfig{
-		Supervise: true, WatchdogMs: 20 * raceScale, StallMs: 60 * raceScale, BackoffMs: 0.1, HostWorkers: 4,
+		Supervise: true, WatchdogMs: 20 * raceScale, StallMs: 60 * raceScale, HostWorkers: 4,
 	}, []Config{sc})
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestRebuildKeepsPredictorSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := NewServer(ServerConfig{
-		Supervise: true, WatchdogMs: 20 * raceScale, StallMs: 60 * raceScale, BackoffMs: 0.1, HostWorkers: 4,
+		Supervise: true, WatchdogMs: 20 * raceScale, StallMs: 60 * raceScale, HostWorkers: 4,
 		Metrics: reg, SLO: tracker,
 	}, []Config{sc})
 	if err != nil {
@@ -324,7 +324,7 @@ func TestStallWithoutRebuildQuarantines(t *testing.T) {
 		}
 	})
 	srv, err := NewServer(ServerConfig{
-		Supervise: true, WatchdogMs: 20 * raceScale, StallMs: 60 * raceScale, BackoffMs: 0.1, HostWorkers: 4,
+		Supervise: true, WatchdogMs: 20 * raceScale, StallMs: 60 * raceScale, HostWorkers: 4,
 	}, []Config{sc})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +363,7 @@ func TestQuarantineExcludesAbandonedRecovery(t *testing.T) {
 	}
 	// RestartBudget 1: the first crash restarts (MaxRestarts 5 tolerates it),
 	// the second exhausts the lifetime budget and quarantines.
-	srv, err := NewServer(ServerConfig{Supervise: true, MaxRestarts: 5, RestartBudget: 1, BackoffMs: 0.1}, []Config{bad})
+	srv, err := NewServer(ServerConfig{Supervise: true, MaxRestarts: 5, RestartBudget: 1}, []Config{bad})
 	if err != nil {
 		t.Fatal(err)
 	}
