@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 
-	"triplec/internal/core"
 	"triplec/internal/experiments"
 	"triplec/internal/shadow"
 )
@@ -44,13 +43,9 @@ func runShadow(args []string) error {
 
 	study := experiments.DefaultStudy()
 	study.Seed = *seed
-	sequences := make([][]core.Observation, 0, *seqs)
-	for i := 0; i < *seqs; i++ {
-		obs, err := study.Observations(*seed+5000+uint64(i)*29, *frames)
-		if err != nil {
-			return err
-		}
-		sequences = append(sequences, obs)
+	sequences, err := study.Profile(*seed+5000, 29, *seqs, *frames)
+	if err != nil {
+		return err
 	}
 
 	rep, err := shadow.CrossValidate(sequences, shadow.Config{

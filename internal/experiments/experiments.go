@@ -8,10 +8,12 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 
 	"triplec/internal/core"
 	"triplec/internal/frame"
+	"triplec/internal/parallel"
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/synth"
@@ -113,30 +115,35 @@ func (s Study) Observations(seed uint64, frames int) ([]core.Observation, error)
 	return core.FromReports(reports, s.FramePixels()), nil
 }
 
-// TrainingSets profiles the study's training corpus.
-func (s Study) TrainingSets() ([][]core.Observation, error) {
-	out := make([][]core.Observation, 0, s.TrainSeqs)
-	for i := 0; i < s.TrainSeqs; i++ {
-		obs, err := s.Observations(s.Seed+1000+uint64(i)*17, s.TrainFrames)
+// Profile profiles n sequences of frames frames each, sequence i seeded
+// first+i*step, spread over GOMAXPROCS goroutines. Each goroutine builds its
+// own sequences and engines and the reports carry modeled time only, so the
+// result is the serial loop's, whatever the interleaving. The error is the
+// lowest-indexed sequence's.
+func (s Study) Profile(first, step uint64, n, frames int) ([][]core.Observation, error) {
+	out := make([][]core.Observation, n)
+	errs := make([]error, n)
+	parallel.ForStripes(n, runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i], errs[i] = s.Observations(first+uint64(i)*step, frames)
+		}
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, obs)
 	}
 	return out, nil
 }
 
+// TrainingSets profiles the study's training corpus.
+func (s Study) TrainingSets() ([][]core.Observation, error) {
+	return s.Profile(s.Seed+1000, 17, s.TrainSeqs, s.TrainFrames)
+}
+
 // TestSets profiles the held-out test sequences.
 func (s Study) TestSets() ([][]core.Observation, error) {
-	out := make([][]core.Observation, 0, s.TestSeqs)
-	for i := 0; i < s.TestSeqs; i++ {
-		obs, err := s.Observations(s.Seed+900000+uint64(i)*83, s.TestFrames)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, obs)
-	}
-	return out, nil
+	return s.Profile(s.Seed+900000, 83, s.TestSeqs, s.TestFrames)
 }
 
 // trainCache memoizes training per study configuration (Study is a

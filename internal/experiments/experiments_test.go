@@ -3,8 +3,12 @@ package experiments
 import (
 	"bytes"
 	"hash/fnv"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"triplec/internal/core"
 )
 
 // fastStudy keeps experiment tests quick.
@@ -218,6 +222,42 @@ func TestStudyObservationsDeterministic(t *testing.T) {
 	}
 }
 
+// Profile's parallel stripes must return exactly the serial loop's corpus,
+// whatever the number of Ps; run under -race it also shows that the stripes
+// share nothing.
+func TestProfileMatchesSerialLoop(t *testing.T) {
+	s := fastStudy()
+	s.FrameW, s.FrameH = 64, 64
+	const n, frames = 5, 12
+	want := make([][]core.Observation, n)
+	for i := range want {
+		obs, err := s.Observations(s.Seed+1000+uint64(i)*17, frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = obs
+	}
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := s.Profile(s.Seed+1000, 17, n, frames)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS %d: parallel profile differs from the serial loop", procs)
+		}
+	}
+	if got, err := s.Profile(1, 1, 0, frames); err != nil || len(got) != 0 {
+		t.Fatalf("empty profile: %v, %v", got, err)
+	}
+	bad := s
+	bad.Spacing = 0
+	if _, err := bad.Profile(1, 1, 3, frames); err == nil {
+		t.Fatal("invalid study profiled without error")
+	}
+}
+
 func TestMultiAppOutput(t *testing.T) {
 	var buf bytes.Buffer
 	if err := MultiApp(&buf, fastStudy()); err != nil {
@@ -259,6 +299,37 @@ func TestCrossValOutput(t *testing.T) {
 	for _, want := range []string{"fold 0", "mean accuracy"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("crossval report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSynthFrameDigest pins the FNV-64a of the pixels of frames 0-99 of the
+// study's first training sequence at 128x128 and 512x512, recorded before the
+// generator's fast noise path: every optimisation of synth.Frame must render
+// the same bits.
+func TestSynthFrameDigest(t *testing.T) {
+	for _, c := range []struct {
+		size int
+		want uint64
+	}{{128, 0x647eb1015886b90a}, {512, 0x975a9bd32f03a036}} {
+		s := DefaultStudy()
+		s.FrameW, s.FrameH = c.size, c.size
+		seq, err := s.Sequence(s.Seed + 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b []byte
+		for i := 0; i < 100; i++ {
+			f, _ := seq.Frame(i)
+			b = b[:0]
+			for _, v := range f.Pix {
+				b = append(b, byte(v), byte(v>>8))
+			}
+			h.Write(b)
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%dx%d frame digest %#016x, want %#016x", c.size, c.size, got, c.want)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package parallel
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSubmitBatchRunsAll(t *testing.T) {
@@ -201,5 +203,77 @@ func TestStripesOnConcurrentCallers(t *testing.T) {
 	wg.Wait()
 	if want := int64(callers * 20 * 48); total.Load() != want {
 		t.Fatalf("covered %d indices, want %d", total.Load(), want)
+	}
+}
+
+// onPoolWorker reports whether the calling goroutine is one of a Pool's
+// workers rather than the goroutine that called StripesOn.
+func onPoolWorker() bool {
+	pc := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pc[:runtime.Callers(2, pc)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*Pool).runJob") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// deepPanic panics depth frames down, so recovering it and taking its stack
+// (asPanicError) walks a long stack and takes milliseconds.
+func deepPanic(depth int) {
+	if depth == 0 {
+		panic("deep stripe boom")
+	}
+	deepPanic(depth - 1)
+}
+
+// A stripe that panics on a pool worker while the caller already waits in
+// the join must still surface on the caller. The panicking stripe is held
+// until the caller's own stripe has returned and the caller has had time to
+// enter the join, and its deep stack makes recording the panic slow: a join
+// released before the panic is recorded returns without re-panicking.
+func TestStripesOnHelperPanicAfterCallerJoins(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	p := NewPool(1)
+	defer p.Close()
+	exercised := 0
+	for iter := 0; iter < 50 && exercised < 3; iter++ {
+		helperClaimed := make(chan struct{})
+		callerDone := make(chan struct{})
+		callerReturns := sync.OnceFunc(func() { close(callerDone) })
+		var onHelper atomic.Bool
+		var pe *PanicError
+		func() {
+			defer func() { pe, _ = recover().(*PanicError) }()
+			StripesOn(p, 2, 2, func(stripe, lo, hi int) {
+				if !onPoolWorker() {
+					select { // give the helper the chance to claim the other stripe
+					case <-helperClaimed:
+					case <-time.After(50 * time.Millisecond):
+					}
+					callerReturns()
+					return
+				}
+				onHelper.Store(true)
+				close(helperClaimed)
+				<-callerDone
+				time.Sleep(10 * time.Millisecond)
+				deepPanic(20000)
+			})
+		}()
+		if !onHelper.Load() {
+			continue // the caller ran both stripes; nothing panicked
+		}
+		exercised++
+		if pe == nil || pe.Value != "deep stripe boom" {
+			t.Fatalf("iteration %d: helper stripe panic did not surface on the caller (got %v)", iter, pe)
+		}
+	}
+	if exercised == 0 {
+		t.Fatal("no stripe ran on the pool worker")
 	}
 }

@@ -61,9 +61,21 @@ func (b *panicBox) capture(r any) {
 
 // rethrow re-panics the first captured panic on the calling goroutine.
 func (b *panicBox) rethrow() {
-	if b.err != nil {
-		panic(b.err)
+	b.mu.Lock()
+	err := b.err
+	b.mu.Unlock()
+	if err != nil {
+		panic(err)
 	}
+}
+
+// settle is a stripe's last deferred call: it records the stripe's panic,
+// if any, and only then marks the stripe done, so a join that returns has
+// every panic in the box. It must be deferred directly (recover only stops
+// a panic when called by the deferred function itself).
+func (b *panicBox) settle(done *sync.WaitGroup) {
+	b.capture(recover())
+	done.Done()
 }
 
 // ForStripes splits the half-open index range [0, n) into k contiguous
@@ -91,8 +103,7 @@ func ForStripes(n, k int, fn func(stripe, lo, hi int)) {
 		lo := s * n / k
 		hi := (s + 1) * n / k
 		go func(stripe, lo, hi int) {
-			defer wg.Done()
-			defer func() { box.capture(recover()) }()
+			defer box.settle(&wg)
 			fn(stripe, lo, hi)
 		}(s, lo, hi)
 	}
@@ -276,7 +287,6 @@ func StripesOn(p *Pool, n, k int, fn func(stripe, lo, hi int)) {
 	var done sync.WaitGroup
 	done.Add(k)
 	claimOne := func() (more bool) {
-		defer func() { box.capture(recover()) }()
 		s := int(next.Add(1) - 1)
 		if s >= k {
 			return false
@@ -285,7 +295,7 @@ func StripesOn(p *Pool, n, k int, fn func(stripe, lo, hi int)) {
 		// the drain loop moves on to the next stripe instead of abandoning
 		// the unclaimed remainder (which would hang the join below).
 		more = true
-		defer done.Done()
+		defer box.settle(&done)
 		fn(s, s*n/k, (s+1)*n/k)
 		return true
 	}

@@ -51,14 +51,22 @@ func (r *RNG) Range(lo, hi float64) float64 {
 // Norm returns a normally distributed value with the given mean and standard
 // deviation, using the Box-Muller transform.
 func (r *RNG) Norm(mean, stddev float64) float64 {
-	// Avoid log(0) by shifting u1 away from zero.
-	u1 := r.Float64()
+	return mean + stddev*BoxMuller(r.NormUniforms())
+}
+
+// NormUniforms draws the two uniforms Norm transforms: u1 in [1e-12, 1),
+// shifted away from zero to avoid log(0), and u2 in [0, 1).
+func (r *RNG) NormUniforms() (u1, u2 float64) {
+	u1 = r.Float64()
 	if u1 < 1e-12 {
 		u1 = 1e-12
 	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
+	return u1, r.Float64()
+}
+
+// BoxMuller maps NormUniforms' pair to a standard normal value.
+func BoxMuller(u1, u2 float64) float64 {
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // Poisson returns a Poisson-distributed value with rate lambda, using

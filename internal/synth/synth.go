@@ -107,8 +107,9 @@ type Truth struct {
 // order and concurrently; every call derives its noise stream from the
 // frame index alone.
 type Sequence struct {
-	cfg     Config
-	vessels []segment // static vessel centerline segments
+	cfg        Config
+	vessels    []segment // static vessel centerline segments
+	background []uint16  // the illumination every frame starts from; read-only
 }
 
 type segment struct {
@@ -129,6 +130,7 @@ func New(cfg Config) (*Sequence, error) {
 	}
 	s := &Sequence{cfg: cfg}
 	s.buildVessels()
+	s.buildBackground()
 	return s, nil
 }
 
@@ -159,6 +161,22 @@ func (s *Sequence) buildVessels() {
 			if x < -w/4 || x > 1.25*w || y < -h/4 || y > 1.25*h {
 				break
 			}
+		}
+	}
+}
+
+// buildBackground renders the smooth illumination falloff toward the
+// borders, which no frame parameter moves.
+func (s *Sequence) buildBackground() {
+	w, h := float64(s.cfg.Width), float64(s.cfg.Height)
+	s.background = make([]uint16, s.cfg.Width*s.cfg.Height)
+	for y := 0; y < s.cfg.Height; y++ {
+		fy := (float64(y)/h - 0.5) * 2
+		row := s.background[y*s.cfg.Width : (y+1)*s.cfg.Width]
+		for x := range row {
+			fx := (float64(x)/w - 0.5) * 2
+			vignette := 1 - 0.15*(fx*fx+fy*fy)
+			row[x] = clamp16(s.cfg.Background * vignette)
 		}
 	}
 }
@@ -265,19 +283,8 @@ func (s *Sequence) Frame(i int) (*frame.Frame, Truth) {
 	tr := s.Truth(i)
 	rng := s.frameRNG(i)
 	f := frame.New(s.cfg.Width, s.cfg.Height)
+	copy(f.Pix, s.background)
 	bdx, bdy := s.breathOffset(i)
-
-	// Background: smooth illumination falloff toward the borders.
-	w, h := float64(s.cfg.Width), float64(s.cfg.Height)
-	for y := 0; y < s.cfg.Height; y++ {
-		fy := (float64(y)/h - 0.5) * 2
-		row := f.Pix[y*f.Stride : y*f.Stride+s.cfg.Width]
-		for x := 0; x < s.cfg.Width; x++ {
-			fx := (float64(x)/w - 0.5) * 2
-			vignette := 1 - 0.15*(fx*fx+fy*fy)
-			row[x] = clamp16(s.cfg.Background * vignette)
-		}
-	}
 
 	// Vessels: dark anti-aliased strokes, translated by breathing motion and
 	// table panning, deepened during contrast bursts. A slow sinusoidal
@@ -318,6 +325,7 @@ func (s *Sequence) Frame(i int) (*frame.Frame, Truth) {
 
 	// Clutter: spurious dark blobs that become candidate markers and inflate
 	// the couples-selection workload (O(k^2) in candidate count).
+	w, h := float64(s.cfg.Width), float64(s.cfg.Height)
 	for c := 0; c < tr.ClutterBlobs; c++ {
 		x := rng.Range(0, w)
 		y := rng.Range(0, h)
@@ -327,18 +335,18 @@ func (s *Sequence) Frame(i int) (*frame.Frame, Truth) {
 	}
 
 	// Noise: Poisson quantum noise plus Gaussian electronic noise.
-	if s.cfg.NoiseSigma > 0 || s.cfg.QuantumGain > 0 {
+	switch {
+	case s.cfg.QuantumGain > 0:
 		for idx, v := range f.Pix {
-			val := float64(v)
-			if s.cfg.QuantumGain > 0 {
-				lambda := val * s.cfg.QuantumGain
-				val = float64(rng.Poisson(lambda)) / s.cfg.QuantumGain
-			}
+			lambda := float64(v) * s.cfg.QuantumGain
+			val := float64(rng.Poisson(lambda)) / s.cfg.QuantumGain
 			if s.cfg.NoiseSigma > 0 {
 				val += rng.Norm(0, s.cfg.NoiseSigma)
 			}
 			f.Pix[idx] = clamp16(val)
 		}
+	case s.cfg.NoiseSigma > 0:
+		gaussNoise(f.Pix, rng, s.cfg.NoiseSigma)
 	}
 	return f, tr
 }
@@ -364,9 +372,21 @@ func (s *Sequence) stroke(f *frame.Frame, x0, y0, x1, y1, width, depth float64) 
 	}
 	dx, dy := x1-x0, y1-y0
 	lenSq := dx*dx + dy*dy
+	inv := 0.0
+	if lenSq > 0 {
+		inv = 1 / lenSq
+	}
+	// The prefilter's t, from the reciprocal, is within a few ulps of the
+	// exact one, so a pixel farther than width plus a 1e-3 px margin by it
+	// is farther than width by the exact distance too.
+	reach := (width + 1e-3) * (width + 1e-3)
 	for y := minY; y <= maxY; y++ {
 		for x := minX; x <= maxX; x++ {
 			px, py := float64(x), float64(y)
+			ta := min(max(((px-x0)*dx+(py-y0)*dy)*inv, 0), 1)
+			if ex, ey := px-(x0+ta*dx), py-(y0+ta*dy); ex*ex+ey*ey > reach {
+				continue
+			}
 			// Distance from pixel to segment.
 			t := 0.0
 			if lenSq > 0 {
