@@ -142,8 +142,8 @@ func (h *Histogram) EnableExemplars() {
 
 // AttachExemplar stores an exemplar on the bucket v falls into,
 // overwriting the bucket's previous one. It does NOT count v — the
-// caller already Observed the value (typically via an engine observer);
-// attaching is a separate step so the sample is never double-counted.
+// caller Observes the value separately (the serving loop does both at
+// frame commit), so the sample is never double-counted.
 // No-op unless EnableExemplars was called. Allocation-free.
 func (h *Histogram) AttachExemplar(v float64, frame, dump int64) {
 	if h == nil || math.IsNaN(v) || math.IsInf(v, 0) {

@@ -13,6 +13,11 @@ import (
 	"triplec/internal/stats"
 )
 
+// commitProcessed resolves one processed frame through the telemetry commit.
+func commitProcessed(tel *telemetry, latencyMs float64, missed bool) {
+	tel.commit(&outcome{kind: outProcessed, latencyMs: latencyMs, missed: missed}, &core.Observation{})
+}
+
 // TestRollingMissDivergence: a late burst of deadline misses moves the
 // 64-frame rolling window immediately while the lifetime rate still
 // averages it away — the signal the promotion guardrails (and /healthz
@@ -27,10 +32,10 @@ func TestRollingMissDivergence(t *testing.T) {
 
 	// 100 clean frames, then a 32-frame miss burst.
 	for i := 0; i < 100; i++ {
-		tel.processed(10, false, false)
+		commitProcessed(tel, 10, false)
 	}
 	for i := 0; i < 32; i++ {
-		tel.processed(40, true, false)
+		commitProcessed(tel, 40, true)
 	}
 
 	rolling, samples := tel.missWin.Rate()
@@ -58,46 +63,55 @@ func TestRollingMissWindowPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	tel := &telemetry{acct: acct}
-	tel.processed(10, true, false)
-	tel.processed(10, false, false)
-	tel.processed(10, true, false)
+	commitProcessed(tel, 10, true)
+	commitProcessed(tel, 10, false)
+	commitProcessed(tel, 10, true)
 	rolling, samples := tel.missWin.Rate()
 	if samples != 3 || rolling != 2.0/3.0 {
 		t.Fatalf("partial window = %v over %d samples, want 2/3 over 3", rolling, samples)
 	}
 }
 
-// TestRollingMissStatsMatchHealthz: the end-of-run Stats window and the
-// /healthz window are one window when telemetry is on, and a bare server's
-// private window reports the same numbers for the same (deterministic,
-// single-stream) run. The tight budget makes the window non-trivial.
+// TestRollingMissStatsMatchHealthz: the /healthz rolling window is the
+// deadline outcome of the last 64 processed frames, as the run's trace
+// records them in its missed column. The tight budget makes the window
+// non-trivial.
 func TestRollingMissStatsMatchHealthz(t *testing.T) {
 	s := testStudy()
 	const frames, budgetMs = 90, 24
-	run := func(reg *metrics.Registry) (Stats, *Server) {
-		srv, err := NewServer(ServerConfig{Metrics: reg}, []Config{mkStream(t, s, "tight", 9, budgetMs)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := srv.Run(frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Streams[0].Stats, srv
+	srv, err := NewServer(ServerConfig{Metrics: metrics.NewRegistry()}, []Config{mkStream(t, s, "tight", 9, budgetMs)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	bare, _ := run(nil)
-	observed, srv := run(metrics.NewRegistry())
+	res, err := srv.Run(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := map[string][]float64{}
+	for _, c := range []string{"missed", "skipped", "failed", "abandoned"} {
+		if cols[c], err = res.Streams[0].Trace.Get(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var window []float64 // missed column of the processed rows
+	for i, m := range cols["missed"] {
+		if cols["skipped"][i]+cols["failed"][i]+cols["abandoned"][i] == 0 {
+			window = append(window, m)
+		}
+	}
+	if len(window) < stats.BitWindowSize {
+		t.Fatalf("%d processed frames, want at least %d", len(window), stats.BitWindowSize)
+	}
+	window = window[len(window)-stats.BitWindowSize:]
+	misses := 0.0
+	for _, m := range window {
+		misses += m
+	}
+	want := misses / stats.BitWindowSize
+	if want <= 0 || want >= 1 {
+		t.Fatalf("trace window miss rate %v; the budget should split the window", want)
+	}
 
-	if bare.RollingMissSamples != stats.BitWindowSize {
-		t.Fatalf("bare run: window holds %d samples after %d frames, want %d", bare.RollingMissSamples, frames, stats.BitWindowSize)
-	}
-	if bare.RollingMissRate <= 0 || bare.RollingMissRate >= 1 {
-		t.Fatalf("bare run: rolling miss rate %v; the budget should split the window", bare.RollingMissRate)
-	}
-	if observed.RollingMissRate != bare.RollingMissRate || observed.RollingMissSamples != bare.RollingMissSamples {
-		t.Fatalf("telemetry run reports %v over %d, bare run %v over %d",
-			observed.RollingMissRate, observed.RollingMissSamples, bare.RollingMissRate, bare.RollingMissSamples)
-	}
 	rec := httptest.NewRecorder()
 	srv.HealthHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	var rep struct {
@@ -109,17 +123,16 @@ func TestRollingMissStatsMatchHealthz(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &rep); err != nil {
 		t.Fatalf("healthz is not JSON: %v", err)
 	}
-	if len(rep.Streams) != 1 || rep.Streams[0].RollingMissRate != observed.RollingMissRate ||
-		rep.Streams[0].RollingMissSamples != observed.RollingMissSamples {
-		t.Fatalf("healthz %+v, Stats %v over %d", rep.Streams, observed.RollingMissRate, observed.RollingMissSamples)
+	if len(rep.Streams) != 1 || rep.Streams[0].RollingMissRate != want ||
+		rep.Streams[0].RollingMissSamples != stats.BitWindowSize {
+		t.Fatalf("healthz %+v, trace window %v over %d", rep.Streams, want, stats.BitWindowSize)
 	}
 }
 
 // TestServeWithPromotion runs the serving loop with the promotion
 // controller attached to every stream: /healthz must carry the fleet
 // promotion status and the per-stream predictor identity must follow the
-// canary assignment, and end-of-run Stats must surface the rolling miss
-// window.
+// canary assignment, and /healthz must surface the rolling miss window.
 func TestServeWithPromotion(t *testing.T) {
 	s := testStudy()
 	p, err := s.TrainPredictor()
@@ -174,20 +187,6 @@ func TestServeWithPromotion(t *testing.T) {
 		t.Fatalf("%d of 2 streams canaried, want exactly 1 at canary-frac 0.5", canaried)
 	}
 
-	// End-of-run stats surface the rolling miss window.
-	for i, sr := range res.Streams {
-		want := sr.Stats.Processed
-		if want > 64 {
-			want = 64
-		}
-		if sr.Stats.RollingMissSamples != want {
-			t.Errorf("stream %d rolling samples %d, want %d", i, sr.Stats.RollingMissSamples, want)
-		}
-		if sr.Stats.RollingMissRate < 0 || sr.Stats.RollingMissRate > 1 {
-			t.Errorf("stream %d rolling miss rate %v outside [0,1]", i, sr.Stats.RollingMissRate)
-		}
-	}
-
 	// /healthz: fleet promotion block plus per-stream predictor identity
 	// and rolling miss window.
 	rec := httptest.NewRecorder()
@@ -214,12 +213,12 @@ func TestServeWithPromotion(t *testing.T) {
 		t.Fatalf("healthz challenger %q, want %q", rep.Promotion.Challenger, shadow.BackendOrder2)
 	}
 	healthCanaried := 0
-	for _, h := range rep.Streams {
+	for i, h := range rep.Streams {
 		if h.Predictor == shadow.BackendOrder2 {
 			healthCanaried++
 		}
-		if h.RollingMissSamples == 0 {
-			t.Errorf("stream %s: healthz rolling miss window empty after a served run", h.Name)
+		if want := min(res.Streams[i].Stats.Processed, stats.BitWindowSize); h.RollingMissSamples != want {
+			t.Errorf("stream %d: healthz rolling miss window holds %d samples, want %d", i, h.RollingMissSamples, want)
 		}
 	}
 	if healthCanaried != canaried {

@@ -6,9 +6,10 @@ import "triplec/internal/flowgraph"
 // Manager.Observe on the serving goroutine, after Process returned but
 // before the frame commits — exactly the window in which prediction data
 // exists and the frame is still open — and go to every consumer from here:
-// the telemetry accountant, the open span frame, and the SLO cause ledger's
-// staged scenario miss. Telemetry and the frame builder are nil-safe, so
-// there is no order in which consumers must be installed.
+// the telemetry accountant, the open span frame, and the frame's outcome
+// record (its scenario-miss flag feeds the SLO cause ledger). Telemetry and
+// the frame builder are nil-safe, so there is no order in which consumers
+// must be installed.
 
 // attachObservers wires the runner's current engine+manager pair to the
 // configured observers. Called at stream start and again after every
@@ -30,12 +31,11 @@ func (r *runner) TaskSample(ti int, predictedMs, actualMs float64) {
 
 // ScenarioSample implements core.MetricsSink: the state table's scenario
 // forecast against the scenario that executed. A mismatch also stages a miss
-// instant on the span frame and the scenario-miss cause for the SLO ledger,
-// consumed (and cleared) when this frame commits through observeSLO.
+// instant on the span frame and marks the frame's outcome record.
 func (r *runner) ScenarioSample(predicted, actual flowgraph.Scenario) {
 	r.tel.scenarioSample(predicted, actual)
 	if predicted != actual {
 		r.fb.ScenarioMiss(predicted.Index(), actual.Index())
-		r.pendingScenMiss = true
+		r.out.scenMiss = true
 	}
 }

@@ -62,38 +62,29 @@ func (r *runner) spanInstant(kind span.Kind, frame int) {
 	})
 }
 
-// spanSkip records a frame shed by the admission controller.
-func (r *runner) spanSkip(i int) { r.spanInstant(span.KindSkip, i) }
-
-// spanProcessed commits the processed frame's span group and feeds the
-// deadline/prediction outcome to the trigger engine. Allocation-free.
-func (r *runner) spanProcessed(i, scenario, quality, cores int, predictedMs, actualMs float64, missed bool) {
+// spanFrame records the resolved frame: an instant for a skip or an
+// abandon, the frame root for every frame that entered the pipeline, and the
+// deadline, prediction or panic outcome for the trigger engine. An abandoned
+// frame's late goroutine has finished by now (runProcess waited for it), so
+// the builder is safely ours again; a stalled one was orphaned by spanStall
+// and commits nothing. Allocation-free.
+func (r *runner) spanFrame(o *outcome) {
 	if r.fr == nil {
 		return
 	}
-	r.fb.Commit(i, scenario, quality, span.OutcomeProcessed, cores, predictedMs, actualMs, r.mgr.BudgetMs)
-	r.fr.ObserveFrame(r.si, i, missed, predictedMs, actualMs)
-}
-
-// spanFailed commits a frame lost to a recovered task panic (the engine's
-// guard already closed the in-flight task span) and arms the panic trigger.
-func (r *runner) spanFailed(i, cores int) {
-	if r.fr == nil {
+	switch o.kind {
+	case outSkipped:
+		r.spanInstant(span.KindSkip, o.frame)
 		return
+	case outAbandoned:
+		r.spanInstant(span.KindAbandon, o.frame)
 	}
-	r.fb.Commit(i, -1, int(r.deg.Level()), span.OutcomeFailed, cores, 0, 0, r.mgr.BudgetMs)
-	r.fr.ObservePanic(r.si, i)
-}
-
-// spanAbandon commits a frame given up past the watchdog. The late
-// goroutine has finished (its done channel closed before runProcess
-// returned procAbandoned), so the builder is safely ours again.
-func (r *runner) spanAbandon(i, cores int) {
-	if r.fr == nil {
-		return
+	r.fb.Commit(o.frame, o.scenario, o.quality, o.kind, o.cores, o.predictedMs, o.latencyMs, r.mgr.BudgetMs)
+	if o.kind == outProcessed {
+		r.fr.ObserveFrame(r.si, o.frame, o.missed, o.predictedMs, o.latencyMs)
+	} else if o.panicked {
+		r.fr.ObservePanic(r.si, o.frame)
 	}
-	r.spanInstant(span.KindAbandon, i)
-	r.fb.Commit(i, -1, int(r.deg.Level()), span.OutcomeAbandoned, cores, 0, 0, r.mgr.BudgetMs)
 }
 
 // spanStall records an engine poisoning and orphans the builder: the

@@ -38,7 +38,6 @@ import (
 	"triplec/internal/shadow"
 	"triplec/internal/slo"
 	"triplec/internal/span"
-	"triplec/internal/stats"
 	"triplec/internal/trace"
 )
 
@@ -127,8 +126,8 @@ type ServerConfig struct {
 	// Metrics, when set, enables the live telemetry layer: NewServer
 	// registers one per-stream instrument set (metrics.Accountant plus the
 	// plan-level gauges) and the global arbiter instruments on this
-	// registry, and threads them through the engine, predictor and manager
-	// hot paths. Stream names label the instruments, so they must be
+	// registry, and threads them through the predictor and manager hot
+	// paths and the serving loop's frame commit. Stream names label the instruments, so they must be
 	// unique (empty names fall back to stream<i>). Expose the registry via
 	// metrics.Handler and the per-stream summary via Server.HealthHandler.
 	Metrics *metrics.Registry
@@ -212,13 +211,6 @@ type Stats struct {
 	MeanLatencyMs   float64
 	WorstLatencyMs  float64
 	ThroughputFPS   float64 // processed frames per wall-clock second
-	// RollingMissRate is the deadline-miss fraction over the last
-	// RollingMissSamples (≤ 64) processed frames when the run ended — the
-	// recency view /healthz serves live (with telemetry on, that very
-	// window), kept here so offline runs can see end-of-run drift that the
-	// lifetime MissRate averages away.
-	RollingMissRate    float64
-	RollingMissSamples int
 }
 
 // MissRate returns the deadline-miss fraction over processed frames.
@@ -455,14 +447,12 @@ type runner struct {
 	fr *span.FlightRecorder
 	fb *span.FrameBuilder
 
-	res          Result
-	latencySum   float64
-	sinceRestart int // frames resolved since the last (re)start
+	res        Result
+	latencySum float64
 
-	// missWin is the rolling deadline-miss window over processed frames
-	// behind Stats.RollingMissRate — used only without telemetry, whose own
-	// window (the one /healthz reads) serves otherwise.
-	missWin stats.BitWindow
+	// out is the record of the frame being served, reset when it is offered
+	// and resolved by commit.
+	out outcome
 
 	// process is the unwatched frame's hand-off to the pool, made once: it
 	// processes procFrame under procMap on the current engine into procRep
@@ -478,14 +468,40 @@ type runner struct {
 	obs core.Observation
 
 	// SLO cause-ledger state (used only when cfg.SLO is set). sloIn is the
-	// reusable classification input; the pending flags carry cross-frame
-	// cause evidence (a scenario miss noticed inside Manager.Observe, a
-	// fault-recovery frame) to the next ObserveFrame. lastRebalances
-	// detects arbiter re-divisions between this stream's frames.
-	sloIn           slo.FrameInput
-	pendingScenMiss bool
-	pendingFault    bool
-	lastRebalances  int
+	// reusable classification input; pendingFault marks the next processed
+	// frame as a fault-recovery frame. lastRebalances detects arbiter
+	// re-divisions between this stream's frames.
+	sloIn          slo.FrameInput
+	pendingFault   bool
+	lastRebalances int
+}
+
+// Frame outcome kinds, numbered like span.Outcome* so a frame root takes the
+// kind as is. A skipped frame never enters the pipeline and has no root.
+const (
+	outProcessed = span.OutcomeProcessed
+	outFailed    = span.OutcomeFailed
+	outAbandoned = span.OutcomeAbandoned
+	outSkipped   = span.OutcomeAbandoned + 1
+)
+
+// outcome is one offered frame's record: the runner fills it as the frame
+// moves through admission, planning and processing, and commit hands it to
+// every observer. The prediction, latency, scenario and the last three flags
+// are set on processed frames only.
+type outcome struct {
+	frame, kind int
+	mode        Mode
+	cores       int
+	serial      bool
+	panicked    bool // failed by a recovered task panic, not a loop crash
+	scenario    int  // executed scenario index, -1 unless processed
+	quality     int  // the rung the frame was offered at
+	predictedMs float64
+	latencyMs   float64
+	missed      bool
+	acctErr     bool
+	scenMiss    bool // the state table mispredicted this frame's scenario
 }
 
 // serveOne is the per-stream goroutine body: admission, planning,
@@ -533,51 +549,38 @@ func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, te
 	if cfg.Supervise {
 		r.supervised()
 	} else {
-		if _, _, err := r.serveFrames(0); err != nil {
-			r.res.Err = err
-		}
+		_, _, r.res.Err = r.serveFrames(0)
 	}
 	if r.res.Stats.Processed > 0 {
 		r.res.Stats.MeanLatencyMs = r.latencySum / float64(r.res.Stats.Processed)
 	}
-	missWin := &r.missWin
-	if tel != nil {
-		missWin = &tel.missWin
-	}
-	r.res.Stats.RollingMissRate, r.res.Stats.RollingMissSamples = missWin.Rate()
 	r.res.Stats.BudgetMs = r.mgr.BudgetMs
 	r.res.Stats.FinalQuality = r.deg.Level()
 	r.res.Stats.Degradations = r.deg.Transitions()
 	return r.res
 }
 
-// procOutcome classifies one watched frame execution.
-type procOutcome int
-
-const (
-	procCompleted procOutcome = iota // Process returned within the watchdog
-	procAbandoned                    // late past WatchdogMs, but the engine came back
-	procStalled                      // still running past StallMs: engine poisoned
-)
-
 // runProcess executes one frame on the shared pool, watched. Without a
-// watchdog it degenerates to a plain synchronous call. An abandoned frame
-// is still *waited for* (up to StallMs) before returning, because the
-// engine must never be entered by two goroutines (Engine concurrency
-// contract); only a stall breaks off, leaving the engine unusable.
-func (r *runner) runProcess(f *frame.Frame, m partition.Mapping) (rep pipeline.Report, perr error, doErr error, outcome procOutcome) {
+// watchdog it degenerates to a plain synchronous call. A frame late past
+// WatchdogMs is marked abandoned in the record but still *waited for* (up to
+// StallMs), because the engine must never be entered by two goroutines
+// (Engine concurrency contract); only a stall breaks off with an error,
+// leaving the engine unusable.
+func (r *runner) runProcess(f *frame.Frame, m partition.Mapping) (pipeline.Report, error) {
 	if r.cfg.WatchdogMs <= 0 {
 		r.procFrame, r.procMap = f, m
-		doErr = r.process.Do()
+		err := r.process.Do()
 		r.procFrame = nil // or the stream's last frame stays alive
-		return r.procRep, r.procErr, doErr, procCompleted
+		if err == nil {
+			err = r.procErr
+		}
+		return r.procRep, err
 	}
 	// Bind the engine now: after a stall the supervisor swaps r.eng for a
 	// rebuilt one, and this goroutine (possibly still queued in the pool)
 	// must keep pointing at the poisoned engine, never the replacement. The
-	// results live in locals distinct from the named returns — on a stall
-	// this function returns while the leaked goroutine is still running, and
-	// it must not write into frames the caller has already read.
+	// results live in locals the caller never sees until done closes — on a
+	// stall this function returns while the leaked goroutine still runs.
 	eng := r.eng
 	var (
 		lateRep          pipeline.Report
@@ -592,184 +595,193 @@ func (r *runner) runProcess(f *frame.Frame, m partition.Mapping) (rep pipeline.R
 	defer watchdog.Stop()
 	select {
 	case <-done:
-		return lateRep, latePerr, lateDo, procCompleted
+		if lateDo != nil {
+			return lateRep, lateDo
+		}
+		return lateRep, latePerr
 	case <-watchdog.C:
 	}
 	// Past the wall-clock deadline: the frame is lost either way; wait for
 	// the engine up to the stall bound.
+	r.out.kind = outAbandoned
 	stall := time.NewTimer(time.Duration((r.cfg.StallMs - r.cfg.WatchdogMs) * float64(time.Millisecond)))
 	defer stall.Stop()
 	select {
 	case <-done:
-		return pipeline.Report{}, nil, nil, procAbandoned
+		return pipeline.Report{}, nil
 	case <-stall.C:
-		return pipeline.Report{}, nil, nil, procStalled
+		r.spanStall(r.out.frame)
+		return pipeline.Report{}, fmt.Errorf("frame %d: stalled past %v ms wall clock; engine unusable", r.out.frame, r.cfg.StallMs)
 	}
 }
 
 // serveFrames serves frames [start, n) on the runner's current engine. On a
 // fatal error it returns the index of the frame that killed the loop and
-// whether the engine stalled (poisoned); the supervisor accounts the frame
-// and resumes past it. err == nil means the stream completed.
+// whether the engine stalled (poisoned); that frame is resolved like any
+// other — failed, or abandoned after a stall — so the supervisor only has to
+// resume past it. err == nil means the stream completed.
 func (r *runner) serveFrames(start int) (failedAt int, stalled bool, err error) {
-	sc, tel, tr := r.sc, r.tel, r.res.Trace
-	res := &r.res
 	for i := start; i < r.n; i++ {
-		res.Stats.Offered++
-		tel.offered(i)
-		if r.deg != nil {
-			r.eng.SetQuality(r.deg.Level())
-		}
-		d := r.ctl.directive(r.si, i)
-		if d.Mode == ModeSkip {
-			res.Stats.Skipped++
-			r.sinceRestart++
-			tel.skipped()
-			r.spanSkip(i)
-			if err := tr.Append(0, 0, 0, 0, 1, 0, 0, 0); err != nil {
-				return i, false, err
+		if err := r.serveFrame(i); err != nil {
+			stalled = r.out.kind == outAbandoned
+			if !stalled {
+				r.out.kind = outFailed
 			}
-			continue
+			r.commit()
+			return i, stalled, err
 		}
-		if err := r.mgr.SetCoreBudget(clamp(d.Cores, 1, r.mgr.Arch().NumCPUs)); err != nil {
-			return i, false, err
-		}
-		var dec sched.Decision
-		if res.Stats.Processed == 0 {
-			// Initialization frame: serial, like the paper's manager.
-			dec = sched.Decision{Mapping: partition.Serial()}
-		} else {
-			dec = r.mgr.Plan()
-		}
-		serialFrame := 0.0
-		if d.Mode == ModeSerial || r.deg.Level().ForceSerial() {
-			dec.Mapping = partition.Serial()
-			serialFrame = 1
-			res.Stats.SerialFallbacks++
-			tel.serialFallback()
-		}
-		f := sc.Source(i)
-		if f == nil {
-			return i, false, fmt.Errorf("frame %d: source returned nil frame", i)
-		}
-		rep, perr, doErr, outcome := r.runProcess(f, dec.Mapping)
-		switch outcome {
-		case procAbandoned:
-			r.spanAbandon(i, d.Cores)
-			r.recordLostFrame(i, float64(d.Cores), serialFrame, false)
-			continue
-		case procStalled:
-			r.spanStall(i)
-			return i, true, fmt.Errorf("frame %d: stalled past %v ms wall clock; engine unusable", i, r.cfg.StallMs)
-		}
-		if doErr != nil {
-			return i, false, doErr
-		}
-		if perr != nil {
-			var te *pipeline.TaskError
-			if errors.As(perr, &te) {
-				// A recovered task panic fails the frame, not the stream.
-				r.spanFailed(i, d.Cores)
-				r.recordLostFrame(i, float64(d.Cores), serialFrame, true)
-				tel.taskPanic()
-				continue
-			}
-			return i, false, fmt.Errorf("frame %d: %w", i, perr)
-		}
-		if res.Stats.Processed == 0 && r.mgr.BudgetMs <= 0 {
-			r.mgr.InitBudget(rep.LatencyMs)
-			res.Stats.BudgetMs = r.mgr.BudgetMs
-			r.ctl.setBudgetMs(r.si, r.mgr.BudgetMs)
-		}
-		core.DenseFromReport(&rep, sc.FramePixels, &r.obs)
-		r.mgr.Observe(r.obs)
-		if sc.Shadow != nil {
-			sc.Shadow.ObserveFrame(&r.obs)
-		}
-
-		res.Stats.Processed++
-		r.sinceRestart++
-		res.Reports = append(res.Reports, rep)
-		r.latencySum += rep.LatencyMs
-		if rep.LatencyMs > res.Stats.WorstLatencyMs {
-			res.Stats.WorstLatencyMs = rep.LatencyMs
-		}
-		missed := 0.0
-		if r.mgr.BudgetMs > 0 && rep.LatencyMs > r.mgr.BudgetMs {
-			res.Stats.DeadlineMisses++
-			missed = 1
-		}
-		if len(rep.AccountingErrs) > 0 {
-			res.Stats.AccountingErrs++
-		}
-		if tel == nil {
-			r.missWin.Push(missed == 1)
-		}
-		if r.cfg.Promote != nil {
-			r.cfg.Promote.ObserveServed(r.si, missed == 1)
-		}
-		r.observeOutcome(missed == 0)
-		r.spanProcessed(i, rep.Scenario.Index(), int(rep.Quality), d.Cores, dec.PredictedMs, rep.LatencyMs, missed == 1)
-		r.observeSLO(i, d.Mode, dec.PredictedMs, rep.LatencyMs)
-		tel.processed(rep.LatencyMs, missed == 1, len(rep.AccountingErrs) > 0)
-		if err := tr.Append(rep.LatencyMs, dec.PredictedMs, float64(d.Cores), missed, 0, serialFrame, 0, 0); err != nil {
-			return i, false, err
-		}
-		// Feed the arbiter the Triple-C demand for the scenario the stream
-		// is currently in (see Manager.PredictedDemandMs): unlike Plan's
-		// pessimistic SerialMs — which covers the scenario table's worst
-		// successor and so never drops for a stream stuck in a cheap
-		// degenerate mode — this signal adapts online per task and lets the
-		// controller shift cores between unequal streams.
-		demand := r.mgr.PredictedDemandMs()
-		if demand <= 0 {
-			demand = rep.LatencyMs
-		}
-		tel.demand(demand)
-		// The full demand signal: scalar prediction plus this frame's
-		// scenario-conditioned costs (a single-frame profile the arbiter
-		// EWMA-folds into the stream's running profile). Stack-allocated —
-		// the steady-state reporting path stays heap-free.
-		sd := sched.StreamDemand{
-			TotalMs:  demand,
-			BudgetMs: r.mgr.BudgetMs,
-			FrameKB:  sc.FramePixels * frame.BytesPerPixel / 1024,
-		}
-		sd.Profile.Add(rep)
-		r.ctl.report(r.si, &sd)
 	}
 	return r.n, false, nil
 }
 
-// recordLostFrame accounts a frame that was offered but neither processed
-// nor skipped: failed (recovered task panic, fatal crash) or abandoned
-// (watchdog). Trace-append errors here are swallowed — the frame is already
-// lost and the loop continues on the next one.
-func (r *runner) recordLostFrame(i int, cores, serialFrame float64, taskFailure bool) {
-	failed, abandoned := 0.0, 1.0
-	if taskFailure {
-		failed, abandoned = 1.0, 0.0
-		r.res.Stats.Failed++
-		r.tel.failedFrame()
-	} else {
-		r.res.Stats.Abandoned++
-		r.tel.abandoned()
+// serveFrame offers frame i and resolves it through commit, or returns the
+// error that kills the serving loop with the frame still open.
+func (r *runner) serveFrame(i int) error {
+	sc, res, o := r.sc, &r.res, &r.out
+	res.Stats.Offered++
+	r.tel.offered(i)
+	*o = outcome{frame: i, kind: outProcessed, scenario: -1, quality: int(r.deg.Level())}
+	if r.deg != nil {
+		r.eng.SetQuality(r.deg.Level())
 	}
-	r.sinceRestart++
-	r.observeOutcome(false)
-	// The next processed frame is a fault-recovery frame: the cause ledger
-	// charges its overage to recovery, not to scheduling.
-	r.pendingFault = true
-	_ = r.res.Trace.Append(0, 0, cores, 0, 0, serialFrame, failed, abandoned)
+	d := r.ctl.directive(r.si, i)
+	o.mode = d.Mode
+	if d.Mode == ModeSkip {
+		o.kind = outSkipped
+		r.commit()
+		return nil
+	}
+	o.cores = d.Cores
+	if err := r.mgr.SetCoreBudget(clamp(d.Cores, 1, r.mgr.Arch().NumCPUs)); err != nil {
+		return err
+	}
+	var dec sched.Decision
+	if res.Stats.Processed == 0 {
+		// Initialization frame: serial, like the paper's manager.
+		dec = sched.Decision{Mapping: partition.Serial()}
+	} else {
+		dec = r.mgr.Plan()
+	}
+	if d.Mode == ModeSerial || r.deg.Level().ForceSerial() {
+		dec.Mapping = partition.Serial()
+		o.serial = true
+	}
+	f := sc.Source(i)
+	if f == nil {
+		return fmt.Errorf("frame %d: source returned nil frame", i)
+	}
+	rep, err := r.runProcess(f, dec.Mapping)
+	if o.kind == outAbandoned && err != nil {
+		return err // stalled: the engine is poisoned
+	}
+	if err != nil {
+		var te *pipeline.TaskError
+		if !errors.As(err, &te) {
+			return fmt.Errorf("frame %d: %w", i, err)
+		}
+		// A recovered task panic fails the frame, not the stream.
+		o.kind, o.panicked = outFailed, true
+	}
+	if o.kind != outProcessed {
+		r.commit()
+		return nil
+	}
+	if res.Stats.Processed == 0 && r.mgr.BudgetMs <= 0 {
+		r.mgr.InitBudget(rep.LatencyMs)
+		res.Stats.BudgetMs = r.mgr.BudgetMs
+		r.ctl.setBudgetMs(r.si, r.mgr.BudgetMs)
+	}
+	core.DenseFromReport(&rep, sc.FramePixels, &r.obs)
+	r.mgr.Observe(r.obs)
+	if sc.Shadow != nil {
+		sc.Shadow.ObserveFrame(&r.obs)
+	}
+	res.Reports = append(res.Reports, rep)
+	o.scenario, o.predictedMs, o.latencyMs = rep.Scenario.Index(), dec.PredictedMs, rep.LatencyMs
+	o.missed = r.mgr.BudgetMs > 0 && rep.LatencyMs > r.mgr.BudgetMs
+	o.acctErr = len(rep.AccountingErrs) > 0
+	r.commit()
+
+	// Feed the arbiter the Triple-C demand for the scenario the stream
+	// is currently in (see Manager.PredictedDemandMs): unlike Plan's
+	// pessimistic SerialMs — which covers the scenario table's worst
+	// successor and so never drops for a stream stuck in a cheap
+	// degenerate mode — this signal adapts online per task and lets the
+	// controller shift cores between unequal streams.
+	demand := r.mgr.PredictedDemandMs()
+	if demand <= 0 {
+		demand = rep.LatencyMs
+	}
+	r.tel.demand(demand)
+	// The full demand signal: scalar prediction plus this frame's
+	// scenario-conditioned costs (a single-frame profile the arbiter
+	// EWMA-folds into the stream's running profile). Stack-allocated —
+	// the steady-state reporting path stays heap-free.
+	sd := sched.StreamDemand{
+		TotalMs:  demand,
+		BudgetMs: r.mgr.BudgetMs,
+		FrameKB:  sc.FramePixels * frame.BytesPerPixel / 1024,
+	}
+	sd.Profile.Add(rep)
+	r.ctl.report(r.si, &sd)
+	return nil
 }
 
-// observeOutcome feeds the degradation ladder and publishes rung changes.
-func (r *runner) observeOutcome(ok bool) {
-	prev := r.deg.Level()
-	if r.deg.Observe(ok) {
-		r.tel.qualityChanged(r.deg.Level())
-		r.spanDegrade(prev, r.deg.Level())
+// commit resolves the offered frame in r.out through every observer, in one
+// fixed order: Stats, promotion, degrader, span / flight recorder, SLO
+// ledger, telemetry, then the trace row as a projection of the record.
+func (r *runner) commit() {
+	o, st := &r.out, &r.res.Stats
+	if o.serial {
+		st.SerialFallbacks++
 	}
+	switch o.kind {
+	case outProcessed:
+		st.Processed++
+		r.latencySum += o.latencyMs
+		st.WorstLatencyMs = max(st.WorstLatencyMs, o.latencyMs)
+		if o.missed {
+			st.DeadlineMisses++
+		}
+		if o.acctErr {
+			st.AccountingErrs++
+		}
+		if r.cfg.Promote != nil {
+			r.cfg.Promote.ObserveServed(r.si, o.missed)
+		}
+	case outSkipped:
+		st.Skipped++
+	case outFailed:
+		st.Failed++
+	case outAbandoned:
+		st.Abandoned++
+	}
+	if o.kind != outSkipped {
+		prev := r.deg.Level()
+		if r.deg.Observe(o.kind == outProcessed && !o.missed) {
+			r.tel.qualityChanged(r.deg.Level())
+			r.spanDegrade(prev, r.deg.Level())
+		}
+	}
+	r.spanFrame(o)
+	if o.kind == outProcessed {
+		r.observeSLO(o)
+	} else if o.kind != outSkipped {
+		// The next processed frame is a fault-recovery frame: the cause
+		// ledger charges its overage to recovery, not to scheduling.
+		r.pendingFault = true
+	}
+	r.tel.commit(o, &r.obs)
+	// Eight values for the trace's eight columns: Append cannot fail.
+	_ = r.res.Trace.Append(o.latencyMs, o.predictedMs, float64(o.cores), b2f(o.missed),
+		b2f(o.kind == outSkipped), b2f(o.serial), b2f(o.kind == outFailed), b2f(o.kind == outAbandoned))
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func clamp(v, lo, hi int) int {

@@ -8,13 +8,13 @@ import (
 // This file is the per-stream restart supervisor (ServerConfig.Supervise):
 // a serving loop that dies — stall past StallMs, nil source frame, planning
 // failure — is restarted with capped exponential backoff instead of ending
-// the stream. The crashed frame is accounted (failed, or abandoned for a
-// stall) and serving resumes at the next frame, so one poisoned frame costs
-// exactly one frame. A stream that keeps dying without making progress is
-// quarantined: it stops serving, keeps its partial results, and is retired
-// from the core arbitration so the healthy streams inherit its share
-// immediately (MultiManager.Retire) instead of shedding load against a
-// corpse's stale demand.
+// the stream. The serving loop resolves the crashed frame (failed, or
+// abandoned for a stall) and serving resumes at the next frame, so one
+// poisoned frame costs exactly one frame. A stream that keeps dying without
+// making progress is quarantined: it stops serving, keeps its partial
+// results, and is retired from the core arbitration so the healthy streams
+// inherit its share immediately (MultiManager.Retire) instead of shedding
+// load against a corpse's stale demand.
 
 // The restart backoff: backoffMs after the first crash, doubled per
 // consecutive crash without progress and capped at maxBackoffMs.
@@ -32,13 +32,12 @@ func (r *runner) supervised() {
 	backoff := backoffMs
 	var recoverySumMs float64
 	for {
-		r.sinceRestart = 0
 		failedAt, stalled, err := r.serveFrames(start)
 		if err == nil {
 			return
 		}
 		crashedAt := time.Now()
-		if r.sinceRestart > 0 {
+		if failedAt > start {
 			// The loop made progress before dying: the failure streak is
 			// broken, so the backoff resets too.
 			consecutive = 0
@@ -46,9 +45,6 @@ func (r *runner) supervised() {
 		}
 		consecutive++
 		restarts++
-		// Account the killing frame (its Offered was already counted) and
-		// resume past it.
-		r.recordLostFrame(failedAt, 0, 0, !stalled)
 		if stalled && r.sc.Rebuild == nil {
 			r.quarantine(fmt.Errorf("stalled without a Rebuild hook: %w", err))
 			return
@@ -69,14 +65,14 @@ func (r *runner) supervised() {
 		if stalled {
 			// The old engine may still be executing on a leaked goroutine;
 			// per the Engine concurrency contract it is dead to us. Build a
-			// replacement and re-thread the telemetry hot paths.
+			// replacement and carry the plan-level instruments over.
 			eng, mgr, rerr := r.sc.Rebuild()
 			if rerr != nil || eng == nil || mgr == nil {
 				r.quarantine(fmt.Errorf("rebuild after stall failed: %v (stall: %w)", rerr, err))
 				return
 			}
 			mgr.BudgetMs = r.mgr.BudgetMs
-			r.tel.rewire(eng, mgr, r.mgr)
+			mgr.Metrics = r.mgr.Metrics
 			r.eng, r.mgr = eng, mgr
 			// The rebuilt engine stripes through the shared host pool like
 			// the original (serveOne wired the first one).

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"triplec/internal/bandwidth"
+	"triplec/internal/core"
 	"triplec/internal/flowgraph"
 	"triplec/internal/memmodel"
 	"triplec/internal/metrics"
@@ -17,7 +18,7 @@ import (
 // telemetry is one stream's live-instrumentation glue: it owns the stream's
 // prediction-error accountant, accounts the predictor's per-frame error
 // samples (forwarded by the runner, the predictor's one sink — see
-// sink.go), observes every pipeline report, and tracks the stream
+// sink.go) and every frame's outcome record, and tracks the stream
 // goroutine's liveness for /healthz. All event methods
 // are nil-safe so the serving loop carries no telemetry-enabled branches,
 // and the record path is pure atomics — no allocation, map lookups or fmt
@@ -52,7 +53,7 @@ type telemetry struct {
 
 	// Rolling 64-frame windows for /healthz, written only by the serving
 	// goroutine: scenario forecasts (true = hit, inside scenarioSample) and
-	// processed frames' deadline outcomes (true = miss, inside processed) —
+	// processed frames' deadline outcomes (true = miss, inside commit) —
 	// the recency counterpart to the lifetime Accountant rates, so /healthz
 	// shows a shift (a promotion gone wrong, a scene change) while the
 	// cumulative rate still averages it away.
@@ -77,7 +78,7 @@ func streamLabel(sc Config, i int) string {
 }
 
 // newTelemetry registers stream i's instruments on the registry and wires
-// the engine, predictor and manager hot paths to them.
+// the manager's plan-level hot path to them.
 func newTelemetry(reg *metrics.Registry, sc Config, i int) (*telemetry, error) {
 	name := streamLabel(sc, i)
 	taskNames := make([]string, tasks.NumNames)
@@ -153,8 +154,6 @@ func newTelemetry(reg *metrics.Registry, sc Config, i int) (*telemetry, error) {
 		t.cacheKB[si] = float64(occ)
 	}
 
-	// Thread the instruments through the hot paths.
-	sc.Engine.SetObserver(t.observeReport)
 	sc.Manager.Metrics = &sched.ManagerMetrics{
 		BudgetMs:     acct.BudgetMs,
 		PredictedMs:  t.planPredictedMs,
@@ -167,15 +166,6 @@ func newTelemetry(reg *metrics.Registry, sc Config, i int) (*telemetry, error) {
 		acct.BudgetMs.Set(sc.BudgetMs)
 	}
 	return t, nil
-}
-
-// observeReport is the pipeline.Engine per-frame hook: frame latency plus
-// every executed task's actual time.
-func (t *telemetry) observeReport(rep pipeline.Report) {
-	t.acct.FrameLatencyMs.Observe(rep.LatencyMs)
-	for _, e := range rep.Execs {
-		t.acct.ObserveTask(tasks.IndexOf(e.Task), e.Ms)
-	}
 }
 
 // Serving-loop events, nil-safe so the runner needs no telemetry branches.
@@ -233,32 +223,44 @@ func (t *telemetry) offered(frame int) {
 	t.acct.LastFrame.Set(float64(frame))
 }
 
-func (t *telemetry) skipped() {
+// commit accounts one resolved frame (see runner.commit). A processed
+// frame's latency and per-task times come from its record and its dense
+// observation, so a frame the watchdog abandoned never reaches the latency
+// histograms.
+func (t *telemetry) commit(o *outcome, obs *core.Observation) {
 	if t == nil {
 		return
 	}
-	t.acct.Skipped.Inc()
-}
-
-func (t *telemetry) serialFallback() {
-	if t == nil {
-		return
+	a := t.acct
+	if o.serial {
+		a.SerialFallbacks.Inc()
 	}
-	t.acct.SerialFallbacks.Inc()
-}
-
-func (t *telemetry) processed(latencyMs float64, missed, acctErr bool) {
-	if t == nil {
-		return
-	}
-	t.acct.Processed.Inc()
-	t.acct.LastLatencyMs.Set(latencyMs)
-	if missed {
-		t.acct.DeadlineMisses.Inc()
-	}
-	t.missWin.Push(missed)
-	if acctErr {
-		t.acct.AccountingErrs.Inc()
+	switch o.kind {
+	case outSkipped:
+		a.Skipped.Inc()
+	case outFailed:
+		t.failedFrames.Inc()
+		if o.panicked {
+			t.taskPanics.Inc()
+		}
+	case outAbandoned:
+		t.abandonedFrames.Inc()
+	case outProcessed:
+		a.Processed.Inc()
+		a.LastLatencyMs.Set(o.latencyMs)
+		a.FrameLatencyMs.Observe(o.latencyMs)
+		for ti, ms := range obs.Ms {
+			if obs.Mask&(1<<ti) != 0 {
+				a.ObserveTask(ti, ms)
+			}
+		}
+		if o.missed {
+			a.DeadlineMisses.Inc()
+		}
+		t.missWin.Push(o.missed)
+		if o.acctErr {
+			a.AccountingErrs.Inc()
+		}
 	}
 }
 
@@ -267,27 +269,6 @@ func (t *telemetry) demand(predictedMs float64) {
 		return
 	}
 	t.acct.PredictedDemandMs.Set(predictedMs)
-}
-
-func (t *telemetry) failedFrame() {
-	if t == nil {
-		return
-	}
-	t.failedFrames.Inc()
-}
-
-func (t *telemetry) abandoned() {
-	if t == nil {
-		return
-	}
-	t.abandonedFrames.Inc()
-}
-
-func (t *telemetry) taskPanic() {
-	if t == nil {
-		return
-	}
-	t.taskPanics.Inc()
 }
 
 func (t *telemetry) restarted() {
@@ -314,14 +295,4 @@ func (t *telemetry) qualityChanged(q pipeline.Quality) {
 	}
 	t.degradations.Inc()
 	t.qualityLevel.Set(float64(q))
-}
-
-// rewire threads the telemetry hot paths through a rebuilt engine+manager
-// pair after a stall, carrying the instrument set over from the old manager.
-func (t *telemetry) rewire(eng *pipeline.Engine, mgr *sched.Manager, old *sched.Manager) {
-	if t == nil {
-		return
-	}
-	eng.SetObserver(t.observeReport)
-	mgr.Metrics = old.Metrics
 }
