@@ -1,9 +1,10 @@
 // Command tracecheck validates flight-recorder dumps for CI: each argument
 // must parse as a Chrome trace-event file (internal/span format) and carry
 // at least one frame span plus at least one task span with a positive
-// prediction and a scenario label. Exit status 1 if any file fails, so the
-// serve-smoke job can assert that a tight budget actually produced a
-// well-formed triggered dump.
+// prediction, and every processed frame must carry a scenario label (a
+// failed or abandoned frame has no scenario). Exit status 1 if any file
+// fails, so the serve-smoke job can assert that a tight budget actually
+// produced a well-formed triggered dump.
 package main
 
 import (
@@ -50,8 +51,8 @@ func check(path string) error {
 	}
 	tasks, predicted := 0, 0
 	for _, fr := range d.Frames {
-		if fr.Scenario == "" {
-			return fmt.Errorf("frame %d of %s has no scenario label", fr.Frame, fr.Process)
+		if fr.Scenario == "" && fr.Outcome == span.OutcomeName(span.OutcomeProcessed) {
+			return fmt.Errorf("processed frame %d of %s has no scenario label", fr.Frame, fr.Process)
 		}
 		for _, t := range fr.Tasks {
 			tasks++

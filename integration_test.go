@@ -102,7 +102,7 @@ func TestEndToEndThreeCsConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ResetOnline()
-	res, err := p.PredictResources(2048, 4096, 30)
+	res, err := p.PredictResources(2048, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

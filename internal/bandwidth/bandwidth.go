@@ -137,7 +137,6 @@ func MeasureIntraTaskKB(task tasks.Name, rdgSelected bool, frameKB int, cfg cach
 
 // Analysis is the bandwidth breakdown of one scenario.
 type Analysis struct {
-	Scenario flowgraph.Scenario
 	InterMBs float64 // flow-graph edge traffic
 	IntraMBs float64 // cache-overflow traffic of the active pixel tasks
 }
@@ -152,7 +151,7 @@ func Analyze(s flowgraph.Scenario, frameKB, cacheKB int, rate float64) (Analysis
 	if err != nil {
 		return Analysis{}, err
 	}
-	out := Analysis{Scenario: s, InterMBs: inter}
+	out := Analysis{InterMBs: inter}
 	for _, task := range s.ActiveTasks() {
 		mbs, err := IntraTaskMBs(task, s.RDGOn, frameKB, cacheKB, rate)
 		if err != nil {
@@ -163,45 +162,17 @@ func Analyze(s flowgraph.Scenario, frameKB, cacheKB int, rate float64) (Analysis
 	return out, nil
 }
 
-// Feasibility compares a scenario's total bandwidth demand against a
-// platform's external-memory bandwidth — "the choice for a particular
-// hardware platform sets an upper limit on the available resources"
-// (paper §5.2).
-type Feasibility struct {
-	DemandMBs   float64
-	CapacityMBs float64
-	Headroom    float64 // 1 - demand/capacity; negative when infeasible
-	Feasible    bool
-}
-
-// CheckFeasible evaluates the scenario against a memory system delivering
-// memBWGBs gigabytes per second.
-func CheckFeasible(a Analysis, memBWGBs float64) (Feasibility, error) {
-	if memBWGBs <= 0 {
-		return Feasibility{}, fmt.Errorf("bandwidth: capacity must be positive")
-	}
-	capMBs := memBWGBs * 1024
-	demand := a.TotalMBs()
-	return Feasibility{
-		DemandMBs:   demand,
-		CapacityMBs: capMBs,
-		Headroom:    1 - demand/capMBs,
-		Feasible:    demand <= capMBs,
-	}, nil
-}
-
 // MaxConcurrentInstances returns how many simultaneous instances of the
 // scenario the memory system can sustain — the bandwidth-side answer to the
 // paper's "execute more functions on the same platform".
 func MaxConcurrentInstances(a Analysis, memBWGBs float64) (int, error) {
-	f, err := CheckFeasible(a, memBWGBs)
-	if err != nil {
-		return 0, err
+	if memBWGBs <= 0 {
+		return 0, fmt.Errorf("bandwidth: capacity must be positive")
 	}
 	if a.TotalMBs() <= 0 {
 		return 0, fmt.Errorf("bandwidth: scenario has no demand")
 	}
-	return int(f.CapacityMBs / a.TotalMBs()), nil
+	return int(memBWGBs * 1024 / a.TotalMBs()), nil
 }
 
 // Fig5Report renders the per-subtask eviction picture of RDG FULL the way

@@ -165,12 +165,12 @@ func TestAnalyzeAllOrdersWorstFirstWhenSorted(t *testing.T) {
 		t.Fatalf("analyses = %d, want 8", len(all))
 	}
 	var worst, best Analysis
-	for _, a := range all {
-		if a.Scenario == flowgraph.WorstCase() {
-			worst = a
+	for i, s := range flowgraph.AllScenarios() {
+		if s == flowgraph.WorstCase() {
+			worst = all[i]
 		}
-		if a.Scenario == (flowgraph.Scenario{ROIKnown: true}) {
-			best = a
+		if s == (flowgraph.Scenario{ROIKnown: true}) {
+			best = all[i]
 		}
 	}
 	if worst.TotalMBs() <= best.TotalMBs() {
@@ -217,32 +217,6 @@ func TestMeasureInvalidCache(t *testing.T) {
 	}
 }
 
-func TestCheckFeasible(t *testing.T) {
-	a, err := Analyze(flowgraph.WorstCase(), paperFrame, paperL2, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The Blackford memory system (29 GB/s) easily sustains one instance.
-	f, err := CheckFeasible(a, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Feasible || f.Headroom <= 0 {
-		t.Fatalf("worst case must be feasible on 29 GB/s: %+v", f)
-	}
-	// A crippled 1 GB/s memory is not enough... check actual demand first.
-	tiny, err := CheckFeasible(a, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiny.Feasible {
-		t.Fatalf("1 MB/s memory cannot be feasible: %+v", tiny)
-	}
-	if _, err := CheckFeasible(a, 0); err == nil {
-		t.Fatal("zero capacity accepted")
-	}
-}
-
 func TestMaxConcurrentInstances(t *testing.T) {
 	a, err := Analyze(flowgraph.WorstCase(), paperFrame, paperL2, 30)
 	if err != nil {
@@ -265,5 +239,25 @@ func TestMaxConcurrentInstances(t *testing.T) {
 	}
 	if _, err := MaxConcurrentInstances(Analysis{}, 29); err == nil {
 		t.Fatal("zero-demand scenario accepted")
+	}
+}
+
+// TestCheckFeasible: a scenario is feasible on a memory system when it
+// sustains at least one instance.
+func TestCheckFeasible(t *testing.T) {
+	a, err := Analyze(flowgraph.WorstCase(), paperFrame, paperL2, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The Blackford memory system (29 GB/s) easily sustains one instance.
+	if n, err := MaxConcurrentInstances(a, 29); err != nil || n < 1 {
+		t.Fatalf("worst case must be feasible on 29 GB/s: %d instances (err %v)", n, err)
+	}
+	// A 1 MB/s memory cannot sustain a single instance.
+	if n, err := MaxConcurrentInstances(a, 0.001); err != nil || n != 0 {
+		t.Fatalf("1 MB/s memory sustains %d instances (err %v), want 0", n, err)
+	}
+	if _, err := MaxConcurrentInstances(a, 0); err == nil {
+		t.Fatal("zero capacity accepted")
 	}
 }

@@ -14,12 +14,6 @@ type Config struct {
 	SizeBytes int // total capacity
 	LineBytes int // cache-line size
 	Assoc     int // ways per set; 0 or >= lines means fully associative
-	// Prefetch enables a next-line prefetcher: every demand miss also fills
-	// the sequentially following line. Sequential sweeps then take their
-	// fill traffic early instead of as demand misses — the total external
-	// traffic stays the same, but the demand-miss count (and thus the
-	// stall-visible latency) roughly halves.
-	Prefetch bool
 }
 
 // Validate checks structural constraints: power-of-two line size, capacity a
@@ -45,18 +39,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats accumulates access counters.
+// Stats accumulates the external-memory traffic.
 type Stats struct {
-	Reads, Writes     int64 // accesses by type
-	Hits, Misses      int64 // line-level outcomes
-	Evictions         int64 // lines displaced (clean or dirty)
-	Writebacks        int64 // dirty lines written back to memory
-	BytesFromMemory   int64 // fill traffic (misses * line, incl. prefetches)
-	BytesToMemory     int64 // writeback traffic
-	ColdMisses        int64 // first-touch (compulsory) misses
-	ConflictOrCapMiss int64 // misses on previously seen lines
-	Prefetches        int64 // lines filled speculatively by the prefetcher
-	PrefetchHits      int64 // demand accesses served by a prefetched line
+	BytesFromMemory int64 // fill traffic: misses * line
+	BytesToMemory   int64 // writeback traffic: dirty evictions * line
 }
 
 // TotalTrafficBytes returns the external-memory traffic in both directions —
@@ -65,11 +51,10 @@ type Stats struct {
 func (s Stats) TotalTrafficBytes() int64 { return s.BytesFromMemory + s.BytesToMemory }
 
 type line struct {
-	tag        uint64
-	valid      bool
-	dirty      bool
-	prefetched bool   // filled speculatively, not yet demanded
-	lru        uint64 // larger = more recently used
+	tag   uint64
+	valid bool
+	dirty bool
+	lru   uint64 // larger = more recently used
 }
 
 // Cache is a set-associative write-back, write-allocate cache with true LRU
@@ -82,7 +67,6 @@ type Cache struct {
 	assoc    int
 	clock    uint64
 	stats    Stats
-	seen     map[uint64]struct{} // for cold-miss classification
 }
 
 // New builds a cache from cfg.
@@ -106,7 +90,6 @@ func New(cfg Config) (*Cache, error) {
 		sets:     sets,
 		setCount: setCount,
 		assoc:    assoc,
-		seen:     make(map[uint64]struct{}),
 	}, nil
 }
 
@@ -119,7 +102,6 @@ func (c *Cache) Flush() {
 		for wi := range c.sets[si] {
 			l := &c.sets[si][wi]
 			if l.valid && l.dirty {
-				c.stats.Writebacks++
 				c.stats.BytesToMemory += int64(c.cfg.LineBytes)
 			}
 			l.valid = false
@@ -148,46 +130,19 @@ func (c *Cache) WriteRange(addr uint64, n int) {
 }
 
 func (c *Cache) access(addr uint64, write bool) {
-	if write {
-		c.stats.Writes++
-	} else {
-		c.stats.Reads++
-	}
 	lineAddr := addr / uint64(c.cfg.LineBytes)
 	c.clock++
 
 	if l := c.lookup(lineAddr); l != nil {
-		c.stats.Hits++
-		if l.prefetched {
-			c.stats.PrefetchHits++
-			l.prefetched = false
-		}
 		l.lru = c.clock
 		if write {
 			l.dirty = true
 		}
 		return
 	}
-	// Miss: classify, fill, evict LRU victim if needed.
-	c.stats.Misses++
+	// Miss: fill, evicting the LRU victim if needed.
 	c.stats.BytesFromMemory += int64(c.cfg.LineBytes)
-	if _, ok := c.seen[lineAddr]; ok {
-		c.stats.ConflictOrCapMiss++
-	} else {
-		c.stats.ColdMisses++
-		c.seen[lineAddr] = struct{}{}
-	}
-	c.fill(lineAddr, write, false)
-
-	// Next-line prefetch on demand misses.
-	if c.cfg.Prefetch {
-		next := lineAddr + 1
-		if c.lookup(next) == nil {
-			c.stats.Prefetches++
-			c.stats.BytesFromMemory += int64(c.cfg.LineBytes)
-			c.fill(next, false, true)
-		}
-	}
+	c.fill(lineAddr, write)
 }
 
 // lookup returns the resident line for lineAddr, or nil.
@@ -205,7 +160,7 @@ func (c *Cache) lookup(lineAddr uint64) *line {
 }
 
 // fill installs lineAddr, evicting the set's LRU victim if necessary.
-func (c *Cache) fill(lineAddr uint64, write, prefetched bool) {
+func (c *Cache) fill(lineAddr uint64, write bool) {
 	set := lineAddr % uint64(c.setCount)
 	tag := lineAddr / uint64(c.setCount)
 	ways := c.sets[set]
@@ -223,20 +178,10 @@ func (c *Cache) fill(lineAddr uint64, write, prefetched bool) {
 		}
 	}
 	v := &ways[victim]
-	if v.valid {
-		c.stats.Evictions++
-		if v.dirty {
-			c.stats.Writebacks++
-			c.stats.BytesToMemory += int64(c.cfg.LineBytes)
-		}
+	if v.valid && v.dirty {
+		c.stats.BytesToMemory += int64(c.cfg.LineBytes)
 	}
-	lru := c.clock
-	if prefetched && lru > 0 {
-		// Prefetched lines enter one tick colder than the demand line so a
-		// burst of prefetches cannot displace the demand stream.
-		lru--
-	}
-	*v = line{tag: tag, valid: true, dirty: write, prefetched: prefetched, lru: lru}
+	*v = line{tag: tag, valid: true, dirty: write, lru: c.clock}
 }
 
 // String describes the cache geometry.

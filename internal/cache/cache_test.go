@@ -40,12 +40,8 @@ func TestColdMissThenHit(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 1024, LineBytes: 64, Assoc: 4})
 	c.Read(0)
 	c.Read(0)
-	s := c.Stats()
-	if s.Misses != 1 || s.Hits != 1 || s.ColdMisses != 1 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.BytesFromMemory != 64 {
-		t.Fatalf("fill traffic = %d, want 64", s.BytesFromMemory)
+	if s := c.Stats(); s.BytesFromMemory != 64 {
+		t.Fatalf("fill traffic = %d, want 64: one miss, then a hit", s.BytesFromMemory)
 	}
 }
 
@@ -53,8 +49,8 @@ func TestSameLineDifferentBytes(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 1024, LineBytes: 64, Assoc: 4})
 	c.Read(0)
 	c.Read(63) // same line
-	if s := c.Stats(); s.Misses != 1 || s.Hits != 1 {
-		t.Fatalf("same-line access missed: %+v", s)
+	if m := c.misses(); m != 1 {
+		t.Fatalf("same-line access missed: %d misses", m)
 	}
 }
 
@@ -67,16 +63,13 @@ func TestLRUEviction(t *testing.T) {
 	c.Read(0)   // touch A again -> B is LRU
 	c.Read(128) // line C evicts B
 	c.Read(0)   // A still resident -> hit
-	s := c.Stats()
-	if s.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", s.Evictions)
-	}
-	if s.Hits != 2 { // the re-read of A twice
-		t.Fatalf("hits = %d, want 2", s.Hits)
+	// A, B and C miss; the re-reads of A hit.
+	if m := c.misses(); m != 3 {
+		t.Fatalf("misses = %d, want 3", m)
 	}
 	c.Read(64) // B was evicted -> miss again
-	if got := c.Stats().ConflictOrCapMiss; got != 1 {
-		t.Fatalf("capacity misses = %d, want 1", got)
+	if m := c.misses(); m != 4 {
+		t.Fatalf("misses = %d after re-reading the evicted line, want 4", m)
 	}
 }
 
@@ -84,8 +77,7 @@ func TestWritebackOnDirtyEviction(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 64, LineBytes: 64, Assoc: 1})
 	c.Write(0) // dirty line
 	c.Read(64) // evicts dirty line -> writeback
-	s := c.Stats()
-	if s.Writebacks != 1 || s.BytesToMemory != 64 {
+	if s := c.Stats(); s.BytesToMemory != 64 {
 		t.Fatalf("writeback stats: %+v", s)
 	}
 }
@@ -94,8 +86,8 @@ func TestCleanEvictionNoWriteback(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 64, LineBytes: 64, Assoc: 1})
 	c.Read(0)
 	c.Read(64)
-	if s := c.Stats(); s.Writebacks != 0 {
-		t.Fatalf("clean eviction wrote back: %+v", s)
+	if w := c.writebacks(); w != 0 {
+		t.Fatalf("clean eviction wrote back %d lines", w)
 	}
 }
 
@@ -105,33 +97,32 @@ func TestFlushWritesDirty(t *testing.T) {
 	c.Write(64)
 	c.Read(128)
 	c.Flush()
-	s := c.Stats()
-	if s.Writebacks != 2 {
-		t.Fatalf("flush writebacks = %d, want 2", s.Writebacks)
+	if w := c.writebacks(); w != 2 {
+		t.Fatalf("flush writebacks = %d, want 2", w)
 	}
 	if c.Occupancy() != 0 {
 		t.Fatal("flush must invalidate all lines")
 	}
-	// After flush, previously-resident lines miss again (but are not cold).
+	// After flush, previously-resident lines miss again.
 	c.Read(0)
-	if got := c.Stats().ConflictOrCapMiss; got != 1 {
-		t.Fatalf("post-flush miss classification: %+v", c.Stats())
+	if m := c.misses(); m != 4 {
+		t.Fatalf("post-flush misses = %d, want 4", m)
 	}
 }
 
 func TestReadRangeTouchesEveryLine(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 4096, LineBytes: 64, Assoc: 4})
 	c.ReadRange(0, 1024) // 16 lines
-	if s := c.Stats(); s.Misses != 16 {
-		t.Fatalf("misses = %d, want 16", s.Misses)
+	if m := c.misses(); m != 16 {
+		t.Fatalf("misses = %d, want 16", m)
 	}
 }
 
 func TestReadRangeUnalignedStart(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 4096, LineBytes: 64, Assoc: 4})
 	c.ReadRange(32, 64) // spans two lines
-	if s := c.Stats(); s.Misses != 2 {
-		t.Fatalf("misses = %d, want 2", s.Misses)
+	if m := c.misses(); m != 2 {
+		t.Fatalf("misses = %d, want 2", m)
 	}
 }
 
@@ -139,8 +130,8 @@ func TestWriteRangeDirty(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 4096, LineBytes: 64, Assoc: 4})
 	c.WriteRange(0, 256)
 	c.Flush()
-	if s := c.Stats(); s.Writebacks != 4 {
-		t.Fatalf("writebacks = %d, want 4", s.Writebacks)
+	if w := c.writebacks(); w != 4 {
+		t.Fatalf("writebacks = %d, want 4", w)
 	}
 }
 
@@ -150,9 +141,9 @@ func TestCyclicScanOverflowsLRU(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 1024, LineBytes: 64, Assoc: 0})
 	const buf = 2048 // 2x capacity
 	c.ReadRange(0, buf)
-	first := c.Stats().Misses
+	first := c.misses()
 	c.ReadRange(0, buf)
-	second := c.Stats().Misses - first
+	second := c.misses() - first
 	if second != first {
 		t.Fatalf("second pass misses = %d, want %d (full re-miss)", second, first)
 	}
@@ -162,23 +153,23 @@ func TestCyclicScanFitsStaysResident(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 4096, LineBytes: 64, Assoc: 0})
 	const buf = 2048 // fits
 	c.ReadRange(0, buf)
-	before := c.Stats().Misses
+	before := c.misses()
 	c.ReadRange(0, buf)
-	if got := c.Stats().Misses - before; got != 0 {
+	if got := c.misses() - before; got != 0 {
 		t.Fatalf("resident re-scan missed %d times", got)
 	}
 }
 
 func TestHitRate(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 1024, LineBytes: 64, Assoc: 4})
-	if c.Stats().HitRate() != 0 {
-		t.Fatal("hit rate before any access must be 0")
+	if c.misses() != 0 {
+		t.Fatal("misses before any access")
 	}
-	c.Read(0)
-	c.Read(0)
-	c.Read(0)
-	c.Read(0)
-	if hr := c.Stats().HitRate(); hr != 0.75 {
+	const reads = 4
+	for i := 0; i < reads; i++ {
+		c.Read(0)
+	}
+	if hr := 1 - float64(c.misses())/reads; hr != 0.75 {
 		t.Fatalf("hit rate = %v, want 0.75", hr)
 	}
 }
@@ -200,9 +191,8 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	c.Read(0)
 	c.ResetStats()
 	c.Read(0)
-	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 0 {
-		t.Fatalf("contents lost by ResetStats: %+v", s)
+	if m := c.misses(); m != 0 {
+		t.Fatalf("contents lost by ResetStats: %d misses", m)
 	}
 }
 
@@ -220,14 +210,17 @@ func TestTotalTraffic(t *testing.T) {
 	}
 }
 
-// Property: hits + misses == reads + writes.
+// Property: every distinct line misses at least once, no access misses
+// twice, and only a line filled before can be written back.
 func TestPropertyAccessAccounting(t *testing.T) {
 	f := func(addrs []uint16, writes []bool) bool {
 		c, err := New(Config{SizeBytes: 512, LineBytes: 64, Assoc: 2})
 		if err != nil {
 			return false
 		}
+		lines := map[uint16]bool{}
 		for i, a := range addrs {
+			lines[a/64] = true
 			w := i < len(writes) && writes[i]
 			if w {
 				c.Write(uint64(a))
@@ -235,9 +228,8 @@ func TestPropertyAccessAccounting(t *testing.T) {
 				c.Read(uint64(a))
 			}
 		}
-		s := c.Stats()
-		return s.Hits+s.Misses == s.Reads+s.Writes &&
-			s.ColdMisses+s.ConflictOrCapMiss == s.Misses
+		m := c.misses()
+		return int64(len(lines)) <= m && m <= int64(len(addrs)) && c.writebacks() <= m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -261,67 +253,12 @@ func TestPropertyOccupancyBounded(t *testing.T) {
 	}
 }
 
-func TestPrefetchHalvesDemandMisses(t *testing.T) {
-	// A sequential sweep with next-line prefetch: every demand miss brings
-	// the following line along, so roughly half the lines are prefetch hits.
-	c := mustCache(t, Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 8, Prefetch: true})
-	c.ReadRange(0, 32<<10) // 512 lines, fits
-	s := c.Stats()
-	if s.Misses >= 300 {
-		t.Fatalf("demand misses = %d, want ~256 with prefetching", s.Misses)
-	}
-	if s.PrefetchHits < 200 {
-		t.Fatalf("prefetch hits = %d, want ~255", s.PrefetchHits)
-	}
-	// Total fill traffic still covers every line exactly once.
-	if got := s.BytesFromMemory; got != 32<<10 && got != (32<<10)+64 {
-		t.Fatalf("fill traffic = %d, want ~%d", got, 32<<10)
-	}
-}
-
+// TestPrefetchOffUnchanged: the cache fetches only on demand, so a
+// sequential sweep misses once per line.
 func TestPrefetchOffUnchanged(t *testing.T) {
 	c := mustCache(t, Config{SizeBytes: 64 << 10, LineBytes: 64, Assoc: 8})
 	c.ReadRange(0, 32<<10)
-	s := c.Stats()
-	if s.Prefetches != 0 || s.PrefetchHits != 0 {
-		t.Fatalf("prefetcher ran while disabled: %+v", s)
-	}
-	if s.Misses != 512 {
-		t.Fatalf("misses = %d, want 512", s.Misses)
-	}
-}
-
-func TestPrefetchDoesNotDuplicateResidentLines(t *testing.T) {
-	c := mustCache(t, Config{SizeBytes: 4096, LineBytes: 64, Assoc: 0, Prefetch: true})
-	c.Read(64) // fills line 1, prefetches line 2
-	before := c.Stats().Prefetches
-	c.Read(0) // fills line 0; next line 1 already resident -> no prefetch
-	if c.Stats().Prefetches != before {
-		t.Fatalf("prefetched a resident line")
-	}
-}
-
-func TestPrefetchAccountingInvariant(t *testing.T) {
-	c := mustCache(t, Config{SizeBytes: 2048, LineBytes: 64, Assoc: 2, Prefetch: true})
-	rngState := uint64(7)
-	for i := 0; i < 5000; i++ {
-		rngState = rngState*6364136223846793005 + 1442695040888963407
-		addr := rngState % (64 << 10)
-		if rngState%3 == 0 {
-			c.Write(addr)
-		} else {
-			c.Read(addr)
-		}
-	}
-	s := c.Stats()
-	if s.Hits+s.Misses != s.Reads+s.Writes {
-		t.Fatalf("accounting broken: %+v", s)
-	}
-	if s.BytesFromMemory != (s.Misses+s.Prefetches)*64 {
-		t.Fatalf("fill traffic %d != (misses %d + prefetches %d) * 64",
-			s.BytesFromMemory, s.Misses, s.Prefetches)
-	}
-	if s.PrefetchHits > s.Prefetches {
-		t.Fatalf("more prefetch hits (%d) than prefetches (%d)", s.PrefetchHits, s.Prefetches)
+	if m := c.misses(); m != 512 {
+		t.Fatalf("misses = %d, want 512", m)
 	}
 }

@@ -1,16 +1,13 @@
 package cache
 
-// Single-address reads, counter resets and occupancy and hit-rate probes
-// only tests use.
+// Single-address reads, counter resets and occupancy and miss probes only
+// tests use.
 
-// HitRate returns Hits / (Hits + Misses), or 0 before any access.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
+// misses returns the demand misses so far: every miss fills one line.
+func (c *Cache) misses() int64 { return c.stats.BytesFromMemory / int64(c.cfg.LineBytes) }
+
+// writebacks returns the dirty lines written back so far.
+func (c *Cache) writebacks() int64 { return c.stats.BytesToMemory / int64(c.cfg.LineBytes) }
 
 // ResetStats clears counters but keeps cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }

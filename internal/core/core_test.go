@@ -268,14 +268,14 @@ func TestPredictResourcesThreeCs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.ResetOnline()
-	res, err := p.PredictResources(2048, 4096, 30)
+	res, err := p.PredictResources(2048, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.TotalMs <= 0 {
 		t.Fatal("computation prediction missing")
 	}
-	if res.TotalMBs <= 0 || res.InterMBs <= 0 {
+	if res.InterMBs <= 0 {
 		t.Fatal("bandwidth prediction missing")
 	}
 	if len(res.MemoryKB) == 0 {

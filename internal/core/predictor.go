@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"triplec/internal/bandwidth"
 	"triplec/internal/ewma"
 	"triplec/internal/flowgraph"
 	"triplec/internal/memmodel"
@@ -598,25 +597,17 @@ func (p *Predictor) ModelSummary() string {
 // predicted scenario.
 type ResourcePrediction struct {
 	Prediction
-	MemoryKB  map[tasks.Name]int // per-task footprints (Table 1)
-	InterMBs  float64            // flow-graph bandwidth of the scenario
-	IntraMBs  float64            // cache-overflow bandwidth of the scenario
-	TotalMBs  float64
-	FrameKB   int
-	CacheKB   int
-	FrameRate float64
+	MemoryKB map[tasks.Name]int // per-task footprints (Table 1)
+	InterMBs float64            // flow-graph bandwidth of the scenario
 }
 
 // PredictResources produces the full three-C forecast for the next frame at
-// the given modeled geometry.
-func (p *Predictor) PredictResources(frameKB, cacheKB int, rate float64) (ResourcePrediction, error) {
+// the given modeled frame size and rate.
+func (p *Predictor) PredictResources(frameKB int, rate float64) (ResourcePrediction, error) {
 	base := p.PredictNext()
 	out := ResourcePrediction{
 		Prediction: base,
 		MemoryKB:   map[tasks.Name]int{},
-		FrameKB:    frameKB,
-		CacheKB:    cacheKB,
-		FrameRate:  rate,
 	}
 	for _, task := range base.Scenario.ActiveTasks() {
 		req, err := memmodel.Lookup(task, base.Scenario.RDGOn, frameKB)
@@ -625,12 +616,10 @@ func (p *Predictor) PredictResources(frameKB, cacheKB int, rate float64) (Resour
 		}
 		out.MemoryKB[task] = req.TotalKB()
 	}
-	an, err := bandwidth.Analyze(base.Scenario, frameKB, cacheKB, rate)
+	inter, err := base.Scenario.TotalMBs(frameKB, rate)
 	if err != nil {
 		return ResourcePrediction{}, err
 	}
-	out.InterMBs = an.InterMBs
-	out.IntraMBs = an.IntraMBs
-	out.TotalMBs = an.TotalMBs()
+	out.InterMBs = inter
 	return out, nil
 }

@@ -98,7 +98,6 @@ type Breaker struct {
 
 	mu    sync.Mutex
 	tasks map[tasks.Name]*circuit
-	trips uint64
 }
 
 // NewBreaker builds a breaker with every circuit closed.
@@ -158,7 +157,6 @@ func (b *Breaker) Record(task tasks.Name, ok bool) {
 			c.state = BreakerOpen
 			c.cooldown = breakerOpenFrames
 			c.reset()
-			b.trips++
 			if b.OnTrip != nil {
 				b.OnTrip(task)
 			}
@@ -171,7 +169,6 @@ func (b *Breaker) Record(task tasks.Name, ok bool) {
 			c.state = BreakerOpen
 			c.cooldown = breakerOpenFrames
 			c.probing = false
-			b.trips++
 			if b.OnTrip != nil {
 				b.OnTrip(task)
 			}

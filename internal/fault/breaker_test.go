@@ -39,6 +39,7 @@ func coolDown(t *testing.T, b *Breaker, task tasks.Name) {
 
 func TestBreakerTripsOnFailureRate(t *testing.T) {
 	b := NewBreaker()
+	trips := countTrips(b)
 	task := tasks.NameRDGFull
 	// One success and three failures: 3/4 >= breakerTripRate trips at the
 	// fourth record, the first with breakerMinSamples outcomes.
@@ -52,8 +53,8 @@ func TestBreakerTripsOnFailureRate(t *testing.T) {
 	if got := b.State(task); got != BreakerOpen {
 		t.Fatalf("state %v after 3/4 failures, want open", got)
 	}
-	if b.Trips() != 1 {
-		t.Fatalf("trips %d, want 1", b.Trips())
+	if *trips != 1 {
+		t.Fatalf("trips %d, want 1", *trips)
 	}
 	coolDown(t, b, task)
 	// Only one probe in flight.
@@ -85,6 +86,7 @@ func TestBreakerBelowTripRateStaysClosed(t *testing.T) {
 
 func TestBreakerFailedProbeReopens(t *testing.T) {
 	b := NewBreaker()
+	trips := countTrips(b)
 	task := tasks.NameZOOM
 	trip(t, b, task)
 	coolDown(t, b, task)
@@ -92,8 +94,8 @@ func TestBreakerFailedProbeReopens(t *testing.T) {
 	if b.State(task) != BreakerOpen {
 		t.Fatal("failed probe did not reopen")
 	}
-	if b.Trips() != 2 {
-		t.Fatalf("trips %d, want 2", b.Trips())
+	if *trips != 2 {
+		t.Fatalf("trips %d, want 2", *trips)
 	}
 }
 
@@ -113,6 +115,7 @@ func TestBreakerRecoversAfterIntermittentFault(t *testing.T) {
 	// A fault that clears: circuit opens, probe succeeds, stays closed under
 	// sustained success.
 	b := NewBreaker()
+	trips := countTrips(b)
 	task := tasks.NameRDGROI
 	trip(t, b, task)
 	coolDown(t, b, task)
@@ -123,7 +126,7 @@ func TestBreakerRecoversAfterIntermittentFault(t *testing.T) {
 		}
 		b.Record(task, true)
 	}
-	if b.Trips() != 1 {
-		t.Fatalf("spurious re-trips: %d", b.Trips())
+	if *trips != 1 {
+		t.Fatalf("spurious re-trips: %d", *trips)
 	}
 }

@@ -18,11 +18,11 @@ func (b *Breaker) State(task tasks.Name) BreakerState {
 	return BreakerClosed
 }
 
-// Trips returns how many times any circuit opened.
-func (b *Breaker) Trips() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
+// countTrips installs an OnTrip hook on b that counts circuit openings.
+func countTrips(b *Breaker) *int {
+	n := new(int)
+	b.OnTrip = func(tasks.Name) { *n++ }
+	return n
 }
 
 // OpenTasks lists the tasks whose circuit is not closed, sorted by name.

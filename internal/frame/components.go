@@ -4,13 +4,11 @@ package frame
 // LabelComponents. The marker-extraction task scores components as candidate
 // balloon markers.
 type Component struct {
-	Label    int     // 1-based component id
-	Size     int     // pixel count
-	BBox     Rect    // tight bounding box
-	CX, CY   float64 // centroid
-	MeanVal  float64 // mean source-pixel value over the component
-	Compact  float64 // Size / BBox.Area(); 1.0 for a filled rectangle
-	Elongate float64 // max(w,h)/min(w,h) of the bounding box
+	Size    int     // pixel count
+	BBox    Rect    // tight bounding box
+	CX, CY  float64 // centroid
+	MeanVal float64 // mean source-pixel value over the component
+	Compact float64 // Size / BBox.Area(); 1.0 for a filled rectangle
 }
 
 // LabelComponents finds 4-connected components of non-zero pixels in mask,
@@ -34,15 +32,13 @@ func LabelComponents(mask, src *Frame, minSize int) []Component {
 	// Iterative flood fill with an explicit stack to avoid recursion depth
 	// limits on large blobs.
 	stack := make([][2]int, 0, 64)
-	label := 0
 	for y := 0; y < h; y++ {
 		mrow, srow := mask.Pix[y*mask.Stride:][:w], seen.Pix[y*w:][:w]
 		for x, m := range mrow {
 			if m == 0 || srow[x] != 0 {
 				continue
 			}
-			label++
-			c := Component{Label: label, BBox: Rect{b.X0 + x, b.Y0 + y, b.X0 + x + 1, b.Y0 + y + 1}}
+			c := Component{BBox: Rect{b.X0 + x, b.Y0 + y, b.X0 + x + 1, b.Y0 + y + 1}}
 			var sumX, sumY, sumV float64
 			stack = stack[:0]
 			stack = append(stack, [2]int{x, y})
@@ -77,14 +73,6 @@ func LabelComponents(mask, src *Frame, minSize int) []Component {
 			c.MeanVal = sumV / float64(c.Size)
 			if a := c.BBox.Area(); a > 0 {
 				c.Compact = float64(c.Size) / float64(a)
-			}
-			bw, bh := c.BBox.Width(), c.BBox.Height()
-			if bw > 0 && bh > 0 {
-				if bw > bh {
-					c.Elongate = float64(bw) / float64(bh)
-				} else {
-					c.Elongate = float64(bh) / float64(bw)
-				}
 			}
 			comps = append(comps, c)
 		}

@@ -607,7 +607,7 @@ func naiveLabelComponents(mask, src *Frame, minSize int) []Component {
 			}
 			id := next
 			next++
-			c := Component{Label: int(id), BBox: Rect{b.X0 + x, b.Y0 + y, b.X0 + x + 1, b.Y0 + y + 1}}
+			c := Component{BBox: Rect{b.X0 + x, b.Y0 + y, b.X0 + x + 1, b.Y0 + y + 1}}
 			var sumX, sumY, sumV float64
 			stack = stack[:0]
 			stack = append(stack, [2]int{x, y})
@@ -642,14 +642,6 @@ func naiveLabelComponents(mask, src *Frame, minSize int) []Component {
 			c.MeanVal = sumV / float64(c.Size)
 			if a := c.BBox.Area(); a > 0 {
 				c.Compact = float64(c.Size) / float64(a)
-			}
-			bw, bh := c.BBox.Width(), c.BBox.Height()
-			if bw > 0 && bh > 0 {
-				if bw > bh {
-					c.Elongate = float64(bw) / float64(bh)
-				} else {
-					c.Elongate = float64(bh) / float64(bw)
-				}
 			}
 			comps = append(comps, c)
 		}

@@ -535,7 +535,7 @@ func TestLabelComponentsTwoBlobs(t *testing.T) {
 		t.Fatalf("filled square compactness = %v", a.Compact)
 	}
 	b := comps[1]
-	if b.Size != 3 || b.Elongate != 3 {
+	if b.Size != 3 || b.BBox.Width() != 3 || b.BBox.Height() != 1 {
 		t.Fatalf("blob B stats: %+v", b)
 	}
 }

@@ -41,7 +41,6 @@ func (k Kind) String() string {
 // entry is one registered instrument: a family member with a fixed label
 // set, pre-rendered at registration so exposition never re-escapes.
 type entry struct {
-	labels   []Label
 	labelStr string // `stream="a",task="b"` with escaped values, or ""
 
 	counter *Counter
@@ -125,10 +124,7 @@ func (r *Registry) register(name, help string, kind Kind, buckets []float64, lab
 			return nil, fmt.Errorf("metrics: metric %q: label \"le\" is reserved for histogram buckets", name)
 		}
 	}
-	e := &entry{
-		labels:   append([]Label(nil), labels...),
-		labelStr: renderLabels(labels),
-	}
+	e := &entry{labelStr: renderLabels(labels)}
 	switch kind {
 	case KindCounter:
 		e.counter = &Counter{}
@@ -240,7 +236,6 @@ type FamilySnapshot struct {
 // MetricSnapshot is one instrument's snapshot. Value carries counter and
 // gauge readings; Histogram is set for histograms.
 type MetricSnapshot struct {
-	Labels    []Label
 	LabelStr  string
 	Value     float64
 	Histogram *HistogramSnapshot
@@ -279,7 +274,7 @@ func (r *Registry) Snapshot() Snapshot {
 		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind,
 			Metrics: make([]MetricSnapshot, 0, len(f.entries))}
 		for _, e := range f.entries {
-			ms := MetricSnapshot{Labels: append([]Label(nil), e.labels...), LabelStr: e.labelStr}
+			ms := MetricSnapshot{LabelStr: e.labelStr}
 			switch f.kind {
 			case KindCounter:
 				ms.Value = float64(e.counter.Value())

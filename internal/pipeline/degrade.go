@@ -96,7 +96,6 @@ type Degrader struct {
 	level       Quality
 	bad, good   int // consecutive outcome counters
 	sinceSwitch int // frames since the last transition
-	transitions int
 }
 
 // NewDegrader builds a ladder controller at QualityFull.
@@ -110,14 +109,6 @@ func (d *Degrader) Level() Quality {
 		return QualityFull
 	}
 	return d.level
-}
-
-// Transitions returns how many rung changes have been applied.
-func (d *Degrader) Transitions() int {
-	if d == nil {
-		return 0
-	}
-	return d.transitions
 }
 
 // Observe feeds one frame outcome (ok = processed within budget, no
@@ -153,5 +144,4 @@ func (d *Degrader) Observe(ok bool) bool {
 func (d *Degrader) step() {
 	d.bad, d.good = 0, 0
 	d.sinceSwitch = 0
-	d.transitions++
 }

@@ -176,8 +176,8 @@ func TestTasksSurvivePathologicalInputs(t *testing.T) {
 				A: tasks.Marker{X: 10, Y: 10}, B: tasks.Marker{X: 50, Y: 50},
 			}
 			couple.Spacing = couple.A.Dist(couple.B)
-			if r, _ := gw.Run(f, couple); r.Coverage < 0 || r.Coverage > 1 {
-				t.Fatalf("GW coverage out of range: %v", r.Coverage)
+			if cov, _ := gw.Run(f, couple); cov < 0 || cov > 1 {
+				t.Fatalf("GW coverage out of range: %v", cov)
 			}
 			_ = cands
 		})

@@ -30,13 +30,6 @@ type Config struct {
 	MarkerSpacing float64
 	// Arch is the platform the latencies are computed for.
 	Arch platform.Arch
-	// ModelFrameKB is the frame size used for the bandwidth/cache accounting
-	// (defaults to the paper's 2,048 KB so small synthetic frames still
-	// exercise the full-geometry memory behaviour, consistent with the
-	// PixelScale cost extrapolation).
-	ModelFrameKB int
-	// FrameRate in Hz, used for throughput bookkeeping (default 30).
-	FrameRate float64
 	// RealStriping executes data-parallel tasks with actual goroutine
 	// stripes (tasks.RidgeDetector.RunStriped) instead of only modeling the
 	// striping analytically. Results are bit-identical either way; this
@@ -60,7 +53,7 @@ type Report struct {
 	LatencyMs    float64 // sum of task times along the pipeline
 	Couple       *tasks.Couple
 	Registration tasks.Registration
-	GuideWire    tasks.GWResult
+	GuideWire    float64    // share of the marker-to-marker track with ridge evidence
 	ROI          frame.Rect // ROI estimated this frame (empty if none)
 	// AnalysisPixels is the size of the region the analysis tasks ran on
 	// this frame: the previous frame's ROI when known, else the full frame.
@@ -200,18 +193,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.MarkerSpacing <= 0 || math.IsNaN(cfg.MarkerSpacing) {
 		return nil, errors.New("pipeline: marker spacing must be positive")
 	}
-	if cfg.ModelFrameKB < 0 {
-		return nil, fmt.Errorf("pipeline: model frame size %d KB is negative", cfg.ModelFrameKB)
-	}
-	if cfg.ModelFrameKB == 0 {
-		cfg.ModelFrameKB = memmodel.PaperFrameKB
-	}
-	if cfg.FrameRate < 0 || math.IsNaN(cfg.FrameRate) {
-		return nil, fmt.Errorf("pipeline: frame rate %v Hz is invalid", cfg.FrameRate)
-	}
-	if cfg.FrameRate == 0 {
-		cfg.FrameRate = 30
-	}
 	machine, err := platform.NewMachine(cfg.Arch)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
@@ -234,9 +215,12 @@ func New(cfg Config) (*Engine, error) {
 		enh:  tasks.NewEnhancer(cfg.Width, cfg.Height, p),
 		zoom: tasks.NewZoomer(cfg.Width, cfg.Height, p),
 	}
+	// Memory traffic is charged at the paper's 2,048 KB frame, so small
+	// synthetic frames still exercise the full-geometry memory behaviour,
+	// consistent with the PixelScale cost extrapolation.
 	for ti, name := range tasks.AllNames() {
 		for rdg, rdgOn := range [2]bool{false, true} {
-			kb, err := bandwidth.IntraTaskKB(name, rdgOn, cfg.ModelFrameKB, cfg.Arch.L2.SizeBytes/1024)
+			kb, err := bandwidth.IntraTaskKB(name, rdgOn, memmodel.PaperFrameKB, cfg.Arch.L2.SizeBytes/1024)
 			if err != nil {
 				e.intra[ti][rdg].err = fmt.Sprintf("%s: bandwidth accounting: %v", name, err)
 				continue

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"triplec/internal/bandwidth"
 	"triplec/internal/frame"
 	"triplec/internal/partition"
 	"triplec/internal/platform"
@@ -61,13 +62,16 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestDefaults: memory traffic is charged at the paper's 2,048 KB frame
+// whatever size the engine processes.
 func TestDefaults(t *testing.T) {
 	e := newEngine(t)
-	if e.cfg.ModelFrameKB != 2048 {
-		t.Fatalf("ModelFrameKB default = %d, want 2048", e.cfg.ModelFrameKB)
+	kb, err := bandwidth.IntraTaskKB(tasks.NameRDGFull, true, 2048, e.cfg.Arch.L2.SizeBytes/1024)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.cfg.FrameRate != 30 {
-		t.Fatalf("FrameRate default = %v, want 30", e.cfg.FrameRate)
+	if got := e.intra[tasks.IndexOf(tasks.NameRDGFull)][1].memBytes; got != float64(kb)*1024 || kb == 0 {
+		t.Fatalf("RDG FULL charged %v bytes, want %d KB at the paper frame", got, kb)
 	}
 }
 

@@ -62,8 +62,20 @@ func ParseState(s string) (State, error) {
 // miss window.
 const guardWindow = stats.BitWindowSize
 
-// maxCooldownFrames caps the exponential rollback cooldown.
-const maxCooldownFrames = 1 << 20
+// The canary schedule.
+const (
+	// canaryFrames is how many fleet scored frames the canary must survive
+	// with clean guardrails before fleet-wide promotion.
+	canaryFrames = guardWindow
+	// minSamples is the minimum window occupancy before a guardrail can
+	// breach, so a single early frame cannot trip it.
+	minSamples = 16
+	// cooldownFrames is the post-rollback cooldown before the same backend
+	// may re-enter a canary; it doubles per strike on that backend.
+	cooldownFrames = 128
+	// maxCooldownFrames caps the exponential rollback cooldown.
+	maxCooldownFrames = 1 << 20
+)
 
 // The guardrail bars no deployment tunes. The forecast-quality floors apply
 // in fixed mode; AdaptiveGuards derives them from the baseline instead.
@@ -95,19 +107,9 @@ type Config struct {
 	// CanaryFrac is the fraction of streams steered during the canary stage
 	// (default 0.25; at least one stream is always steered).
 	CanaryFrac float64
-	// CanaryFrames is how many fleet scored frames the canary must survive
-	// with clean guardrails before fleet-wide promotion (default 64).
-	CanaryFrames int
-	// MinSamples is the minimum window occupancy before a guardrail can
-	// breach, so a single early frame cannot trip it (default 16).
-	MinSamples int
 	// MaxMissRate is the rolling deadline-miss-rate guard over steered
 	// streams' served frames (default 0.25).
 	MaxMissRate float64
-	// CooldownFrames is the post-rollback cooldown before the same backend
-	// may re-enter a canary; it doubles per strike on that backend
-	// (default 128).
-	CooldownFrames int
 	// AdaptiveGuards derives the miss-rate, accuracy, bias and hit-rate
 	// bars from the deployed baseline's own trailing windows instead of
 	// MaxMissRate and the fixed floors: the guard tracks scene difficulty,
@@ -130,20 +132,8 @@ func (c Config) withDefaults() Config {
 	if c.CanaryFrac > 1 {
 		c.CanaryFrac = 1
 	}
-	if c.CanaryFrames <= 0 {
-		c.CanaryFrames = guardWindow
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.MinSamples > guardWindow {
-		c.MinSamples = guardWindow
-	}
 	if c.MaxMissRate <= 0 || math.IsNaN(c.MaxMissRate) {
 		c.MaxMissRate = 0.25
-	}
-	if c.CooldownFrames <= 0 {
-		c.CooldownFrames = 128
 	}
 	return c
 }
@@ -239,7 +229,6 @@ func (r *statRing) percentile(q float64) float64 {
 
 // attached is one stream under the controller's watch.
 type attached struct {
-	name    string
 	board   *shadow.Board
 	mgr     *sched.Manager
 	steered bool
@@ -272,7 +261,6 @@ type Controller struct {
 	frame         uint64
 	stateFrame    uint64
 	cooldownUntil uint64
-	canaryCount   int
 
 	streak      []int    // per slot: consecutive frames of negative rolling regret
 	strikes     []int    // per slot: rollbacks so far
@@ -352,7 +340,7 @@ func (c *Controller) AttachStream(name string, board *shadow.Board, mgr *sched.M
 		}
 	}
 	i := len(c.streams)
-	c.streams = append(c.streams, attached{name: name, board: board, mgr: mgr})
+	c.streams = append(c.streams, attached{board: board, mgr: mgr})
 	board.SetObserver(func(fs *shadow.FrameScore) { c.observeScores(i, fs) })
 	return nil
 }
@@ -458,7 +446,7 @@ func (c *Controller) observeScores(stream int, fs *shadow.FrameScore) {
 			c.streak[s] = 0
 			continue
 		}
-		if sc.RollN >= c.cfg.MinSamples && sc.RollRegretMs < 0 {
+		if sc.RollN >= minSamples && sc.RollRegretMs < 0 {
 			c.streak[s]++
 		} else {
 			c.streak[s] = 0
@@ -570,7 +558,7 @@ func (c *Controller) stepLocked() {
 		if c.checkGuardrailsLocked() {
 			return
 		}
-		if c.frame-c.stateFrame >= uint64(c.cfg.CanaryFrames) {
+		if c.frame-c.stateFrame >= uint64(canaryFrames) {
 			c.promoteFleetLocked()
 		}
 	case StatePromoted:
@@ -613,7 +601,6 @@ func (c *Controller) promoteCanaryLocked(slot int, reason string) {
 	if k > n {
 		k = n
 	}
-	c.canaryCount = k
 	for i := range c.streams {
 		c.streams[i].steered = isCanaryStream(i, k, n)
 	}
@@ -634,7 +621,7 @@ func (c *Controller) promoteFleetLocked() {
 	}
 	c.applySteerLocked()
 	c.transitionLocked(StatePromoted, c.challenger,
-		fmt.Sprintf("canary clean for %d frames; steering all %d streams", c.cfg.CanaryFrames, len(c.streams)))
+		fmt.Sprintf("canary clean for %d frames; steering all %d streams", canaryFrames, len(c.streams)))
 }
 
 // applySteerLocked makes every manager's demand source match the steered
@@ -744,21 +731,21 @@ func (c *Controller) checkGuardrailsLocked() bool {
 	if g.Adaptive {
 		tag = " (baseline-derived)"
 	}
-	if r, n := c.missWin.Rate(); n >= c.cfg.MinSamples && r > g.MaxMissRate {
+	if r, n := c.missWin.Rate(); n >= minSamples && r > g.MaxMissRate {
 		c.rollbackLocked(fmt.Sprintf("deadline-miss rate %.3f > %.3f%s over %d frames", r, g.MaxMissRate, tag, n))
 		return true
 	}
-	if a, n := c.accWin.Rate(); n >= c.cfg.MinSamples && a < g.MinAccuracy {
+	if a, n := c.accWin.Rate(); n >= minSamples && a < g.MinAccuracy {
 		c.rollbackLocked(fmt.Sprintf("within-25%% accuracy %.3f < %.3f%s over %d frames", a, g.MinAccuracy, tag, n))
 		return true
 	}
-	if c.biasWin.n >= c.cfg.MinSamples {
+	if c.biasWin.n >= minSamples {
 		if b := c.biasWin.mean(); math.Abs(b) > g.MaxAbsBias {
 			c.rollbackLocked(fmt.Sprintf("signed bias %+.3f exceeds ±%.3f%s over %d frames", b, g.MaxAbsBias, tag, c.biasWin.n))
 			return true
 		}
 	}
-	if h, n := c.hitWin.Rate(); n >= c.cfg.MinSamples && h < g.MinHitRate {
+	if h, n := c.hitWin.Rate(); n >= minSamples && h < g.MinHitRate {
 		c.rollbackLocked(fmt.Sprintf("scenario hit rate %.3f < %.3f%s over %d frames", h, g.MinHitRate, tag, n))
 		return true
 	}
@@ -771,10 +758,9 @@ func (c *Controller) rollbackLocked(reason string) {
 		c.streams[i].steered = false
 	}
 	c.applySteerLocked() // every manager plans from the baseline at its next frame
-	c.canaryCount = 0
 	cd := c.cooldown[slot]
 	if cd == 0 {
-		cd = uint64(c.cfg.CooldownFrames)
+		cd = cooldownFrames
 	}
 	c.cooldownUntil = c.frame + cd
 	if next := cd * 2; next <= maxCooldownFrames {

@@ -85,7 +85,6 @@ func WorstVsAverage(series []float64) (float64, error) {
 // specified: mean and tail percentiles.
 type LatencyProfile struct {
 	Mean, P50, P90, P95, P99, Max float64
-	Frames                        int
 }
 
 // ProfileOf computes the LatencyProfile of a series.
@@ -93,7 +92,7 @@ func ProfileOf(series []float64) (LatencyProfile, error) {
 	if len(series) == 0 {
 		return LatencyProfile{}, errors.New("qos: empty series")
 	}
-	p := LatencyProfile{Mean: stats.Mean(series), Max: stats.Max(series), Frames: len(series)}
+	p := LatencyProfile{Mean: stats.Mean(series), Max: stats.Max(series)}
 	for _, q := range []struct {
 		pct float64
 		dst *float64

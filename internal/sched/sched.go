@@ -34,7 +34,6 @@ type Decision struct {
 type Manager struct {
 	predictor *core.Predictor
 	arch      platform.Arch
-	machine   *platform.Machine
 
 	// BudgetMs is the latency budget; 0 until initialized.
 	BudgetMs float64
@@ -97,7 +96,6 @@ func NewManager(p *core.Predictor, arch platform.Arch) (*Manager, error) {
 	m := &Manager{
 		predictor: p,
 		arch:      arch,
-		machine:   machine,
 		Headroom:  1.0,
 		switchMs:  machine.CyclesToMs(arch.SwitchCost),
 		lastK:     serialK,

@@ -41,7 +41,6 @@ func SplitStages(rep pipeline.Report) (frontMs, backMs float64) {
 type PipelineEstimate struct {
 	AvgPeriodMs     float64 // mean sustainable inter-frame period
 	AvgLatencyMs    float64 // mean per-frame latency (front + back)
-	MaxPeriodMs     float64 // worst frame's period (throughput bound)
 	SpeedupVsSerial float64 // serial latency / pipelined period
 }
 
@@ -64,7 +63,6 @@ func EstimatePipelining(reports []pipeline.Report) (PipelineEstimate, error) {
 	est := PipelineEstimate{
 		AvgPeriodMs:  stats.Mean(periods),
 		AvgLatencyMs: stats.Mean(latencies),
-		MaxPeriodMs:  stats.Max(periods),
 	}
 	if est.AvgPeriodMs > 0 {
 		est.SpeedupVsSerial = est.AvgLatencyMs / est.AvgPeriodMs

@@ -58,9 +58,6 @@ func TestEstimatePipeliningInvariants(t *testing.T) {
 	if est.SpeedupVsSerial < 1 {
 		t.Fatalf("pipelined speedup %v below 1", est.SpeedupVsSerial)
 	}
-	if est.MaxPeriodMs < est.AvgPeriodMs {
-		t.Fatal("max period below average")
-	}
 	// Frames with a real back end must show overlap gain — modest here
 	// because the enhancement back end (ENH+ZOOM ~37 ms) dominates the
 	// stage split; the estimate's value is exposing exactly that imbalance.

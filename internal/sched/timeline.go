@@ -24,7 +24,6 @@ type Timeline struct {
 // Interval is one stripe's occupancy of one core.
 type Interval struct {
 	Task    tasks.Name
-	Stripe  int // 0-based stripe index within the task
 	Core    int
 	StartMs float64
 	EndMs   float64
@@ -54,7 +53,7 @@ func BuildTimeline(rep pipeline.Report, numCores, baseCore int) (Timeline, error
 		}
 		for s := 0; s < k; s++ {
 			tl.Intervals = append(tl.Intervals, Interval{
-				Task: e.Task, Stripe: s, Core: baseCore + s,
+				Task: e.Task, Core: baseCore + s,
 				StartMs: now, EndMs: now + e.Ms,
 			})
 		}

@@ -652,7 +652,6 @@ func (e *p2Quantile) value() float64 {
 // quantifies by how much, and whether its scenario-conditioning pays for
 // itself against the global per-task estimator it falls back to.
 type QuantileBackend struct {
-	p      float64
 	cells  [tasks.NumNames][8]p2Quantile
 	global [tasks.NumNames]p2Quantile
 	table  scenarioTable1
@@ -665,7 +664,7 @@ type QuantileBackend struct {
 // NewQuantileBackend returns an estimator for the given quantile
 // (0 < p < 1); p = 0.9 is the bake-off's tail backend.
 func NewQuantileBackend(p float64) *QuantileBackend {
-	b := &QuantileBackend{p: p, active: core.NewScenarioTaskLists()}
+	b := &QuantileBackend{active: core.NewScenarioTaskLists()}
 	for ti := 0; ti < tasks.NumNames; ti++ {
 		b.global[ti].init(p)
 		for si := 0; si < 8; si++ {

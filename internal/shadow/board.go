@@ -127,12 +127,10 @@ type Board struct {
 // reported through the board observer. Skipped entries (panicked or
 // quarantined backends) carry no error numbers.
 type BackendFrameScore struct {
-	AbsErrMs     float64 // |predicted total − actual total|
 	SignedRel    float64 // signed relative total error (valid iff RelOK)
 	RelOK        bool    // the relative error was well-defined
 	Within25     bool    // RelOK and |SignedRel| ≤ 0.25
 	ScenarioHit  bool    // predicted the frame's scenario
-	RegretMs     float64 // this frame's |err| − |baseline err| (0 if undefined)
 	RollRegretMs float64 // rolling regret sum over the last RollN frames
 	RollN        int     // samples in the rolling regret window (≤ 64)
 	Panicked     bool    // forecast invalid: the backend panicked while driving
@@ -143,8 +141,7 @@ type BackendFrameScore struct {
 // FrameScore is the per-frame scoring summary handed to the board
 // observer, in backend registration order (slot 0 = deployed baseline).
 type FrameScore struct {
-	Frame  uint64 // 1-based scored-frame ordinal on this board
-	N      int    // populated entries in Scores
+	N      int // populated entries in Scores
 	Scores [MaxBackends]BackendFrameScore
 }
 
@@ -390,20 +387,15 @@ func (b *Board) score(obs *core.Observation) {
 			}
 		}
 		if sc != nil {
-			sc.AbsErrMs = absMs
 			sc.SignedRel = rel
 			sc.RelOK = relOK
 			sc.Within25 = relOK && math.Abs(rel) <= accurateRelErr
 			sc.ScenarioHit = hit
-			if !math.IsNaN(regret) {
-				sc.RegretMs = regret
-			}
 			sc.RollRegretMs = st.regretWinSum
 			sc.RollN = st.regretN
 		}
 	}
 	b.scored++
-	fs.Frame = b.scored
 	if b.frames != nil {
 		b.frames.Inc()
 	}

@@ -106,34 +106,21 @@ type BurnConfig struct {
 	// Objective is the target good fraction, e.g. 0.95 = 95% of frames
 	// meet their deadline. Error budget is 1-Objective.
 	Objective float64
-	// FastWindow / SlowWindow are frame-indexed window sizes.
-	FastWindow int
-	SlowWindow int
-	// PageBurn / TicketBurn are the burn-rate thresholds: page when the
-	// fast window burns >= PageBurn, ticket when the slow window burns
-	// >= TicketBurn. Page takes precedence.
-	PageBurn   float64
-	TicketBurn float64
 }
+
+// The burn-rate windows, in frames, and thresholds every SLO uses: page
+// when the fast window burns >= pageBurn, ticket when the slow window burns
+// >= ticketBurn. Page takes precedence.
+const (
+	fastWindow = 64
+	slowWindow = 512
+	pageBurn   = 8
+	ticketBurn = 2
+)
 
 func (c BurnConfig) withDefaults(objective float64) BurnConfig {
 	if c.Objective <= 0 || c.Objective >= 1 {
 		c.Objective = objective
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 64
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 512
-	}
-	if c.SlowWindow < c.FastWindow {
-		c.SlowWindow = c.FastWindow
-	}
-	if c.PageBurn <= 0 {
-		c.PageBurn = 8
-	}
-	if c.TicketBurn <= 0 {
-		c.TicketBurn = 2
 	}
 	return c
 }
@@ -154,8 +141,8 @@ type sloState struct {
 func newSLOState(cfg BurnConfig) *sloState {
 	return &sloState{
 		cfg:  cfg,
-		fast: newBoolRing(cfg.FastWindow),
-		slow: newBoolRing(cfg.SlowWindow),
+		fast: newBoolRing(fastWindow),
+		slow: newBoolRing(slowWindow),
 	}
 }
 
@@ -182,9 +169,9 @@ func (s *sloState) observe(bad bool) (AlertState, AlertState, bool) {
 	}
 	next := s.state
 	switch {
-	case s.fast.full() && s.fastBurn() >= s.cfg.PageBurn:
+	case s.fast.full() && s.fastBurn() >= pageBurn:
 		next = AlertPage
-	case s.slow.full() && s.slowBurn() >= s.cfg.TicketBurn:
+	case s.slow.full() && s.slowBurn() >= ticketBurn:
 		next = AlertTicket
 	case s.fast.full():
 		// Fast ring is full and under the page bar; clear a page. A
@@ -192,7 +179,7 @@ func (s *sloState) observe(bad bool) (AlertState, AlertState, bool) {
 		if s.state == AlertPage {
 			next = AlertOK
 		}
-		if s.state == AlertTicket && (!s.slow.full() || s.slowBurn() < s.cfg.TicketBurn) {
+		if s.state == AlertTicket && (!s.slow.full() || s.slowBurn() < ticketBurn) {
 			next = AlertOK
 		}
 	}

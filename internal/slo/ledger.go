@@ -181,12 +181,11 @@ type ledger struct {
 	causeFrames [NumCauses]uint64 // frames whose overage the cause owned
 	frames      uint64
 	missed      uint64
-	inaccurate  uint64 // frames with |rel err| > 0.25 (defined pred only)
 	latencySum  float64
 	overSum     float64
 }
 
-func (l *ledger) add(b *Breakdown, missed, inaccurate bool) {
+func (l *ledger) add(b *Breakdown, missed bool) {
 	for c := 0; c < NumCauses; c++ {
 		l.causeMs[c] += b.Ms[c]
 	}
@@ -194,9 +193,6 @@ func (l *ledger) add(b *Breakdown, missed, inaccurate bool) {
 	l.frames++
 	if missed {
 		l.missed++
-	}
-	if inaccurate {
-		l.inaccurate++
 	}
 	l.latencySum += b.Ms[CauseCompute] + b.OverMs
 	l.overSum += b.OverMs

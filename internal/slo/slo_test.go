@@ -141,32 +141,33 @@ func TestBoolRing(t *testing.T) {
 // TestBurnEngine: a cold start can't page; a full-fast-window burn
 // pages; draining the fast window clears the page.
 func TestBurnEngine(t *testing.T) {
-	s := newSLOState(BurnConfig{Objective: 0.95, FastWindow: 8, SlowWindow: 32, PageBurn: 8, TicketBurn: 2})
-	// 4 bad frames on an empty ring: burn is huge but the ring isn't
-	// full, so no page yet.
-	for i := 0; i < 4; i++ {
+	s := newSLOState(BurnConfig{Objective: 0.95})
+	// Half a fast window of bad frames on an empty ring: burn is huge but
+	// the ring isn't full, so no page yet.
+	for i := 0; i < fastWindow/2; i++ {
 		if _, to, changed := s.observe(true); changed || to != AlertOK {
 			t.Fatalf("paged on a cold start at %d", i)
 		}
 	}
 	// Fill the fast window with bads: fast burn 20 >= 8 → page.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < fastWindow/2; i++ {
 		s.observe(true)
 	}
 	if s.state != AlertPage {
 		t.Fatalf("state %s after full bad window, want page", s.state)
 	}
-	// 8 good frames drain the fast window; page clears (slow window is
-	// still not full, so no ticket either).
-	for i := 0; i < 8; i++ {
+	// A fast window of good frames drains it; the page clears (the slow
+	// window is still not full, so no ticket either).
+	for i := 0; i < fastWindow; i++ {
 		s.observe(false)
 	}
 	if s.state != AlertOK {
 		t.Fatalf("state %s after drain, want ok", s.state)
 	}
 	// Sustained slow leak: 2 bads per 8 frames = fraction 0.25, slow
-	// burn 5 >= 2 once the slow ring fills, fast burn 5 < 8 → ticket.
-	for i := 0; i < 64; i++ {
+	// burn 5 >= 2 once the slow ring holds only the leak, fast burn 5 < 8
+	// → ticket.
+	for i := 0; i < slowWindow; i++ {
 		s.observe(i%4 == 0)
 	}
 	if s.state != AlertTicket {

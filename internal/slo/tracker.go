@@ -134,8 +134,8 @@ func (t *Tracker) ObserveFrame(in *FrameInput) {
 
 	t.mu.Lock()
 	t.frame++
-	t.streams[in.Stream].add(&b, missed, inaccurate)
-	t.fleet.add(&b, missed, inaccurate)
+	t.streams[in.Stream].add(&b, missed)
+	t.fleet.add(&b, missed)
 	t.observeSLOLocked(SLODeadline, missed)
 	t.observeSLOLocked(SLOAccuracy, inaccurate)
 	t.mu.Unlock()
@@ -385,10 +385,10 @@ func (t *Tracker) Status(perStream bool) *Status {
 			State:      s.state.String(),
 			FastBurn:   s.fastBurn(),
 			SlowBurn:   s.slowBurn(),
-			FastWindow: s.cfg.FastWindow,
-			SlowWindow: s.cfg.SlowWindow,
-			PageBurn:   s.cfg.PageBurn,
-			TicketBurn: s.cfg.TicketBurn,
+			FastWindow: fastWindow,
+			SlowWindow: slowWindow,
+			PageBurn:   pageBurn,
+			TicketBurn: ticketBurn,
 			BadFrames:  s.bad,
 			GoodFrames: s.good,
 			Pages:      s.pages,

@@ -380,7 +380,6 @@ func (a *argsAppender) budgets(k string, p uint64, n int32) {
 type DumpTask struct {
 	Name        string
 	StartUs     float64
-	DurUs       float64
 	PredictedMs float64
 	ActualMs    float64
 	Stripes     int
@@ -394,7 +393,6 @@ type DumpFrame struct {
 	Process     string
 	Frame       int
 	StartUs     float64
-	DurUs       float64
 	Scenario    string
 	Quality     string
 	Outcome     string
@@ -408,12 +406,10 @@ type DumpFrame struct {
 // DumpInstant is one instant event recovered from a dump.
 type DumpInstant struct {
 	Name    string
-	Cat     string
 	Pid     int
 	Process string
 	Frame   int
 	TsUs    float64
-	Args    map[string]any
 }
 
 // Dump is the parsed, validated form of a flight-recorder file.
@@ -423,12 +419,6 @@ type Dump struct {
 	Frame     int
 	Detail    float64
 	Coalesced int
-	// Predictor is the deployed prediction backend active when the dump
-	// triggered (empty in dumps written before the field existed).
-	Predictor string
-	// Promotion is the promotion controller's position at dump time, e.g.
-	// "canary:quantile-p90" (empty with no controller or in older dumps).
-	Promotion string
 	Processes map[int]string
 	Frames    []DumpFrame
 	Instants  []DumpInstant
@@ -474,8 +464,6 @@ func ReadDump(r io.Reader) (*Dump, error) {
 		Frame:     argInt(tf.OtherData, "frame"),
 		Detail:    argFloat(tf.OtherData, "detail"),
 		Coalesced: argInt(tf.OtherData, "coalesced"),
-		Predictor: argString(tf.OtherData, "predictor"),
-		Promotion: argString(tf.OtherData, "promotion"),
 		Processes: map[int]string{},
 	}
 
@@ -510,7 +498,6 @@ func ReadDump(r io.Reader) (*Dump, error) {
 					Pid:         te.Pid,
 					Frame:       key.frame,
 					StartUs:     te.Ts,
-					DurUs:       te.Dur,
 					Scenario:    argString(te.Args, "scenario"),
 					Quality:     argString(te.Args, "quality"),
 					Outcome:     argString(te.Args, "outcome"),
@@ -532,7 +519,6 @@ func ReadDump(r io.Reader) (*Dump, error) {
 					t: DumpTask{
 						Name:        te.Name,
 						StartUs:     te.Ts,
-						DurUs:       te.Dur,
 						PredictedMs: argFloat(te.Args, "predicted_ms"),
 						ActualMs:    argFloat(te.Args, "actual_ms"),
 						Stripes:     argInt(te.Args, "stripes"),
@@ -551,8 +537,8 @@ func ReadDump(r io.Reader) (*Dump, error) {
 				return nil, fmt.Errorf("span: event %d (%s): bad ts %v", i, te.Name, te.Ts)
 			}
 			d.Instants = append(d.Instants, DumpInstant{
-				Name: te.Name, Cat: te.Cat, Pid: te.Pid,
-				Frame: argInt(te.Args, "frame"), TsUs: te.Ts, Args: te.Args,
+				Name: te.Name, Pid: te.Pid,
+				Frame: argInt(te.Args, "frame"), TsUs: te.Ts,
 			})
 		case "":
 			return nil, fmt.Errorf("span: event %d: missing ph", i)

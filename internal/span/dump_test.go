@@ -2,6 +2,7 @@ package span
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -65,8 +66,14 @@ func TestDumpRoundTrip(t *testing.T) {
 		d.Detail != 9.5 || d.Coalesced != 2 {
 		t.Errorf("header lost: %+v", d)
 	}
-	if d.Predictor != "test-predictor" {
-		t.Errorf("predictor metadata lost: %q, want %q", d.Predictor, "test-predictor")
+	// The predictor and the rebalance budgets are written for trace viewers;
+	// the reader does not keep them, so check the raw events.
+	var raw traceFile
+	if err := json.Unmarshal(buf.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if got := argString(raw.OtherData, "predictor"); got != "test-predictor" {
+		t.Errorf("predictor metadata lost: %q, want %q", got, "test-predictor")
 	}
 	if len(d.Frames) != wantFrames {
 		t.Errorf("frames = %d, want %d", len(d.Frames), wantFrames)
@@ -103,10 +110,10 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 
 	// The rebalance instant must carry the unpacked before/after budgets.
-	var rebalance *DumpInstant
-	for i := range d.Instants {
-		if d.Instants[i].Name == "rebalance" {
-			rebalance = &d.Instants[i]
+	var rebalance *traceEvent
+	for i := range raw.TraceEvents {
+		if raw.TraceEvents[i].Name == "rebalance" {
+			rebalance = &raw.TraceEvents[i]
 		}
 	}
 	if rebalance == nil {

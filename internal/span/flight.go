@@ -39,56 +39,32 @@ func ReasonName(r TriggerReason) string {
 	return "unknown"
 }
 
-// TriggerConfig tunes what arms a flight-recorder dump and how much
-// post-trigger history is captured before the ring is snapshotted.
+// TriggerConfig tunes what arms a flight-recorder dump. The deadline-miss,
+// task-panic and quarantine triggers are always armed.
 type TriggerConfig struct {
-	// RingEvents sizes the underlying ring (0 = DefaultRingEvents).
-	RingEvents int
-	// DeadlineMiss arms the deadline-budget-miss trigger.
-	DeadlineMiss bool
 	// RelErr arms the prediction relative-error trigger when > 0:
 	// |predicted-actual|/actual past this fires a dump.
 	RelErr float64
-	// TaskPanic arms the task-panic trigger.
-	TaskPanic bool
-	// Quarantine arms the stream-quarantine trigger.
-	Quarantine bool
-	// AfterFrames is how many more frames (across all streams) are recorded
-	// after a trigger before the ring is snapshotted (0 = 12).
-	AfterFrames int
-	// CooldownFrames suppresses re-triggering for this many frames after a
-	// dump is armed (0 = 128); triggers inside the window are coalesced
-	// into the pending dump.
-	CooldownFrames int
-	// MaxDumps caps dumps per recorder lifetime (0 = 16).
-	MaxDumps int
 }
 
-// DefaultTriggers arms every trigger with the default windows: the
-// configuration `triplec serve -trace-dir` and the chaos harness use.
+// DefaultTriggers arms every trigger: the configuration `triplec serve
+// -trace-dir` and the chaos harness use.
 func DefaultTriggers() TriggerConfig {
-	return TriggerConfig{
-		DeadlineMiss: true,
-		RelErr:       0.75,
-		TaskPanic:    true,
-		Quarantine:   true,
-	}
+	return TriggerConfig{RelErr: 0.75}
 }
 
-func (c *TriggerConfig) normalize() {
-	if c.RingEvents <= 0 {
-		c.RingEvents = DefaultRingEvents
-	}
-	if c.AfterFrames <= 0 {
-		c.AfterFrames = 12
-	}
-	if c.CooldownFrames <= 0 {
-		c.CooldownFrames = 128
-	}
-	if c.MaxDumps <= 0 {
-		c.MaxDumps = 16
-	}
-}
+// The flight recorder's capture windows.
+const (
+	// afterFrames is how many more frames (across all streams) are
+	// recorded after a trigger before the ring is snapshotted.
+	afterFrames = 12
+	// cooldownFrames suppresses re-triggering for this many frames after a
+	// dump is armed; triggers inside the window are coalesced into the
+	// pending dump.
+	cooldownFrames = 128
+	// maxDumps caps dumps per recorder lifetime.
+	maxDumps = 16
+)
 
 // DumpInfo describes one written flight-recorder dump.
 type DumpInfo struct {
@@ -114,7 +90,7 @@ type pendingDump struct {
 
 // FlightRecorder couples a span Recorder to a trigger engine: frames keep
 // streaming into the always-on ring, and when an armed condition fires the
-// recorder waits AfterFrames more committed frames, then snapshots the
+// recorder waits afterFrames more committed frames, then snapshots the
 // ring into a Chrome trace-event JSON dump under its directory. Nil-safe
 // throughout; trigger observation is allocation-free on the no-fire path.
 type FlightRecorder struct {
@@ -141,8 +117,7 @@ func NewFlightRecorder(dir string, cfg TriggerConfig) (*FlightRecorder, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("span: create dump dir: %w", err)
 	}
-	cfg.normalize()
-	fr := &FlightRecorder{rec: NewRecorder(cfg.RingEvents), dir: dir, cfg: cfg}
+	fr := &FlightRecorder{rec: NewRecorder(DefaultRingEvents), dir: dir, cfg: cfg}
 	fr.rec.onFrame = fr.frameCommitted
 	return fr, nil
 }
@@ -173,7 +148,7 @@ func (fr *FlightRecorder) ObserveFrame(stream, frame int, missed bool, predicted
 	if fr == nil {
 		return
 	}
-	if fr.cfg.DeadlineMiss && missed {
+	if missed {
 		fr.trigger(TriggerDeadlineMiss, int32(stream), int32(frame), actualMs)
 		return
 	}
@@ -206,7 +181,7 @@ func (fr *FlightRecorder) ArmedDumpSeq() int {
 
 // ObservePanic feeds a task-panic frame to the trigger engine.
 func (fr *FlightRecorder) ObservePanic(stream, frame int) {
-	if fr == nil || !fr.cfg.TaskPanic {
+	if fr == nil {
 		return
 	}
 	fr.trigger(TriggerTaskPanic, int32(stream), int32(frame), 0)
@@ -214,7 +189,7 @@ func (fr *FlightRecorder) ObservePanic(stream, frame int) {
 
 // ObserveQuarantine feeds a stream quarantine to the trigger engine.
 func (fr *FlightRecorder) ObserveQuarantine(stream, frame int) {
-	if fr == nil || !fr.cfg.Quarantine {
+	if fr == nil {
 		return
 	}
 	fr.trigger(TriggerQuarantine, int32(stream), int32(frame), 0)
@@ -230,8 +205,8 @@ func (fr *FlightRecorder) trigger(reason TriggerReason, stream, frame int32, det
 		return
 	}
 	frames := fr.rec.FramesCommitted()
-	if len(fr.dumps) >= fr.cfg.MaxDumps ||
-		(fr.lastArmed > 0 && frames < fr.lastArmed+uint64(fr.cfg.CooldownFrames)) {
+	if len(fr.dumps) >= maxDumps ||
+		(fr.lastArmed > 0 && frames < fr.lastArmed+cooldownFrames) {
 		fr.mu.Unlock()
 		return
 	}
@@ -240,7 +215,7 @@ func (fr *FlightRecorder) trigger(reason TriggerReason, stream, frame int32, det
 		stream:   stream,
 		frame:    frame,
 		detail:   detail,
-		dueFrame: frames + uint64(fr.cfg.AfterFrames),
+		dueFrame: frames + afterFrames,
 	}
 	fr.lastArmed = frames
 	fr.armed.Store(true)

@@ -34,18 +34,17 @@ func newTestFlight(t *testing.T, cfg TriggerConfig) *FlightRecorder {
 }
 
 func TestDeadlineMissTriggersDumpAfterWindow(t *testing.T) {
-	cfg := DefaultTriggers()
-	cfg.AfterFrames = 3
-	fr := newTestFlight(t, cfg)
+	fr := newTestFlight(t, DefaultTriggers())
 	b := NewFrameBuilder(fr.Recorder(), 0)
 
 	commitFrames(b, 0, 5)
 	fr.ObserveFrame(0, 4, true, 2.0, 9.0) // deadline miss arms the dump
 
+	commitFrames(b, 5, afterFrames-1)
 	if len(fr.Dumps()) != 0 {
 		t.Fatal("dump written before the after-window elapsed")
 	}
-	commitFrames(b, 5, 3) // after-window frames
+	commitFrames(b, 4+afterFrames, 1) // the last after-window frame
 	dumps := fr.Dumps()
 	if len(dumps) != 1 {
 		t.Fatalf("got %d dumps after window, want 1", len(dumps))
@@ -54,8 +53,8 @@ func TestDeadlineMissTriggersDumpAfterWindow(t *testing.T) {
 	if d.Reason != "deadline_miss" || d.Stream != 0 || d.Frame != 4 {
 		t.Errorf("dump info wrong: %+v", d)
 	}
-	if d.Frames < 8 {
-		t.Errorf("dump recorded %d frames, want >= 8 (5 before + 3 after)", d.Frames)
+	if d.Frames < 5+afterFrames {
+		t.Errorf("dump recorded %d frames, want >= %d (5 before + %d after)", d.Frames, 5+afterFrames, afterFrames)
 	}
 
 	// The file must parse as a valid trace with the trigger instant inside.
@@ -83,10 +82,7 @@ func TestDeadlineMissTriggersDumpAfterWindow(t *testing.T) {
 }
 
 func TestRelErrTrigger(t *testing.T) {
-	cfg := DefaultTriggers()
-	cfg.AfterFrames = 1
-	cfg.RelErr = 0.5
-	fr := newTestFlight(t, cfg)
+	fr := newTestFlight(t, TriggerConfig{RelErr: 0.5})
 	b := NewFrameBuilder(fr.Recorder(), 0)
 
 	commitFrames(b, 0, 1)
@@ -96,7 +92,7 @@ func TestRelErrTrigger(t *testing.T) {
 		t.Fatal("sub-threshold prediction error triggered a dump")
 	}
 	fr.ObserveFrame(0, 3, false, 20.0, 8.0) // rel err 1.5: fires
-	commitFrames(b, 3, 1)
+	commitFrames(b, 3, afterFrames)
 	dumps := fr.Dumps()
 	if len(dumps) != 1 || dumps[0].Reason != "prediction_relerr" {
 		t.Fatalf("dumps = %+v, want one prediction_relerr", dumps)
@@ -107,17 +103,14 @@ func TestRelErrTrigger(t *testing.T) {
 }
 
 func TestTriggerCoalescingAndCooldown(t *testing.T) {
-	cfg := DefaultTriggers()
-	cfg.AfterFrames = 4
-	cfg.CooldownFrames = 100
-	fr := newTestFlight(t, cfg)
+	fr := newTestFlight(t, DefaultTriggers())
 	b := NewFrameBuilder(fr.Recorder(), 0)
 
 	commitFrames(b, 0, 2)
 	fr.ObservePanic(0, 1)
 	fr.ObservePanic(0, 2) // while pending: coalesced
 	fr.ObserveQuarantine(1, -1)
-	commitFrames(b, 2, 4)
+	commitFrames(b, 2, afterFrames)
 
 	dumps := fr.Dumps()
 	if len(dumps) != 1 {
@@ -128,39 +121,34 @@ func TestTriggerCoalescingAndCooldown(t *testing.T) {
 	}
 
 	// Within the cooldown window nothing re-arms.
-	fr.ObservePanic(0, 6)
-	commitFrames(b, 6, 6)
+	fr.ObservePanic(0, 2+afterFrames)
+	commitFrames(b, 2+afterFrames, afterFrames)
 	if got := len(fr.Dumps()); got != 1 {
 		t.Errorf("cooldown violated: %d dumps", got)
 	}
 }
 
 func TestMaxDumpsCap(t *testing.T) {
-	cfg := DefaultTriggers()
-	cfg.AfterFrames = 1
-	cfg.CooldownFrames = 1
-	cfg.MaxDumps = 2
-	fr := newTestFlight(t, cfg)
+	fr := newTestFlight(t, DefaultTriggers())
 	b := NewFrameBuilder(fr.Recorder(), 0)
 
-	for i := 0; i < 5; i++ {
-		commitFrames(b, i*4, 2)
-		fr.ObservePanic(0, i*4)
-		commitFrames(b, i*4+2, 2)
+	// Each trigger lands past the previous one's cooldown.
+	const step = cooldownFrames + 1
+	for i := 0; i < maxDumps+2; i++ {
+		fr.ObservePanic(0, i*step)
+		commitFrames(b, i*step, step)
 	}
-	if got := len(fr.Dumps()); got != 2 {
-		t.Errorf("MaxDumps=2 but wrote %d dumps", got)
+	if got := len(fr.Dumps()); got != maxDumps {
+		t.Errorf("maxDumps=%d but wrote %d dumps", maxDumps, got)
 	}
 }
 
 func TestFlushWritesPendingDump(t *testing.T) {
-	cfg := DefaultTriggers()
-	cfg.AfterFrames = 1000 // window will never elapse in this test
-	fr := newTestFlight(t, cfg)
+	fr := newTestFlight(t, DefaultTriggers())
 	b := NewFrameBuilder(fr.Recorder(), 0)
 
 	commitFrames(b, 0, 3)
-	fr.ObserveQuarantine(0, -1)
+	fr.ObserveQuarantine(0, -1) // no frames follow: the window never elapses
 	if len(fr.Dumps()) != 0 {
 		t.Fatal("dump written before flush")
 	}
@@ -181,14 +169,11 @@ func TestFlushWritesPendingDump(t *testing.T) {
 }
 
 func TestDisarmedTriggersDoNotFire(t *testing.T) {
-	cfg := TriggerConfig{AfterFrames: 1} // nothing armed
-	fr := newTestFlight(t, cfg)
+	fr := newTestFlight(t, TriggerConfig{}) // relative-error trigger disarmed
 	b := NewFrameBuilder(fr.Recorder(), 0)
 	commitFrames(b, 0, 2)
-	fr.ObserveFrame(0, 0, true, 1, 100)
-	fr.ObservePanic(0, 1)
-	fr.ObserveQuarantine(0, -1)
-	commitFrames(b, 2, 2)
+	fr.ObserveFrame(0, 0, false, 1, 100) // rel err 0.99, no deadline miss
+	commitFrames(b, 2, afterFrames)
 	if err := fr.Flush(); err != nil {
 		t.Fatal(err)
 	}

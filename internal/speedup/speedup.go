@@ -88,11 +88,10 @@ func RooflineMs(bytes float64, arch platform.Arch) float64 {
 
 // ScenarioTerm is one scenario's contribution to the estimate.
 type ScenarioTerm struct {
-	Scenario flowgraph.Scenario
-	Weight   float64 // frequency of the scenario in the observed run
-	FrontMs  float64 // mean front-stage critical path
-	BackMs   float64 // mean back-stage critical path
-	MemMs    float64 // roofline floor: mean memory traffic / bandwidth
+	Weight  float64 // frequency of the scenario in the observed run
+	FrontMs float64 // mean front-stage critical path
+	BackMs  float64 // mean back-stage critical path
+	MemMs   float64 // roofline floor: mean memory traffic / bandwidth
 }
 
 // Bottleneck returns the scenario's steady-state initiation interval:
@@ -160,11 +159,10 @@ func Predict(reports []pipeline.Report, arch platform.Arch) (Estimate, error) {
 		}
 		cnt := float64(a.n)
 		term := ScenarioTerm{
-			Scenario: s,
-			Weight:   cnt / total,
-			FrontMs:  a.front / cnt,
-			BackMs:   a.back / cnt,
-			MemMs:    RooflineMs(a.mb/cnt, arch),
+			Weight:  cnt / total,
+			FrontMs: a.front / cnt,
+			BackMs:  a.back / cnt,
+			MemMs:   RooflineMs(a.mb/cnt, arch),
 		}
 		est.Terms = append(est.Terms, term)
 		est.SerialMsPerFrame += term.Weight * (term.FrontMs + term.BackMs)

@@ -230,14 +230,11 @@ func LinearFit(xs, ys []float64) (a, b, r2 float64, err error) {
 
 // Jitter summarizes the latency variability of a series the way the paper's
 // Section 7 does: the relative gap between worst case and average case,
-// expressed as a fraction ((max-mean)/mean), plus the peak-to-peak range.
+// expressed as a fraction ((max-mean)/mean).
 type Jitter struct {
-	Mean         float64 // average latency
-	Min, Max     float64 // extrema
-	PeakToPeak   float64 // Max - Min
-	WorstVsAvg   float64 // (Max - Mean) / Mean; paper: 85% straightforward vs 20% semi-auto
-	StdDev       float64 // standard deviation of the series
-	CoefficientV float64 // StdDev / Mean
+	Mean       float64 // average latency
+	Max        float64 // worst case
+	WorstVsAvg float64 // (Max - Mean) / Mean; paper: 85% straightforward vs 20% semi-auto
 }
 
 // JitterOf computes the Jitter summary of xs.
@@ -245,16 +242,9 @@ func JitterOf(xs []float64) (Jitter, error) {
 	if len(xs) == 0 {
 		return Jitter{}, ErrEmpty
 	}
-	j := Jitter{
-		Mean:   Mean(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		StdDev: StdDev(xs),
-	}
-	j.PeakToPeak = j.Max - j.Min
+	j := Jitter{Mean: Mean(xs), Max: Max(xs)}
 	if j.Mean != 0 {
 		j.WorstVsAvg = (j.Max - j.Mean) / j.Mean
-		j.CoefficientV = j.StdDev / j.Mean
 	}
 	return j, nil
 }

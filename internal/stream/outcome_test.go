@@ -48,9 +48,8 @@ func TestOutcomeObserversAgree(t *testing.T) {
 			time.Sleep(time.Duration(120*raceScale) * time.Millisecond)
 		}
 	})
-	trig := span.DefaultTriggers()
-	trig.RingEvents = 1 << 16 // the whole run stays in the ring
-	flight, err := span.NewFlightRecorder(t.TempDir(), trig)
+	// The default ring holds the whole run.
+	flight, err := span.NewFlightRecorder(t.TempDir(), span.DefaultTriggers())
 	if err != nil {
 		t.Fatal(err)
 	}

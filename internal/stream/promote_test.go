@@ -146,13 +146,12 @@ func TestServeWithPromotion(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i].Shadow = mkShadowBoard(t, s, p, cfgs[i].Name)
 	}
-	// A named challenger canaries immediately; an enormous canary window
-	// keeps the run inside the canary stage so the steering is observable.
+	// A named challenger canaries immediately. The run is shorter than the
+	// guardrails' 16-sample minimum and the canary window, so it stays
+	// inside the canary stage and the steering is observable.
 	ctl, err := promote.NewController(promote.Config{
-		Challenger:   shadow.BackendOrder2,
-		CanaryFrac:   0.5,
-		CanaryFrames: 1 << 20,
-		MinSamples:   1 << 20, // guards never fire in this short run
+		Challenger: shadow.BackendOrder2,
+		CanaryFrac: 0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +164,7 @@ func TestServeWithPromotion(t *testing.T) {
 	if err := ctl.EnableMetrics(reg); err != nil {
 		t.Fatal(err)
 	}
-	res, err := srv.Run(30)
+	res, err := srv.Run(15)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,9 +14,7 @@ import (
 // whose task spans carry predictions and scenario labels.
 func TestTightBudgetProducesValidDump(t *testing.T) {
 	dir := t.TempDir()
-	trig := span.DefaultTriggers()
-	trig.AfterFrames = 4
-	flight, err := span.NewFlightRecorder(dir, trig)
+	flight, err := span.NewFlightRecorder(dir, span.DefaultTriggers())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +90,9 @@ func TestTightBudgetProducesValidDump(t *testing.T) {
 // Server.Run rather than silently dropped.
 func TestFlightFlushSurfacesAtRunEnd(t *testing.T) {
 	dir := t.TempDir()
-	trig := span.DefaultTriggers()
-	trig.AfterFrames = 10000 // the window can never elapse in-run
-	flight, err := span.NewFlightRecorder(dir, trig)
+	// Ten frames are fewer than the recorder's after-window, so the window
+	// can never elapse in-run.
+	flight, err := span.NewFlightRecorder(dir, span.DefaultTriggers())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,6 @@ type Stats struct {
 	AccountingErrs  int  // frames with incomplete bandwidth accounting
 	Restarts        int  // supervisor restarts of the serving loop
 	Quarantined     bool // stream retired after exhausting its restarts
-	Degradations    int  // quality-ladder transitions (either direction)
 	FinalQuality    pipeline.Quality
 	MeanRecoveryMs  float64 // mean crash-to-serving wall-clock time
 	BudgetMs        float64
@@ -556,7 +555,6 @@ func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, te
 	}
 	r.res.Stats.BudgetMs = r.mgr.BudgetMs
 	r.res.Stats.FinalQuality = r.deg.Level()
-	r.res.Stats.Degradations = r.deg.Transitions()
 	return r.res
 }
 

@@ -393,7 +393,7 @@ func TestDegradationLadder(t *testing.T) {
 			panic("burst fault")
 		}
 	})
-	srv, err := NewServer(ServerConfig{Degrade: true}, []Config{sc})
+	srv, err := NewServer(ServerConfig{Degrade: true, Metrics: metrics.NewRegistry()}, []Config{sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,8 +404,9 @@ func TestDegradationLadder(t *testing.T) {
 	}
 	st := out.Streams[0].Stats
 	assertFrameAccounting(t, st, n)
-	if st.Degradations < 2 {
-		t.Fatalf("degradations = %d, want at least one down and one up transition", st.Degradations)
+	// The ladder's transitions, as the serving telemetry counts them.
+	if got := srv.tels[0].degradations.Value(); got < 2 {
+		t.Fatalf("degradations = %d, want at least one down and one up transition", got)
 	}
 	if st.FinalQuality != pipeline.QualityFull {
 		t.Fatalf("final quality %v after the fault cleared and the cool-down elapsed, want full", st.FinalQuality)

@@ -133,19 +133,18 @@ func newTelemetry(reg *metrics.Registry, sc Config, i int) (*telemetry, error) {
 	}
 
 	// Precompute the per-scenario bandwidth and cache-occupation forecasts
-	// at the engine's modeled geometry.
-	cfg := sc.Engine.Config()
-	cacheKB := cfg.Arch.L2.SizeBytes / 1024
+	// at the engine's modeled geometry: the paper's frame at 30 Hz.
+	cacheKB := sc.Engine.Config().Arch.L2.SizeBytes / 1024
 	for si := 0; si < 8; si++ {
 		s := flowgraph.FromIndex(si)
-		an, err := bandwidth.Analyze(s, cfg.ModelFrameKB, cacheKB, cfg.FrameRate)
+		an, err := bandwidth.Analyze(s, memmodel.PaperFrameKB, cacheKB, 30)
 		if err != nil {
 			return nil, fmt.Errorf("stream: %s: scenario %s bandwidth table: %w", name, s, err)
 		}
 		t.bwMBs[si] = an.TotalMBs()
 		occ := 0
 		for _, task := range s.ActiveTasks() {
-			req, err := memmodel.Lookup(task, s.RDGOn, cfg.ModelFrameKB)
+			req, err := memmodel.Lookup(task, s.RDGOn, memmodel.PaperFrameKB)
 			if err != nil {
 				return nil, fmt.Errorf("stream: %s: scenario %s cache table: %w", name, s, err)
 			}

@@ -34,7 +34,7 @@ func mustNew(t testing.TB, cfg Config) *Sequence {
 // Frame renders exactly oracleFrame's bits: for the seed families the
 // training corpus (1000+17i), the test sets (900000+83i) and `triplec shadow`
 // (5000+29i) draw from, at three sizes, over frames that cross contrast
-// bursts, marker dropouts and clutter, and for a panning and a quantum-noise
+// bursts, marker dropouts and clutter, and for a quantum-noise
 // configuration.
 func TestFrameMatchesOracle(t *testing.T) {
 	frames := []int{0, 1, 14, 15, 22, 23, 49, 50, 64, 99}
@@ -50,13 +50,11 @@ func TestFrameMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	pan := studyConfig(7, 128)
-	pan.PanX, pan.PanY = 1.5, -0.75
 	quantum := DefaultConfig(3)
 	quantum.Width, quantum.Height = 64, 64
 	wide := studyConfig(11, 64)
 	wide.NoiseSigma = 20000 // past the fast path's guard: the exact transform
-	cases = append(cases, tc{"pan", pan}, tc{"quantum", quantum}, tc{"wide-sigma", wide})
+	cases = append(cases, tc{"quantum", quantum}, tc{"wide-sigma", wide})
 	for _, c := range cases {
 		s := mustNew(t, c.cfg)
 		for _, i := range frames {

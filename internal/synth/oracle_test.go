@@ -24,24 +24,21 @@ func oracleFrame(s *Sequence, i int) (*frame.Frame, Truth) {
 		for x := 0; x < s.cfg.Width; x++ {
 			fx := (float64(x)/w - 0.5) * 2
 			vignette := 1 - 0.15*(fx*fx+fy*fy)
-			row[x] = clamp16(s.cfg.Background * vignette)
+			row[x] = clamp16(background * vignette)
 		}
 	}
 
 	// Vessels: dark anti-aliased strokes, translated by breathing motion and
-	// table panning, deepened during contrast bursts. A slow sinusoidal
+	// deepened during contrast bursts. A slow sinusoidal
 	// modulation of the depth adds the long-term load fluctuation the EWMA
 	// models.
-	depth := s.cfg.VesselDepth * 0.35
+	depth := vesselDepth * 0.35
 	if tr.ContrastActive {
-		depth = s.cfg.VesselDepth
+		depth = vesselDepth
 	}
 	if s.cfg.VesselModAmp != 0 && s.cfg.VesselModPeriod > 0 {
 		depth *= 1 + s.cfg.VesselModAmp*math.Sin(2*math.Pi*float64(i)/s.cfg.VesselModPeriod)
 	}
-	pdx, pdy := s.panOffset(i)
-	bdx += pdx
-	bdy += pdy
 	for _, seg := range s.vessels {
 		oracleStroke(s, f, seg.x0+bdx, seg.y0+bdy, seg.x1+bdx, seg.y1+bdy, seg.width, depth)
 	}
@@ -58,11 +55,11 @@ func oracleFrame(s *Sequence, i int) (*frame.Frame, Truth) {
 			oracleStroke(s, f,
 				tr.MarkerA[0]-ux*ext, tr.MarkerA[1]-uy*ext,
 				tr.MarkerB[0]+ux*ext, tr.MarkerB[1]+uy*ext,
-				1.2, s.cfg.WireDepth)
+				1.2, wireDepth)
 		}
 		// Balloon markers: punctual dark Gaussian blobs.
-		s.blob(f, tr.MarkerA[0], tr.MarkerA[1], s.cfg.MarkerRadius, s.cfg.MarkerDepth)
-		s.blob(f, tr.MarkerB[0], tr.MarkerB[1], s.cfg.MarkerRadius, s.cfg.MarkerDepth)
+		s.blob(f, tr.MarkerA[0], tr.MarkerA[1], markerRadius, markerDepth)
+		s.blob(f, tr.MarkerB[0], tr.MarkerB[1], markerRadius, markerDepth)
 	}
 
 	// Clutter: spurious dark blobs that become candidate markers and inflate
@@ -71,7 +68,7 @@ func oracleFrame(s *Sequence, i int) (*frame.Frame, Truth) {
 		x := rng.Range(0, w)
 		y := rng.Range(0, h)
 		r := rng.Range(1.5, 3.5)
-		d := rng.Range(0.4, 0.9) * s.cfg.MarkerDepth
+		d := rng.Range(0.4, 0.9) * markerDepth
 		s.blob(f, x, y, r, d)
 	}
 

@@ -32,19 +32,9 @@ import (
 type Config struct {
 	Width, Height int     // frame dimensions in pixels
 	Seed          uint64  // RNG seed; sequences with equal configs are identical
-	Background    float64 // mean background intensity (16-bit scale)
-	VesselCount   int     // number of vessel branches
-	VesselDepth   float64 // how much darker vessels are than background
-	MarkerDepth   float64 // how much darker balloon markers are
-	MarkerRadius  float64 // marker blob radius in pixels
 	MarkerSpacing float64 // a-priori known distance between the markers (px)
-	WireDepth     float64 // guide-wire darkness
 	NoiseSigma    float64 // Gaussian electronic-noise sigma
 	QuantumGain   float64 // Poisson quantum-noise gain (0 disables)
-	CardiacPeriod float64 // frames per cardiac cycle
-	BreathPeriod  float64 // frames per breathing cycle
-	CardiacAmp    float64 // marker excursion per cardiac cycle (px)
-	BreathAmp     float64 // background excursion per breathing cycle (px)
 	ContrastEvery int     // frames between contrast-injection bursts (0 disables)
 	ContrastLen   int     // burst duration in frames
 	ClutterRate   float64 // mean count of spurious dark blobs per frame
@@ -55,11 +45,21 @@ type Config struct {
 	// (Fig. 3). Amp 0 disables the modulation.
 	VesselModAmp    float64
 	VesselModPeriod float64
-	// PanX, PanY translate the whole scene (vessels, wire and markers) by
-	// this many pixels per frame — the C-arm/table panning of a live
-	// procedure. 0 disables panning.
-	PanX, PanY float64
 }
+
+// The scene every sequence draws: its intensities, anatomy and motion.
+const (
+	background    = 30000 // mean background intensity (16-bit scale)
+	vesselCount   = 6     // number of vessel branches
+	vesselDepth   = 9000  // how much darker vessels are than background
+	markerDepth   = 16000 // how much darker balloon markers are
+	markerRadius  = 3.0   // marker blob radius in pixels
+	wireDepth     = 5000  // guide-wire darkness
+	cardiacPeriod = 20    // frames per cardiac cycle
+	breathPeriod  = 90    // frames per breathing cycle
+	cardiacAmp    = 6     // marker excursion per cardiac cycle (px)
+	breathAmp     = 4     // background excursion per breathing cycle (px)
+)
 
 // DefaultConfig returns a configuration producing a 256x256 sequence with
 // all dynamics enabled. Tests use smaller frames; the bandwidth arithmetic
@@ -69,19 +69,9 @@ func DefaultConfig(seed uint64) Config {
 	return Config{
 		Width: 256, Height: 256,
 		Seed:            seed,
-		Background:      30000,
-		VesselCount:     6,
-		VesselDepth:     9000,
-		MarkerDepth:     16000,
-		MarkerRadius:    3.0,
 		MarkerSpacing:   40,
-		WireDepth:       5000,
 		NoiseSigma:      600,
 		QuantumGain:     0.02,
-		CardiacPeriod:   20,
-		BreathPeriod:    90,
-		CardiacAmp:      6,
-		BreathAmp:       4,
 		ContrastEvery:   50,
 		ContrastLen:     15,
 		ClutterRate:     4,
@@ -125,9 +115,6 @@ func New(cfg Config) (*Sequence, error) {
 	if cfg.MarkerSpacing <= 0 {
 		return nil, fmt.Errorf("synth: marker spacing must be positive")
 	}
-	if cfg.CardiacPeriod <= 0 || cfg.BreathPeriod <= 0 {
-		return nil, fmt.Errorf("synth: motion periods must be positive")
-	}
 	s := &Sequence{cfg: cfg}
 	s.buildVessels()
 	s.buildBackground()
@@ -141,7 +128,7 @@ func (s *Sequence) Config() Config { return s.cfg }
 func (s *Sequence) buildVessels() {
 	rng := stats.NewRNG(s.cfg.Seed*0x9E37 + 0xE5)
 	w, h := float64(s.cfg.Width), float64(s.cfg.Height)
-	for v := 0; v < s.cfg.VesselCount; v++ {
+	for v := 0; v < vesselCount; v++ {
 		// Each branch starts on a random edge and meanders across the frame.
 		x := rng.Range(0, w)
 		y := 0.0
@@ -176,30 +163,9 @@ func (s *Sequence) buildBackground() {
 		for x := range row {
 			fx := (float64(x)/w - 0.5) * 2
 			vignette := 1 - 0.15*(fx*fx+fy*fy)
-			row[x] = clamp16(s.cfg.Background * vignette)
+			row[x] = clamp16(background * vignette)
 		}
 	}
-}
-
-// panOffset returns the cumulative scene translation at frame i. The pan
-// wraps at twice the frame size so arbitrarily long sequences stay on
-// screen (the operator recenters the table).
-func (s *Sequence) panOffset(i int) (dx, dy float64) {
-	if s.cfg.PanX == 0 && s.cfg.PanY == 0 {
-		return 0, 0
-	}
-	wrapX := 2 * float64(s.cfg.Width)
-	wrapY := 2 * float64(s.cfg.Height)
-	dx = math.Mod(s.cfg.PanX*float64(i), wrapX)
-	dy = math.Mod(s.cfg.PanY*float64(i), wrapY)
-	// Triangle-wave fold keeps the offset within ±half frame.
-	if dx > wrapX/2 {
-		dx -= wrapX
-	}
-	if dy > wrapY/2 {
-		dy -= wrapY
-	}
-	return dx / 4, dy / 4
 }
 
 // markerPath returns the marker-couple midpoint and orientation at frame i:
@@ -208,14 +174,11 @@ func (s *Sequence) markerPath(i int) (cx, cy, theta float64) {
 	w, h := float64(s.cfg.Width), float64(s.cfg.Height)
 	t := float64(i)
 	// Slow Lissajous drift keeps the couple inside the central region.
-	cx = w/2 + 0.25*w*math.Sin(2*math.Pi*t/(7.3*s.cfg.BreathPeriod))
-	cy = h/2 + 0.25*h*math.Sin(2*math.Pi*t/(9.1*s.cfg.BreathPeriod)+1.0)
-	pdx, pdy := s.panOffset(i)
-	cx += pdx
-	cy += pdy
+	cx = w/2 + 0.25*w*math.Sin(2*math.Pi*t/(7.3*breathPeriod))
+	cy = h/2 + 0.25*h*math.Sin(2*math.Pi*t/(9.1*breathPeriod)+1.0)
 	// Cardiac motion moves the couple along its wire axis.
-	cardiac := s.cfg.CardiacAmp * math.Sin(2*math.Pi*t/s.cfg.CardiacPeriod)
-	theta = 0.6 + 0.4*math.Sin(2*math.Pi*t/(5*s.cfg.BreathPeriod))
+	cardiac := cardiacAmp * math.Sin(2*math.Pi*t/cardiacPeriod)
+	theta = 0.6 + 0.4*math.Sin(2*math.Pi*t/(5*breathPeriod))
 	cx += cardiac * math.Cos(theta)
 	cy += cardiac * math.Sin(theta)
 	return cx, cy, theta
@@ -224,8 +187,8 @@ func (s *Sequence) markerPath(i int) (cx, cy, theta float64) {
 // breathOffset returns the background translation at frame i.
 func (s *Sequence) breathOffset(i int) (dx, dy float64) {
 	t := float64(i)
-	dx = s.cfg.BreathAmp * math.Sin(2*math.Pi*t/s.cfg.BreathPeriod)
-	dy = 0.5 * s.cfg.BreathAmp * math.Cos(2*math.Pi*t/s.cfg.BreathPeriod)
+	dx = breathAmp * math.Sin(2*math.Pi*t/breathPeriod)
+	dy = 0.5 * breathAmp * math.Cos(2*math.Pi*t/breathPeriod)
 	return dx, dy
 }
 
@@ -264,7 +227,7 @@ func (s *Sequence) Truth(i int) Truth {
 		MarkersVisible: s.markersVisible(i),
 		ClutterBlobs:   clutter,
 	}
-	pad := int(4 * s.cfg.MarkerRadius)
+	pad := int(4 * markerRadius)
 	roi := frame.R(
 		int(math.Min(ax, bx))-pad, int(math.Min(ay, by))-pad,
 		int(math.Max(ax, bx))+pad+1, int(math.Max(ay, by))+pad+1,
@@ -287,19 +250,16 @@ func (s *Sequence) Frame(i int) (*frame.Frame, Truth) {
 	bdx, bdy := s.breathOffset(i)
 
 	// Vessels: dark anti-aliased strokes, translated by breathing motion and
-	// table panning, deepened during contrast bursts. A slow sinusoidal
+	// deepened during contrast bursts. A slow sinusoidal
 	// modulation of the depth adds the long-term load fluctuation the EWMA
 	// models.
-	depth := s.cfg.VesselDepth * 0.35
+	depth := vesselDepth * 0.35
 	if tr.ContrastActive {
-		depth = s.cfg.VesselDepth
+		depth = vesselDepth
 	}
 	if s.cfg.VesselModAmp != 0 && s.cfg.VesselModPeriod > 0 {
 		depth *= 1 + s.cfg.VesselModAmp*math.Sin(2*math.Pi*float64(i)/s.cfg.VesselModPeriod)
 	}
-	pdx, pdy := s.panOffset(i)
-	bdx += pdx
-	bdy += pdy
 	for _, seg := range s.vessels {
 		s.stroke(f, seg.x0+bdx, seg.y0+bdy, seg.x1+bdx, seg.y1+bdy, seg.width, depth)
 	}
@@ -316,11 +276,11 @@ func (s *Sequence) Frame(i int) (*frame.Frame, Truth) {
 			s.stroke(f,
 				tr.MarkerA[0]-ux*ext, tr.MarkerA[1]-uy*ext,
 				tr.MarkerB[0]+ux*ext, tr.MarkerB[1]+uy*ext,
-				1.2, s.cfg.WireDepth)
+				1.2, wireDepth)
 		}
 		// Balloon markers: punctual dark Gaussian blobs.
-		s.blob(f, tr.MarkerA[0], tr.MarkerA[1], s.cfg.MarkerRadius, s.cfg.MarkerDepth)
-		s.blob(f, tr.MarkerB[0], tr.MarkerB[1], s.cfg.MarkerRadius, s.cfg.MarkerDepth)
+		s.blob(f, tr.MarkerA[0], tr.MarkerA[1], markerRadius, markerDepth)
+		s.blob(f, tr.MarkerB[0], tr.MarkerB[1], markerRadius, markerDepth)
 	}
 
 	// Clutter: spurious dark blobs that become candidate markers and inflate
@@ -330,7 +290,7 @@ func (s *Sequence) Frame(i int) (*frame.Frame, Truth) {
 		x := rng.Range(0, w)
 		y := rng.Range(0, h)
 		r := rng.Range(1.5, 3.5)
-		d := rng.Range(0.4, 0.9) * s.cfg.MarkerDepth
+		d := rng.Range(0.4, 0.9) * markerDepth
 		s.blob(f, x, y, r, d)
 	}
 

@@ -19,8 +19,6 @@ func TrainingSet(baseSeed uint64, n, framesPer int, base Config) ([]*Sequence, e
 		cfg := base
 		cfg.Seed = baseSeed + uint64(i)*1000003
 		// Vary the dynamics between sequences the way clinical cases differ.
-		cfg.CardiacPeriod = base.CardiacPeriod * rng.Range(0.8, 1.25)
-		cfg.BreathPeriod = base.BreathPeriod * rng.Range(0.8, 1.25)
 		cfg.ClutterRate = base.ClutterRate * rng.Range(0.5, 1.8)
 		cfg.ContrastEvery = int(float64(base.ContrastEvery) * rng.Range(0.7, 1.4))
 		if cfg.ContrastEvery < 1 {

@@ -18,72 +18,60 @@ package tasks
 
 import "triplec/internal/platform"
 
-// CostParams holds the cycles-per-unit constants of the task cost model.
+// CostParams scales the task cost model to the processed frame size.
 type CostParams struct {
 	// PixelScale multiplies every pixel count before cycle conversion,
 	// emulating the paper's full 1024x1024 geometry when processing smaller
 	// synthetic frames. 1.0 means "count pixels as processed".
 	PixelScale float64
-
-	BlurPerPixel      float64 // separable Gaussian, two passes
-	HessianPerPixel   float64 // second derivatives + eigenvalues
-	NMSPerRidgePixel  float64 // data-dependent ridge aftermath (thinning/linking)
-	ThresholdPerPixel float64 // thresholding / inversion sweeps
-	CCPerPixel        float64 // connected-component labeling sweep
-	ScorePerComponent float64 // per-candidate feature scoring
-	PairPerCouple     float64 // per marker-pair evaluation in CPLS SEL
-	RegPerPixel       float64 // per-pixel patch correlation in REG
-	SamplePerPoint    float64 // per sample along the guide-wire track
-	AccumPerPixel     float64 // temporal-integration accumulate + average
-	ZoomPerPixel      float64 // bilinear resampling per output pixel
-	DetectPerPixel    float64 // structure-detector gradient sweep (downsampled)
-	Baseline          float64 // fixed control overhead per task activation
 }
 
-// DefaultCostParams returns constants calibrated against Table 2(b) at the
-// 1024x1024 geometry for a frame size of `framePixels` actually processed.
-// Pass the real pixel count of the synthetic frames; PixelScale is set to
-// (1024*1024)/framePixels.
+// The cycles-per-unit constants of the task cost model, calibrated against
+// Table 2(b) at the 1024x1024 geometry.
+const (
+	// RDG FULL at 1024^2: (blur 40 + hessian 45)c/px * 1 Mpx = 89e6
+	// cycles = 38 ms, plus the data-dependent NMS share on top: matches
+	// Fig. 3's 35-55 ms band.
+	blurPerPixel     float64 = 40  // separable Gaussian, two passes
+	hessianPerPixel  float64 = 45  // second derivatives + eigenvalues
+	nmsPerRidgePixel float64 = 220 // data-dependent ridge aftermath (thinning/linking)
+
+	// MKX EXT ~2.5 ms = 5.8e6 cycles. It runs on a 2x-downsampled
+	// candidate map (0.25 Mpx): ~16 c/px + component scoring.
+	thresholdPerPixel float64 = 6     // thresholding / inversion sweeps
+	ccPerPixel        float64 = 12    // connected-component labeling sweep
+	scorePerComponent float64 = 45000 // per-candidate feature scoring
+
+	// CPLS SEL: dominated by k^2 pair evaluations.
+	pairPerCouple float64 = 90000 // per marker-pair evaluation
+
+	// REG ~2 ms = 4.65e6 cycles over two 64x64 patches and couple
+	// bookkeeping: ~550 c/px on 8192 px.
+	regPerPixel float64 = 550 // per-pixel patch correlation
+
+	// GW EXT: per-sample ridge evidence along the wire track.
+	samplePerPoint float64 = 26000
+
+	// ENH 24 ms = 55.8e6 cycles at 1 Mpx -> ~53 c/px: temporal-integration
+	// accumulate + average.
+	accumPerPixel float64 = 53
+
+	// ZOOM 12.5 ms = 29.1e6 cycles at 1 Mpx output -> ~28 c/px: bilinear
+	// resampling per output pixel.
+	zoomPerPixel float64 = 28
+
+	detectPerPixel float64 = 4     // structure-detector gradient sweep (downsampled)
+	baselineCycles float64 = 50000 // fixed control overhead per task activation
+)
+
+// DefaultCostParams returns the cost model for a frame size of
+// `framePixels` actually processed: PixelScale is (1024*1024)/framePixels.
 func DefaultCostParams(framePixels int) CostParams {
 	scale := 1.0
 	if framePixels > 0 {
 		scale = float64(1024*1024) / float64(framePixels)
 	}
-	return CostParams{
-		PixelScale: scale,
-
-		// RDG FULL at 1024^2: (blur 40 + hessian 45)c/px * 1 Mpx = 89e6
-		// cycles = 38 ms, plus the data-dependent NMS share on top: matches
-		// Fig. 3's 35-55 ms band.
-		BlurPerPixel:     40,
-		HessianPerPixel:  45,
-		NMSPerRidgePixel: 220,
-
-		// MKX EXT ~2.5 ms = 5.8e6 cycles. It runs on a 2x-downsampled
-		// candidate map (0.25 Mpx): ~16 c/px + component scoring.
-		ThresholdPerPixel: 6,
-		CCPerPixel:        12,
-		ScorePerComponent: 45000,
-
-		// CPLS SEL: dominated by k^2 pair evaluations.
-		PairPerCouple: 90000,
-
-		// REG ~2 ms = 4.65e6 cycles over two 64x64 patches and couple
-		// bookkeeping: ~550 c/px on 8192 px.
-		RegPerPixel: 550,
-
-		// GW EXT: per-sample ridge evidence along the wire track.
-		SamplePerPoint: 26000,
-
-		// ENH 24 ms = 55.8e6 cycles at 1 Mpx -> ~53 c/px.
-		AccumPerPixel: 53,
-
-		// ZOOM 12.5 ms = 29.1e6 cycles at 1 Mpx output -> ~28 c/px.
-		ZoomPerPixel: 28,
-
-		DetectPerPixel: 4,
-		Baseline:       50000,
-	}
+	return CostParams{PixelScale: scale}
 }
 
 // pixCost converts a pixel count into cycles under the scale factor.
@@ -93,5 +81,5 @@ func (p CostParams) pixCost(pixels int, perPixel float64) float64 {
 
 // cost wraps cycles into a platform.Cost with the baseline overhead added.
 func (p CostParams) cost(cycles float64) platform.Cost {
-	return platform.Cost{Cycles: cycles + p.Baseline}
+	return platform.Cost{Cycles: cycles + baselineCycles}
 }

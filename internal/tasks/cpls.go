@@ -50,6 +50,6 @@ func (c *CouplesSelector) Run(cands []Marker) (*Couple, platform.Cost) {
 			}
 		}
 	}
-	cycles := float64(pairs) * c.Params.PairPerCouple
+	cycles := float64(pairs) * pairPerCouple
 	return best, c.Params.cost(cycles)
 }

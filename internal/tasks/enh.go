@@ -69,7 +69,7 @@ func (e *Enhancer) Run(roi *frame.Frame, couple *Couple) (*frame.Frame, platform
 		e.ys[y] = roi.YTap(my + (float64(y)-float64(e.CanvasH)/2)/scale)
 	}
 	e.avg = e.acc.AddResampledInto(e.avg, roi, e.xs, e.ys)
-	cycles := e.Params.pixCost(e.CanvasW*e.CanvasH, e.Params.AccumPerPixel)
+	cycles := e.Params.pixCost(e.CanvasW*e.CanvasH, accumPerPixel)
 	return e.avg, e.Params.cost(cycles)
 }
 
@@ -91,6 +91,6 @@ func (z *Zoomer) Run(enhanced *frame.Frame) (*frame.Frame, platform.Cost) {
 		return nil, z.Params.cost(0)
 	}
 	out := frame.Resize(enhanced, z.OutW, z.OutH)
-	cycles := z.Params.pixCost(z.OutW*z.OutH, z.Params.ZoomPerPixel)
+	cycles := z.Params.pixCost(z.OutW*z.OutH, zoomPerPixel)
 	return out, z.Params.cost(cycles)
 }

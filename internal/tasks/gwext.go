@@ -12,11 +12,6 @@ import (
 // ridge joining them, the automatic marker extraction is considered stable
 // (paper Section 3).
 type GuideWireExtractor struct {
-	// Sigma is the smoothing scale of the local ridge probe.
-	Sigma float64
-	// MinCoverage is the fraction of track samples that must show ridge
-	// evidence for the wire to count as found.
-	MinCoverage float64
 	// EvidenceSigmas: a sample shows ridge evidence when it is at least this
 	// many standard deviations darker than its flanking samples.
 	EvidenceSigmas float64
@@ -29,26 +24,25 @@ type GuideWireExtractor struct {
 // NewGuideWireExtractor returns an extractor tuned for the synthetic wires.
 func NewGuideWireExtractor(p CostParams) *GuideWireExtractor {
 	return &GuideWireExtractor{
-		Sigma:          1.0,
-		MinCoverage:    0.55,
 		EvidenceSigmas: 1.0,
 		ProbeHalfWidth: 3,
 		Params:         p,
 	}
 }
 
-// Run probes the track between the couple's markers in f. The number of
-// samples (and therefore the cost) grows with the couple spacing — the
-// data-dependent behaviour modeled by the GW Markov chain.
-func (g *GuideWireExtractor) Run(f *frame.Frame, couple *Couple) (GWResult, platform.Cost) {
+// Run probes the track between the couple's markers in f and returns the
+// share of track samples with ridge evidence. The number of samples (and
+// therefore the cost) grows with the couple spacing — the data-dependent
+// behaviour modeled by the GW Markov chain.
+func (g *GuideWireExtractor) Run(f *frame.Frame, couple *Couple) (float64, platform.Cost) {
 	if couple == nil || f == nil || f.Pixels() == 0 {
-		return GWResult{}, g.Params.cost(0)
+		return 0, g.Params.cost(0)
 	}
 	dx := couple.B.X - couple.A.X
 	dy := couple.B.Y - couple.A.Y
 	length := math.Hypot(dx, dy)
 	if length < 2 {
-		return GWResult{}, g.Params.cost(0)
+		return 0, g.Params.cost(0)
 	}
 	ux, uy := dx/length, dy/length
 	// Lateral (normal) direction for the flanking probes.
@@ -78,11 +72,10 @@ func (g *GuideWireExtractor) Run(f *frame.Frame, couple *Couple) (GWResult, plat
 		}
 		examined++
 	}
-	res := GWResult{Samples: examined}
+	coverage := 0.0
 	if examined > 0 {
-		res.Coverage = float64(evidence) / float64(examined)
-		res.Found = res.Coverage >= g.MinCoverage
+		coverage = float64(evidence) / float64(examined)
 	}
-	cycles := float64(examined) * g.Params.SamplePerPoint
-	return res, g.Params.cost(cycles)
+	cycles := float64(examined) * samplePerPoint
+	return coverage, g.Params.cost(cycles)
 }

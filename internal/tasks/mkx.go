@@ -131,7 +131,6 @@ func (m *MarkerExtractor) Run(in *frame.Frame, ridge *RidgeResult) ([]Marker, pl
 			X:     float64(in.Bounds.X0) + c.CX*2 + 0.5,
 			Y:     float64(in.Bounds.Y0) + c.CY*2 + 0.5,
 			Score: darkness * c.Compact,
-			Size:  c.Size * 4,
 		})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
@@ -139,9 +138,9 @@ func (m *MarkerExtractor) Run(in *frame.Frame, ridge *RidgeResult) ([]Marker, pl
 		cands = cands[:m.MaxCandidates]
 	}
 
-	cycles := m.Params.pixCost(w*h, m.Params.ThresholdPerPixel) +
-		m.Params.pixCost(w*h, m.Params.CCPerPixel) +
-		float64(len(comps))*m.Params.ScorePerComponent
+	cycles := m.Params.pixCost(w*h, thresholdPerPixel) +
+		m.Params.pixCost(w*h, ccPerPixel) +
+		float64(len(comps))*scorePerComponent
 	return cands, m.Params.cost(cycles)
 }
 

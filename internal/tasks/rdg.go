@@ -28,9 +28,6 @@ type RidgeDetector struct {
 	// Anisotropy is the minimum |l1|/(|l2|+1) ratio for a pixel to count as
 	// part of an elongated structure rather than a blob.
 	Anisotropy float64
-	// DominanceFrac: if more than this fraction of pixels are ridge pixels,
-	// the frame contains dominant structures.
-	DominanceFrac float64
 
 	Params CostParams
 
@@ -41,11 +38,10 @@ type RidgeDetector struct {
 // vessel widths.
 func NewRidgeDetector(p CostParams) *RidgeDetector {
 	return &RidgeDetector{
-		Sigma:         1.2,
-		RelThreshold:  0.30,
-		Anisotropy:    1.8,
-		DominanceFrac: 0.01,
-		Params:        p,
+		Sigma:        1.2,
+		RelThreshold: 0.30,
+		Anisotropy:   1.8,
+		Params:       p,
 	}
 }
 
@@ -115,13 +111,12 @@ func (r *RidgeDetector) RunStripedOn(pool *parallel.Pool, in *frame.Frame, k int
 			}
 		}
 	}
-	result.Dominant = float64(result.RidgePixels) >= r.DominanceFrac*float64(pixels)
 
 	// Cost: blur + Hessian over all pixels, plus the data-dependent
 	// thinning/linking pass proportional to the ridge pixels found.
-	cycles := r.Params.pixCost(pixels, r.Params.BlurPerPixel) +
-		r.Params.pixCost(pixels, r.Params.HessianPerPixel) +
-		r.Params.pixCost(result.RidgePixels, r.Params.NMSPerRidgePixel)
+	cycles := r.Params.pixCost(pixels, blurPerPixel) +
+		r.Params.pixCost(pixels, hessianPerPixel) +
+		r.Params.pixCost(result.RidgePixels, nmsPerRidgePixel)
 	return result, r.Params.cost(cycles)
 }
 
@@ -247,7 +242,7 @@ func (d *StructureDetector) Run(in *frame.Frame) (bool, platform.Cost) {
 	frame.Release(small)
 	energy /= float64(w * h)
 	norm := energy * math.Sqrt(float64(in.Pixels()))
-	cycles := d.Params.pixCost(w*h, d.Params.DetectPerPixel)
+	cycles := d.Params.pixCost(w*h, detectPerPixel)
 	return norm >= d.EnergyThreshold, d.Params.cost(cycles)
 }
 

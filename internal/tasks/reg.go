@@ -48,7 +48,7 @@ func (r *Registrator) Run(prevFrame, curFrame *frame.Frame, prevCouple, curCoupl
 	// The nominal constant cost of the stage: two 65x65 patch correlations
 	// at full geometry, charged whether or not a couple was available,
 	// because the motion criterion's temporal difference always runs.
-	nominal := 2 * 65 * 65 * r.Params.RegPerPixel
+	nominal := 2 * 65 * 65 * regPerPixel
 	if prevCouple == nil || curCouple == nil {
 		return Registration{}, r.Params.cost(nominal)
 	}
@@ -115,7 +115,7 @@ func (e *ROIEstimator) Run(couple *Couple, bounds frame.Rect) (frame.Rect, platf
 	// The paper models ROI EST as a 1 ms constant; the work is bookkeeping
 	// proportional to nothing observable, so only the baseline plus a fixed
 	// term is charged.
-	cycles := e.Params.pixCost(4096, e.Params.ThresholdPerPixel)
+	cycles := e.Params.pixCost(4096, thresholdPerPixel)
 	if couple == nil {
 		return frame.Rect{}, e.Params.cost(cycles)
 	}

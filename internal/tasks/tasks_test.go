@@ -57,7 +57,7 @@ func TestRidgeDetectorFindsVessels(t *testing.T) {
 	if res.RidgePixels == 0 {
 		t.Fatal("no ridge pixels found on a contrast frame")
 	}
-	if !res.Dominant {
+	if res.RidgePixels < f.Pixels()/100 {
 		t.Fatalf("contrast frame must show dominant structures (%d ridge px)", res.RidgePixels)
 	}
 	if cost.Cycles <= 0 {
@@ -68,7 +68,7 @@ func TestRidgeDetectorFindsVessels(t *testing.T) {
 func TestRidgeDetectorEmptyFrame(t *testing.T) {
 	rdg := NewRidgeDetector(params())
 	res, _ := rdg.Run(frame.New(0, 0))
-	if res.RidgePixels != 0 || res.Dominant {
+	if res.RidgePixels != 0 {
 		t.Fatal("empty frame must yield no ridges")
 	}
 }
@@ -506,7 +506,6 @@ func floatMaskCandidates(m *MarkerExtractor, in *frame.Frame, ridge *RidgeResult
 			X:     float64(in.Bounds.X0) + c.CX*2 + 0.5,
 			Y:     float64(in.Bounds.Y0) + c.CY*2 + 0.5,
 			Score: darkness * c.Compact,
-			Size:  c.Size * 4,
 		})
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
@@ -620,7 +619,7 @@ func TestCouplesSelectorQuadraticCost(t *testing.T) {
 	}
 	_, c4 := cpls.Run(mk(4))
 	_, c8 := cpls.Run(mk(8))
-	base := params().Baseline
+	base := baselineCycles
 	// 8 candidates -> 28 pairs; 4 -> 6 pairs.
 	ratio := (c8.Cycles - base) / (c4.Cycles - base)
 	if math.Abs(ratio-28.0/6.0) > 1e-9 {
@@ -730,6 +729,10 @@ func TestROIEstimatorMinSize(t *testing.T) {
 	}
 }
 
+// wireCoverage is the share of track samples with ridge evidence at which a
+// guide wire counts as found.
+const wireCoverage = 0.55
+
 func TestGuideWireExtractorFindsWire(t *testing.T) {
 	s := cleanSeq(t, 23)
 	f, tr := s.Frame(20)
@@ -739,9 +742,9 @@ func TestGuideWireExtractorFindsWire(t *testing.T) {
 		B: Marker{X: tr.MarkerB[0], Y: tr.MarkerB[1]},
 	}
 	c.Spacing = c.A.Dist(c.B)
-	res, cost := gw.Run(f, c)
-	if !res.Found {
-		t.Fatalf("guide wire not found: coverage=%v samples=%d", res.Coverage, res.Samples)
+	cov, cost := gw.Run(f, c)
+	if cov < wireCoverage {
+		t.Fatalf("guide wire not found: coverage=%v", cov)
 	}
 	if cost.Cycles <= 0 {
 		t.Fatal("cost must be positive")
@@ -754,23 +757,23 @@ func TestGuideWireExtractorRejectsNoWire(t *testing.T) {
 	gw := NewGuideWireExtractor(params())
 	c := &Couple{A: Marker{X: 30, Y: 30}, B: Marker{X: 90, Y: 90}}
 	c.Spacing = c.A.Dist(c.B)
-	res, _ := gw.Run(f, c)
-	if res.Found {
+	cov, _ := gw.Run(f, c)
+	if cov >= wireCoverage {
 		t.Fatal("wire found on a flat frame")
 	}
 }
 
 func TestGuideWireExtractorDegenerate(t *testing.T) {
 	gw := NewGuideWireExtractor(params())
-	if res, _ := gw.Run(nil, &Couple{}); res.Found {
+	if cov, _ := gw.Run(nil, &Couple{}); cov != 0 {
 		t.Fatal("nil frame must not find a wire")
 	}
 	f := frame.New(32, 32)
 	same := &Couple{A: Marker{X: 5, Y: 5}, B: Marker{X: 5.5, Y: 5}}
-	if res, _ := gw.Run(f, same); res.Found {
+	if cov, _ := gw.Run(f, same); cov != 0 {
 		t.Fatal("degenerate couple must not find a wire")
 	}
-	if res, _ := gw.Run(f, nil); res.Found {
+	if cov, _ := gw.Run(f, nil); cov != 0 {
 		t.Fatal("nil couple must not find a wire")
 	}
 }
@@ -921,29 +924,29 @@ func TestCostCalibrationMatchesTable2b(t *testing.T) {
 	toMs := func(cycles float64) float64 { return cycles / 2.327e9 * 1e3 }
 
 	// ENH at the paper's full-frame granularity.
-	enhCycles := p.pixCost(1024*1024, p.AccumPerPixel) + p.Baseline
+	enhCycles := p.pixCost(1024*1024, accumPerPixel) + baselineCycles
 	if ms := toMs(enhCycles); math.Abs(ms-24) > 4 {
 		t.Fatalf("ENH = %.1f ms, want ~24", ms)
 	}
 	// ZOOM at full-frame output.
-	zoomCycles := p.pixCost(1024*1024, p.ZoomPerPixel) + p.Baseline
+	zoomCycles := p.pixCost(1024*1024, zoomPerPixel) + baselineCycles
 	if ms := toMs(zoomCycles); math.Abs(ms-12.5) > 2.5 {
 		t.Fatalf("ZOOM = %.1f ms, want ~12.5", ms)
 	}
 	// REG over two 33x33..65x65 patches: 2*65*65 px at RegPerPixel.
-	regCycles := p.pixCost(2*65*65, p.RegPerPixel) + p.Baseline
+	regCycles := p.pixCost(2*65*65, regPerPixel) + baselineCycles
 	if ms := toMs(regCycles); math.Abs(ms-2) > 1 {
 		t.Fatalf("REG = %.2f ms, want ~2", ms)
 	}
 	// MKX on the half-resolution grid (512x512).
-	mkxCycles := p.pixCost(512*512, p.ThresholdPerPixel) +
-		p.pixCost(512*512, p.CCPerPixel) + 10*p.ScorePerComponent + p.Baseline
+	mkxCycles := p.pixCost(512*512, thresholdPerPixel) +
+		p.pixCost(512*512, ccPerPixel) + 10*scorePerComponent + baselineCycles
 	if ms := toMs(mkxCycles); math.Abs(ms-2.5) > 1.2 {
 		t.Fatalf("MKX = %.2f ms, want ~2.5", ms)
 	}
 	// RDG FULL base (without the data-dependent share) in Fig. 3's band.
-	rdgCycles := p.pixCost(1024*1024, p.BlurPerPixel) +
-		p.pixCost(1024*1024, p.HessianPerPixel) + p.Baseline
+	rdgCycles := p.pixCost(1024*1024, blurPerPixel) +
+		p.pixCost(1024*1024, hessianPerPixel) + baselineCycles
 	if ms := toMs(rdgCycles); ms < 30 || ms > 55 {
 		t.Fatalf("RDG FULL base = %.1f ms, want within 30-55", ms)
 	}
@@ -997,9 +1000,6 @@ func TestRunStripedMatchesRun(t *testing.T) {
 			got, gotCost := rdg.RunStriped(f, k)
 			if got.RidgePixels != want.RidgePixels {
 				t.Fatalf("frame %d k=%d: ridge pixels %d != %d", fi, k, got.RidgePixels, want.RidgePixels)
-			}
-			if got.Dominant != want.Dominant {
-				t.Fatalf("frame %d k=%d: dominance differs", fi, k)
 			}
 			if !got.Mask.Equal(want.Mask) || !slices.Equal(rdg.vals[:f.Pixels()], wantVals) {
 				t.Fatalf("frame %d k=%d: mask or responses differ", fi, k)
@@ -1301,7 +1301,7 @@ func requireRegistration(t *testing.T, ctx string, r *Registrator, prev, cur *fr
 		math.Float64bits(got.DX) != math.Float64bits(want.DX) || math.Float64bits(got.DY) != math.Float64bits(want.DY) {
 		t.Fatalf("%s: registration %+v, want %+v", ctx, got, want)
 	}
-	wantCycles := 2 * 65 * 65 * r.Params.RegPerPixel
+	wantCycles := 2 * 65 * 65 * regPerPixel
 	if prev == nil || cur == nil {
 		wantCycles = 0
 	}

@@ -71,7 +71,6 @@ func IndexOf(n Name) int {
 type Marker struct {
 	X, Y  float64 // centroid in frame coordinates
 	Score float64 // darkness x compactness score; larger is more marker-like
-	Size  int     // blob pixel count
 }
 
 // Dist returns the Euclidean distance between two markers.
@@ -108,12 +107,4 @@ type Registration struct {
 type RidgeResult struct {
 	Mask        *frame.Frame // thresholded binary ridge mask
 	RidgePixels int          // number of mask pixels set — the data-dependent load
-	Dominant    bool         // dominant elongated structures present
-}
-
-// GWResult is the output of guide-wire extraction.
-type GWResult struct {
-	Found    bool    // a ridge track joins the two markers
-	Coverage float64 // fraction of samples along the track with ridge evidence
-	Samples  int     // number of track samples examined
 }

@@ -21,17 +21,33 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// reachAllowlist names the internal functions the guard accepts although no
-// program reaches them: helpers that tests in other packages share. Each entry
-// says why it stays. An entry that becomes reachable, or whose function is
-// deleted, fails the guard so the list cannot go stale.
-var reachAllowlist = map[string]string{}
+// The allowlists name what a guard accepts although it reports it; each
+// entry says why it stays. An entry that is no longer reported, or whose
+// declaration is gone, fails its guard so a list cannot go stale. An entry
+// needs one of two reasons: the benchmark module, which changes only with
+// the benchmark, names it; or it is safety code (a value kept to detect or
+// recover from a fault).
+var (
+	// reachAllowlist: internal functions no program reaches.
+	reachAllowlist = map[string]string{}
+	// fieldAllowlist: internal struct fields no reached code reads.
+	fieldAllowlist = map[string]string{
+		"slo.FrameInput.Frame":     "benchmark: benchmark/replay.go writes it",
+		"pipeline.TaskError.Stack": "safety: the stack of a recovered task panic, kept to diagnose the fault",
+	}
+	// optionAllowlist: options only a constant sets.
+	optionAllowlist = map[string]string{}
+)
 
 // stdInterfaces are the interfaces through which the standard library calls
 // module methods: a type that implements one has those methods live.
@@ -56,9 +72,162 @@ var templateField = regexp.MustCompile(`\.([A-Z][A-Za-z0-9_]*)`)
 //     of stdInterfaces a module type implements, and the methods a template
 //     names on a type its data can reach.
 func TestInternalFunctionsReachable(t *testing.T) {
+	m := moduleReach(t)
+	found := m.deadFunctions()
+	lines := 0
+	for _, f := range found {
+		if _, ok := reachAllowlist[f.name]; !ok {
+			lines += f.lines
+		}
+	}
+	checkGuard(t, found, reachAllowlist, fmt.Sprintf("internal functions (%d code lines) are reachable from no program; delete them, move them into a _test.go file", lines))
+}
+
+// TestInternalFieldsRead fails with the fields of internal struct types that
+// no reached code reads. A field is read when a reached body selects it
+// other than as the target of an assignment or ++ (composite-literal keys and
+// positional elements are writes) or selects through it to a promoted field
+// or method; when its struct is compared with == or used as a map key; when
+// an encoding/json, fmt or log call or a template's data can reach it; when
+// it carries a json tag; or when it is an exported field of a type the root
+// package aliases.
+func TestInternalFieldsRead(t *testing.T) {
+	m := moduleReach(t)
+	checkGuard(t, m.unreadFields(), fieldAllowlist, "internal struct fields are read by no reached code; delete them with the code that only writes them")
+}
+
+// TestConfigFieldsSet fails with the fields of internal *Config, *Params and
+// *Options types that only a constant ever sets. A field is set when reached
+// code outside its own package writes it (a program, the root harness, or a
+// package that wires it), or when its own package writes it a value that is
+// not constant; every other field is a constant dressed as an option. A
+// facade alias does not exempt an option.
+func TestConfigFieldsSet(t *testing.T) {
+	m := moduleReach(t)
+	checkGuard(t, m.constantOptions(), optionAllowlist, "options are set only by their own package, and only to constants; make each a constant or delete its code path")
+}
+
+// TestReachFixture runs the guards on testdata/reach, a module that plants
+// one of each case they classify, and checks that each guard reports exactly
+// the planted findings: an unreached function; a field that is only written;
+// fields read only through encoding/json, fmt, log, a json tag, a map key,
+// ==, template data, an embedded promotion or a facade alias; an option that
+// only its own package sets to a constant, also behind a facade alias,
+// beside one a program sets and one set to a computed value; and a stale
+// allowlist entry.
+func TestReachFixture(t *testing.T) {
 	if raceEnabled {
 		t.Skip("reads source only; nothing here runs concurrently")
 	}
+	m, err := loadReach(filepath.Join("testdata", "reach"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		guard string
+		found []reachFinding
+		allow map[string]string
+		want  []string
+		stale []string
+	}{
+		{"functions", m.deadFunctions(), nil, []string{"lib.dead"}, nil},
+		{"fields", m.unreadFields(), map[string]string{"lib.ViaFmt.Field": "read through fmt"},
+			[]string{"lib.Unread.Dead"}, []string{"lib.ViaFmt.Field"}},
+		{"options", m.constantOptions(), nil, []string{"lib.Config.Defaulted", "lib.FacadeConfig.Knob"}, nil},
+	} {
+		bad, stale := flagged(tc.found, tc.allow)
+		var got []string
+		for _, f := range bad {
+			got = append(got, f.name)
+		}
+		if !slices.Equal(got, tc.want) || !slices.Equal(stale, tc.stale) {
+			t.Errorf("%s guard reports %v, stale %v; want %v, stale %v", tc.guard, got, stale, tc.want, tc.stale)
+		}
+	}
+}
+
+// reachFinding is one declaration a guard reports.
+type reachFinding struct {
+	name  string // pkg.Func, pkg.Type.Method or pkg.Type.Field
+	pos   token.Position
+	lines int // code lines, for functions
+}
+
+func (f reachFinding) String() string {
+	s := fmt.Sprintf("%s (%s:%d", f.name, filepath.ToSlash(f.pos.Filename), f.pos.Line)
+	if f.lines > 0 {
+		s += fmt.Sprintf(", %d lines", f.lines)
+	}
+	return s + ")"
+}
+
+// flagged splits a guard's findings against its allowlist: the findings the
+// allowlist does not name, and the entries that name no finding.
+func flagged(found []reachFinding, allow map[string]string) (bad []reachFinding, stale []string) {
+	hit := map[string]bool{}
+	for _, f := range found {
+		hit[f.name] = true
+		if _, ok := allow[f.name]; !ok {
+			bad = append(bad, f)
+		}
+	}
+	for name := range allow {
+		if !hit[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Slice(bad, func(i, j int) bool { return bad[i].name < bad[j].name })
+	sort.Strings(stale)
+	return bad, stale
+}
+
+// checkGuard fails t with every finding the allowlist does not name and every
+// allowlist entry that has gone stale.
+func checkGuard(t *testing.T, found []reachFinding, allow map[string]string, what string) {
+	t.Helper()
+	bad, stale := flagged(found, allow)
+	if len(bad) > 0 {
+		lines := make([]string, len(bad))
+		for i, f := range bad {
+			lines[i] = f.String()
+		}
+		t.Errorf("%d %s, or allowlist them with a reason:\n\t%s", len(bad), what, strings.Join(lines, "\n\t"))
+	}
+	for _, name := range stale {
+		t.Errorf("allowlist entry %s is no longer reported or no longer declared; delete the entry", name)
+	}
+}
+
+// reachModule is a loaded module and its call-graph walk; the guards share
+// one per test binary.
+type reachModule struct {
+	l    *reachLoader
+	g    *reachGraph
+	uses *fieldUses // built on first use
+}
+
+var (
+	reachOnce   sync.Once
+	reachShared *reachModule
+	reachErr    error
+)
+
+// moduleReach loads this module and the benchmark module once.
+func moduleReach(t *testing.T) *reachModule {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("reads source only; nothing here runs concurrently")
+	}
+	reachOnce.Do(func() { reachShared, reachErr = loadReach(".", "benchmark") })
+	if reachErr != nil {
+		t.Fatal(reachErr)
+	}
+	return reachShared
+}
+
+// loadReach type-checks the modules rooted at dirs, the first being the root
+// module, and walks their call graph.
+func loadReach(dirs ...string) (*reachModule, error) {
 	l := &reachLoader{
 		fset:     token.NewFileSet(),
 		dirs:     map[string]string{},
@@ -66,62 +235,51 @@ func TestInternalFunctionsReachable(t *testing.T) {
 		pkgs:     map[string]*reachPkg{},
 		src:      map[string][]byte{},
 	}
-	for _, mod := range []string{".", "benchmark"} {
+	for _, mod := range dirs {
 		if err := l.scan(mod); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
 	if err := l.loadAll(); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-
 	g := newReachGraph(l)
 	if err := g.walk(); err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	return &reachModule{l: l, g: g}, nil
+}
 
-	var dead []string
-	lines := 0
-	for _, path := range l.sortedPaths() {
-		p := l.pkgs[path]
-		if !strings.HasPrefix(path, l.rootPath+"/internal/") {
+// internalFiles calls fn for every non-test file of every internal package.
+func (m *reachModule) internalFiles(fn func(p *reachPkg, f *ast.File)) {
+	for _, path := range m.l.sortedPaths() {
+		if !strings.HasPrefix(path, m.l.rootPath+"/internal/") {
 			continue
 		}
+		p := m.l.pkgs[path]
 		for _, f := range p.files {
-			if p.tests[f] {
+			if !p.tests[f] {
+				fn(p, f)
+			}
+		}
+	}
+}
+
+// deadFunctions lists the internal functions no program reaches.
+func (m *reachModule) deadFunctions() []reachFinding {
+	var found []reachFinding
+	m.internalFiles(func(p *reachPkg, f *ast.File) {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
 				continue
 			}
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				fn, _ := p.info.Defs[fd.Name].(*types.Func)
-				if fn == nil || g.seen[fn] || fd.Name.Name == "_" {
-					continue
-				}
-				name := reachName(p.types.Name(), fd)
-				if _, ok := reachAllowlist[name]; ok {
-					g.allowed[name] = true
-					continue
-				}
-				n := l.codeLines(fd)
-				lines += n
-				pos := l.fset.Position(fd.Pos())
-				dead = append(dead, fmt.Sprintf("%s (%s:%d, %d lines)", name, filepath.ToSlash(pos.Filename), pos.Line, n))
+			if fn, _ := p.info.Defs[fd.Name].(*types.Func); fn != nil && !m.g.seen[fn] && fd.Name.Name != "_" {
+				found = append(found, reachFinding{reachName(p.types.Name(), fd), m.l.fset.Position(fd.Pos()), m.l.codeLines(fd)})
 			}
 		}
-	}
-	sort.Strings(dead)
-	if len(dead) > 0 {
-		t.Errorf("%d internal functions (%d code lines) are reachable from no program; delete them, move them into a _test.go file, or allowlist them with a reason:\n\t%s",
-			len(dead), lines, strings.Join(dead, "\n\t"))
-	}
-	for name := range reachAllowlist {
-		if !g.allowed[name] {
-			t.Errorf("allowlist entry %s is reachable or no longer declared; delete the entry", name)
-		}
-	}
+	})
+	return found
 }
 
 // reachPkg is one type-checked package.
@@ -302,7 +460,12 @@ func (l *reachLoader) Import(path string) (*types.Package, error) {
 	if p.types != nil {
 		return p.types, nil
 	}
-	p.info = &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	p.info = &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+	}
 	conf := types.Config{Importer: l}
 	tp, err := conf.Check(path, l.fset, p.files, p.info)
 	if err != nil {
@@ -608,4 +771,390 @@ func (g *reachGraph) dispatch(name string) {
 	for _, fn := range g.methods[name] {
 		g.mark(fn)
 	}
+}
+
+// fieldUses records what the reached code does with struct fields.
+type fieldUses struct {
+	read   map[*types.Var]bool
+	writes map[*types.Var][]fieldWrite
+	seen   map[readAllKey]bool // types readAll has walked, per mode
+}
+
+type readAllKey struct {
+	t    types.Type
+	deep bool
+}
+
+// fieldWrite is one write of a field: a composite-literal element, an
+// assignment or ++ target, or an address taken.
+type fieldWrite struct {
+	pkg      *types.Package
+	constant bool // the value written is a constant expression
+}
+
+// fieldReaders are the packages whose functions read every field of the
+// values passed to them (encoding, formatting, logging).
+var fieldReaders = map[string]bool{"encoding/json": true, "fmt": true, "log": true}
+
+// fieldUses scans every reached body and package-level initializer once.
+func (m *reachModule) fieldUses() *fieldUses {
+	if m.uses != nil {
+		return m.uses
+	}
+	u := &fieldUses{read: map[*types.Var]bool{}, writes: map[*types.Var][]fieldWrite{}, seen: map[readAllKey]bool{}}
+	for fn := range m.g.seen {
+		if b, ok := m.g.bodies[fn]; ok && b.body != nil {
+			u.scan(fn.Pkg(), b.info, b.body)
+		}
+	}
+	for _, p := range m.l.pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					u.scan(p.types, p.info, gd)
+				}
+			}
+		}
+	}
+	// A template reads the fields it names on a type its data can reach,
+	// and the embedded fields it promotes them through.
+	for t := range m.g.tmplTypes {
+		for name := range m.g.tmplNames {
+			obj, idx, _ := types.LookupFieldOrMethod(types.NewPointer(t), true, t.Obj().Pkg(), name)
+			if obj == nil {
+				continue
+			}
+			var at types.Type = t
+			for _, i := range idx {
+				st, ok := derefStruct(at)
+				if !ok {
+					break
+				}
+				u.read[st.Field(i).Origin()] = true
+				at = st.Field(i).Type()
+			}
+		}
+	}
+	m.uses = u
+	return u
+}
+
+// scan records the field reads and writes under n, code of package pkg.
+func (u *fieldUses) scan(pkg *types.Package, info *types.Info, n ast.Node) {
+	targets := map[*ast.SelectorExpr]bool{} // selectors written, not read
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				constant := n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) && isConstant(info, n.Rhs[i])
+				u.target(pkg, info, lhs, constant, targets)
+			}
+		case *ast.IncDecStmt:
+			u.target(pkg, info, n.X, false, targets)
+		case *ast.UnaryExpr:
+			// An address taken may be written through; the selector
+			// below it still counts as a read.
+			if sel, ok := unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+				if v := selectedField(info, sel); v != nil {
+					u.writes[v] = append(u.writes[v], fieldWrite{pkg, false})
+				}
+			}
+		case *ast.IndexExpr:
+			u.mapKey(info.TypeOf(n.X))
+		case *ast.CompositeLit:
+			u.mapKey(info.TypeOf(n))
+			if st, ok := info.TypeOf(n).Underlying().(*types.Struct); ok {
+				for i, el := range n.Elts {
+					v, val := st.Field(i), el
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						v, _ = info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+						val = kv.Value
+					}
+					if v != nil {
+						v = v.Origin()
+						u.writes[v] = append(u.writes[v], fieldWrite{pkg, isConstant(info, val)})
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil {
+				break
+			}
+			// Every embedded field a promoted selection passes through is read.
+			t, idx := sel.Recv(), sel.Index()
+			for _, i := range idx[:len(idx)-1] {
+				st, ok := derefStruct(t)
+				if !ok {
+					break
+				}
+				u.read[st.Field(i).Origin()] = true
+				t = st.Field(i).Type()
+			}
+			if sel.Kind() == types.FieldVal && !targets[n] {
+				u.read[sel.Obj().(*types.Var).Origin()] = true
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				u.readAll(info.TypeOf(n.X), false)
+			}
+		case *ast.CallExpr:
+			if fn := callee(info, n); fn != nil && fn.Pkg() != nil && fieldReaders[fn.Pkg().Path()] {
+				for _, a := range n.Args {
+					u.readAll(info.TypeOf(a), true)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// mapKey marks the fields of t's key read when t is a map: a map compares
+// its keys with ==. Every map is indexed or built by a literal.
+func (u *fieldUses) mapKey(t types.Type) {
+	if t == nil {
+		return
+	}
+	if mt, ok := t.Underlying().(*types.Map); ok {
+		u.readAll(mt.Key(), false)
+	}
+}
+
+// target records the fields an assignment to lhs writes: the selected field
+// and every field the selection is made on, through indexing and
+// dereferences, as in a.b[i].c = v.
+func (u *fieldUses) target(pkg *types.Package, info *types.Info, lhs ast.Expr, constant bool, targets map[*ast.SelectorExpr]bool) {
+	for {
+		switch x := unparen(lhs).(type) {
+		case *ast.SelectorExpr:
+			v := selectedField(info, x)
+			if v == nil {
+				return
+			}
+			targets[x] = true
+			u.writes[v] = append(u.writes[v], fieldWrite{pkg, constant})
+			lhs = x.X
+		case *ast.IndexExpr:
+			lhs = x.X
+		case *ast.StarExpr:
+			lhs = x.X
+		default:
+			return
+		}
+	}
+}
+
+// readAll marks every field of t read: those a comparison of t compares
+// (deep false) or, deep, every field a value of t leads to.
+func (u *fieldUses) readAll(t types.Type, deep bool) {
+	if t == nil || u.seen[readAllKey{t, deep}] {
+		return
+	}
+	u.seen[readAllKey{t, deep}] = true
+	switch t := types.Unalias(t).(type) {
+	case *types.Named:
+		u.readAll(t.Underlying(), deep)
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			u.read[t.Field(i).Origin()] = true
+			u.readAll(t.Field(i).Type(), deep)
+		}
+	case *types.Array:
+		u.readAll(t.Elem(), deep)
+	case *types.Pointer:
+		if deep {
+			u.readAll(t.Elem(), deep)
+		}
+	case *types.Slice:
+		if deep {
+			u.readAll(t.Elem(), deep)
+		}
+	case *types.Map:
+		if deep {
+			u.readAll(t.Key(), deep)
+			u.readAll(t.Elem(), deep)
+		}
+	}
+}
+
+// unreadFields lists the internal struct fields no reached code reads.
+func (m *reachModule) unreadFields() []reachFinding {
+	u := m.fieldUses()
+	public := m.aliasedFields()
+	var found []reachFinding
+	m.structFields(func(name string, v *types.Var, tag string) {
+		if u.read[v] || public[v] || v.Name() == "_" {
+			return
+		}
+		if j, ok := reflect.StructTag(tag).Lookup("json"); ok && j != "-" {
+			return
+		}
+		found = append(found, reachFinding{name: name, pos: m.l.fset.Position(v.Pos())})
+	})
+	return found
+}
+
+// constantOptions lists the fields of internal *Config, *Params and *Options
+// types that only their own package writes, and only with constants.
+func (m *reachModule) constantOptions() []reachFinding {
+	u := m.fieldUses()
+	var found []reachFinding
+	m.structFields(func(name string, v *types.Var, _ string) {
+		typ, _, _ := strings.Cut(strings.TrimPrefix(name, v.Pkg().Name()+"."), ".")
+		if !strings.HasSuffix(typ, "Config") && !strings.HasSuffix(typ, "Params") && !strings.HasSuffix(typ, "Options") ||
+			strings.Count(name, ".") != 2 {
+			return
+		}
+		for _, w := range u.writes[v] {
+			if !w.constant || w.pkg != v.Pkg() {
+				return
+			}
+		}
+		found = append(found, reachFinding{name: name, pos: m.l.fset.Position(v.Pos())})
+	})
+	return found
+}
+
+// aliasedFields returns the exported fields of the struct types the root
+// package aliases: public API, read or not.
+func (m *reachModule) aliasedFields() map[*types.Var]bool {
+	public := map[*types.Var]bool{}
+	scope := m.l.pkgs[m.l.rootPath].types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !tn.IsAlias() {
+			continue
+		}
+		if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				if st.Field(i).Exported() {
+					public[st.Field(i).Origin()] = true
+				}
+			}
+		}
+	}
+	return public
+}
+
+// structFields calls fn for every field of every struct type declared in a
+// non-test internal file, named pkg.Type.Field (pkg.Type.Field.Inner for
+// the fields of an anonymous struct).
+func (m *reachModule) structFields(fn func(name string, v *types.Var, tag string)) {
+	var fields func(p *reachPkg, prefix string, x ast.Expr)
+	fields = func(p *reachPkg, prefix string, x ast.Expr) {
+		switch x := x.(type) {
+		case *ast.StarExpr:
+			fields(p, prefix, x.X)
+		case *ast.ArrayType:
+			fields(p, prefix, x.Elt)
+		case *ast.MapType:
+			fields(p, prefix, x.Value)
+		case *ast.StructType:
+			for _, f := range x.Fields.List {
+				names := f.Names
+				if len(names) == 0 {
+					names = []*ast.Ident{embeddedName(f.Type)}
+				}
+				tag := ""
+				if f.Tag != nil {
+					tag, _ = strconv.Unquote(f.Tag.Value)
+				}
+				for _, id := range names {
+					if v, ok := p.info.Defs[id].(*types.Var); ok {
+						fn(prefix+"."+id.Name, v, tag)
+					}
+					fields(p, prefix+"."+id.Name, f.Type)
+				}
+			}
+		}
+	}
+	m.internalFiles(func(p *reachPkg, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				fields(p, p.types.Name()+"."+ts.Name.Name, ts.Type)
+			}
+			return true
+		})
+	})
+}
+
+// embeddedName is the identifier an embedded field is declared by.
+func embeddedName(x ast.Expr) *ast.Ident {
+	for {
+		switch t := x.(type) {
+		case *ast.Ident:
+			return t
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.SelectorExpr:
+			return t.Sel
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		default:
+			return ast.NewIdent("_")
+		}
+	}
+}
+
+// selectedField is the field sel selects, or nil.
+func selectedField(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		return s.Obj().(*types.Var).Origin()
+	}
+	return nil
+}
+
+// callee is the function or method call invokes, or nil.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch f := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[f].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := info.Uses[f.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// isConstant reports whether e is a constant expression, nil, or a composite
+// literal of constants.
+func isConstant(info *types.Info, e ast.Expr) bool {
+	if tv := info.Types[e]; tv.Value != nil || tv.IsNil() {
+		return true
+	}
+	lit, ok := unparen(e).(*ast.CompositeLit)
+	if !ok {
+		return false
+	}
+	for _, el := range lit.Elts {
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			el = kv.Value
+		}
+		if !isConstant(info, el) {
+			return false
+		}
+	}
+	return true
+}
+
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
+// derefStruct is the struct t or *t is, if any.
+func derefStruct(t types.Type) (*types.Struct, bool) {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	return st, ok
 }
