@@ -25,6 +25,7 @@ import (
 	"triplec/internal/frame"
 	"triplec/internal/markov"
 	"triplec/internal/memmodel"
+	"triplec/internal/parallel"
 	"triplec/internal/platform"
 	"triplec/internal/sched"
 	"triplec/internal/stats"
@@ -631,11 +632,12 @@ func BenchmarkAblationWorstCaseMapping(b *testing.B) {
 	b.ReportMetric(lat, "serial-ms")
 }
 
-// BenchmarkRealStripedRDG measures actual goroutine-striped ridge detection
-// on the host — the wall-clock counterpart of the machine model's striping
-// assumption. Compare the k sub-benches to see the real speedup (on a
-// single-core host the times stay flat; the stripes still produce
-// bit-identical results, see TestRunStripedMatchesRun).
+// BenchmarkRealStripedRDG measures ridge detection striped over k host
+// stripes — the wall-clock counterpart of the machine model's striping
+// assumption — on the whole 512x512 frame and on ROIs from 64x64 up, where
+// the grain (parallel.StripeGrain) keeps the small ones inline. Compare the k
+// sub-benches for the real speedup; the stripes produce bit-identical
+// results (TestRunStripedMatchesRun).
 func BenchmarkRealStripedRDG(b *testing.B) {
 	cfg := synth.DefaultConfig(55)
 	cfg.Width, cfg.Height = 512, 512
@@ -646,14 +648,18 @@ func BenchmarkRealStripedRDG(b *testing.B) {
 	}
 	f, _ := seq.Frame(0)
 	rdg := tasks.NewRidgeDetector(tasks.DefaultCostParams(512 * 512))
-	for _, k := range []int{1, 2, 4, 8} {
-		b.Run(benchName("k", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if res, _ := rdg.RunStriped(f, k); res.Mask == nil {
-					b.Fatal("no mask")
+	for _, side := range []int{64, 128, 256, 512} {
+		in := f.SubFrame(frame.R(0, 0, side, side))
+		for _, k := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%dx%d/k%d", side, side, k), func(b *testing.B) {
+				rdg.Stripes = parallel.NewHostStripes(k)
+				defer rdg.Stripes.Close()
+				for i := 0; i < b.N; i++ {
+					res, _ := rdg.Run(in)
+					frame.Release(res.Mask)
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"triplec/internal/core"
 	"triplec/internal/experiments"
 	"triplec/internal/flowgraph"
-	"triplec/internal/pipeline"
+	"triplec/internal/parallel"
 	"triplec/internal/qos"
 	"triplec/internal/sched"
 	"triplec/internal/tasks"
@@ -132,8 +132,8 @@ func TestEndToEndThreeCsConsistency(t *testing.T) {
 	}
 }
 
-// TestEndToEndRealStripingUnderManager runs the manager with actual
-// goroutine striping enabled and verifies the outcome matches the modeled
+// TestEndToEndRealStripingUnderManager runs the manager with RDG and ENH
+// striped over two host stripes and verifies the outcome matches the inline
 // run frame by frame.
 func TestEndToEndRealStripingUnderManager(t *testing.T) {
 	study := experiments.DefaultStudy()
@@ -155,14 +155,14 @@ func TestEndToEndRealStripingUnderManager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := pipeline.New(pipeline.Config{
-			Width: study.FrameW, Height: study.FrameH,
-			MarkerSpacing: study.Spacing,
-			Arch:          study.Arch,
-			RealStriping:  realStripes,
-		})
+		eng, err := study.Engine()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if realStripes {
+			hs := parallel.NewHostStripes(2)
+			defer hs.Close()
+			eng.SetHostStripes(hs)
 		}
 		res, err := sched.RunManaged(eng, mgr, 40, src, study.FramePixels())
 		if err != nil {

@@ -3,6 +3,8 @@ package frame
 import (
 	"math/rand"
 	"testing"
+
+	"triplec/internal/parallel"
 )
 
 // Allocation pins for the pooled per-frame kernel paths. The Into variants
@@ -62,19 +64,27 @@ func TestKernelIntoPathsDoNotAllocate(t *testing.T) {
 // TestAccumulatorAverageIntoDoesNotAllocate pins the enhancement stage's
 // steady state: integrating a resampled frame and refreshing the running
 // average into a reused destination allocates nothing but, on a pool miss,
-// the ring of row products.
+// a stripe's ring of row products — inline or striped over host stripes.
 func TestAccumulatorAverageIntoDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	src := randFrame(rng, 96, 80)
-	xs, ys := tapsOf(src, affine(64, -3.3, 1.6), affine(64, 2.2, 0.9))
-	acc := NewAccumulator(64, 64)
-	dst := acc.AddResampledInto(nil, src, xs, ys)
-	run := func() {
-		if acc.AddResampledInto(dst, src, xs, ys) != dst {
-			t.Fatal("AddResampledInto did not reuse the destination")
+	hs := parallel.NewHostStripes(2)
+	defer hs.Close()
+	for _, c := range []struct {
+		w, h   int
+		sx, sy float64
+		hs     *parallel.HostStripes
+	}{{64, 64, 1.6, 0.9, nil}, {192, 160, 0.5, 0.45, hs}} {
+		xs, ys := tapsOf(src, affine(c.w, -3.3, c.sx), affine(c.h, 2.2, c.sy))
+		acc := NewAccumulator(c.w, c.h)
+		dst := acc.AddResampledInto(nil, src, xs, ys, c.hs)
+		run := func() {
+			if acc.AddResampledInto(dst, src, xs, ys, c.hs) != dst {
+				t.Fatal("AddResampledInto did not reuse the destination")
+			}
 		}
-	}
-	if avg := testing.AllocsPerRun(50, run); avg > pooled {
-		t.Errorf("AddResampledInto: %.2f allocs/op, want <= %.1f", avg, pooled)
+		if avg := testing.AllocsPerRun(50, run); avg > pooled {
+			t.Errorf("AddResampledInto %dx%d, %d stripes: %.2f allocs/op, want <= %.1f", c.w, c.h, c.hs.K(), avg, pooled)
+		}
 	}
 }

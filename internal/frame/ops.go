@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"triplec/internal/parallel"
 )
 
 // The stencil kernels in this file are split into a fast interior path and a
@@ -560,6 +562,21 @@ type Accumulator struct {
 	sum    []uint32
 	w, h   int
 	frames int
+
+	// The call in flight, for the stripes: its frames and tap tables.
+	dst, src *Frame
+	xs, ys   []Tap
+}
+
+// accumulate is AddResampledInto's striped pass. Each stripe takes its own
+// ring of row products from the pool.
+type accumulate Accumulator
+
+func (p *accumulate) Stripe(_, lo, hi int) {
+	a := (*Accumulator)(p)
+	t := scratchPool.Get().(*scratch)
+	bilinearRows(a.dst, nil, a, t.floats(4*a.w), a.src, a.xs, a.ys, lo, hi)
+	scratchPool.Put(t)
 }
 
 // NewAccumulator returns an accumulator for frames of (w, h) pixels.
@@ -572,16 +589,16 @@ func NewAccumulator(w, h int) *Accumulator {
 // writes the running average into dst (may be nil, must not alias src); it
 // returns the destination used. src must not be empty. No resampled frame is
 // stored: each row is blended, rounded, added to the sums and averaged in
-// one pass.
-func (a *Accumulator) AddResampledInto(dst, src *Frame, xs, ys []Tap) *Frame {
+// one pass, striped over hs (nil runs it inline).
+func (a *Accumulator) AddResampledInto(dst, src *Frame, xs, ys []Tap, hs *parallel.HostStripes) *Frame {
 	if len(xs) != a.w || len(ys) != a.h {
 		panic("frame: tap tables do not match the accumulator")
 	}
 	dst = ensureDst(dst, a.w, a.h, Rect{0, 0, a.w, a.h})
 	a.frames++
-	s := scratchPool.Get().(*scratch)
-	bilinearRows(dst, nil, a, s.floats(4*a.w), src, xs, ys, 0, a.h)
-	scratchPool.Put(s)
+	a.dst, a.src, a.xs, a.ys = dst, src, xs, ys
+	hs.Run(a.h, a.w, (*accumulate)(a))
+	a.dst, a.src, a.xs, a.ys = nil, nil, nil, nil
 	return dst
 }
 

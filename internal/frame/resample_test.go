@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"triplec/internal/parallel"
 )
 
 // The table-driven resampler is checked against the point sampler it
@@ -270,7 +272,7 @@ func integrateBoth(t *testing.T, ctx string, fused, plain *Accumulator, avg, src
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fused.AddResampledInto(avg, src, xs, ys)
+	got := fused.AddResampledInto(avg, src, xs, ys, nil)
 	if avg != nil && got != avg {
 		t.Fatalf("%s: destination not reused", ctx)
 	}
@@ -328,7 +330,48 @@ func TestAddResampledIntoMatchesOracle(t *testing.T) {
 	}()
 	src := New(4, 4)
 	xs, ys := tapsOf(src, affine(3, 0, 1), affine(4, 0, 1))
-	NewAccumulator(4, 4).AddResampledInto(nil, src, xs, ys)
+	NewAccumulator(4, 4).AddResampledInto(nil, src, xs, ys, nil)
+}
+
+// TestHostStripeAccumulatorMatchesInline: AddResampledInto striped over 2
+// and 3 host stripes integrates exactly what the inline call does, frame
+// after frame, on canvases of odd heights that magnify (neighbouring rows,
+// split between stripes, share source rows in the ring), shrink and
+// overhang, with a Reset partway.
+func TestHostStripeAccumulatorMatchesInline(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, k := range []int{2, 3} {
+		hs := parallel.NewHostStripes(k)
+		for _, c := range [][2]int{{181, 97}, {211, 127}} {
+			inline, striped := NewAccumulator(c[0], c[1]), NewAccumulator(c[0], c[1])
+			var avgI, avgS *Frame
+			for i := 0; i < 40; i++ {
+				src := randFrame(rng, 96+i%5, 80+i%7)
+				var cx, cy []float64
+				switch i % 3 {
+				case 0: // magnifies
+					cx, cy = affine(c[0], -0.3+float64(i)/50, 0.41), affine(c[1], 0.45, 0.23)
+				case 1: // shrinks
+					cx, cy = affine(c[0], 0.1, 0.6), affine(c[1], -0.6, 0.9)
+				default: // overhangs every edge
+					cx, cy = affine(c[0], -4.5, 0.7), affine(c[1], -3.25, 1.1)
+				}
+				if i == 25 {
+					inline.Reset()
+					striped.Reset()
+				}
+				xs, ys := tapsOf(src, cx, cy)
+				avgI = inline.AddResampledInto(avgI, src, xs, ys, nil)
+				avgS = striped.AddResampledInto(avgS, src, xs, ys, hs)
+				ctx := fmt.Sprintf("%d stripes, canvas %v, frame %d", k, c, i)
+				requireEqual(t, ctx, avgS, avgI)
+				if !slices.Equal(striped.sum, inline.sum) || striped.Frames() != inline.Frames() {
+					t.Fatalf("%s: sums or frame counts differ", ctx)
+				}
+			}
+		}
+		hs.Close()
+	}
 }
 
 // FuzzEnhance drives the fused sink through 1 to 300 integrated frames of

@@ -19,7 +19,7 @@ import (
 
 // PanicError wraps a panic recovered from a parallel job so callers receive
 // it as an ordinary error (Pool.Do) or as a re-panic on their own goroutine
-// (ForStripes, StripesOn) instead of the process crashing on a worker
+// (ForStripes, HostStripes.Run) instead of the process crashing on a worker
 // goroutine.
 type PanicError struct {
 	Value any    // the value originally passed to panic
@@ -59,10 +59,12 @@ func (b *panicBox) capture(r any) {
 	b.mu.Unlock()
 }
 
-// rethrow re-panics the first captured panic on the calling goroutine.
+// rethrow re-panics the first captured panic on the calling goroutine and
+// empties the box for its next use.
 func (b *panicBox) rethrow() {
 	b.mu.Lock()
 	err := b.err
+	b.err = nil
 	b.mu.Unlock()
 	if err != nil {
 		panic(err)
@@ -174,34 +176,6 @@ func (p *Pool) Submit(job func()) error {
 	return nil
 }
 
-// TrySubmitBatch queues as many jobs as fit in the pool's buffer without
-// blocking and returns how many were accepted (nil jobs are skipped). It is
-// the submission path for *optional* work — StripesOn's redundant wake-up
-// helpers — where blocking the caller on a saturated pool would invert the
-// point of submitting at all.
-func (p *Pool) TrySubmitBatch(jobs []func()) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return 0
-	}
-	submitted := 0
-	for _, j := range jobs {
-		if j == nil {
-			continue
-		}
-		p.wg.Add(1)
-		select {
-		case p.jobs <- j:
-			submitted++
-		default:
-			p.wg.Done()
-			return submitted
-		}
-	}
-	return submitted
-}
-
 // Do runs job on a pool worker and blocks until it completes. Callers from
 // independent goroutines thereby share the pool's fixed concurrency: with k
 // workers at most k Do bodies execute at once, which is how the stream
@@ -254,68 +228,6 @@ func (c *Call) Do() error {
 	return c.err
 }
 
-// StripesOn runs the same striped loop as ForStripes but executes the
-// stripes on p's workers instead of spawning fresh goroutines, so several
-// streams striping concurrently share the pool's fixed concurrency rather
-// than oversubscribing the host. It blocks until every stripe completes and
-// re-panics the first stripe panic on the caller, exactly like ForStripes.
-// A nil pool falls back to ForStripes.
-//
-// The work distribution is claim-based to stay deadlock-free: stripes live
-// behind an atomic counter, the *caller* drains claims itself, and up to k-1
-// redundant wake-up helpers are offered to the pool without blocking
-// (TrySubmitBatch). A saturated or busy pool therefore never stalls the
-// frame — the caller just executes every stripe on its own goroutine, which
-// is the serial floor, never a deadlock.
-func StripesOn(p *Pool, n, k int, fn func(stripe, lo, hi int)) {
-	if n <= 0 || fn == nil {
-		return
-	}
-	if k > n {
-		k = n
-	}
-	if k <= 1 {
-		fn(0, 0, n)
-		return
-	}
-	if p == nil {
-		ForStripes(n, k, fn)
-		return
-	}
-	var next atomic.Int64
-	var box panicBox
-	var done sync.WaitGroup
-	done.Add(k)
-	claimOne := func() (more bool) {
-		s := int(next.Add(1) - 1)
-		if s >= k {
-			return false
-		}
-		// more is set before fn runs so a panicking stripe is captured and
-		// the drain loop moves on to the next stripe instead of abandoning
-		// the unclaimed remainder (which would hang the join below).
-		more = true
-		defer box.settle(&done)
-		fn(s, s*n/k, (s+1)*n/k)
-		return true
-	}
-	drain := func() {
-		for claimOne() {
-		}
-	}
-	helpers := make([]func(), k-1)
-	for i := range helpers {
-		helpers[i] = drain
-	}
-	p.TrySubmitBatch(helpers)
-	drain()
-	// Every stripe was claimed exactly once (atomic counter) and each claim
-	// decrements done even on panic, so this join cannot hang; it only waits
-	// for stripes a helper claimed before the caller finished draining.
-	done.Wait()
-	box.rethrow()
-}
-
 // Close drains the pool and stops the workers. Idempotent.
 func (p *Pool) Close() {
 	p.mu.Lock()
@@ -328,4 +240,114 @@ func (p *Pool) Close() {
 	p.wg.Wait()
 	close(p.jobs)
 	p.workers.Wait()
+}
+
+// Striper is the body of a HostStripes loop: Stripe runs rows [lo, hi) as
+// stripe s. Stripes run at once on different goroutines, so each writes only
+// its own rows and slot s of any per-stripe result.
+type Striper interface {
+	Stripe(s, lo, hi int)
+}
+
+// StripeGrain is the fewest pixels a HostStripes stripe covers. Below it the
+// hand-off to a helper and the join cost more than the helper saves: on a
+// 2-vCPU host two stripes of ENH break even at 2 x 8,192 pixels, and RDG's
+// at about half that (EXPERIMENTS.md, "Real-core striping").
+const StripeGrain = 8192
+
+// HostStripes runs striped loops on its caller and k-1 helper goroutines
+// that live until Close, so a call creates no goroutine, closure, slice or
+// WaitGroup. It serves one call at a time: a call that finds another in
+// flight runs inline, as does every call after Close and every call on a nil
+// *HostStripes.
+type HostStripes struct {
+	k      int
+	busy   atomic.Bool     // set by the call in flight
+	start  []chan struct{} // unbuffered hand-off of stripe i+1 to helper i
+	quit   chan struct{}
+	close  sync.Once
+	exited sync.WaitGroup // the helpers
+	done   sync.WaitGroup // the stripes of the call in flight
+	box    panicBox
+
+	// The call in flight, published to the helpers by the hand-off.
+	n, stripes int
+	body       Striper
+}
+
+// NewHostStripes starts the k-1 helpers of a k-stripe HostStripes.
+func NewHostStripes(k int) *HostStripes {
+	h := &HostStripes{k: max(k, 1), quit: make(chan struct{})}
+	h.start = make([]chan struct{}, h.k-1)
+	h.exited.Add(h.k - 1)
+	for i := range h.start {
+		h.start[i] = make(chan struct{})
+		go h.helper(i+1, h.start[i])
+	}
+	return h
+}
+
+// K returns the most stripes a call splits into: 1 for a nil *HostStripes.
+func (h *HostStripes) K() int {
+	if h == nil {
+		return 1
+	}
+	return h.k
+}
+
+func (h *HostStripes) helper(s int, start <-chan struct{}) {
+	defer h.exited.Done()
+	for {
+		select {
+		case <-start:
+			h.runStripe(s)
+		case <-h.quit:
+			return
+		}
+	}
+}
+
+// runStripe runs stripe s of the call in flight and settles it in the join.
+func (h *HostStripes) runStripe(s int) {
+	defer h.box.settle(&h.done)
+	h.body.Stripe(s, s*h.n/h.stripes, (s+1)*h.n/h.stripes)
+}
+
+// Run splits rows [0, n), cols pixels each, into at most k contiguous
+// stripes of at least StripeGrain pixels, runs stripe 0 on the caller and
+// the others on the helpers, and returns when every stripe has. A stripe
+// panic re-panics on the caller as a *PanicError once all stripes are done.
+func (h *HostStripes) Run(n, cols int, body Striper) {
+	stripes := 1
+	if h != nil {
+		stripes = min(h.k, n*cols/StripeGrain)
+	}
+	if stripes <= 1 || !h.busy.CompareAndSwap(false, true) {
+		body.Stripe(0, 0, n)
+		return
+	}
+	defer h.busy.Store(false)
+	h.n, h.stripes, h.body = n, stripes, body
+	h.done.Add(stripes)
+	for s := 1; s < stripes; s++ {
+		select {
+		case h.start[s-1] <- struct{}{}:
+		case <-h.quit:
+			h.runStripe(s)
+		}
+	}
+	h.runStripe(0)
+	h.done.Wait()
+	h.body = nil
+	h.box.rethrow()
+}
+
+// Close stops the helpers and returns once they have exited, at most one
+// stripe later. It is safe to call more than once and concurrently with
+// Run.
+func (h *HostStripes) Close() {
+	if h != nil {
+		h.close.Do(func() { close(h.quit) })
+		h.exited.Wait()
+	}
 }

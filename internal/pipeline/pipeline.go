@@ -30,11 +30,6 @@ type Config struct {
 	MarkerSpacing float64
 	// Arch is the platform the latencies are computed for.
 	Arch platform.Arch
-	// RealStriping executes data-parallel tasks with actual goroutine
-	// stripes (tasks.RidgeDetector.RunStriped) instead of only modeling the
-	// striping analytically. Results are bit-identical either way; this
-	// exercises the host's cores.
-	RealStriping bool
 }
 
 // TaskExec records one task execution within a frame.
@@ -152,7 +147,6 @@ type Engine struct {
 
 	observer func(Report)
 	spans    *span.FrameBuilder // per-frame span staging; nil-safe when unset
-	workers  *parallel.Pool     // shared striping pool (SetWorkers); nil = private goroutines
 
 	// Fault boundary (see guard.go / degrade.go).
 	hook      func(task tasks.Name, frameIdx int)
@@ -245,13 +239,12 @@ func (e *Engine) Config() Config { return e.cfg }
 // hook.
 func (e *Engine) SetObserver(fn func(Report)) { e.observer = fn }
 
-// SetWorkers installs a shared worker pool for the engine's real striping:
-// with a pool set, RealStriping task executions run their stripes on the
-// pool's workers (parallel.StripesOn) instead of spawning fresh goroutines,
-// so independent streams batching stripes through one pool share the host's
-// fixed concurrency. A nil pool restores private goroutines. Same
-// single-goroutine contract as Process.
-func (e *Engine) SetWorkers(p *parallel.Pool) { e.workers = p }
+// SetHostStripes runs RDG's response pass and ENH's integration striped
+// over h; nil runs them inline. Outputs and modeled charges do not change: a task is
+// still charged at the mapping's stripes. The two pipelined halves share h
+// safely, one striping while the other runs inline. Same single-goroutine
+// contract as Process.
+func (e *Engine) SetHostStripes(h *parallel.HostStripes) { e.rdg.Stripes, e.enh.Stripes = h, h }
 
 // Params exposes the calibrated cost parameters.
 func (e *Engine) Params() tasks.CostParams { return e.params }
@@ -356,11 +349,7 @@ func (fx *frameExec) front() {
 		if e.allowTask(fx, name) {
 			e.enter(fx, name)
 			var rCost platform.Cost
-			if k := fx.m.StripesFor(name); e.cfg.RealStriping && k > 1 {
-				ridge, rCost = e.rdg.RunStripedOn(e.workers, analysis, k)
-			} else {
-				ridge, rCost = e.rdg.Run(analysis)
-			}
+			ridge, rCost = e.rdg.Run(analysis)
 			e.charge(fx, name, rCost)
 		}
 	}

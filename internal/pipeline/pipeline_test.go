@@ -364,17 +364,8 @@ func flowIdx(i int) struct {
 
 func TestRealStripingIdenticalReports(t *testing.T) {
 	seq := testSeq(t, 616)
-	cfgA := testConfig()
-	cfgB := testConfig()
-	cfgB.RealStriping = true
-	ea, err := New(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eb, err := New(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ea := stripedEngine(t, testConfig(), 1)
+	eb := stripedEngine(t, testConfig(), 2)
 	m := partition.Mapping{tasks.NameRDGFull: 2, tasks.NameRDGROI: 2}
 	for i := 0; i < 15; i++ {
 		f, _ := seq.Frame(i)

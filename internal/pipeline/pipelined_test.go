@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"triplec/internal/frame"
-	"triplec/internal/parallel"
 	"triplec/internal/partition"
 	"triplec/internal/tasks"
 )
@@ -201,7 +200,7 @@ func TestRunPipelinedValidation(t *testing.T) {
 	}
 }
 
-// Stress the overlap under -race: real striping on a shared pool, a gate, a
+// Stress the overlap under -race: host stripes the two halves share, a gate, a
 // stateless injected fault pattern, and a hook that hammers the fault
 // boundary from both halves. Run with -race this is the pipelining data-race
 // regression test.
@@ -209,14 +208,7 @@ func TestPipelinedFaultStress(t *testing.T) {
 	const n = 60
 	frames := goldenFrames(t, 23, n)
 	cfg := testConfig()
-	cfg.RealStriping = true
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := parallel.NewPool(4)
-	defer pool.Close()
-	e.SetWorkers(pool)
+	e := stripedEngine(t, cfg, 2)
 	e.SetTaskHook(func(task tasks.Name, frameIdx int) {
 		// Deterministic per (task, frame): fault scattered across both
 		// stages, including consecutive frames (mid-window recoveries).
@@ -245,11 +237,7 @@ func TestPipelinedFaultStress(t *testing.T) {
 	}
 	// The same faults through the serial path must match — the stress
 	// pattern is part of the golden contract too.
-	se, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	se.SetWorkers(pool)
+	se := stripedEngine(t, cfg, 2)
 	se.SetTaskHook(func(task tasks.Name, frameIdx int) {
 		if (frameIdx*31+int(tasks.IndexOf(task)))%17 == 5 {
 			panic("stress")

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"triplec/internal/core"
@@ -74,7 +75,8 @@ type ServerConfig struct {
 	// streams. 0 defaults to the first stream's architecture.
 	ModelCores int
 	// HostWorkers bounds concurrent frame processing on the host (the
-	// shared pool size). 0 defaults to GOMAXPROCS.
+	// shared pool size). 0 defaults to GOMAXPROCS. The Ps the frames in
+	// flight leave idle stripe each engine's RDG and ENH (hostStripes).
 	HostWorkers int
 	// Mapper selects the core-division policy the arbiter applies at every
 	// re-division: nil is the greedy proportional baseline (GreedyMapper);
@@ -374,6 +376,7 @@ func (s *Server) Run(n int) (RunResult, error) {
 	ctl := newController(mm, s.cfg.ModelCores, s.cfg.RebalanceEvery, s.cfg.SkipOver, budgets)
 	pool := parallel.NewPool(s.cfg.HostWorkers)
 	defer pool.Close()
+	stripes := hostStripes(runtime.GOMAXPROCS(0), len(s.streams), s.cfg.HostWorkers)
 
 	out := RunResult{Streams: make([]Result, len(s.streams))}
 	start := time.Now()
@@ -384,7 +387,7 @@ func (s *Server) Run(n int) (RunResult, error) {
 			if s.tels != nil {
 				tel = s.tels[si]
 			}
-			out.Streams[si] = serveOne(si, s.streams[si], n, ctl, pool, tel, s.cfg)
+			out.Streams[si] = serveOne(si, s.streams[si], n, ctl, pool, stripes, tel, s.cfg)
 			done <- si
 		}(i)
 	}
@@ -415,6 +418,17 @@ func (s *Server) Run(n int) (RunResult, error) {
 	return out, errors.Join(errs...)
 }
 
+// hostStripes is how many host stripes each engine's RDG and ENH run over:
+// at most min(streams, workers) frames are in flight at once (workers < 1
+// being the pool's default of procs), and the procs Ps are shared out
+// among them.
+func hostStripes(procs, streams, workers int) int {
+	if workers < 1 {
+		workers = procs
+	}
+	return max(1, procs/min(streams, workers))
+}
+
 // throughputFPS divides processed frames by the wall-clock duration,
 // returning an explicit 0 for zero-duration (or clock-skewed negative) runs
 // so downstream consumers — Stats, /healthz JSON — never see NaN or Inf.
@@ -436,6 +450,9 @@ type runner struct {
 	pool *parallel.Pool
 	tel  *telemetry
 	cfg  ServerConfig
+
+	// stripes are the engine's host stripes; a rebuilt engine gets new ones.
+	stripes *parallel.HostStripes
 
 	eng *pipeline.Engine
 	mgr *sched.Manager
@@ -507,19 +524,18 @@ type outcome struct {
 // processing on the shared pool, observation, demand reporting — wrapped by
 // the watchdog and, when enabled, the restart supervisor. tel may be nil
 // (telemetry disabled); its event methods are nil-safe.
-func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, tel *telemetry, cfg ServerConfig) Result {
+func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, stripes int, tel *telemetry, cfg ServerConfig) Result {
 	r := &runner{
 		si: si, sc: sc, n: n, ctl: ctl, pool: pool, tel: tel, cfg: cfg,
-		eng: sc.Engine, mgr: sc.Manager,
+		stripes: parallel.NewHostStripes(stripes),
+		eng:     sc.Engine, mgr: sc.Manager,
 		res: Result{
 			Stats:   Stats{Name: sc.Name, BudgetMs: sc.BudgetMs},
 			Reports: make([]pipeline.Report, 0, n),
 		},
 	}
-	// All streams stripe through the one shared host pool: batching the
-	// same-task stripes of independent streams through a single dispatch is
-	// what keeps N streams from oversubscribing the host (package doc).
-	r.eng.SetWorkers(pool)
+	defer func() { r.stripes.Close() }()
+	r.eng.SetHostStripes(r.stripes)
 	r.process = pool.NewCall(func() { r.procRep, r.procErr = r.eng.Process(r.procFrame, r.procMap) })
 	tel.serving()
 	defer func() {

@@ -3,6 +3,8 @@ package stream
 import (
 	"fmt"
 	"time"
+
+	"triplec/internal/parallel"
 )
 
 // This file is the per-stream restart supervisor (ServerConfig.Supervise):
@@ -74,9 +76,11 @@ func (r *runner) supervised() {
 			mgr.BudgetMs = r.mgr.BudgetMs
 			mgr.Metrics = r.mgr.Metrics
 			r.eng, r.mgr = eng, mgr
-			// The rebuilt engine stripes through the shared host pool like
-			// the original (serveOne wired the first one).
-			r.eng.SetWorkers(r.pool)
+			// The poisoned engine keeps its stripes, closed, so a call it
+			// still makes runs inline; the rebuilt one gets its own.
+			r.stripes.Close()
+			r.stripes = parallel.NewHostStripes(r.stripes.K())
+			r.eng.SetHostStripes(r.stripes)
 			// Fresh builder + the runner as sink for the rebuilt pair (the
 			// old builder stays with the poisoned engine, never committed).
 			r.attachObservers()

@@ -2,6 +2,7 @@ package tasks
 
 import (
 	"triplec/internal/frame"
+	"triplec/internal/parallel"
 	"triplec/internal/platform"
 )
 
@@ -17,6 +18,9 @@ type Enhancer struct {
 	Window int
 
 	Params CostParams
+	// Stripes runs the integration striped over the host's cores; nil runs
+	// it inline. The average is the same either way.
+	Stripes *parallel.HostStripes
 
 	acc *frame.Accumulator
 
@@ -68,7 +72,7 @@ func (e *Enhancer) Run(roi *frame.Frame, couple *Couple) (*frame.Frame, platform
 	for y := range e.ys {
 		e.ys[y] = roi.YTap(my + (float64(y)-float64(e.CanvasH)/2)/scale)
 	}
-	e.avg = e.acc.AddResampledInto(e.avg, roi, e.xs, e.ys)
+	e.avg = e.acc.AddResampledInto(e.avg, roi, e.xs, e.ys, e.Stripes)
 	cycles := e.Params.pixCost(e.CanvasW*e.CanvasH, accumPerPixel)
 	return e.avg, e.Params.cost(cycles)
 }

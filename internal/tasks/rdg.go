@@ -13,12 +13,12 @@ import (
 // be removed from the marker-candidate set. RDG FULL runs it on the whole
 // frame; RDG ROI on the estimated region of interest.
 //
-// A RidgeDetector reuses internal scratch buffers across calls and is
-// therefore owned by one goroutine at a time, like the pipeline Engine that
-// embeds it (RunStriped's internal stripes are fine: they share one call).
-// The returned RidgeResult mask is freshly taken from the shared frame pool
-// on every call, so results stay valid across calls; callers that own a
-// result may hand its mask back via frame.Release.
+// A RidgeDetector reuses internal scratch buffers and its result across
+// calls and is therefore owned by one goroutine at a time, like the pipeline
+// Engine that embeds it (its stripes are fine: they share one call). The
+// RidgeResult Run returns is valid until the next Run; its mask is freshly
+// taken from the shared frame pool on every call, and the caller may hand it
+// back via frame.Release.
 type RidgeDetector struct {
 	// Sigma is the Gaussian pre-smoothing scale in pixels.
 	Sigma float64
@@ -30,8 +30,29 @@ type RidgeDetector struct {
 	Anisotropy float64
 
 	Params CostParams
+	// Stripes runs the blur and response pass striped over the host's
+	// cores — the real counterpart of the data-parallel partitioning the
+	// runtime manager plans ("the tasks have a streaming nature", paper §6).
+	// nil runs it inline. The result and the cost are the same either way.
+	// The mask pass, about 2 ns a pixel, always runs inline: handing half of
+	// it to a helper gains less than the helper takes to wake.
+	Stripes *parallel.HostStripes
 
-	vals []float64 // per-pixel response scratch, grown on demand
+	vals []float64   // per-pixel response scratch, grown on demand
+	res  RidgeResult // Run's result, reused
+
+	// The call in flight, for the stripes: the input and the response
+	// maximum of each stripe.
+	in        *frame.Frame
+	stripeMax []float64
+}
+
+// ridgeResponse is Run's striped pass.
+type ridgeResponse RidgeDetector
+
+func (p *ridgeResponse) Stripe(s, lo, hi int) {
+	r := (*RidgeDetector)(p)
+	r.stripeMax[s] = r.responseRows(r.vals, r.in, lo, hi)
 }
 
 // NewRidgeDetector returns a detector with scales suited to the synthetic
@@ -57,67 +78,39 @@ func (r *RidgeDetector) scratch(n int) []float64 {
 // variant) and returns the ridge mask and the cycle cost of the work actually
 // performed.
 func (r *RidgeDetector) Run(in *frame.Frame) (*RidgeResult, platform.Cost) {
-	return r.RunStripedOn(nil, in, 1)
-}
-
-// RunStriped executes the ridge filter with its pixel loops striped over k
-// goroutines — the real shared-memory counterpart of the data-parallel
-// partitioning the runtime manager plans ("the tasks have a streaming
-// nature", paper §6). The result and the reported cost are identical to
-// Run; only the host wall-clock time changes.
-func (r *RidgeDetector) RunStriped(in *frame.Frame, k int) (*RidgeResult, platform.Cost) {
-	return r.RunStripedOn(nil, in, k)
-}
-
-// RunStripedOn is RunStriped with the stripes executed on a shared worker
-// pool (parallel.StripesOn) instead of fresh goroutines, so concurrent
-// streams batch their same-task stripes through one dispatch and share the
-// host's fixed concurrency. A nil pool behaves exactly like RunStriped, and
-// k <= 1 runs both passes inline without a closure or per-stripe slice.
-func (r *RidgeDetector) RunStripedOn(pool *parallel.Pool, in *frame.Frame, k int) (*RidgeResult, platform.Cost) {
 	pixels := in.Pixels()
+	r.res = RidgeResult{}
 	if pixels == 0 {
-		return &RidgeResult{Mask: frame.New(0, 0)}, r.Params.cost(0)
+		r.res.Mask = frame.New(0, 0)
+		return &r.res, r.Params.cost(0)
 	}
 	width, height := in.Width(), in.Height()
-	vals := r.scratch(pixels)
+	if k := r.Stripes.K(); len(r.stripeMax) < k {
+		r.stripeMax = make([]float64, k)
+	}
+	clear(r.stripeMax)
+	r.vals, r.in = r.scratch(pixels), in
+	r.Stripes.Run(height, width, (*ridgeResponse)(r))
+	r.in = nil
 	maxResp := 0.0
-	if k <= 1 {
-		maxResp = r.responseRows(vals, in, 0, height)
-	} else {
-		stripeMax := make([]float64, k)
-		parallel.StripesOn(pool, height, k, func(stripe, lo, hi int) {
-			stripeMax[stripe] = r.responseRows(vals, in, lo, hi)
-		})
-		for _, m := range stripeMax {
-			if m > maxResp {
-				maxResp = m
-			}
+	for _, m := range r.stripeMax {
+		if m > maxResp {
+			maxResp = m
 		}
 	}
 
-	result := &RidgeResult{Mask: frame.Borrow(width, height)}
-	result.Mask.Bounds = in.Bounds
+	r.res.Mask = frame.Borrow(width, height)
+	r.res.Mask.Bounds = in.Bounds
 	if maxResp > 0 {
-		if k <= 1 {
-			result.RidgePixels = r.maskRows(result.Mask, vals, maxResp, 0, height)
-		} else {
-			stripeCount := make([]int, k)
-			parallel.StripesOn(pool, height, k, func(stripe, lo, hi int) {
-				stripeCount[stripe] = r.maskRows(result.Mask, vals, maxResp, lo, hi)
-			})
-			for _, n := range stripeCount {
-				result.RidgePixels += n
-			}
-		}
+		r.res.RidgePixels = r.maskRows(r.res.Mask, r.vals, maxResp, 0, height)
 	}
 
 	// Cost: blur + Hessian over all pixels, plus the data-dependent
 	// thinning/linking pass proportional to the ridge pixels found.
 	cycles := r.Params.pixCost(pixels, blurPerPixel) +
 		r.Params.pixCost(pixels, hessianPerPixel) +
-		r.Params.pixCost(result.RidgePixels, nmsPerRidgePixel)
-	return result, r.Params.cost(cycles)
+		r.Params.pixCost(r.res.RidgePixels, nmsPerRidgePixel)
+	return &r.res, r.Params.cost(cycles)
 }
 
 // response is the ridge measure of one pixel: for dark lines on a bright

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"triplec/internal/frame"
+	"triplec/internal/parallel"
+	"triplec/internal/platform"
 	"triplec/internal/synth"
 )
 
@@ -34,6 +36,13 @@ func cleanSeq(t *testing.T, seed uint64) *synth.Sequence {
 }
 
 func params() CostParams { return DefaultCostParams(128 * 128) }
+
+// runStriped is rdg.Run with both passes striped over k host stripes.
+func runStriped(rdg *RidgeDetector, in *frame.Frame, k int) (*RidgeResult, platform.Cost) {
+	rdg.Stripes = parallel.NewHostStripes(k)
+	defer func() { rdg.Stripes.Close(); rdg.Stripes = nil }()
+	return rdg.Run(in)
+}
 
 func TestDefaultCostParamsScale(t *testing.T) {
 	p := DefaultCostParams(256 * 256)
@@ -356,7 +365,7 @@ func TestRidgeResponseMatchesStoredBlur(t *testing.T) {
 		want := make([]float64, in.Pixels())
 		wantMax := storedResponseRows(rdg, want, smoothed, 0, in.Height())
 		for k := 1; k <= 4; k++ {
-			got, _ := rdg.RunStriped(in, k)
+			got, _ := runStriped(rdg, in, k)
 			for i, v := range rdg.vals[:in.Pixels()] {
 				if math.Float64bits(v) != math.Float64bits(want[i]) {
 					t.Fatalf("%v k=%d: response %d = %v, want %v", in.Bounds, k, i, v, want[i])
@@ -989,38 +998,54 @@ func TestMarkerExtractorOtsuFallbackOnFlat(t *testing.T) {
 	}
 }
 
+// TestRunStripedMatchesRun: RDG striped over 1 to 8 host stripes returns
+// the inline run's responses, mask, ridge pixel count and cost, on the
+// 128x128 frames and on a 320x243 frame whose odd height splits into three
+// unequal stripes.
 func TestRunStripedMatchesRun(t *testing.T) {
 	s := cleanSeq(t, 53)
-	rdg := NewRidgeDetector(params())
-	for _, fi := range []int{0, 20} {
-		f, _ := s.Frame(fi)
-		want, wantCost := rdg.Run(f)
-		wantVals := append([]float64(nil), rdg.vals[:f.Pixels()]...)
-		for _, k := range []int{1, 2, 4, 8} {
-			got, gotCost := rdg.RunStriped(f, k)
+	cfg := synth.DefaultConfig(53)
+	cfg.Width, cfg.Height = 320, 243
+	big, err := synth.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f0, _ := s.Frame(0)
+	f20, _ := s.Frame(20)
+	f5, _ := big.Frame(5)
+	ref, rdg := NewRidgeDetector(params()), NewRidgeDetector(params())
+	for fi, f := range []*frame.Frame{f0, f20, f5} {
+		want, wantCost := ref.Run(f)
+		for _, k := range []int{1, 2, 3, 4, 8} {
+			got, gotCost := runStriped(rdg, f, k)
 			if got.RidgePixels != want.RidgePixels {
 				t.Fatalf("frame %d k=%d: ridge pixels %d != %d", fi, k, got.RidgePixels, want.RidgePixels)
 			}
-			if !got.Mask.Equal(want.Mask) || !slices.Equal(rdg.vals[:f.Pixels()], wantVals) {
+			if !got.Mask.Equal(want.Mask) || !slices.Equal(rdg.vals[:f.Pixels()], ref.vals[:f.Pixels()]) {
 				t.Fatalf("frame %d k=%d: mask or responses differ", fi, k)
 			}
 			if gotCost != wantCost {
 				t.Fatalf("frame %d k=%d: cost differs (%v vs %v)", fi, k, gotCost, wantCost)
 			}
+			frame.Release(got.Mask)
 		}
+		frame.Release(want.Mask)
 	}
 }
 
 func TestRunStripedDegenerate(t *testing.T) {
 	rdg := NewRidgeDetector(params())
-	res, _ := rdg.RunStriped(frame.New(0, 0), 4)
+	res, _ := runStriped(rdg, frame.New(0, 0), 4)
 	if res.RidgePixels != 0 {
 		t.Fatal("empty frame must yield no ridges")
 	}
-	f := frame.New(32, 32)
+	f := frame.New(128, 128)
 	f.Fill(30000)
-	if res, _ := rdg.RunStriped(f, 0); res.RidgePixels != 0 {
+	if res, _ := runStriped(rdg, f, 0); res.RidgePixels != 0 {
 		t.Fatal("k=0 must clamp and work")
+	}
+	if res, _ := runStriped(rdg, f, 2); res.RidgePixels != 0 {
+		t.Fatal("a flat frame has no ridges")
 	}
 }
 
@@ -1104,7 +1129,7 @@ func TestRidgeDetectorMatchesPerPixelReference(t *testing.T) {
 				t.Fatal("setup: the reference frame has no ridge pixels")
 			}
 			for _, k := range []int{1, 2, 3, 4, 8} {
-				got, _ := rdg.RunStriped(in, k)
+				got, _ := runStriped(rdg, in, k)
 				if got.RidgePixels != wantPixels {
 					t.Fatalf("anisotropy %v %v k=%d: %d ridge pixels, want %d", anisotropy, in.Bounds, k, got.RidgePixels, wantPixels)
 				}
@@ -1441,8 +1466,8 @@ func TestRidgeOverlapMatchesPerPixelAt(t *testing.T) {
 
 // TestDetectorsSteadyStateAllocs pins switch 1 and the ridge filter: DETECT
 // borrows its downsampled image and tap tables from pools, and RDG takes its
-// blurred-row ring from the frame package's pooled scratch, so neither
-// allocates beyond the RidgeResult it hands back.
+// blurred-row ring from the frame package's pooled scratch and reuses its
+// result, so neither allocates, RDG inline or striped over host stripes.
 func TestDetectorsSteadyStateAllocs(t *testing.T) {
 	f, _ := cleanSeq(t, 5).Frame(20)
 	det := NewStructureDetector(params())
@@ -1452,14 +1477,18 @@ func TestDetectorsSteadyStateAllocs(t *testing.T) {
 	}
 	rdg := NewRidgeDetector(params())
 	roi := f.SubFrame(frame.R(17, 9, 90, 71))
-	for _, in := range []*frame.Frame{f, roi} {
-		run := func() {
-			res, _ := rdg.Run(in)
-			frame.Release(res.Mask)
+	for _, k := range []int{1, 2} {
+		rdg.Stripes = parallel.NewHostStripes(k)
+		for _, in := range []*frame.Frame{f, roi} {
+			run := func() {
+				res, _ := rdg.Run(in)
+				frame.Release(res.Mask)
+			}
+			run()
+			if avg := testing.AllocsPerRun(50, run); avg > racePoolMallocs {
+				t.Errorf("RidgeDetector.Run %v, %d stripes: %.2f allocs/op in steady state, want <= %d", in.Bounds, k, avg, racePoolMallocs)
+			}
 		}
-		run()
-		if avg := testing.AllocsPerRun(50, run); avg > 1+racePoolMallocs {
-			t.Errorf("RidgeDetector.Run %v: %.2f allocs/op in steady state, want <= %d (the result)", in.Bounds, avg, 1+racePoolMallocs)
-		}
+		rdg.Stripes.Close()
 	}
 }
