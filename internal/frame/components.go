@@ -13,25 +13,26 @@ type Component struct {
 
 // LabelComponents finds 4-connected components of non-zero pixels in mask,
 // computing statistics against the pixel values of src (which must share
-// mask's bounds; pass mask itself to use binary values). Components smaller
-// than minSize are discarded.
-func LabelComponents(mask, src *Frame, minSize int) []Component {
+// mask's bounds; pass mask itself to use binary values), and appends them to
+// comps. Components smaller than minSize are discarded. stack is the flood
+// fill's buffer, whatever it holds; both grown buffers are returned, so a
+// caller that keeps them across calls allocates nothing once they are large
+// enough.
+func LabelComponents(comps []Component, stack [][2]int, mask, src *Frame, minSize int) ([]Component, [][2]int) {
 	if src == nil {
 		src = mask
 	}
 	b := mask.Bounds
 	w, h := b.Width(), b.Height()
 	if w == 0 || h == 0 {
-		return nil
+		return comps, stack
 	}
 	// seen marks the pixels already given to a component: a pooled frame,
-	// zeroed on borrow, so that a call allocates only what it returns.
+	// zeroed on borrow.
 	seen := Borrow(w, h)
 	defer Release(seen)
-	var comps []Component
 	// Iterative flood fill with an explicit stack to avoid recursion depth
 	// limits on large blobs.
-	stack := make([][2]int, 0, 64)
 	for y := 0; y < h; y++ {
 		mrow, srow := mask.Pix[y*mask.Stride:][:w], seen.Pix[y*w:][:w]
 		for x, m := range mrow {
@@ -77,5 +78,5 @@ func LabelComponents(mask, src *Frame, minSize int) []Component {
 			comps = append(comps, c)
 		}
 	}
-	return comps
+	return comps, stack
 }

@@ -651,10 +651,14 @@ func naiveLabelComponents(mask, src *Frame, minSize int) []Component {
 
 // TestLabelComponentsMatchesNaive: same components in the same order with
 // the same sums, on compact masks, SubFrame masks of every density, sources
-// that share the mask's bounds or do not, and with the pooled seen map handed
-// back dirty from a call of another size.
+// that share the mask's bounds or do not, with the pooled seen map handed
+// back dirty from a call of another size, and with component and stack
+// buffers reused dirty from the call before, appended after a kept prefix.
 func TestLabelComponentsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
+	var buf []Component
+	var stack [][2]int
+	prefix := Component{Size: -1}
 	sizes := append([][2]int{{64, 48}, {48, 64}}, geometries...)
 	for round := 0; round < 3; round++ {
 		for _, g := range sizes {
@@ -676,8 +680,9 @@ func TestLabelComponentsMatchesNaive(t *testing.T) {
 				other.Bounds = mask.Bounds
 				for si, src := range []*Frame{nil, other, randFrame(rng, g[0]+1, g[1])} {
 					minSize := 1 + rng.Intn(3)
-					got, want := LabelComponents(mask, src, minSize), naiveLabelComponents(mask, src, minSize)
-					if !slices.Equal(got, want) {
+					buf, stack = LabelComponents(append(buf[:0], prefix), stack, mask, src, minSize)
+					got, want := buf[1:], naiveLabelComponents(mask, src, minSize)
+					if buf[0] != prefix || !slices.Equal(got, want) {
 						t.Fatalf("%dx%d variant %d source %d density %d/8: components differ\n got %+v\nwant %+v",
 							g[0], g[1], vi, si, density, got, want)
 					}

@@ -523,7 +523,7 @@ func TestLabelComponentsTwoBlobs(t *testing.T) {
 	for _, p := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {6, 6}, {7, 6}, {8, 6}} {
 		mask.Set(p[0], p[1], 1)
 	}
-	comps := LabelComponents(mask, nil, 1)
+	comps, _ := LabelComponents(nil, nil, mask, nil, 1)
 	if len(comps) != 2 {
 		t.Fatalf("components = %d, want 2", len(comps))
 	}
@@ -545,7 +545,7 @@ func TestLabelComponentsMinSize(t *testing.T) {
 	mask.Set(0, 0, 1)
 	mask.Set(3, 3, 1)
 	mask.Set(4, 3, 1)
-	comps := LabelComponents(mask, nil, 2)
+	comps, _ := LabelComponents(nil, nil, mask, nil, 2)
 	if len(comps) != 1 || comps[0].Size != 2 {
 		t.Fatalf("minSize filter failed: %+v", comps)
 	}
@@ -555,18 +555,18 @@ func TestLabelComponentsDiagonalNotConnected(t *testing.T) {
 	mask := New(4, 4)
 	mask.Set(1, 1, 1)
 	mask.Set(2, 2, 1)
-	comps := LabelComponents(mask, nil, 1)
+	comps, _ := LabelComponents(nil, nil, mask, nil, 1)
 	if len(comps) != 2 {
 		t.Fatalf("4-connectivity violated: %d components", len(comps))
 	}
 }
 
 func TestLabelComponentsEmpty(t *testing.T) {
-	if got := LabelComponents(New(4, 4), nil, 1); got != nil {
+	if got, _ := LabelComponents(nil, nil, New(4, 4), nil, 1); got != nil {
 		t.Fatalf("empty mask must give nil, got %v", got)
 	}
 	var empty Frame
-	if got := LabelComponents(&empty, nil, 1); got != nil {
+	if got, _ := LabelComponents(nil, nil, &empty, nil, 1); got != nil {
 		t.Fatal("zero frame must give nil")
 	}
 }
@@ -575,7 +575,7 @@ func TestLabelComponentsSourceStats(t *testing.T) {
 	mask, src := New(3, 3), New(3, 3)
 	mask.Set(1, 1, 1)
 	src.Set(1, 1, 4242)
-	comps := LabelComponents(mask, src, 1)
+	comps, _ := LabelComponents(nil, nil, mask, src, 1)
 	if len(comps) != 1 || comps[0].MeanVal != 4242 {
 		t.Fatalf("source stats wrong: %+v", comps)
 	}
@@ -585,7 +585,7 @@ func TestLabelComponentsLargeBlobNoOverflow(t *testing.T) {
 	// A full-frame blob exercises the explicit stack.
 	mask := New(128, 128)
 	mask.Fill(1)
-	comps := LabelComponents(mask, nil, 1)
+	comps, _ := LabelComponents(nil, nil, mask, nil, 1)
 	if len(comps) != 1 || comps[0].Size != 128*128 {
 		t.Fatalf("full-frame blob mislabeled: %+v", comps)
 	}

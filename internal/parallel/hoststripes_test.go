@@ -249,3 +249,155 @@ func TestHostStripesRunDoesNotAllocate(t *testing.T) {
 		t.Fatalf("stripes covered %v rows", rows)
 	}
 }
+
+// A background job runs on the first helper while Go's caller goes on, and
+// Wait returns once it has, its writes visible to the caller.
+func TestHostStripesGoRunsOnHelper(t *testing.T) {
+	h := NewHostStripes(2)
+	defer h.Close()
+	release := make(chan struct{})
+	var onHelperRan bool
+	h.Go(func() {
+		<-release // Go must return before the job does
+		onHelperRan = onHelper()
+	})
+	close(release)
+	h.Wait()
+	if !onHelperRan {
+		t.Fatal("the background job did not run on a helper")
+	}
+	h.Wait() // nothing pending: returns at once
+}
+
+// A background job runs inline, before Go returns, on a nil or one-stripe
+// HostStripes, after Close, and beside a call in flight.
+func TestHostStripesGoInline(t *testing.T) {
+	closed := NewHostStripes(2)
+	closed.Close()
+	busy := NewHostStripes(2)
+	defer busy.Close()
+	hold, held, first := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(first)
+		busy.Run(2, grainRow, stripeFunc(func(s, lo, hi int) {
+			if s == 0 {
+				close(held)
+				<-hold
+			}
+		}))
+	}()
+	<-held
+	for name, h := range map[string]*HostStripes{"nil": nil, "k=1": NewHostStripes(1), "closed": closed, "busy": busy} {
+		ran, helper := false, true
+		h.Go(func() { ran, helper = true, onHelper() })
+		if !ran || helper {
+			t.Errorf("%s: job ran %v before Go returned, on a helper %v; want inline", name, ran, helper)
+		}
+		h.Wait()
+	}
+	close(hold)
+	<-first
+}
+
+// Run, Wait and Close each join a pending background job: when they return,
+// the job has, and its writes are visible (checked under -race).
+func TestHostStripesGoJoined(t *testing.T) {
+	joins := map[string]func(h *HostStripes){
+		"Run":        func(h *HostStripes) { h.Run(2, grainRow, stripeFunc(func(s, lo, hi int) {})) },
+		"inline Run": func(h *HostStripes) { h.Run(1, 1, stripeFunc(func(s, lo, hi int) {})) },
+		"Wait":       (*HostStripes).Wait,
+		"Close":      (*HostStripes).Close,
+	}
+	for name, join := range joins {
+		h := NewHostStripes(3)
+		done := false
+		h.Go(func() {
+			time.Sleep(5 * time.Millisecond)
+			done = true
+		})
+		join(h)
+		if !done {
+			t.Errorf("%s returned before the background job", name)
+		}
+		h.Close()
+	}
+}
+
+// A background job that panics on the helper re-panics as *PanicError at
+// the join that finds it, Wait or Run; the next job and call are clean.
+func TestHostStripesGoPanicSurfacesAtJoin(t *testing.T) {
+	h := NewHostStripes(2)
+	defer h.Close()
+	joins := []func(){h.Wait, func() { h.Run(2, grainRow, stripeFunc(func(s, lo, hi int) {})) }}
+	for i, join := range joins {
+		h.Go(func() { panic("job boom") })
+		var pe *PanicError
+		func() {
+			defer func() { pe, _ = recover().(*PanicError) }()
+			join()
+		}()
+		if pe == nil || pe.Value != "job boom" {
+			t.Fatalf("join %d: job panic did not surface as *PanicError (got %v)", i, pe)
+		}
+		ran := false
+		h.Go(func() { ran = true })
+		h.Wait()
+		var rows atomic.Int64
+		h.Run(2, grainRow, stripeFunc(func(s, lo, hi int) { rows.Add(int64(hi - lo)) }))
+		if !ran || rows.Load() != 2 {
+			t.Fatalf("join %d: after a job panic, job ran %v and a call covered %d of 2 rows", i, ran, rows.Load())
+		}
+	}
+}
+
+// Two callers shaped like the pipelined executor's halves share one
+// HostStripes: the back one joins, stripes and hands a job off each frame,
+// the front one stripes; neither races, deadlocks or loses a row.
+func TestHostStripesGoConcurrentHalves(t *testing.T) {
+	h := NewHostStripes(2)
+	defer h.Close()
+	const frames = 200
+	var rows atomic.Int64
+	body := stripeFunc(func(s, lo, hi int) { rows.Add(int64(hi - lo)) })
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // front
+		defer wg.Done()
+		for i := 0; i < frames; i++ {
+			h.Run(8, grainRow, body)
+		}
+	}()
+	go func() { // back
+		defer wg.Done()
+		var next []int
+		job := func() { next = make([]int, 64) }
+		for i := 0; i < frames; i++ {
+			h.Wait()
+			if i > 0 && len(next) != 64 {
+				t.Errorf("frame %d: the job's buffer is not there after Wait", i)
+				return
+			}
+			next = nil
+			h.Run(8, grainRow, body)
+			h.Go(job)
+		}
+	}()
+	wg.Wait()
+	if want := int64(2 * frames * 8); rows.Load() != want {
+		t.Fatalf("covered %d rows, want %d", rows.Load(), want)
+	}
+}
+
+// Handing a job off and joining it allocates nothing.
+func TestHostStripesGoDoesNotAllocate(t *testing.T) {
+	h := NewHostStripes(2)
+	defer h.Close()
+	n := 0
+	job := func() { n++ }
+	if avg := testing.AllocsPerRun(100, func() { h.Go(job); h.Wait() }); avg != 0 {
+		t.Fatalf("HostStripes.Go + Wait: %.2f allocs/op, want 0", avg)
+	}
+	if n != 101 {
+		t.Fatalf("job ran %d times, want 101", n)
+	}
+}

@@ -259,16 +259,23 @@ const StripeGrain = 8192
 // that live until Close, so a call creates no goroutine, closure, slice or
 // WaitGroup. It serves one call at a time: a call that finds another in
 // flight runs inline, as does every call after Close and every call on a nil
-// *HostStripes.
+// *HostStripes. Between calls the first helper can run one background job
+// (Go).
 type HostStripes struct {
 	k      int
 	busy   atomic.Bool     // set by the call in flight
 	start  []chan struct{} // unbuffered hand-off of stripe i+1 to helper i
+	jobs   chan func()     // unbuffered hand-off of a background job to the first helper
 	quit   chan struct{}
 	close  sync.Once
 	exited sync.WaitGroup // the helpers
 	done   sync.WaitGroup // the stripes of the call in flight
 	box    panicBox
+	// job is held from the hand-off of a background job until it returns:
+	// a join locks and unlocks it (a Mutex may be unlocked by a goroutine
+	// other than the one that locked it).
+	job    sync.Mutex
+	jobBox panicBox
 
 	// The call in flight, published to the helpers by the hand-off.
 	n, stripes int
@@ -277,7 +284,7 @@ type HostStripes struct {
 
 // NewHostStripes starts the k-1 helpers of a k-stripe HostStripes.
 func NewHostStripes(k int) *HostStripes {
-	h := &HostStripes{k: max(k, 1), quit: make(chan struct{})}
+	h := &HostStripes{k: max(k, 1), jobs: make(chan func()), quit: make(chan struct{})}
 	h.start = make([]chan struct{}, h.k-1)
 	h.exited.Add(h.k - 1)
 	for i := range h.start {
@@ -297,10 +304,16 @@ func (h *HostStripes) K() int {
 
 func (h *HostStripes) helper(s int, start <-chan struct{}) {
 	defer h.exited.Done()
+	var jobs <-chan func() // nil, never ready, on all but the first helper
+	if s == 1 {
+		jobs = h.jobs
+	}
 	for {
 		select {
 		case <-start:
 			h.runStripe(s)
+		case job := <-jobs:
+			h.runJob(job)
 		case <-h.quit:
 			return
 		}
@@ -317,11 +330,13 @@ func (h *HostStripes) runStripe(s int) {
 // stripes of at least StripeGrain pixels, runs stripe 0 on the caller and
 // the others on the helpers, and returns when every stripe has. A stripe
 // panic re-panics on the caller as a *PanicError once all stripes are done.
+// Run first joins the background job, if one is pending (Wait).
 func (h *HostStripes) Run(n, cols int, body Striper) {
 	stripes := 1
 	if h != nil {
 		stripes = min(h.k, n*cols/StripeGrain)
 	}
+	h.Wait()
 	if stripes <= 1 || !h.busy.CompareAndSwap(false, true) {
 		body.Stripe(0, 0, n)
 		return
@@ -342,12 +357,58 @@ func (h *HostStripes) Run(n, cols int, body Striper) {
 	h.box.rethrow()
 }
 
+// Go runs job on the first helper and returns at once; the next Run, Wait or
+// Close joins it. Like a stripe it is inline — run before Go returns — on a
+// nil, one-stripe or closed HostStripes and when another call is in flight.
+// A job handed to the helper that panics re-panics as a *PanicError at the
+// join that finds it (Close leaves it to the next). Go allocates nothing;
+// job should be a func value made once.
+func (h *HostStripes) Go(job func()) {
+	if h.K() < 2 || !h.busy.CompareAndSwap(false, true) {
+		job()
+		return
+	}
+	defer h.busy.Store(false)
+	h.Wait()
+	h.job.Lock()
+	select {
+	case h.jobs <- job:
+	case <-h.quit:
+		h.runJob(job)
+	}
+}
+
+// runJob runs a background job and settles it, its panic first, in the join.
+func (h *HostStripes) runJob(job func()) {
+	defer h.settleJob()
+	job()
+}
+
+func (h *HostStripes) settleJob() {
+	h.jobBox.capture(recover())
+	h.job.Unlock()
+}
+
+// Wait joins the background job, if one is pending: it returns once the job
+// has, blocking rather than spinning, and re-panics the job's panic as a
+// *PanicError. Safe to call from any goroutine; a nil or one-stripe
+// HostStripes runs its jobs inline and has none pending.
+func (h *HostStripes) Wait() {
+	if h.K() > 1 {
+		h.job.Lock()
+		h.job.Unlock()
+		h.jobBox.rethrow()
+	}
+}
+
 // Close stops the helpers and returns once they have exited, at most one
-// stripe later. It is safe to call more than once and concurrently with
-// Run.
+// stripe or background job later. It is safe to call more than once and
+// concurrently with Run.
 func (h *HostStripes) Close() {
 	if h != nil {
 		h.close.Do(func() { close(h.quit) })
 		h.exited.Wait()
+		h.job.Lock()
+		h.job.Unlock()
 	}
 }

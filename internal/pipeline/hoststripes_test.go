@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -101,7 +102,9 @@ func TestHostStripeReportsBitIdentical(t *testing.T) {
 
 // TestHostStripeProcessAllocs: striping allocates nothing per frame —
 // Engine.Process over 2 host stripes makes as many allocations as inline,
-// on 128x128 frames whose RDG FULL and ENH both split in two.
+// on 128x128 frames whose RDG FULL and ENH both split in two. Each frame
+// joins the background job that allocates ENH's next average, so the count
+// includes it.
 func TestHostStripeProcessAllocs(t *testing.T) {
 	frames := goldenFrames(t, 3, 24)
 	allocs := func(k int) float64 {
@@ -117,6 +120,7 @@ func TestHostStripeProcessAllocs(t *testing.T) {
 			if _, err := e.Process(frames[i], nil); err != nil {
 				t.Fatal(err)
 			}
+			e.enh.Stripes.Wait()
 			i++
 		})
 	}
@@ -202,5 +206,105 @@ func TestHostStripeHelperPanicFailsFrame(t *testing.T) {
 		if !reflect.DeepEqual(gotReps[i], wantReps[i]) {
 			t.Fatalf("frame %d: report after the faults differs from the inline one", i)
 		}
+	}
+}
+
+// outputDigest is an FNV-1a hash of a report's output pixels (0 for none).
+func outputDigest(f *frame.Frame) uint64 {
+	if f == nil {
+		return 0
+	}
+	h := uint64(14695981039346656037)
+	for y := f.Bounds.Y0; y < f.Bounds.Y1; y++ {
+		for _, px := range f.Row(y) {
+			h = (h ^ uint64(px)) * 1099511628211
+		}
+	}
+	return h
+}
+
+// TestHostStripeOutputOwnership: a report's Output is the caller's for good.
+// ZOOM hands ENH's average to the report instead of copying it, so a later
+// frame that wrote into a handed-off buffer would change an earlier report.
+// Over 1, 2 and 3 host stripes every output keeps the digest it had when its
+// frame returned, across frames that shed ZOOM (QualityNoZoom: the buffer
+// stays with ENH), failed registrations that reset ENH's stack and a fault
+// injected at ZOOM; outputs equal the inline engine's, no two reports share
+// a buffer, and the pipelined executor, whose halves share the stripes,
+// leaves the same outputs as serial Process.
+func TestHostStripeOutputOwnership(t *testing.T) {
+	cfg, frames := servedFrames(t, 11, 128, 128, 100)
+	const zoomFault = 30
+	noZoom := func(i int) bool { return i >= 50 && i < 60 }
+	// run returns each frame's output and its digest when the frame
+	// returned (serial) or when the run did (pipelined).
+	run := func(k int, pipelined, shed bool) ([]*frame.Frame, []uint64) {
+		e := stripedEngine(t, cfg, k)
+		e.SetTaskHook(func(task tasks.Name, frameIdx int) {
+			if task == tasks.NameZOOM && frameIdx == zoomFault {
+				panic("zoom fault")
+			}
+		})
+		outs, sums := make([]*frame.Frame, len(frames)), make([]uint64, len(frames))
+		if pipelined {
+			results, err := e.RunPipelined(len(frames), func(i int) *frame.Frame { return frames[i] }, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range results {
+				outs[i], sums[i] = r.Report.Output, outputDigest(r.Report.Output)
+			}
+			return outs, sums
+		}
+		for i, f := range frames {
+			e.SetQuality(QualityFull)
+			if shed && noZoom(i) {
+				e.SetQuality(QualityNoZoom)
+			}
+			rep, err := e.Process(f, nil)
+			if (err != nil) != (i == zoomFault) {
+				t.Fatalf("%d stripes, frame %d: error %v", k, i, err)
+			}
+			outs[i], sums[i] = rep.Output, outputDigest(rep.Output)
+		}
+		return outs, sums
+	}
+	check := func(name string, outs []*frame.Frame, sums, want []uint64) {
+		t.Helper()
+		owner := map[*frame.Frame]int{}
+		for i, out := range outs {
+			if got := outputDigest(out); got != sums[i] || got != want[i] {
+				t.Fatalf("%s: frame %d output digest %x, %x when returned, want %x", name, i, got, sums[i], want[i])
+			}
+			if j, ok := owner[out]; ok && out != nil {
+				t.Fatalf("%s: frames %d and %d share one output buffer", name, j, i)
+			}
+			owner[out] = i
+		}
+	}
+
+	_, want := run(1, false, true)
+	seen := map[string]int{}
+	for i, sum := range want {
+		switch {
+		case i == zoomFault:
+		case sum == 0 && noZoom(i):
+			seen["shed ZOOM"]++
+		case sum == 0:
+			seen["no output"]++
+		default:
+			seen["output"]++
+		}
+	}
+	t.Logf("frames: %v", seen)
+	if seen["shed ZOOM"] == 0 || seen["no output"] == 0 || seen["output"] < 50 {
+		t.Fatalf("setup: frames covered %v", seen)
+	}
+	_, wantFull := run(1, false, false)
+	for _, k := range []int{1, 2, 3} {
+		outs, sums := run(k, false, true)
+		check(fmt.Sprintf("%d stripes", k), outs, sums, want)
+		outs, sums = run(k, true, false)
+		check(fmt.Sprintf("%d stripes, pipelined", k), outs, sums, wantFull)
 	}
 }

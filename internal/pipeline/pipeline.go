@@ -243,8 +243,12 @@ func (e *Engine) SetObserver(fn func(Report)) { e.observer = fn }
 // over h; nil runs them inline. Outputs and modeled charges do not change: a task is
 // still charged at the mapping's stripes. The two pipelined halves share h
 // safely, one striping while the other runs inline. Same single-goroutine
-// contract as Process.
-func (e *Engine) SetHostStripes(h *parallel.HostStripes) { e.rdg.Stripes, e.enh.Stripes = h, h }
+// contract as Process. A background job pending on the stripes it replaces
+// is joined first.
+func (e *Engine) SetHostStripes(h *parallel.HostStripes) {
+	e.enh.Stripes.Wait()
+	e.rdg.Stripes, e.enh.Stripes = h, h
+}
 
 // Params exposes the calibrated cost parameters.
 func (e *Engine) Params() tasks.CostParams { return e.params }
@@ -427,6 +431,11 @@ func (fx *frameExec) back() {
 		e.enter(fx, tasks.NameZOOM)
 		out, zCost := e.zoom.Run(enhanced)
 		e.charge(fx, tasks.NameZOOM, zCost)
+		if out != nil && out == enhanced {
+			// At the canvas size ZOOM is the identity: the report keeps
+			// ENH's average and ENH writes its next one into a fresh frame.
+			e.enh.HandOff()
+		}
 		fx.rep.Output = out
 	}
 }

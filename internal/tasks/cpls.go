@@ -30,7 +30,7 @@ func NewCouplesSelector(spacing float64, p CostParams) *CouplesSelector {
 // number of pairs evaluated.
 func (c *CouplesSelector) Run(cands []Marker) (*Couple, platform.Cost) {
 	pairs := 0
-	var best *Couple
+	bi, bj, bestScore := -1, -1, 0.0
 	for i := 0; i < len(cands); i++ {
 		for j := i + 1; j < len(cands); j++ {
 			pairs++
@@ -45,11 +45,14 @@ func (c *CouplesSelector) Run(cands []Marker) (*Couple, platform.Cost) {
 			// Pairing quality: spacing agreement times the markers' own
 			// scores; symmetric in i, j.
 			score := (1 - rel/c.Tolerance) * (cands[i].Score + cands[j].Score)
-			if best == nil || score > best.Score {
-				best = &Couple{A: cands[i], B: cands[j], Spacing: d, Score: score}
+			if bi < 0 || score > bestScore {
+				bi, bj, bestScore = i, j, score
 			}
 		}
 	}
-	cycles := float64(pairs) * pairPerCouple
-	return best, c.Params.cost(cycles)
+	cost := c.Params.cost(float64(pairs) * pairPerCouple)
+	if bi < 0 {
+		return nil, cost
+	}
+	return &Couple{A: cands[bi], B: cands[bj], Spacing: cands[bi].Dist(cands[bj])}, cost
 }

@@ -26,15 +26,29 @@ type Enhancer struct {
 
 	// avg and the tap tables are reused across Runs, so an Enhancer is owned
 	// by one goroutine at a time and the frame returned by Run stays valid
-	// only until the next Run or Reset.
+	// only until the next Run, unless HandOff gives it away.
 	avg    *frame.Frame
 	xs, ys []frame.Tap
+	newAvg func() // e.allocAvg, bound once: HandOff's background job
 }
 
 // NewEnhancer returns an enhancer with a canvas suited to the frame size.
 func NewEnhancer(canvasW, canvasH int, p CostParams) *Enhancer {
-	return &Enhancer{CanvasW: canvasW, CanvasH: canvasH, Window: 0, Params: p,
+	e := &Enhancer{CanvasW: canvasW, CanvasH: canvasH, Window: 0, Params: p,
 		acc: frame.NewAccumulator(canvasW, canvasH)}
+	e.newAvg = e.allocAvg
+	return e
+}
+
+func (e *Enhancer) allocAvg() { e.avg = frame.New(e.CanvasW, e.CanvasH) }
+
+// HandOff gives the frame the last Run returned to the caller, who owns it
+// from now on: the next Run writes a fresh frame, allocated right away as a
+// background job of Stripes (parallel.HostStripes.Go), so its zeroing and
+// first-touch page faults run on a helper while the caller goes on.
+func (e *Enhancer) HandOff() {
+	e.avg = nil
+	e.Stripes.Go(e.newAvg)
 }
 
 // Reset clears the temporal integration state (used when registration
@@ -45,7 +59,8 @@ func (e *Enhancer) Reset() { e.acc.Reset() }
 // stack and returns the running average — the enhanced view. The couple
 // anchors the resampling so the markers always land on the same canvas
 // positions (this is the motion compensation). The returned frame is a
-// reused buffer: it stays valid until the next Run or Reset.
+// reused buffer: it stays valid until the next Run, unless HandOff gives it
+// away.
 func (e *Enhancer) Run(roi *frame.Frame, couple *Couple) (*frame.Frame, platform.Cost) {
 	if roi == nil || roi.Pixels() == 0 || couple == nil {
 		return nil, e.Params.cost(0)
@@ -72,6 +87,7 @@ func (e *Enhancer) Run(roi *frame.Frame, couple *Couple) (*frame.Frame, platform
 	for y := range e.ys {
 		e.ys[y] = roi.YTap(my + (float64(y)-float64(e.CanvasH)/2)/scale)
 	}
+	e.Stripes.Wait() // for the frame HandOff allocates
 	e.avg = e.acc.AddResampledInto(e.avg, roi, e.xs, e.ys, e.Stripes)
 	cycles := e.Params.pixCost(e.CanvasW*e.CanvasH, accumPerPixel)
 	return e.avg, e.Params.cost(cycles)
@@ -89,12 +105,18 @@ func NewZoomer(outW, outH int, p CostParams) *Zoomer {
 	return &Zoomer{OutW: outW, OutH: outH, Params: p}
 }
 
-// Run bilinearly scales the enhanced view to the output window.
+// Run bilinearly scales the enhanced view to the output window. At the
+// view's own size that is the identity, and the output is enhanced itself:
+// a caller that keeps it takes it from the Enhancer (HandOff) instead of
+// copying it. The cost is charged either way.
 func (z *Zoomer) Run(enhanced *frame.Frame) (*frame.Frame, platform.Cost) {
 	if enhanced == nil || enhanced.Pixels() == 0 {
 		return nil, z.Params.cost(0)
 	}
-	out := frame.Resize(enhanced, z.OutW, z.OutH)
+	out := enhanced
+	if enhanced.Width() != z.OutW || enhanced.Height() != z.OutH {
+		out = frame.Resize(enhanced, z.OutW, z.OutH)
+	}
 	cycles := z.Params.pixCost(z.OutW*z.OutH, zoomPerPixel)
 	return out, z.Params.cost(cycles)
 }

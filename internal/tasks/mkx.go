@@ -30,7 +30,20 @@ type MarkerExtractor struct {
 	UseOtsu bool
 
 	Params CostParams
+
+	// The component, flood-fill and candidate buffers, reused across Runs.
+	comps []frame.Component
+	stack [][2]int
+	cands byScore
 }
+
+// byScore orders candidates best score first. The methods take a pointer, so
+// passing &m.cands to sort.Sort boxes nothing.
+type byScore []Marker
+
+func (c *byScore) Len() int           { return len(*c) }
+func (c *byScore) Less(i, j int) bool { return (*c)[i].Score > (*c)[j].Score }
+func (c *byScore) Swap(i, j int)      { (*c)[i], (*c)[j] = (*c)[j], (*c)[i] }
 
 // NewMarkerExtractor returns an extractor tuned for the synthetic markers.
 func NewMarkerExtractor(p CostParams) *MarkerExtractor {
@@ -46,7 +59,8 @@ func NewMarkerExtractor(p CostParams) *MarkerExtractor {
 
 // Run extracts candidate markers from in. ridge may be nil (RDG switched
 // off). The returned cost covers the threshold sweep, the labeling pass and
-// the per-component scoring — the last part is the data-dependent load.
+// the per-component scoring — the last part is the data-dependent load. The
+// returned slice is the extractor's own: it stays valid until the next Run.
 func (m *MarkerExtractor) Run(in *frame.Frame, ridge *RidgeResult) ([]Marker, platform.Cost) {
 	pixels := in.Pixels()
 	if pixels == 0 {
@@ -108,8 +122,8 @@ func (m *MarkerExtractor) Run(in *frame.Frame, ridge *RidgeResult) ([]Marker, pl
 		}
 	}
 
-	comps := frame.LabelComponents(mask, small, m.MinBlob)
-	var cands []Marker
+	m.comps, m.stack = frame.LabelComponents(m.comps[:0], m.stack, mask, small, m.MinBlob)
+	comps, cands := m.comps, m.cands[:0]
 	for _, c := range comps {
 		if c.Size > m.MaxBlob || c.Compact < m.MinCompact {
 			continue
@@ -133,7 +147,8 @@ func (m *MarkerExtractor) Run(in *frame.Frame, ridge *RidgeResult) ([]Marker, pl
 			Score: darkness * c.Compact,
 		})
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
+	m.cands = cands
+	sort.Sort(&m.cands)
 	if len(cands) > m.MaxCandidates {
 		cands = cands[:m.MaxCandidates]
 	}
@@ -141,7 +156,7 @@ func (m *MarkerExtractor) Run(in *frame.Frame, ridge *RidgeResult) ([]Marker, pl
 	cycles := m.Params.pixCost(w*h, thresholdPerPixel) +
 		m.Params.pixCost(w*h, ccPerPixel) +
 		float64(len(comps))*scorePerComponent
-	return cands, m.Params.cost(cycles)
+	return []Marker(cands), m.Params.cost(cycles)
 }
 
 // ridgeOverlap returns the fraction of a component's dark pixels (sampled

@@ -500,7 +500,8 @@ func floatMaskCandidates(m *MarkerExtractor, in *frame.Frame, ridge *RidgeResult
 		}
 	}
 	var cands []Marker
-	for _, c := range frame.LabelComponents(mask, small, m.MinBlob) {
+	comps, _ := frame.LabelComponents(nil, nil, mask, small, m.MinBlob)
+	for _, c := range comps {
 		if c.Size > m.MaxBlob || c.Compact < m.MinCompact {
 			continue
 		}

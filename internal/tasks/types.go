@@ -87,7 +87,6 @@ func (m Marker) String() string {
 type Couple struct {
 	A, B    Marker
 	Spacing float64 // |A-B|
-	Score   float64 // pairing quality; larger is better
 }
 
 // Mid returns the couple's midpoint.
