@@ -17,14 +17,12 @@ import (
 	"sync"
 	"testing"
 
-	"triplec/internal/bandwidth"
 	"triplec/internal/core"
 	"triplec/internal/ewma"
 	"triplec/internal/experiments"
 	"triplec/internal/flowgraph"
 	"triplec/internal/frame"
 	"triplec/internal/markov"
-	"triplec/internal/memmodel"
 	"triplec/internal/parallel"
 	"triplec/internal/platform"
 	"triplec/internal/sched"
@@ -99,7 +97,7 @@ func setup(b *testing.B) {
 // BenchmarkTable1MemoryRequirements regenerates Table 1.
 func BenchmarkTable1MemoryRequirements(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := memmodel.Table(memmodel.PaperFrameKB); err != nil {
+		if _, err := flowgraph.Table(flowgraph.PaperFrameKB); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -111,7 +109,7 @@ func BenchmarkFig2InterTaskBandwidth(b *testing.B) {
 	var total float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		total, err = flowgraph.WorstCase().TotalMBs(memmodel.PaperFrameKB, 30)
+		total, err = flowgraph.WorstCase().TotalMBs(flowgraph.PaperFrameKB, 30)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +148,7 @@ func BenchmarkFig5IntraTaskBandwidth(b *testing.B) {
 	var kb int
 	for i := 0; i < b.N; i++ {
 		var err error
-		kb, err = bandwidth.IntraTaskKB(tasks.NameRDGFull, true, memmodel.PaperFrameKB, 4096)
+		kb, err = flowgraph.IntraTaskKB(tasks.NameRDGFull, true, flowgraph.PaperFrameKB, 4096)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +161,7 @@ func BenchmarkFig5IntraTaskBandwidth(b *testing.B) {
 func BenchmarkFig5SimulatedTraffic(b *testing.B) {
 	cfg := platform.Blackford().L2
 	for i := 0; i < b.N; i++ {
-		if _, err := bandwidth.MeasureIntraTaskKB(tasks.NameRDGFull, true, memmodel.PaperFrameKB, cfg); err != nil {
+		if _, err := flowgraph.MeasureIntraTaskKB(tasks.NameRDGFull, true, flowgraph.PaperFrameKB, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,22 +4,21 @@
 //
 // Usage:
 //
-//	flowgraph [-scenario 0..7] [-framekb n] [-rate hz]
+//	flowgraph [-scenario -1..7] [-framekb n] [-rate hz] [-cachekb n] [-dot]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
-	"triplec/internal/bandwidth"
 	"triplec/internal/flowgraph"
-	"triplec/internal/memmodel"
 )
 
 func main() {
 	scenario := flag.Int("scenario", flowgraph.WorstCase().Index(), "scenario index 0..7 (-1 for all)")
-	frameKB := flag.Int("framekb", memmodel.PaperFrameKB, "frame buffer size in KB")
+	frameKB := flag.Int("framekb", flowgraph.PaperFrameKB, "frame buffer size in KB")
 	rate := flag.Float64("rate", 30, "frame rate in Hz")
 	cacheKB := flag.Int("cachekb", 4096, "L2 capacity in KB for the intra-task analysis")
 	dot := flag.Bool("dot", false, "emit Graphviz DOT instead of the text rendering")
@@ -39,7 +38,7 @@ func main() {
 			return err
 		}
 		fmt.Print(out)
-		an, err := bandwidth.Analyze(s, *frameKB, *cacheKB, *rate)
+		an, err := flowgraph.Analyze(s, *frameKB, *cacheKB, *rate)
 		if err != nil {
 			return err
 		}
@@ -48,16 +47,24 @@ func main() {
 		return nil
 	}
 
+	// Check every flag before anything is printed.
 	var err error
-	if *scenario < 0 {
+	switch {
+	case *scenario > 7:
+		err = fmt.Errorf("scenario index %d out of range 0..7", *scenario)
+	case *frameKB <= 0:
+		err = fmt.Errorf("-framekb %d: the frame size must be positive", *frameKB)
+	case *cacheKB <= 0:
+		err = fmt.Errorf("-cachekb %d: the L2 capacity must be positive", *cacheKB)
+	case !(*rate > 0) || math.IsInf(*rate, 1):
+		err = fmt.Errorf("-rate %v: the frame rate must be positive and finite", *rate)
+	case *scenario < 0:
 		for _, s := range flowgraph.AllScenarios() {
 			if err = render(s); err != nil {
 				break
 			}
 		}
-	} else if *scenario > 7 {
-		err = fmt.Errorf("scenario index %d out of range 0..7", *scenario)
-	} else {
+	default:
 		err = render(flowgraph.FromIndex(*scenario))
 	}
 	if err != nil {

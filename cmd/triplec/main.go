@@ -45,7 +45,7 @@
 // the serial and software-pipelined paths (internal/bench) and writes the
 // machine-readable trajectory point BENCH_6.json: per-scenario fps, p50/p99
 // modeled latency, measured pipelining speedup and the analytical
-// estimator's prediction (internal/speedup). It exits non-zero on schema
+// estimator's prediction (internal/mapping). It exits non-zero on schema
 // or speedup-floor violations, making it the CI perf-regression gate.
 //
 // The shadow subcommand runs the offline predictor bake-off: the deployed

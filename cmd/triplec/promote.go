@@ -7,15 +7,17 @@ import (
 	"io"
 	"os"
 
+	"triplec/internal/experiments"
 	"triplec/internal/fault"
 	"triplec/internal/promote"
 )
 
 // runPromote implements the `triplec promote` subcommand: a deterministic
 // replay of the guarded predictor-promotion state machine (internal/promote)
-// over a synthetic fleet. The transition log streams to stdout as it
-// happens; two runs with the same flags produce byte-identical logs, which
-// is what the CI promote-smoke job asserts with a double-run compare.
+// over a synthetic fleet (experiments.ReplayPromote). The transition log
+// streams to stdout as it happens; two runs with the same flags produce
+// byte-identical logs, which is what the CI promote-smoke job asserts with
+// a double-run compare.
 // -challenger miscal appends a deliberately miscalibrated challenger and
 // promotes it — the forced-rollback drill — and -expect turns the final
 // state into the exit code.
@@ -56,7 +58,7 @@ func runPromote(args []string) error {
 		}
 	}
 
-	cfg := promote.ReplayConfig{
+	cfg := experiments.PromoteReplayConfig{
 		Streams:  *streams,
 		Frames:   *frames,
 		Seed:     *seed,
@@ -96,7 +98,7 @@ func runPromote(args []string) error {
 		outFile = f
 		logW = io.MultiWriter(logW, f)
 	}
-	res, _, err := promote.Replay(cfg, logW)
+	res, _, err := experiments.ReplayPromote(cfg, logW)
 	if outFile != nil {
 		if cerr := outFile.Close(); err == nil {
 			err = cerr

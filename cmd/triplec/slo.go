@@ -7,14 +7,15 @@ import (
 	"io"
 	"os"
 
+	"triplec/internal/experiments"
 	"triplec/internal/slo"
 )
 
 // runSlo implements the `triplec slo` subcommand: a deterministic replay
 // of the frame-latency cause ledger and the multi-window burn-rate engine
-// (internal/slo) over a seeded synthetic fleet. Two runs with the same
-// flags produce byte-identical JSON reports, which is what the CI
-// slo-smoke job asserts with a double-run compare. -spike overlays a
+// (internal/slo) over a seeded synthetic fleet (experiments.ReplaySLO). Two
+// runs with the same flags produce byte-identical JSON reports, which is
+// what the CI slo-smoke job asserts with a double-run compare. -spike overlays a
 // deterministic fault-latency window onto every stream — the fast-burn
 // page drill — and -expect-page turns "the page fired and cleared" into
 // the exit code.
@@ -44,7 +45,7 @@ func runSlo(args []string) error {
 		return err
 	}
 
-	cfg := slo.ReplayConfig{
+	cfg := experiments.SLOReplayConfig{
 		Streams:  *streams,
 		Frames:   *frames,
 		Seed:     *seed,
@@ -60,7 +61,7 @@ func runSlo(args []string) error {
 		SpikeProb: *spikeProb,
 		SpikeMs:   *spikeMs,
 	}
-	res, _, err := slo.Replay(cfg)
+	res, _, err := experiments.ReplaySLO(cfg)
 	if err != nil {
 		return err
 	}
@@ -87,13 +88,13 @@ func runSlo(args []string) error {
 	} else {
 		printSloReport(os.Stdout, res)
 	}
-	return slo.Check(res, *expectPage)
+	return experiments.CheckSLOReplay(res, *expectPage)
 }
 
 // writeSloJSON renders the report deterministically: a plain indented
 // encoder over the already-quantized snapshot, so same-flag runs emit
 // byte-identical documents.
-func writeSloJSON(w io.Writer, res *slo.ReplayResult) error {
+func writeSloJSON(w io.Writer, res *experiments.SLOReplayResult) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(res)
@@ -102,7 +103,7 @@ func writeSloJSON(w io.Writer, res *slo.ReplayResult) error {
 // printSloReport renders the human-readable summary: serving counts, the
 // decomposition-exactness witness, per-SLO burn state and the fleet cause
 // ledger.
-func printSloReport(w io.Writer, res *slo.ReplayResult) {
+func printSloReport(w io.Writer, res *experiments.SLOReplayResult) {
 	fmt.Fprintf(w, "replayed %d streams x %d frames (seed %d): processed=%d failed=%d misses=%d\n",
 		res.Streams, res.Frames, res.Seed, res.Processed, res.Failed, res.Misses)
 	fmt.Fprintf(w, "cause decomposition max error: %.3g ms (exact to 1e-6 required)\n", res.MaxSumErrMs)

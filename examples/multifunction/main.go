@@ -14,11 +14,8 @@ import (
 	"fmt"
 	"log"
 
-	"triplec/internal/bandwidth"
 	"triplec/internal/experiments"
 	"triplec/internal/flowgraph"
-	"triplec/internal/memmodel"
-	"triplec/internal/qos"
 	"triplec/internal/sched"
 	"triplec/internal/stats"
 )
@@ -50,7 +47,7 @@ func main() {
 
 	for i, app := range apps {
 		r := res.PerApp[i]
-		gap, err := qos.WorstVsAverage(r.Output)
+		gap, err := sched.WorstVsAverage(r.Output)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -81,12 +78,12 @@ func main() {
 	fmt.Printf("\nframe %d across the shared 8-core machine:\n%s", mid, tlA.Render(64))
 
 	// Bandwidth side: how many instances does the 29 GB/s memory sustain?
-	an, err := bandwidth.Analyze(flowgraph.WorstCase(), memmodel.PaperFrameKB,
+	an, err := flowgraph.Analyze(flowgraph.WorstCase(), flowgraph.PaperFrameKB,
 		study.Arch.L2.SizeBytes/1024, 30)
 	if err != nil {
 		log.Fatal(err)
 	}
-	n, err := bandwidth.MaxConcurrentInstances(an, study.Arch.MemBWGBs)
+	n, err := flowgraph.MaxConcurrentInstances(an, study.Arch.MemBWGBs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"triplec/internal/experiments"
 	"triplec/internal/flowgraph"
 	"triplec/internal/parallel"
-	"triplec/internal/qos"
 	"triplec/internal/sched"
 	"triplec/internal/tasks"
 )
@@ -62,7 +61,7 @@ func TestEndToEndDeploymentFlow(t *testing.T) {
 	}
 
 	// 4. The regulated output must be stable and the mappings valid.
-	gap, err := qos.WorstVsAverage(res.Output)
+	gap, err := sched.WorstVsAverage(res.Output)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ import (
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/sched"
-	"triplec/internal/speedup"
 	"triplec/internal/stats"
 	"triplec/internal/synth"
 )
@@ -316,8 +315,8 @@ func runStream(sc Scenario, src func(int) *frame.Frame, frames int, plan sched.S
 		if err != nil {
 			return streamRun{}, err
 		}
-		tl := speedup.MeasureTimeline(reps)
-		est, err := speedup.Predict(reps, arch)
+		tl := mapping.MeasureTimeline(reps)
+		est, err := mapping.Predict(reps, arch)
 		if err != nil {
 			return streamRun{}, err
 		}
@@ -331,7 +330,7 @@ func runStream(sc Scenario, src func(int) *frame.Frame, frames int, plan sched.S
 		if err != nil {
 			return streamRun{}, err
 		}
-		tl := speedup.MeasureTimeline(reps)
+		tl := mapping.MeasureTimeline(reps)
 		run = streamRun{reports: reps, servedMs: tl.SerialMs, effMs: tl.SerialMs, predEffMs: tl.SerialMs}
 	}
 	run.digest = dig.h
@@ -449,7 +448,7 @@ func runScenario(sc Scenario, seedBase uint64, frames int, mode string) (Scenari
 		if err != nil {
 			return ScenarioResult{}, err
 		}
-		serialMs := speedup.MeasureTimeline(reps).SerialMs
+		serialMs := mapping.MeasureTimeline(reps).SerialMs
 		baselines[s] = streamRun{
 			reports: reps, servedMs: serialMs, effMs: serialMs, predEffMs: serialMs,
 			digest: dig.h,

@@ -8,7 +8,6 @@ import (
 
 	"triplec/internal/ewma"
 	"triplec/internal/flowgraph"
-	"triplec/internal/memmodel"
 	"triplec/internal/pipeline"
 	"triplec/internal/stats"
 	"triplec/internal/tasks"
@@ -610,7 +609,7 @@ func (p *Predictor) PredictResources(frameKB int, rate float64) (ResourcePredict
 		MemoryKB:   map[tasks.Name]int{},
 	}
 	for _, task := range base.Scenario.ActiveTasks() {
-		req, err := memmodel.Lookup(task, base.Scenario.RDGOn, frameKB)
+		req, err := flowgraph.Lookup(task, base.Scenario.RDGOn, frameKB)
 		if err != nil {
 			return ResourcePrediction{}, err
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"triplec/internal/core"
-	"triplec/internal/qos"
 	"triplec/internal/sched"
 	"triplec/internal/stats"
 )
@@ -89,7 +88,7 @@ func MultiApp(w io.Writer, study Study) error {
 
 	for i, name := range []string{appA.Name, appB.Name} {
 		r := res.PerApp[i]
-		gap, err := qos.WorstVsAverage(r.Output)
+		gap, err := sched.WorstVsAverage(r.Output)
 		if err != nil {
 			return err
 		}

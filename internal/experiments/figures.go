@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"triplec/internal/bandwidth"
 	"triplec/internal/ewma"
 	"triplec/internal/flowgraph"
 	"triplec/internal/frame"
-	"triplec/internal/memmodel"
 	"triplec/internal/platform"
-	"triplec/internal/qos"
 	"triplec/internal/sched"
 	"triplec/internal/stats"
 	"triplec/internal/synth"
@@ -21,18 +18,18 @@ import (
 // (paper Fig. 2): every scenario's edges at the 1024x1024 / 30 Hz geometry.
 func Fig2(w io.Writer) error {
 	header(w, "Fig. 2", "flow graph and inter-task bandwidth (MB/s)")
-	out, err := flowgraph.WorstCase().Render(memmodel.PaperFrameKB, 30)
+	out, err := flowgraph.WorstCase().Render(flowgraph.PaperFrameKB, 30)
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(w, out)
 	fmt.Fprintln(w, "\nper-scenario total inter-task bandwidth:")
-	sorted, err := flowgraph.SortedByBandwidth(memmodel.PaperFrameKB, 30)
+	sorted, err := flowgraph.SortedByBandwidth(flowgraph.PaperFrameKB, 30)
 	if err != nil {
 		return err
 	}
 	for _, s := range sorted {
-		total, err := s.TotalMBs(memmodel.PaperFrameKB, 30)
+		total, err := s.TotalMBs(flowgraph.PaperFrameKB, 30)
 		if err != nil {
 			return err
 		}
@@ -103,7 +100,7 @@ func Fig3(w io.Writer, study Study, frames int) error {
 // Table1 reproduces the per-task memory requirements (paper Table 1).
 func Table1(w io.Writer) error {
 	header(w, "Table 1", "memory requirements per task (KB), 1024x1024 x 2 B/px")
-	rows, err := memmodel.Table(memmodel.PaperFrameKB)
+	rows, err := flowgraph.Table(flowgraph.PaperFrameKB)
 	if err != nil {
 		return err
 	}
@@ -133,14 +130,14 @@ func Fig4(w io.Writer, arch platform.Arch) error {
 // limited cache-memory storage (paper Fig. 5).
 func Fig5(w io.Writer, arch platform.Arch) error {
 	header(w, "Fig. 5", "RDG FULL intra-task bandwidth (space-time buffer occupation)")
-	out, err := bandwidth.Fig5Report(memmodel.PaperFrameKB, arch.L2.SizeBytes/1024, 30)
+	out, err := flowgraph.Fig5Report(flowgraph.PaperFrameKB, arch.L2.SizeBytes/1024, 30)
 	if err != nil {
 		return err
 	}
 	fmt.Fprint(w, out)
 	fmt.Fprintln(w, "\nintra-task traffic of all overflowing tasks (KB/frame):")
 	for _, task := range []tasks.Name{tasks.NameRDGFull, tasks.NameRDGROI, tasks.NameMKXExt, tasks.NameENH, tasks.NameZOOM} {
-		kb, err := bandwidth.IntraTaskKB(task, true, memmodel.PaperFrameKB, arch.L2.SizeBytes/1024)
+		kb, err := flowgraph.IntraTaskKB(task, true, flowgraph.PaperFrameKB, arch.L2.SizeBytes/1024)
 		if err != nil {
 			return err
 		}
@@ -288,7 +285,7 @@ func Fig7(w io.Writer, study Study, frames int) error {
 		{"straightforward", straight},
 		{"managed output", managed.Output},
 	} {
-		pr, err := qos.ProfileOf(row.series)
+		pr, err := sched.ProfileOf(row.series)
 		if err != nil {
 			return err
 		}
@@ -344,11 +341,11 @@ func AccuracyReport(w io.Writer, study Study) error {
 	cacheCfg := study.Arch.L2
 	totalAcc, n := 0.0, 0
 	for _, task := range []tasks.Name{tasks.NameRDGFull, tasks.NameMKXExt, tasks.NameENH, tasks.NameZOOM} {
-		predicted, err := bandwidth.IntraTaskKB(task, true, memmodel.PaperFrameKB, cacheCfg.SizeBytes/1024)
+		predicted, err := flowgraph.IntraTaskKB(task, true, flowgraph.PaperFrameKB, cacheCfg.SizeBytes/1024)
 		if err != nil {
 			return err
 		}
-		measured, err := bandwidth.MeasureIntraTaskKB(task, true, memmodel.PaperFrameKB, cacheCfg)
+		measured, err := flowgraph.MeasureIntraTaskKB(task, true, flowgraph.PaperFrameKB, cacheCfg)
 		if err != nil {
 			return err
 		}

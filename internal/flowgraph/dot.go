@@ -11,7 +11,7 @@ import (
 // `dot -Tpng`. Switch-skipped tasks are omitted, like the paper draws the
 // active path.
 func (s Scenario) DOT(frameKB int, rate float64) (string, error) {
-	edges, err := s.Edges(frameKB)
+	edges, err := s.ratedEdges(frameKB, rate)
 	if err != nil {
 		return "", err
 	}

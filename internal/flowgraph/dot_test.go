@@ -3,12 +3,10 @@ package flowgraph
 import (
 	"strings"
 	"testing"
-
-	"triplec/internal/memmodel"
 )
 
 func TestDOTWorstCase(t *testing.T) {
-	out, err := WorstCase().DOT(memmodel.PaperFrameKB, 30)
+	out, err := WorstCase().DOT(PaperFrameKB, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +23,7 @@ func TestDOTWorstCase(t *testing.T) {
 }
 
 func TestDOTBestCaseOmitsSkippedTasks(t *testing.T) {
-	out, err := BestCase().DOT(memmodel.PaperFrameKB, 30)
+	out, err := BestCase().DOT(PaperFrameKB, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +42,7 @@ func TestDOTInvalidFrame(t *testing.T) {
 
 func TestDOTBalancedBraces(t *testing.T) {
 	for _, s := range AllScenarios() {
-		out, err := s.DOT(memmodel.PaperFrameKB, 30)
+		out, err := s.DOT(PaperFrameKB, 30)
 		if err != nil {
 			t.Fatal(err)
 		}

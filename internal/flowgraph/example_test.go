@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"triplec/internal/flowgraph"
-	"triplec/internal/memmodel"
 )
 
 // ExampleScenario_Edges reproduces two of the paper's Fig. 2 bandwidth
 // labels.
 func ExampleScenario_Edges() {
-	edges, err := flowgraph.WorstCase().Edges(memmodel.PaperFrameKB)
+	edges, err := flowgraph.WorstCase().Edges(flowgraph.PaperFrameKB)
 	if err != nil {
 		panic(err)
 	}

@@ -3,14 +3,18 @@
 // data-dependent switches and the resulting eight application scenarios,
 // together with the inter-task communication bandwidth annotated on the
 // graph's edges (derived from the Table 1 buffer sizes at the frame rate).
+// It holds the application's whole resource demand: Table 1 itself
+// (memmodel.go), the inter- and intra-task bandwidth analysis of Fig. 2 and
+// Fig. 5 (bandwidth.go), and the pipeline stage split (stages.go). The
+// machine the demand runs on is internal/platform.
 package flowgraph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
-	"triplec/internal/memmodel"
 	"triplec/internal/tasks"
 )
 
@@ -107,14 +111,14 @@ func (s Scenario) Edges(frameKB int) ([]Edge, error) {
 	if frameKB <= 0 {
 		return nil, fmt.Errorf("flowgraph: frameKB must be positive")
 	}
-	mkx, err := memmodel.Lookup(tasks.NameMKXExt, s.RDGOn, frameKB)
+	mkx, err := Lookup(tasks.NameMKXExt, s.RDGOn, frameKB)
 	if err != nil {
 		return nil, err
 	}
 	var edges []Edge
 	if s.RDGOn {
 		rdgName := s.RDGTask()
-		rdg, err := memmodel.Lookup(rdgName, true, frameKB)
+		rdg, err := Lookup(rdgName, true, frameKB)
 		if err != nil {
 			return nil, err
 		}
@@ -132,11 +136,11 @@ func (s Scenario) Edges(frameKB int) ([]Edge, error) {
 		Edge{tasks.NameCPLSSel, tasks.NameREG, feature},
 	)
 	if s.RegSuccess {
-		enh, err := memmodel.Lookup(tasks.NameENH, false, frameKB)
+		enh, err := Lookup(tasks.NameENH, false, frameKB)
 		if err != nil {
 			return nil, err
 		}
-		zoom, err := memmodel.Lookup(tasks.NameZOOM, false, frameKB)
+		zoom, err := Lookup(tasks.NameZOOM, false, frameKB)
 		if err != nil {
 			return nil, err
 		}
@@ -151,6 +155,24 @@ func (s Scenario) Edges(frameKB int) ([]Edge, error) {
 	return edges, nil
 }
 
+// ratedEdges is Edges for bandwidths at rate Hz, the path TotalMBs, Render
+// and DOT share.
+func (s Scenario) ratedEdges(frameKB int, rate float64) ([]Edge, error) {
+	if err := checkRate(rate); err != nil {
+		return nil, err
+	}
+	return s.Edges(frameKB)
+}
+
+// checkRate rejects a frame rate no bandwidth exists at: zero, negative,
+// NaN or infinite.
+func checkRate(rate float64) error {
+	if !(rate > 0) || math.IsInf(rate, 1) {
+		return fmt.Errorf("flowgraph: rate must be positive and finite, got %v", rate)
+	}
+	return nil
+}
+
 // featureKB is the size of the feature-data packets (candidate lists, couple
 // descriptors) flowing between the analysis tasks: 512 KB at the paper's
 // geometry (the 15 MB/s labels of Fig. 2), scaling with the frame size.
@@ -159,7 +181,7 @@ func featureKB(frameKB int) int { return frameKB / 4 }
 // TotalMBs returns the summed inter-task bandwidth of the scenario at the
 // given frame size and rate.
 func (s Scenario) TotalMBs(frameKB int, rate float64) (float64, error) {
-	edges, err := s.Edges(frameKB)
+	edges, err := s.ratedEdges(frameKB, rate)
 	if err != nil {
 		return 0, err
 	}
@@ -173,7 +195,7 @@ func (s Scenario) TotalMBs(frameKB int, rate float64) (float64, error) {
 // Render draws the scenario's graph as text with Fig. 2-style bandwidth
 // labels.
 func (s Scenario) Render(frameKB int, rate float64) (string, error) {
-	edges, err := s.Edges(frameKB)
+	edges, err := s.ratedEdges(frameKB, rate)
 	if err != nil {
 		return "", err
 	}

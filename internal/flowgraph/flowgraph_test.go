@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"triplec/internal/memmodel"
 	"triplec/internal/tasks"
 )
 
@@ -80,7 +79,7 @@ func TestRDGTaskVariant(t *testing.T) {
 // geometry: 60, 150, 75, 15, 30, 120 MB/s.
 func TestFig2Labels(t *testing.T) {
 	s := WorstCase()
-	edges, err := s.Edges(memmodel.PaperFrameKB)
+	edges, err := s.Edges(PaperFrameKB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +114,7 @@ func TestFig2Labels(t *testing.T) {
 
 func TestRDGOffUsesSmallMKXInput(t *testing.T) {
 	s := Scenario{} // RDG off
-	edges, err := s.Edges(memmodel.PaperFrameKB)
+	edges, err := s.Edges(PaperFrameKB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestRDGOffUsesSmallMKXInput(t *testing.T) {
 }
 
 func TestWorstCaseHasHighestBandwidth(t *testing.T) {
-	sorted, err := SortedByBandwidth(memmodel.PaperFrameKB, 30)
+	sorted, err := SortedByBandwidth(PaperFrameKB, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +143,11 @@ func TestWorstCaseHasHighestBandwidth(t *testing.T) {
 }
 
 func TestBestCaseMuchCheaperThanWorst(t *testing.T) {
-	worst, err := WorstCase().TotalMBs(memmodel.PaperFrameKB, 30)
+	worst, err := WorstCase().TotalMBs(PaperFrameKB, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := BestCase().TotalMBs(memmodel.PaperFrameKB, 30)
+	best, err := BestCase().TotalMBs(PaperFrameKB, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestEdgesInvalidFrame(t *testing.T) {
 }
 
 func TestValidateAllScenarios(t *testing.T) {
-	if err := Validate(memmodel.PaperFrameKB); err != nil {
+	if err := Validate(PaperFrameKB); err != nil {
 		t.Fatal(err)
 	}
 	if err := Validate(32); err != nil { // tiny geometry must also hold
@@ -173,7 +172,7 @@ func TestValidateAllScenarios(t *testing.T) {
 }
 
 func TestRenderContainsLabels(t *testing.T) {
-	out, err := WorstCase().Render(memmodel.PaperFrameKB, 30)
+	out, err := WorstCase().Render(PaperFrameKB, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +193,8 @@ func TestScenarioString(t *testing.T) {
 func TestROIScenarioSameEdgeSizes(t *testing.T) {
 	// Table 1: RDG ROI has the same input/output sizes as RDG FULL, so the
 	// inter-task bandwidth labels match; only the intermediate differs.
-	full, _ := Scenario{RDGOn: true}.Edges(memmodel.PaperFrameKB)
-	roi, _ := Scenario{RDGOn: true, ROIKnown: true}.Edges(memmodel.PaperFrameKB)
+	full, _ := Scenario{RDGOn: true}.Edges(PaperFrameKB)
+	roi, _ := Scenario{RDGOn: true, ROIKnown: true}.Edges(PaperFrameKB)
 	if len(full) != len(roi) {
 		t.Fatalf("edge count differs: %d vs %d", len(full), len(roi))
 	}

@@ -4,7 +4,7 @@ import "triplec/internal/tasks"
 
 // This file partitions the flow graph into the two software-pipeline stages
 // used by the multi-frame executor (pipeline.Pipelined) and the speedup
-// estimator (internal/speedup): frame k's *back* stage may overlap frame
+// estimator (mapping.Predict): frame k's *back* stage may overlap frame
 // k+1's *front* stage, bounded by the temporal dependency edges between
 // consecutive frames.
 //

@@ -2,14 +2,15 @@
 // each stream it enumerates interval mappings of the flow-graph stages onto
 // the stream's core allocation, scores every candidate with the scenario-
 // conditioned demand model (per-task machine-model stage times, the memory
-// roofline of internal/speedup, and a communication term for the stage
-// handoff), keeps the Pareto front over (latency, period), and picks one
-// point off the front with scenario-pressure-adaptive weights. A dynamic
-// program then divides the machine across streams by the same weighted
-// objective. The shape follows "Bi-criteria Pipeline Mappings for Parallel
+// roofline of the speedup estimator in speedup.go, and a communication term
+// for the stage handoff), keeps the Pareto front over (latency, period), and
+// picks one point off the front with scenario-pressure-adaptive weights. A
+// dynamic program then divides the machine across streams by the same
+// weighted objective. The shape follows "Bi-criteria Pipeline Mappings for Parallel
 // Image Processing" (Benoit et al.): interval mappings, latency/period
 // bi-criteria, and the observation that proportional scalar splits ignore
-// the graph structure the criteria depend on.
+// the graph structure the criteria depend on. The analytical pipelining
+// speedup estimator the roofline comes from is in speedup.go.
 package mapping
 
 import (
@@ -20,7 +21,6 @@ import (
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/sched"
-	"triplec/internal/speedup"
 	"triplec/internal/tasks"
 )
 
@@ -116,7 +116,7 @@ func (ev *evaluator) fill(t *stageTables, prof *pipeline.CostProfile, frameKB in
 		if frameKB > 0 {
 			for s := range ev.cutAllMs {
 				if cutKB, err := flowgraph.FromIndex(s).CutKB(frameKB); err == nil {
-					ev.cutAllMs[s] = speedup.RooflineMs(float64(cutKB)*1024, t.arch)
+					ev.cutAllMs[s] = RooflineMs(float64(cutKB)*1024, t.arch)
 				}
 			}
 		}
@@ -154,7 +154,7 @@ func (ev *evaluator) fill(t *stageTables, prof *pipeline.CostProfile, frameKB in
 				stage[k] += ms
 			}
 		}
-		ev.memMs[s] = speedup.RooflineMs(traffic, t.arch)
+		ev.memMs[s] = RooflineMs(traffic, t.arch)
 	}
 	ev.serial = ev.Evaluate(sched.StreamPlan{Cores: 1})
 }

@@ -10,7 +10,6 @@ import (
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/sched"
-	"triplec/internal/speedup"
 	"triplec/internal/tasks"
 )
 
@@ -39,10 +38,10 @@ func newOracleEvaluator(machine *platform.Machine, prof *pipeline.CostProfile, f
 		for ti := range prof.Cost[s] {
 			traffic += prof.Cost[s][ti].MemBytes
 		}
-		ev.memMs[s] = speedup.RooflineMs(traffic, ev.arch)
+		ev.memMs[s] = RooflineMs(traffic, ev.arch)
 		if frameKB > 0 {
 			if cutKB, err := flowgraph.FromIndex(s).CutKB(frameKB); err == nil {
-				ev.cutMs[s] = speedup.RooflineMs(float64(cutKB)*1024, ev.arch)
+				ev.cutMs[s] = RooflineMs(float64(cutKB)*1024, ev.arch)
 			}
 		}
 	}

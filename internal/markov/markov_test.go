@@ -537,3 +537,187 @@ func TestSnapshotIsACopy(t *testing.T) {
 		t.Fatal("Snapshot must copy")
 	}
 }
+
+func TestEqualWidthQuantizer(t *testing.T) {
+	q, err := NewEqualWidthQuantizer([]float64{0, 1, 2, 3, 4, 10}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.States() != 5 {
+		t.Fatalf("states = %d, want 5", q.States())
+	}
+	// Interval width = 2: values 0..1 state 0, 10 in the last state.
+	if q.State(0) != 0 || q.State(10) != 4 {
+		t.Fatalf("states: %d, %d", q.State(0), q.State(10))
+	}
+	// The skewed sample puts most mass in the low states — the opposite of
+	// equal frequency.
+	counts := make([]int, 5)
+	for _, x := range []float64{0, 1, 2, 3, 4, 10} {
+		counts[q.State(x)]++
+	}
+	if counts[0] < 2 {
+		t.Fatalf("equal width must pile up low samples: %v", counts)
+	}
+}
+
+func TestEqualWidthQuantizerEmptyIntervalRepresentative(t *testing.T) {
+	q, err := NewEqualWidthQuantizer([]float64{0, 10}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Middle intervals have no samples; representatives must still be
+	// meaningful midpoints, monotone across states.
+	prev := math.Inf(-1)
+	for s := 0; s < q.States(); s++ {
+		r := q.Representative(s)
+		if r < prev {
+			t.Fatalf("representatives not monotone at state %d", s)
+		}
+		prev = r
+	}
+}
+
+func TestEqualWidthQuantizerValidation(t *testing.T) {
+	if _, err := NewEqualWidthQuantizer(nil, 3); err == nil {
+		t.Fatal("empty samples accepted")
+	}
+	if _, err := NewEqualWidthQuantizer([]float64{1}, 0); err == nil {
+		t.Fatal("zero states accepted")
+	}
+}
+
+func TestEqualWidthQuantizerConstantSamples(t *testing.T) {
+	q, err := NewEqualWidthQuantizer([]float64{5, 5, 5}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.States() != 1 {
+		t.Fatalf("constant samples must collapse to one state, got %d", q.States())
+	}
+	if q.Representative(0) != 5 {
+		t.Fatalf("representative = %v", q.Representative(0))
+	}
+}
+
+func TestTrainWithQuantizer(t *testing.T) {
+	q, err := NewEqualWidthQuantizer([]float64{0, 1, 8, 9}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := TrainWithQuantizer(q, [][]float64{{0, 1, 8, 9, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < c.States(); i++ {
+		sum := 0.0
+		for j := 0; j < c.States(); j++ {
+			sum += c.P(i, j)
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("row %d sums to %v", i, sum)
+		}
+	}
+}
+
+func TestTrainOrder2Validation(t *testing.T) {
+	if _, err := TrainOrder2(nil, 10); err == nil {
+		t.Fatal("no data accepted")
+	}
+	if _, err := TrainOrder2([][]float64{{1, 2}}, 10); err == nil {
+		t.Fatal("too-short series accepted")
+	}
+}
+
+func TestOrder2DeterministicPattern(t *testing.T) {
+	// The periodic pattern 0,0,9, 0,0,9, ... is ambiguous for an order-1
+	// chain at state 0 (next is 0 or 9 with equal counts) but fully
+	// determined at order 2.
+	var series []float64
+	for i := 0; i < 60; i++ {
+		series = append(series, 0, 0, 9)
+	}
+	c2, err := TrainOrder2([][]float64{series}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After (9, 0) the next is 0; after (0, 0) the next is 9.
+	if got := c2.ExpectedNext(9, 0); math.Abs(got-0) > 0.5 {
+		t.Fatalf("ExpectedNext(9,0) = %v, want ~0", got)
+	}
+	if got := c2.ExpectedNext(0, 0); math.Abs(got-9) > 0.5 {
+		t.Fatalf("ExpectedNext(0,0) = %v, want ~9", got)
+	}
+
+	// The order-1 chain cannot disambiguate: from state 0 the expectation
+	// sits between the two successors.
+	c1, err := Train([][]float64{series}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp1 := c1.ExpectedNext(0)
+	if exp1 < 2 || exp1 > 7 {
+		t.Fatalf("order-1 expectation from 0 = %v, want ambiguous midrange", exp1)
+	}
+}
+
+func TestOrder2SparsityDiagnostics(t *testing.T) {
+	rng := stats.NewRNG(5)
+	series := make([]float64, 300)
+	for i := 1; i < len(series); i++ {
+		series[i] = 0.8*series[i-1] + rng.Norm(0, 1)
+	}
+	c2, err := TrainOrder2([][]float64{series}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2.PairStates() != c2.States()*c2.States() {
+		t.Fatal("PairStates wrong")
+	}
+	// With 300 samples over states^2 pairs, many pairs must be unseen —
+	// the paper's statistical-significance problem.
+	if c2.States() >= 6 && c2.ObservedPairs() >= c2.PairStates() {
+		t.Fatalf("expected sparsity: observed %d of %d pairs", c2.ObservedPairs(), c2.PairStates())
+	}
+}
+
+func TestOrder2UnseenPairFallback(t *testing.T) {
+	series := []float64{0, 0, 9, 0, 0, 9, 0, 0, 9}
+	c2, err := TrainOrder2([][]float64{series}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pair (9, 9) never occurs; the fallback must return a finite value
+	// within the data range.
+	got := c2.ExpectedNext(9, 9)
+	if math.IsNaN(got) || got < 0 || got > 9 {
+		t.Fatalf("fallback ExpectedNext = %v", got)
+	}
+}
+
+// Order-1 vs order-2 on an AR(1): order 2 must not be catastrophically
+// worse despite its sparsity (it degrades gracefully via the fallback).
+func TestOrder2GracefulOnAR1(t *testing.T) {
+	rng := stats.NewRNG(11)
+	series := make([]float64, 4000)
+	for i := 1; i < len(series); i++ {
+		series[i] = 0.85*series[i-1] + rng.Norm(0, 1)
+	}
+	train, test := series[:3000], series[3000:]
+	c1, err := Train([][]float64{train}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := TrainOrder2([][]float64{train}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e1, e2 float64
+	for i := 2; i < len(test); i++ {
+		e1 += math.Abs(c1.ExpectedNext(test[i-1]) - test[i])
+		e2 += math.Abs(c2.ExpectedNext(test[i-2], test[i-1]) - test[i])
+	}
+	if e2 > e1*1.3 {
+		t.Fatalf("order-2 error %v vs order-1 %v: degraded too much", e2, e1)
+	}
+}

@@ -28,7 +28,7 @@ func TestNewRejectsNegativeAndNaNConfig(t *testing.T) {
 	}
 }
 
-// Regression: charge used to discard the bandwidth.IntraTaskKB error, so a
+// Regression: charge used to discard the flowgraph.IntraTaskKB error, so a
 // bad L2 size under-charged memory traffic with no signal. An L2 smaller
 // than 1 KB passes the structural arch validation but truncates to zero
 // capacity in the occupation model, which must now surface per report.

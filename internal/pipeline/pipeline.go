@@ -11,10 +11,8 @@ import (
 	"math"
 	"sync"
 
-	"triplec/internal/bandwidth"
 	"triplec/internal/flowgraph"
 	"triplec/internal/frame"
-	"triplec/internal/memmodel"
 	"triplec/internal/parallel"
 	"triplec/internal/partition"
 	"triplec/internal/platform"
@@ -121,7 +119,7 @@ type Engine struct {
 	cfg     Config
 	machine *platform.Machine
 	params  tasks.CostParams
-	// intra[task][rdgOn] is bandwidth.IntraTaskKB at the modeled geometry —
+	// intra[task][rdgOn] is flowgraph.IntraTaskKB at the modeled geometry —
 	// a constant of the configuration, tabulated at construction: the
 	// external-memory bytes charge adds to the task's cost, or the accounting
 	// error text it reports instead.
@@ -214,7 +212,7 @@ func New(cfg Config) (*Engine, error) {
 	// consistent with the PixelScale cost extrapolation.
 	for ti, name := range tasks.AllNames() {
 		for rdg, rdgOn := range [2]bool{false, true} {
-			kb, err := bandwidth.IntraTaskKB(name, rdgOn, memmodel.PaperFrameKB, cfg.Arch.L2.SizeBytes/1024)
+			kb, err := flowgraph.IntraTaskKB(name, rdgOn, flowgraph.PaperFrameKB, cfg.Arch.L2.SizeBytes/1024)
 			if err != nil {
 				e.intra[ti][rdg].err = fmt.Sprintf("%s: bandwidth accounting: %v", name, err)
 				continue

@@ -3,7 +3,7 @@ package pipeline
 import (
 	"testing"
 
-	"triplec/internal/bandwidth"
+	"triplec/internal/flowgraph"
 	"triplec/internal/frame"
 	"triplec/internal/partition"
 	"triplec/internal/platform"
@@ -66,7 +66,7 @@ func TestNewValidation(t *testing.T) {
 // whatever size the engine processes.
 func TestDefaults(t *testing.T) {
 	e := newEngine(t)
-	kb, err := bandwidth.IntraTaskKB(tasks.NameRDGFull, true, 2048, e.cfg.Arch.L2.SizeBytes/1024)
+	kb, err := flowgraph.IntraTaskKB(tasks.NameRDGFull, true, 2048, e.cfg.Arch.L2.SizeBytes/1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,22 +9,24 @@
 // external-memory traffic, and the machine converts that into milliseconds,
 // including bandwidth contention between cores. All experiments therefore
 // reproduce bit-identically on any host.
+//
+// The machine's L2 is modeled twice: a set-associative LRU simulator that
+// measures intra-task traffic (cache.go) and the paper's space-time
+// buffer-occupation model that predicts it (occupation.go, Fig. 5).
 package platform
 
 import (
 	"errors"
 	"fmt"
 	"strings"
-
-	"triplec/internal/cache"
 )
 
 // Arch describes the platform's static resources.
 type Arch struct {
 	NumCPUs     int     // processing cores
 	CPUHz       float64 // cycles per second per core
-	L1          cache.Config
-	L2          cache.Config
+	L1          CacheLevel
+	L2          CacheLevel
 	L2SharedBy  int     // cores sharing one L2 (Fig. 4: two)
 	DRAMBytes   int64   // external memory capacity
 	L1BWGBs     float64 // CPU <-> L1 bandwidth, GB/s (Fig. 4: 72)
@@ -42,8 +44,8 @@ func Blackford() Arch {
 	return Arch{
 		NumCPUs:     8,
 		CPUHz:       2.327e9,
-		L1:          cache.Config{SizeBytes: 32 << 10, LineBytes: 64, Assoc: 8},
-		L2:          cache.Config{SizeBytes: 4 << 20, LineBytes: 64, Assoc: 16},
+		L1:          CacheLevel{SizeBytes: 32 << 10, LineBytes: 64, Assoc: 8},
+		L2:          CacheLevel{SizeBytes: 4 << 20, LineBytes: 64, Assoc: 16},
 		L2SharedBy:  2,
 		DRAMBytes:   4 << 30,
 		L1BWGBs:     72,

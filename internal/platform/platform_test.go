@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"triplec/internal/cache"
 )
 
 func TestBlackfordMatchesFig4(t *testing.T) {
@@ -64,13 +62,13 @@ func TestValidateRejectsBadArch(t *testing.T) {
 	}
 
 	a = base
-	a.L1 = cache.Config{SizeBytes: 100, LineBytes: 64}
+	a.L1 = CacheLevel{SizeBytes: 100, LineBytes: 64}
 	if a.Validate() == nil {
 		t.Fatal("invalid L1 accepted")
 	}
 
 	a = base
-	a.L2 = cache.Config{SizeBytes: 100, LineBytes: 64}
+	a.L2 = CacheLevel{SizeBytes: 100, LineBytes: 64}
 	if a.Validate() == nil {
 		t.Fatal("invalid L2 accepted")
 	}

@@ -4,7 +4,8 @@
 // resource consumption of every upcoming frame, repartitions the flow graph
 // on the fly (striping the streaming tasks, splitting the feature tasks
 // functionally) to keep the output latency stable at the budget, and feeds
-// the observed times back for profiling.
+// the observed times back for profiling. The constant-latency output
+// regulator and the jitter metrics of Section 7 are in qos.go.
 package sched
 
 import (
@@ -18,7 +19,6 @@ import (
 	"triplec/internal/partition"
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
-	"triplec/internal/qos"
 	"triplec/internal/tasks"
 )
 
@@ -326,7 +326,7 @@ type Result struct {
 	Decisions  []Decision
 	Processing []float64 // per-frame processing latency
 	Output     []float64 // per-frame output latency after the regulator
-	Regulator  qos.Regulator
+	Regulator  Regulator
 }
 
 // RunManaged executes n frames with per-frame prediction-driven
@@ -361,7 +361,7 @@ func (r *Result) add(dec Decision, rep pipeline.Report) {
 
 // regulate derives the output latency series once the run's budget is final.
 func (r *Result) regulate(budgetMs float64) {
-	r.Regulator = qos.Regulator{BudgetMs: budgetMs}
+	r.Regulator = Regulator{BudgetMs: budgetMs}
 	r.Output = r.Regulator.Regulate(r.Processing)
 }
 
@@ -388,15 +388,15 @@ type CompareFig7 struct {
 // Summarize computes the Fig. 7 comparison numbers from a straightforward
 // latency series and a managed run.
 func Summarize(straight []float64, managed Result) (CompareFig7, error) {
-	sw, err := qos.WorstVsAverage(straight)
+	sw, err := WorstVsAverage(straight)
 	if err != nil {
 		return CompareFig7{}, err
 	}
-	mw, err := qos.WorstVsAverage(managed.Output)
+	mw, err := WorstVsAverage(managed.Output)
 	if err != nil {
 		return CompareFig7{}, err
 	}
-	jr, err := qos.JitterReduction(straight, managed.Output)
+	jr, err := JitterReduction(straight, managed.Output)
 	if err != nil {
 		return CompareFig7{}, err
 	}

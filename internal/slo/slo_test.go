@@ -2,7 +2,6 @@ package slo
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -280,68 +279,5 @@ func TestSlozHandler(t *testing.T) {
 	(*Tracker)(nil).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/sloz", nil))
 	if rec.Code != 404 {
 		t.Fatalf("nil tracker status %d, want 404", rec.Code)
-	}
-}
-
-// TestReplaySpikeDrill: the fault-spike replay must fire the deadline
-// fast-burn page inside the spike window, clear it afterwards, keep the
-// decomposition exact, and be byte-deterministic.
-func TestReplaySpikeDrill(t *testing.T) {
-	cfg := ReplayConfig{Streams: 2, Frames: 200, Spike: true}
-	resA, trk, err := Replay(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Check(resA, true); err != nil {
-		t.Fatal(err)
-	}
-	if resA.FirstPageFrame < 0 {
-		t.Fatal("no deadline page fired")
-	}
-	if !resA.PageCleared {
-		t.Fatal("deadline page did not clear")
-	}
-	if trk.AlertStateOf(SLODeadline) == AlertPage {
-		t.Fatal("tracker still paging after the run")
-	}
-	// The fault cause must own latency during the spike window.
-	var faultMs float64
-	for _, c := range resA.Status.Fleet.Causes {
-		if c.Cause == "fault" {
-			faultMs = c.Ms
-		}
-	}
-	if faultMs <= 0 {
-		t.Fatal("spike drill attributed no latency to the fault cause")
-	}
-
-	resB, _, err := Replay(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := json.Marshal(resA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(resB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("replay reports differ between identical runs")
-	}
-}
-
-// TestReplayClean: a spike-free replay stays ok and still reconciles.
-func TestReplayClean(t *testing.T) {
-	res, _, err := Replay(ReplayConfig{Streams: 2, Frames: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Check(res, false); err != nil {
-		t.Fatal(err)
-	}
-	if res.FirstPageFrame >= 0 {
-		t.Fatalf("clean replay paged at frame %d", res.FirstPageFrame)
 	}
 }

@@ -5,7 +5,7 @@
 // The package is deliberately dependency-free and operates on float64 slices;
 // all higher-level resource series (computation times in milliseconds, cache
 // occupancies in bytes, bandwidths in MB/s) are represented that way before
-// they reach the modeling layers in internal/ewma and internal/markov.
+// they reach the modeling layers in internal/core.
 package stats
 
 import (

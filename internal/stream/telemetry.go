@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"triplec/internal/bandwidth"
 	"triplec/internal/core"
 	"triplec/internal/flowgraph"
-	"triplec/internal/memmodel"
 	"triplec/internal/metrics"
 	"triplec/internal/pipeline"
 	"triplec/internal/sched"
@@ -137,14 +135,14 @@ func newTelemetry(reg *metrics.Registry, sc Config, i int) (*telemetry, error) {
 	cacheKB := sc.Engine.Config().Arch.L2.SizeBytes / 1024
 	for si := 0; si < 8; si++ {
 		s := flowgraph.FromIndex(si)
-		an, err := bandwidth.Analyze(s, memmodel.PaperFrameKB, cacheKB, 30)
+		an, err := flowgraph.Analyze(s, flowgraph.PaperFrameKB, cacheKB, 30)
 		if err != nil {
 			return nil, fmt.Errorf("stream: %s: scenario %s bandwidth table: %w", name, s, err)
 		}
 		t.bwMBs[si] = an.TotalMBs()
 		occ := 0
 		for _, task := range s.ActiveTasks() {
-			req, err := memmodel.Lookup(task, s.RDGOn, memmodel.PaperFrameKB)
+			req, err := flowgraph.Lookup(task, s.RDGOn, flowgraph.PaperFrameKB)
 			if err != nil {
 				return nil, fmt.Errorf("stream: %s: scenario %s cache table: %w", name, s, err)
 			}

@@ -146,6 +146,130 @@ func TestReachFixture(t *testing.T) {
 	}
 }
 
+// importLayers orders the internal packages, lowest layer first: a package
+// may import only packages in strictly lower layers. The three C's have two
+// homes — the application's demand in flowgraph, the machine in platform —
+// because tasks imports platform for its cost type and flowgraph keys
+// Table 1 by task name.
+var importLayers = [][]string{
+	{"metrics", "parallel", "platform", "span", "stats"},
+	{"ewma", "frame", "markov", "trace"},
+	{"synth", "tasks"},
+	{"fault", "flowgraph", "partition"},
+	{"pipeline", "slo"},
+	{"core"},
+	{"sched", "shadow"},
+	{"mapping", "promote"},
+	{"bench", "experiments", "stream"},
+}
+
+// TestImportLayers fails on an internal import that does not point to a
+// strictly lower layer of importLayers, on an internal package the list
+// leaves out and on a listed package that no longer exists.
+func TestImportLayers(t *testing.T) {
+	m := moduleReach(t)
+	if bad := layerFindings(m.internalImports(), importLayers); len(bad) > 0 {
+		t.Errorf("%d import-layer findings; remove the import or move the package in importLayers:\n\t%s",
+			len(bad), strings.Join(bad, "\n\t"))
+	}
+}
+
+// TestImportLayersFixture runs the layer check on a planted graph holding
+// one of each finding it reports, beside imports it accepts.
+func TestImportLayersFixture(t *testing.T) {
+	graph := map[string][]string{
+		"base":   nil,
+		"mid":    {"base"},
+		"peer":   {"mid", "base"},
+		"top":    {"mid", "peer"},
+		"raised": {"top"},
+		"extra":  {"base"},
+	}
+	layers := [][]string{{"base", "raised"}, {"mid", "peer"}, {"top"}, {"gone"}}
+	want := []string{
+		"peer imports mid, both in layer 2",
+		"raised (layer 1) imports top (layer 3), a higher layer",
+		"extra is in no layer",
+		"gone is listed but is no package",
+	}
+	if got := layerFindings(graph, layers); !slices.Equal(got, want) {
+		t.Errorf("layer check reports\n\t%s\nwant\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
+	}
+}
+
+// internalImports maps every internal package, by its path below internal/,
+// to the internal packages its non-test files import.
+func (m *reachModule) internalImports() map[string][]string {
+	prefix := m.l.rootPath + "/internal/"
+	graph := map[string][]string{}
+	for _, path := range m.l.sortedPaths() {
+		name, ok := strings.CutPrefix(path, prefix)
+		if !ok {
+			continue
+		}
+		seen := map[string]bool{}
+		graph[name] = nil
+		p := m.l.pkgs[path]
+		for _, f := range p.files {
+			if p.tests[f] {
+				continue
+			}
+			for _, im := range f.Imports {
+				dep, ok := strings.CutPrefix(strings.Trim(im.Path.Value, `"`), prefix)
+				if ok && !seen[dep] {
+					seen[dep] = true
+					graph[name] = append(graph[name], dep)
+				}
+			}
+		}
+		sort.Strings(graph[name])
+	}
+	return graph
+}
+
+// layerFindings checks graph against layers: first every import that does
+// not point to a strictly lower layer, then every package no layer lists,
+// then every listed name that is no package in graph.
+func layerFindings(graph map[string][]string, layers [][]string) []string {
+	layer := map[string]int{}
+	for i, names := range layers {
+		for _, name := range names {
+			layer[name] = i + 1
+		}
+	}
+	pkgs := make([]string, 0, len(graph))
+	for name := range graph {
+		pkgs = append(pkgs, name)
+	}
+	sort.Strings(pkgs)
+	var imports, unlisted, stale []string
+	for _, name := range pkgs {
+		from, ok := layer[name]
+		if !ok {
+			unlisted = append(unlisted, name+" is in no layer")
+			continue
+		}
+		for _, dep := range graph[name] {
+			switch to, ok := layer[dep]; {
+			case !ok:
+				// reported as unlisted on its own
+			case to == from:
+				imports = append(imports, fmt.Sprintf("%s imports %s, both in layer %d", name, dep, from))
+			case to > from:
+				imports = append(imports, fmt.Sprintf("%s (layer %d) imports %s (layer %d), a higher layer", name, from, dep, to))
+			}
+		}
+	}
+	for _, names := range layers {
+		for _, name := range names {
+			if _, ok := graph[name]; !ok {
+				stale = append(stale, name+" is listed but is no package")
+			}
+		}
+	}
+	return append(append(imports, unlisted...), stale...)
+}
+
 // reachFinding is one declaration a guard reports.
 type reachFinding struct {
 	name  string // pkg.Func, pkg.Type.Method or pkg.Type.Field
