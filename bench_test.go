@@ -18,11 +18,9 @@ import (
 	"testing"
 
 	"triplec/internal/core"
-	"triplec/internal/ewma"
 	"triplec/internal/experiments"
 	"triplec/internal/flowgraph"
 	"triplec/internal/frame"
-	"triplec/internal/markov"
 	"triplec/internal/parallel"
 	"triplec/internal/platform"
 	"triplec/internal/sched"
@@ -191,7 +189,7 @@ func BenchmarkTable2aMarkovTraining(b *testing.B) {
 	series := [][]float64{benchSetup.rdgSeries}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := markov.Train(series, 10); err != nil {
+		if _, err := core.TrainChain(series, 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -288,7 +286,7 @@ func BenchmarkAblationPredictorParts(b *testing.B) {
 			return modelAccuracy(m, test)
 		}},
 		{"ewma-only", func() float64 {
-			f, err := ewma.NewFilter(0.15)
+			f, err := core.NewFilter(0.15)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -429,7 +427,7 @@ func BenchmarkAblationQuantizer(b *testing.B) {
 	setup(b)
 	series := benchSetup.rdgSeries
 	train, test := series[:150], series[150:]
-	predictAccuracy := func(c *markov.Chain) float64 {
+	predictAccuracy := func(c *core.Chain) float64 {
 		var preds, acts []float64
 		for i := 1; i < len(test); i++ {
 			preds = append(preds, c.ExpectedNext(test[i-1]))
@@ -444,7 +442,7 @@ func BenchmarkAblationQuantizer(b *testing.B) {
 	b.Run("equal-frequency", func(b *testing.B) {
 		var acc float64
 		for i := 0; i < b.N; i++ {
-			c, err := markov.Train([][]float64{train}, 10)
+			c, err := core.TrainChain([][]float64{train}, 10)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -455,11 +453,11 @@ func BenchmarkAblationQuantizer(b *testing.B) {
 	b.Run("equal-width", func(b *testing.B) {
 		var acc float64
 		for i := 0; i < b.N; i++ {
-			q, err := markov.NewEqualWidthQuantizer(train, 10)
+			q, err := core.NewEqualWidthQuantizer(train, 10)
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := markov.TrainWithQuantizer(q, [][]float64{train})
+			c, err := core.TrainWithQuantizer(q, [][]float64{train})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -479,7 +477,7 @@ func BenchmarkAblationMarkovOrder(b *testing.B) {
 	b.Run("order-1", func(b *testing.B) {
 		var acc float64
 		for i := 0; i < b.N; i++ {
-			c, err := markov.Train([][]float64{train}, 10)
+			c, err := core.TrainChain([][]float64{train}, 10)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -499,7 +497,7 @@ func BenchmarkAblationMarkovOrder(b *testing.B) {
 	b.Run("order-2", func(b *testing.B) {
 		var acc, coverage float64
 		for i := 0; i < b.N; i++ {
-			c, err := markov.TrainOrder2([][]float64{train}, 10)
+			c, err := core.TrainOrder2([][]float64{train}, 10)
 			if err != nil {
 				b.Fatal(err)
 			}

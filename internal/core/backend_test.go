@@ -150,7 +150,7 @@ func TestAppendSuccessorsMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var buf [9]flowgraph.Scenario
 	for iter := 0; iter < 500; iter++ {
-		var tab ScenarioTable
+		tab := NewScenarioTable()
 		for n := rng.Intn(40); n > 0; n-- {
 			// Few distinct counts, so equal probabilities are common.
 			tab.Add(flowgraph.FromIndex(rng.Intn(8)), flowgraph.FromIndex(rng.Intn(8)))
@@ -165,7 +165,7 @@ func TestAppendSuccessorsMatchesSort(t *testing.T) {
 		var cands []cand
 		for i := 0; i < 8; i++ {
 			to := flowgraph.FromIndex(i)
-			if p := tab.P(from, to); p >= minP && p > 0 {
+			if p := tab.Table.P(from.Index(), to.Index()); p >= minP && p > 0 {
 				cands = append(cands, cand{to, p})
 			}
 		}

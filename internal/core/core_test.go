@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"triplec/internal/ewma"
 	"triplec/internal/flowgraph"
 	"triplec/internal/frame"
 	"triplec/internal/pipeline"
@@ -139,19 +138,19 @@ func TestConstantModelsNearTable2b(t *testing.T) {
 }
 
 func TestScenarioTable(t *testing.T) {
-	var tab ScenarioTable
+	tab := NewScenarioTable()
 	a, b := flowgraph.FromIndex(4), flowgraph.FromIndex(5)
 	// Unseen row: predict self.
 	if tab.MostLikelyNext(a) != a {
 		t.Fatal("unseen row must predict self-transition")
 	}
-	if tab.P(a, a) != 1 || tab.P(a, b) != 0 {
+	if tab.Table.P(a.Index(), a.Index()) != 1 || tab.Table.P(a.Index(), b.Index()) != 0 {
 		t.Fatal("unseen row probabilities wrong")
 	}
 	tab.Add(a, b)
 	tab.Add(a, b)
 	tab.Add(a, a)
-	if got := tab.P(a, b); math.Abs(got-2.0/3) > 1e-12 {
+	if got := tab.Table.P(a.Index(), b.Index()); math.Abs(got-2.0/3) > 1e-12 {
 		t.Fatalf("P = %v, want 2/3", got)
 	}
 	if tab.MostLikelyNext(a) != b {
@@ -462,8 +461,8 @@ func TestDenseFromReportMatchesObservationDense(t *testing.T) {
 }
 
 // ewmaGrowth builds a LinearGrowth without the fitting path.
-func ewmaGrowth(slope, intercept float64) ewma.LinearGrowth {
-	return ewma.LinearGrowth{Slope: slope, Intercept: intercept}
+func ewmaGrowth(slope, intercept float64) LinearGrowth {
+	return LinearGrowth{Slope: slope, Intercept: intercept}
 }
 
 func TestEvaluatePerTask(t *testing.T) {
@@ -535,7 +534,7 @@ func TestCrossValidateValidation(t *testing.T) {
 }
 
 func TestScenarioTableSuccessors(t *testing.T) {
-	var tab ScenarioTable
+	tab := NewScenarioTable()
 	a := flowgraph.FromIndex(4)
 	b := flowgraph.FromIndex(5)
 	c := flowgraph.FromIndex(6)

@@ -3,15 +3,16 @@
 // data-dependent tasks, a linear ROI growth function for RDG ROI, constants
 // for the deterministic tasks), a state table for the data-dependent flow
 // graph switches, and pass-throughs to the cache-memory and
-// communication-bandwidth analyses — the three C's.
+// communication-bandwidth analyses — the three C's. The EWMA filter
+// (ewma.go), the quantized residual chains (markov.go) and the one Eq. 2
+// transition table the chains and the state tables count in
+// (transitions.go) live here too.
 package core
 
 import (
 	"errors"
 	"fmt"
 
-	"triplec/internal/ewma"
-	"triplec/internal/markov"
 	"triplec/internal/stats"
 )
 
@@ -67,8 +68,8 @@ func (m *ConstantModel) Describe() string { return fmt.Sprintf("%.4g", m.Ms) }
 // tracks the long-term structural level and a Markov chain over the
 // quantized residuals predicts the short-term fluctuation on top.
 type EWMAMarkovModel struct {
-	filter *ewma.Filter
-	chain  *markov.Chain
+	filter *Filter
+	chain  *Chain
 	name   string // chain label for Describe ("RDG", "CPLS", "GW")
 
 	lastResidual float64
@@ -81,27 +82,18 @@ type EWMAMarkovModel struct {
 
 // NewEWMAMarkovModel trains the composite model from per-sequence series.
 func NewEWMAMarkovModel(series [][]float64, alpha float64, maxStates int, name string) (*EWMAMarkovModel, error) {
-	var residualSets [][]float64
-	var all []float64
-	for _, s := range series {
-		if len(s) == 0 {
-			continue
-		}
-		_, hpf, err := ewma.Decompose(s, alpha)
-		if err != nil {
-			return nil, err
-		}
-		residualSets = append(residualSets, hpf)
-		all = append(all, s...)
+	residualSets, all, err := DecomposeSeries(series, alpha)
+	if err != nil {
+		return nil, err
 	}
 	if len(all) < 2 {
 		return nil, errors.New("core: insufficient training data for EWMA+Markov model")
 	}
-	chain, err := markov.Train(residualSets, maxStates)
+	chain, err := TrainChain(residualSets, maxStates)
 	if err != nil {
 		return nil, err
 	}
-	filter, err := ewma.NewFilter(alpha)
+	filter, err := NewFilter(alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +106,7 @@ func NewEWMAMarkovModel(series [][]float64, alpha float64, maxStates int, name s
 }
 
 // Chain exposes the trained Markov chain (Table 2a rendering, ablations).
-func (m *EWMAMarkovModel) Chain() *markov.Chain { return m.chain }
+func (m *EWMAMarkovModel) Chain() *Chain { return m.chain }
 
 // Predict returns filter level plus expected residual transition.
 func (m *EWMAMarkovModel) Predict(Context) float64 {
@@ -161,8 +153,8 @@ func (m *EWMAMarkovModel) Describe() string {
 // offset. Not used by the paper (its Table 2b pairs Eq. 1 with the chains);
 // provided for the trend-filter ablation.
 type HoltMarkovModel struct {
-	filter *ewma.Holt
-	chain  *markov.Chain
+	filter *Holt
+	chain  *Chain
 	name   string
 
 	lastResidual float64
@@ -179,7 +171,7 @@ func NewHoltMarkovModel(series [][]float64, alpha, beta float64, maxStates int, 
 		if len(s) == 0 {
 			continue
 		}
-		h, err := ewma.NewHolt(alpha, beta)
+		h, err := NewHolt(alpha, beta)
 		if err != nil {
 			return nil, err
 		}
@@ -193,11 +185,11 @@ func NewHoltMarkovModel(series [][]float64, alpha, beta float64, maxStates int, 
 	if len(all) < 2 {
 		return nil, errors.New("core: insufficient training data for Holt+Markov model")
 	}
-	chain, err := markov.Train(residualSets, maxStates)
+	chain, err := TrainChain(residualSets, maxStates)
 	if err != nil {
 		return nil, err
 	}
-	filter, err := ewma.NewHolt(alpha, beta)
+	filter, err := NewHolt(alpha, beta)
 	if err != nil {
 		return nil, err
 	}
@@ -246,8 +238,8 @@ func (m *HoltMarkovModel) Describe() string {
 // LinearMarkovModel models RDG ROI: the linear ROI growth function (Eq. 3)
 // plus the shared RDG Markov chain over the detrended residuals.
 type LinearMarkovModel struct {
-	growth ewma.LinearGrowth
-	chain  *markov.Chain
+	growth LinearGrowth
+	chain  *Chain
 	name   string
 
 	lastResidual float64
@@ -258,7 +250,7 @@ type LinearMarkovModel struct {
 
 // NewLinearMarkovModel builds the model from a fitted growth function and a
 // trained (shared) chain.
-func NewLinearMarkovModel(growth ewma.LinearGrowth, chain *markov.Chain, name string) (*LinearMarkovModel, error) {
+func NewLinearMarkovModel(growth LinearGrowth, chain *Chain, name string) (*LinearMarkovModel, error) {
 	if chain == nil {
 		return nil, errors.New("core: linear model needs a chain")
 	}

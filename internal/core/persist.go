@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 
-	"triplec/internal/ewma"
-	"triplec/internal/markov"
 	"triplec/internal/tasks"
 )
 
@@ -27,13 +25,13 @@ type chainJSON struct {
 }
 
 type modelJSON struct {
-	Kind       string             `json:"kind"` // constant | ewma-markov | linear-markov
-	ConstantMs float64            `json:"constantMs,omitempty"`
-	Alpha      float64            `json:"alpha,omitempty"`
-	Fallback   float64            `json:"fallback,omitempty"`
-	ChainName  string             `json:"chainName,omitempty"`
-	Growth     *ewma.LinearGrowth `json:"growth,omitempty"`
-	Online     bool               `json:"online,omitempty"`
+	Kind       string        `json:"kind"` // constant | ewma-markov | linear-markov
+	ConstantMs float64       `json:"constantMs,omitempty"`
+	Alpha      float64       `json:"alpha,omitempty"`
+	Fallback   float64       `json:"fallback,omitempty"`
+	ChainName  string        `json:"chainName,omitempty"`
+	Growth     *LinearGrowth `json:"growth,omitempty"`
+	Online     bool          `json:"online,omitempty"`
 }
 
 type predictorJSON struct {
@@ -43,17 +41,17 @@ type predictorJSON struct {
 	Scenarios [8][8]float64        `json:"scenarios"`
 }
 
-func snapshotChain(c *markov.Chain) chainJSON {
-	cuts, reps := c.Quantizer().Snapshot()
+func snapshotChain(c *Chain) chainJSON {
+	cuts, reps := c.q.Snapshot()
 	return chainJSON{Cuts: cuts, Reps: reps, Counts: c.Counts()}
 }
 
-func restoreChain(j chainJSON) (*markov.Chain, error) {
-	q, err := markov.RestoreQuantizer(j.Cuts, j.Reps)
+func restoreChain(j chainJSON) (*Chain, error) {
+	q, err := RestoreQuantizer(j.Cuts, j.Reps)
 	if err != nil {
 		return nil, err
 	}
-	return markov.RestoreChain(q, j.Counts)
+	return RestoreChain(q, j.Counts)
 }
 
 // Save writes the trained predictor as JSON.
@@ -63,10 +61,8 @@ func (p *Predictor) Save(w io.Writer) error {
 		Models:  map[string]modelJSON{},
 		Chains:  map[string]chainJSON{},
 	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			out.Scenarios[i][j] = p.Scenarios.counts[i][j]
-		}
+	for i := range out.Scenarios {
+		copy(out.Scenarios[i][:], p.Scenarios.Table.Row(i))
 	}
 	for task, m := range p.Models {
 		switch mm := m.(type) {
@@ -129,7 +125,7 @@ func Load(r io.Reader) (*Predictor, error) {
 	if len(in.Models) == 0 {
 		return nil, errors.New("core: no models in snapshot")
 	}
-	chains := map[string]*markov.Chain{}
+	chains := map[string]*Chain{}
 	for name, cj := range in.Chains {
 		c, err := restoreChain(cj)
 		if err != nil {
@@ -139,11 +135,11 @@ func Load(r io.Reader) (*Predictor, error) {
 	}
 	p := &Predictor{
 		Models:    map[tasks.Name]Model{},
-		Scenarios: &ScenarioTable{},
+		Scenarios: NewScenarioTable(),
 	}
-	for i := 0; i < 8; i++ {
-		for j := 0; j < 8; j++ {
-			p.Scenarios.counts[i][j] = in.Scenarios[i][j]
+	for i := range in.Scenarios {
+		if err := p.Scenarios.Table.RestoreRow(i, in.Scenarios[i][:]); err != nil {
+			return nil, fmt.Errorf("core: scenario row %d: %w", i, err)
 		}
 	}
 	for name, mj := range in.Models {
@@ -156,7 +152,7 @@ func Load(r io.Reader) (*Predictor, error) {
 			if !ok {
 				return nil, fmt.Errorf("core: model %s references missing chain %q", name, mj.ChainName)
 			}
-			filter, err := ewma.NewFilter(mj.Alpha)
+			filter, err := NewFilter(mj.Alpha)
 			if err != nil {
 				return nil, fmt.Errorf("core: model %s: %w", name, err)
 			}

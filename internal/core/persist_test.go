@@ -132,7 +132,7 @@ func TestScenarioTableSurvivesRoundTrip(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			from, to := flowgraph.FromIndex(i), flowgraph.FromIndex(j)
-			if math.Abs(p.Scenarios.P(from, to)-q.Scenarios.P(from, to)) > 1e-12 {
+			if math.Abs(p.Scenarios.Table.P(from.Index(), to.Index())-q.Scenarios.Table.P(from.Index(), to.Index())) > 1e-12 {
 				t.Fatalf("scenario P(%d,%d) differs", i, j)
 			}
 		}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"triplec/internal/ewma"
 	"triplec/internal/flowgraph"
 	"triplec/internal/pipeline"
 	"triplec/internal/stats"
@@ -84,67 +83,36 @@ func FromReports(reports []pipeline.Report, framePixels int) []Observation {
 }
 
 // ScenarioTable is the paper's "state table" for the data-dependent switch
-// statements: an 8x8 first-order transition model over flow-graph scenarios.
+// statements: a first-order TransitionTable over the eight flow-graph
+// scenarios, indexed by flowgraph.Scenario.Index. Unseen rows predict
+// self-transition.
 type ScenarioTable struct {
-	counts [8][8]float64
+	Table *TransitionTable
+}
+
+// NewScenarioTable returns an empty state table.
+func NewScenarioTable() *ScenarioTable {
+	return &ScenarioTable{Table: NewTransitionTable(8, 1)}
 }
 
 // Add counts one observed scenario transition.
-func (t *ScenarioTable) Add(from, to flowgraph.Scenario) {
-	t.counts[from.Index()][to.Index()]++
-}
-
-// P returns the transition probability; unseen rows predict self-transition.
-func (t *ScenarioTable) P(from, to flowgraph.Scenario) float64 {
-	row := t.counts[from.Index()]
-	total := 0.0
-	for _, v := range row {
-		total += v
-	}
-	if total == 0 {
-		if from == to {
-			return 1
-		}
-		return 0
-	}
-	return row[to.Index()] / total
-}
+func (s *ScenarioTable) Add(from, to flowgraph.Scenario) { s.Table.Add(from.Index(), to.Index()) }
 
 // AppendSuccessors appends to dst the scenarios reachable from `from` with
 // transition probability at least minP, in descending probability order.
 // The runtime manager plans pessimistically across this set so that a
 // plausible switch to an expensive scenario is already provisioned for.
-func (t *ScenarioTable) AppendSuccessors(dst []flowgraph.Scenario, from flowgraph.Scenario, minP float64) []flowgraph.Scenario {
-	base := len(dst)
-	var ps [8]float64 // ps[k] is the probability of dst[base+k]
-	for i := 0; i < 8; i++ {
-		to := flowgraph.FromIndex(i)
-		p := t.P(from, to)
-		if p < minP || p <= 0 {
-			continue
-		}
-		// Stable insertion by descending probability: equal probabilities
-		// keep scenario-index order.
-		k := len(dst) - base
-		dst = append(dst, to)
-		for ; k > 0 && ps[k-1] < p; k-- {
-			dst[base+k], ps[k] = dst[base+k-1], ps[k-1]
-		}
-		dst[base+k], ps[k] = to, p
+func (s *ScenarioTable) AppendSuccessors(dst []flowgraph.Scenario, from flowgraph.Scenario, minP float64) []flowgraph.Scenario {
+	var idx [8]int
+	for _, j := range s.Table.AppendSuccessors(idx[:0], from.Index(), minP) {
+		dst = append(dst, flowgraph.FromIndex(j))
 	}
 	return dst
 }
 
 // MostLikelyNext returns the most probable successor scenario.
-func (t *ScenarioTable) MostLikelyNext(from flowgraph.Scenario) flowgraph.Scenario {
-	best, bestP := from, -1.0
-	for i := 0; i < 8; i++ {
-		to := flowgraph.FromIndex(i)
-		if p := t.P(from, to); p > bestP {
-			best, bestP = to, p
-		}
-	}
-	return best
+func (s *ScenarioTable) MostLikelyNext(from flowgraph.Scenario) flowgraph.Scenario {
+	return flowgraph.FromIndex(s.Table.MostLikely(from.Index()))
 }
 
 // TrainConfig is the predictor's training configuration. It has no fields:
@@ -252,7 +220,7 @@ func Train(sequences [][]Observation, _ TrainConfig) (*Predictor, error) {
 		return nil, errors.New("core: no training sequences")
 	}
 	c := GroupCorpus(sequences)
-	table := &ScenarioTable{}
+	table := NewScenarioTable()
 	for _, seq := range sequences {
 		for i := 1; i < len(seq); i++ {
 			table.Add(seq[i-1].Scenario, seq[i].Scenario)
@@ -267,15 +235,15 @@ func Train(sequences [][]Observation, _ TrainConfig) (*Predictor, error) {
 	// RDG FULL residuals and the detrended RDG ROI residuals — the paper
 	// generates "a single Markov chain for the ridge-detection task".
 	rdgSeries := c.Series[tasks.IndexOf(tasks.NameRDGFull)]
-	var rdgGrowth ewma.LinearGrowth
+	var rdgGrowth LinearGrowth
 	haveROI := len(c.ROIX) >= 2
 	if haveROI {
-		g, err := ewma.FitLinearGrowth(c.ROIX, c.ROIY)
+		g, err := FitLinearGrowth(c.ROIX, c.ROIY)
 		if err == nil {
 			rdgGrowth = g
 			detrended, err := g.Detrend(c.ROIX, c.ROIY)
-			if err == nil {
-				rdgSeries = append(rdgSeries, detrendedToSeries(detrended)...)
+			if err == nil && len(detrended) > 0 {
+				rdgSeries = append(rdgSeries, detrended)
 			}
 		} else {
 			haveROI = false
@@ -323,14 +291,6 @@ func Train(sequences [][]Observation, _ TrainConfig) (*Predictor, error) {
 	}
 	p.indexModels()
 	return p, nil
-}
-
-// detrendedToSeries wraps a detrended residual vector as a single series.
-func detrendedToSeries(r []float64) [][]float64 {
-	if len(r) == 0 {
-		return nil
-	}
-	return [][]float64{r}
 }
 
 // RDGChain exposes the trained ridge Markov chain (Table 2a).

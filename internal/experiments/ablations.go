@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"triplec/internal/core"
-	"triplec/internal/markov"
 	"triplec/internal/platform"
 	"triplec/internal/stats"
 	"triplec/internal/tasks"
@@ -57,7 +56,7 @@ func Ablations(w io.Writer, study Study) error {
 		}
 		return 1 - mape
 	}
-	chainScore := func(c *markov.Chain) float64 {
+	chainScore := func(c *core.Chain) float64 {
 		var preds, acts []float64
 		for i := 1; i < len(test); i++ {
 			preds = append(preds, c.ExpectedNext(test[i-1]))
@@ -97,20 +96,20 @@ func Ablations(w io.Writer, study Study) error {
 	}
 
 	fmt.Fprintln(w, "\nquantization (adaptive equal-frequency vs fixed equal-width):")
-	if c, err := markov.Train([][]float64{train}, 10); err == nil {
+	if c, err := core.TrainChain([][]float64{train}, 10); err == nil {
 		fmt.Fprintf(w, "  equal-frequency  %d states  %.2f%%\n", c.States(), 100*chainScore(c))
 	}
-	if q, err := markov.NewEqualWidthQuantizer(train, 10); err == nil {
-		if c, err := markov.TrainWithQuantizer(q, [][]float64{train}); err == nil {
+	if q, err := core.NewEqualWidthQuantizer(train, 10); err == nil {
+		if c, err := core.TrainWithQuantizer(q, [][]float64{train}); err == nil {
 			fmt.Fprintf(w, "  equal-width      %d states  %.2f%%\n", c.States(), 100*chainScore(c))
 		}
 	}
 
 	fmt.Fprintln(w, "\nMarkov order (the paper's state-space explosion argument):")
-	if c, err := markov.Train([][]float64{train}, 10); err == nil {
+	if c, err := core.TrainChain([][]float64{train}, 10); err == nil {
 		fmt.Fprintf(w, "  order 1  %3d states       %.2f%%\n", c.States(), 100*chainScore(c))
 	}
-	if c2, err := markov.TrainOrder2([][]float64{train}, 10); err == nil {
+	if c2, err := core.TrainOrder2([][]float64{train}, 10); err == nil {
 		var preds, acts []float64
 		for i := 2; i < len(test); i++ {
 			preds = append(preds, c2.ExpectedNext(test[i-2], test[i-1]))

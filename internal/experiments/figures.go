@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"triplec/internal/ewma"
+	"triplec/internal/core"
 	"triplec/internal/flowgraph"
 	"triplec/internal/frame"
 	"triplec/internal/platform"
@@ -68,7 +68,7 @@ func Fig3(w io.Writer, study Study, frames int) error {
 		_, cost := rdg.Run(f)
 		series[i] = machine.ExecMs(cost, 1)
 	}
-	lpf, hpf, err := ewma.Decompose(series, 0.15)
+	lpf, hpf, err := core.Decompose(series, 0.15)
 	if err != nil {
 		return err
 	}

@@ -53,7 +53,7 @@ func oracleSuccessors(t *core.ScenarioTable, from flowgraph.Scenario, minP float
 	var cands []cand
 	for i := 0; i < 8; i++ {
 		to := flowgraph.FromIndex(i)
-		if p := t.P(from, to); p >= minP && p > 0 {
+		if p := t.Table.P(from.Index(), to.Index()); p >= minP && p > 0 {
 			cands = append(cands, cand{to, p})
 		}
 	}

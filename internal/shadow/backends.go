@@ -14,9 +14,7 @@ import (
 	"fmt"
 
 	"triplec/internal/core"
-	"triplec/internal/ewma"
 	"triplec/internal/flowgraph"
-	"triplec/internal/markov"
 	"triplec/internal/stats"
 	"triplec/internal/tasks"
 )
@@ -28,148 +26,14 @@ const (
 	BackendQuantile = "quantile-p90"
 )
 
-// scenarioTable1 is a first-order scenario transition table with dense
-// counts, updated online without allocating. Unlike the deployed
-// predictor — whose state table is frozen after training — the shadow
-// backends keep counting live transitions: online scenario learning is
-// one of the hypotheses the bake-off exists to score.
-type scenarioTable1 struct {
-	counts [8][8]float64
-}
-
-func (t *scenarioTable1) add(from, to int) { t.counts[from][to]++ }
-
-// mostLikely returns the most probable successor of `from`, falling back
-// to self-transition for never-seen rows (the ScenarioTable convention).
-func (t *scenarioTable1) mostLikely(from int) int {
-	row := &t.counts[from]
-	best, bestC, total := from, 0.0, 0.0
-	for j := 0; j < 8; j++ {
-		total += row[j]
-		if row[j] > bestC {
-			best, bestC = j, row[j]
-		}
-	}
-	if total == 0 {
-		return from
-	}
-	return best
-}
-
-// scenarioTable2 adds an order-2 layer: the state is the (previous,
-// current) scenario pair, with the first-order marginal as fallback for
-// unseen pairs — the Section 4 trade-off (longer memory vs. exponentially
-// sparser estimates) applied to the switch statements instead of the
-// residual chains.
-type scenarioTable2 struct {
-	pair  [64][8]float64
-	first scenarioTable1
-}
-
-func (t *scenarioTable2) add(prev2, prev1, next int) {
-	t.pair[prev2*8+prev1][next]++
-	t.first.add(prev1, next)
-}
-
-func (t *scenarioTable2) mostLikely(prev2, prev1 int) int {
-	row := &t.pair[prev2*8+prev1]
-	best, bestC, total := -1, 0.0, 0.0
-	for j := 0; j < 8; j++ {
-		total += row[j]
-		if row[j] > bestC {
-			best, bestC = j, row[j]
-		}
-	}
-	if total == 0 || best < 0 {
-		return t.first.mostLikely(prev1)
-	}
-	return best
-}
-
-// denseChain2 is a markov.Chain2 lifted into flat arrays: the map-backed
-// counts are fine for training, but a map insert or the fallback
-// accumulation in Chain2.ExpectedNext would allocate on the frame path.
-// counts is indexed [a*n*n + b*n + j]; marginal[b*n+j] carries the
-// first-order fallback for pairs never observed.
-type denseChain2 struct {
-	q        *markov.Quantizer
-	n        int
-	counts   []float64
-	marginal []float64
-	reps     []float64
-}
-
-// liftChain2 flattens a trained Chain2.
-func liftChain2(c *markov.Chain2) *denseChain2 {
-	q := c.Quantizer()
-	n := q.States()
-	d := &denseChain2{
-		q:        q,
-		n:        n,
-		counts:   make([]float64, n*n*n),
-		marginal: make([]float64, n*n),
-		reps:     make([]float64, n),
-	}
-	for j := 0; j < n; j++ {
-		d.reps[j] = q.Representative(j)
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			row := c.Row(a, b)
-			if row == nil {
-				continue
-			}
-			for j, v := range row {
-				d.counts[(a*n+b)*n+j] += v
-				d.marginal[b*n+j] += v
-			}
-		}
-	}
-	return d
-}
-
-// expectedNext returns the expected next residual after (prev2, prev1),
-// degrading pair → marginal → representative like Chain2.ExpectedNext.
-func (d *denseChain2) expectedNext(prev2, prev1 float64) float64 {
-	a, b := d.q.State(prev2), d.q.State(prev1)
-	row := d.counts[(a*d.n+b)*d.n : (a*d.n+b+1)*d.n]
-	total := 0.0
-	for _, v := range row {
-		total += v
-	}
-	if total == 0 {
-		row = d.marginal[b*d.n : (b+1)*d.n]
-		total = 0
-		for _, v := range row {
-			total += v
-		}
-	}
-	if total == 0 {
-		return d.reps[b]
-	}
-	exp := 0.0
-	for j, v := range row {
-		exp += v / total * d.reps[j]
-	}
-	return exp
-}
-
-// addTransition counts (prev2, prev1) → next online, in both the pair
-// counts and the marginal — dense writes, no allocation.
-func (d *denseChain2) addTransition(prev2, prev1, next float64) {
-	a, b, j := d.q.State(prev2), d.q.State(prev1), d.q.State(next)
-	d.counts[(a*d.n+b)*d.n+j]++
-	d.marginal[b*d.n+j]++
-}
-
 // order2Model is the per-task model of the order-2 backend: the same
 // long-term trend carriers as the paper's Table 2(b) (EWMA level, or the
 // Eq. 3 growth line for RDG ROI, or a constant) with the short-term
 // residual predicted by a second-order chain over the last TWO residuals.
 type order2Model struct {
-	filter   *ewma.Filter       // EWMA trend (nil when growth or constant)
-	growth   *ewma.LinearGrowth // Eq. 3 trend (nil unless RDG ROI)
-	chain    *denseChain2       // nil for constant tasks
+	filter   *core.Filter       // EWMA trend (nil when growth or constant)
+	growth   *core.LinearGrowth // Eq. 3 trend (nil unless RDG ROI)
+	chain    *core.Chain2       // nil for constant tasks
 	constant float64            // constant prediction / pre-prime fallback
 
 	r1, r2 float64 // last and second-to-last residuals
@@ -187,7 +51,7 @@ func (m *order2Model) predict(roiPixels int) float64 {
 		pred = m.constant
 	}
 	if m.chain != nil && m.seen >= 2 {
-		pred += m.chain.expectedNext(m.r2, m.r1)
+		pred += m.chain.ExpectedNext(m.r2, m.r1)
 	}
 	if pred < 0 {
 		pred = 0
@@ -211,7 +75,7 @@ func (m *order2Model) observe(roiPixels int, actualMs float64) {
 	r := actualMs - trend
 	if m.chain != nil {
 		if m.seen >= 2 {
-			m.chain.addTransition(m.r2, m.r1, r)
+			m.chain.AddTransition(m.r2, m.r1, r)
 		}
 		m.r2, m.r1 = m.r1, r
 	}
@@ -234,7 +98,7 @@ func (m *order2Model) reset() {
 // first-order deployed model on live data.
 type Order2Backend struct {
 	models [tasks.NumNames]*order2Model
-	table  scenarioTable2
+	table  *core.TransitionTable // order 2 over the scenario indices, counted online
 	active *core.ScenarioTaskLists
 
 	lastIdx [2]int // scenario indices of the last two frames
@@ -249,42 +113,33 @@ func TrainOrder2Backend(sequences [][]core.Observation) (*Order2Backend, error) 
 	if len(sequences) == 0 {
 		return nil, errors.New("shadow: no training sequences")
 	}
-	b := &Order2Backend{active: core.NewScenarioTaskLists()}
+	b := &Order2Backend{table: core.NewTransitionTable(8, 2), active: core.NewScenarioTaskLists()}
 	for _, seq := range sequences {
 		for i := 1; i < len(seq); i++ {
 			if i >= 2 {
-				b.table.add(seq[i-2].Scenario.Index(), seq[i-1].Scenario.Index(), seq[i].Scenario.Index())
+				b.table.Add2(seq[i-2].Scenario.Index(), seq[i-1].Scenario.Index(), seq[i].Scenario.Index())
 			} else {
-				b.table.first.add(seq[0].Scenario.Index(), seq[1].Scenario.Index())
+				b.table.Add(seq[0].Scenario.Index(), seq[1].Scenario.Index())
 			}
 		}
 	}
 	c := core.GroupCorpus(sequences)
 
-	// EWMA-trended tasks: residual series → order-2 chain, dense-lifted.
+	// EWMA-trended tasks: residual series → order-2 chain.
 	for ti, series := range c.Series {
-		var residualSets [][]float64
-		var all []float64
-		for _, s := range series {
-			if len(s) == 0 {
-				continue
-			}
-			_, hpf, err := ewma.Decompose(s, core.Alpha)
-			if err != nil {
-				return nil, err
-			}
-			residualSets = append(residualSets, hpf)
-			all = append(all, s...)
+		residualSets, all, err := core.DecomposeSeries(series, core.Alpha)
+		if err != nil {
+			return nil, err
 		}
 		if len(all) == 0 {
 			continue
 		}
 		m := &order2Model{constant: stats.Mean(all)}
-		if f, err := ewma.NewFilter(core.Alpha); err == nil {
+		if f, err := core.NewFilter(core.Alpha); err == nil {
 			m.filter = f
 		}
-		if c2, err := markov.TrainOrder2(residualSets, core.MaxStates); err == nil {
-			m.chain = liftChain2(c2)
+		if c2, err := core.TrainOrder2(residualSets, core.MaxStates); err == nil {
+			m.chain = c2
 		}
 		b.models[ti] = m
 	}
@@ -292,11 +147,11 @@ func TrainOrder2Backend(sequences [][]core.Observation) (*Order2Backend, error) 
 	// residuals (the paper shares the RDG chain; here the ROI task gets its
 	// own second-order view of the same residual stream).
 	if len(c.ROIX) >= 2 {
-		if g, err := ewma.FitLinearGrowth(c.ROIX, c.ROIY); err == nil {
+		if g, err := core.FitLinearGrowth(c.ROIX, c.ROIY); err == nil {
 			m := &order2Model{growth: &g, constant: stats.Mean(c.ROIY)}
 			if detrended, err := g.Detrend(c.ROIX, c.ROIY); err == nil && len(detrended) >= 3 {
-				if c2, err := markov.TrainOrder2([][]float64{detrended}, core.MaxStates); err == nil {
-					m.chain = liftChain2(c2)
+				if c2, err := core.TrainOrder2([][]float64{detrended}, core.MaxStates); err == nil {
+					m.chain = c2
 				}
 			}
 			b.models[tasks.IndexOf(tasks.NameRDGROI)] = m
@@ -317,9 +172,9 @@ func (b *Order2Backend) Name() string { return BackendOrder2 }
 func (b *Order2Backend) Observe(obs *core.Observation) {
 	si := obs.Scenario.Index()
 	if b.seen >= 2 {
-		b.table.add(b.lastIdx[0], b.lastIdx[1], si)
+		b.table.Add2(b.lastIdx[0], b.lastIdx[1], si)
 	} else if b.seen == 1 {
-		b.table.first.add(b.lastIdx[1], si)
+		b.table.Add(b.lastIdx[1], si)
 	}
 	for ti := 0; ti < tasks.NumNames; ti++ {
 		if obs.Mask&(1<<uint(ti)) == 0 || b.models[ti] == nil {
@@ -340,9 +195,9 @@ func (b *Order2Backend) Predict(dst *core.Prediction) {
 	case b.seen == 0:
 		dst.Scenario = flowgraph.WorstCase()
 	case b.seen == 1:
-		dst.Scenario = flowgraph.FromIndex(b.table.first.mostLikely(b.lastIdx[1]))
+		dst.Scenario = flowgraph.FromIndex(b.table.MostLikely(b.lastIdx[1]))
 	default:
-		dst.Scenario = flowgraph.FromIndex(b.table.mostLikely(b.lastIdx[0], b.lastIdx[1]))
+		dst.Scenario = flowgraph.FromIndex(b.table.MostLikely2(b.lastIdx[0], b.lastIdx[1]))
 	}
 	if b.seen > 0 {
 		// Same physics constraint as the deployed predictor: granularity is
@@ -464,8 +319,12 @@ func (s *rlsState) update(x *[ridgeDim]float64, y, lambda float64) {
 // size, region fraction and the scenario one-hot — instead of time-series
 // structure. Scenarios come from its own online first-order table.
 type RidgeBackend struct {
-	reg    [tasks.NumNames]rlsState
-	table  scenarioTable1
+	reg [tasks.NumNames]rlsState
+	// table is order 1 over the scenario indices. Unlike the deployed
+	// predictor's state table, frozen after training, the backends' tables
+	// keep counting live transitions: online scenario learning is one of
+	// the hypotheses the bake-off exists to score.
+	table  *core.TransitionTable
 	active *core.ScenarioTaskLists
 	lambda float64
 
@@ -477,7 +336,7 @@ type RidgeBackend struct {
 // NewRidgeBackend returns an untrained backend; warm-start it with
 // WarmStart (TrainBackends does) so early frames are not pure fallback.
 func NewRidgeBackend() *RidgeBackend {
-	b := &RidgeBackend{active: core.NewScenarioTaskLists(), lambda: 0.995}
+	b := &RidgeBackend{table: core.NewTransitionTable(8, 1), active: core.NewScenarioTaskLists(), lambda: 0.995}
 	for i := range b.reg {
 		b.reg[i].init()
 	}
@@ -503,7 +362,7 @@ func (b *RidgeBackend) Name() string { return BackendRidge }
 func (b *RidgeBackend) Observe(obs *core.Observation) {
 	si := obs.Scenario.Index()
 	if b.seen {
-		b.table.add(b.feat.Scenario.Index(), si)
+		b.table.Add(b.feat.Scenario.Index(), si)
 	}
 	b.features(obs.AnalysisPixels, obs.FramePixels, si)
 	for ti := 0; ti < tasks.NumNames; ti++ {
@@ -523,7 +382,7 @@ func (b *RidgeBackend) Predict(dst *core.Prediction) {
 	if !b.seen {
 		dst.Scenario = flowgraph.WorstCase()
 	} else {
-		dst.Scenario = flowgraph.FromIndex(b.table.mostLikely(b.feat.Scenario.Index()))
+		dst.Scenario = flowgraph.FromIndex(b.table.MostLikely(b.feat.Scenario.Index()))
 		dst.Scenario.ROIKnown = b.feat.EstROIPixels > 0
 		if dst.Scenario.ROIKnown {
 			roiPixels = b.feat.EstROIPixels
@@ -654,7 +513,7 @@ func (e *p2Quantile) value() float64 {
 type QuantileBackend struct {
 	cells  [tasks.NumNames][8]p2Quantile
 	global [tasks.NumNames]p2Quantile
-	table  scenarioTable1
+	table  *core.TransitionTable // as RidgeBackend's
 	active *core.ScenarioTaskLists
 
 	last core.Observation
@@ -664,7 +523,7 @@ type QuantileBackend struct {
 // NewQuantileBackend returns an estimator for the given quantile
 // (0 < p < 1); p = 0.9 is the bake-off's tail backend.
 func NewQuantileBackend(p float64) *QuantileBackend {
-	b := &QuantileBackend{active: core.NewScenarioTaskLists()}
+	b := &QuantileBackend{table: core.NewTransitionTable(8, 1), active: core.NewScenarioTaskLists()}
 	for ti := 0; ti < tasks.NumNames; ti++ {
 		b.global[ti].init(p)
 		for si := 0; si < 8; si++ {
@@ -681,7 +540,7 @@ func (b *QuantileBackend) Name() string { return BackendQuantile }
 func (b *QuantileBackend) Observe(obs *core.Observation) {
 	si := obs.Scenario.Index()
 	if b.seen {
-		b.table.add(b.last.Scenario.Index(), si)
+		b.table.Add(b.last.Scenario.Index(), si)
 	}
 	for ti := 0; ti < tasks.NumNames; ti++ {
 		if obs.Mask&(1<<uint(ti)) == 0 {
@@ -700,7 +559,7 @@ func (b *QuantileBackend) Predict(dst *core.Prediction) {
 	if !b.seen {
 		dst.Scenario = flowgraph.WorstCase()
 	} else {
-		dst.Scenario = flowgraph.FromIndex(b.table.mostLikely(b.last.Scenario.Index()))
+		dst.Scenario = flowgraph.FromIndex(b.table.MostLikely(b.last.Scenario.Index()))
 		dst.Scenario.ROIKnown = b.last.EstROIPixels > 0
 	}
 	si := dst.Scenario.Index()

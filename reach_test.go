@@ -153,7 +153,7 @@ func TestReachFixture(t *testing.T) {
 // Table 1 by task name.
 var importLayers = [][]string{
 	{"metrics", "parallel", "platform", "span", "stats"},
-	{"ewma", "frame", "markov", "trace"},
+	{"frame", "trace"},
 	{"synth", "tasks"},
 	{"fault", "flowgraph", "partition"},
 	{"pipeline", "slo"},
