@@ -146,6 +146,9 @@ func Load(r io.Reader) (*Predictor, error) {
 		task := tasks.Name(name)
 		switch mj.Kind {
 		case "constant":
+			if mj.ConstantMs < 0 {
+				return nil, fmt.Errorf("core: model %s has negative constant time %v ms", name, mj.ConstantMs)
+			}
 			p.Models[task] = &ConstantModel{Ms: mj.ConstantMs}
 		case "ewma-markov":
 			chain, ok := chains[mj.ChainName]
@@ -155,6 +158,9 @@ func Load(r io.Reader) (*Predictor, error) {
 			filter, err := NewFilter(mj.Alpha)
 			if err != nil {
 				return nil, fmt.Errorf("core: model %s: %w", name, err)
+			}
+			if mj.Fallback < 0 {
+				return nil, fmt.Errorf("core: model %s has negative fallback time %v ms", name, mj.Fallback)
 			}
 			m := &EWMAMarkovModel{
 				filter:         filter,

@@ -114,6 +114,12 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"A": {"kind": "linear-markov", "chainName": "C"}}, "chains": {"C": {"cuts": [], "reps": [0], "counts": [[0]]}}}`)); err == nil {
 		t.Fatal("missing growth accepted")
 	}
+	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"A": {"kind": "constant", "constantMs": -5984.7}}}`)); err == nil {
+		t.Fatal("negative constant time accepted")
+	}
+	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"A": {"kind": "ewma-markov", "alpha": 0.2, "chainName": "C", "fallback": -1}}, "chains": {"C": {"cuts": [], "reps": [0], "counts": [[0]]}}}`)); err == nil {
+		t.Fatal("negative fallback time accepted")
+	}
 }
 
 func TestScenarioTableSurvivesRoundTrip(t *testing.T) {

@@ -54,7 +54,7 @@ func TestParetoFrontProperties(t *testing.T) {
 	ev := newEvaluator(testMachine(t), &prof, 512)
 	for c := 1; c <= 8; c++ {
 		cands := ev.Candidates(c, nil)
-		orig := make([]Candidate, len(cands))
+		orig := make([]planned, len(cands))
 		copy(orig, cands)
 		front := ParetoFront(cands)
 		if len(front) == 0 {
@@ -62,7 +62,7 @@ func TestParetoFrontProperties(t *testing.T) {
 		}
 		for i, a := range front {
 			for j, b := range front {
-				if i != j && dominates(a, b) {
+				if i != j && dominates(a.Candidate, b.Candidate) {
 					t.Fatalf("share %d: front point %d dominates front point %d", c, i, j)
 				}
 			}
@@ -70,7 +70,7 @@ func TestParetoFrontProperties(t *testing.T) {
 		for _, o := range orig {
 			covered := false
 			for _, s := range front {
-				if s.Plan == o.Plan || dominates(s, o) ||
+				if s.Plan == o.Plan || dominates(s.Candidate, o.Candidate) ||
 					(s.LatencyMs == o.LatencyMs && s.PeriodMs == o.PeriodMs) {
 					covered = true
 					break

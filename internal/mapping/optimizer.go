@@ -33,15 +33,22 @@ type Optimizer struct {
 
 	// Scratch reused across Map calls and grown on demand, so a warmed
 	// optimizer re-divides without allocating.
-	streams     []streamScratch
-	cands       []Candidate
-	f           []float64 // DP rows, (n+1) x (totalCores+1)
-	choice      []int
-	greedyPlans []sched.StreamPlan
+	streams []streamScratch
+	// plans is candidatePlans(maxShare) for the largest share seen (a
+	// smaller share's layout is its prefix); cand and score hold one
+	// stream's evaluation and score of every candidate, and shCand and
+	// shScore one share's, gathered in enumeration order.
+	plans          []sched.StreamPlan
+	cand, shCand   []Candidate
+	score, shScore []float64
+	f              []float64 // DP rows, (n+1) x (totalCores+1)
+	choice         []int
+	greedyPlans    []sched.StreamPlan
 }
 
-// streamScratch is one stream's evaluator plus what Map derives from it once
-// per call: the objective weights and the per-share pick tables.
+// streamScratch is one stream slot's evaluator, kept across Map calls, plus
+// what Map derives from it once per call: the objective weights and the
+// per-share pick tables.
 type streamScratch struct {
 	ev evaluator
 	w  Weights
@@ -83,6 +90,13 @@ func (o *Optimizer) grow(n, totalCores, maxShare int) {
 		}
 		st.plan, st.score, st.points = st.plan[:maxShare+1], st.score[:maxShare+1], st.points[:maxShare+1]
 	}
+	if nc := numCandidates(maxShare); len(o.plans) < nc {
+		o.plans = candidatePlans(maxShare)
+		o.cand = make([]Candidate, nc)
+		o.score = make([]float64, nc)
+		o.shCand = make([]Candidate, 0, maxShare+1)
+		o.shScore = make([]float64, 0, maxShare+1)
+	}
 	if cells := (n + 1) * (totalCores + 1); cap(o.f) < cells {
 		o.f = make([]float64, cells)
 		o.choice = make([]int, cells)
@@ -122,26 +136,48 @@ func (o *Optimizer) Map(totalCores int, demands []sched.StreamDemand, plans []sc
 	// out all cores without forcing any stream to waste them.
 	maxShare := totalCores - (n - 1)
 	o.grow(n, totalCores, maxShare)
+	nc := numCandidates(maxShare)
+	cplans, cand, score := o.plans[:nc], o.cand[:nc], o.score[:nc]
 	for i := range demands {
 		d := &demands[i]
 		st := &o.streams[i]
 		ev := &st.ev
 		ev.fill(o.tables, &d.Profile, d.FrameKB)
+		ev.weigh(cplans, cand)
+		ev.serial = cand[0]
 		st.w = ComputePressures(ev.serial.LatencyMs, d.BudgetMs, n, totalCores, ev.meanCutMs()).Softmax()
+		for j := range score {
+			score[j] = st.w.Score(cand[j], ev.serial)
+		}
+		// A share whose front has no finite-scoring point picks the zero
+		// plan, scored as a zero Candidate.
+		zeroScore := st.w.Score(Candidate{}, ev.serial)
 		for c := 1; c <= maxShare; c++ {
-			o.cands = ev.Candidates(c, o.cands)
-			front := ParetoFront(o.cands)
-			pick := Pick(front, st.w, ev.serial)
-			score := st.w.Score(pick, ev.serial)
-			if c > 1 && st.score[c-1] <= score {
+			// Share c's candidates: serial, then (c ≥ 2) its own c.
+			own, lo := 0, c*(c-1)/2
+			if c > 1 {
+				own = c
+			}
+			sc := append(append(o.shCand[:0], cand[0]), cand[lo:lo+own]...)
+			ss := append(append(o.shScore[:0], score[0]), score[lo:lo+own]...)
+			best, points := pickFront(sc, ss)
+			plan, s := sched.StreamPlan{}, zeroScore
+			if best >= 0 {
+				j := 0
+				if best > 0 {
+					j = lo + best - 1
+				}
+				plan, s = cplans[j], score[j]
+			}
+			if c > 1 && st.score[c-1] <= s {
 				st.plan[c] = st.plan[c-1]
 				st.score[c] = st.score[c-1]
 				st.points[c] = st.points[c-1]
 				continue
 			}
-			st.plan[c] = pick.Plan
-			st.score[c] = score
-			st.points[c] = len(front)
+			st.plan[c] = plan
+			st.score[c] = s
+			st.points[c] = points
 		}
 	}
 
@@ -172,6 +208,8 @@ func (o *Optimizer) Map(totalCores int, demands []sched.StreamDemand, plans []sc
 	}
 	optScore := f[n*row+totalCores]
 	if optScore == inf {
+		// No finite total (NaN scores): the greedy division, as above.
+		o.LastParetoPoints = 0
 		return o.greedy.Map(totalCores, demands, plans)
 	}
 

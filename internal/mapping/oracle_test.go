@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,7 +66,7 @@ func (ev *oracleEvaluator) stageMs(s, cf, cb int) (front, back float64) {
 }
 
 func (ev *oracleEvaluator) Evaluate(p sched.StreamPlan) Candidate {
-	cand := Candidate{Plan: p}
+	var cand Candidate
 	for s := range ev.prof.Weight {
 		w := ev.prof.Weight[s]
 		if w <= 0 {
@@ -96,22 +97,8 @@ func (ev *oracleEvaluator) Evaluate(p sched.StreamPlan) Candidate {
 	return cand
 }
 
-func (ev *oracleEvaluator) Candidates(c int, out []Candidate) []Candidate {
-	out = out[:0]
-	if c < 1 {
-		return out
-	}
-	out = append(out, ev.Evaluate(sched.StreamPlan{Cores: 1}))
-	if c < 2 {
-		return out
-	}
-	out = append(out, ev.Evaluate(sched.StreamPlan{Cores: c, Striped: true}))
-	for cf := 1; cf < c; cf++ {
-		out = append(out, ev.Evaluate(sched.StreamPlan{
-			Cores: c, Pipelined: true, FrontCores: cf, BackCores: c - cf,
-		}))
-	}
-	return out
+func (ev *oracleEvaluator) Candidates(c int, out []planned) []planned {
+	return enumerate(c, out, ev.Evaluate)
 }
 
 func (ev *oracleEvaluator) meanCutMs() float64 {
@@ -120,6 +107,91 @@ func (ev *oracleEvaluator) meanCutMs() float64 {
 		total += ev.prof.Weight[s] * ev.cutMs[s]
 	}
 	return total
+}
+
+// The candidate-list form of the per-share pick, which Optimizer.Map now
+// makes from flat per-candidate arrays: enumerate a share's candidates,
+// compact them to the Pareto front, pick the minimum score off it.
+
+// planned is a candidate with the plan it evaluates.
+type planned struct {
+	Plan sched.StreamPlan
+	Candidate
+}
+
+// enumerate lists the mapping space of a share of c cores with evaluate's
+// criteria: serial for one core; for larger shares, serial, full striping
+// without pipelining, and every front/back core partition of the window-2
+// pipeline.
+func enumerate(c int, out []planned, evaluate func(sched.StreamPlan) Candidate) []planned {
+	out = out[:0]
+	if c < 1 {
+		return out
+	}
+	add := func(p sched.StreamPlan) { out = append(out, planned{p, evaluate(p)}) }
+	add(sched.StreamPlan{Cores: 1})
+	if c < 2 {
+		return out
+	}
+	add(sched.StreamPlan{Cores: c, Striped: true})
+	for cf := 1; cf < c; cf++ {
+		add(sched.StreamPlan{Cores: c, Pipelined: true, FrontCores: cf, BackCores: c - cf})
+	}
+	return out
+}
+
+// Candidates enumerates the stream's mapping space for a share of c cores.
+func (ev *evaluator) Candidates(c int, out []planned) []planned {
+	return enumerate(c, out, ev.Evaluate)
+}
+
+// ParetoFront compacts cands down to the non-dominated set over
+// (latency, period), preserving enumeration order. When two candidates tie
+// exactly on both criteria the earlier one is kept. The returned slice
+// aliases cands.
+func ParetoFront(cands []planned) []planned {
+	n := len(cands)
+	// Mark first, compact second: the survivor test must read the original
+	// set, not a partially compacted one.
+	keep := 0
+	for i := 0; i < n; i++ {
+		c := cands[i]
+		dominated := false
+		for j := 0; j < n && !dominated; j++ {
+			if i == j {
+				continue
+			}
+			o := cands[j]
+			if dominates(o.Candidate, c.Candidate) {
+				dominated = true
+			} else if j < i && o.LatencyMs == c.LatencyMs && o.PeriodMs == c.PeriodMs {
+				// Exact tie: keep only the first.
+				dominated = true
+			}
+		}
+		if !dominated {
+			cands[i], cands[keep] = cands[keep], cands[i]
+			// The swap is safe: position keep ≤ i has already been
+			// classified, and classification only reads values, which the
+			// swap permutes but never loses.
+			keep++
+		}
+	}
+	return cands[:keep]
+}
+
+// Pick chooses one point off the Pareto front by minimum weighted score;
+// ties resolve to the earlier (simpler) candidate. An empty front returns a
+// zero candidate.
+func Pick(front []planned, w Weights, serialRef Candidate) planned {
+	var best planned
+	bestScore := math.Inf(1)
+	for _, c := range front {
+		if s := w.Score(c.Candidate, serialRef); s < bestScore {
+			best, bestScore = c, s
+		}
+	}
+	return best
 }
 
 // oracleMap is Optimizer.Map as it stood before the stage tables; it returns
@@ -141,7 +213,7 @@ func oracleMap(machine *platform.Machine, totalCores int, demands []sched.Stream
 	bestPlan := make([][]sched.StreamPlan, n)
 	bestScore := make([][]float64, n)
 	bestPoints := make([][]int, n)
-	var candBuf []Candidate
+	var candBuf []planned
 	for i := range demands {
 		d := &demands[i]
 		ev := newOracleEvaluator(machine, &d.Profile, d.FrameKB)
@@ -154,7 +226,7 @@ func oracleMap(machine *platform.Machine, totalCores int, demands []sched.Stream
 			candBuf = ev.Candidates(c, candBuf)
 			front := ParetoFront(candBuf)
 			pick := Pick(front, w, serial)
-			score := w.Score(pick, serial)
+			score := w.Score(pick.Candidate, serial)
 			if c > 1 && bestScore[i][c-1] <= score {
 				bestPlan[i][c] = bestPlan[i][c-1]
 				bestScore[i][c] = bestScore[i][c-1]
@@ -334,6 +406,219 @@ func TestMapMatchesEnumeratingOracle(t *testing.T) {
 	}
 }
 
+// checkedMapper is the optimizer behind a MultiManager with the enumerating
+// oracle run beside it on every division the manager asks for; it keeps the
+// first disagreement.
+type checkedMapper struct {
+	opt      *Optimizer
+	machine  *platform.Machine
+	calls    int
+	deviated int // divisions the oracle moved off the greedy plans
+	err      error
+}
+
+func (c *checkedMapper) Name() string { return "checked" }
+
+func (c *checkedMapper) Map(totalCores int, demands []sched.StreamDemand, plans []sched.StreamPlan) error {
+	want := make([]sched.StreamPlan, len(plans))
+	wantPoints, wantErr := oracleMap(c.machine, totalCores, demands, want)
+	c.opt.LastParetoPoints = -1
+	err := c.opt.Map(totalCores, demands, plans)
+	c.calls++
+	if wantPoints > 0 {
+		c.deviated++
+	}
+	if c.err == nil && err == nil && c.structured(totalCores, demands) {
+		c.err = c.checkCriteria(totalCores, len(demands))
+	}
+	switch {
+	case c.err != nil:
+	case (err == nil) != (wantErr == nil):
+		c.err = fmt.Errorf("division %d (%d streams, %d cores): error %v, oracle %v", c.calls, len(demands), totalCores, err, wantErr)
+	case err != nil:
+	case c.opt.LastParetoPoints != wantPoints:
+		c.err = fmt.Errorf("division %d (%d streams, %d cores): LastParetoPoints %d, oracle %d", c.calls, len(demands), totalCores, c.opt.LastParetoPoints, wantPoints)
+	default:
+		for i := range want {
+			if plans[i] != want[i] {
+				c.err = fmt.Errorf("division %d (%d streams, %d cores): stream %d plan %+v, oracle %+v", c.calls, len(demands), totalCores, i, plans[i], want[i])
+				break
+			}
+		}
+	}
+	return err
+}
+
+// structured reports whether Map scores the division rather than handing
+// it to the greedy mapper.
+func (c *checkedMapper) structured(totalCores int, demands []sched.StreamDemand) bool {
+	for i := range demands {
+		if demands[i].Profile.Frames == 0 {
+			return false
+		}
+	}
+	return totalCores >= len(demands)
+}
+
+// checkCriteria checks that every term the evaluators kept is current: each
+// stream's weighted criteria equal Evaluate's, bit for bit, on every
+// candidate.
+func (c *checkedMapper) checkCriteria(totalCores, n int) error {
+	plans := c.opt.plans[:numCandidates(totalCores-(n-1))]
+	got := make([]Candidate, len(plans))
+	for i := 0; i < n; i++ {
+		ev := &c.opt.streams[i].ev
+		ev.weigh(plans, got)
+		for j, p := range plans {
+			want := ev.Evaluate(p)
+			if !sameBits(got[j].LatencyMs, want.LatencyMs) || !sameBits(got[j].PeriodMs, want.PeriodMs) || !sameBits(got[j].CommMs, want.CommMs) {
+				return fmt.Errorf("division %d: stream %d plan %+v weighed %+v, Evaluate %+v", c.calls, i, p, got[j], want)
+			}
+		}
+	}
+	return nil
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestMapFoldedMatchesOracle: one long-lived Optimizer behind a
+// MultiManager, re-dividing after every one-frame, one-scenario report the
+// manager folds in — the serving loop's pattern, in which Map re-scores only
+// the scenario whose cost row moved — returns exactly the enumerating
+// oracle's plans and Pareto-point count at every division. The phases change
+// the core count under the same optimizer; along the way a stream is retired
+// (the later streams' positions shift), FrameKB changes, scenarios first
+// take weight, and cost rows hold -0 and NaN.
+func TestMapFoldedMatchesOracle(t *testing.T) {
+	checked := &checkedMapper{machine: testMachine(t)}
+	var err error
+	if checked.opt, err = NewOptimizer(platform.Blackford()); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(23))
+	negZero := math.Copysign(0, -1)
+	type phase struct {
+		cores, streams, steps int
+		retireAt, kbAt, nanAt int // step of the event; -1: none
+	}
+	phases := []phase{
+		{cores: 8, streams: 3, steps: 1000, retireAt: 600, kbAt: -1, nanAt: -1},
+		{cores: 12, streams: 2, steps: 800, retireAt: -1, kbAt: 400, nanAt: -1},
+		{cores: 8, streams: 1, steps: 800, retireAt: -1, kbAt: -1, nanAt: -1},
+		{cores: 6, streams: 4, steps: 600, retireAt: 450, kbAt: 150, nanAt: 300},
+	}
+	steps, firstWeights, negZeros, nans := 0, 0, 0, 0
+	for pi, ph := range phases {
+		mm, err := sched.NewMultiManager(ph.cores, ph.streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm.Mapper = checked
+		bases := make([]pipeline.CostProfile, ph.streams)
+		frameKB := make([]int, ph.streams)
+		// weighted[i][s]: scenario s carries weight in stream i's profile.
+		weighted := make([][pipeline.NumScenarios]bool, ph.streams)
+		for i := range bases {
+			bases[i] = randomProfile(rng, pipeline.NumScenarios)
+			frameKB[i] = 2
+			// The first report is taken verbatim: a profile with some
+			// scenarios still weightless, and -0 in its cost rows.
+			first := sched.StreamDemand{TotalMs: 30, BudgetMs: 40, FrameKB: frameKB[i], Profile: randomProfile(rng, 1+rng.Intn(4))}
+			for s := range first.Profile.Cost {
+				for ti := range first.Profile.Cost[s] {
+					if c := &first.Profile.Cost[s][ti]; c.Cycles > 0 && rng.Intn(3) == 0 {
+						c.MemBytes = negZero
+						negZeros++
+					}
+				}
+			}
+			for s, w := range first.Profile.Weight {
+				weighted[i][s] = w > 0
+			}
+			mm.ReportStream(i, &first)
+		}
+		live := make([]int, ph.streams)
+		for i := range live {
+			live[i] = i
+		}
+		mm.Redivide()
+		for step := 0; step < ph.steps; step++ {
+			switch step {
+			case ph.retireAt:
+				mid := len(live) / 2
+				mm.Retire(live[mid])
+				live = append(live[:mid], live[mid+1:]...)
+			case ph.kbAt:
+				frameKB[live[0]] = 512
+			}
+			i := live[rng.Intn(len(live))]
+			rep := oneFrameReports(rng, &bases[i], 1)[0]
+			rep.FrameKB = frameKB[i]
+			s := 0
+			for s < pipeline.NumScenarios && rep.Profile.Weight[s] == 0 {
+				s++
+			}
+			if !weighted[i][s] {
+				weighted[i][s] = true
+				firstWeights++
+			}
+			if step == ph.nanAt {
+				rep.Profile.Cost[s][rng.Intn(tasks.NumNames)].Cycles = math.NaN()
+				nans++
+			}
+			mm.ReportStream(i, &rep)
+			mm.Redivide()
+			steps++
+			if checked.err != nil {
+				t.Fatalf("phase %d step %d: %v", pi, step, checked.err)
+			}
+		}
+	}
+	t.Logf("%d steps, %d divisions, %d deviating from greedy, %d scenarios first weighted", steps, checked.calls, checked.deviated, firstWeights)
+	if steps < 3000 || checked.calls < steps {
+		t.Fatalf("%d steps, %d divisions checked", steps, checked.calls)
+	}
+	if checked.deviated < 300 || firstWeights < 10 || negZeros == 0 || nans == 0 {
+		t.Fatalf("weak coverage: %d divisions deviating from greedy, %d scenarios first weighted, %d -0 entries, %d NaN entries",
+			checked.deviated, firstWeights, negZeros, nans)
+	}
+}
+
+// TestPickFrontMatchesParetoPick: the flat-array pick keeps the candidate-
+// list pick's rules — the later of two exact ties leaves the front, the
+// earliest of equal scores wins, and a front with no score below +Inf picks
+// nothing — on candidate sets drawn from a few values, so that ties, NaN and
+// infinities are common.
+func TestPickFrontMatchesParetoPick(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	pool := []float64{1, 2, 3, math.Inf(1), math.NaN()}
+	draw := func() float64 { return pool[rng.Intn(len(pool))] }
+	for iter := 0; iter < 20000; iter++ {
+		n := 1 + rng.Intn(9)
+		cands := make([]planned, n)
+		evals := make([]Candidate, n)
+		score := make([]float64, n)
+		w := Weights{Latency: draw(), Throughput: draw(), Comm: draw()}
+		serial := Candidate{LatencyMs: draw(), PeriodMs: draw()}
+		for i := range cands {
+			evals[i] = Candidate{LatencyMs: draw(), PeriodMs: draw(), CommMs: draw()}
+			cands[i] = planned{sched.StreamPlan{Cores: i + 1}, evals[i]}
+			score[i] = w.Score(evals[i], serial)
+		}
+		best, points := pickFront(evals, score)
+		front := ParetoFront(append([]planned(nil), cands...))
+		want := Pick(front, w, serial)
+		got := planned{}
+		if best >= 0 {
+			got = cands[best]
+		}
+		if points != len(front) || got.Plan != want.Plan {
+			t.Fatalf("iter %d: picked %d of a %d-point front, want candidate %d of %d (cands %+v, weights %+v)",
+				iter, best, points, want.Plan.Cores-1, len(front), cands, w)
+		}
+	}
+}
+
 // TestEvaluateMatchesOracle: every candidate of every share scores the same
 // three criteria, bit for bit, from the table as from the profile.
 func TestEvaluateMatchesOracle(t *testing.T) {
@@ -475,6 +760,46 @@ func BenchmarkOracleMap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := oracleMap(machine, 8, demands, plans); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// oneFrameReports draws k one-frame reports of a stream whose scenarios all
+// carry weight: each observes one scenario, with that scenario's cost row
+// jittered around base's — what a serving stream reports after every frame.
+func oneFrameReports(rng *rand.Rand, base *pipeline.CostProfile, k int) []sched.StreamDemand {
+	reports := make([]sched.StreamDemand, k)
+	for i := range reports {
+		r := &reports[i]
+		r.TotalMs, r.BudgetMs, r.FrameKB = 20+10*rng.Float64(), 40, 2
+		s := rng.Intn(pipeline.NumScenarios)
+		r.Profile.Frames = 1
+		r.Profile.Weight[s] = 1
+		for ti, c := range base.Cost[s] {
+			r.Profile.Cost[s][ti] = c.Scale(0.8 + 0.4*rng.Float64())
+		}
+	}
+	return reports
+}
+
+// BenchmarkOptimizerMapFolded is the arbiter's per-frame re-division: every
+// Map follows the fold of a one-frame, one-scenario report into the stream's
+// profile, so one scenario's cost row changes between calls.
+func BenchmarkOptimizerMapFolded(b *testing.B) {
+	opt, err := NewOptimizer(platform.Blackford())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	demands := []sched.StreamDemand{{TotalMs: 30, BudgetMs: 40, FrameKB: 2, Profile: randomProfile(rng, pipeline.NumScenarios)}}
+	reports := oneFrameReports(rng, &demands[0].Profile, 64)
+	plans := make([]sched.StreamPlan, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		demands[0].Profile.Fold(&reports[i%len(reports)].Profile, 0.25)
+		if err := opt.Map(8, demands, plans); err != nil {
 			b.Fatal(err)
 		}
 	}

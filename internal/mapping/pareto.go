@@ -1,5 +1,7 @@
 package mapping
 
+import "math"
+
 // dominates reports whether a is at least as good as b on both criteria and
 // strictly better on one. Communication cost is not a third axis: it is
 // already folded into both latency and period, and keeping the front
@@ -11,39 +13,38 @@ func dominates(a, b Candidate) bool {
 	return a.LatencyMs < b.LatencyMs || a.PeriodMs < b.PeriodMs
 }
 
-// ParetoFront compacts cands down to the non-dominated set over
-// (latency, period), preserving enumeration order (deterministic for a
-// deterministic candidate order). When two candidates tie exactly on both
-// criteria the earlier one is kept — enumeration order puts simpler plans
-// (serial, then striped, then pipelined splits) first, so ties resolve
-// toward the simpler mapping. The returned slice aliases cands.
-func ParetoFront(cands []Candidate) []Candidate {
-	n := len(cands)
-	// Mark first, compact second: the survivor test must read the original
-	// set, not a partially compacted one.
-	keep := 0
-	for i := 0; i < n; i++ {
-		c := cands[i]
-		dominated := false
-		for j := 0; j < n && !dominated; j++ {
-			if i == j {
-				continue
-			}
-			o := cands[j]
-			if dominates(o, c) {
-				dominated = true
-			} else if j < i && o.LatencyMs == c.LatencyMs && o.PeriodMs == c.PeriodMs {
-				// Exact tie: keep only the first.
-				dominated = true
-			}
+// pickFront filters one share's candidates — their criteria and scores, in
+// enumeration order — down to the Pareto front over (latency, period) and
+// returns the position of the front point of minimum score and the front's
+// size. When two candidates tie exactly on both criteria only the earlier
+// one is on the front: enumeration order puts simpler plans (serial, then
+// striped, then pipelined splits) first, so ties resolve toward the simpler
+// mapping. Of equal scores the earliest front point wins; best is -1 when no
+// front point scores below +Inf (every score NaN, say).
+func pickFront(cands []Candidate, score []float64) (best, points int) {
+	score = score[:len(cands)]
+	best = -1
+	bestScore := math.Inf(1)
+	for i := range cands {
+		if !onFront(cands, i) {
+			continue
 		}
-		if !dominated {
-			cands[i], cands[keep] = cands[keep], cands[i]
-			// The swap is safe: position keep ≤ i has already been
-			// classified, and classification only reads values, which the
-			// swap permutes but never loses.
-			keep++
+		points++
+		if s := score[i]; s < bestScore {
+			best, bestScore = i, s
 		}
 	}
-	return cands[:keep]
+	return best, points
+}
+
+// onFront reports whether no candidate dominates cands[i] and no earlier
+// one ties it exactly.
+func onFront(cands []Candidate, i int) bool {
+	c := cands[i]
+	for j, o := range cands {
+		if dominates(o, c) || j < i && o.LatencyMs == c.LatencyMs && o.PeriodMs == c.PeriodMs {
+			return false
+		}
+	}
+	return true
 }

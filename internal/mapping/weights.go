@@ -90,17 +90,3 @@ func (w Weights) Score(c Candidate, serialRef Candidate) float64 {
 		w.Throughput*(c.PeriodMs/refPeriod) +
 		w.Comm*(c.CommMs/ref)
 }
-
-// Pick chooses one point off the Pareto front by minimum weighted score;
-// ties resolve to the earlier (simpler) candidate. An empty front returns a
-// zero Candidate.
-func Pick(front []Candidate, w Weights, serialRef Candidate) Candidate {
-	var best Candidate
-	bestScore := math.Inf(1)
-	for _, c := range front {
-		if s := w.Score(c, serialRef); s < bestScore {
-			best, bestScore = c, s
-		}
-	}
-	return best
-}

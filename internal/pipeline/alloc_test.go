@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"triplec/internal/frame"
+	"triplec/internal/tasks"
 )
 
 // TestProcessSteadyStateAllocBudget pins the per-frame heap traffic of the
@@ -19,7 +20,7 @@ import (
 func TestProcessSteadyStateAllocBudget(t *testing.T) {
 	e := newEngine(t)
 	s := testSeq(t, 3)
-	const warm, measured, maxMallocs = 12, 24, 9 + racePoolMallocs
+	const warm, measured, maxMallocs = 12, 24, 8 + racePoolMallocs
 
 	// Pre-generate inputs so synthesis cost stays out of the measurement.
 	inputs := make([]*frame.Frame, warm+measured)
@@ -60,5 +61,30 @@ func TestProcessSteadyStateAllocBudget(t *testing.T) {
 	// candidate slices afresh, which a bytes budget cannot see.
 	if mallocs > maxMallocs {
 		t.Errorf("steady-state pipeline makes %.1f allocations/frame, budget %d", mallocs, maxMallocs)
+	}
+}
+
+// TestProcessReleasesFrameRecord: Process reuses one execution record, and
+// after a frame — processed or failed — the record holds neither the frame
+// nor its report, so the engine keeps nothing of the frame alive.
+func TestProcessReleasesFrameRecord(t *testing.T) {
+	e := newEngine(t)
+	s := testSeq(t, 3)
+	for i := 0; i < 4; i++ {
+		f, _ := s.Frame(i)
+		if _, err := e.Process(f, nil); err != nil {
+			t.Fatal(err)
+		}
+		if fx := &e.fx; fx.f != nil || fx.couple != nil || fx.rep.Execs != nil || fx.rep.Output != nil {
+			t.Fatalf("frame %d: record still holds the frame after commit", i)
+		}
+	}
+	e.SetTaskHook(func(tasks.Name, int) { panic("injected") })
+	f, _ := s.Frame(4)
+	if _, err := e.Process(f, nil); err == nil {
+		t.Fatal("injected panic did not fail the frame")
+	}
+	if fx := &e.fx; fx.f != nil || fx.rep.Execs != nil {
+		t.Fatal("record still holds the frame after a failed frame")
 	}
 }

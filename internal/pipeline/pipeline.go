@@ -146,6 +146,10 @@ type Engine struct {
 	observer func(Report)
 	spans    *span.FrameBuilder // per-frame span staging; nil-safe when unset
 
+	// fx is Process's execution record, reused frame to frame; the
+	// pipelined executor allocates its own, one per frame in flight.
+	fx frameExec
+
 	// Fault boundary (see guard.go / degrade.go).
 	hook      func(task tasks.Name, frameIdx int)
 	gate      TaskGate
@@ -286,23 +290,23 @@ func (e *Engine) charge(fx *frameExec, name tasks.Name, cost platform.Cost) {
 	}
 }
 
-// begin validates the inputs, opens the frame's span, and allocates the
-// frame's execution state. The frame counter advances here — before the
+// begin validates the inputs, opens the frame's span, and initializes fx as
+// the frame's execution state. The frame counter advances here — before the
 // tasks run — so the pipelined executor can begin frame k+1 while frame k's
 // back half is still in flight; a failed frame still consumes its index,
 // exactly as the serial accounting always did.
-func (e *Engine) begin(f *frame.Frame, m partition.Mapping) (*frameExec, error) {
+func (e *Engine) begin(fx *frameExec, f *frame.Frame, m partition.Mapping) error {
 	if f == nil || f.Pixels() == 0 {
-		return nil, errors.New("pipeline: empty frame")
+		return errors.New("pipeline: empty frame")
 	}
 	if m == nil {
 		m = partition.Serial()
 	}
 	if err := m.Validate(e.cfg.Arch.NumCPUs); err != nil {
-		return nil, err
+		return err
 	}
 	e.spans.BeginFrame(e.frameIdx)
-	fx := &frameExec{
+	*fx = frameExec{
 		e:      e,
 		f:      f,
 		m:      m,
@@ -313,7 +317,7 @@ func (e *Engine) begin(f *frame.Frame, m partition.Mapping) (*frameExec, error) 
 		rep: Report{Index: e.frameIdx, Mapping: m, Quality: e.quality, Execs: make([]TaskExec, 0, 9)},
 	}
 	e.frameIdx++
-	return fx, nil
+	return nil
 }
 
 // front runs the frame's front-stage tasks — DETECT through ROI_EST, the
@@ -457,14 +461,17 @@ func (fx *frameExec) commit() Report {
 // recovered into a *TaskError, the frame fails, and the engine resets its
 // inter-frame state so the next frame starts from a clean temporal stack.
 func (e *Engine) Process(f *frame.Frame, m partition.Mapping) (rep Report, err error) {
-	fx, err := e.begin(f, m)
-	if err != nil {
+	fx := &e.fx
+	if err := e.begin(fx, f, m); err != nil {
 		return Report{}, err
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			e.recoverFrame(fx, r, &rep, &err)
 		}
+		// The record outlives the frame: drop its frame, couple and report
+		// so the engine does not keep them alive until the next one.
+		*fx = frameExec{}
 	}()
 	fx.front()
 	fx.back()

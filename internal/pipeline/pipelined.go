@@ -108,8 +108,8 @@ func (e *Engine) RunPipelined(n int, source func(int) *frame.Frame, m partition.
 			drain()
 			return nil, fmt.Errorf("pipeline: frame %d: source returned nil frame", i)
 		}
-		fx, err := e.begin(f, m)
-		if err != nil {
+		fx := new(frameExec)
+		if err := e.begin(fx, f, m); err != nil {
 			drain()
 			return nil, fmt.Errorf("pipeline: frame %d: %w", i, err)
 		}

@@ -84,10 +84,10 @@ func (p StreamPlan) Mapping(numCPUs int) partition.Mapping {
 }
 
 // Mapper decides per-stream execution plans from demand signals. Map fills
-// plans (len(plans) == len(demands)) without retaining either slice; the
-// MultiManager calls it under its lock, so implementations must not call
-// back into the manager and should avoid per-call allocation on the steady
-// path.
+// plans (len(plans) == len(demands)) without modifying demands or retaining
+// either slice; the MultiManager calls it under its lock, so implementations
+// must not call back into the manager and should avoid per-call allocation
+// on the steady path.
 type Mapper interface {
 	Name() string
 	Map(totalCores int, demands []StreamDemand, plans []StreamPlan) error

@@ -302,18 +302,25 @@ func (mm *MultiManager) Redivide() {
 }
 
 func (mm *MultiManager) rebalanceLocked() {
-	// Compact the active streams, map the full machine onto them, and
-	// scatter the plans back; retired slots get zero.
+	// Map the full machine onto the active streams and scatter the plans
+	// back; retired slots get zero. While no stream is retired the mapper
+	// reads the demands in place; otherwise the active ones are compacted
+	// into demandBuf.
 	idx := mm.idxBuf[:0]
-	dem := mm.demandBuf[:0]
 	for i := range mm.demands {
 		if mm.active[i] {
 			idx = append(idx, i)
-			dem = append(dem, mm.demands[i])
 		}
 	}
 	if len(idx) == 0 {
 		return
+	}
+	dem := mm.demands
+	if len(idx) < len(mm.demands) {
+		dem = mm.demandBuf[:0]
+		for _, i := range idx {
+			dem = append(dem, mm.demands[i])
+		}
 	}
 	plans := mm.planBuf[:len(idx)]
 	mapper := mm.Mapper
