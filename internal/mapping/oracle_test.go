@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"triplec/internal/flowgraph"
@@ -415,11 +416,16 @@ type checkedMapper struct {
 	calls    int
 	deviated int // divisions the oracle moved off the greedy plans
 	err      error
+
+	// the last division's core count and demands
+	cores   int
+	demands []sched.StreamDemand
 }
 
 func (c *checkedMapper) Name() string { return "checked" }
 
 func (c *checkedMapper) Map(totalCores int, demands []sched.StreamDemand, plans []sched.StreamPlan) error {
+	c.cores, c.demands = totalCores, append(c.demands[:0], demands...)
 	want := make([]sched.StreamPlan, len(plans))
 	wantPoints, wantErr := oracleMap(c.machine, totalCores, demands, want)
 	c.opt.LastParetoPoints = -1
@@ -488,7 +494,9 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // oracle's plans and Pareto-point count at every division. The phases change
 // the core count under the same optimizer; along the way a stream is retired
 // (the later streams' positions shift), FrameKB changes, scenarios first
-// take weight, and cost rows hold -0 and NaN.
+// take weight, and cost rows hold -0 and NaN. The manager drops a report
+// with a NaN cost, so the NaN row is handed to Map directly, between two
+// folded divisions.
 func TestMapFoldedMatchesOracle(t *testing.T) {
 	checked := &checkedMapper{machine: testMachine(t)}
 	var err error
@@ -562,12 +570,14 @@ func TestMapFoldedMatchesOracle(t *testing.T) {
 				weighted[i][s] = true
 				firstWeights++
 			}
-			if step == ph.nanAt {
-				rep.Profile.Cost[s][rng.Intn(tasks.NumNames)].Cycles = math.NaN()
-				nans++
-			}
 			mm.ReportStream(i, &rep)
 			mm.Redivide()
+			if step == ph.nanAt {
+				d := append([]sched.StreamDemand(nil), checked.demands...)
+				d[slices.Index(live, i)].Profile.Cost[s][rng.Intn(tasks.NumNames)].Cycles = math.NaN()
+				_ = checked.Map(checked.cores, d, make([]sched.StreamPlan, len(d)))
+				nans++
+			}
 			steps++
 			if checked.err != nil {
 				t.Fatalf("phase %d step %d: %v", pi, step, checked.err)
@@ -582,6 +592,69 @@ func TestMapFoldedMatchesOracle(t *testing.T) {
 		t.Fatalf("weak coverage: %d divisions deviating from greedy, %d scenarios first weighted, %d -0 entries, %d NaN entries",
 			checked.deviated, firstWeights, negZeros, nans)
 	}
+}
+
+// TestNaNReportDropped: the manager drops a report whose profile holds a
+// NaN cost, so the optimizer divides after it and 1,000 clean reports
+// exactly as after the clean reports alone, instead of scoring the stream
+// NaN (and falling back to the greedy division) for the rest of the run.
+func TestNaNReportDropped(t *testing.T) {
+	run := func(poison bool) (plans []sched.StreamPlan, paretoPoints int) {
+		opt, err := NewOptimizer(platform.Blackford())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recordingMapper{opt: opt}
+		mm, err := sched.NewMultiManager(8, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm.Mapper = rec
+		rng := rand.New(rand.NewSource(31))
+		bases := []pipeline.CostProfile{randomProfile(rng, pipeline.NumScenarios), randomProfile(rng, pipeline.NumScenarios)}
+		for i := range bases {
+			mm.ReportStream(i, &sched.StreamDemand{TotalMs: 30, BudgetMs: 40, FrameKB: 2, Profile: bases[i]})
+		}
+		if poison {
+			bad := oneFrameReports(rand.New(rand.NewSource(7)), &bases[0], 1)[0]
+			for s, w := range bad.Profile.Weight {
+				if w > 0 {
+					bad.Profile.Cost[s][0].Cycles = math.NaN()
+				}
+			}
+			mm.ReportStream(0, &bad)
+		}
+		for step := 0; step < 1000; step++ {
+			i := step % 2
+			rep := oneFrameReports(rng, &bases[i], 1)[0]
+			mm.ReportStream(i, &rep)
+			mm.Redivide()
+			paretoPoints += opt.LastParetoPoints
+		}
+		return rec.plans, paretoPoints
+	}
+	clean, cleanPoints := run(false)
+	poisoned, poisonedPoints := run(true)
+	if len(clean) != 2000 || !slices.Equal(clean, poisoned) {
+		t.Fatalf("plans after a NaN report differ from the clean run's (%d vs %d plans)", len(poisoned), len(clean))
+	}
+	if cleanPoints == 0 || poisonedPoints != cleanPoints {
+		t.Fatalf("Pareto points %d after a NaN report, %d in the clean run", poisonedPoints, cleanPoints)
+	}
+}
+
+// recordingMapper is an optimizer that keeps every plan it returns.
+type recordingMapper struct {
+	opt   *Optimizer
+	plans []sched.StreamPlan
+}
+
+func (r *recordingMapper) Name() string { return "recording" }
+
+func (r *recordingMapper) Map(totalCores int, demands []sched.StreamDemand, plans []sched.StreamPlan) error {
+	err := r.opt.Map(totalCores, demands, plans)
+	r.plans = append(r.plans, plans...)
+	return err
 }
 
 // TestPickFrontMatchesParetoPick: the flat-array pick keeps the candidate-

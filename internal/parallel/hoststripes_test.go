@@ -154,7 +154,7 @@ func onHelper() bool {
 }
 
 // deepPanic panics depth frames down, so recovering it and taking its stack
-// (asPanicError) walks a long stack and takes milliseconds.
+// (AsPanicError) walks a long stack and takes milliseconds.
 func deepPanic(depth int) {
 	if depth == 0 {
 		panic("deep stripe boom")

@@ -18,9 +18,9 @@ import (
 )
 
 // PanicError wraps a panic recovered from a parallel job so callers receive
-// it as an ordinary error (Pool.Do) or as a re-panic on their own goroutine
-// (ForStripes, HostStripes.Run) instead of the process crashing on a worker
-// goroutine.
+// it as an ordinary error (Pool.Do, a served frame) or as a re-panic on
+// their own goroutine (ForStripes, HostStripes.Run) instead of the process
+// crashing on a worker goroutine.
 type PanicError struct {
 	Value any    // the value originally passed to panic
 	Stack []byte // stack of the panicking goroutine
@@ -30,10 +30,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: job panicked: %v", e.Value)
 }
 
-// asPanicError wraps a recovered value, reusing an already-wrapped panic so
-// nested recovery layers (stripe goroutine -> pool worker -> Do caller) do
-// not stack PanicErrors inside each other.
-func asPanicError(r any) *PanicError {
+// AsPanicError wraps a value recovered from a job, reusing an
+// already-wrapped panic so nested recovery layers (stripe goroutine -> pool
+// worker -> Do caller) do not stack PanicErrors inside each other. Call it
+// from the deferred function that recovered, so the stack is the panic's.
+func AsPanicError(r any) *PanicError {
 	if pe, ok := r.(*PanicError); ok {
 		return pe
 	}
@@ -51,7 +52,7 @@ func (b *panicBox) capture(r any) {
 	if r == nil {
 		return
 	}
-	pe := asPanicError(r)
+	pe := AsPanicError(r)
 	b.mu.Lock()
 	if b.err == nil {
 		b.err = pe
@@ -178,8 +179,7 @@ func (p *Pool) Submit(job func()) error {
 
 // Do runs job on a pool worker and blocks until it completes. Callers from
 // independent goroutines thereby share the pool's fixed concurrency: with k
-// workers at most k Do bodies execute at once, which is how the stream
-// serving layer keeps N streams from oversubscribing the host's cores.
+// workers at most k Do bodies execute at once.
 //
 // A panic inside job does not crash the process or wedge the pool: Do
 // recovers it on the worker and returns it to the caller as a *PanicError.
@@ -211,7 +211,7 @@ func (p *Pool) NewCall(job func()) *Call {
 func (c *Call) exec() {
 	defer func() {
 		if r := recover(); r != nil {
-			c.err = asPanicError(r)
+			c.err = AsPanicError(r)
 		}
 		c.done <- struct{}{}
 	}()

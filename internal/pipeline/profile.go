@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"math"
+
 	"triplec/internal/platform"
 	"triplec/internal/tasks"
 )
@@ -74,6 +76,26 @@ func Profile(reports []Report) CostProfile {
 		p.Add(r)
 	}
 	return p
+}
+
+// Valid reports whether every weight, and every cost of a weighted
+// scenario, is finite and non-negative: Fold's EWMA never forgets a NaN.
+func (p *CostProfile) Valid() bool {
+	ok := func(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+	for s, w := range p.Weight {
+		if w == 0 {
+			continue
+		}
+		if !ok(w) {
+			return false
+		}
+		for _, c := range p.Cost[s] {
+			if !ok(c.Cycles) || !ok(c.MemBytes) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Fold blends a newer profile into p with EWMA factor a ∈ (0, 1] (1 replaces

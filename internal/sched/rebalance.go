@@ -249,9 +249,10 @@ func NewMultiManager(totalCores, n int) (*MultiManager, error) {
 // report is taken verbatim; later reports are EWMA-blended with Alpha. A
 // report with an empty profile updates only the scalar (the profile keeps
 // its last value), and a zero BudgetMs keeps the previously reported
-// deadline. Allocation-free.
+// deadline. A report with a non-finite or negative demand, weight or cost
+// is dropped. Allocation-free.
 func (mm *MultiManager) ReportStream(i int, d *StreamDemand) {
-	if d == nil || math.IsNaN(d.TotalMs) || math.IsInf(d.TotalMs, 0) || d.TotalMs < 0 {
+	if d == nil || math.IsNaN(d.TotalMs) || math.IsInf(d.TotalMs, 0) || d.TotalMs < 0 || !d.Profile.Valid() {
 		return
 	}
 	mm.mu.Lock()

@@ -12,6 +12,7 @@ package shadow
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"triplec/internal/core"
 	"triplec/internal/flowgraph"
@@ -239,35 +240,54 @@ func (b *Order2Backend) Reset() {
 // scaled region size, region fraction, and the scenario one-hot.
 const ridgeDim = 11
 
-// rlsState is one task's recursive-least-squares regression with a
-// forgetting factor — the fully feature-driven alternative to the paper's
-// time-series models. All state is fixed-size arrays; update and predict
-// are allocation-free.
-type rlsState struct {
-	w [ridgeDim]float64            // weights
-	p [ridgeDim * ridgeDim]float64 // inverse-covariance estimate
-	// scratch for the update (px = P·x, kv = gain vector)
-	px, kv [ridgeDim]float64
+// rlsMaxDiag bounds the covariance: an update whose largest diagonal entry
+// already exceeds it skips the 1/λ inflation, so forgetting stops there.
+// The bias feature always equals the sum of the scenario one-hot, so one
+// direction of P is never excited, and neither are the scenarios a stream
+// never visits; unbounded, they grow by 1/λ per update until P·x loses its
+// precision and, after ~46k updates at λ = 0.995, turns NaN. Over 80k
+// frames of a served 32² stream the total forecast erred by 1.4 % on
+// average (on scenario hits) at 1e11 and 1e12, and by more from 1e13 up;
+// the goldens stay below 3e10.
+const rlsMaxDiag = 1e12
 
+// rlsCov is the covariance half of a recursive-least-squares regression
+// with forgetting: the inverse-covariance estimate P and the gain of its
+// last update. The recursion reads only the features, never the target, so
+// every task updated on the same frames holds the same P bit for bit and
+// shares one rlsCov.
+//
+// Only the excited block is stored and updated: the coordinates the
+// features have ever been non-zero on. The others keep exact-zero rows and
+// columns and one common diagonal, idle. The terms the block skips are
+// exact zeros while P is finite (rlsMaxDiag keeps it finite), so the
+// result equals the dense 11×11 recursion.
+type rlsCov struct {
+	p    [ridgeDim * ridgeDim]float64 // excited block of P; zero elsewhere
+	idle float64                      // diagonal of the never-excited coordinates
+	exc  [ridgeDim]int                // excited coordinates, ascending: exc[:nexc]
+	nexc int
+	mask uint16 // the excited coordinates as a bit set
+	// scratch of the update: px = P·x and the gain kv = px / (λ + xᵀ·P·x),
+	// set on the excited coordinates.
+	px, kv [ridgeDim]float64
+}
+
+// rlsTask is one task's half: weights, and the running mean that predicts
+// until the regression has support.
+type rlsTask struct {
+	w     [ridgeDim]float64
 	count int
-	mean  float64 // running mean fallback until the regression has support
+	mean  float64
 }
 
 // rlsMinSamples gates the regression: below it the running mean predicts.
 const rlsMinSamples = 8
 
-// rlsInit resets P to a large multiple of the identity (diffuse prior).
-func (s *rlsState) init() {
-	s.w = [ridgeDim]float64{}
-	s.p = [ridgeDim * ridgeDim]float64{}
-	for i := 0; i < ridgeDim; i++ {
-		s.p[i*ridgeDim+i] = 1e4
-	}
-	s.count = 0
-	s.mean = 0
-}
+// rlsPrior is P's initial diagonal (diffuse prior).
+const rlsPrior = 1e4
 
-func (s *rlsState) predict(x *[ridgeDim]float64) float64 {
+func (s *rlsTask) predict(x *[ridgeDim]float64) float64 {
 	if s.count < rlsMinSamples {
 		return s.mean
 	}
@@ -281,36 +301,81 @@ func (s *rlsState) predict(x *[ridgeDim]float64) float64 {
 	return y
 }
 
-// update performs one RLS step with forgetting factor lambda.
-func (s *rlsState) update(x *[ridgeDim]float64, y, lambda float64) {
-	s.count++
-	s.mean += (y - s.mean) / float64(s.count)
+// update performs one RLS step of P with forgetting factor lambda and
+// leaves the gain in c.kv for the tasks' weight updates.
+func (c *rlsCov) update(x *[ridgeDim]float64, lambda float64) {
+	var nz [ridgeDim]int
+	nnz := 0
+	c.nexc = 0
+	for i := 0; i < ridgeDim; i++ {
+		if x[i] != 0 {
+			nz[nnz] = i
+			nnz++
+			if c.mask&(1<<i) == 0 {
+				// Newly excited: its row and column are zero, its diagonal idle.
+				c.mask |= 1 << i
+				c.p[i*ridgeDim+i] = c.idle
+			}
+		}
+		if c.mask&(1<<i) != 0 {
+			c.exc[c.nexc] = i
+			c.nexc++
+		}
+	}
+	exc := c.exc[:c.nexc]
+	maxDiag := 0.0
+	if c.nexc < ridgeDim {
+		maxDiag = c.idle
+	}
+	for _, i := range exc {
+		maxDiag = max(maxDiag, c.p[i*ridgeDim+i])
+	}
 	// px = P·x ; denom = λ + xᵀ·P·x
 	denom := lambda
-	for i := 0; i < ridgeDim; i++ {
+	for _, i := range exc {
 		v := 0.0
-		for j := 0; j < ridgeDim; j++ {
-			v += s.p[i*ridgeDim+j] * x[j]
+		for _, j := range nz[:nnz] {
+			v += c.p[i*ridgeDim+j] * x[j]
 		}
-		s.px[i] = v
+		c.px[i] = v
 		denom += v * x[i]
 	}
-	for i := 0; i < ridgeDim; i++ {
-		s.kv[i] = s.px[i] / denom
+	for _, i := range exc {
+		c.kv[i] = c.px[i] / denom
 	}
+	// P = (P − k·(xᵀP)) / λ ; xᵀP = pxᵀ (P symmetric). Past the ceiling
+	// the division by λ is skipped.
+	for _, i := range exc {
+		row := c.p[i*ridgeDim : i*ridgeDim+ridgeDim]
+		for _, j := range exc {
+			row[j] -= c.kv[i] * c.px[j]
+		}
+	}
+	if maxDiag > rlsMaxDiag {
+		return
+	}
+	for _, i := range exc {
+		row := c.p[i*ridgeDim : i*ridgeDim+ridgeDim]
+		for _, j := range exc {
+			row[j] /= lambda
+		}
+	}
+	c.idle /= lambda
+}
+
+// update folds one sample into the task's weights with the gain of the
+// covariance update just made on x.
+func (s *rlsTask) update(c *rlsCov, x *[ridgeDim]float64, y float64) {
+	s.count++
+	s.mean += (y - s.mean) / float64(s.count)
 	// w += k (y − wᵀx)
 	e := y
-	for i := 0; i < ridgeDim; i++ {
+	exc := c.exc[:c.nexc]
+	for _, i := range exc {
 		e -= s.w[i] * x[i]
 	}
-	for i := 0; i < ridgeDim; i++ {
-		s.w[i] += s.kv[i] * e
-	}
-	// P = (P − k·(xᵀP)) / λ ; xᵀP = pxᵀ (P symmetric)
-	for i := 0; i < ridgeDim; i++ {
-		for j := 0; j < ridgeDim; j++ {
-			s.p[i*ridgeDim+j] = (s.p[i*ridgeDim+j] - s.kv[i]*s.px[j]) / lambda
-		}
+	for _, i := range exc {
+		s.w[i] += c.kv[i] * e
 	}
 }
 
@@ -319,7 +384,14 @@ func (s *rlsState) update(x *[ridgeDim]float64, y, lambda float64) {
 // size, region fraction and the scenario one-hot — instead of time-series
 // structure. Scenarios come from its own online first-order table.
 type RidgeBackend struct {
-	reg [tasks.NumNames]rlsState
+	reg [tasks.NumNames]rlsTask
+	// The tasks are partitioned into groups that have run on the same
+	// frames, each sharing one covariance: cov[g] for the tasks in
+	// members[g], g < groups. All tasks start in one group; a group that
+	// runs only in part splits.
+	cov     [tasks.NumNames]rlsCov
+	members [tasks.NumNames]uint16
+	groups  int
 	// table is order 1 over the scenario indices. Unlike the deployed
 	// predictor's state table, frozen after training, the backends' tables
 	// keep counting live transitions: online scenario learning is one of
@@ -333,13 +405,13 @@ type RidgeBackend struct {
 	x    [ridgeDim]float64 // scratch feature vector
 }
 
-// NewRidgeBackend returns an untrained backend; warm-start it with
-// WarmStart (TrainBackends does) so early frames are not pure fallback.
+// NewRidgeBackend returns an untrained backend; warm-start it by replaying
+// a corpus (TrainBackends does) so early frames are not pure fallback.
 func NewRidgeBackend() *RidgeBackend {
 	b := &RidgeBackend{table: core.NewTransitionTable(8, 1), active: core.NewScenarioTaskLists(), lambda: 0.995}
-	for i := range b.reg {
-		b.reg[i].init()
-	}
+	b.cov[0].idle = rlsPrior
+	b.members[0] = 1<<tasks.NumNames - 1
+	b.groups = 1
 	return b
 }
 
@@ -365,11 +437,25 @@ func (b *RidgeBackend) Observe(obs *core.Observation) {
 		b.table.Add(b.feat.Scenario.Index(), si)
 	}
 	b.features(obs.AnalysisPixels, obs.FramePixels, si)
-	for ti := 0; ti < tasks.NumNames; ti++ {
-		if obs.Mask&(1<<uint(ti)) == 0 {
+	for g, n := 0, b.groups; g < n; g++ {
+		ran := b.members[g] & obs.Mask
+		if ran == 0 {
 			continue
 		}
-		b.reg[ti].update(&b.x, obs.Ms[ti], b.lambda)
+		c := &b.cov[g]
+		if ran != b.members[g] {
+			// Only some of the group ran: they leave with a copy of its
+			// covariance.
+			b.members[g] &^= ran
+			b.cov[b.groups], b.members[b.groups] = *c, ran
+			c = &b.cov[b.groups]
+			b.groups++
+		}
+		c.update(&b.x, b.lambda)
+		for ; ran != 0; ran &= ran - 1 {
+			ti := bits.TrailingZeros16(ran)
+			b.reg[ti].update(c, &b.x, obs.Ms[ti])
+		}
 	}
 	b.feat = *obs
 	b.seen = true

@@ -7,6 +7,7 @@ package shadow_test
 import (
 	"bytes"
 	"math"
+	"math/rand/v2"
 	"net/http/httptest"
 	"sort"
 	"strconv"
@@ -302,5 +303,100 @@ func TestTrainBackendsRoster(t *testing.T) {
 			t.Fatalf("backend %s produced an empty or non-finite forecast: mask=%b total=%v",
 				be.Name(), pred.Mask, pred.TotalMs)
 		}
+	}
+}
+
+// servedCorpus profiles the training corpus of a served size² stream, the
+// one NewStreamBoard warm-starts from.
+func servedCorpus(t testing.TB, size int) [][]core.Observation {
+	t.Helper()
+	s := experiments.DefaultStudy()
+	s.FrameW, s.FrameH = size, size
+	s.Spacing = 36 * float64(size) / 128
+	s.TrainSeqs, s.TrainFrames = 4, 60
+	st, err := s.ServedStream(11, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Corpus
+}
+
+// TestRidgeMatchesDenseRecursion holds the ridge backend's grouped
+// covariances to the dense per-task recursion in every bit of w and P,
+// over served-stream corpora replayed for 20,000 frames, once as served and
+// once with random task drops that split the groups.
+func TestRidgeMatchesDenseRecursion(t *testing.T) {
+	const frames = 20000
+	for _, size := range []int{32, 128} {
+		var obs []core.Observation
+		for _, seq := range servedCorpus(t, size) {
+			obs = append(obs, seq...)
+		}
+		for _, drops := range []bool{false, true} {
+			o := shadow.NewRidgeOracle()
+			rng := rand.New(rand.NewPCG(uint64(size), 7))
+			for i := 0; i < frames; i++ {
+				f := obs[i%len(obs)]
+				if drops && rng.IntN(8) == 0 {
+					f.Mask &= uint16(rng.Uint32())
+				}
+				o.Observe(&f)
+				if msg := o.Mismatch(); msg != "" {
+					t.Fatalf("%d², drops %v, frame %d: %s", size, drops, i, msg)
+				}
+			}
+			t.Logf("%d², drops %v: %d covariance groups", size, drops, o.Groups())
+		}
+	}
+}
+
+// TestRidgeStaysFinite: the bias feature always equals the sum of the
+// scenario one-hot, so one direction of the covariance is never excited;
+// unbounded, it overflowed and every ridge forecast turned NaN after ~46k
+// frames.
+func TestRidgeStaysFinite(t *testing.T) {
+	const frames = 200000
+	var obs []core.Observation
+	for _, seq := range servedCorpus(t, 32) {
+		obs = append(obs, seq...)
+	}
+	b := shadow.NewRidgeBackend()
+	var p core.Prediction
+	for i := 0; i < frames; i++ {
+		b.Predict(&p)
+		finite := !math.IsNaN(p.TotalMs) && !math.IsInf(p.TotalMs, 0)
+		for _, ms := range p.Ms {
+			finite = finite && !math.IsNaN(ms) && !math.IsInf(ms, 0)
+		}
+		if !finite {
+			t.Fatalf("frame %d: ridge forecast %+v is not finite", i, p)
+		}
+		b.Observe(&obs[i%len(obs)])
+	}
+}
+
+// BenchmarkBoardObserveFrame is one frame of a served 32² stream's board:
+// the real roster, warm-started from the stream's corpus, metrics on.
+func BenchmarkBoardObserveFrame(b *testing.B) {
+	corpus := servedCorpus(b, 32)
+	deployed, err := core.Train(corpus, core.TrainConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	board, err := shadow.NewStreamBoard("thumb", deployed, corpus, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := board.EnableMetrics(metrics.NewRegistry()); err != nil {
+		b.Fatal(err)
+	}
+	var obs []core.Observation
+	for _, seq := range corpus {
+		obs = append(obs, seq...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		board.ObserveFrame(&obs[i%len(obs)])
 	}
 }

@@ -46,6 +46,29 @@ type dumpHeader struct {
 
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
+// appendUsec appends ns in microseconds as appendFloat(usec(ns)) does. For
+// 0 ≤ ns < 2⁵⁰ that is ns/1000 with at most three fractional digits,
+// trailing zeros trimmed: the decimal rounds to usec(ns), and any other
+// decimal as short lies at least 0.001 away, beyond half its ulp.
+func appendUsec(b []byte, ns int64) []byte {
+	if ns < 0 || ns >= 1<<50 {
+		b, _ = appendFloat(b, usec(ns)) // an int64's microseconds are finite
+		return b
+	}
+	b = strconv.AppendInt(b, ns/1000, 10)
+	frac := ns % 1000
+	if frac == 0 {
+		return b
+	}
+	digits := [3]byte{byte('0' + frac/100), byte('0' + frac/10%10), byte('0' + frac%10)}
+	n := 3
+	for digits[n-1] == '0' {
+		n--
+	}
+	b = append(b, '.')
+	return append(b, digits[:n]...)
+}
+
 func pidOf(stream int32) int { return int(stream) + 1 } // -1 (global) -> 0
 
 // dumpBufBytes is the dump writer's fixed buffer: events are appended to it
@@ -247,10 +270,10 @@ func (e *dumpEncoder) appendEvent(b []byte, ev *Event) ([]byte, error) {
 	b = append(b, `,"tid":`...)
 	b = strconv.AppendInt(b, int64(tid), 10)
 	b = append(b, `,"ts":`...)
-	b, _ = appendFloat(b, usec(ev.StartNs)) // an int64's microseconds are finite
-	if dur := usec(ev.DurNs); scope == "" && dur != 0 {
+	b = appendUsec(b, ev.StartNs)
+	if scope == "" && ev.DurNs != 0 {
 		b = append(b, `,"dur":`...)
-		b, _ = appendFloat(b, dur)
+		b = appendUsec(b, ev.DurNs)
 	}
 	if scope != "" {
 		b = append(b, `,"s":"`...)

@@ -341,6 +341,23 @@ func fullRing() []Event {
 // FuzzWriteDump: on random events the two writers agree byte for byte, or
 // both refuse. (The reflect writer panics rendering a fallback label for an
 // id past 10^12 — its itoa has a 12-byte buffer; WriteDump must merely not.)
+// TestAppendUsecMatchesAppendFloat holds the integer formatting of ts and
+// dur to appendFloat(usec(ns)) on the edges of its range and on ns drawn at
+// every magnitude below 2⁶³.
+func TestAppendUsecMatchesAppendFloat(t *testing.T) {
+	ns := []int64{0, 1, 9, 10, 999, 1000, 1001, 1010, 1100, 123456789, 1<<50 - 1, 1 << 50, 1<<53 + 1, math.MaxInt64, -1, -1500, math.MinInt64}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200000; i++ {
+		ns = append(ns, rng.Int63n(int64(1)<<(1+rng.Intn(62))))
+	}
+	for _, n := range ns {
+		want, _ := appendFloat(nil, usec(n))
+		if got := appendUsec(nil, n); !bytes.Equal(got, want) {
+			t.Fatalf("ns %d: appendUsec %s, appendFloat %s", n, got, want)
+		}
+	}
+}
+
 func FuzzWriteDump(f *testing.F) {
 	f.Add(int64(1), uint8(0), int32(0), int32(0), 0.0, 0.0, 0.0, uint64(0), "q", "t")
 	f.Add(int64(2), uint8(9), int32(-1), int32(40), 1e-7, 1e21, -0.0, uint64(1<<63), `"`, "<\u2028>")

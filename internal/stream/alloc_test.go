@@ -62,8 +62,9 @@ func TestServeSteadyStateAllocBudget(t *testing.T) {
 // kernels nearly vanish and the control plane is the frame. The bytes budget
 // above cannot see it: before the planner, optimizer and dump writer went
 // dense this path made ~205 small allocations per frame, ~15 after, and ~8
-// since the runner's hand-off to the pool is made once (13 under the race
-// detector, where sync.Pool drops a quarter of what it is handed).
+// once the runner's hand-off to a worker was made once (13 under the race
+// detector, where sync.Pool drops a quarter of what it is handed); an
+// unwatched frame now runs on the serving goroutine with no hand-off.
 // The run must also have written flight dumps (their cost is inside the
 // count), and they must read back.
 func TestControlPlaneMallocBudget(t *testing.T) {

@@ -11,9 +11,9 @@
 //   - the modeled platform's cores (the paper's 8-core Blackford): divided
 //     between the streams' runtime managers by a sched.MultiManager so
 //     every stream plans its striping within its current share, and
-//   - the host's actual cores: all frame processing funnels through one
-//     bounded parallel.Pool, so N streams never oversubscribe the machine
-//     the reproduction really runs on.
+//   - the host's actual cores: a frame is processed only while it holds one
+//     of HostWorkers host slots, shared by every stream, so N streams never
+//     oversubscribe the machine the reproduction really runs on.
 //
 // Concurrency discipline: each stream is driven by exactly one goroutine
 // that owns its Engine and Manager (see the Engine concurrency contract in
@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"time"
 
 	"triplec/internal/core"
@@ -75,7 +76,7 @@ type ServerConfig struct {
 	// streams. 0 defaults to the first stream's architecture.
 	ModelCores int
 	// HostWorkers bounds concurrent frame processing on the host (the
-	// shared pool size). 0 defaults to GOMAXPROCS. The Ps the frames in
+	// number of host slots). 0 defaults to GOMAXPROCS. The Ps the frames in
 	// flight leave idle stripe each engine's RDG and ENH (hostStripes).
 	HostWorkers int
 	// Mapper selects the core-division policy the arbiter applies at every
@@ -374,9 +375,14 @@ func (s *Server) Run(n int) (RunResult, error) {
 		budgets[i] = sc.BudgetMs
 	}
 	ctl := newController(mm, s.cfg.ModelCores, s.cfg.RebalanceEvery, s.cfg.SkipOver, budgets)
-	pool := parallel.NewPool(s.cfg.HostWorkers)
-	defer pool.Close()
-	stripes := hostStripes(runtime.GOMAXPROCS(0), len(s.streams), s.cfg.HostWorkers)
+	procs, workers := runtime.GOMAXPROCS(0), s.cfg.HostWorkers
+	if workers < 1 {
+		workers = procs
+	}
+	h := &host{slots: make(chan struct{}, workers)}
+	// An abandoned frame's goroutine may outlive its stream: wait for it.
+	defer h.watched.Wait()
+	stripes := hostStripes(procs, len(s.streams), workers)
 
 	out := RunResult{Streams: make([]Result, len(s.streams))}
 	start := time.Now()
@@ -387,7 +393,7 @@ func (s *Server) Run(n int) (RunResult, error) {
 			if s.tels != nil {
 				tel = s.tels[si]
 			}
-			out.Streams[si] = serveOne(si, s.streams[si], n, ctl, pool, stripes, tel, s.cfg)
+			out.Streams[si] = serveOne(si, s.streams[si], n, ctl, h, stripes, tel, s.cfg)
 			done <- si
 		}(i)
 	}
@@ -420,13 +426,33 @@ func (s *Server) Run(n int) (RunResult, error) {
 
 // hostStripes is how many host stripes each engine's RDG and ENH run over:
 // at most min(streams, workers) frames are in flight at once (workers < 1
-// being the pool's default of procs), and the procs Ps are shared out
-// among them.
+// being the default of procs), and the procs Ps are shared out among them.
 func hostStripes(procs, streams, workers int) int {
 	if workers < 1 {
 		workers = procs
 	}
 	return max(1, procs/min(streams, workers))
+}
+
+// host is the server's share of the host: a counting semaphore of
+// HostWorkers slots that every frame holds while it is processed, and the
+// watched frames' goroutines, which Run waits for.
+type host struct {
+	slots   chan struct{}
+	watched sync.WaitGroup
+}
+
+// process runs one frame on eng once a host slot is free, on the calling
+// goroutine. A panic that escapes Process returns as a *parallel.PanicError.
+func (h *host) process(eng *pipeline.Engine, f *frame.Frame, m partition.Mapping) (rep pipeline.Report, err error) {
+	h.slots <- struct{}{}
+	defer func() {
+		<-h.slots
+		if v := recover(); v != nil {
+			err = parallel.AsPanicError(v)
+		}
+	}()
+	return eng.Process(f, m)
 }
 
 // throughputFPS divides processed frames by the wall-clock duration,
@@ -447,7 +473,7 @@ type runner struct {
 	sc   Config
 	n    int
 	ctl  *controller
-	pool *parallel.Pool
+	host *host
 	tel  *telemetry
 	cfg  ServerConfig
 
@@ -469,15 +495,6 @@ type runner struct {
 	// out is the record of the frame being served, reset when it is offered
 	// and resolved by commit.
 	out outcome
-
-	// process is the unwatched frame's hand-off to the pool, made once: it
-	// processes procFrame under procMap on the current engine into procRep
-	// and procErr.
-	process   *parallel.Call
-	procFrame *frame.Frame
-	procMap   partition.Mapping
-	procRep   pipeline.Report
-	procErr   error
 
 	// obs is the one dense observation of the frame being committed, filled
 	// from its report and fed to both the manager and the shadow board.
@@ -521,12 +538,12 @@ type outcome struct {
 }
 
 // serveOne is the per-stream goroutine body: admission, planning,
-// processing on the shared pool, observation, demand reporting — wrapped by
+// processing in a host slot, observation, demand reporting — wrapped by
 // the watchdog and, when enabled, the restart supervisor. tel may be nil
 // (telemetry disabled); its event methods are nil-safe.
-func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, stripes int, tel *telemetry, cfg ServerConfig) Result {
+func serveOne(si int, sc Config, n int, ctl *controller, h *host, stripes int, tel *telemetry, cfg ServerConfig) Result {
 	r := &runner{
-		si: si, sc: sc, n: n, ctl: ctl, pool: pool, tel: tel, cfg: cfg,
+		si: si, sc: sc, n: n, ctl: ctl, host: h, tel: tel, cfg: cfg,
 		stripes: parallel.NewHostStripes(stripes),
 		eng:     sc.Engine, mgr: sc.Manager,
 		res: Result{
@@ -536,7 +553,6 @@ func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, st
 	}
 	defer func() { r.stripes.Close() }()
 	r.eng.SetHostStripes(r.stripes)
-	r.process = pool.NewCall(func() { r.procRep, r.procErr = r.eng.Process(r.procFrame, r.procMap) })
 	tel.serving()
 	defer func() {
 		if r.res.Stats.Quarantined {
@@ -574,45 +590,38 @@ func serveOne(si int, sc Config, n int, ctl *controller, pool *parallel.Pool, st
 	return r.res
 }
 
-// runProcess executes one frame on the shared pool, watched. Without a
-// watchdog it degenerates to a plain synchronous call. A frame late past
+// runProcess executes one frame in a host slot, watched. Without a watchdog
+// it is a plain call on the serving goroutine. A frame late past
 // WatchdogMs is marked abandoned in the record but still *waited for* (up to
 // StallMs), because the engine must never be entered by two goroutines
 // (Engine concurrency contract); only a stall breaks off with an error,
 // leaving the engine unusable.
 func (r *runner) runProcess(f *frame.Frame, m partition.Mapping) (pipeline.Report, error) {
 	if r.cfg.WatchdogMs <= 0 {
-		r.procFrame, r.procMap = f, m
-		err := r.process.Do()
-		r.procFrame = nil // or the stream's last frame stays alive
-		if err == nil {
-			err = r.procErr
-		}
-		return r.procRep, err
+		return r.host.process(r.eng, f, m)
 	}
 	// Bind the engine now: after a stall the supervisor swaps r.eng for a
-	// rebuilt one, and this goroutine (possibly still queued in the pool)
+	// rebuilt one, and this goroutine (possibly still waiting for a slot)
 	// must keep pointing at the poisoned engine, never the replacement. The
 	// results live in locals the caller never sees until done closes — on a
 	// stall this function returns while the leaked goroutine still runs.
-	eng := r.eng
+	eng, h := r.eng, r.host
 	var (
-		lateRep          pipeline.Report
-		latePerr, lateDo error
+		lateRep pipeline.Report
+		lateErr error
 	)
 	done := make(chan struct{})
+	h.watched.Add(1)
 	go func() {
+		defer h.watched.Done()
 		defer close(done)
-		lateDo = r.pool.Do(func() { lateRep, latePerr = eng.Process(f, m) })
+		lateRep, lateErr = h.process(eng, f, m)
 	}()
 	watchdog := time.NewTimer(time.Duration(r.cfg.WatchdogMs * float64(time.Millisecond)))
 	defer watchdog.Stop()
 	select {
 	case <-done:
-		if lateDo != nil {
-			return lateRep, lateDo
-		}
-		return lateRep, latePerr
+		return lateRep, lateErr
 	case <-watchdog.C:
 	}
 	// Past the wall-clock deadline: the frame is lost either way; wait for

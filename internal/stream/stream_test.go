@@ -1,14 +1,19 @@
 package stream
 
 import (
+	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"triplec/internal/experiments"
 	"triplec/internal/frame"
-
+	"triplec/internal/parallel"
+	"triplec/internal/pipeline"
 	"triplec/internal/synth"
+	"triplec/internal/tasks"
 )
 
 // testStudy is a cheap training setup shared by all stream tests (the
@@ -106,7 +111,7 @@ func TestNewServerValidation(t *testing.T) {
 }
 
 // The core concurrency test: N engines process concurrently, one goroutine
-// each, over the shared pool (exercised under -race by the CI recipe).
+// each, sharing the host slots (exercised under -race by the CI recipe).
 func TestServeConcurrentStreams(t *testing.T) {
 	s := testStudy()
 	cfgs := []Config{
@@ -305,5 +310,61 @@ func TestMergedTrace(t *testing.T) {
 	}
 	if got := len(merged.Names()); got != 16 {
 		t.Fatalf("merged trace has %d columns, want 16 (8 per stream)", got)
+	}
+}
+
+// TestHostSlotsSerializeProcessing: with one host slot, two streams'
+// Process calls never overlap, on the serving goroutines (no watchdog) or
+// on the watched frames' goroutines.
+func TestHostSlotsSerializeProcessing(t *testing.T) {
+	s := testStudy()
+	for _, watchdogMs := range []float64{0, 5000 * raceScale} {
+		var inFlight, overlaps atomic.Int32
+		cfgs := []Config{mkStream(t, s, "a", 61, 0), mkStream(t, s, "b", 62, 0)}
+		for i := range cfgs {
+			open := false // the engine is inside Process; touched only there
+			cfgs[i].Engine.SetTaskHook(func(tasks.Name, int) {
+				if !open {
+					open = true
+					if inFlight.Add(1) > 1 {
+						overlaps.Add(1)
+					}
+				}
+				time.Sleep(20 * time.Microsecond) // widen the window an overlap needs
+			})
+			cfgs[i].Engine.SetObserver(func(pipeline.Report) {
+				open = false
+				inFlight.Add(-1)
+			})
+		}
+		srv, err := NewServer(ServerConfig{HostWorkers: 1, WatchdogMs: watchdogMs}, cfgs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := srv.Run(20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res.Streams {
+			if r.Stats.Processed == 0 {
+				t.Fatalf("watchdog %v ms: stream %s processed nothing", watchdogMs, r.Stats.Name)
+			}
+		}
+		if n := overlaps.Load(); n > 0 {
+			t.Fatalf("watchdog %v ms: %d frames started while the other stream's was in Process", watchdogMs, n)
+		}
+	}
+}
+
+// TestHostProcessReturnsEscapingPanic: a panic that escapes Engine.Process
+// comes back as a *parallel.PanicError with its stack, and frees its slot.
+func TestHostProcessReturnsEscapingPanic(t *testing.T) {
+	h := &host{slots: make(chan struct{}, 1)}
+	for call := 0; call < 2; call++ {
+		_, err := h.process(nil, frame.New(4, 4), nil) // a nil engine panics
+		var pe *parallel.PanicError
+		if !errors.As(err, &pe) || len(pe.Stack) == 0 {
+			t.Fatalf("call %d: error %v, want a *parallel.PanicError with a stack", call, err)
+		}
 	}
 }
