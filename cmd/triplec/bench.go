@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"triplec/internal/bench"
@@ -16,7 +17,7 @@ import (
 // fails schema validation, any pipelined run's measured speedup falls below
 // -min-speedup, or (in -mapper both mode) the optimizer's aggregate
 // throughput regresses below the greedy baseline.
-func runBench(args []string) error {
+func runBench(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	short := fs.Bool("short", false, "third-length scenario runs for CI")
 	out := fs.String("out", "BENCH_7.json", "trajectory output path")
@@ -34,7 +35,7 @@ func runBench(args []string) error {
 		return err
 	}
 
-	fmt.Printf("%-12s %7s %-9s %9s %12s %12s %8s %9s %9s %7s %10s\n",
+	fmt.Fprintf(stdout, "%-12s %7s %-9s %9s %12s %12s %8s %9s %9s %7s %10s\n",
 		"scenario", "streams", "mapper", "pipelined", "fps-serial", "fps-mapped", "gain", "measured", "predicted", "relerr", "opt/greedy")
 	for i := range t.Scenarios {
 		r := &t.Scenarios[i]
@@ -43,27 +44,22 @@ func runBench(args []string) error {
 			if run.Mapper == bench.MapperOptimizer && r.OptOverGreedy > 0 {
 				ratio = fmt.Sprintf("%.3f", r.OptOverGreedy)
 			}
-			fmt.Printf("%-12s %7d %-9s %9d %12.1f %12.1f %7.2fx %9.3f %9.3f %6.1f%% %10s\n",
+			fmt.Fprintf(stdout, "%-12s %7d %-9s %9d %12.1f %12.1f %7.2fx %9.3f %9.3f %6.1f%% %10s\n",
 				r.Name, r.Streams, run.Mapper, run.PipelinedStreams, r.FPSSerial, run.FPS,
 				run.ThroughputGain, run.SpeedupMeasured, run.SpeedupPredicted, 100*run.RelErr, ratio)
 		}
 	}
-	fmt.Printf("\nbest multi-stream gain %.2fx; estimator within 25%% on %d/%d scenarios; min pipelined speedup %.3f\n",
+	fmt.Fprintf(stdout, "\nbest multi-stream gain %.2fx; estimator within 25%% on %d/%d scenarios; min pipelined speedup %.3f\n",
 		t.Summary.BestMultiStreamGain, t.Summary.ScenariosWithinQuarter, len(t.Scenarios), t.Summary.MinPipelinedSpeedup)
 	if t.MapperMode == bench.MapperBoth {
-		fmt.Printf("optimizer vs greedy: aggregate %.4fx, best scenario %.4fx\n",
+		fmt.Fprintf(stdout, "optimizer vs greedy: aggregate %.4fx, best scenario %.4fx\n",
 			t.Summary.AggOptOverGreedy, t.Summary.BestOptOverGreedy)
 	}
 
-	file, err := os.Create(*out)
-	if err != nil {
+	if err := writeFile(*out, t.WriteJSON); err != nil {
 		return err
 	}
-	defer file.Close()
-	if err := t.WriteJSON(file); err != nil {
-		return err
-	}
-	fmt.Println("wrote", *out)
+	fmt.Fprintln(stdout, "wrote", *out)
 	if err := t.Check(*minSpeedup); err != nil {
 		return err
 	}

@@ -6,22 +6,18 @@
 //
 // Usage:
 //
-//	triplec [-frames n] [-seed s] [-train n] [-quiet]
-//	triplec serve [-streams n] [-frames n] [-cores n] [-csv out.csv]
-//	  [-metrics-addr host:port] [-linger d] [-metrics-csv out.csv]
-//	  [-budget-ms ms] [-trace-dir dir] [-trace-relerr r]
-//	triplec chaos [-streams n] [-faulted n] [-frames n] [-seed s]
-//	  [-panic-prob p] [-hang-prob p] [-max-miss-rate r] [-json]
-//	  [-trace-dir dir] [-breaker]
-//	triplec bench [-short] [-out BENCH_6.json] [-min-speedup 1.0]
-//	triplec shadow [-short] [-seed s] [-seqs n] [-frames n] [-folds k]
-//	  [-warmup n] [-out report.json] [-min-acc 0.70] [-quiet]
-//	triplec promote [-streams n] [-frames n] [-seed s] [-challenger name]
-//	  [-canary-frac f] [-guard-miss-rate r] [-spike-prob p] [-out log.txt]
-//	  [-expect state] [-json]
-//	triplec slo [-streams n] [-frames n] [-seed s] [-spike]
-//	  [-spike-from n] [-spike-to n] [-expect-page] [-json] [-out report.json]
-//	triplec trace dump.json
+//	triplec [flags]
+//	triplec serve | chaos | bench | shadow | promote | slo [flags]
+//	triplec trace [flags] dump.json
+//
+// `triplec <subcommand> -h` lists every flag of a subcommand with its
+// default (serve has 24, chaos 22).
+//
+// serve and chaos fill one experiments.Deployment from their flags, build
+// it, and assemble the result into a stream.Server; the promote and slo
+// drills build the same value and replay it deterministically on the
+// experiments.Fleet. A deployment is validated before anything trains, so
+// a bad run size fails at once with one error line.
 //
 // The serve subcommand runs the concurrent multi-stream serving layer: N
 // independent streams share the modeled machine under the global core
@@ -93,6 +89,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"triplec/internal/experiments"
@@ -103,115 +100,74 @@ import (
 	"triplec/internal/trace"
 )
 
-func main() {
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		if err := runServe(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "triplec serve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "chaos" {
-		if err := runChaos(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "triplec chaos:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		if err := runBench(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "triplec bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "shadow" {
-		if err := runShadow(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "triplec shadow:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "promote" {
-		if err := runPromote(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "triplec promote:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "slo" {
-		if err := runSlo(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "triplec slo:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		if err := runTrace(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "triplec trace:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	frames := flag.Int("frames", 200, "frames to process")
-	seed := flag.Uint64("seed", 7, "synthetic-sequence seed")
-	train := flag.Int("train", 6, "training sequences")
-	quiet := flag.Bool("quiet", false, "summary only, no per-frame rows")
-	csvPath := flag.String("csv", "", "write the latency series to this CSV file")
-	modelPath := flag.String("save-model", "", "write the trained predictor as JSON")
-	replayDir := flag.String("replay", "", "drive the test run from a synthgen/clinical PGM directory instead of a synthetic sequence")
-	sticky := flag.Bool("sticky", false, "keep mappings across frames when they still fit (hysteresis)")
-	adaptive := flag.Bool("adaptive", false, "adapt the latency budget to a quantile of recent latencies")
-	flag.Parse()
+// commands maps each subcommand to its runner, which writes its report to
+// stdout; `triplec` with no subcommand runs run.
+var commands = map[string]func(args []string, stdout io.Writer) error{
+	"serve":   runServe,
+	"chaos":   runChaos,
+	"bench":   runBench,
+	"shadow":  runShadow,
+	"promote": runPromote,
+	"slo":     runSlo,
+	"trace":   runTrace,
+}
 
-	opts := runOpts{
-		frames: *frames, seed: *seed, train: *train, quiet: *quiet,
-		csvPath: *csvPath, modelPath: *modelPath, replayDir: *replayDir,
-		sticky: *sticky, adaptive: *adaptive,
-	}
-	if err := run(opts); err != nil {
-		fmt.Fprintln(os.Stderr, "triplec:", err)
+func main() {
+	if err := dispatch(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-type runOpts struct {
-	frames             int
-	seed               uint64
-	train              int
-	quiet              bool
-	csvPath, modelPath string
-	replayDir          string
-	sticky, adaptive   bool
+// dispatch runs the subcommand args[0] names, or run when it names none,
+// and prefixes a failure with the command's name.
+func dispatch(args []string, stdout io.Writer) error {
+	name, cmd := "triplec", run
+	if len(args) > 0 && commands[args[0]] != nil {
+		name, cmd, args = "triplec "+args[0], commands[args[0]], args[1:]
+	}
+	if err := cmd(args, stdout); err != nil {
+		return fmt.Errorf("%s: %w", name, err)
+	}
+	return nil
 }
 
-func run(o runOpts) error {
-	frames, seed, train := o.frames, o.seed, o.train
-	quiet, csvPath, modelPath, replayDir := o.quiet, o.csvPath, o.modelPath, o.replayDir
+// run trains the predictor, then processes one test sequence under the
+// straightforward serial mapping and under the runtime manager.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	frames := fs.Int("frames", 200, "frames to process")
 	study := experiments.DefaultStudy()
-	study.TrainSeqs = train
-	study.Seed = seed
+	fs.Uint64Var(&study.Seed, "seed", 7, "synthetic-sequence seed")
+	fs.IntVar(&study.TrainSeqs, "train", 6, "training sequences")
+	quiet := fs.Bool("quiet", false, "summary only, no per-frame rows")
+	csvPath := fs.String("csv", "", "write the latency series to this CSV file")
+	modelPath := fs.String("save-model", "", "write the trained predictor as JSON")
+	replayDir := fs.String("replay", "", "drive the test run from a synthgen/clinical PGM directory instead of a synthetic sequence")
+	sticky := fs.Bool("sticky", false, "keep mappings across frames when they still fit (hysteresis)")
+	adaptive := fs.Bool("adaptive", false, "adapt the latency budget to a quantile of recent latencies")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
 
-	fmt.Printf("training Triple-C on %d sequences x %d frames...\n", study.TrainSeqs, study.TrainFrames)
+	fmt.Fprintf(stdout, "training Triple-C on %d sequences x %d frames...\n", study.TrainSeqs, study.TrainFrames)
 	p, err := study.TrainPredictor()
 	if err != nil {
 		return err
 	}
-	fmt.Println(p.ModelSummary())
+	fmt.Fprintln(stdout, p.ModelSummary())
 
 	var src func(int) *frame.Frame
-	if replayDir != "" {
-		rp, err := synth.LoadReplay(replayDir)
+	if *replayDir != "" {
+		rp, err := synth.LoadReplay(*replayDir)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("replaying %d frames from %s\n", rp.Len(), replayDir)
+		fmt.Fprintf(stdout, "replaying %d frames from %s\n", rp.Len(), *replayDir)
 		src = func(i int) *frame.Frame {
 			f, _ := rp.Frame(i)
 			return f
 		}
 	} else {
-		seq, err := study.Sequence(seed + 424242)
+		seq, err := study.Sequence(study.Seed + 424242)
 		if err != nil {
 			return err
 		}
@@ -222,87 +178,66 @@ func run(o runOpts) error {
 	if err != nil {
 		return err
 	}
-	_, straight, err := sched.RunStraightforward(straightEng, frames, src)
+	_, straight, err := sched.RunStraightforward(straightEng, *frames, src)
 	if err != nil {
 		return err
 	}
 
-	mgr, err := sched.NewManager(p, study.Arch)
+	managedEng, mgr, err := study.ManagedEngine(p)
 	if err != nil {
 		return err
 	}
-	mgr.Sticky = o.sticky
-	if o.adaptive {
+	mgr.Sticky = *sticky
+	if *adaptive {
 		mgr.Budgeter = sched.NewBudgetController()
 	}
-	managedEng, err := study.Engine()
-	if err != nil {
-		return err
-	}
-	managed, err := sched.RunManaged(managedEng, mgr, frames, src, study.FramePixels())
+	managed, err := sched.RunManaged(managedEng, mgr, *frames, src, study.FramePixels())
 	if err != nil {
 		return err
 	}
 
-	if !quiet {
-		fmt.Printf("%8s %14s %14s %14s %s\n", "frame", "straight (ms)", "managed (ms)", "predicted", "mapping")
-		for i := 0; i < frames; i++ {
-			fmt.Printf("%8d %14.1f %14.1f %14.1f %s\n",
+	if !*quiet {
+		fmt.Fprintf(stdout, "%8s %14s %14s %14s %s\n", "frame", "straight (ms)", "managed (ms)", "predicted", "mapping")
+		for i := 0; i < *frames; i++ {
+			fmt.Fprintf(stdout, "%8d %14.1f %14.1f %14.1f %s\n",
 				i, straight[i], managed.Output[i], managed.Decisions[i].PredictedMs,
 				managed.Decisions[i].Mapping)
 		}
 	}
 
-	if csvPath != "" {
+	if *csvPath != "" {
 		tr := trace.New()
-		predicted := make([]float64, frames)
+		predicted := make([]float64, *frames)
 		for i, d := range managed.Decisions {
 			predicted[i] = d.PredictedMs
 		}
-		for _, col := range []struct {
-			name string
-			vals []float64
-		}{
-			{"straightforward_ms", straight},
-			{"managed_processing_ms", managed.Processing},
-			{"managed_output_ms", managed.Output},
-			{"predicted_ms", predicted},
-		} {
-			if err := tr.Add(col.name, col.vals); err != nil {
+		names := []string{"straightforward_ms", "managed_processing_ms", "managed_output_ms", "predicted_ms"}
+		for i, col := range [][]float64{straight, managed.Processing, managed.Output, predicted} {
+			if err := tr.Add(names[i], col); err != nil {
 				return err
 			}
 		}
-		file, err := os.Create(csvPath)
-		if err != nil {
+		if err := writeFile(*csvPath, tr.WriteCSV); err != nil {
 			return err
 		}
-		defer file.Close()
-		if err := tr.WriteCSV(file); err != nil {
-			return err
-		}
-		fmt.Println("wrote", csvPath)
+		fmt.Fprintln(stdout, "wrote", *csvPath)
 	}
 
-	if modelPath != "" {
-		file, err := os.Create(modelPath)
-		if err != nil {
+	if *modelPath != "" {
+		if err := writeFile(*modelPath, p.Save); err != nil {
 			return err
 		}
-		defer file.Close()
-		if err := p.Save(file); err != nil {
-			return err
-		}
-		fmt.Println("wrote", modelPath)
+		fmt.Fprintln(stdout, "wrote", *modelPath)
 	}
 
 	cmp, err := sched.Summarize(straight, managed)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nstraightforward mapping: %.0f..%.0f ms, worst-vs-avg %.0f%%\n",
+	fmt.Fprintf(stdout, "\nstraightforward mapping: %.0f..%.0f ms, worst-vs-avg %.0f%%\n",
 		stats.Min(straight), stats.Max(straight), 100*cmp.StraightWorstVsAvg)
-	fmt.Printf("semi-auto parallel:      budget %.1f ms, worst-vs-avg %.0f%%, overruns %.0f%%\n",
+	fmt.Fprintf(stdout, "semi-auto parallel:      budget %.1f ms, worst-vs-avg %.0f%%, overruns %.0f%%\n",
 		cmp.BudgetMs, 100*cmp.ManagedWorstVsAvg, 100*cmp.OverrunRate)
-	fmt.Printf("jitter reduction:        %.0f%%\n", 100*cmp.JitterReduction)
+	fmt.Fprintf(stdout, "jitter reduction:        %.0f%%\n", 100*cmp.JitterReduction)
 	return nil
 }

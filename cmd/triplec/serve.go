@@ -2,25 +2,22 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof"
 	"os"
 	"runtime"
-	"sync"
+	"strings"
 	"time"
 
-	"triplec/internal/core"
 	"triplec/internal/experiments"
-	"triplec/internal/mapping"
 	"triplec/internal/metrics"
-	"triplec/internal/promote"
-	"triplec/internal/sched"
 	"triplec/internal/shadow"
 	"triplec/internal/slo"
-	"triplec/internal/span"
 	"triplec/internal/stream"
 	"triplec/internal/trace"
 )
@@ -30,17 +27,18 @@ import (
 // concurrently under the global core arbiter and prints the per-stream
 // serving statistics. With -metrics-addr it also exposes the live telemetry
 // layer over HTTP while the run is in flight.
-func runServe(args []string) error {
+func runServe(args []string, stdout io.Writer) error {
+	var d experiments.Deployment
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	streams := fs.Int("streams", 2, "number of concurrent streams")
-	frames := fs.Int("frames", 120, "frames to serve per stream")
-	seed := fs.Uint64("seed", 7, "base synthetic-sequence seed")
-	train := fs.Int("train", 4, "training sequences")
-	cores := fs.Int("cores", 0, "modeled machine cores to arbitrate (0 = platform default)")
-	workers := fs.Int("workers", 0, "host worker-pool size (0 = GOMAXPROCS)")
-	rebalance := fs.Int("rebalance", 4, "demand reports between core re-divisions")
-	skipOver := fs.Float64("skip-over", 2.0, "aggregate load ratio beyond which frames are shed")
-	mapperName := fs.String("mapper", "greedy",
+	fs.IntVar(&d.Streams, "streams", 2, "number of concurrent streams")
+	fs.IntVar(&d.Frames, "frames", 120, "frames to serve per stream")
+	fs.Uint64Var(&d.Seed, "seed", 7, "base synthetic-sequence seed")
+	fs.IntVar(&d.Train, "train", 4, "training sequences")
+	fs.IntVar(&d.Cores, "cores", 0, "modeled machine cores to arbitrate (0 = platform default)")
+	fs.IntVar(&d.Workers, "workers", 0, "host worker-pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&d.RebalanceEvery, "rebalance", 4, "demand reports between core re-divisions")
+	fs.Float64Var(&d.SkipOver, "skip-over", 2.0, "aggregate load ratio beyond which frames are shed")
+	fs.StringVar(&d.Mapper, "mapper", "greedy",
 		"core-mapping policy for re-divisions: greedy or optimizer (Pareto bi-criteria)")
 	csvPath := fs.String("csv", "", "write the merged per-stream series to this CSV file")
 	metricsAddr := fs.String("metrics-addr", "",
@@ -51,321 +49,86 @@ func runServe(args []string) error {
 		"sample every registered instrument into this CSV during the run")
 	metricsEvery := fs.Duration("metrics-every", 250*time.Millisecond,
 		"sampling period for -metrics-csv")
-	budgetMs := fs.Float64("budget-ms", 0,
+	fs.Float64Var(&d.BudgetMs, "budget-ms", 0,
 		"per-frame latency budget in ms (0 = initialize from the first processed frame)")
-	traceDir := fs.String("trace-dir", "",
+	fs.StringVar(&d.TraceDir, "trace-dir", "",
 		"enable per-frame span tracing; write triggered flight-recorder dumps (Chrome trace-event JSON) into this directory")
-	traceRelErr := fs.Float64("trace-relerr", 0.75,
+	fs.Float64Var(&d.TraceRelErr, "trace-relerr", 0.75,
 		"prediction relative-error trigger threshold for the flight recorder (0 disables)")
-	shadowOn := fs.Bool("shadow", false,
+	fs.BoolVar(&d.Shadow, "shadow", false,
 		"race alternative prediction backends against the deployed predictor per stream; scoreboard on /debug/predictorz and per-backend /metrics families (zero influence on scheduling)")
-	predictor := fs.String("predictor", "baseline",
+	fs.StringVar(&d.Predictor, "predictor", "baseline",
 		"prediction backend policy: baseline (no promotion), auto (guarded promotion of whichever shadow backend beats the baseline), or a shadow backend name to canary directly; non-baseline implies -shadow")
-	canaryFrac := fs.Float64("canary-frac", 0.25,
+	fs.Float64Var(&d.Promote.CanaryFrac, "canary-frac", 0.25,
 		"fraction of streams steered by the challenger during the canary stage")
-	guardMissRate := fs.Float64("guard-miss-rate", 0.25,
+	fs.Float64Var(&d.Promote.MaxMissRate, "guard-miss-rate", 0.25,
 		"rolling deadline-miss rate on steered streams beyond which the promotion rolls back")
-	adaptiveGuards := fs.Bool("adaptive-guards", false,
+	fs.BoolVar(&d.Promote.AdaptiveGuards, "adaptive-guards", false,
 		"derive the promotion guardrail thresholds from the baseline predictor's trailing windows instead of the fixed flags")
 	sloOn := fs.Bool("slo", false,
 		"track frame-latency cause attribution and multi-window SLO burn rates; status in /healthz, scoreboard on /debug/sloz, triplec_slo_* metric families (requires -metrics-addr or -metrics-csv)")
-	sloExemplars := fs.Bool("slo-exemplars", false,
+	fs.BoolVar(&d.SLOExemplars, "slo-exemplars", false,
 		"attach OpenMetrics exemplars (frame index + flight-recorder dump) to the frame-latency histograms; implies -slo")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *streams < 1 {
-		return fmt.Errorf("serve: need at least one stream, got %d", *streams)
-	}
 	if *linger > 0 && *metricsAddr == "" {
-		return fmt.Errorf("serve: -linger needs -metrics-addr")
+		return errors.New("-linger needs -metrics-addr")
 	}
 	if *metricsCSV != "" && *metricsEvery <= 0 {
-		return fmt.Errorf("serve: -metrics-every must be positive, got %v", *metricsEvery)
+		return fmt.Errorf("-metrics-every must be positive, got %v", *metricsEvery)
 	}
-	if *budgetMs < 0 {
-		return fmt.Errorf("serve: -budget-ms %v must be non-negative", *budgetMs)
-	}
-	if *predictor == core.BackendBaseline {
-		*predictor = "baseline"
-	}
-	if *predictor != "baseline" && !*shadowOn {
-		// Promotion scores challengers on the bake-off boards, so it
-		// needs them racing.
-		*shadowOn = true
-	}
-	if *sloExemplars {
-		*sloOn = true
-	}
-	if *sloOn && *metricsAddr == "" && *metricsCSV == "" {
-		return fmt.Errorf("serve: -slo needs the telemetry layer (-metrics-addr or -metrics-csv)")
+	d.Metrics = *metricsAddr != "" || *metricsCSV != ""
+	if *sloOn || d.SLOExemplars {
+		if !d.Metrics {
+			return errors.New("-slo needs the telemetry layer (-metrics-addr or -metrics-csv)")
+		}
+		d.SLO = &slo.Config{}
 	}
 
-	study := experiments.ServingStudy(*train)
-
-	var mapper sched.Mapper
-	switch *mapperName {
-	case "greedy":
-		// nil Mapper: MultiManager runs its built-in greedy division.
-	case "optimizer":
-		opt, err := mapping.NewOptimizer(study.Arch)
-		if err != nil {
-			return err
-		}
-		mapper = opt
-	default:
-		return fmt.Errorf("serve: unknown -mapper %q (want greedy or optimizer)", *mapperName)
-	}
-
-	fmt.Printf("training Triple-C on %d sequences x %d frames...\n", study.TrainSeqs, study.TrainFrames)
-	var boards []*shadow.Board
-	cfgs := make([]stream.Config, *streams)
-	for i := range cfgs {
-		st, err := study.ServedStream(*seed, i)
-		if err != nil {
-			return err
-		}
-		cfgs[i] = stream.Config{
-			Name:        fmt.Sprintf("stream%d", i),
-			Engine:      st.Engine,
-			Manager:     st.Manager,
-			Source:      st.Source,
-			FramePixels: study.FramePixels(),
-			BudgetMs:    *budgetMs,
-		}
-		if *shadowOn {
-			board, err := shadow.NewStreamBoard(cfgs[i].Name, st.Manager.Predictor(), st.Corpus, false)
-			if err != nil {
-				return err
-			}
-			boards = append(boards, board)
-			cfgs[i].Shadow = board
-		}
-	}
-
-	var ctl *promote.Controller
-	if *predictor != "baseline" {
-		pcfg := promote.Config{
-			Challenger:     *predictor, // "auto" means watch the whole roster
-			CanaryFrac:     *canaryFrac,
-			MaxMissRate:    *guardMissRate,
-			AdaptiveGuards: *adaptiveGuards,
-		}
-		var err error
-		if ctl, err = promote.NewController(pcfg); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-	}
-
-	var flight *span.FlightRecorder
-	if *traceDir != "" {
-		trig := span.DefaultTriggers()
-		trig.RelErr = *traceRelErr
-		fr, err := span.NewFlightRecorder(*traceDir, trig)
-		if err != nil {
-			return err
-		}
-		flight = fr
-	}
-	var reg *metrics.Registry
-	if *metricsAddr != "" || *metricsCSV != "" {
-		reg = metrics.NewRegistry()
-		if _, err := metrics.NewRuntimeMetrics(reg); err != nil {
-			return err
-		}
-		for _, b := range boards {
-			if err := b.EnableMetrics(reg); err != nil {
-				return err
-			}
-		}
-	}
-	var tracker *slo.Tracker
-	if *sloOn {
-		tracker = slo.NewTracker(slo.Config{Streams: *streams})
-		names := make([]string, len(cfgs))
-		for i := range cfgs {
-			names[i] = cfgs[i].Name
-		}
-		if err := tracker.EnableMetrics(reg, names); err != nil {
-			return err
-		}
-	}
-	srv, err := stream.NewServer(stream.ServerConfig{
-		ModelCores:     *cores,
-		HostWorkers:    *workers,
-		RebalanceEvery: *rebalance,
-		SkipOver:       *skipOver,
-		Mapper:         mapper,
-		Metrics:        reg,
-		Flight:         flight,
-		Promote:        ctl,
-		SLO:            tracker,
-		SLOExemplars:   *sloExemplars,
-	}, cfgs)
+	b, srv, err := assemble(d, stdout)
 	if err != nil {
 		return err
 	}
-	if ctl != nil && reg != nil {
-		// After NewServer: EnableMetrics needs the attached roster to name
-		// the per-backend strike counters.
-		if err := ctl.EnableMetrics(reg); err != nil {
-			return err
-		}
-	}
-
 	// Bring the telemetry endpoints up before the run so a scraper sees the
 	// stream go idle -> serving -> done.
 	var httpSrv *http.Server
 	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return fmt.Errorf("serve: metrics listener: %w", err)
+		if httpSrv, err = serveTelemetry(stdout, *metricsAddr, b, srv); err != nil {
+			return err
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", metrics.Handler(reg))
-		mux.Handle("/healthz", srv.HealthHandler())
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		if flight != nil {
-			mux.Handle("/debug/tracez", flight.TracezHandler())
-		}
-		mux.Handle("/debug/predictorz", shadow.Handler(boards))
-		if tracker != nil {
-			mux.Handle("/debug/sloz", tracker.Handler())
-		}
-		httpSrv = &http.Server{Handler: mux}
-		go func() {
-			if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "triplec serve: metrics server:", err)
-			}
-		}()
-		fmt.Printf("telemetry on http://%s/metrics, /healthz, /debug/pprof/\n", ln.Addr())
 	}
-
-	// Sample the registry on a timer while the run is in flight.
-	var (
-		sampler *trace.Recorder
-		stopCSV chan struct{}
-		csvDone sync.WaitGroup
-	)
+	var finishCSV func(string) error
 	if *metricsCSV != "" {
-		sampler, err = trace.NewRecorder(reg)
-		if err != nil {
+		if finishCSV, err = sampleMetrics(b.Registry, *metricsEvery); err != nil {
 			return err
 		}
-		stopCSV = make(chan struct{})
-		csvDone.Add(1)
-		go func() {
-			defer csvDone.Done()
-			tick := time.NewTicker(*metricsEvery)
-			defer tick.Stop()
-			for {
-				if err := sampler.Sample(); err != nil {
-					fmt.Fprintln(os.Stderr, "triplec serve: metrics sampler:", err)
-					return
-				}
-				select {
-				case <-stopCSV:
-					return
-				case <-tick.C:
-				}
-			}
-		}()
 	}
 
-	fmt.Printf("serving %d streams x %d frames on %d host cores...\n",
-		*streams, *frames, runtime.GOMAXPROCS(0))
-	res, runErr := srv.Run(*frames)
-
-	if sampler != nil {
-		close(stopCSV)
-		csvDone.Wait()
-		if err := sampler.Sample(); err != nil { // final post-run row
+	fmt.Fprintf(stdout, "serving %d streams x %d frames on %d host cores...\n",
+		d.Streams, d.Frames, runtime.GOMAXPROCS(0))
+	res, runErr := srv.Run(d.Frames)
+	if finishCSV != nil {
+		if err := finishCSV(*metricsCSV); err != nil {
 			return err
 		}
-		file, err := os.Create(*metricsCSV)
-		if err != nil {
-			return err
-		}
-		werr := sampler.Trace().WriteCSV(file)
-		if cerr := file.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Println("wrote", *metricsCSV)
+		fmt.Fprintln(stdout, "wrote", *metricsCSV)
 	}
 	if runErr != nil {
 		return runErr
 	}
 
-	fmt.Printf("\n%-10s %9s %9s %9s %9s %9s %11s %11s %9s\n",
+	fmt.Fprintf(stdout, "\n%-10s %9s %9s %9s %9s %9s %11s %11s %9s\n",
 		"stream", "processed", "skipped", "serial", "misses", "acct-err", "budget(ms)", "mean(ms)", "fps")
 	for _, s := range res.Streams {
 		st := s.Stats
-		fmt.Printf("%-10s %9d %9d %9d %9d %9d %11.1f %11.1f %9.1f\n",
+		fmt.Fprintf(stdout, "%-10s %9d %9d %9d %9d %9d %11.1f %11.1f %9.1f\n",
 			st.Name, st.Processed, st.Skipped, st.SerialFallbacks, st.DeadlineMisses,
 			st.AccountingErrs, st.BudgetMs, st.MeanLatencyMs, st.ThroughputFPS)
 	}
-	fmt.Printf("\naggregate: %.1f frames/s over %.0f ms wall clock, %d rebalances, final core split %v\n",
-		res.AggregateFPS, res.WallMs, res.Rebalances, res.FinalBudgets)
-
-	if len(boards) > 0 {
-		fmt.Printf("\nshadow bake-off (deployed: %s):\n", boards[0].Deployed())
-		fmt.Printf("%-10s %-16s %7s %9s %8s %13s\n",
-			"stream", "backend", "frames", "accuracy", "hit%", "regret(ms)")
-		for _, b := range boards {
-			snap := b.Snapshot()
-			for _, bs := range snap.Backends {
-				fmt.Printf("%-10s %-16s %7d %8.1f%% %7.1f%% %+13.2f\n",
-					snap.Stream, bs.Name, bs.Total.Count, 100*bs.Accuracy(),
-					100*bs.ScenarioHitRate, bs.RegretMs)
-			}
-		}
-	}
-
-	if ctl != nil {
-		st := ctl.Status()
-		fmt.Printf("\npredictor promotion: state=%s challenger=%s canary_streams=%d transitions=%d\n",
-			st.State, st.Challenger, st.CanaryStreams, st.Transitions)
-		if st.Transitions > 0 {
-			if err := ctl.WriteLog(os.Stdout); err != nil {
-				return err
-			}
-		}
-	}
-
-	if tracker != nil {
-		st := tracker.Status(false)
-		fmt.Printf("\nSLO burn rates (%d frames):\n", st.Frame)
-		for _, s := range st.SLOs {
-			fmt.Printf("  %-10s objective=%.3f state=%-6s fast-burn=%.2f slow-burn=%.2f pages=%d tickets=%d\n",
-				s.SLO, s.Objective, s.State, s.FastBurn, s.SlowBurn, s.Pages, s.Tickets)
-		}
-		fmt.Printf("fleet latency by cause: ")
-		for i, c := range st.Fleet.Causes {
-			if i > 0 {
-				fmt.Printf(", ")
-			}
-			fmt.Printf("%s %.0f%%", c.Cause, 100*c.MsShare)
-		}
-		fmt.Println()
-	}
-
-	if flight != nil {
-		dumps := flight.Dumps()
-		fmt.Printf("\nflight recorder: %d dump(s) in %s\n", len(dumps), flight.Dir())
-		for _, d := range dumps {
-			fmt.Printf("  %s  reason=%s stream=%d frame=%d frames=%d events=%d\n",
-				d.File, d.Reason, d.Stream, d.Frame, d.Frames, d.Events)
-		}
-		if err := flight.Err(); err != nil {
-			return err
-		}
+	printAggregate(stdout, &res)
+	if err := printLayers(stdout, b); err != nil {
+		return err
 	}
 
 	if *csvPath != "" {
@@ -373,20 +136,15 @@ func runServe(args []string) error {
 		if err != nil {
 			return err
 		}
-		file, err := os.Create(*csvPath)
-		if err != nil {
+		if err := writeFile(*csvPath, merged.WriteCSV); err != nil {
 			return err
 		}
-		defer file.Close()
-		if err := merged.WriteCSV(file); err != nil {
-			return err
-		}
-		fmt.Println("wrote", *csvPath)
+		fmt.Fprintln(stdout, "wrote", *csvPath)
 	}
 
 	if httpSrv != nil {
 		if *linger > 0 {
-			fmt.Printf("lingering %v for scrapers...\n", *linger)
+			fmt.Fprintf(stdout, "lingering %v for scrapers...\n", *linger)
 			time.Sleep(*linger)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -394,4 +152,121 @@ func runServe(args []string) error {
 		_ = httpSrv.Shutdown(ctx)
 	}
 	return nil
+}
+
+// printLayers writes serve's end-of-run report of the optional layers that
+// are on: the shadow bake-off, the promotion state, the SLO burn rates and
+// the flight recorder's dumps.
+func printLayers(w io.Writer, b *experiments.Built) error {
+	if b.Deployment.Shadow {
+		fmt.Fprintf(w, "\nshadow bake-off (deployed: %s):\n", b.Streams[0].Board.Deployed())
+		fmt.Fprintf(w, "%-10s %-16s %7s %9s %8s %13s\n",
+			"stream", "backend", "frames", "accuracy", "hit%", "regret(ms)")
+		for _, st := range b.Streams {
+			snap := st.Board.Snapshot()
+			for _, bs := range snap.Backends {
+				fmt.Fprintf(w, "%-10s %-16s %7d %8.1f%% %7.1f%% %+13.2f\n",
+					snap.Stream, bs.Name, bs.Total.Count, 100*bs.Accuracy(),
+					100*bs.ScenarioHitRate, bs.RegretMs)
+			}
+		}
+	}
+	if ctl := b.Controller; ctl != nil {
+		st := ctl.Status()
+		fmt.Fprintf(w, "\npredictor promotion: state=%s challenger=%s canary_streams=%d transitions=%d\n",
+			st.State, st.Challenger, st.CanaryStreams, st.Transitions)
+		if st.Transitions > 0 {
+			if err := ctl.WriteLog(w); err != nil {
+				return err
+			}
+		}
+	}
+	if b.Tracker != nil {
+		st := b.Tracker.Status(false)
+		fmt.Fprintf(w, "\nSLO burn rates (%d frames):\n", st.Frame)
+		for _, s := range st.SLOs {
+			fmt.Fprintf(w, "  %-10s objective=%.3f state=%-6s fast-burn=%.2f slow-burn=%.2f pages=%d tickets=%d\n",
+				s.SLO, s.Objective, s.State, s.FastBurn, s.SlowBurn, s.Pages, s.Tickets)
+		}
+		causes := make([]string, len(st.Fleet.Causes))
+		for i, c := range st.Fleet.Causes {
+			causes[i] = fmt.Sprintf("%s %.0f%%", c.Cause, 100*c.MsShare)
+		}
+		fmt.Fprintf(w, "fleet latency by cause: %s\n", strings.Join(causes, ", "))
+	}
+	if b.Flight != nil {
+		fmt.Fprintln(w)
+		printFlight(w, b.Flight)
+		return b.Flight.Err()
+	}
+	return nil
+}
+
+// serveTelemetry mounts /metrics, /healthz, the pprof handlers and the
+// debug pages of the layers that are on, and serves them on addr.
+func serveTelemetry(w io.Writer, addr string, b *experiments.Built, srv *stream.Server) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("metrics listener: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", metrics.Handler(b.Registry))
+	mux.Handle("/healthz", srv.HealthHandler())
+	// The net/http/pprof import registers its handlers on the default mux.
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
+	if b.Flight != nil {
+		mux.Handle("/debug/tracez", b.Flight.TracezHandler())
+	}
+	var boards []*shadow.Board
+	for _, st := range b.Streams {
+		if st.Board != nil {
+			boards = append(boards, st.Board)
+		}
+	}
+	mux.Handle("/debug/predictorz", shadow.Handler(boards))
+	if b.Tracker != nil {
+		mux.Handle("/debug/sloz", b.Tracker.Handler())
+	}
+	httpSrv := &http.Server{Handler: mux}
+	go func() {
+		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			fmt.Fprintln(os.Stderr, "triplec serve: metrics server:", err)
+		}
+	}()
+	fmt.Fprintf(w, "telemetry on http://%s/metrics, /healthz, /debug/pprof/\n", ln.Addr())
+	return httpSrv, nil
+}
+
+// sampleMetrics samples reg every period on a goroutine until the returned
+// finish stops it, takes a final post-run row and writes the CSV to path.
+func sampleMetrics(reg *metrics.Registry, every time.Duration) (finish func(path string) error, err error) {
+	rec, err := trace.NewRecorder(reg)
+	if err != nil {
+		return nil, err
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		for {
+			if err := rec.Sample(); err != nil {
+				fmt.Fprintln(os.Stderr, "triplec serve: metrics sampler:", err)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	return func(path string) error {
+		close(stop)
+		<-done
+		if err := rec.Sample(); err != nil {
+			return err
+		}
+		return writeFile(path, rec.Trace().WriteCSV)
+	}, nil
 }

@@ -3,7 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
 	"triplec/internal/experiments"
 	"triplec/internal/shadow"
@@ -17,7 +17,7 @@ import (
 // as text (and optionally written as JSON). The run is fully
 // deterministic: two invocations with the same flags produce byte-identical
 // reports, and TestShadowShortReportDigest pins the -short report's bytes.
-func runShadow(args []string) error {
+func runShadow(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("shadow", flag.ContinueOnError)
 	short := fs.Bool("short", false, "small corpus for smoke tests (4 sequences x 30 frames)")
 	seed := fs.Uint64("seed", 7, "synthetic-corpus base seed")
@@ -58,30 +58,22 @@ func runShadow(args []string) error {
 	}
 
 	if !*quiet {
-		if err := rep.WriteText(os.Stdout); err != nil {
+		if err := rep.WriteText(stdout); err != nil {
 			return err
 		}
 	}
 	switch *outPath {
 	case "":
 	case "-":
-		if err := rep.WriteJSON(os.Stdout); err != nil {
+		if err := rep.WriteJSON(stdout); err != nil {
 			return err
 		}
 	default:
-		file, err := os.Create(*outPath)
-		if err != nil {
+		if err := writeFile(*outPath, rep.WriteJSON); err != nil {
 			return err
 		}
-		werr := rep.WriteJSON(file)
-		if cerr := file.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
 		if !*quiet {
-			fmt.Println("wrote", *outPath)
+			fmt.Fprintln(stdout, "wrote", *outPath)
 		}
 	}
 	return rep.Check(*minAcc)

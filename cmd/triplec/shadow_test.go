@@ -2,6 +2,7 @@ package main
 
 import (
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // number moves this digest.
 func TestShadowShortReportDigest(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "shadow.json")
-	if err := runShadow([]string{"-short", "-quiet", "-out", path}); err != nil {
+	if err := runShadow([]string{"-short", "-quiet", "-out", path}, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	report, err := os.ReadFile(path)

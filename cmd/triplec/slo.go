@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"triplec/internal/experiments"
 	"triplec/internal/slo"
@@ -19,24 +17,25 @@ import (
 // deterministic fault-latency window onto every stream — the fast-burn
 // page drill — and -expect-page turns "the page fired and cleared" into
 // the exit code.
-func runSlo(args []string) error {
+func runSlo(args []string, stdout io.Writer) error {
+	cfg := experiments.SLOReplayConfig{Deployment: experiments.Deployment{SLO: &slo.Config{}}}
 	fs := flag.NewFlagSet("slo", flag.ContinueOnError)
-	streams := fs.Int("streams", 2, "concurrent streams in the replay fleet")
-	frames := fs.Int("frames", 240, "frames to serve per stream")
-	seed := fs.Uint64("seed", 11, "base synthetic-sequence seed")
-	train := fs.Int("train", 2, "training sequences")
-	budgetMs := fs.Float64("budget-ms", 0,
+	fs.IntVar(&cfg.Streams, "streams", 2, "concurrent streams in the replay fleet")
+	fs.IntVar(&cfg.Frames, "frames", 240, "frames to serve per stream")
+	fs.Uint64Var(&cfg.Seed, "seed", 11, "base synthetic-sequence seed")
+	fs.IntVar(&cfg.Train, "train", 2, "training sequences")
+	fs.Float64Var(&cfg.BudgetMs, "budget-ms", 0,
 		"per-frame latency budget in ms (0 = initialize from the first processed frame)")
-	deadline := fs.Float64("deadline-slo", 0,
+	fs.Float64Var(&cfg.SLO.Deadline.Objective, "deadline-slo", 0,
 		"deadline-SLO objective: fraction of frames that must meet the budget (0 = default 0.95)")
-	accuracy := fs.Float64("accuracy-slo", 0,
+	fs.Float64Var(&cfg.SLO.Accuracy.Objective, "accuracy-slo", 0,
 		"accuracy-SLO objective: fraction of frames predicted within 25% (0 = default 0.90)")
-	spike := fs.Bool("spike", false,
+	fs.BoolVar(&cfg.Spike, "spike", false,
 		"inject deterministic latency spikes on every stream inside the [-spike-from, -spike-to) frame window (the fast-burn page drill)")
-	spikeFrom := fs.Int("spike-from", 60, "first spiked per-stream frame")
-	spikeTo := fs.Int("spike-to", 120, "one past the last spiked per-stream frame")
-	spikeProb := fs.Float64("spike-prob", 0.8, "per-task spike probability inside the window")
-	spikeMs := fs.Float64("spike-ms", 25, "spike magnitude in ms")
+	fs.IntVar(&cfg.SpikeFrom, "spike-from", 60, "first spiked per-stream frame")
+	fs.IntVar(&cfg.SpikeTo, "spike-to", 120, "one past the last spiked per-stream frame")
+	fs.Float64Var(&cfg.SpikeProb, "spike-prob", 0.8, "per-task spike probability inside the window")
+	fs.Float64Var(&cfg.SpikeMs, "spike-ms", 25, "spike magnitude in ms")
 	expectPage := fs.Bool("expect-page", false,
 		"exit non-zero unless a deadline-SLO page fired during the run and cleared before it ended")
 	outPath := fs.String("out", "", "also write the JSON report to this file")
@@ -44,22 +43,8 @@ func runSlo(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	cfg := experiments.SLOReplayConfig{
-		Streams:  *streams,
-		Frames:   *frames,
-		Seed:     *seed,
-		Train:    *train,
-		BudgetMs: *budgetMs,
-		SLO: slo.Config{
-			Deadline: slo.BurnConfig{Objective: *deadline},
-			Accuracy: slo.BurnConfig{Objective: *accuracy},
-		},
-		Spike:     *spike,
-		SpikeFrom: *spikeFrom,
-		SpikeTo:   *spikeTo,
-		SpikeProb: *spikeProb,
-		SpikeMs:   *spikeMs,
+	if cfg.SpikeFrom < 0 || cfg.SpikeTo <= cfg.SpikeFrom {
+		return fmt.Errorf("spike window [%d, %d) must start at 0 or later and be non-empty", cfg.SpikeFrom, cfg.SpikeTo)
 	}
 	res, _, err := experiments.ReplaySLO(cfg)
 	if err != nil {
@@ -67,37 +52,20 @@ func runSlo(args []string) error {
 	}
 
 	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
+		if err := writeFile(*outPath, func(w io.Writer) error { return writeJSON(w, res) }); err != nil {
 			return err
 		}
-		werr := writeSloJSON(f, res)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
-		}
-		fmt.Println("wrote", *outPath)
+		fmt.Fprintln(stdout, "wrote", *outPath)
 	}
 
 	if *jsonOut {
-		if err := writeSloJSON(os.Stdout, res); err != nil {
+		if err := writeJSON(stdout, res); err != nil {
 			return err
 		}
 	} else {
-		printSloReport(os.Stdout, res)
+		printSloReport(stdout, res)
 	}
 	return experiments.CheckSLOReplay(res, *expectPage)
-}
-
-// writeSloJSON renders the report deterministically: a plain indented
-// encoder over the already-quantized snapshot, so same-flag runs emit
-// byte-identical documents.
-func writeSloJSON(w io.Writer, res *experiments.SLOReplayResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
 }
 
 // printSloReport renders the human-readable summary: serving counts, the

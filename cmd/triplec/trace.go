@@ -20,7 +20,7 @@ import (
 // prediction-error attribution — which tasks' Triple-C predictions drifted,
 // by how much, and how often the Markov scenario forecast missed inside the
 // captured window.
-func runTrace(args []string) error {
+func runTrace(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	maxFrames := fs.Int("frames", 20, "waterfall only the last N frames (0 = all)")
 	wide := fs.Int("width", 48, "waterfall bar width in characters")
@@ -42,7 +42,7 @@ func runTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	renderTrace(os.Stdout, fs.Arg(0), d, *maxFrames, *wide)
+	renderTrace(stdout, fs.Arg(0), d, *maxFrames, *wide)
 	return nil
 }
 
@@ -173,14 +173,13 @@ type taskErrStats struct {
 // span in the dump that carries both a prediction and an actual time.
 func printAttribution(w io.Writer, d *span.Dump) {
 	byTask := map[string]*taskErrStats{}
-	scenarioMisses, frames := 0, 0
+	scenarioMisses, frames := 0, len(d.Frames)
 	var missMs float64 // actual-vs-predicted latency on scenario-missed frames
 	missFrames := missFrameSet(d)
 	for _, set := range missFrames {
 		scenarioMisses += len(set)
 	}
 	for _, fr := range d.Frames {
-		frames++
 		if missFrames[fr.Pid][fr.Frame] && fr.PredictedMs > 0 {
 			missMs += fr.ActualMs - fr.PredictedMs
 		}
@@ -197,9 +196,7 @@ func printAttribution(w io.Writer, d *span.Dump) {
 			s.n++
 			s.sumSigned += rel
 			s.sumAbs += math.Abs(rel)
-			if math.Abs(rel) > s.worstAbs {
-				s.worstAbs = math.Abs(rel)
-			}
+			s.worstAbs = max(s.worstAbs, math.Abs(rel))
 			s.sumMsDrift += t.ActualMs - t.PredictedMs
 		}
 	}

@@ -7,119 +7,36 @@ import (
 
 	"triplec/internal/core"
 	"triplec/internal/fault"
-	"triplec/internal/frame"
 	"triplec/internal/pipeline"
 	"triplec/internal/sched"
 	"triplec/internal/tasks"
 )
 
-// This file is the one recipe for a served stream — what `triplec serve`,
-// `chaos`, the promote/slo drills, the examples and the stream tests all put
-// under a runtime manager — and the one deterministic driver that replays a
-// fleet of such streams without the serving layer's goroutines and clocks.
+// This file is the one deterministic driver that replays a built deployment
+// without the serving layer's goroutines and clocks: the promote and slo
+// drills run on it.
 
-// ServingStudy is the study the serving commands train on: the default
-// geometry with train sequences of 60 frames each.
-func ServingStudy(train int) Study {
-	s := DefaultStudy()
-	s.TrainSeqs = train
-	s.TrainFrames = 60
-	return s
-}
-
-// Served is one stream ready to serve: a fresh engine, a sticky runtime
-// manager around a stream-private trained predictor, and the stream's
-// seeded frame source. Corpus is the profiled training corpus the predictor
-// was trained on (shared between the study's streams, read-only) — what a
-// shadow roster racing that predictor trains on.
-type Served struct {
-	Engine  *pipeline.Engine
-	Manager *sched.Manager
-	Source  func(int) *frame.Frame
-	Corpus  [][]core.Observation
-}
-
-// ManagedEngine builds a fresh engine and a runtime manager around p. The
-// manager is sticky: a served stream keeps its mapping while it still meets
-// the predicted demand. This is also what a stream rebuilds after a stall
-// (stream.Config.Rebuild), around the predictor it already has.
-func (s Study) ManagedEngine(p *core.Predictor) (*pipeline.Engine, *sched.Manager, error) {
-	eng, err := s.Engine()
-	if err != nil {
-		return nil, nil, err
-	}
-	mgr, err := sched.NewManager(p, s.Arch)
-	if err != nil {
-		return nil, nil, err
-	}
-	mgr.Sticky = true
-	return eng, mgr, nil
-}
-
-// ServedStream builds stream i of a fleet with the given base seed. Streams
-// of one fleet play distinct synthetic sequences (stream 0 plays the base
-// seed's) and share nothing mutable.
-func (s Study) ServedStream(seed uint64, i int) (*Served, error) {
-	p, corpus, err := s.train()
-	if err != nil {
-		return nil, err
-	}
-	eng, mgr, err := s.ManagedEngine(p)
-	if err != nil {
-		return nil, err
-	}
-	seq, err := s.Sequence(seed + uint64(i)*1013)
-	if err != nil {
-		return nil, err
-	}
-	return &Served{Engine: eng, Manager: mgr, Source: Source(seq), Corpus: corpus}, nil
-}
-
-// FleetConfig parameterizes a deterministic fleet replay.
+// FleetConfig parameterizes a deterministic fleet replay: the deployment it
+// builds and replays, and the spike gate. Spikes never sleep: their
+// durations accumulate into the latency the frame is judged on, so the
+// replay is wall-clock free and repeatable. Panics fail the frame like the
+// serving layer does.
 type FleetConfig struct {
-	Streams int    // concurrent streams (default 2)
-	Frames  int    // frames per stream (default 240)
-	Seed    uint64 // synthetic-sequence base seed (default 11)
-	Train   int    // training sequences (default 2)
-	// BudgetMs fixes the per-frame latency budget; 0 initializes it from
-	// each stream's first processed frame (the paper's rule).
-	BudgetMs float64
-	// Fault, when set, injects deterministic faults on every stream. Spikes
-	// never sleep: their durations accumulate into the latency the frame is
-	// judged on, so the replay is wall-clock free and repeatable. Panics
-	// fail the frame like the serving layer does.
-	Fault *fault.Config
+	Deployment
 	// SpikeTo, when positive, gates the overlay: only spikes fired on
 	// per-stream frames in [SpikeFrom, SpikeTo) count.
 	SpikeFrom, SpikeTo int
 }
 
-// WithDefaults fills the zero-valued sizes and seed with their defaults.
-func (c FleetConfig) WithDefaults() FleetConfig {
-	if c.Streams <= 0 {
-		c.Streams = 2
-	}
-	if c.Frames <= 0 {
-		c.Frames = 240
-	}
-	if c.Seed == 0 {
-		c.Seed = 11
-	}
-	if c.Train <= 0 {
-		c.Train = 2
-	}
-	return c
-}
-
-// Fleet is a set of served streams replayed round-robin from one goroutine.
+// Fleet is a built deployment replayed round-robin from one goroutine.
 type Fleet struct {
-	Config  FleetConfig // with defaults applied
-	Streams []*Served
+	*Built
 
-	framePixels int
-	processed   []int     // per stream: frames processed so far
-	overlay     []float64 // per stream: spike ms injected into the frame in flight
-	spikesCount bool      // the spike gate, raised and lowered by Run
+	spikeFrom, spikeTo int // the spike gate of FleetConfig
+	framePixels        int
+	processed          []int     // per stream: frames processed so far
+	overlay            []float64 // per stream: spike ms injected into the frame in flight
+	spikesCount        bool      // the spike gate, raised and lowered by Run
 }
 
 // FleetFrame is one served frame as Run hands it to its callback. The value
@@ -138,24 +55,24 @@ type FleetFrame struct {
 	Missed                       bool
 }
 
-// NewFleet trains the serving study and builds the streams. Wire observers
-// to Fleet.Streams (boards, sinks) before Run.
+// NewFleet builds the deployment and readies it for replay: the injector's
+// spikes are charged to modeled latency instead of slept, and the promotion
+// controller, if any, is attached to every stream's board and manager in
+// stream order, as stream.NewServer attaches them.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
-	cfg = cfg.WithDefaults()
-	study := ServingStudy(cfg.Train)
+	b, err := cfg.Build(nil)
+	if err != nil {
+		return nil, err
+	}
 	fl := &Fleet{
-		Config:      cfg,
-		Streams:     make([]*Served, cfg.Streams),
-		framePixels: study.FramePixels(),
+		Built:       b,
+		spikeFrom:   cfg.SpikeFrom,
+		spikeTo:     cfg.SpikeTo,
+		framePixels: b.Study.FramePixels(),
 		processed:   make([]int, cfg.Streams),
 		overlay:     make([]float64, cfg.Streams),
 	}
-	var inj *fault.Injector
-	if cfg.Fault != nil {
-		var err error
-		if inj, err = fault.New(*cfg.Fault); err != nil {
-			return nil, err
-		}
+	if inj := b.Injector; inj != nil {
 		spikeMs := cfg.Fault.SpikeMs
 		if spikeMs == 0 {
 			spikeMs = 25 // the injector's own default
@@ -167,29 +84,24 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			}
 		})
 	}
-	for i := range fl.Streams {
-		st, err := study.ServedStream(cfg.Seed, i)
-		if err != nil {
-			return nil, err
+	if ctl := b.Controller; ctl != nil {
+		for _, st := range fl.Streams {
+			if err := ctl.AttachStream(st.Board.Stream(), st.Board, st.Manager); err != nil {
+				return nil, err
+			}
 		}
-		st.Manager.BudgetMs = cfg.BudgetMs
-		if inj != nil {
-			child := inj.ForStream(i)
-			st.Engine.SetTaskHook(child.BeforeTask)
-			st.Source = child.WrapSource(st.Source)
-		}
-		fl.Streams[i] = st
 	}
 	return fl, nil
 }
 
-// Run serves Config.Frames frames on every stream, one sched.Manager.Step
+// Run serves Deployment.Frames frames on every stream, one sched.Manager.Step
 // per stream per round, and hands each frame — served or failed — to serve.
+// A served frame reaches the stream's shadow board and then the promotion
+// controller's deadline guard first, as in the serving loop.
 func (fl *Fleet) Run(serve func(*FleetFrame)) error {
-	cfg := &fl.Config
 	var fr FleetFrame
-	for fi := 0; fi < cfg.Frames; fi++ {
-		fl.spikesCount = cfg.SpikeTo <= 0 || (fi >= cfg.SpikeFrom && fi < cfg.SpikeTo)
+	for fi := 0; fi < fl.Deployment.Frames; fi++ {
+		fl.spikesCount = fl.spikeTo <= 0 || (fi >= fl.spikeFrom && fi < fl.spikeTo)
 		for si, st := range fl.Streams {
 			fl.overlay[si] = 0
 			f := st.Source(fi)
@@ -213,6 +125,12 @@ func (fl *Fleet) Run(serve func(*FleetFrame)) error {
 			fr.LatencyMs = rep.LatencyMs + fr.SpikeMs
 			fr.BudgetMs = st.Manager.BudgetMs
 			fr.Missed = fr.BudgetMs > 0 && fr.LatencyMs > fr.BudgetMs
+			if st.Board != nil {
+				st.Board.ObserveFrame(&fr.Obs) // drives the controller via the board observer
+			}
+			if fl.Controller != nil {
+				fl.Controller.ObserveServed(si, fr.Missed)
+			}
 			serve(&fr)
 		}
 	}

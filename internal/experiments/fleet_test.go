@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"triplec/internal/fault"
@@ -54,15 +55,19 @@ func TestServedStreamRecipe(t *testing.T) {
 // and sets its budget, and spikes are overlaid only inside the gate.
 func TestFleetRun(t *testing.T) {
 	fl, err := NewFleet(FleetConfig{
-		Streams: 2, Frames: 40,
-		Fault:     &fault.Config{Seed: 5, Defaults: fault.Probs{Panic: 0.03, Spike: 0.3}, SpikeMs: 10},
+		Deployment: Deployment{
+			Streams: 2, Frames: 40, Seed: 11, Train: 2, Faulted: 2,
+			Fault: &fault.Config{Seed: 5, Defaults: fault.Probs{Panic: 0.03, Spike: 0.3}, SpikeMs: 10},
+		},
 		SpikeFrom: 10, SpikeTo: 20,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fl.Config.Seed != 11 || fl.Config.Train != 2 {
-		t.Fatalf("defaults not applied: %+v", fl.Config)
+	for i, st := range fl.Streams {
+		if st.Hook == nil || st.Name != fmt.Sprintf("faulted%d", i) {
+			t.Fatalf("stream %d (%q) of a fully faulted fleet carries no fault hook", i, st.Name)
+		}
 	}
 	calls, failed, spiked := 0, 0, 0
 	processed := make([]int, 2)

@@ -1,13 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
 	"triplec/internal/core"
-	"triplec/internal/fault"
 	"triplec/internal/promote"
-	"triplec/internal/shadow"
 )
 
 // ReplayPromote runs the full promotion state machine (internal/promote)
@@ -16,31 +15,9 @@ import (
 // single goroutine by the runtime manager's own frame step, the fault
 // injector's spikes overlaid onto the modeled frame latency instead of
 // sleeping on the wall clock). The transition log is written as
-// transitions happen — so two runs with the same PromoteReplayConfig
-// produce byte-identical logs. This is the `triplec promote` subcommand's
+// transitions happen — so two runs of the same Deployment produce
+// byte-identical logs. This is the `triplec promote` subcommand's
 // engine and the determinism/rollback-latency test bed.
-
-// PromoteReplayConfig parameterizes a deterministic promotion replay.
-type PromoteReplayConfig struct {
-	Streams int    // concurrent streams (default 2)
-	Frames  int    // frames per stream (default 240)
-	Seed    uint64 // synthetic-sequence base seed (default 11)
-	Train   int    // training sequences (default 2)
-	// BudgetMs fixes the per-frame latency budget; 0 initializes it from
-	// each stream's first processed frame (the paper's rule).
-	BudgetMs float64
-	// Miscalibrate appends the deliberately miscalibrated challenger
-	// (shadow.BackendMiscal) to every roster and names it the challenger —
-	// the forced-rollback drill.
-	Miscalibrate bool
-	// Promote tunes the controller. Challenger is overridden to
-	// shadow.BackendMiscal when Miscalibrate is set.
-	Promote promote.Config
-	// Fault, when set, injects deterministic faults on every stream; spike
-	// durations are added to the modeled frame latency (no wall-clock
-	// sleeps), panics fail the frame like the serving layer does.
-	Fault *fault.Config
-}
 
 // PromoteReplayResult summarizes a promotion replay.
 type PromoteReplayResult struct {
@@ -74,40 +51,22 @@ func (r *PromoteReplayResult) PostRollbackMissRate() float64 {
 	return float64(r.PostRollbackMisses) / float64(r.PostRollbackFrames)
 }
 
-// ReplayPromote builds the fleet, runs the state machine over
-// frames*streams serving steps and returns the result plus the controller.
-// Transition-log lines stream to logW as they happen (pass io.Discard to
-// skip).
-func ReplayPromote(cfg PromoteReplayConfig, logW io.Writer) (*PromoteReplayResult, *promote.Controller, error) {
+// ReplayPromote builds the deployment on the fleet, runs the state machine
+// over frames*streams serving steps and returns the result plus the
+// controller. d must name a predictor policy. Transition-log lines stream
+// to logW as they happen (pass io.Discard to skip).
+func ReplayPromote(d Deployment, logW io.Writer) (*PromoteReplayResult, *promote.Controller, error) {
 	if logW == nil {
 		logW = io.Discard
 	}
-	pcfg := cfg.Promote
-	if cfg.Miscalibrate {
-		pcfg.Challenger = shadow.BackendMiscal
+	if d.policy() == "" {
+		return nil, nil, errors.New("promote: the drill needs a predictor policy")
 	}
-	ctl, err := promote.NewController(pcfg)
+	fleet, err := NewFleet(FleetConfig{Deployment: d})
 	if err != nil {
 		return nil, nil, err
 	}
-	fleet, err := NewFleet(FleetConfig{
-		Streams: cfg.Streams, Frames: cfg.Frames, Seed: cfg.Seed, Train: cfg.Train,
-		BudgetMs: cfg.BudgetMs, Fault: cfg.Fault,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	boards := make([]*shadow.Board, len(fleet.Streams))
-	for i, st := range fleet.Streams {
-		board, err := shadow.NewStreamBoard(fmt.Sprintf("stream%d", i), st.Manager.Predictor(), st.Corpus, cfg.Miscalibrate)
-		if err != nil {
-			return nil, nil, err
-		}
-		boards[i] = board
-		if err := ctl.AttachStream(board.Stream(), board, st.Manager); err != nil {
-			return nil, nil, err
-		}
-	}
+	ctl := fleet.Controller
 	var logErr error
 	ctl.SetOnTransition(func(t promote.Transition) {
 		if _, err := fmt.Fprintln(logW, t.String()); err != nil && logErr == nil {
@@ -116,8 +75,8 @@ func ReplayPromote(cfg PromoteReplayConfig, logW io.Writer) (*PromoteReplayResul
 	})
 
 	res := &PromoteReplayResult{
-		Streams:           fleet.Config.Streams,
-		Frames:            fleet.Config.Frames,
+		Streams:           fleet.Deployment.Streams,
+		Frames:            fleet.Deployment.Frames,
 		RollbackFrame:     -1,
 		RollbackLagFrames: -1,
 	}
@@ -135,8 +94,6 @@ func ReplayPromote(cfg PromoteReplayConfig, logW io.Writer) (*PromoteReplayResul
 			return
 		}
 		res.Processed++
-		boards[fr.Stream].ObserveFrame(&fr.Obs) // drives the controller via the board observer
-		ctl.ObserveServed(fr.Stream, fr.Missed)
 		if fr.Missed {
 			res.Misses++
 			if rolledBack {

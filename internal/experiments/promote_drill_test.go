@@ -48,16 +48,14 @@ func TestPromoteReplayGolden(t *testing.T) {
 	cli := promote.Config{CanaryFrac: 0.25, MaxMissRate: 0.25} // what cmd/triplec passes by default
 	adaptive := cli
 	adaptive.AdaptiveGuards = true
-	auto := cli
-	auto.Challenger = "auto"
 	for _, tc := range []struct {
 		name string
-		cfg  PromoteReplayConfig
+		cfg  Deployment
 	}{
-		{"miscal", PromoteReplayConfig{Streams: 2, Frames: 200, Seed: 11, Train: 2, Miscalibrate: true, Promote: cli}},
-		{"auto_spikes", PromoteReplayConfig{Streams: 2, Frames: 200, Seed: 11, Train: 2, Promote: auto,
-			Fault: &fault.Config{Seed: 11, Defaults: fault.Probs{Spike: 0.2}, SpikeMs: 25}}},
-		{"miscal_adaptive", PromoteReplayConfig{Streams: 2, Frames: 200, Seed: 11, Train: 2, Miscalibrate: true, Promote: adaptive}},
+		{"miscal", Deployment{Streams: 2, Frames: 200, Seed: 11, Train: 2, Predictor: "miscal", Promote: cli}},
+		{"auto_spikes", Deployment{Streams: 2, Frames: 200, Seed: 11, Train: 2, Predictor: "auto", Promote: cli,
+			Fault: &fault.Config{Seed: 11, Defaults: fault.Probs{Spike: 0.2}, SpikeMs: 25}, Faulted: 2}},
+		{"miscal_adaptive", Deployment{Streams: 2, Frames: 200, Seed: 11, Train: 2, Predictor: "miscal", Promote: adaptive}},
 	} {
 		var log, doc bytes.Buffer
 		res, _, err := ReplayPromote(tc.cfg, &log)
@@ -84,10 +82,13 @@ func TestPromoteReplayGolden(t *testing.T) {
 // rollback must land within one rebalance interval with a healthy
 // post-rollback miss rate.
 func TestReplayMiscalDeterministicRollback(t *testing.T) {
-	cfg := PromoteReplayConfig{
-		Streams:      2,
-		Frames:       200,
-		Miscalibrate: true,
+	cfg := Deployment{
+		Streams:   2,
+		Frames:    200,
+		Seed:      11,
+		Train:     2,
+		Predictor: "miscal",
+		Faulted:   2,
 		// Mild ambient spikes: enough to exercise the fault schedule in the
 		// determinism contract without drowning the post-rollback miss rate
 		// (spikes are environmental and keep firing after the rollback).
@@ -159,11 +160,13 @@ func TestReplayMiscalDeterministicRollback(t *testing.T) {
 // the breach reason must be tagged baseline-derived, and the whole thing
 // must stay byte-deterministic.
 func TestAdaptiveGuardsMiscalRollback(t *testing.T) {
-	cfg := PromoteReplayConfig{
-		Streams:      2,
-		Frames:       240,
-		Miscalibrate: true,
-		Promote:      promote.Config{AdaptiveGuards: true},
+	cfg := Deployment{
+		Streams:   2,
+		Frames:    240,
+		Seed:      11,
+		Train:     2,
+		Predictor: "miscal",
+		Promote:   promote.Config{AdaptiveGuards: true},
 	}
 	run := func() (*PromoteReplayResult, *promote.Controller, string) {
 		var log bytes.Buffer
@@ -225,7 +228,7 @@ func TestStreamPredictorSteering(t *testing.T) {
 	var res *PromoteReplayResult
 	var ctl *promote.Controller
 	var err error
-	res, ctl, err = ReplayPromote(PromoteReplayConfig{Streams: 2, Frames: 60, Miscalibrate: true}, nil)
+	res, ctl, err = ReplayPromote(Deployment{Streams: 2, Frames: 60, Seed: 11, Train: 2, Predictor: "miscal"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

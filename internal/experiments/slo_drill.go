@@ -22,53 +22,47 @@ const SLOReportSchema = "triplec-slo-v1"
 // produce byte-identical reports. This is the `triplec slo` subcommand's
 // engine and the page-fire/page-clear and sum-invariant test bed.
 
-// SLOReplayConfig parameterizes a deterministic SLO replay.
+// SLOReplayConfig parameterizes a deterministic SLO replay: the deployment
+// (its SLO config tunes the tracker; nil takes the defaults) and the
+// fault-spike page drill.
 type SLOReplayConfig struct {
-	Streams int    // concurrent streams (default 2)
-	Frames  int    // frames per stream (default 240)
-	Seed    uint64 // synthetic-sequence base seed (default 11)
-	Train   int    // training sequences (default 2)
-	// BudgetMs fixes the per-frame latency budget; 0 initializes it from
-	// each stream's first processed frame (the paper's rule).
-	BudgetMs float64
-	// SLO tunes the tracker; Streams is overridden to match.
-	SLO slo.Config
+	Deployment
 	// Spike, when true, injects deterministic latency spikes on every
 	// stream inside [SpikeFrom, SpikeTo) per-stream frames — the
 	// fast-burn page drill: the page must fire inside the window and
-	// clear after it slides out of the fast window.
+	// clear after it slides out of the fast window. A window left unset at
+	// both ends is [60, 120).
 	Spike     bool
-	SpikeFrom int     // first spiked per-stream frame (default 60)
-	SpikeTo   int     // one past the last spiked frame (default 120)
+	SpikeFrom int     // first spiked per-stream frame
+	SpikeTo   int     // one past the last spiked frame
 	SpikeProb float64 // per-task spike probability (default 0.8)
 	SpikeMs   float64 // spike magnitude in ms (default 25)
 }
 
 // fleetConfig maps the replay onto the fleet driver: the spike drill is a
-// fault plan of spikes only, seeded like the sequences, gated to the
-// [SpikeFrom, SpikeTo) window.
-func (c SLOReplayConfig) fleetConfig() FleetConfig {
-	fc := FleetConfig{
-		Streams: c.Streams, Frames: c.Frames, Seed: c.Seed, Train: c.Train, BudgetMs: c.BudgetMs,
-	}.WithDefaults()
+// fault plan of spikes only on every stream, seeded like the sequences,
+// gated to the [SpikeFrom, SpikeTo) window.
+func (c SLOReplayConfig) fleetConfig() (FleetConfig, error) {
+	fc := FleetConfig{Deployment: c.Deployment}
+	if fc.SLO == nil {
+		fc.SLO = &slo.Config{}
+	}
+	if c.SpikeFrom == 0 && c.SpikeTo == 0 {
+		c.SpikeFrom, c.SpikeTo = 60, 120
+	}
+	if c.SpikeFrom < 0 || c.SpikeTo <= c.SpikeFrom {
+		return fc, fmt.Errorf("slo: spike window [%d, %d) must start at 0 or later and be non-empty", c.SpikeFrom, c.SpikeTo)
+	}
 	if !c.Spike {
-		return fc
+		return fc, nil
 	}
-	if c.SpikeFrom <= 0 {
-		c.SpikeFrom = 60
-	}
-	if c.SpikeTo <= c.SpikeFrom {
-		c.SpikeTo = c.SpikeFrom + 60
-	}
-	if c.SpikeProb <= 0 {
+	if c.SpikeProb == 0 {
 		c.SpikeProb = 0.8
 	}
-	if c.SpikeMs <= 0 {
-		c.SpikeMs = 25
-	}
-	fc.Fault = &fault.Config{Seed: fc.Seed, Defaults: fault.Probs{Spike: c.SpikeProb}, SpikeMs: c.SpikeMs}
+	fc.Fault = &fault.Config{Seed: c.Seed, Defaults: fault.Probs{Spike: c.SpikeProb}, SpikeMs: c.SpikeMs}
+	fc.Faulted = c.Streams
 	fc.SpikeFrom, fc.SpikeTo = c.SpikeFrom, c.SpikeTo
-	return fc
+	return fc, nil
 }
 
 // SLOReplayResult is the `triplec slo` report document.
@@ -101,15 +95,19 @@ func (s *scenarioSink) ScenarioSample(predicted, actual flowgraph.Scenario) {
 	s.miss = predicted != actual
 }
 
-// ReplaySLO builds the fleet, serves frames*streams round-robin steps
-// through the tracker and returns the report plus the tracker.
+// ReplaySLO builds the deployment on the fleet, serves frames*streams
+// round-robin steps through the tracker and returns the report plus the
+// tracker.
 func ReplaySLO(cfg SLOReplayConfig) (*SLOReplayResult, *slo.Tracker, error) {
-	fleet, err := NewFleet(cfg.fleetConfig())
+	fc, err := cfg.fleetConfig()
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg.SLO.Streams = len(fleet.Streams)
-	tracker := slo.NewTracker(cfg.SLO)
+	fleet, err := NewFleet(fc)
+	if err != nil {
+		return nil, nil, err
+	}
+	tracker := fleet.Tracker
 
 	sinks := make([]scenarioSink, len(fleet.Streams))
 	pendingFault := make([]bool, len(fleet.Streams))
@@ -119,9 +117,9 @@ func ReplaySLO(cfg SLOReplayConfig) (*SLOReplayResult, *slo.Tracker, error) {
 
 	res := &SLOReplayResult{
 		Schema:         SLOReportSchema,
-		Streams:        fleet.Config.Streams,
-		Frames:         fleet.Config.Frames,
-		Seed:           fleet.Config.Seed,
+		Streams:        fleet.Deployment.Streams,
+		Frames:         fleet.Deployment.Frames,
+		Seed:           fleet.Deployment.Seed,
 		Spike:          cfg.Spike,
 		FirstPageFrame: -1,
 	}

@@ -19,8 +19,8 @@ func TestSLOReplayGolden(t *testing.T) {
 		name string
 		cfg  SLOReplayConfig
 	}{
-		{"clean.json", SLOReplayConfig{Streams: 2, Frames: 240, Seed: 11, Train: 2}},
-		{"spike.json", SLOReplayConfig{Streams: 2, Frames: 240, Seed: 11, Train: 2,
+		{"clean.json", SLOReplayConfig{Deployment: drill(240)}},
+		{"spike.json", SLOReplayConfig{Deployment: drill(240),
 			Spike: true, SpikeFrom: 60, SpikeTo: 120, SpikeProb: 0.8, SpikeMs: 25}},
 	} {
 		res, _, err := ReplaySLO(tc.cfg)
@@ -41,7 +41,7 @@ func TestSLOReplayGolden(t *testing.T) {
 // fast-burn page inside the spike window, clear it afterwards, keep the
 // decomposition exact, and be byte-deterministic.
 func TestReplaySpikeDrill(t *testing.T) {
-	cfg := SLOReplayConfig{Streams: 2, Frames: 200, Spike: true}
+	cfg := SLOReplayConfig{Deployment: drill(200), Spike: true}
 	resA, trk, err := ReplaySLO(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestReplaySpikeDrill(t *testing.T) {
 
 // TestReplayClean: a spike-free replay stays ok and still reconciles.
 func TestReplayClean(t *testing.T) {
-	res, _, err := ReplaySLO(SLOReplayConfig{Streams: 2, Frames: 120})
+	res, _, err := ReplaySLO(SLOReplayConfig{Deployment: drill(120)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,5 +97,43 @@ func TestReplayClean(t *testing.T) {
 	}
 	if res.FirstPageFrame >= 0 {
 		t.Fatalf("clean replay paged at frame %d", res.FirstPageFrame)
+	}
+}
+
+// drill is the drills' default deployment — `triplec slo` and `triplec
+// promote` with their flag defaults — at the given length.
+func drill(frames int) Deployment {
+	return Deployment{Streams: 2, Frames: frames, Seed: 11, Train: 2}
+}
+
+// TestReplaySpikeWindowFromZero: a spike window that opens at frame 0 is a
+// window, not an unset one: the fault cause owns latency, and only frames
+// inside [0, 30) carry it.
+func TestReplaySpikeWindowFromZero(t *testing.T) {
+	d := drill(40)
+	d.Streams = 1
+	res, _, err := ReplaySLO(SLOReplayConfig{Deployment: d, Spike: true, SpikeFrom: 0, SpikeTo: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var faultFrames uint64
+	for _, c := range res.Status.Fleet.Causes {
+		if c.Cause == "fault" {
+			faultFrames = c.Frames
+			if c.Ms <= 0 {
+				t.Fatalf("a [0, 30) spike window charged %v ms to fault", c.Ms)
+			}
+		}
+	}
+	if faultFrames == 0 || faultFrames > 30 {
+		t.Fatalf("%d frames charged to fault, want 1..30 inside the window", faultFrames)
+	}
+	for _, bad := range []SLOReplayConfig{
+		{Deployment: d, Spike: true, SpikeFrom: -1, SpikeTo: 30},
+		{Deployment: d, Spike: true, SpikeFrom: 30, SpikeTo: 30},
+	} {
+		if _, _, err := ReplaySLO(bad); err == nil {
+			t.Errorf("spike window [%d, %d) accepted", bad.SpikeFrom, bad.SpikeTo)
+		}
 	}
 }

@@ -8,7 +8,7 @@
 // The injector plugs into the serving stack through the pipeline's fault
 // hooks (Engine.SetTaskHook, Engine.SetGate) and a frame-source wrapper, so
 // neither internal/pipeline nor internal/stream imports this package on the
-// healthy path — chaos wiring lives in the chaos subcommand and the tests.
+// healthy path — the wiring lives in experiments.Deployment.
 package fault
 
 import (
@@ -136,7 +136,10 @@ func (p InjectedPanic) String() string {
 
 // Counts reports how many faults an injector has fired.
 type Counts struct {
-	Panics, Hangs, Spikes, Corrupted uint64
+	Panics    uint64 `json:"panics"`
+	Hangs     uint64 `json:"hangs"`
+	Spikes    uint64 `json:"spikes"`
+	Corrupted uint64 `json:"corrupted"`
 }
 
 func (c Counts) String() string {
@@ -160,22 +163,26 @@ type Injector struct {
 	mu  sync.Mutex
 	rng *stats.RNG
 
-	// counts is shared between a base injector and its ForStream children,
-	// so the base's Counts() aggregates the whole chaos run.
+	// counts and hooks are shared between a base injector and its
+	// ForStream children: the base's Counts() aggregates the whole chaos
+	// run, and its SetOnFault / SetSleep reach every child.
 	counts *counters
-
-	// onFault, when set (SetOnFault before ForStream), observes every fired
-	// fault — the span layer's injection instant. It runs on the injecting
-	// goroutine, immediately before the fault takes effect (before an
-	// injected panic unwinds), and must not block.
-	onFault func(stream int, task tasks.Name, frame int, kind Kind)
-
-	// sleep is swapped out by tests to keep chaos units fast.
-	sleep func(time.Duration)
+	hooks  *hooks
 }
 
 type counters struct {
 	panics, hangs, spikes, corrupted atomic.Uint64
+}
+
+type hooks struct {
+	// onFault, when set, observes every fired fault — the span layer's
+	// injection instant. It runs on the injecting goroutine, immediately
+	// before the fault takes effect (before an injected panic unwinds), and
+	// must not block.
+	onFault func(stream int, task tasks.Name, frame int, kind Kind)
+	// sleep is the clock hangs and spikes block on: time.Sleep, or a
+	// replay's no-op that charges spikes to modeled latency instead.
+	sleep func(time.Duration)
 }
 
 // New builds an injector for the plan.
@@ -184,37 +191,31 @@ func New(cfg Config) (*Injector, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	return &Injector{cfg: cfg, rng: stats.NewRNG(cfg.Seed), counts: &counters{}, sleep: time.Sleep}, nil
+	return &Injector{cfg: cfg, rng: stats.NewRNG(cfg.Seed), counts: &counters{}, hooks: &hooks{sleep: time.Sleep}}, nil
 }
 
 // ForStream derives an independent injector for stream i: same plan, a
 // seed split from the base seed, so per-stream decision sequences stay
 // deterministic regardless of goroutine interleaving. The fault counters
-// are shared with the base injector, whose Counts() therefore aggregates
-// the whole run.
+// and hooks are shared with the base injector, whose Counts() therefore
+// aggregates the whole run.
 func (in *Injector) ForStream(i int) *Injector {
-	child, err := New(in.cfg)
-	if err != nil { // in was built from a validated config
-		panic(err)
+	return &Injector{
+		cfg: in.cfg, stream: i, counts: in.counts, hooks: in.hooks,
+		rng: stats.NewRNG(in.cfg.Seed ^ (0x9e3779b97f4a7c15 * (uint64(i) + 1))),
 	}
-	child.rng = stats.NewRNG(in.cfg.Seed ^ (0x9e3779b97f4a7c15 * (uint64(i) + 1)))
-	child.counts = in.counts
-	child.onFault = in.onFault
-	child.stream = i
-	child.sleep = in.sleep
-	return child
 }
 
-// SetOnFault installs a hook observing every fired fault. Set it on the
-// base injector before deriving per-stream children; children inherit it.
+// SetOnFault installs a hook observing every fired fault, on this injector
+// and every child derived from its base. Set it before the injectors run.
 func (in *Injector) SetOnFault(fn func(stream int, task tasks.Name, frame int, kind Kind)) {
-	in.onFault = fn
+	in.hooks.onFault = fn
 }
 
 // fired reports one fault to the observation hook.
 func (in *Injector) fired(task tasks.Name, frame int, kind Kind) {
-	if in.onFault != nil {
-		in.onFault(in.stream, task, frame, kind)
+	if fn := in.hooks.onFault; fn != nil {
+		fn(in.stream, task, frame, kind)
 	}
 }
 
@@ -237,11 +238,11 @@ func (in *Injector) BeforeTask(task tasks.Name, frameIdx int) {
 	case u < p.Panic+p.Hang:
 		in.counts.hangs.Add(1)
 		in.fired(task, frameIdx, KindHang)
-		in.sleep(time.Duration(in.cfg.HangMs * float64(time.Millisecond)))
+		in.hooks.sleep(time.Duration(in.cfg.HangMs * float64(time.Millisecond)))
 	case u < p.Panic+p.Hang+p.Spike:
 		in.counts.spikes.Add(1)
 		in.fired(task, frameIdx, KindSpike)
-		in.sleep(time.Duration(in.cfg.SpikeMs * float64(time.Millisecond)))
+		in.hooks.sleep(time.Duration(in.cfg.SpikeMs * float64(time.Millisecond)))
 	}
 }
 
@@ -300,9 +301,12 @@ func (in *Injector) Counts() Counts {
 	}
 }
 
-// SetSleep replaces the real clock used for hangs and spikes (tests).
+// SetSleep replaces the real clock used for hangs and spikes, on this
+// injector and every child derived from its base (tests, and the fleet
+// replay, which charges spikes to modeled latency). Set it before the
+// injectors run.
 func (in *Injector) SetSleep(fn func(time.Duration)) {
 	if fn != nil {
-		in.sleep = fn
+		in.hooks.sleep = fn
 	}
 }
