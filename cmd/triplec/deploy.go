@@ -13,8 +13,12 @@ import (
 
 // assemble builds the deployment (announcing the training on w) and turns
 // it into the serving stack: the one place a command writes a
-// stream.Config or a stream.ServerConfig.
+// stream.Config or a stream.ServerConfig. The server's shape is checked
+// first, so a bad one fails before anything trains.
 func assemble(dep experiments.Deployment, w io.Writer) (*experiments.Built, *stream.Server, error) {
+	if err := serverShape(dep).Validate(); err != nil {
+		return nil, nil, err
+	}
 	b, err := dep.Build(w)
 	if err != nil {
 		return nil, nil, err
@@ -33,24 +37,10 @@ func assemble(dep experiments.Deployment, w io.Writer) (*experiments.Built, *str
 			Shadow:      st.Board,
 		}
 	}
-	srv, err := stream.NewServer(stream.ServerConfig{
-		ModelCores:     d.Cores,
-		HostWorkers:    d.Workers,
-		Mapper:         b.Mapper,
-		RebalanceEvery: d.RebalanceEvery,
-		SkipOver:       d.SkipOver,
-		WatchdogMs:     d.WatchdogMs,
-		StallMs:        d.StallMs,
-		Supervise:      d.Supervise,
-		MaxRestarts:    d.MaxRestarts,
-		RestartBudget:  d.RestartBudget,
-		Degrade:        d.Degrade,
-		Metrics:        b.Registry,
-		Flight:         b.Flight,
-		Promote:        b.Controller,
-		SLO:            b.Tracker,
-		SLOExemplars:   d.SLOExemplars,
-	}, cfgs)
+	scfg := serverShape(*d)
+	scfg.Mapper, scfg.Metrics, scfg.Flight = b.Mapper, b.Registry, b.Flight
+	scfg.Promote, scfg.SLO = b.Controller, b.Tracker
+	srv, err := stream.NewServer(scfg, cfgs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -62,6 +52,24 @@ func assemble(dep experiments.Deployment, w io.Writer) (*experiments.Built, *str
 		}
 	}
 	return b, srv, nil
+}
+
+// serverShape is the part of the server configuration a deployment states
+// before it is built: everything but the layers Build constructs.
+func serverShape(d experiments.Deployment) stream.ServerConfig {
+	return stream.ServerConfig{
+		ModelCores:     d.Cores,
+		HostWorkers:    d.Workers,
+		RebalanceEvery: d.RebalanceEvery,
+		SkipOver:       d.SkipOver,
+		WatchdogMs:     d.WatchdogMs,
+		StallMs:        d.StallMs,
+		Supervise:      d.Supervise,
+		MaxRestarts:    d.MaxRestarts,
+		RestartBudget:  d.RestartBudget,
+		Degrade:        d.Degrade,
+		SLOExemplars:   d.SLOExemplars,
+	}
 }
 
 // printAggregate writes the end-of-run aggregate line serve and chaos share.

@@ -20,7 +20,7 @@ import (
 // fault count or spike window before it trains, with one error line and
 // nothing on stdout.
 func TestBadRunSizesRejected(t *testing.T) {
-	for _, args := range [][]string{
+	expectRejected(t, [][]string{
 		{"serve", "-streams", "0"},
 		{"serve", "-frames", "-3"},
 		{"serve", "-train", "0"},
@@ -39,7 +39,34 @@ func TestBadRunSizesRejected(t *testing.T) {
 		{"slo", "-spike", "-spike-from", "-1"},
 		{"slo", "-spike", "-spike-from", "30", "-spike-to", "30"},
 		{"slo", "-spike", "-spike-from", "0", "-spike-to", "0"},
-	} {
+	})
+}
+
+// TestBadServerShapeRejected: serve and chaos check the server's shape —
+// core count, rebalance cadence, shedding ratio, watchdog and stall limit —
+// before they train, and promote judges its spike plan whatever its sign.
+func TestBadServerShapeRejected(t *testing.T) {
+	expectRejected(t, [][]string{
+		{"serve", "-rebalance", "-1"},
+		{"serve", "-cores", "-2"},
+		{"serve", "-skip-over", "-1"},
+		{"serve", "-skip-over", "NaN"},
+		{"chaos", "-watchdog-ms", "-5"},
+		{"chaos", "-stall-ms", "100"}, // not past the 250 ms watchdog
+		{"chaos", "-max-restarts", "-1"},
+		{"promote", "-spike-prob", "-0.5", "-frames", "5"},
+		{"promote", "-spike-prob", "NaN", "-frames", "5"},
+		{"promote", "-spike-ms", "-1", "-frames", "5"},
+		{"promote", "-spike-prob", "0.1", "-spike-ms", "NaN", "-frames", "5"},
+	})
+}
+
+// expectRejected runs each argument list and requires it to fail with one
+// error line prefixed with its command, having printed nothing — in
+// particular no training announcement.
+func expectRejected(t *testing.T, argLists [][]string) {
+	t.Helper()
+	for _, args := range argLists {
 		var out bytes.Buffer
 		err := dispatch(args, &out)
 		switch {

@@ -55,9 +55,15 @@ func runPromote(args []string, stdout io.Writer) error {
 	if *expect != "" && err != nil {
 		return err
 	}
-	if *spikeProb > 0 {
-		d.Fault = &fault.Config{Seed: d.Seed, Defaults: fault.Probs{Spike: *spikeProb}, SpikeMs: *spikeMs}
-		d.Faulted = d.Streams
+	// The spike plan is validated whatever the flags, so a negative or NaN
+	// -spike-prob or -spike-ms fails as it does for chaos; spikes are
+	// injected when -spike-prob is not 0.
+	spikes := &fault.Config{Seed: d.Seed, Defaults: fault.Probs{Spike: *spikeProb}, SpikeMs: *spikeMs}
+	if err := spikes.Validate(); err != nil {
+		return err
+	}
+	if *spikeProb != 0 {
+		d.Fault, d.Faulted = spikes, d.Streams
 	}
 
 	var log bytes.Buffer

@@ -3,7 +3,10 @@ package frame
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"triplec/internal/parallel"
 )
 
 // Micro-benchmarks for the stencil kernels, named so that
@@ -93,4 +96,44 @@ func BenchmarkPool(b *testing.B) {
 			_ = New(512, 512)
 		}
 	})
+}
+
+// BenchmarkAddResampledDst times ENH's integration at 512x512 into a reused
+// average against one into a fresh frame the caller keeps, as when every
+// served output is retained. The allocator does not zero a large span fresh
+// from the OS, so the fresh frame's first-touch page faults land in
+// AddResampledInto; the frame itself is allocated outside the timer. The
+// fresh case keeps every frame it made (512 KB an iteration), so it runs
+// only with an explicit count: -bench AddResampledDst -benchtime 100x.
+func BenchmarkAddResampledDst(b *testing.B) {
+	const size, maxKept = 512, 200
+	src := benchFrame(size)
+	xs, ys := make([]Tap, size), make([]Tap, size)
+	for i := range xs {
+		xs[i], ys[i] = src.XTap(float64(i)+0.25), src.YTap(float64(i)+0.5)
+	}
+	for _, k := range []int{1, 2} {
+		hs := parallel.NewHostStripes(k)
+		defer hs.Close()
+		for _, fresh := range []bool{false, true} {
+			b.Run(fmt.Sprintf("stripes=%d/fresh=%v", k, fresh), func(b *testing.B) {
+				if fresh && b.N > maxKept {
+					b.Skipf("keeps one frame per iteration: run with -benchtime %dx or fewer", maxKept)
+				}
+				acc := NewAccumulator(size, size)
+				dst := New(size, size)
+				var kept []*Frame
+				for i := 0; i < b.N; i++ {
+					if fresh {
+						b.StopTimer()
+						dst = New(size, size)
+						kept = append(kept, dst)
+						b.StartTimer()
+					}
+					acc.AddResampledInto(dst, src, xs, ys, hs)
+				}
+				runtime.KeepAlive(kept)
+			})
+		}
+	}
 }

@@ -227,11 +227,18 @@ func (f *Frame) Clone() *Frame {
 // SubFrame returns a view of f restricted to r (intersected with f's
 // bounds). The view shares pixel storage with f.
 func (f *Frame) SubFrame(r Rect) *Frame {
+	v := f.View(r)
+	return &v
+}
+
+// View is SubFrame by value, for a caller that keeps the view header in
+// storage it already owns instead of allocating one.
+func (f *Frame) View(r Rect) Frame {
 	r = r.Intersect(f.Bounds)
 	if r.Empty() {
-		return &Frame{Bounds: r, Stride: f.Stride}
+		return Frame{Bounds: r, Stride: f.Stride}
 	}
-	return &Frame{
+	return Frame{
 		Pix:    f.Pix[f.offset(r.X0, r.Y0):],
 		Stride: f.Stride,
 		Bounds: r,

@@ -3,6 +3,16 @@
 // input frames, resolves the three data-dependent switches, charges every
 // task's compute cycles and cache-overflow memory traffic to the platform,
 // and reports the resulting effective latency under a given partitioning.
+//
+// Report ownership: every Report owns its records. Execs is carved from an
+// append-only chunk of the engine, and Couple from one of the couples
+// selector; a carved record is never handed out again, so a caller may keep
+// or overwrite one report without touching another. Mapping is the
+// planner's and is shared, read-only, by every report planned with it. Only
+// values that point at nothing per-frame are carved from a chunk (a task
+// name is a constant string): a kept record pins its whole chunk, so a
+// chunked frame header would pin the pixels of every frame beside it.
+// Output is a fresh frame each report.
 package pipeline
 
 import (
@@ -149,6 +159,9 @@ type Engine struct {
 	// fx is Process's execution record, reused frame to frame; the
 	// pipelined executor allocates its own, one per frame in flight.
 	fx frameExec
+	// execs is the unused tail of the chunk commit carves Report.Execs
+	// from; commit runs on the coordinating goroutine only.
+	execs []TaskExec
 
 	// Fault boundary (see guard.go / degrade.go).
 	hook      func(task tasks.Name, frameIdx int)
@@ -172,6 +185,9 @@ type frameExec struct {
 	m partition.Mapping
 
 	rep      Report
+	execs    [maxExecs]TaskExec // the frame's task records, staged for commit
+	nExecs   int
+	view     frame.Frame // the ROI view the analysis tasks run on
 	bounds   frame.Rect
 	rdgOn    bool
 	roiKnown bool
@@ -180,6 +196,18 @@ type frameExec struct {
 	newROI   frame.Rect
 	inTask   tasks.Name // task currently executing, for panic attribution
 }
+
+// maxExecs bounds the tasks one frame runs: detect, one RDG variant, MKX,
+// CPLS, REG, ROI, GW, ENH, ZOOM.
+const maxExecs = 9
+
+// execChunk is how many task records commit carves Report.Execs from before
+// it allocates the next chunk (24 KB): about 70 frames at seven tasks each.
+const execChunk = 512
+
+// serialMapping is the mapping a nil one stands for, shared read-only by every
+// report processed without one.
+var serialMapping = partition.Serial()
 
 // New builds an engine for the given configuration.
 func New(cfg Config) (*Engine, error) {
@@ -280,7 +308,8 @@ func (e *Engine) charge(fx *frameExec, name tasks.Name, cost platform.Cost) {
 	}
 	k := fx.m.StripesFor(name)
 	ms := e.machine.StripedMs(cost, k)
-	fx.rep.Execs = append(fx.rep.Execs, TaskExec{Task: name, Cost: cost, Stripes: k, Ms: ms})
+	fx.execs[fx.nExecs] = TaskExec{Task: name, Cost: cost, Stripes: k, Ms: ms}
+	fx.nExecs++
 	fx.rep.LatencyMs += ms
 	e.spans.EndTask(ms, k)
 	// Reaching charge means the task completed: feed the breaker a success
@@ -300,7 +329,7 @@ func (e *Engine) begin(fx *frameExec, f *frame.Frame, m partition.Mapping) error
 		return errors.New("pipeline: empty frame")
 	}
 	if m == nil {
-		m = partition.Serial()
+		m = serialMapping
 	}
 	if err := m.Validate(e.cfg.Arch.NumCPUs); err != nil {
 		return err
@@ -311,10 +340,7 @@ func (e *Engine) begin(fx *frameExec, f *frame.Frame, m partition.Mapping) error
 		f:      f,
 		m:      m,
 		bounds: f.Bounds,
-		// Nine task slots at most (detect, rdg, mkx, cpls, reg, roi, gw,
-		// enh, zoom); preallocating keeps the per-frame loop free of append
-		// growth.
-		rep: Report{Index: e.frameIdx, Mapping: m, Quality: e.quality, Execs: make([]TaskExec, 0, 9)},
+		rep:    Report{Index: e.frameIdx, Mapping: m, Quality: e.quality},
 	}
 	e.frameIdx++
 	return nil
@@ -339,7 +365,8 @@ func (fx *frameExec) front() {
 	fx.roiKnown = !e.prevROI.Empty()
 	analysis := f
 	if fx.roiKnown {
-		analysis = f.SubFrame(e.prevROI)
+		fx.view = f.View(e.prevROI)
+		analysis = &fx.view
 	}
 	fx.rep.AnalysisPixels = analysis.Pixels()
 
@@ -443,12 +470,20 @@ func (fx *frameExec) back() {
 }
 
 // commit finalizes the frame's report and fires the observer. It runs on
-// the coordinating goroutine in both the serial and the pipelined executor.
+// the coordinating goroutine in both the serial and the pipelined executor,
+// which is what lets it carve the report's Execs from the engine's chunk.
 func (fx *frameExec) commit() Report {
+	e, n := fx.e, fx.nExecs
+	if len(e.execs) < n {
+		e.execs = make([]TaskExec, execChunk)
+	}
+	fx.rep.Execs = e.execs[:n:n]
+	e.execs = e.execs[n:]
+	copy(fx.rep.Execs, fx.execs[:n])
 	fx.rep.Scenario = flowgraph.Scenario{RDGOn: fx.rdgOn, ROIKnown: fx.roiKnown, RegSuccess: fx.regOK}
 	fx.inTask = ""
-	if fx.e.observer != nil {
-		fx.e.observer(fx.rep)
+	if e.observer != nil {
+		e.observer(fx.rep)
 	}
 	return fx.rep
 }

@@ -64,6 +64,10 @@ type Manager struct {
 	// compares lastK and hands lastMapping out again while nothing changes.
 	lastMapping partition.Mapping
 	lastK       [tasks.NumNames]int
+	// mappings holds every mapping planned so far by its dense form, so a
+	// repartition back to a known split allocates nothing. A mapping is
+	// read-only once handed out; reports and plans share it.
+	mappings map[[tasks.NumNames]int]partition.Mapping
 
 	// steerSrc is the live-swappable forecast source (see steer.go) that
 	// replaces the predictor in Plan and PredictedDemandMs.
@@ -190,7 +194,7 @@ func (m *Manager) plan() Decision {
 // as the previous one.
 func (m *Manager) serialDecision(serial float64) Decision {
 	if m.lastMapping == nil || m.lastK != serialK {
-		m.lastMapping, m.lastK = partition.Serial(), serialK
+		m.lastMapping, m.lastK = m.mappingFor(serialK), serialK
 	}
 	return Decision{Mapping: m.lastMapping, PredictedMs: serial, SerialMs: serial}
 }
@@ -268,16 +272,35 @@ func (m *Manager) planWithDemand(serial float64) Decision {
 	dec.PredictedMs = total()
 	dec.Repartition = kOf != m.lastK
 	if dec.Repartition || m.lastMapping == nil {
-		mapping := partition.Mapping{}
-		for ti, k := range kOf {
-			if k > 1 {
-				mapping[allTaskNames[ti]] = k
-			}
-		}
-		m.lastMapping, m.lastK = mapping, kOf
+		m.lastMapping, m.lastK = m.mappingFor(kOf), kOf
 	}
 	dec.Mapping = m.lastMapping
 	return dec
+}
+
+// maxMappings bounds the mappings a manager keeps; past it a new split is
+// built afresh each time it is planned.
+const maxMappings = 64
+
+// mappingFor returns the mapping whose dense form is k, building it the
+// first time k is planned.
+func (m *Manager) mappingFor(k [tasks.NumNames]int) partition.Mapping {
+	if mp, ok := m.mappings[k]; ok {
+		return mp
+	}
+	mp := partition.Mapping{}
+	for ti, n := range k {
+		if n > 1 {
+			mp[allTaskNames[ti]] = n
+		}
+	}
+	if m.mappings == nil {
+		m.mappings = map[[tasks.NumNames]int]partition.Mapping{}
+	}
+	if len(m.mappings) < maxMappings {
+		m.mappings[k] = mp
+	}
+	return mp
 }
 
 // Observe feeds the executed frame back to the predictor (the paper's

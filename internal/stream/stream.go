@@ -169,6 +169,30 @@ type ServerConfig struct {
 	SLOExemplars bool
 }
 
+// Validate checks the server's shape — machine size, rebalance cadence,
+// shedding ratio, watchdog, stall limit and restart budgets — before any
+// stream exists, so a command can reject a bad one before it trains.
+// NewServer calls it.
+func (c ServerConfig) Validate() error {
+	switch {
+	case c.ModelCores < 0:
+		return fmt.Errorf("stream: ModelCores %d is negative; use 0 for the architecture's core count", c.ModelCores)
+	case c.WatchdogMs < 0 || math.IsNaN(c.WatchdogMs):
+		return fmt.Errorf("stream: WatchdogMs %v is invalid; use 0 to disable the per-frame wall-clock deadline", c.WatchdogMs)
+	case c.StallMs < 0 || math.IsNaN(c.StallMs):
+		return fmt.Errorf("stream: StallMs %v is invalid; use 0 for the default of 10x WatchdogMs", c.StallMs)
+	case c.StallMs > 0 && c.StallMs <= c.WatchdogMs:
+		return fmt.Errorf("stream: StallMs %v must exceed WatchdogMs %v (an abandoned frame is waited for before being declared stalled)", c.StallMs, c.WatchdogMs)
+	case c.MaxRestarts < 0 || c.RestartBudget < 0:
+		return fmt.Errorf("stream: MaxRestarts %d / RestartBudget %d must be non-negative; use 0 for the defaults", c.MaxRestarts, c.RestartBudget)
+	case c.RebalanceEvery < 0:
+		return fmt.Errorf("stream: RebalanceEvery %d is negative; use 0 for the default of 4 demand reports per re-division", c.RebalanceEvery)
+	case c.SkipOver < 0 || math.IsNaN(c.SkipOver):
+		return fmt.Errorf("stream: SkipOver %v is invalid; use 0 for the default load ratio of 2.0", c.SkipOver)
+	}
+	return nil
+}
+
 func (c ServerConfig) withDefaults(streams []Config) ServerConfig {
 	if c.ModelCores == 0 && len(streams) > 0 {
 		c.ModelCores = streams[0].Manager.Arch().NumCPUs
@@ -276,23 +300,8 @@ func NewServer(cfg ServerConfig, streams []Config) (*Server, error) {
 			names[s.Name] = i
 		}
 	}
-	if cfg.WatchdogMs < 0 || math.IsNaN(cfg.WatchdogMs) {
-		return nil, fmt.Errorf("stream: WatchdogMs %v is invalid; use 0 to disable the per-frame wall-clock deadline", cfg.WatchdogMs)
-	}
-	if cfg.StallMs < 0 || math.IsNaN(cfg.StallMs) {
-		return nil, fmt.Errorf("stream: StallMs %v is invalid; use 0 for the default of 10x WatchdogMs", cfg.StallMs)
-	}
-	if cfg.StallMs > 0 && cfg.StallMs <= cfg.WatchdogMs {
-		return nil, fmt.Errorf("stream: StallMs %v must exceed WatchdogMs %v (an abandoned frame is waited for before being declared stalled)", cfg.StallMs, cfg.WatchdogMs)
-	}
-	if cfg.MaxRestarts < 0 || cfg.RestartBudget < 0 {
-		return nil, fmt.Errorf("stream: MaxRestarts %d / RestartBudget %d must be non-negative; use 0 for the defaults", cfg.MaxRestarts, cfg.RestartBudget)
-	}
-	if cfg.RebalanceEvery < 0 {
-		return nil, fmt.Errorf("stream: RebalanceEvery %d is negative; use 0 for the default of 4 demand reports per re-division", cfg.RebalanceEvery)
-	}
-	if cfg.SkipOver < 0 || math.IsNaN(cfg.SkipOver) {
-		return nil, fmt.Errorf("stream: SkipOver %v is invalid; use 0 for the default load ratio of 2.0", cfg.SkipOver)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults(streams)
 	if cfg.ModelCores < 1 {
@@ -568,6 +577,7 @@ func serveOne(si int, sc Config, n int, ctl *controller, h *host, stripes int, t
 			return r.res
 		}
 	}
+	tr.Grow(n)
 	r.res.Trace = tr
 
 	if cfg.Degrade {

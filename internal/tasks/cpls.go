@@ -18,7 +18,15 @@ type CouplesSelector struct {
 	Tolerance float64
 
 	Params CostParams
+
+	// chunk is the unused tail of the couples Run hands out, so a frame's
+	// couple costs no allocation of its own. A Couple holds no pointers: a
+	// kept one pins only its chunk.
+	chunk []Couple
 }
+
+// coupleChunk is how many couples one chunk holds (14 KB).
+const coupleChunk = 256
 
 // NewCouplesSelector returns a selector for the given marker spacing prior.
 func NewCouplesSelector(spacing float64, p CostParams) *CouplesSelector {
@@ -27,7 +35,8 @@ func NewCouplesSelector(spacing float64, p CostParams) *CouplesSelector {
 
 // Run evaluates all candidate pairs and returns the best couple, or nil if
 // no pair satisfies the spacing prior. The cost is proportional to the
-// number of pairs evaluated.
+// number of pairs evaluated. The couple is never handed out again: the
+// caller may keep and modify it.
 func (c *CouplesSelector) Run(cands []Marker) (*Couple, platform.Cost) {
 	pairs := 0
 	bi, bj, bestScore := -1, -1, 0.0
@@ -54,5 +63,11 @@ func (c *CouplesSelector) Run(cands []Marker) (*Couple, platform.Cost) {
 	if bi < 0 {
 		return nil, cost
 	}
-	return &Couple{A: cands[bi], B: cands[bj], Spacing: cands[bi].Dist(cands[bj])}, cost
+	if len(c.chunk) == 0 {
+		c.chunk = make([]Couple, coupleChunk)
+	}
+	best := &c.chunk[0]
+	c.chunk = c.chunk[1:]
+	*best = Couple{A: cands[bi], B: cands[bj], Spacing: cands[bi].Dist(cands[bj])}
+	return best, cost
 }

@@ -44,8 +44,11 @@ func (e *Enhancer) allocAvg() { e.avg = frame.New(e.CanvasW, e.CanvasH) }
 
 // HandOff gives the frame the last Run returned to the caller, who owns it
 // from now on: the next Run writes a fresh frame, allocated right away as a
-// background job of Stripes (parallel.HostStripes.Go), so its zeroing and
-// first-touch page faults run on a helper while the caller goes on.
+// background job of Stripes (parallel.HostStripes.Go). Only the allocation
+// runs on the helper. A span the heap reuses is zeroed there, but one fresh
+// from the OS is not zeroed at all, so while the caller keeps every output
+// the first touch of the new frame's pages lands in the next Run's
+// integration (internal/frame's BenchmarkAddResampledDst measures it).
 func (e *Enhancer) HandOff() {
 	e.avg = nil
 	e.Stripes.Go(e.newAvg)

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,6 +63,14 @@ func (t *Trace) Append(values ...float64) error {
 		t.columns[i].Values = append(t.columns[i].Values, v)
 	}
 	return nil
+}
+
+// Grow makes room for n more frames in every series, so the next n Appends
+// do not allocate.
+func (t *Trace) Grow(n int) {
+	for i := range t.columns {
+		t.columns[i].Values = slices.Grow(t.columns[i].Values, n)
+	}
 }
 
 // AddEmpty declares a series with no values yet (for Append-style use).
