@@ -22,6 +22,7 @@ import (
 	"triplec/internal/flowgraph"
 	"triplec/internal/frame"
 	"triplec/internal/parallel"
+	"triplec/internal/partition"
 	"triplec/internal/platform"
 	"triplec/internal/sched"
 	"triplec/internal/stats"
@@ -244,7 +245,7 @@ func BenchmarkFig7Straightforward(b *testing.B) {
 	src := experiments.Source(benchSetup.seq)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Process(src(i%200), nil); err != nil {
+		if _, err := eng.Process(src(i%200), partition.Serial()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -619,7 +620,7 @@ func BenchmarkAblationWorstCaseMapping(b *testing.B) {
 	var lat float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := eng.Process(src(i%200), nil)
+		rep, err := eng.Process(src(i%200), partition.Serial())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"triplec/internal/frame"
+	"triplec/internal/partition"
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/synth"
@@ -44,7 +45,7 @@ func main() {
 	fmt.Printf("%6s %-28s %12s %10s %s\n", "frame", "scenario", "latency(ms)", "candidates", "registration")
 	for i := 0; i < 30; i++ {
 		f, _ := seq.Frame(i)
-		rep, err := eng.Process(f, nil)
+		rep, err := eng.Process(f, partition.Serial())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 
 	"triplec/internal/frame"
+	"triplec/internal/partition"
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/stats"
@@ -58,7 +59,7 @@ func main() {
 	enhanced := 0
 	for i := 0; i < frames; i++ {
 		f, truth := seq.Frame(i)
-		rep, err := eng.Process(f, nil)
+		rep, err := eng.Process(f, partition.Serial())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -32,6 +32,7 @@ import (
 
 	"triplec/internal/frame"
 	"triplec/internal/mapping"
+	"triplec/internal/partition"
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/sched"
@@ -423,7 +424,7 @@ func runScenario(sc Scenario, seedBase uint64, frames int, mode string) (Scenari
 		if n > frames {
 			n = frames
 		}
-		reps, err := eng.RunSequence(n, src, nil)
+		reps, err := eng.RunSequence(n, src, partition.Serial())
 		if err != nil {
 			return ScenarioResult{}, err
 		}
@@ -444,7 +445,7 @@ func runScenario(sc Scenario, seedBase uint64, frames int, mode string) (Scenari
 		}
 		dig := newOutputDigest()
 		eng.SetObserver(dig.observe)
-		reps, err := eng.RunSequence(frames, sources[s], nil)
+		reps, err := eng.RunSequence(frames, sources[s], partition.Serial())
 		if err != nil {
 			return ScenarioResult{}, err
 		}

@@ -56,8 +56,8 @@ func TestBaselineBackendMatchesPredictNext(t *testing.T) {
 		}
 		direct, asked := 0.0, uint16(0)
 		for _, task := range want.Scenario.ActiveTasks() {
-			if m, ok := ref.Models[task]; ok {
-				ti := tasks.IndexOf(task)
+			if ti := tasks.IndexOf(task); ref.Models[ti] != nil {
+				m := ref.Models[ti]
 				ms := m.Predict(ref.NextContext())
 				if want.Mask&(1<<uint(ti)) == 0 || want.Ms[ti] != ms {
 					t.Fatalf("frame %d: PredictNext[%s] = %v (mask %b), model says %v", i, task, want.Ms[ti], want.Mask, ms)

@@ -9,6 +9,7 @@ import (
 
 	"triplec/internal/flowgraph"
 	"triplec/internal/frame"
+	"triplec/internal/partition"
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/synth"
@@ -39,7 +40,7 @@ func profile(t *testing.T, seed uint64, frames int) []pipeline.Report {
 	reports, err := eng.RunSequence(frames, func(i int) *frame.Frame {
 		f, _ := seq.Frame(i)
 		return f
-	}, nil)
+	}, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +81,8 @@ func TestTrainBuildsTable2bModels(t *testing.T) {
 		tasks.NameGWExt:   "<Eq. 1> + Markov GW",
 	}
 	for task, want := range expect {
-		m, ok := p.Models[task]
-		if !ok {
+		m := p.Models[tasks.IndexOf(task)]
+		if m == nil {
 			t.Fatalf("no model for %s", task)
 		}
 		if m.Describe() != want {
@@ -90,8 +91,8 @@ func TestTrainBuildsTable2bModels(t *testing.T) {
 	}
 	// Constant tasks.
 	for _, task := range []tasks.Name{tasks.NameMKXExt, tasks.NameREG, tasks.NameROIEst, tasks.NameENH, tasks.NameZOOM} {
-		m, ok := p.Models[task]
-		if !ok {
+		m := p.Models[tasks.IndexOf(task)]
+		if m == nil {
 			t.Fatalf("no model for %s", task)
 		}
 		if _, isConst := m.(*ConstantModel); !isConst {
@@ -105,8 +106,8 @@ func TestRDGVariantsShareChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := p.Models[tasks.NameRDGFull].(*EWMAMarkovModel)
-	roi := p.Models[tasks.NameRDGROI].(*LinearMarkovModel)
+	full := p.Models[tasks.IndexOf(tasks.NameRDGFull)].(*EWMAMarkovModel)
+	roi := p.Models[tasks.IndexOf(tasks.NameRDGROI)].(*LinearMarkovModel)
 	if full.Chain() != roi.chain {
 		t.Fatal("RDG FULL and RDG ROI must share a single Markov chain (paper §4)")
 	}
@@ -130,7 +131,7 @@ func TestConstantModelsNearTable2b(t *testing.T) {
 		{tasks.NameZOOM, 5, 25},
 	}
 	for _, c := range checks {
-		ms := p.Models[c.task].(*ConstantModel).Ms
+		ms := p.Models[tasks.IndexOf(c.task)].(*ConstantModel).Ms
 		if ms < c.lo || ms > c.hi {
 			t.Fatalf("%s constant = %.2f ms, want within [%v, %v]", c.task, ms, c.lo, c.hi)
 		}
@@ -618,7 +619,7 @@ func TestLinearMarkovGrowthAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roi := p.Models[tasks.NameRDGROI].(*LinearMarkovModel)
+	roi := p.Models[tasks.IndexOf(tasks.NameRDGROI)].(*LinearMarkovModel)
 	if roi.Growth().Slope <= 0 {
 		t.Fatalf("RDG ROI growth slope = %v, want positive", roi.Growth().Slope)
 	}

@@ -64,8 +64,10 @@ func (p *Predictor) Save(w io.Writer) error {
 	for i := range out.Scenarios {
 		copy(out.Scenarios[i][:], p.Scenarios.Table.Row(i))
 	}
-	for task, m := range p.Models {
+	for ti, m := range p.Models {
+		task := specs[ti].Name
 		switch mm := m.(type) {
+		case nil: // no model for this task
 		case *ConstantModel:
 			out.Models[string(task)] = modelJSON{Kind: "constant", ConstantMs: mm.Ms}
 		case *EWMAMarkovModel:
@@ -133,23 +135,23 @@ func Load(r io.Reader) (*Predictor, error) {
 		}
 		chains[name] = c
 	}
-	p := &Predictor{
-		Models:    map[tasks.Name]Model{},
-		Scenarios: NewScenarioTable(),
-	}
+	p := &Predictor{Scenarios: NewScenarioTable()}
 	for i := range in.Scenarios {
 		if err := p.Scenarios.Table.RestoreRow(i, in.Scenarios[i][:]); err != nil {
 			return nil, fmt.Errorf("core: scenario row %d: %w", i, err)
 		}
 	}
 	for name, mj := range in.Models {
-		task := tasks.Name(name)
+		ti := tasks.IndexOf(tasks.Name(name))
+		if ti < 0 {
+			return nil, fmt.Errorf("core: model for unknown task %q", name)
+		}
 		switch mj.Kind {
 		case "constant":
 			if mj.ConstantMs < 0 {
 				return nil, fmt.Errorf("core: model %s has negative constant time %v ms", name, mj.ConstantMs)
 			}
-			p.Models[task] = &ConstantModel{Ms: mj.ConstantMs}
+			p.Models[ti] = &ConstantModel{Ms: mj.ConstantMs}
 		case "ewma-markov":
 			chain, ok := chains[mj.ChainName]
 			if !ok {
@@ -169,10 +171,7 @@ func Load(r io.Reader) (*Predictor, error) {
 				fallback:       mj.Fallback,
 				OnlineTraining: mj.Online,
 			}
-			p.Models[task] = m
-			if task == tasks.NameRDGFull {
-				p.rdgChain = m
-			}
+			p.Models[ti] = m
 		case "linear-markov":
 			chain, ok := chains[mj.ChainName]
 			if !ok {
@@ -186,11 +185,10 @@ func Load(r io.Reader) (*Predictor, error) {
 				return nil, err
 			}
 			m.OnlineTraining = mj.Online
-			p.Models[task] = m
+			p.Models[ti] = m
 		default:
 			return nil, fmt.Errorf("core: unknown model kind %q for %s", mj.Kind, name)
 		}
 	}
-	p.indexModels()
 	return p, nil
 }

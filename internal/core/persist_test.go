@@ -23,8 +23,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.Models) != len(p.Models) {
-		t.Fatalf("model count %d != %d", len(q.Models), len(p.Models))
+	for ti := range p.Models {
+		if (q.Models[ti] == nil) != (p.Models[ti] == nil) {
+			t.Fatalf("task %s: model restored %v, trained %v", tasks.AllNames()[ti], q.Models[ti], p.Models[ti])
+		}
 	}
 	// Model summaries (Table 2b) must match.
 	if p.ModelSummary() != q.ModelSummary() {
@@ -76,11 +78,11 @@ func TestLoadPreservesSharedRDGChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, ok := q.Models[tasks.NameRDGFull].(*EWMAMarkovModel)
+	full, ok := q.Models[tasks.IndexOf(tasks.NameRDGFull)].(*EWMAMarkovModel)
 	if !ok {
 		t.Fatal("RDG FULL model lost its type")
 	}
-	roi, ok := q.Models[tasks.NameRDGROI].(*LinearMarkovModel)
+	roi, ok := q.Models[tasks.IndexOf(tasks.NameRDGROI)].(*LinearMarkovModel)
 	if !ok {
 		t.Fatal("RDG ROI model lost its type")
 	}
@@ -102,23 +104,40 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader(`{"version": 1, "models": {}}`)); err == nil {
 		t.Fatal("empty snapshot accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"A": {"kind": "wat"}}}`)); err == nil {
+	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"REG": {"kind": "wat"}}}`)); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"A": {"kind": "ewma-markov", "alpha": 0.2, "chainName": "missing"}}}`)); err == nil {
+	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"REG": {"kind": "ewma-markov", "alpha": 0.2, "chainName": "missing"}}}`)); err == nil {
 		t.Fatal("missing chain accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"A": {"kind": "ewma-markov", "alpha": 9, "chainName": "C"}}, "chains": {"C": {"cuts": [], "reps": [0], "counts": [[0]]}}}`)); err == nil {
+	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"REG": {"kind": "ewma-markov", "alpha": 9, "chainName": "C"}}, "chains": {"C": {"cuts": [], "reps": [0], "counts": [[0]]}}}`)); err == nil {
 		t.Fatal("invalid alpha accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"A": {"kind": "linear-markov", "chainName": "C"}}, "chains": {"C": {"cuts": [], "reps": [0], "counts": [[0]]}}}`)); err == nil {
+	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"REG": {"kind": "linear-markov", "chainName": "C"}}, "chains": {"C": {"cuts": [], "reps": [0], "counts": [[0]]}}}`)); err == nil {
 		t.Fatal("missing growth accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"A": {"kind": "constant", "constantMs": -5984.7}}}`)); err == nil {
+	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"REG": {"kind": "constant", "constantMs": -5984.7}}}`)); err == nil {
 		t.Fatal("negative constant time accepted")
 	}
-	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"A": {"kind": "ewma-markov", "alpha": 0.2, "chainName": "C", "fallback": -1}}, "chains": {"C": {"cuts": [], "reps": [0], "counts": [[0]]}}}`)); err == nil {
+	if _, err := Load(strings.NewReader(`{"version": 1, "models": {"REG": {"kind": "ewma-markov", "alpha": 0.2, "chainName": "C", "fallback": -1}}, "chains": {"C": {"cuts": [], "reps": [0], "counts": [[0]]}}}`)); err == nil {
 		t.Fatal("negative fallback time accepted")
+	}
+}
+
+// TestLoadRejectsUnknownTask: a snapshot model for a task outside the flow
+// graph is an input error, not a model kept and never used.
+func TestLoadRejectsUnknownTask(t *testing.T) {
+	const reg = `"REG": {"kind": "constant", "constantMs": 1.5}`
+	p, err := Load(strings.NewReader(`{"version": 1, "models": {` + reg + `}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := p.Models[tasks.IndexOf(tasks.NameREG)].(*ConstantModel); !ok || m.Ms != 1.5 {
+		t.Fatalf("REG model restored as %v", p.Models[tasks.IndexOf(tasks.NameREG)])
+	}
+	_, err = Load(strings.NewReader(`{"version": 1, "models": {` + reg + `, "NOPE": {"kind": "constant", "constantMs": 1}}}`))
+	if err == nil || !strings.Contains(err.Error(), "NOPE") {
+		t.Fatalf("a model for an unknown task loaded: err %v", err)
 	}
 }
 

@@ -139,14 +139,9 @@ type MetricsSink interface {
 
 // Predictor is the assembled Triple-C model set.
 type Predictor struct {
-	Models    map[tasks.Name]Model
+	// Models holds each task's model by tasks.IndexOf (nil: no model).
+	Models    [tasks.NumNames]Model
 	Scenarios *ScenarioTable
-
-	rdgChain *EWMAMarkovModel // kept for Table 2a access
-
-	// dense holds Models by tasks.IndexOf (nil: no model), filled once by
-	// Train and Load so the per-frame paths never hash a task name.
-	dense [tasks.NumNames]Model
 
 	// What the forecasts read of the last observed frame, by value: the
 	// caller's Observation may be refilled per frame.
@@ -162,15 +157,8 @@ type Predictor struct {
 	havePred bool
 }
 
-// allNames caches the allocating tasks.AllNames() for the per-frame paths.
-var allNames = tasks.AllNames()
-
-// indexModels fills the dense model handles from Models.
-func (p *Predictor) indexModels() {
-	for ti, task := range allNames {
-		p.dense[ti] = p.Models[task]
-	}
-}
+// specs is the task table: each task's name and Table 2b model.
+var specs = tasks.Specs()
 
 // Corpus is a training set grouped the way every trainer reads it, by
 // tasks.IndexOf: per-sequence time series of the data-dependent tasks
@@ -193,10 +181,10 @@ func GroupCorpus(sequences [][]Observation) *Corpus {
 				if obs.Mask&(1<<uint(ti)) == 0 {
 					continue
 				}
-				switch allNames[ti] {
-				case tasks.NameRDGFull, tasks.NameCPLSSel, tasks.NameGWExt:
+				switch specs[ti].Model {
+				case tasks.ModelChain:
 					cur[ti] = append(cur[ti], ms)
-				case tasks.NameRDGROI:
+				case tasks.ModelGrowth:
 					c.ROIX = append(c.ROIX, float64(obs.AnalysisPixels))
 					c.ROIY = append(c.ROIY, ms)
 				default:
@@ -226,54 +214,38 @@ func Train(sequences [][]Observation, _ TrainConfig) (*Predictor, error) {
 			table.Add(seq[i-1].Scenario, seq[i].Scenario)
 		}
 	}
-	p := &Predictor{
-		Models:    map[tasks.Name]Model{},
-		Scenarios: table,
-	}
+	p := &Predictor{Scenarios: table}
 
-	// EWMA + Markov models. The ridge chain is trained on the union of the
-	// RDG FULL residuals and the detrended RDG ROI residuals — the paper
-	// generates "a single Markov chain for the ridge-detection task".
-	rdgSeries := c.Series[tasks.IndexOf(tasks.NameRDGFull)]
-	var rdgGrowth LinearGrowth
-	haveROI := len(c.ROIX) >= 2
-	if haveROI {
-		g, err := FitLinearGrowth(c.ROIX, c.ROIY)
-		if err == nil {
-			rdgGrowth = g
-			detrended, err := g.Detrend(c.ROIX, c.ROIY)
-			if err == nil && len(detrended) > 0 {
-				rdgSeries = append(rdgSeries, detrended)
-			}
-		} else {
-			haveROI = false
+	// EWMA + Markov models, one per Table 2b chain. The chain the growth
+	// task (RDG ROI) shares is trained on the union of its chain tasks'
+	// residuals and the detrended growth residuals — the paper generates "a
+	// single Markov chain for the ridge-detection task".
+	growthTi := tasks.IndexOf(tasks.NameRDGROI)
+	growth, growthErr := FitLinearGrowth(c.ROIX, c.ROIY) // fails below two points
+	for ti, s := range specs {
+		if s.Model != tasks.ModelChain {
+			continue
 		}
-	}
-	if len(rdgSeries) > 0 {
-		m, err := NewEWMAMarkovModel(rdgSeries, Alpha, MaxStates, "RDG")
+		series := c.Series[ti]
+		shared := s.Chain == specs[growthTi].Chain
+		if shared && growthErr == nil {
+			detrended, _ := growth.Detrend(c.ROIX, c.ROIY) // the fit checked the lengths
+			series = append(series, detrended)
+		}
+		if len(series) == 0 {
+			continue
+		}
+		m, err := NewEWMAMarkovModel(series, Alpha, MaxStates, s.Chain)
 		if err != nil {
-			return nil, fmt.Errorf("core: RDG model: %w", err)
+			return nil, fmt.Errorf("core: %s model: %w", s.Chain, err)
 		}
-		p.Models[tasks.NameRDGFull] = m
-		p.rdgChain = m
-		if haveROI {
-			lm, err := NewLinearMarkovModel(rdgGrowth, m.Chain(), "RDG")
+		p.Models[ti] = m
+		if shared && growthErr == nil {
+			lm, err := NewLinearMarkovModel(growth, m.Chain(), s.Chain)
 			if err != nil {
 				return nil, err
 			}
-			p.Models[tasks.NameRDGROI] = lm
-		}
-	}
-	for task, label := range map[tasks.Name]string{
-		tasks.NameCPLSSel: "CPLS",
-		tasks.NameGWExt:   "GW",
-	} {
-		if series := c.Series[tasks.IndexOf(task)]; len(series) > 0 {
-			m, err := NewEWMAMarkovModel(series, Alpha, MaxStates, label)
-			if err != nil {
-				return nil, fmt.Errorf("core: %s model: %w", task, err)
-			}
-			p.Models[task] = m
+			p.Models[growthTi] = lm
 		}
 	}
 	for ti, samples := range c.Samples {
@@ -282,24 +254,28 @@ func Train(sequences [][]Observation, _ TrainConfig) (*Predictor, error) {
 		}
 		m, err := NewConstantModel(samples)
 		if err != nil {
-			return nil, fmt.Errorf("core: %s model: %w", allNames[ti], err)
+			return nil, fmt.Errorf("core: %s model: %w", specs[ti].Name, err)
 		}
-		p.Models[allNames[ti]] = m
+		p.Models[ti] = m
 	}
-	if len(p.Models) == 0 {
+	if p.Models == ([tasks.NumNames]Model{}) {
 		return nil, errors.New("core: training produced no models")
 	}
-	p.indexModels()
 	return p, nil
 }
 
 // RDGChain exposes the trained ridge Markov chain (Table 2a).
-func (p *Predictor) RDGChain() *EWMAMarkovModel { return p.rdgChain }
+func (p *Predictor) RDGChain() *EWMAMarkovModel {
+	m, _ := p.Models[tasks.IndexOf(tasks.NameRDGFull)].(*EWMAMarkovModel)
+	return m
+}
 
 // ResetOnline clears all per-sequence online state.
 func (p *Predictor) ResetOnline() {
 	for _, m := range p.Models {
-		m.ResetOnline()
+		if m != nil {
+			m.ResetOnline()
+		}
 	}
 	p.seen = false
 	p.havePred = false
@@ -331,7 +307,7 @@ func (p *Predictor) Observe(obs Observation) {
 		p.havePred = false
 	}
 	ctx := Context{ROIPixels: obs.AnalysisPixels}
-	for ti, m := range p.dense {
+	for ti, m := range p.Models {
 		if m != nil && obs.Mask&(1<<uint(ti)) != 0 {
 			m.Observe(ctx, obs.Ms[ti])
 		}
@@ -400,10 +376,10 @@ func (p *Predictor) NextContext() Context {
 func (p *Predictor) PredictTasksInto(mask uint16, ctx Context, dst *[tasks.NumNames]float64) (predicted uint16, totalMs float64) {
 	for ti := range dst {
 		dst[ti] = 0
-		if mask&(1<<uint(ti)) == 0 || p.dense[ti] == nil {
+		if mask&(1<<uint(ti)) == 0 || p.Models[ti] == nil {
 			continue
 		}
-		ms := p.dense[ti].Predict(ctx)
+		ms := p.Models[ti].Predict(ctx)
 		dst[ti] = ms
 		predicted |= 1 << uint(ti)
 		totalMs += ms
@@ -503,7 +479,7 @@ func (p *Predictor) EvaluatePerTask(sequences [][]Observation, warmup int) ([]Ta
 			obs := &seq[i]
 			if i >= warmup {
 				ctx := Context{ROIPixels: obs.AnalysisPixels}
-				for ti, m := range p.dense {
+				for ti, m := range p.Models {
 					if m == nil || obs.Mask&(1<<uint(ti)) == 0 {
 						continue
 					}
@@ -531,24 +507,22 @@ func (p *Predictor) EvaluatePerTask(sequences [][]Observation, warmup int) ([]Ta
 		if err != nil {
 			continue
 		}
-		out = append(out, TaskAccuracy{Task: allNames[ti], Mean: 1 - mape, Worst: worst, Samples: len(a)})
+		out = append(out, TaskAccuracy{Task: specs[ti].Name, Mean: 1 - mape, Worst: worst, Samples: len(a)})
 	}
 	return out, nil
 }
 
 // ModelSummary renders Table 2(b): task -> prediction model.
 func (p *Predictor) ModelSummary() string {
-	names := make([]string, 0, len(p.Models))
-	for t := range p.Models {
-		names = append(names, string(t))
+	// No task name is a prefix of another: sorting the rows sorts the names.
+	var rows []string
+	for ti, m := range p.Models {
+		if m != nil {
+			rows = append(rows, fmt.Sprintf("%-11s %s\n", specs[ti].Name, m.Describe()))
+		}
 	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteString("Task        Prediction Model [ms]\n")
-	for _, n := range names {
-		fmt.Fprintf(&b, "%-11s %s\n", n, p.Models[tasks.Name(n)].Describe())
-	}
-	return b.String()
+	sort.Strings(rows)
+	return "Task        Prediction Model [ms]\n" + strings.Join(rows, "")
 }
 
 // ResourcePrediction extends the computation forecast with the other two

@@ -14,6 +14,7 @@ import (
 	"triplec/internal/core"
 	"triplec/internal/frame"
 	"triplec/internal/parallel"
+	"triplec/internal/partition"
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/synth"
@@ -108,7 +109,7 @@ func (s Study) Observations(seed uint64, frames int) ([]core.Observation, error)
 	if err != nil {
 		return nil, err
 	}
-	reports, err := eng.RunSequence(frames, Source(seq), nil)
+	reports, err := eng.RunSequence(frames, Source(seq), partition.Serial())
 	if err != nil {
 		return nil, err
 	}

@@ -171,7 +171,7 @@ func TestFig7Output(t *testing.T) {
 	if err := Fig7(&buf, fastStudy(), 80); err != nil {
 		t.Fatal(err)
 	}
-	pinDigest(t, buf.String(), 0xcf808abf4f15257d)
+	pinDigest(t, buf.String(), 0x7711b7e535a40b9d)
 	out := buf.String()
 	for _, want := range []string{"straightforward", "semi-auto", "jitter reduction"} {
 		if !strings.Contains(out, want) {

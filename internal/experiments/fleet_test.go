@@ -85,7 +85,7 @@ func TestFleetRun(t *testing.T) {
 		}
 		mgr := fl.Streams[fr.Stream].Manager
 		if processed[fr.Stream] == 0 {
-			if len(fr.Decision.Mapping) != len(partition.Serial()) || fr.Decision.PredictedMs != 0 {
+			if fr.Decision.Mapping != partition.Serial() || fr.Decision.PredictedMs != 0 {
 				t.Fatalf("stream %d: first processed frame was planned: %+v", fr.Stream, fr.Decision)
 			}
 			if mgr.BudgetMs <= 0 {

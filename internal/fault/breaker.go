@@ -97,22 +97,15 @@ type Breaker struct {
 	OnTrip func(task tasks.Name)
 
 	mu    sync.Mutex
-	tasks map[tasks.Name]*circuit
+	tasks [tasks.NumNames]circuit // by tasks.IndexOf
 }
 
 // NewBreaker builds a breaker with every circuit closed.
-func NewBreaker() *Breaker {
-	return &Breaker{tasks: map[tasks.Name]*circuit{}}
-}
+func NewBreaker() *Breaker { return &Breaker{} }
 
-func (b *Breaker) circuitFor(task tasks.Name) *circuit {
-	c, ok := b.tasks[task]
-	if !ok {
-		c = &circuit{}
-		b.tasks[task] = c
-	}
-	return c
-}
+// circuitFor returns the task's circuit; the gate is asked only about the
+// flow graph's tasks.
+func (b *Breaker) circuitFor(task tasks.Name) *circuit { return &b.tasks[tasks.IndexOf(task)] }
 
 // Allow reports whether the task may execute now. An open circuit refuses
 // and counts down toward half-open; a half-open circuit admits exactly one

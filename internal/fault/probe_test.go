@@ -12,10 +12,7 @@ import (
 func (b *Breaker) State(task tasks.Name) BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if c, ok := b.tasks[task]; ok {
-		return c.state
-	}
-	return BreakerClosed
+	return b.circuitFor(task).state
 }
 
 // countTrips installs an OnTrip hook on b that counts circuit openings.
@@ -30,9 +27,9 @@ func (b *Breaker) OpenTasks() []tasks.Name {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	var out []tasks.Name
-	for task, c := range b.tasks {
+	for ti, c := range b.tasks {
 		if c.state != BreakerClosed {
-			out = append(out, task)
+			out = append(out, tasks.AllNames()[ti])
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })

@@ -5,8 +5,8 @@
 // SEL, REG, ROI EST, GW EXT) are negligible in terms of memory consumption,
 // exactly as the paper notes.
 //
-// Requirements are expressed as ratios of the frame buffer size, so the
-// model scales with geometry; at the paper's 1024x1024 x 2 B/px geometry
+// Requirements are expressed as ratios of the frame buffer size (the task
+// table's Ratios, tasks.Specs), so the model scales with geometry; at the paper's 1024x1024 x 2 B/px geometry
 // (frame = 2,048 KB) the table reproduces Table 1 verbatim.
 
 package flowgraph
@@ -34,16 +34,6 @@ type Requirement struct {
 // TotalKB returns the task's total footprint.
 func (r Requirement) TotalKB() int { return r.InputKB + r.IntermediateKB + r.OutputKB }
 
-// ratios of the frame size {input, intermediate, output}, per task.
-// Dividing Table 1's KB values by 2,048 KB gives these constants.
-var ratioTable = map[tasks.Name][3]float64{
-	tasks.NameRDGFull: {1, 3.5, 2.5},      // 2048, 7168, 5120
-	tasks.NameRDGROI:  {1, 2.5, 2.5},      // 2048, 5120, 5120
-	tasks.NameENH:     {1, 4, 0.5},        // 2048, 8192, 1024
-	tasks.NameZOOM:    {0.5, 2, 2},        // 1024, 4096, 4096
-	tasks.NameMKXExt:  {0.25, 0.25, 1.25}, // 512, 512, 2560 (RDG off)
-}
-
 // mkxInputWithRDG is the MKX EXT input ratio when the ridge-detection task
 // is selected: MKX then consumes the ridge candidate maps (Table 1: 4,608 KB).
 const mkxInputWithRDG = 2.25
@@ -56,28 +46,20 @@ func Lookup(task tasks.Name, rdgSelected bool, frameKB int) (Requirement, error)
 	if frameKB <= 0 {
 		return Requirement{}, fmt.Errorf("memmodel: frameKB must be positive, got %d", frameKB)
 	}
-	req := Requirement{Task: task, RDGSelected: rdgSelected}
-	switch task {
-	case tasks.NameRDGFull, tasks.NameRDGROI, tasks.NameENH, tasks.NameZOOM:
-		r := ratioTable[task]
-		req.InputKB = scale(frameKB, r[0])
-		req.IntermediateKB = scale(frameKB, r[1])
-		req.OutputKB = scale(frameKB, r[2])
-	case tasks.NameMKXExt:
-		r := ratioTable[task]
-		req.HasRDGVariants = true
-		if rdgSelected {
-			req.InputKB = scale(frameKB, mkxInputWithRDG)
-		} else {
-			req.InputKB = scale(frameKB, r[0])
-		}
-		req.IntermediateKB = scale(frameKB, r[1])
-		req.OutputKB = scale(frameKB, r[2])
-	case tasks.NameCPLSSel, tasks.NameREG, tasks.NameROIEst, tasks.NameGWExt, tasks.NameDetect:
-		// Feature-data tasks: negligible array traffic (paper Section 5.1).
-	default:
+	spec, ok := tasks.SpecOf(task)
+	if !ok {
 		return Requirement{}, fmt.Errorf("memmodel: unknown task %q", task)
 	}
+	// Feature-data tasks have zero ratios: negligible array traffic (paper
+	// Section 5.1).
+	r := spec.Ratios
+	req := Requirement{Task: task, RDGSelected: rdgSelected, HasRDGVariants: task == tasks.NameMKXExt}
+	if req.HasRDGVariants && rdgSelected {
+		r[0] = mkxInputWithRDG
+	}
+	req.InputKB = scale(frameKB, r[0])
+	req.IntermediateKB = scale(frameKB, r[1])
+	req.OutputKB = scale(frameKB, r[2])
 	return req, nil
 }
 

@@ -43,10 +43,10 @@ func (s Stage) String() string {
 	return "back"
 }
 
-// StageOf returns the pipeline stage of a task.
+// StageOf returns the pipeline stage of a task (the task table's Back
+// column; a name outside the flow graph is front-stage).
 func StageOf(name tasks.Name) Stage {
-	switch name {
-	case tasks.NameGWExt, tasks.NameENH, tasks.NameZOOM:
+	if s, _ := tasks.SpecOf(name); s.Back {
 		return StageBack
 	}
 	return StageFront

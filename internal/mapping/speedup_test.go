@@ -6,6 +6,7 @@ import (
 
 	"triplec/internal/flowgraph"
 	"triplec/internal/frame"
+	"triplec/internal/partition"
 	"triplec/internal/pipeline"
 	"triplec/internal/platform"
 	"triplec/internal/synth"
@@ -148,7 +149,7 @@ func TestPredictWithinQuarterOfMeasured(t *testing.T) {
 	reports, err := eng.RunSequence(80, func(i int) *frame.Frame {
 		f, _ := seq.Frame(i)
 		return f
-	}, nil)
+	}, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,16 +8,16 @@ import (
 )
 
 func TestKindOf(t *testing.T) {
-	if KindOf(tasks.NameRDGFull) != DataParallel {
+	if KindOf(tasks.NameRDGFull) != tasks.DataParallel {
 		t.Fatal("RDG FULL must be data parallel")
 	}
-	if KindOf(tasks.NameCPLSSel) != FunctionParallel {
+	if KindOf(tasks.NameCPLSSel) != tasks.FunctionParallel {
 		t.Fatal("CPLS SEL must be function parallel")
 	}
-	if KindOf(tasks.NameREG) != NotPartitionable {
+	if KindOf(tasks.NameREG) != tasks.NotPartitionable {
 		t.Fatal("REG must be unpartitionable")
 	}
-	if KindOf(tasks.NameDetect) != NotPartitionable {
+	if KindOf(tasks.NameDetect) != tasks.NotPartitionable {
 		t.Fatal("detector must be unpartitionable")
 	}
 }
@@ -50,9 +50,26 @@ func TestSerialMapping(t *testing.T) {
 }
 
 func TestStripesForClamp(t *testing.T) {
-	m := Mapping{tasks.NameENH: 0}
-	if m.StripesFor(tasks.NameENH) != 1 {
-		t.Fatal("zero entry must clamp to 1")
+	for _, k := range []int{0, -3, 256} {
+		if got := Serial().With(tasks.NameENH, k).StripesFor(tasks.NameENH); got != 1 {
+			t.Fatalf("With(ENH, %d) gives %d stripes, want the clamp to 1", k, got)
+		}
+	}
+	if Serial().StripesFor("NOPE") != 1 {
+		t.Fatal("a task outside the flow graph must run on one core")
+	}
+}
+
+// TestMappingIsAValue: one stripe is the zero entry, so == is mapping
+// equality and a serial With is Serial.
+func TestMappingIsAValue(t *testing.T) {
+	if Serial().With(tasks.NameENH, 1) != Serial() {
+		t.Fatal("a one-stripe entry differs from the serial mapping")
+	}
+	a := Serial().With(tasks.NameRDGFull, 4).With(tasks.NameENH, 2)
+	b := Serial().With(tasks.NameENH, 2).With(tasks.NameRDGFull, 4)
+	if a != b || a == Serial() {
+		t.Fatalf("%v and %v compare wrong", a, b)
 	}
 }
 
@@ -68,21 +85,24 @@ func TestWithDoesNotMutate(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	ok := Mapping{tasks.NameRDGFull: 8, tasks.NameCPLSSel: 2}
+	ok := Serial().With(tasks.NameRDGFull, 8).With(tasks.NameCPLSSel, 2)
 	if err := ok.Validate(8); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Mapping{tasks.NameRDGFull: 9}).Validate(8); err == nil {
+	if err := Serial().With(tasks.NameRDGFull, 9).Validate(8); err == nil {
 		t.Fatal("overscribed data-parallel task accepted")
 	}
-	if err := (Mapping{tasks.NameCPLSSel: 3}).Validate(8); err == nil {
+	if err := Serial().With(tasks.NameCPLSSel, 3).Validate(8); err == nil {
 		t.Fatal("3-way functional split accepted")
 	}
-	if err := (Mapping{tasks.NameREG: 2}).Validate(8); err == nil {
+	if err := Serial().With(tasks.NameREG, 2).Validate(8); err == nil {
 		t.Fatal("striped REG accepted")
 	}
-	if err := (Mapping{tasks.NameENH: 0}).Validate(8); err == nil {
+	if err := Serial().With(tasks.NameENH, 0).Validate(8); err == nil {
 		t.Fatal("zero stripes accepted")
+	}
+	if err := Serial().With(tasks.NameENH, 256).Validate(8); err == nil {
+		t.Fatal("a stripe count past 255 accepted")
 	}
 	if err := Serial().Validate(0); err == nil {
 		t.Fatal("zero CPUs accepted")
@@ -116,12 +136,20 @@ func TestTwoStripeRDG(t *testing.T) {
 }
 
 func TestStringLists(t *testing.T) {
-	m := Mapping{tasks.NameRDGFull: 4, tasks.NameZOOM: 2}
-	s := m.String()
-	if !strings.Contains(s, "RDG_FULL/4") || !strings.Contains(s, "ZOOM/2") {
-		t.Fatalf("String = %q", s)
+	m := Serial().With(tasks.NameZOOM, 2).With(tasks.NameRDGFull, 4).With(tasks.NameCPLSSel, 2)
+	if s := m.String(); s != "CPLS_SEL/2 RDG_FULL/4 ZOOM/2" {
+		t.Fatalf("String = %q, want the entries in name order", s)
 	}
-	if (Mapping{tasks.NameENH: 1}).String() != "serial" {
+	// String sorts "NAME/k" parts, which sorts the names only while no name
+	// is a prefix of another.
+	for _, a := range tasks.AllNames() {
+		for _, b := range tasks.AllNames() {
+			if a != b && strings.HasPrefix(string(b), string(a)) {
+				t.Fatalf("task name %s is a prefix of %s", a, b)
+			}
+		}
+	}
+	if Serial().With(tasks.NameENH, 1).String() != "serial" {
 		t.Fatal("all-ones mapping must print serial")
 	}
 }

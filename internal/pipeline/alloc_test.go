@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"triplec/internal/frame"
+	"triplec/internal/partition"
 	"triplec/internal/tasks"
 )
 
@@ -28,7 +29,7 @@ func TestProcessSteadyStateAllocBudget(t *testing.T) {
 		inputs[i], _ = s.Frame(i)
 	}
 	for i := 0; i < warm; i++ {
-		if _, err := e.Process(inputs[i], nil); err != nil {
+		if _, err := e.Process(inputs[i], partition.Serial()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -37,7 +38,7 @@ func TestProcessSteadyStateAllocBudget(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := warm; i < warm+measured; i++ {
-		if _, err := e.Process(inputs[i], nil); err != nil {
+		if _, err := e.Process(inputs[i], partition.Serial()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +76,7 @@ func TestProcessReleasesFrameRecord(t *testing.T) {
 	s := testSeq(t, 3)
 	for i := 0; i < 4; i++ {
 		f, _ := s.Frame(i)
-		if _, err := e.Process(f, nil); err != nil {
+		if _, err := e.Process(f, partition.Serial()); err != nil {
 			t.Fatal(err)
 		}
 		if fx := &e.fx; fx.f != nil || fx.couple != nil || fx.rep.Execs != nil || fx.rep.Output != nil {
@@ -84,7 +85,7 @@ func TestProcessReleasesFrameRecord(t *testing.T) {
 	}
 	e.SetTaskHook(func(tasks.Name, int) { panic("injected") })
 	f, _ := s.Frame(4)
-	if _, err := e.Process(f, nil); err == nil {
+	if _, err := e.Process(f, partition.Serial()); err == nil {
 		t.Fatal("injected panic did not fail the frame")
 	}
 	if fx := &e.fx; fx.f != nil || fx.rep.Execs != nil {

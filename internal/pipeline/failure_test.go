@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"triplec/internal/frame"
+	"triplec/internal/partition"
 	"triplec/internal/stats"
 	"triplec/internal/tasks"
 )
@@ -56,7 +57,7 @@ func TestPipelineSurvivesPathologicalFrames(t *testing.T) {
 			// Feed the same pathological frame repeatedly: the pipeline must
 			// remain stable across its own state updates.
 			for i := 0; i < 5; i++ {
-				rep, err := e.Process(f, nil)
+				rep, err := e.Process(f, partition.Serial())
 				if err != nil {
 					t.Fatalf("frame %d: %v", i, err)
 				}
@@ -79,7 +80,7 @@ func TestPipelineBlackFrameNoCouple(t *testing.T) {
 		t.Fatal(err)
 	}
 	black := frame.New(128, 128)
-	rep, err := e.Process(black, nil)
+	rep, err := e.Process(black, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestPipelineNoiseFramesNeverEnhanceWrongly(t *testing.T) {
 		for j := range f.Pix {
 			f.Pix[j] = uint16(rng.Uint64())
 		}
-		rep, err := e.Process(f, nil)
+		rep, err := e.Process(f, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestPipelineAlternatingPathology(t *testing.T) {
 		} else {
 			f = black
 		}
-		if _, err := e.Process(f, nil); err != nil {
+		if _, err := e.Process(f, partition.Serial()); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
@@ -154,7 +155,7 @@ func TestPipelineTinyFrames(t *testing.T) {
 	f := frame.New(16, 16)
 	f.Fill(30000)
 	for i := 0; i < 3; i++ {
-		if _, err := e.Process(f, nil); err != nil {
+		if _, err := e.Process(f, partition.Serial()); err != nil {
 			t.Fatalf("tiny frame %d: %v", i, err)
 		}
 	}

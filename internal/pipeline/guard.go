@@ -41,14 +41,10 @@ type TaskGate interface {
 }
 
 // gatedTask reports whether a task is optional enough to be suppressed by
-// an open circuit: the analysis core (detection, marker extraction, couple
-// selection, registration, ROI estimation, enhancement) always runs.
+// an open circuit (the task table's Optional column).
 func gatedTask(name tasks.Name) bool {
-	switch name {
-	case tasks.NameRDGFull, tasks.NameRDGROI, tasks.NameGWExt, tasks.NameZOOM:
-		return true
-	}
-	return false
+	s, _ := tasks.SpecOf(name)
+	return s.Optional
 }
 
 // SetTaskHook installs a hook invoked immediately before every task

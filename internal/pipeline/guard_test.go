@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"triplec/internal/partition"
 	"triplec/internal/tasks"
 )
 
@@ -46,7 +47,7 @@ func TestProcessRecoversTaskPanic(t *testing.T) {
 	processed := 0
 	for i := 0; i < 10; i++ {
 		f, _ := s.Frame(i)
-		rep, err := e.Process(f, nil)
+		rep, err := e.Process(f, partition.Serial())
 		if err != nil {
 			if !errors.As(err, &taskErr) {
 				t.Fatalf("frame %d: error is not a TaskError: %v", i, err)
@@ -83,7 +84,7 @@ func TestRecoveredPanicResetsTemporalState(t *testing.T) {
 	s := testSeq(t, 19)
 	for i := 0; i < 5; i++ {
 		f, _ := s.Frame(i)
-		if _, err := e.Process(f, nil); err != nil {
+		if _, err := e.Process(f, partition.Serial()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,14 +94,14 @@ func TestRecoveredPanicResetsTemporalState(t *testing.T) {
 		}
 	})
 	f, _ := s.Frame(5)
-	if _, err := e.Process(f, nil); err == nil {
+	if _, err := e.Process(f, partition.Serial()); err == nil {
 		t.Fatal("poisoned frame succeeded")
 	}
 	e.SetTaskHook(nil)
 	// The frame after a recovered panic starts from a clean temporal stack:
 	// no predecessor, so registration cannot succeed, like frame 0.
 	f, _ = s.Frame(6)
-	rep, err := e.Process(f, nil)
+	rep, err := e.Process(f, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestHookPanicAttributedToHookedTask(t *testing.T) {
 			panic(42)
 		}
 	})
-	_, err := e.Process(f, nil)
+	_, err := e.Process(f, partition.Serial())
 	var te *TaskError
 	if !errors.As(err, &te) {
 		t.Fatalf("got %v", err)
@@ -141,7 +142,7 @@ func TestGateSuppressesTask(t *testing.T) {
 	sawSuppressed := false
 	for i := 0; i < 20; i++ {
 		f, _ := s.Frame(i)
-		rep, err := e.Process(f, nil)
+		rep, err := e.Process(f, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +188,7 @@ func TestGateRecordsFailureOnPanic(t *testing.T) {
 	var failures int
 	for i := 0; i < 15; i++ {
 		f, _ := s.Frame(i)
-		_, err := e.Process(f, nil)
+		_, err := e.Process(f, partition.Serial())
 		var te *TaskError
 		if errors.As(err, &te) && te.Task != tasks.NameGWExt {
 			t.Fatalf("frame %d: panic attributed to %s", i, te.Task)
@@ -215,7 +216,7 @@ func TestQualityShedsTasksInProcess(t *testing.T) {
 	}
 	for i := 0; i < 20; i++ {
 		f, _ := s.Frame(i)
-		rep, err := e.Process(f, nil)
+		rep, err := e.Process(f, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +238,7 @@ func TestQualityShedsTasksInProcess(t *testing.T) {
 	sawOutput := false
 	for i := 20; i < 45; i++ {
 		f, _ := s.Frame(i)
-		rep, err := e.Process(f, nil)
+		rep, err := e.Process(f, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"triplec/internal/frame"
+	"triplec/internal/partition"
 )
 
 // Regression: NaN config values used to slip past the exactly-zero default
@@ -43,7 +44,7 @@ func TestChargeSurfacesAccountingErrors(t *testing.T) {
 	}
 	seq := testSeq(t, 5)
 	f, _ := seq.Frame(0)
-	rep, err := e.Process(f, nil)
+	rep, err := e.Process(f, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestChargeSurfacesAccountingErrors(t *testing.T) {
 	}
 	// The healthy configuration stays clean.
 	clean := newEngine(t)
-	rep, err = clean.Process(f, nil)
+	rep, err = clean.Process(f, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestChargeSurfacesAccountingErrors(t *testing.T) {
 // frame" without the failing index.
 func TestRunSequenceNilSource(t *testing.T) {
 	e := newEngine(t)
-	if _, err := e.RunSequence(3, nil, nil); err == nil {
+	if _, err := e.RunSequence(3, nil, partition.Serial()); err == nil {
 		t.Fatal("nil source accepted")
 	}
 }
@@ -86,7 +87,7 @@ func TestRunSequenceNilFrameNamesIndex(t *testing.T) {
 		f, _ := seq.Frame(i)
 		return f
 	}
-	_, err := e.RunSequence(5, src, nil)
+	_, err := e.RunSequence(5, src, partition.Serial())
 	if err == nil {
 		t.Fatal("nil frame mid-sequence accepted")
 	}

@@ -63,7 +63,7 @@ func TestHostStripeReportsBitIdentical(t *testing.T) {
 	for _, g := range []struct{ w, h, n int }{{512, 512, stripeFrames512}, {384, 301, stripeFrames512 / 3}} {
 		cfg, frames := servedFrames(t, 11, g.w, g.h, g.n)
 		engines := []*Engine{stripedEngine(t, cfg, 1), stripedEngine(t, cfg, 2), stripedEngine(t, cfg, 3)}
-		m := partition.Mapping{tasks.NameRDGFull: 2, tasks.NameENH: 4}
+		m := partition.Serial().With(tasks.NameRDGFull, 2).With(tasks.NameENH, 4)
 		seen := map[string]int{}
 		for i, f := range frames {
 			want, err := engines[0].Process(f, m)
@@ -110,14 +110,14 @@ func TestHostStripeProcessAllocs(t *testing.T) {
 	allocs := func(k int) float64 {
 		e := stripedEngine(t, testConfig(), k)
 		for _, f := range frames {
-			if _, err := e.Process(f, nil); err != nil {
+			if _, err := e.Process(f, partition.Serial()); err != nil {
 				t.Fatal(err)
 			}
 		}
 		e.Reset()
 		i := 0
 		return testing.AllocsPerRun(len(frames)-1, func() {
-			if _, err := e.Process(frames[i], nil); err != nil {
+			if _, err := e.Process(frames[i], partition.Serial()); err != nil {
 				t.Fatal(err)
 			}
 			e.enh.Stripes.Wait()
@@ -146,7 +146,7 @@ func TestHostStripeHelperPanicFailsFrame(t *testing.T) {
 			frames = frames[:i+1] // and one frame after the faults
 			break
 		}
-		rep, err := ref.Process(f, nil)
+		rep, err := ref.Process(f, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestHostStripeHelperPanicFailsFrame(t *testing.T) {
 		reps, errs := make([]Report, len(frames)), make([]error, len(frames))
 		for i, f := range frames {
 			pix := f.Pix
-			reps[i], errs[i] = e.Process(f, nil)
+			reps[i], errs[i] = e.Process(f, partition.Serial())
 			f.Pix = pix
 		}
 		return reps, errs
@@ -247,7 +247,7 @@ func TestHostStripeOutputOwnership(t *testing.T) {
 		})
 		outs, sums := make([]*frame.Frame, len(frames)), make([]uint64, len(frames))
 		if pipelined {
-			results, err := e.RunPipelined(len(frames), func(i int) *frame.Frame { return frames[i] }, nil)
+			results, err := e.RunPipelined(len(frames), func(i int) *frame.Frame { return frames[i] }, partition.Serial())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +261,7 @@ func TestHostStripeOutputOwnership(t *testing.T) {
 			if shed && noZoom(i) {
 				e.SetQuality(QualityNoZoom)
 			}
-			rep, err := e.Process(f, nil)
+			rep, err := e.Process(f, partition.Serial())
 			if (err != nil) != (i == zoomFault) {
 				t.Fatalf("%d stripes, frame %d: error %v", k, i, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"triplec/internal/frame"
+	"triplec/internal/partition"
 	"triplec/internal/tasks"
 )
 
@@ -27,8 +28,8 @@ func TestReportsOwnTheirRecords(t *testing.T) {
 		name string
 		fn   func(*Engine) ([]Report, error)
 	}{
-		{"Process", func(e *Engine) ([]Report, error) { return e.RunSequence(n, source, nil) }},
-		{"pipelined", func(e *Engine) ([]Report, error) { return e.RunSequencePipelined(n, source, nil) }},
+		{"Process", func(e *Engine) ([]Report, error) { return e.RunSequence(n, source, partition.Serial()) }},
+		{"pipelined", func(e *Engine) ([]Report, error) { return e.RunSequencePipelined(n, source, partition.Serial()) }},
 	} {
 		t.Run(run.name, func(t *testing.T) {
 			reps, err := run.fn(newEngine(t))

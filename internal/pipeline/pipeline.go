@@ -7,9 +7,8 @@
 // Report ownership: every Report owns its records. Execs is carved from an
 // append-only chunk of the engine, and Couple from one of the couples
 // selector; a carved record is never handed out again, so a caller may keep
-// or overwrite one report without touching another. Mapping is the
-// planner's and is shared, read-only, by every report planned with it. Only
-// values that point at nothing per-frame are carved from a chunk (a task
+// or overwrite one report without touching another; Mapping is a value.
+// Only values that point at nothing per-frame are carved from a chunk (a task
 // name is a constant string): a kept record pins its whole chunk, so a
 // chunked frame header would pin the pixels of every frame beside it.
 // Output is a fresh frame each report.
@@ -52,6 +51,7 @@ type TaskExec struct {
 type Report struct {
 	Index        int
 	Scenario     flowgraph.Scenario
+	Mapping      partition.Mapping
 	Execs        []TaskExec
 	LatencyMs    float64 // sum of task times along the pipeline
 	Couple       *tasks.Couple
@@ -63,7 +63,6 @@ type Report struct {
 	AnalysisPixels int
 	Candidates     int          // marker candidates found
 	Output         *frame.Frame // zoomed enhanced output (nil unless produced)
-	Mapping        partition.Mapping
 	// AccountingErrs collects non-fatal bookkeeping failures (e.g. the
 	// intra-task bandwidth model rejecting the configured L2 size): the
 	// frame still processes, but its memory-traffic charge is incomplete
@@ -205,10 +204,6 @@ const maxExecs = 9
 // it allocates the next chunk (24 KB): about 70 frames at seven tasks each.
 const execChunk = 512
 
-// serialMapping is the mapping a nil one stands for, shared read-only by every
-// report processed without one.
-var serialMapping = partition.Serial()
-
 // New builds an engine for the given configuration.
 func New(cfg Config) (*Engine, error) {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
@@ -301,12 +296,13 @@ func (e *Engine) charge(fx *frameExec, name tasks.Name, cost platform.Cost) {
 	if fx.rdgOn {
 		rdg = 1
 	}
-	if intra := &e.intra[tasks.IndexOf(name)][rdg]; intra.err == "" {
+	ti := tasks.IndexOf(name)
+	if intra := &e.intra[ti][rdg]; intra.err == "" {
 		cost.MemBytes += intra.memBytes
 	} else {
 		fx.rep.AccountingErrs = append(fx.rep.AccountingErrs, intra.err)
 	}
-	k := fx.m.StripesFor(name)
+	k := fx.m.StripesAt(ti)
 	ms := e.machine.StripedMs(cost, k)
 	fx.execs[fx.nExecs] = TaskExec{Task: name, Cost: cost, Stripes: k, Ms: ms}
 	fx.nExecs++
@@ -327,9 +323,6 @@ func (e *Engine) charge(fx *frameExec, name tasks.Name, cost platform.Cost) {
 func (e *Engine) begin(fx *frameExec, f *frame.Frame, m partition.Mapping) error {
 	if f == nil || f.Pixels() == 0 {
 		return errors.New("pipeline: empty frame")
-	}
-	if m == nil {
-		m = serialMapping
 	}
 	if err := m.Validate(e.cfg.Arch.NumCPUs); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"triplec/internal/flowgraph"
@@ -77,10 +78,10 @@ func TestDefaults(t *testing.T) {
 
 func TestProcessEmptyFrame(t *testing.T) {
 	e := newEngine(t)
-	if _, err := e.Process(frame.New(0, 0), nil); err == nil {
+	if _, err := e.Process(frame.New(0, 0), partition.Serial()); err == nil {
 		t.Fatal("empty frame accepted")
 	}
-	if _, err := e.Process(nil, nil); err == nil {
+	if _, err := e.Process(nil, partition.Serial()); err == nil {
 		t.Fatal("nil frame accepted")
 	}
 }
@@ -88,7 +89,7 @@ func TestProcessEmptyFrame(t *testing.T) {
 func TestProcessInvalidMapping(t *testing.T) {
 	e := newEngine(t)
 	f, _ := testSeq(t, 1).Frame(0)
-	if _, err := e.Process(f, partition.Mapping{tasks.NameREG: 4}); err == nil {
+	if _, err := e.Process(f, partition.Serial().With(tasks.NameREG, 4)); err == nil {
 		t.Fatal("invalid mapping accepted")
 	}
 }
@@ -99,7 +100,7 @@ func TestPipelineRecoversAndEnhances(t *testing.T) {
 	var sawOutput, sawROI bool
 	for i := 0; i < 30; i++ {
 		f, _ := s.Frame(i)
-		rep, err := e.Process(f, nil)
+		rep, err := e.Process(f, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestScenarioSwitching(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 60; i++ {
 		f, _ := s.Frame(i)
-		rep, err := e.Process(f, nil)
+		rep, err := e.Process(f, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestScenarioSwitching(t *testing.T) {
 func TestFirstFrameCannotRegister(t *testing.T) {
 	e := newEngine(t)
 	f, _ := testSeq(t, 13).Frame(0)
-	rep, err := e.Process(f, nil)
+	rep, err := e.Process(f, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestROIGranularityReducesLatency(t *testing.T) {
 	var fullLat, roiLat []float64
 	for i := 0; i < 40; i++ {
 		f, _ := s.Frame(i)
-		rep, err := e.Process(f, nil)
+		rep, err := e.Process(f, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +213,7 @@ func TestStripingReducesRDGLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp, err := stripedE.Process(f, partition.Mapping{tasks.NameRDGFull: 2, tasks.NameRDGROI: 2})
+		rp, err := stripedE.Process(f, partition.Serial().With(tasks.NameRDGFull, 2).With(tasks.NameRDGROI, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +239,7 @@ func TestLatencyInPaperBand(t *testing.T) {
 	s := testSeq(t, 23)
 	for i := 0; i < 40; i++ {
 		f, _ := s.Frame(i)
-		rep, err := e.Process(f, nil)
+		rep, err := e.Process(f, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +255,7 @@ func TestMemoryTrafficCharged(t *testing.T) {
 	s := testSeq(t, 29)
 	for i := 0; i < 10; i++ {
 		f, _ := s.Frame(i)
-		rep, err := e.Process(f, nil)
+		rep, err := e.Process(f, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,13 +272,13 @@ func TestResetClearsState(t *testing.T) {
 	s := testSeq(t, 31)
 	for i := 0; i < 10; i++ {
 		f, _ := s.Frame(i)
-		if _, err := e.Process(f, nil); err != nil {
+		if _, err := e.Process(f, partition.Serial()); err != nil {
 			t.Fatal(err)
 		}
 	}
 	e.Reset()
 	f, _ := s.Frame(10)
-	rep, err := e.Process(f, nil)
+	rep, err := e.Process(f, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +299,7 @@ func TestRunSequence(t *testing.T) {
 	reports, err := e.RunSequence(15, func(i int) *frame.Frame {
 		f, _ := s.Frame(i)
 		return f
-	}, nil)
+	}, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestRunSequence(t *testing.T) {
 	if len(lats) != 15 || lats[0] <= 0 {
 		t.Fatalf("latency series wrong: %v", lats)
 	}
-	if _, err := e.RunSequence(0, nil, nil); err == nil {
+	if _, err := e.RunSequence(0, nil, partition.Serial()); err == nil {
 		t.Fatal("zero-length sequence accepted")
 	}
 }
@@ -320,7 +321,7 @@ func TestTaskSeries(t *testing.T) {
 	reports, err := e.RunSequence(20, func(i int) *frame.Frame {
 		f, _ := s.Frame(i)
 		return f
-	}, nil)
+	}, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestRealStripingIdenticalReports(t *testing.T) {
 	seq := testSeq(t, 616)
 	ea := stripedEngine(t, testConfig(), 1)
 	eb := stripedEngine(t, testConfig(), 2)
-	m := partition.Mapping{tasks.NameRDGFull: 2, tasks.NameRDGROI: 2}
+	m := partition.Serial().With(tasks.NameRDGFull, 2).With(tasks.NameRDGROI, 2)
 	for i := 0; i < 15; i++ {
 		f, _ := seq.Frame(i)
 		ra, err := ea.Process(f, m)
@@ -383,5 +384,36 @@ func TestRealStripingIdenticalReports(t *testing.T) {
 		if ra.Scenario != rb.Scenario || ra.Candidates != rb.Candidates {
 			t.Fatalf("frame %d: analysis outcome differs", i)
 		}
+	}
+}
+
+// TestExecOrderMatchesFlowGraph: the execution order pipeline.go keeps as
+// code is the flow graph's — for every scenario, a processed frame's task
+// records follow Scenario.ActiveTasks.
+func TestExecOrderMatchesFlowGraph(t *testing.T) {
+	cfg, frames := servedFrames(t, 5, 128, 128, 240)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[flowgraph.Scenario]int{}
+	for i, f := range frames {
+		rep, err := e.Process(f, partition.Serial())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := rep.Scenario.ActiveTasks()
+		got := make([]tasks.Name, len(rep.Execs))
+		for j, ex := range rep.Execs {
+			got[j] = ex.Task
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("frame %d (%v): executed %v, flow graph %v", i, rep.Scenario, got, want)
+		}
+		seen[rep.Scenario]++
+	}
+	t.Logf("scenarios seen: %v", seen)
+	if len(seen) != len(flowgraph.AllScenarios()) {
+		t.Fatalf("%d of %d scenarios exercised: %v", len(seen), len(flowgraph.AllScenarios()), seen)
 	}
 }

@@ -103,8 +103,8 @@ func assertSameResults(t *testing.T, serial, pipelined []FrameResult) {
 func TestPipelinedGoldenEqualsSerial(t *testing.T) {
 	const n = 40
 	frames := goldenFrames(t, 7, n)
-	serialRes := runSerialGolden(newEngine(t), frames, nil)
-	pipeRes, err := newEngine(t).RunPipelined(n, func(i int) *frame.Frame { return frames[i] }, nil)
+	serialRes := runSerialGolden(newEngine(t), frames, partition.Serial())
+	pipeRes, err := newEngine(t).RunPipelined(n, func(i int) *frame.Frame { return frames[i] }, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPipelinedGoldenEqualsSerialWithFaults(t *testing.T) {
 	}
 	se := newEngine(t)
 	se.SetTaskHook(hook)
-	serialRes := runSerialGolden(se, frames, nil)
+	serialRes := runSerialGolden(se, frames, partition.Serial())
 	failures := 0
 	for _, r := range serialRes {
 		if r.Err != nil {
@@ -146,7 +146,7 @@ func TestPipelinedGoldenEqualsSerialWithFaults(t *testing.T) {
 
 	pe := newEngine(t)
 	pe.SetTaskHook(hook)
-	pipeRes, err := pe.RunPipelined(n, func(i int) *frame.Frame { return frames[i] }, nil)
+	pipeRes, err := pe.RunPipelined(n, func(i int) *frame.Frame { return frames[i] }, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestRunSequencePipelinedMatchesRunSequence(t *testing.T) {
 	const n = 25
 	frames := goldenFrames(t, 19, n)
 	src := func(i int) *frame.Frame { return frames[i] }
-	want, err := newEngine(t).RunSequence(n, src, nil)
+	want, err := newEngine(t).RunSequence(n, src, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := newEngine(t).RunSequencePipelined(n, src, nil)
+	got, err := newEngine(t).RunSequencePipelined(n, src, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +179,10 @@ func TestRunSequencePipelinedMatchesRunSequence(t *testing.T) {
 
 func TestRunPipelinedValidation(t *testing.T) {
 	e := newEngine(t)
-	if _, err := e.RunPipelined(0, func(int) *frame.Frame { return nil }, nil); err == nil {
+	if _, err := e.RunPipelined(0, func(int) *frame.Frame { return nil }, partition.Serial()); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := e.RunPipelined(3, nil, nil); err == nil {
+	if _, err := e.RunPipelined(3, nil, partition.Serial()); err == nil {
 		t.Fatal("nil source accepted")
 	}
 	frames := goldenFrames(t, 3, 2)
@@ -191,11 +191,11 @@ func TestRunPipelinedValidation(t *testing.T) {
 			return nil
 		}
 		return frames[i]
-	}, nil); err == nil {
+	}, partition.Serial()); err == nil {
 		t.Fatal("nil mid-run frame accepted")
 	}
 	// The engine survives and the span builder is restored for serial use.
-	if _, err := e.Process(frames[0], nil); err != nil {
+	if _, err := e.Process(frames[0], partition.Serial()); err != nil {
 		t.Fatalf("engine unusable after aborted pipelined run: %v", err)
 	}
 }
@@ -216,7 +216,7 @@ func TestPipelinedFaultStress(t *testing.T) {
 			panic("stress")
 		}
 	})
-	m := partition.Mapping{tasks.NameRDGFull: 4, tasks.NameRDGROI: 2}
+	m := partition.Serial().With(tasks.NameRDGFull, 4).With(tasks.NameRDGROI, 2)
 	results, err := e.RunPipelined(n, func(i int) *frame.Frame { return frames[i] }, m)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"triplec/internal/partition"
 	"triplec/internal/span"
 	"triplec/internal/tasks"
 )
@@ -21,7 +22,7 @@ func TestProcessStagesTaskSpans(t *testing.T) {
 
 	seq := testSeq(t, 3)
 	f, _ := seq.Frame(0)
-	rep, err := e.Process(f, nil)
+	rep, err := e.Process(f, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestPanicAbortsAttributedSpan(t *testing.T) {
 
 	seq := testSeq(t, 3)
 	f, _ := seq.Frame(0)
-	if _, err := e.Process(f, nil); err == nil {
+	if _, err := e.Process(f, partition.Serial()); err == nil {
 		t.Fatal("injected panic did not surface as TaskError")
 	}
 	b.Commit(0, -1, 0, span.OutcomeFailed, 1, 0, 0, 0)
@@ -113,7 +114,7 @@ func TestSuppressedTasksStageInstants(t *testing.T) {
 
 	seq := testSeq(t, 3)
 	f, _ := seq.Frame(0)
-	rep, err := e.Process(f, nil)
+	rep, err := e.Process(f, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,10 +58,17 @@ func Blackford() Arch {
 	}
 }
 
+// MaxCPUs is the largest NumCPUs an Arch may have, so a stripe count fits
+// the byte partition.Mapping keeps per task.
+const MaxCPUs = 255
+
 // Validate checks the architecture for structural consistency.
 func (a Arch) Validate() error {
 	if a.NumCPUs <= 0 {
 		return errors.New("platform: need at least one CPU")
+	}
+	if a.NumCPUs > MaxCPUs {
+		return fmt.Errorf("platform: %d CPUs, at most %d", a.NumCPUs, MaxCPUs)
 	}
 	if a.CPUHz <= 0 {
 		return errors.New("platform: CPU frequency must be positive")

@@ -44,6 +44,16 @@ func TestValidateRejectsBadArch(t *testing.T) {
 	}
 
 	a = base
+	a.NumCPUs, a.L2SharedBy = 256, 2
+	if a.Validate() == nil {
+		t.Fatal("256 CPUs accepted: a mapping holds at most 255 stripes")
+	}
+	a.NumCPUs = 254 // even, so only the cap could reject it
+	if err := a.Validate(); err != nil {
+		t.Fatalf("254 CPUs rejected: %v", err)
+	}
+
+	a = base
 	a.CPUHz = 0
 	if a.Validate() == nil {
 		t.Fatal("zero frequency accepted")

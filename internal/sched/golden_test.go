@@ -6,6 +6,7 @@ import (
 
 	"triplec/internal/frame"
 	"triplec/internal/platform"
+	"triplec/internal/tasks"
 )
 
 // resultDigest folds what a managed run decided and delivered — every
@@ -21,8 +22,8 @@ func resultDigest(results ...Result) uint64 {
 	for _, res := range results {
 		mix(uint64(len(res.Decisions)))
 		for _, d := range res.Decisions {
-			for _, task := range allTaskNames {
-				mix(uint64(d.Mapping.StripesFor(task)))
+			for ti := range tasks.NumNames {
+				mix(uint64(d.Mapping.StripesAt(ti)))
 			}
 			mix(math.Float64bits(d.PredictedMs))
 			if d.Repartition {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"triplec/internal/flowgraph"
 	"triplec/internal/partition"
 	"triplec/internal/pipeline"
 	"triplec/internal/tasks"
@@ -53,23 +52,18 @@ type StreamPlan struct {
 
 // Mapping materializes the plan as the task-level stripe widths the engine
 // executes: pipelined plans stripe each stage's tasks across that stage's
-// partition, striped plans use the full budget, serial plans return nil
-// (engine default). numCPUs caps stripe widths at the machine size.
+// partition, striped plans use the full budget, serial plans return the
+// serial mapping. numCPUs caps stripe widths at the machine size.
 func (p StreamPlan) Mapping(numCPUs int) partition.Mapping {
 	switch {
 	case p.Pipelined:
-		m := partition.Mapping{}
-		for _, t := range tasks.AllNames() {
+		var m partition.Mapping
+		for ti, s := range tasks.Specs() {
 			k := p.FrontCores
-			if flowgraph.StageOf(t) == flowgraph.StageBack {
+			if s.Back {
 				k = p.BackCores
 			}
-			if k > numCPUs {
-				k = numCPUs
-			}
-			if mx := partition.MaxStripes(t, k); mx > 1 {
-				m[t] = mx
-			}
+			m = m.WithAt(ti, partition.MaxStripes(s.Name, min(k, numCPUs)))
 		}
 		return m
 	case p.Striped && p.Cores >= 2:
@@ -79,7 +73,7 @@ func (p StreamPlan) Mapping(numCPUs int) partition.Mapping {
 		}
 		return partition.Worst(k)
 	default:
-		return nil
+		return partition.Serial()
 	}
 }
 

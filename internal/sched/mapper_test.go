@@ -148,10 +148,10 @@ func FuzzGreedyMapperInvariants(f *testing.F) {
 
 // TestStreamPlanMapping: the materialized stripe widths follow the plan's
 // structure — pipelined plans stripe per stage partition, striped plans use
-// the whole share, serial plans defer to the engine default.
+// the whole share, serial plans are the serial mapping.
 func TestStreamPlanMapping(t *testing.T) {
-	if m := (StreamPlan{Cores: 1}).Mapping(8); m != nil {
-		t.Fatalf("serial plan materialized %v, want nil", m)
+	if m := (StreamPlan{Cores: 1}).Mapping(8); m != partition.Serial() {
+		t.Fatalf("serial plan materialized %v, want serial", m)
 	}
 	p := StreamPlan{Cores: 4, Pipelined: true, FrontCores: 1, BackCores: 3}
 	m := p.Mapping(8)
@@ -160,17 +160,12 @@ func TestStreamPlanMapping(t *testing.T) {
 		if flowgraph.StageOf(task) == flowgraph.StageBack {
 			k = p.BackCores
 		}
-		want := partition.MaxStripes(task, k)
-		got := m[task]
-		if want > 1 && got != want {
+		if got, want := m.StripesFor(task), partition.MaxStripes(task, k); got != want {
 			t.Fatalf("task %s: stripe %d, want %d", task, got, want)
-		}
-		if want <= 1 && got != 0 {
-			t.Fatalf("task %s: unexpected stripe entry %d", task, got)
 		}
 	}
 	s := StreamPlan{Cores: 6, Striped: true}
-	if got, want := s.Mapping(4), partition.Worst(4); len(got) != len(want) {
+	if got, want := s.Mapping(4), partition.Worst(4); got != want {
 		t.Fatalf("striped mapping %v not capped at numCPUs: want %v", got, want)
 	}
 }

@@ -22,10 +22,8 @@ import (
 // sequentially within a frame, so the demand is the largest stripe count.
 func CoresUsed(m partition.Mapping) int {
 	used := 1
-	for _, t := range tasks.AllNames() {
-		if k := m.StripesFor(t); k > used {
-			used = k
-		}
+	for ti := range tasks.NumNames {
+		used = max(used, m.StripesAt(ti))
 	}
 	return used
 }

@@ -13,7 +13,7 @@ func TestCoresUsed(t *testing.T) {
 	if CoresUsed(partition.Serial()) != 1 {
 		t.Fatal("serial mapping must use one core")
 	}
-	m := partition.Mapping{tasks.NameRDGFull: 4, tasks.NameENH: 2}
+	m := partition.Serial().With(tasks.NameRDGFull, 4).With(tasks.NameENH, 2)
 	if CoresUsed(m) != 4 {
 		t.Fatalf("CoresUsed = %d, want 4 (peak, not sum)", CoresUsed(m))
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -29,6 +30,7 @@ type oraclePlanner struct {
 	p           *core.Predictor
 	m           *Manager // budget, headroom, sticky, core budget, switch cost
 	lastMapping partition.Mapping
+	planned     bool // lastMapping holds a plan
 }
 
 func oraclePredictNext(p *core.Predictor) (flowgraph.Scenario, float64) {
@@ -38,7 +40,7 @@ func oraclePredictNext(p *core.Predictor) (flowgraph.Scenario, float64) {
 	}
 	total := 0.0
 	for _, task := range scenario.ActiveTasks() {
-		if m, ok := p.Models[task]; ok {
+		if m := p.Models[tasks.IndexOf(task)]; m != nil {
 			total += m.Predict(p.NextContext())
 		}
 	}
@@ -68,7 +70,7 @@ func oracleSuccessors(t *core.ScenarioTable, from flowgraph.Scenario, minP float
 func oraclePredictTasksFor(p *core.Predictor, s flowgraph.Scenario, ctx core.Context) map[tasks.Name]float64 {
 	out := map[tasks.Name]float64{}
 	for _, task := range s.ActiveTasks() {
-		if m, ok := p.Models[task]; ok {
+		if m := p.Models[tasks.IndexOf(task)]; m != nil {
 			out[task] = m.Predict(ctx)
 		}
 	}
@@ -79,7 +81,7 @@ func (o *oraclePlanner) plan() Decision {
 	_, serial := oraclePredictNext(o.p)
 	if o.m.BudgetMs <= 0 {
 		dec := Decision{Mapping: partition.Serial(), PredictedMs: serial, SerialMs: serial}
-		o.lastMapping = dec.Mapping
+		o.lastMapping, o.planned = dec.Mapping, true
 		return dec
 	}
 	ctx := o.p.NextContext()
@@ -106,7 +108,7 @@ func (o *oraclePlanner) predictedDemandMs() float64 {
 	if last, ok := o.p.LastScenario(); ok {
 		total := 0.0
 		for _, task := range last.ActiveTasks() {
-			if m, ok := o.p.Models[task]; ok {
+			if m := o.p.Models[tasks.IndexOf(task)]; m != nil {
 				total += m.Predict(o.p.NextContext())
 			}
 		}
@@ -120,7 +122,7 @@ func (o *oraclePlanner) planSteered(p *core.Prediction) Decision {
 	serial := p.TotalMs
 	if o.m.BudgetMs <= 0 {
 		dec := Decision{Mapping: partition.Serial(), PredictedMs: serial, SerialMs: serial}
-		o.lastMapping = dec.Mapping
+		o.lastMapping, o.planned = dec.Mapping, true
 		return dec
 	}
 	demand := make(map[tasks.Name]float64, tasks.NumNames)
@@ -129,7 +131,7 @@ func (o *oraclePlanner) planSteered(p *core.Prediction) Decision {
 			continue
 		}
 		if ms := p.Ms[ti]; ms > 0 {
-			demand[allTaskNames[ti]] = ms
+			demand[tasks.AllNames()[ti]] = ms
 		}
 	}
 	return o.planWithDemand(demand, serial)
@@ -148,7 +150,7 @@ func (o *oraclePlanner) planWithDemand(demand map[tasks.Name]float64, serial flo
 	dec := Decision{Mapping: partition.Serial(), PredictedMs: serial, SerialMs: serial}
 	budget := m.BudgetMs * m.Headroom
 
-	if m.Sticky && o.lastMapping != nil {
+	if m.Sticky && o.planned {
 		total := 0.0
 		for task, ms := range demand {
 			total += m.estStripedMs(ms, o.lastMapping.StripesFor(task))
@@ -203,29 +205,15 @@ func (o *oraclePlanner) planWithDemand(demand map[tasks.Name]float64, serial flo
 		est[best] = m.estStripedMs(demand[best], k)
 	}
 
-	mapping := partition.Mapping{}
+	mapping := partition.Serial()
 	for task, k := range kOf {
-		if k > 1 {
-			mapping[task] = k
-		}
+		mapping = mapping.With(task, k)
 	}
 	dec.Mapping = mapping
 	dec.PredictedMs = total()
-	dec.Repartition = !sameMapping(mapping, o.lastMapping)
-	o.lastMapping = mapping
+	dec.Repartition = mapping != o.lastMapping
+	o.lastMapping, o.planned = mapping, true
 	return dec
-}
-
-func sameMapping(a, b partition.Mapping) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for t, k := range a {
-		if b[t] != k {
-			return false
-		}
-	}
-	return true
 }
 
 // planFixture is trained and profiled once: a predictor to clone and a
@@ -249,7 +237,7 @@ func planTestData(t testing.TB) (*core.Predictor, []core.Observation) {
 			reports, err := newEngine(t).RunSequence(75, func(j int) *frame.Frame {
 				f, _ := seq.Frame(j)
 				return f
-			}, nil)
+			}, partition.Serial())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -304,7 +292,7 @@ func closeRel(a, b float64) bool {
 
 func checkDecision(t *testing.T, where string, got, want Decision) {
 	t.Helper()
-	if !sameMapping(got.Mapping, want.Mapping) || (got.Mapping == nil) != (want.Mapping == nil) {
+	if got.Mapping != want.Mapping {
 		t.Fatalf("%s: mapping %v, oracle %v", where, got.Mapping, want.Mapping)
 	}
 	if got.Repartition != want.Repartition {
@@ -357,12 +345,12 @@ func TestPlanMatchesMapOracle(t *testing.T) {
 			want := oracle.plan()
 			got := m.Plan()
 			checkDecision(t, tc.name+" frame "+strconv.Itoa(i), got, want)
-			if len(got.Mapping) > 0 {
+			if got.Mapping != partition.Serial() {
 				striped++
 			}
 			if got.Repartition {
 				repartitions++
-			} else if i > 3 && len(got.Mapping) > 0 {
+			} else if i > 3 && got.Mapping != partition.Serial() {
 				kept++
 			}
 			m.Observe(obs)
@@ -447,15 +435,15 @@ func TestPlanDeterministic(t *testing.T) {
 	for i := range a {
 		if math.Float64bits(a[i].PredictedMs) != math.Float64bits(b[i].PredictedMs) ||
 			math.Float64bits(a[i].SerialMs) != math.Float64bits(b[i].SerialMs) ||
-			a[i].Repartition != b[i].Repartition || !sameMapping(a[i].Mapping, b[i].Mapping) {
+			a[i].Repartition != b[i].Repartition || a[i].Mapping != b[i].Mapping {
 			t.Fatalf("frame %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
 
 // TestPlanAllocatesOnlyToRepartition: a plan that keeps or re-derives the
-// previous mapping, and the demand signal beside it, allocate nothing; a
-// Mapping is built only when the plan changes it.
+// previous mapping, and the demand signal beside it, allocate nothing; nor
+// does a plan that repartitions, since a Mapping is a value.
 func TestPlanAllocatesOnlyToRepartition(t *testing.T) {
 	trained, series := planTestData(t)
 	for _, sticky := range []bool{true, false} {
@@ -479,8 +467,31 @@ func TestPlanAllocatesOnlyToRepartition(t *testing.T) {
 			t.Fatalf("sticky=%v: steady Plan+PredictedDemandMs allocates %v, want 0", sticky, allocs)
 		}
 	}
-	// Profiling mode hands the same serial mapping out again.
+	// Repartitioning: the demand wanders across the budget, so the plans
+	// change the mapping, each new split planned for the first time, and
+	// still nothing allocates (a total over the frames, since AllocsPerRun
+	// rounds a rare allocation down to 0).
 	m := cloneManager(t, trained)
+	m.BudgetMs = 0.6 * meanSerialMs(series)
+	m.Plan()
+	repartitions := 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, obs := range series[:200] {
+		m.Observe(obs)
+		if m.Plan().Repartition {
+			repartitions++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if repartitions == 0 {
+		t.Fatal("no plan repartitioned; the series must cross the budget")
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("Plan+Observe over %d repartitions made %d allocations, want 0", repartitions, n)
+	}
+	// Profiling mode hands the same serial mapping out again.
+	m = cloneManager(t, trained)
 	m.Plan()
 	if allocs := testing.AllocsPerRun(100, func() { m.Plan() }); allocs != 0 {
 		t.Fatalf("budget-less Plan allocates %v, want 0", allocs)

@@ -59,15 +59,9 @@ type Manager struct {
 	maxStripes [tasks.NumNames]int // partition.MaxStripes on the whole machine
 	coreBudget int                 // cores this application may use; 0 = whole machine
 
-	// lastMapping is the previous plan's mapping and lastK its dense form
-	// (stripe count per task index, 1 when absent); the planner reads and
-	// compares lastK and hands lastMapping out again while nothing changes.
+	// lastMapping is the previous plan's mapping, once planned is set.
 	lastMapping partition.Mapping
-	lastK       [tasks.NumNames]int
-	// mappings holds every mapping planned so far by its dense form, so a
-	// repartition back to a known split allocates nothing. A mapping is
-	// read-only once handed out; reports and plans share it.
-	mappings map[[tasks.NumNames]int]partition.Mapping
+	planned     bool
 
 	// steerSrc is the live-swappable forecast source (see steer.go) that
 	// replaces the predictor in Plan and PredictedDemandMs.
@@ -78,14 +72,6 @@ type Manager struct {
 	demandPred core.Prediction
 	demand     [tasks.NumNames]float64
 }
-
-// serialK is the dense form of the serial mapping.
-var serialK = func() (k [tasks.NumNames]int) {
-	for ti := range k {
-		k[ti] = 1
-	}
-	return k
-}()
 
 // NewManager builds a manager around a trained predictor for the given
 // architecture.
@@ -102,10 +88,9 @@ func NewManager(p *core.Predictor, arch platform.Arch) (*Manager, error) {
 		arch:      arch,
 		Headroom:  1.0,
 		switchMs:  machine.CyclesToMs(arch.SwitchCost),
-		lastK:     serialK,
 	}
-	for ti, task := range allTaskNames {
-		m.maxStripes[ti] = partition.MaxStripes(task, arch.NumCPUs)
+	for ti, s := range tasks.Specs() {
+		m.maxStripes[ti] = partition.MaxStripes(s.Name, arch.NumCPUs)
 	}
 	return m, nil
 }
@@ -193,9 +178,7 @@ func (m *Manager) plan() Decision {
 // serialDecision is the profiling-mode plan: the serial mapping, remembered
 // as the previous one.
 func (m *Manager) serialDecision(serial float64) Decision {
-	if m.lastMapping == nil || m.lastK != serialK {
-		m.lastMapping, m.lastK = m.mappingFor(serialK), serialK
-	}
+	m.lastMapping, m.planned = partition.Serial(), true
 	return Decision{Mapping: m.lastMapping, PredictedMs: serial, SerialMs: serial}
 }
 
@@ -217,11 +200,11 @@ func (m *Manager) planWithDemand(serial float64) Decision {
 
 	// Hysteresis: when the previous mapping still meets the budget for the
 	// current demand, keep it verbatim.
-	if m.Sticky && m.lastMapping != nil {
+	if m.Sticky && m.planned {
 		total := 0.0
 		for ti, ms := range demand {
 			if ms > 0 { // a striped task without demand costs nothing, not a fork/join
-				total += m.estStripedMs(ms, m.lastK[ti])
+				total += m.estStripedMs(ms, m.lastMapping.StripesAt(ti))
 			}
 		}
 		if total <= budget {
@@ -235,7 +218,7 @@ func (m *Manager) planWithDemand(serial float64) Decision {
 	// the task with the largest current estimated time that still has
 	// stripe capacity. A task without demand estimates to zero and gains
 	// nothing from striping, so it is never picked.
-	kOf := serialK
+	var mp partition.Mapping
 	est := *demand
 	total := func() float64 {
 		t := 0.0
@@ -249,11 +232,11 @@ func (m *Manager) planWithDemand(serial float64) Decision {
 		best, bestK := -1, 0
 		bestGain := 0.0
 		for ti, ms := range demand {
-			maxK := m.maxStripesFor(ti)
-			if kOf[ti] >= maxK {
+			maxK, k := m.maxStripesFor(ti), mp.StripesAt(ti)
+			if k >= maxK {
 				continue
 			}
-			next := kOf[ti] * 2
+			next := k * 2
 			if next > maxK {
 				next = maxK
 			}
@@ -265,42 +248,14 @@ func (m *Manager) planWithDemand(serial float64) Decision {
 		if best < 0 {
 			break // no task can be split further profitably
 		}
-		kOf[best] = bestK
+		mp = mp.WithAt(best, bestK)
 		est[best] = m.estStripedMs(demand[best], bestK)
 	}
 
 	dec.PredictedMs = total()
-	dec.Repartition = kOf != m.lastK
-	if dec.Repartition || m.lastMapping == nil {
-		m.lastMapping, m.lastK = m.mappingFor(kOf), kOf
-	}
-	dec.Mapping = m.lastMapping
+	dec.Mapping, dec.Repartition = mp, mp != m.lastMapping
+	m.lastMapping, m.planned = mp, true
 	return dec
-}
-
-// maxMappings bounds the mappings a manager keeps; past it a new split is
-// built afresh each time it is planned.
-const maxMappings = 64
-
-// mappingFor returns the mapping whose dense form is k, building it the
-// first time k is planned.
-func (m *Manager) mappingFor(k [tasks.NumNames]int) partition.Mapping {
-	if mp, ok := m.mappings[k]; ok {
-		return mp
-	}
-	mp := partition.Mapping{}
-	for ti, n := range k {
-		if n > 1 {
-			mp[allTaskNames[ti]] = n
-		}
-	}
-	if m.mappings == nil {
-		m.mappings = map[[tasks.NumNames]int]partition.Mapping{}
-	}
-	if len(m.mappings) < maxMappings {
-		m.mappings[k] = mp
-	}
-	return mp
 }
 
 // Observe feeds the executed frame back to the predictor (the paper's
@@ -325,10 +280,8 @@ func (m *Manager) Observe(obs core.Observation) {
 // frame returns the engine's error unwrapped and leaves the manager
 // unobserved.
 func (m *Manager) Step(eng *pipeline.Engine, f *frame.Frame, first bool, framePixels int, obs *core.Observation) (Decision, pipeline.Report, error) {
-	var dec Decision
-	if first {
-		dec = Decision{Mapping: partition.Serial()}
-	} else {
+	var dec Decision // the zero Decision is the serial mapping
+	if !first {
 		dec = m.Plan()
 	}
 	rep, err := eng.Process(f, dec.Mapping)

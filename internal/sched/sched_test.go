@@ -48,7 +48,7 @@ func trainedPredictor(t testing.TB) *core.Predictor {
 		reports, err := eng.RunSequence(60, func(j int) *frame.Frame {
 			f, _ := seq.Frame(j)
 			return f
-		}, nil)
+		}, partition.Serial())
 		if err != nil {
 			t.Fatal(err)
 		}

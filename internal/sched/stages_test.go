@@ -4,11 +4,15 @@ import (
 	"testing"
 
 	"triplec/internal/frame"
+	"triplec/internal/partition"
 	"triplec/internal/pipeline"
 	"triplec/internal/synth"
 	"triplec/internal/tasks"
 )
 
+// TestSplitStages: the pipelining estimate splits a report at the
+// executor's stage cut, so ROI EST (which the next frame's analysis waits
+// for) counts in the front stage.
 func TestSplitStages(t *testing.T) {
 	rep := pipeline.Report{Execs: []pipeline.TaskExec{
 		{Task: tasks.NameDetect, Ms: 1},
@@ -19,9 +23,9 @@ func TestSplitStages(t *testing.T) {
 		{Task: tasks.NameENH, Ms: 24},
 		{Task: tasks.NameZOOM, Ms: 12},
 	}}
-	front, back := SplitStages(rep)
-	if front != 45 || back != 37 {
-		t.Fatalf("SplitStages = %v, %v; want 45, 37", front, back)
+	front, back := rep.StageMs()
+	if front != 46 || back != 36 {
+		t.Fatalf("StageMs = %v, %v; want 46, 36", front, back)
 	}
 }
 
@@ -43,7 +47,7 @@ func TestEstimatePipeliningInvariants(t *testing.T) {
 	reports, err := eng.RunSequence(40, func(i int) *frame.Frame {
 		f, _ := seq.Frame(i)
 		return f
-	}, nil)
+	}, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"triplec/internal/core"
-	"triplec/internal/tasks"
-)
+import "triplec/internal/core"
 
 // This file is the live-swappable demand seam the promotion controller
 // (internal/promote) steers: a promoted shadow backend's dense forecast
@@ -16,10 +13,6 @@ import (
 
 // steerBox wraps the interface so it can live in an atomic.Pointer.
 type steerBox struct{ src core.DemandSource }
-
-// allTaskNames caches the allocating tasks.AllNames() for the per-frame
-// planning paths.
-var allTaskNames = tasks.AllNames()
 
 // SetDemandSource steers the manager's planning by the given forecast
 // source; nil restores the built-in predictor. Safe to call concurrently

@@ -6,6 +6,7 @@ import (
 
 	"triplec/internal/core"
 	"triplec/internal/frame"
+	"triplec/internal/partition"
 	"triplec/internal/platform"
 )
 
@@ -32,7 +33,7 @@ func TestStepFirstFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(dec.Mapping) != 0 || dec.PredictedMs != 0 || dec.Repartition {
+		if dec.Mapping != partition.Serial() || dec.PredictedMs != 0 || dec.Repartition {
 			t.Fatalf("budget %v: first frame was planned: %+v", fixed, dec)
 		}
 		want := fixed
@@ -71,7 +72,7 @@ func TestStepFirstFrame(t *testing.T) {
 // and must forecast and budget identically at every step.
 func TestObserveMatchesObserveFrame(t *testing.T) {
 	seq := synthSeq(t, 1357)
-	reports, err := newEngine(t).RunSequence(300, func(i int) *frame.Frame { f, _ := seq.Frame(i); return f }, nil)
+	reports, err := newEngine(t).RunSequence(300, func(i int) *frame.Frame { f, _ := seq.Frame(i); return f }, partition.Serial())
 	if err != nil {
 		t.Fatal(err)
 	}

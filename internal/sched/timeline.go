@@ -108,29 +108,10 @@ func (t Timeline) Render(width int) string {
 		width = 10
 	}
 	glyphFor := func(task tasks.Name) byte {
-		if len(task) == 0 {
-			return '?'
+		if s, ok := tasks.SpecOf(task); ok {
+			return s.Glyph
 		}
-		switch task {
-		case tasks.NameRDGFull, tasks.NameRDGROI:
-			return 'R'
-		case tasks.NameMKXExt:
-			return 'M'
-		case tasks.NameCPLSSel:
-			return 'C'
-		case tasks.NameREG:
-			return 'G'
-		case tasks.NameROIEst:
-			return 'r'
-		case tasks.NameGWExt:
-			return 'W'
-		case tasks.NameENH:
-			return 'E'
-		case tasks.NameZOOM:
-			return 'Z'
-		default:
-			return 'd'
-		}
+		return '?'
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "timeline: makespan %.1f ms, utilization %.0f%%\n",

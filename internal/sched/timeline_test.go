@@ -143,7 +143,7 @@ func TestTimelineBaseCoreOffset(t *testing.T) {
 func TestTimelineFromRealRun(t *testing.T) {
 	seq := synthSeq(t, 777)
 	eng := newEngine(t)
-	m := partition.Mapping{tasks.NameRDGFull: 4, tasks.NameENH: 2}
+	m := partition.Serial().With(tasks.NameRDGFull, 4).With(tasks.NameENH, 2)
 	var sawUtil bool
 	for i := 0; i < 10; i++ {
 		f, _ := seq.Frame(i)

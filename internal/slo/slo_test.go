@@ -281,3 +281,70 @@ func TestSlozHandler(t *testing.T) {
 		t.Fatalf("nil tracker status %d, want 404", rec.Code)
 	}
 }
+
+// TestTransitionRingWraps: past transitionCap the log keeps the newest
+// transitions, oldest first, through two full wraps of the ring.
+func TestTransitionRingWraps(t *testing.T) {
+	tr := NewTracker(Config{Streams: 1})
+	fired := 0
+	tr.SetOnTransition(func(Transition) { fired++ })
+	bad := FrameInput{LatencyMs: 30, PredictedMs: 30, BudgetMs: 20}
+	good := FrameInput{LatencyMs: 10, PredictedMs: 10, BudgetMs: 20}
+	for fired < 2*transitionCap+transitionCap/2 {
+		for i := 0; i < fastWindow; i++ {
+			tr.ObserveFrame(&bad)
+		}
+		for i := 0; i < fastWindow; i++ {
+			tr.ObserveFrame(&good)
+		}
+	}
+	log := tr.Status(true).Transitions
+	if len(log) != transitionCap {
+		t.Fatalf("log holds %d transitions, want %d", len(log), transitionCap)
+	}
+	for i, x := range log {
+		if want := fired - transitionCap + i; x.Seq != want {
+			t.Fatalf("log[%d] is transition %d, want %d (the newest %d, oldest first)", i, x.Seq, want, transitionCap)
+		}
+	}
+}
+
+// TestObjectiveOfOneTakesDefault: an objective of exactly 1 leaves no error
+// budget (every burn would divide by zero), so it takes the default like
+// any other out-of-range objective.
+func TestObjectiveOfOneTakesDefault(t *testing.T) {
+	for _, o := range []float64{1, 0, -0.5, 1.5} {
+		if got := (BurnConfig{Objective: o}).withDefaults(0.95).Objective; got != 0.95 {
+			t.Fatalf("objective %v kept as %v, want the default 0.95", o, got)
+		}
+	}
+	if got := (BurnConfig{Objective: 0.99}).withDefaults(0.95).Objective; got != 0.99 {
+		t.Fatalf("objective 0.99 replaced by %v", got)
+	}
+}
+
+// TestTicketAtExactBurn: a slow burn of exactly ticketBurn raises a ticket
+// and holds it; the first frame below the bar clears it. Objective 0.75
+// leaves a 0.25 budget, so alternating frames burn exactly 2 and the fast
+// window can never page (its burn is at most 4).
+func TestTicketAtExactBurn(t *testing.T) {
+	s := newSLOState(BurnConfig{Objective: 0.75})
+	for i := 0; i < slowWindow-1; i++ {
+		if _, to, changed := s.observe(i%2 == 0); changed {
+			t.Fatalf("frame %d: %s before the slow window filled", i, to)
+		}
+	}
+	if _, to, changed := s.observe(false); !changed || to != AlertTicket || s.slowBurn() != ticketBurn {
+		t.Fatalf("slow burn %v: state %s, want a ticket at exactly %d", s.slowBurn(), to, ticketBurn)
+	}
+	for i := 0; i < slowWindow; i++ {
+		if _, to, changed := s.observe(i%2 == 0); changed {
+			t.Fatalf("frame %d at burn %v: %s, want the ticket held", i, s.slowBurn(), to)
+		}
+	}
+	// The oldest frame in the ring is bad: one good frame drops the burn
+	// just below 2.
+	if _, to, changed := s.observe(false); !changed || to != AlertOK || s.slowBurn() >= ticketBurn {
+		t.Fatalf("slow burn %v: state %s, want the ticket cleared", s.slowBurn(), to)
+	}
+}

@@ -688,11 +688,10 @@ func (r *runner) serveFrame(i int) error {
 	if err := r.mgr.SetCoreBudget(clamp(d.Cores, 1, r.mgr.Arch().NumCPUs)); err != nil {
 		return err
 	}
+	// The initialization frame runs serial (the zero Decision), like the
+	// paper's manager.
 	var dec sched.Decision
-	if res.Stats.Processed == 0 {
-		// Initialization frame: serial, like the paper's manager.
-		dec = sched.Decision{Mapping: partition.Serial()}
-	} else {
+	if res.Stats.Processed > 0 {
 		dec = r.mgr.Plan()
 	}
 	if d.Mode == ModeSerial || r.deg.Level().ForceSerial() {

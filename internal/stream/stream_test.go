@@ -11,6 +11,7 @@ import (
 	"triplec/internal/experiments"
 	"triplec/internal/frame"
 	"triplec/internal/parallel"
+	"triplec/internal/partition"
 	"triplec/internal/pipeline"
 	"triplec/internal/synth"
 	"triplec/internal/tasks"
@@ -361,7 +362,7 @@ func TestHostSlotsSerializeProcessing(t *testing.T) {
 func TestHostProcessReturnsEscapingPanic(t *testing.T) {
 	h := &host{slots: make(chan struct{}, 1)}
 	for call := 0; call < 2; call++ {
-		_, err := h.process(nil, frame.New(4, 4), nil) // a nil engine panics
+		_, err := h.process(nil, frame.New(4, 4), partition.Serial()) // a nil engine panics
 		var pe *parallel.PanicError
 		if !errors.As(err, &pe) || len(pe.Stack) == 0 {
 			t.Fatalf("call %d: error %v, want a *parallel.PanicError with a stack", call, err)

@@ -1050,18 +1050,45 @@ func TestRunStripedDegenerate(t *testing.T) {
 	}
 }
 
+// TestIndexOfMatchesAllNames: the hash-free IndexOf switch and AllNames
+// both agree with the task table's row order.
 func TestIndexOfMatchesAllNames(t *testing.T) {
 	names := AllNames()
 	if len(names) != NumNames {
 		t.Fatalf("NumNames = %d, but AllNames has %d entries", NumNames, len(names))
 	}
-	for i, n := range names {
-		if got := IndexOf(n); got != i {
-			t.Fatalf("IndexOf(%s) = %d, want %d", n, got, i)
+	for i, s := range Specs() {
+		if got := IndexOf(s.Name); got != i || names[i] != s.Name {
+			t.Fatalf("IndexOf(%s) = %d, AllNames[%d] = %s; want row %d", s.Name, got, i, names[i], i)
+		}
+		if got, ok := SpecOf(s.Name); !ok || got != s {
+			t.Fatalf("SpecOf(%s) = %+v, %v; want row %d", s.Name, got, ok, i)
 		}
 	}
 	if IndexOf("NOPE") != -1 {
 		t.Fatal("unknown task must index to -1")
+	}
+	if s, ok := SpecOf("NOPE"); ok || s != (Spec{}) {
+		t.Fatalf("SpecOf(unknown) = %+v, %v; want the zero row", s, ok)
+	}
+}
+
+// TestSpecsChains: every chain label a model reads is trained by exactly
+// one chain task, and only model tasks carry one.
+func TestSpecsChains(t *testing.T) {
+	trained := map[string]int{}
+	for _, s := range Specs() {
+		if s.Model == ModelChain {
+			trained[s.Chain]++
+		}
+	}
+	for _, s := range Specs() {
+		switch {
+		case s.Model == ModelConstant && s.Chain != "":
+			t.Fatalf("constant task %s carries chain %q", s.Name, s.Chain)
+		case s.Model != ModelConstant && trained[s.Chain] != 1:
+			t.Fatalf("task %s reads chain %q, trained by %d tasks", s.Name, s.Chain, trained[s.Chain])
+		}
 	}
 }
 

@@ -27,17 +27,18 @@ const (
 
 // AllNames lists the modeled tasks in pipeline order.
 func AllNames() []Name {
-	return []Name{
-		NameDetect, NameRDGFull, NameRDGROI, NameMKXExt, NameCPLSSel,
-		NameREG, NameROIEst, NameGWExt, NameENH, NameZOOM,
+	names := make([]Name, NumNames)
+	for i, s := range specs {
+		names[i] = s.Name
 	}
+	return names
 }
 
 // NumNames is the number of modeled tasks (len(AllNames())).
 const NumNames = 10
 
-// IndexOf returns the task's position in AllNames, or -1 for an unknown
-// name. The switch (instead of a map) keeps the lookup allocation- and
+// IndexOf returns the task's position in AllNames (its row of the task
+// table), or -1 for an unknown name. The switch (instead of a map) keeps the lookup allocation- and
 // hash-free so per-frame telemetry can index dense instrument arrays with
 // it on the hot path.
 func IndexOf(n Name) int {

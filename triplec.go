@@ -73,7 +73,8 @@ type (
 	Report = pipeline.Report
 	// Scenario is one combination of the flow graph's three switches.
 	Scenario = flowgraph.Scenario
-	// Mapping assigns stripe counts to tasks.
+	// Mapping assigns stripe counts to tasks. It is a comparable value: the
+	// zero Mapping is Serial, and With sets one task's stripe count.
 	Mapping = partition.Mapping
 )
 
